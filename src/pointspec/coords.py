@@ -227,8 +227,3 @@ def coord_key(c):
     if isinstance(c, (int, Fraction)):
         return ("E", Fraction(c), 0) if isinstance(c, Fraction) else ("E", c, 0)
     return ("F", round(float(c) / TOL_EQ))
-
-
-def exact_from_float(x: float) -> Fraction:
-    """The exact rational value of a binary float."""
-    return Fraction(x)

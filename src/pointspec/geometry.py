@@ -3,8 +3,9 @@
 Points are d-tuples of coordinates (d in {1, 2}).  A Cluster is one finite
 colored configuration: m parts, each a sorted tuple of points.  A
 MultiSetPatch is the restriction of a point set to a bounded region, i.e.
-exactly what a window query returns.  Regions are closed by convention;
-ties at float boundaries are resolved with TOL_EQ slack.
+exactly what a window query returns.  Regions are closed by default (an
+Interval may be half-open); ties at float boundaries are resolved with
+TOL_EQ slack.
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ def interval(lo, hi, closed_lo=True, closed_hi=True) -> Interval:
     return Interval(lo, hi, closed_lo, closed_hi)
 
 
-def region_from_bounds(bounds) -> object:
-    if len(bounds) == 1:
-        return Interval(bounds[0][0], bounds[0][1])
-    return Box(tuple(b[0] for b in bounds), tuple(b[1] for b in bounds))
-
-
 def boundary_shell_volume(region, r: float) -> float:
     """Vol((boundary F)^{+r}) for intervals/boxes/balls, in closed form."""
     outer = region.dilate(r).volume()
@@ -171,6 +166,18 @@ def boundary_shell_volume(region, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # points and clusters
+
+
+def in_sorted(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
+    """Boolean membership, within tol, of targets in a sorted 1D position array."""
+    if len(pos) == 0:
+        return np.zeros(len(targets), dtype=bool)
+    idx = np.searchsorted(pos, targets)
+    ok = np.zeros(len(targets), dtype=bool)
+    for shift in (-1, 0):
+        j = np.clip(idx + shift, 0, len(pos) - 1)
+        ok |= np.abs(pos[j] - targets) <= tol
+    return ok
 
 
 def point_value(pt) -> tuple:
@@ -253,6 +260,12 @@ class Cluster:
         """Lexicographically smallest support point (None if empty)."""
         sup = self.support()
         return sup[0] if sup else None
+
+    def anchor_color(self) -> int:
+        """Index of the first part holding the anchor point."""
+        a = self.anchor_point()
+        return next(i for i, part in enumerate(self.parts)
+                    if part and all(as_float(x) == as_float(y) for x, y in zip(part[0], a)))
 
     def anchored(self):
         """(representative with anchor at origin, anchor point)."""

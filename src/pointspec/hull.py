@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import TOL_EQ, as_float, is_exact_coord
+from .coords import TOL_EQ, as_float, coord_key, is_exact_coord
 from .geometry import (
     Cluster,
     Interval,
@@ -27,6 +27,7 @@ from .geometry import (
     enumerate_cluster_classes,
     cluster_distance,
     delone_params,
+    in_sorted,
 )
 from .sources import TranslatedSource
 
@@ -249,9 +250,7 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
         raise NotImplementedError("cylinder decision is 1D in this build")
 
     anchor = P.anchor_point()
-    anchor_color = next(
-        i for i, part in enumerate(P.parts)
-        if part and all(as_float(a) == as_float(b) for a, b in zip(part[0], anchor)))
+    anchor_color = P.anchor_color()
     av = as_float(anchor[0])
     pos_anchor = patch.positions(anchor_color)
     # candidates g = anchor - q over anchor-color points q with g in V
@@ -263,39 +262,14 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
             g = anchor[0] - patch.parts[anchor_color][j][0]
             if not V.contains_value(g):
                 continue
-            ok = True
-            for i, part in enumerate(P.parts):
-                for p in part:
-                    target = p[0] - g
-                    if not patch.contains_point(i, (target,), tol):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
         else:
             g = av - pos_anchor[j]
             if not V.contains_value(g, tol):
                 continue
-            ok = True
-            for i, part in enumerate(P.parts):
-                pos_i = patch.positions(i)
-                for p in part:
-                    target = as_float(p[0]) - g
-                    k = np.searchsorted(pos_i, target)
-                    hit = False
-                    for kk in (k - 1, k):
-                        if 0 <= kk < len(pos_i) and abs(pos_i[kk] - target) <= tol:
-                            hit = True
-                            break
-                    if not hit:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
+        # p[0] - g is exact when g is, and the float as_float(p[0]) - g otherwise
+        if all(patch.contains_point(i, (p[0] - g,), tol)
+               for i, part in enumerate(P.parts) for p in part):
+            return True
     return False
 
 
@@ -466,12 +440,6 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     return HullPartition(cells=cells, radius=R, delta=delta, representatives=reps)
 
 
-def _coordkey(c):
-    from .coords import coord_key
-
-    return coord_key(c)
-
-
 def _scan_pieces(source, R: float, t0: float, t1: float):
     """Distinct (window pattern, pinned cluster, offset window) pieces for
     the sliding window B_R(t), t in [t0, t1].
@@ -526,7 +494,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
         pinned = Cluster(pparts, dim=1)
         w_lo = a - anchor
         w_hi = b - anchor
-        key = (rep.signature(), pinned.signature(), _coordkey(w_lo), _coordkey(w_hi),
+        key = (rep.signature(), pinned.signature(), coord_key(w_lo), coord_key(w_hi),
                len(pinned.support()))
         if key not in pieces:
             pieces[key] = (rep, pinned, w_lo, w_hi)
@@ -577,9 +545,7 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
 def _occurrence_positions(patch: MultiSetPatch, P: Cluster) -> np.ndarray:
     """Float positions v with v + P contained in the patch's point set."""
     anchor = P.anchor_point()
-    anchor_color = next(
-        i for i, part in enumerate(P.parts)
-        if part and all(as_float(a) == as_float(b) for a, b in zip(part[0], anchor)))
+    anchor_color = P.anchor_color()
     base = patch.positions(anchor_color)
     cand = base - as_float(anchor[0])
     mask = np.ones(len(cand), dtype=bool)
@@ -588,12 +554,5 @@ def _occurrence_positions(patch: MultiSetPatch, P: Cluster) -> np.ndarray:
         for p in part:
             if i == anchor_color and as_float(p[0]) == as_float(anchor[0]):
                 continue
-            targets = cand + as_float(p[0])
-            ok = np.zeros(len(targets), dtype=bool)
-            if len(pos_i):
-                idx = np.searchsorted(pos_i, targets)
-                for sh in (-1, 0):
-                    jj = np.clip(idx + sh, 0, len(pos_i) - 1)
-                    ok |= np.abs(pos_i[jj] - targets) <= TOL_EQ
-            mask &= ok
+            mask &= in_sorted(pos_i, cand + as_float(p[0]))
     return cand[mask]

@@ -71,7 +71,7 @@ class PointSource:
 
 
 def window(source: PointSource, region) -> MultiSetPatch:
-    """A ∩ Λ as a patch (boundary points included; regions are closed)."""
+    """A ∩ Λ as a patch (boundary points included unless the region is half-open there)."""
     return source.window(region)
 
 
@@ -145,8 +145,28 @@ class CutProjectSpec:
         if not self.windows:
             raise SourceError("need at least one acceptance window")
         for w in self.windows:
+            if not (is_exact_coord(w.lo) and is_exact_coord(w.hi)):
+                raise SourceError("acceptance window endpoints must be exact")
             if w.volume() <= 0:
                 raise SourceError("empty acceptance window")
+
+
+# Cut-and-project window regions must lie in |x| <= COORD_MAX: the float
+# candidate bracket has a margin of 1 in a, and its rounding error stays far
+# below that while |x| <= 2**50 (it reaches 1 near |x| ~ 1e16).  Windows with
+# large denominators lower the bound (CutProjectSource.coord_max) so that the
+# int64 sign test stays exact.
+COORD_MAX = 2.0 ** 50
+_BLOCK_ROWS = 512      # b values per block of candidates (bounds temporaries)
+_GUARD = 2.0 ** -46    # float tie band, relative to the candidates' magnitude
+
+
+def _sign_sqrt(u, v, disc: int):
+    """Sign of u + v*sqrt(disc) for int64 arrays, decided as QuadField.sign;
+    exact while |u^2 - disc*v^2| < 2**63 (the squares may wrap, not their difference)."""
+    su, sv = np.sign(u), np.sign(v)
+    t = u * u - disc * v * v
+    return np.where(su * sv < 0, su * np.sign(t), np.where(su != 0, su, sv))
 
 
 class CutProjectSource(PointSource):
@@ -162,35 +182,95 @@ class CutProjectSource(PointSource):
         self._star_hi = max(as_float(w.hi) for w in spec.windows)
         self._tau = f.tau
         self._tauc = f.tau_conj
+        # window ends as integer pairs (a, b) over one common denominator d
+        ends = [e if isinstance(e, QuadNum) else QuadNum(e, 0, f)
+                for w in spec.windows for e in (w.lo, w.hi)]
+        coefs = [Fraction(c) for e in ends for c in (e.a, e.b)]
+        self._d = d = math.lcm(*(c.denominator for c in coefs))
+        scaled = [int(c * d) for c in coefs]
+        self._ends = [tuple(scaled[k:k + 4]) for k in range(0, len(scaled), 4)]
+        # for a candidate x and a window end w: |u + v sqrt D| = 2d|x* - w| <= 2d*S
+        # and |u - v sqrt D| = 2d|x - w*|, so |u^2 - D v^2| < 2**62 below coord_max
+        S = self._star_hi - self._star_lo + 3.0
+        w_conj = max(abs(float(e.conj())) for e in ends)
+        self.coord_max = min(COORD_MAX, 2.0 ** 62 / (4.0 * d * d * S) - w_conj - 3.0)
+        if self.coord_max <= 0 or max(map(abs, scaled)) >= 2 ** 62:
+            raise SourceError("acceptance windows are beyond the exact int64 range")
 
     def _query(self, region):
         (lo, hi), = region.bounds()
+        if max(abs(lo), abs(hi)) > self.coord_max:
+            raise SourceError("window region beyond |x| <= %g, where the "
+                              "cut-and-project window is exact" % self.coord_max)
+        closed_lo = closed_hi = True
+        if isinstance(region, Interval):
+            closed_lo, closed_hi = region.closed_lo, region.closed_hi
         lo_x, hi_x = lo - TOL_EQ, hi + TOL_EQ
-        f = self.field
         # x = a + b*tau in [lo, hi] and x* = a + b*tau' in the window band:
         # b = (x - x*) / (tau - tau'), then a is pinned by both constraints.
         span = self._tau - self._tauc
         b_lo = math.floor(min((lo_x - self._star_hi), (lo_x - self._star_lo)) / span) - 1
         b_hi = math.ceil(max((hi_x - self._star_lo), (hi_x - self._star_hi)) / span) + 1
-        # closed float boundaries carry TOL_EQ slack (exact compare against
-        # the float's rational value would resolve irrational ties arbitrarily)
-        slack = Fraction(1, 10 ** 9)
-        lo_exact = Fraction(lo) - slack
-        hi_exact = Fraction(hi) + slack
         parts = [[] for _ in range(self.m)]
-        for b in range(b_lo, b_hi + 1):
-            a_min = math.floor(max(lo_x - b * self._tau, self._star_lo - b * self._tauc)) - 1
-            a_max = math.ceil(min(hi_x - b * self._tau, self._star_hi - b * self._tauc)) + 1
-            for a in range(a_min, a_max + 1):
-                x = QuadNum(a, b, f)
-                if x < lo_exact or x > hi_exact:
-                    continue
-                s = x.conj()
-                for i, w in enumerate(self.spec.windows):
-                    if w.contains_value(s):
-                        parts[i].append((x,))
-                        break
+        for b0 in range(b_lo, b_hi + 1, _BLOCK_ROWS):
+            a, b = self._candidates(b0, min(b0 + _BLOCK_ROWS, b_hi + 1), lo_x, hi_x)
+            color = self._colors(a, b)
+            xf = a + b * self._tau
+            # bound on the rounding error of xf and of the float region ends
+            guard = _GUARD * (np.abs(a).max(initial=0) + abs(self._tau) * np.abs(b).max(initial=0)
+                              + max(abs(lo), abs(hi)) + 1.0)
+            keep = color >= 0
+            keep &= self._inside_end(a, b, xf, lo, 1, closed_lo, guard)
+            keep &= self._inside_end(a, b, xf, hi, -1, closed_hi, guard)
+            for i in range(self.m):
+                sel = keep & (color == i)
+                parts[i].extend((QuadNum(x, y, self.field),)
+                                for x, y in zip(a[sel].tolist(), b[sel].tolist()))
         return parts
+
+    def _candidates(self, b0: int, b1: int, lo_x: float, hi_x: float):
+        """All (a, b) with b0 <= b < b1 in the float bracket, b-major, a ascending."""
+        rows = np.arange(b0, b1, dtype=np.int64)
+        bf = rows.astype(float)
+        a_min = np.floor(np.maximum(lo_x - bf * self._tau, self._star_lo - bf * self._tauc)) - 1
+        a_max = np.ceil(np.minimum(hi_x - bf * self._tau, self._star_hi - bf * self._tauc)) + 1
+        counts = np.maximum(a_max - a_min + 1, 0).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        a = np.arange(int(counts.sum()), dtype=np.int64)
+        a += np.repeat(a_min.astype(np.int64) - starts, counts)
+        return a, np.repeat(rows, counts)
+
+    def _colors(self, a, b):
+        """Index of the first acceptance window holding x* = a + b*tau', or -1."""
+        p, d = self.field.p, self._d
+        star_a = d * (a + p * b)  # d * x* = star_a + star_b * tau
+        star_b = -d * b
+        color = np.full(len(a), -1, dtype=np.int64)
+        for i, (w, (la, lb, ha, hb)) in enumerate(zip(self.spec.windows, self._ends)):
+            s_lo = _sign_sqrt(2 * (star_a - la) + p * (star_b - lb), star_b - lb, self.field.disc)
+            s_hi = _sign_sqrt(2 * (star_a - ha) + p * (star_b - hb), star_b - hb, self.field.disc)
+            inside = (s_lo >= 0) if w.closed_lo else (s_lo > 0)
+            inside &= (s_hi <= 0) if w.closed_hi else (s_hi < 0)
+            color[inside & (color < 0)] = i
+        return color
+
+    def _inside_end(self, a, b, xf, end, sense, closed, guard):
+        """Which x = a + b*tau lie inside one float region end (sense 1: lower, -1: upper).
+
+        As Interval.contains_value, the end carries TOL_EQ slack, outward when
+        closed and inward when open.  The float xf decides outside a guard band;
+        inside it QuadField.sign decides against the rational end +- 10**-9.
+        """
+        inward = -sense if closed else sense
+        gap = sense * (xf - (end + inward * TOL_EQ))
+        ok = gap > guard
+        ties = np.flatnonzero(np.abs(gap) <= guard)
+        if len(ties):
+            bound = Fraction(end) + inward * Fraction(1, 10 ** 9)
+            for k in ties:
+                s = sense * self.field.sign(int(a[k]) - bound, int(b[k]))
+                ok[k] = s > 0 or (s == 0 and closed)
+        return ok
 
 
 def cut_project_source(spec: CutProjectSpec, id: str = "cut_project") -> CutProjectSource:
@@ -284,7 +364,7 @@ class SubstitutionRule:
                 cand = _exact_ratio(total, self.lengths[j], self.field)
                 if lam is None:
                     lam = cand
-                elif not _exact_eq(lam, cand):
+                elif lam - cand != 0:
                     raise SourceError("tile lengths are not a Perron eigenvector")
             else:
                 cand = as_float(total) / as_float(self.lengths[j])
@@ -293,13 +373,6 @@ class SubstitutionRule:
                 elif abs(lam - cand) > 1e-9:
                     raise SourceError("tile lengths are not a Perron eigenvector")
         return lam
-
-
-def _exact_eq(x, y) -> bool:
-    d = x - y
-    if isinstance(d, QuadNum):
-        return d == 0
-    return d == 0
 
 
 def _exact_ratio(total, length, field):
@@ -379,7 +452,6 @@ class SubstitutionSource(PointSource):
 
 
 def _exact_prefix(rule: SubstitutionRule, word, upto: int):
-    key = (id(word), upto)
     cache = getattr(rule, "_prefix_cache", None)
     if cache is not None and cache[0] == id(word) and len(cache[1]) >= upto + 1:
         return cache[1]
@@ -622,18 +694,6 @@ def region_to_json(region) -> dict:
         return {"kind": "ball", "center": [as_float(c) for c in region.center],
                 "radius": region.radius}
     raise ValueError("unknown region type")
-
-
-def region_from_json(doc: dict):
-    kind = doc.get("kind")
-    if kind == "interval":
-        closed = doc.get("closed", [True, True])
-        return Interval(doc["lo"], doc["hi"], closed[0], closed[1])
-    if kind == "box":
-        return Box(tuple(doc["lo"]), tuple(doc["hi"]))
-    if kind == "ball":
-        return Ball(tuple(doc["center"]), doc["radius"])
-    raise ValueError("unknown region kind %r" % kind)
 
 
 def save_patch(patch: MultiSetPatch, path, field: QuadField = None):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import TOL_EQ, as_float, coord_key, is_exact_coord
-from .geometry import Interval
+from .geometry import Interval, in_sorted
 from .stats import VanHoveSpec
 
 
@@ -109,12 +109,6 @@ class AutocorrelationMeasure:
             worst = max(worst, abs(ca - cb))
         return worst
 
-    def scaled(self, alpha: complex) -> "AutocorrelationMeasure":
-        out = AutocorrelationMeasure(self.radius, self.method + "*", self.n)
-        for t, c in self.entries.values():
-            out.add(t, c * (alpha * np.conj(alpha)))
-        return out
-
 
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:
     """c(t) = (1/Vol F_n) sum over pairs x - y = t of w(x) conj(w(y))."""
@@ -192,20 +186,9 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
             count = len(positions[i])  # degenerate pair: single-point frequency
         else:
             targets = positions[i] - tf
-            count = _membership_count(positions[j], targets)
+            count = int(in_sorted(positions[j], targets).sum())
         meas.add(t, w[i] * np.conj(w[j]) * (count / vol))
     return meas
-
-
-def _membership_count(pos: np.ndarray, targets: np.ndarray) -> int:
-    if len(pos) == 0 or len(targets) == 0:
-        return 0
-    idx = np.searchsorted(pos, targets)
-    ok = np.zeros(len(targets), dtype=bool)
-    for sh in (-1, 0):
-        jj = np.clip(idx + sh, 0, len(pos) - 1)
-        ok |= np.abs(pos[jj] - targets) <= TOL_EQ
-    return int(ok.sum())
 
 
 def write_autocorr_csv(measures, path):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import TOL_EQ, as_float
-from .geometry import Box, Cluster, Interval, boundary_shell_volume
+from .geometry import Box, Cluster, Interval, boundary_shell_volume, in_sorted
 
 
 @dataclass
@@ -55,18 +55,6 @@ def van_hove_region(spec: VanHoveSpec, n: float, rs=(1.0, 10.0)):
 # counting
 
 
-def _in_sorted_1d(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
-    """Boolean membership of targets in a sorted 1D position array."""
-    if len(pos) == 0:
-        return np.zeros(len(targets), dtype=bool)
-    idx = np.searchsorted(pos, targets)
-    ok = np.zeros(len(targets), dtype=bool)
-    for shift in (-1, 0):
-        j = np.clip(idx + shift, 0, len(pos) - 1)
-        ok |= np.abs(pos[j] - targets) <= tol
-    return ok
-
-
 def _count_in_patch(patch, P: Cluster, tol: float = TOL_EQ) -> int:
     """L_P over one patch: translates v with v + P inside the patch."""
     if P.is_empty():
@@ -74,13 +62,7 @@ def _count_in_patch(patch, P: Cluster, tol: float = TOL_EQ) -> int:
     if P.m != patch.m or P.dim != patch.dim:
         raise ValueError("cluster shape does not match the point set")
     anchor = P.anchor_point()
-    anchor_color = None
-    for i, part in enumerate(P.parts):
-        if part and all(as_float(a) == as_float(b) for a, b in zip(part[0], anchor)):
-            anchor_color = i
-            break
-    if anchor_color is None:  # lex-min support point always belongs to some part
-        raise AssertionError("anchor color not found")
+    anchor_color = P.anchor_color()
     if patch.dim == 1:
         base = patch.positions(anchor_color)
         cand = base - as_float(anchor[0])
@@ -91,7 +73,7 @@ def _count_in_patch(patch, P: Cluster, tol: float = TOL_EQ) -> int:
                 if i == anchor_color and as_float(p[0]) == as_float(anchor[0]):
                     continue
                 delta = as_float(p[0])
-                mask &= _in_sorted_1d(pos_i, cand + delta, tol)
+                mask &= in_sorted(pos_i, cand + delta, tol)
                 if not mask.any():
                     return 0
         return int(mask.sum())

@@ -1,11 +1,18 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pointspec.coords import GOLDEN, QuadNum
+from pointspec.coords import GOLDEN, TOL_EQ, QuadNum
 from pointspec.geometry import Box, Interval
 from pointspec.sources import (
+    COORD_MAX,
+    CutProjectSource,
+    CutProjectSpec,
     SourceError,
     SubstitutionRule,
     fibonacci_cut_project,
@@ -82,8 +89,6 @@ def test_fibonacci_density():
 def test_window_shrink_monotone():
     f = GOLDEN
     full = fibonacci_cut_project(colors=1)
-    from pointspec.sources import CutProjectSource, CutProjectSpec
-
     # half-length acceptance window strictly thins the point set
     half = CutProjectSource(CutProjectSpec(
         field=f, windows=(Interval(QuadNum(-1, 0, f), QuadNum(0, 0, f), True, False),)))
@@ -94,8 +99,6 @@ def test_window_shrink_monotone():
 
 def test_offset_by_module_element_translates():
     f = GOLDEN
-    from pointspec.sources import CutProjectSource, CutProjectSpec
-
     base = fibonacci_cut_project(colors=1)
     t = QuadNum(1, 1, f)          # 1 + tau
     ts = t.conj()                  # its internal image
@@ -103,8 +106,150 @@ def test_offset_by_module_element_translates():
     shifted = CutProjectSource(CutProjectSpec(
         field=f, windows=(Interval(w.lo + ts, w.hi + ts, True, False),)))
     a = exact_pairs(base.window(Interval(0, 200)), 0)
-    b = exact_pairs(shifted.window(Interval(float(t), 200 + float(t))), 0)
+    region = Interval(float(t), 200 + float(t))
+    b = exact_pairs(shifted.window(region), 0)
     assert b == {(x + 1, y + 1) for x, y in a}
+    assert window_triples(shifted, region) == scalar_window(shifted, region)
+
+
+# ---------------------------------------------------------------------------
+# array cut-and-project window vs the scalar QuadNum loop it replaced
+
+
+def scalar_window(src, region):
+    """Reference (a, b, color) triples: one exact QuadNum compare per candidate.
+
+    The candidate bracket is the window's own float bracket.  Region ends carry
+    10**-9 slack, outward at closed ends and inward at open ones.
+    """
+    (lo, hi), = region.bounds()
+    f = src.field
+    tau, tauc = f.tau, f.tau_conj
+    star_lo = min(float(w.lo) for w in src.spec.windows)
+    star_hi = max(float(w.hi) for w in src.spec.windows)
+    lo_x, hi_x = lo - TOL_EQ, hi + TOL_EQ
+    span = tau - tauc
+    b_lo = math.floor(min(lo_x - star_hi, lo_x - star_lo) / span) - 1
+    b_hi = math.ceil(max(hi_x - star_lo, hi_x - star_hi) / span) + 1
+    slack = Fraction(1, 10 ** 9)
+    band = Interval(Fraction(lo) - slack if region.closed_lo else Fraction(lo) + slack,
+                    Fraction(hi) + slack if region.closed_hi else Fraction(hi) - slack,
+                    region.closed_lo, region.closed_hi)
+    out = []
+    for b in range(b_lo, b_hi + 1):
+        a_min = math.floor(max(lo_x - b * tau, star_lo - b * tauc)) - 1
+        a_max = math.ceil(min(hi_x - b * tau, star_hi - b * tauc)) + 1
+        for a in range(a_min, a_max + 1):
+            x = QuadNum(a, b, f)
+            if not band.contains_value(x):
+                continue
+            for i, w in enumerate(src.spec.windows):
+                if w.contains_value(x.conj()):
+                    out.append((a, b, i))
+                    break
+    return sorted(out)
+
+
+def window_triples(src, region):
+    patch = src.window(region)
+    return sorted((p[0].a, p[0].b, i) for i in range(patch.m) for p in patch.parts[i])
+
+
+FIB = {1: fibonacci_cut_project(colors=1), 2: fibonacci_cut_project(colors=2)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(colors=st.sampled_from([1, 2]), lo=st.floats(-3000, 3000), width=st.floats(0, 300),
+       closed_lo=st.booleans(), closed_hi=st.booleans())
+def test_window_matches_scalar_oracle(colors, lo, width, closed_lo, closed_hi):
+    region = Interval(lo, lo + width, closed_lo, closed_hi)
+    assert window_triples(FIB[colors], region) == scalar_window(FIB[colors], region)
+
+
+def test_window_ends_at_points_match_scalar_oracle():
+    # ends at float(x) and float(x) +- 1e-9 (and one ulp past) for true points
+    # x, where the float test leaves the decision to the exact tie-break
+    src = FIB[2]
+    pts = [p[0] for part in src.window(Interval(-300, 300)).parts for p in part]
+    sample = [QuadNum(0, 0, GOLDEN), QuadNum(-1, 0, GOLDEN)] + pts[::40]
+    for x in sample:
+        fx = float(x)
+        for e in (fx, fx - 1e-9, fx + 1e-9, math.nextafter(fx - 1e-9, -math.inf),
+                  math.nextafter(fx + 1e-9, math.inf)):
+            for closed_lo in (True, False):
+                for closed_hi in (True, False):
+                    for region in (Interval(e, e + 3, closed_lo, closed_hi),
+                                   Interval(e - 3, e, closed_lo, closed_hi)):
+                        assert window_triples(src, region) == scalar_window(src, region)
+
+
+def test_silver_window_matches_scalar_oracle():
+    src = source_from_config({"type": "cut_project", "field": "silver",
+                              "windows": [{"lo": [-1, 0], "hi": [0, 0]},
+                                          {"lo": [0, 0], "hi": [-2, 1]}]})
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        lo = float(rng.uniform(-1000, 1000))
+        region = Interval(lo, lo + float(rng.uniform(0, 100)))
+        assert window_triples(src, region) == scalar_window(src, region)
+
+
+def test_fraction_window_ends_match_scalar_oracle():
+    # one end with Fraction coefficients; x* = 0 sits on two open ends and
+    # x* = 1 on a closed one, so the acceptance-window flags decide x = 0, 1
+    f = GOLDEN
+    src = CutProjectSource(CutProjectSpec(field=f, windows=(
+        Interval(QuadNum(Fraction(-1, 2), Fraction(-1, 3), f), QuadNum(0, 0, f), True, False),
+        Interval(Fraction(0), 1, False, True),
+    )))
+    got = window_triples(src, Interval(-3, 3))
+    assert got == scalar_window(src, Interval(-3, 3))
+    assert (1, 0, 1) in got and not any(t[:2] == (0, 0) for t in got)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        lo = float(rng.uniform(-1000, 1000))
+        region = Interval(lo, lo + float(rng.uniform(0, 100)))
+        assert window_triples(src, region) == scalar_window(src, region)
+
+
+@pytest.mark.parametrize("lo, hi", [(COORD_MAX - 40, COORD_MAX), (-COORD_MAX, -COORD_MAX + 40)])
+def test_window_exact_just_inside_coordinate_bound(lo, hi):
+    src = FIB[2]
+    region = Interval(lo, hi)
+    got = window_triples(src, region)
+    assert got == scalar_window(src, region)
+    # complete: consecutive points are one tile (1 or tau) apart
+    xs = sorted((QuadNum(a, b, GOLDEN) for a, b, _ in got), key=float)
+    assert len(xs) > 20
+    for x, y in zip(xs, xs[1:]):
+        d = y - x
+        assert (d.a, d.b) in ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("lo, hi", [(COORD_MAX - 40, math.nextafter(COORD_MAX, math.inf)),
+                                    (-math.nextafter(COORD_MAX, math.inf), -COORD_MAX + 40)])
+def test_window_beyond_coordinate_bound_raises(lo, hi):
+    with pytest.raises(SourceError):
+        FIB[2].window(Interval(lo, hi))
+
+
+@pytest.mark.parametrize("make, has_origin", [
+    (integer_lattice, True),
+    (fibonacci_cut_project, True),
+    (fibonacci_substitution, True),
+    (lambda: poisson_source(1.0, seed=9), False),
+])
+def test_half_open_regions_exclude_open_end(make, has_origin):
+    src = make()
+    for region in (Interval(0, 10, False, True), Interval(-10, 0, True, False)):
+        closed = src.window(Interval(region.lo, region.hi))
+        half = src.window(region)
+        at_origin = 0
+        for i in range(src.m):
+            pos = closed.positions(i)
+            at_origin += int(np.sum(np.abs(pos) <= TOL_EQ))
+            assert list(half.positions(i)) == [x for x in pos if abs(x) > TOL_EQ]
+        assert at_origin == int(has_origin)
 
 
 # ---------------------------------------------------------------------------
