@@ -301,7 +301,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="bound on internal data parallelism (results identical)")
+                       help="accepted for compatibility; work is serial and results "
+                            "do not depend on it")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot-data", action="store_true", dest="plot_data")
     v = sub.add_parser("verify")

@@ -210,7 +210,7 @@ class Cluster:
     duplicate-free.  Immutable once built.
     """
 
-    __slots__ = ("parts", "dim", "_sig")
+    __slots__ = ("parts", "dim", "_sig", "_sup")
 
     def __init__(self, parts, dim=None):
         norm = []
@@ -232,6 +232,7 @@ class Cluster:
         self.parts = tuple(norm)
         self.dim = d
         self._sig = None
+        self._sup = None
 
     @property
     def m(self) -> int:
@@ -245,9 +246,11 @@ class Cluster:
         return self.total_points == 0
 
     def support(self) -> tuple:
-        pts = [p for part in self.parts for p in part]
-        pts.sort(key=_point_sort_key)
-        return tuple(pts)
+        if self._sup is None:
+            pts = [p for part in self.parts for p in part]
+            pts.sort(key=_point_sort_key)
+            self._sup = tuple(pts)
+        return self._sup
 
     def translate(self, vec) -> "Cluster":
         vec = as_point(vec, self.dim)
@@ -443,19 +446,49 @@ class MultiSetPatch:
         ]
         return MultiSetPatch(region, parts, self.dim, self.exact)
 
-    def contains_point(self, color: int, pt, tol: float = TOL_EQ) -> bool:
-        pos = self.positions(color)
-        if len(pos) == 0:
-            return False
+    def occurrences(self, P: Cluster, lo: float = -math.inf, hi: float = math.inf,
+                    tol: float = TOL_EQ) -> np.ndarray:
+        """L_P over the patch: indices j into positions(P.anchor_color()) with
+        v_j + P inside the patch's point set, v_j = position_j - anchor.
+
+        In 1D only translates v_j in [lo - tol, hi + tol] are tried; in 2D
+        every anchor-colour point is a candidate.  Membership is tolerant:
+        sorted search in 1D, a KD-tree in 2D.
+        """
+        if P.is_empty():
+            raise ValueError("cannot count the empty cluster")
+        if P.m != self.m or P.dim != self.dim:
+            raise ValueError("cluster shape does not match the point set")
+        color = P.anchor_color()
+        anchor = np.array(point_value(P.parts[color][0]))
+        base = self.positions(color)
         if self.dim == 1:
-            x = as_float(pt[0])
-            i = np.searchsorted(pos, x)
-            for j in (i - 1, i):
-                if 0 <= j < len(pos) and abs(pos[j] - x) <= tol:
-                    return True
-            return False
-        target = np.array([as_float(c) for c in pt])
-        return bool(np.any(np.all(np.abs(pos - target) <= tol, axis=1)))
+            a, b = np.searchsorted(base, [lo + anchor[0] - tol, hi + anchor[0] + tol])
+        elif (lo, hi) != (-math.inf, math.inf):
+            raise NotImplementedError("translate bounds are 1D only")
+        else:
+            from scipy.spatial import cKDTree
+
+            a, b = 0, len(base)
+        idx = np.arange(a, b)
+        cand = base[a:b] - anchor
+        mask = np.ones(len(idx), dtype=bool)
+        for i, part in enumerate(P.parts):
+            pos, tree = self.positions(i), None
+            for k, p in enumerate(part):
+                if not mask.any():
+                    return idx[:0]
+                if i == color and k == 0:
+                    continue  # the anchor itself
+                targets = cand + np.array(point_value(p))
+                if self.dim == 1:
+                    mask &= in_sorted(pos, targets, tol)
+                elif len(pos) == 0:
+                    return idx[:0]
+                else:
+                    tree = tree if tree is not None else cKDTree(pos)
+                    mask &= tree.query(targets, k=1)[0] <= tol
+        return idx[mask]
 
 
 # ---------------------------------------------------------------------------

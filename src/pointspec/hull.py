@@ -27,7 +27,6 @@ from .geometry import (
     enumerate_cluster_classes,
     cluster_distance,
     delone_params,
-    in_sorted,
 )
 from .sources import TranslatedSource
 
@@ -249,26 +248,14 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
     else:
         raise NotImplementedError("cylinder decision is 1D in this build")
 
-    anchor = P.anchor_point()
-    anchor_color = P.anchor_color()
-    av = as_float(anchor[0])
-    pos_anchor = patch.positions(anchor_color)
-    # candidates g = anchor - q over anchor-color points q with g in V
-    a = np.searchsorted(pos_anchor, av - vhi - tol)
-    b = np.searchsorted(pos_anchor, av - vlo + tol)
+    # g = anchor - q_j over the occurrences v_j = q_j - anchor with -v_j near V
+    anchor = sup[0][0]
+    color = P.anchor_color()
+    pos = patch.positions(color)
     exactish = patch.exact and all(is_exact_coord(c) for p in sup for c in p)
-    for j in range(a, b):
-        if exactish:
-            g = anchor[0] - patch.parts[anchor_color][j][0]
-            if not V.contains_value(g):
-                continue
-        else:
-            g = av - pos_anchor[j]
-            if not V.contains_value(g, tol):
-                continue
-        # p[0] - g is exact when g is, and the float as_float(p[0]) - g otherwise
-        if all(patch.contains_point(i, (p[0] - g,), tol)
-               for i, part in enumerate(P.parts) for p in part):
+    for j in patch.occurrences(P, -vhi, -vlo, tol):
+        g = anchor - patch.parts[color][j][0] if exactish else as_float(anchor) - pos[j]
+        if V.contains_value(g, tol):
             return True
     return False
 
@@ -532,7 +519,7 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
     reach = max(abs(as_float(p[0])) for p in sup) + max(abs(as_float(V.lo)), abs(as_float(V.hi)))
     lo, hi = offset - n, offset + n
     patch = source.window(Interval(lo - reach - 1.0, hi + reach + 1.0))
-    positions = _occurrence_positions(patch, P)
+    positions = patch.positions(P.anchor_color())[patch.occurrences(P)] - as_float(sup[0][0])
     vlo, vhi = as_float(V.lo), as_float(V.hi)
     starts = positions + vlo
     stops = positions + vhi
@@ -540,19 +527,3 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
     J = float(lengths.sum())
     vol = 2.0 * n
     return J / vol, J, vol
-
-
-def _occurrence_positions(patch: MultiSetPatch, P: Cluster) -> np.ndarray:
-    """Float positions v with v + P contained in the patch's point set."""
-    anchor = P.anchor_point()
-    anchor_color = P.anchor_color()
-    base = patch.positions(anchor_color)
-    cand = base - as_float(anchor[0])
-    mask = np.ones(len(cand), dtype=bool)
-    for i, part in enumerate(P.parts):
-        pos_i = patch.positions(i)
-        for p in part:
-            if i == anchor_color and as_float(p[0]) == as_float(anchor[0]):
-                continue
-            mask &= in_sorted(pos_i, cand + as_float(p[0]))
-    return cand[mask]

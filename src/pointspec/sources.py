@@ -411,6 +411,7 @@ class SubstitutionSource(PointSource):
         self.id = id
         self._word = [rule.letters.index(seed_letter)]
         self._ends = None  # cumulative float endpoints, built lazily
+        self._prefix = [0]  # exact left endpoints, grown on demand
 
     def _extend_to(self, length_needed: float):
         idx = {ch: i for i, ch in enumerate(self.rule.letters)}
@@ -431,6 +432,17 @@ class SubstitutionSource(PointSource):
             self._ends = np.concatenate([[0.0], np.cumsum(arr)])
         return self._ends
 
+    def _exact_prefix(self, upto: int):
+        """Exact left endpoints of tiles 0..upto, kept on this source.
+
+        Each inflated word extends the previous one (the seed letter begins
+        its own expansion), so endpoints stay valid as the word grows.
+        """
+        pos = self._prefix
+        for i in self._word[len(pos) - 1:upto]:
+            pos.append(pos[-1] + self.rule.lengths[i])
+        return pos
+
     def _query(self, region):
         (lo, hi), = region.bounds()
         if hi < -TOL_EQ:
@@ -443,26 +455,12 @@ class SubstitutionSource(PointSource):
         exact = self.coords == "exact"
         # exact cumulative positions for the needed slice only
         if exact:
-            pos = _exact_prefix(self.rule, self._word, i1)
+            pos = self._exact_prefix(i1)
         for j in range(i0, min(i1, len(self._word))):
             x = pos[j] if exact else float(ends[j])
             if region.contains_value(x) if isinstance(region, Interval) else region.contains_point((x,)):
                 parts[self.rule.color_of[self._word[j]]].append((x,))
         return parts
-
-
-def _exact_prefix(rule: SubstitutionRule, word, upto: int):
-    cache = getattr(rule, "_prefix_cache", None)
-    if cache is not None and cache[0] == id(word) and len(cache[1]) >= upto + 1:
-        return cache[1]
-    pos = []
-    cur = 0
-    for i in word[: upto + 1]:
-        pos.append(cur)
-        cur = cur + rule.lengths[i]
-    pos.append(cur)
-    object.__setattr__(rule, "_prefix_cache", (id(word), pos))
-    return pos
 
 
 def substitution_source(rule: SubstitutionRule, seed_letter: str, id: str = "substitution") -> SubstitutionSource:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import TOL_EQ, as_float
-from .geometry import Box, Cluster, Interval, boundary_shell_volume, in_sorted
+from .geometry import Box, Cluster, Interval, boundary_shell_volume
 
 
 @dataclass
@@ -57,49 +57,7 @@ def van_hove_region(spec: VanHoveSpec, n: float, rs=(1.0, 10.0)):
 
 def _count_in_patch(patch, P: Cluster, tol: float = TOL_EQ) -> int:
     """L_P over one patch: translates v with v + P inside the patch."""
-    if P.is_empty():
-        raise ValueError("cannot count the empty cluster")
-    if P.m != patch.m or P.dim != patch.dim:
-        raise ValueError("cluster shape does not match the point set")
-    anchor = P.anchor_point()
-    anchor_color = P.anchor_color()
-    if patch.dim == 1:
-        base = patch.positions(anchor_color)
-        cand = base - as_float(anchor[0])
-        mask = np.ones(len(cand), dtype=bool)
-        for i, part in enumerate(P.parts):
-            pos_i = patch.positions(i)
-            for p in part:
-                if i == anchor_color and as_float(p[0]) == as_float(anchor[0]):
-                    continue
-                delta = as_float(p[0])
-                mask &= in_sorted(pos_i, cand + delta, tol)
-                if not mask.any():
-                    return 0
-        return int(mask.sum())
-    # d = 2: KD-tree membership per required offset
-    from scipy.spatial import cKDTree
-
-    base = patch.positions(anchor_color)
-    if len(base) == 0:
-        return 0
-    av = np.array([as_float(c) for c in anchor])
-    cand = base - av
-    mask = np.ones(len(cand), dtype=bool)
-    trees = [cKDTree(patch.positions(i)) if len(patch.positions(i)) else None
-             for i in range(patch.m)]
-    for i, part in enumerate(P.parts):
-        for p in part:
-            pv = np.array([as_float(c) for c in p])
-            if i == anchor_color and np.allclose(pv, av, atol=0):
-                continue
-            if trees[i] is None:
-                return 0
-            d, _ = trees[i].query(cand + pv, k=1)
-            mask &= d <= tol
-            if not mask.any():
-                return 0
-    return int(mask.sum())
+    return len(patch.occurrences(P, tol=tol))
 
 
 def count_cluster(source, P: Cluster, region) -> int:
@@ -158,9 +116,9 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets,
     The point estimate is the offset average at the largest n; the
     uniformity gap (max offset deviation) is the finite UCF diagnostic.
     Use offsets=[(0,)] for the single-orbit estimator freq'.  Counting
-    over the (n, offset) grid is embarrassingly parallel; `threads`
-    bounds the pool and cannot change the results (integer counts,
-    collected by index).
+    is serial: `threads` is accepted for compatibility and changes
+    nothing (a thread pool measured slower, since counting is cheap next
+    to the one master window query).
     """
     if not offsets:
         raise ValueError("offsets must be nonempty (use [(0,)] for freq')")
@@ -175,20 +133,8 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets,
     master_region = spec.region(n_max + span + reach + 1.0)
     patch = source.window(master_region)
 
-    grid = [(n, off) for n in schedule for off in offsets]
-
-    def one(args):
-        n, off = args
-        region = spec.region(n).translate(off)
-        return _count_in_patch(patch.restrict(region), P)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(one, grid))
-    else:
-        counts = [one(g) for g in grid]
+    counts = [_count_in_patch(patch.restrict(spec.region(n).translate(off)), P)
+              for n in schedule for off in offsets]
 
     per_n = []
     per_offset_last = []

@@ -167,3 +167,18 @@ def test_threads_flag_validated(tmp_path):
     })
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == 2
+
+
+def test_freq_output_does_not_depend_on_threads(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "source": {"type": "fibonacci", "offset": 0.5},
+        "van_hove": {"n0": 50, "doublings": 2},
+        "freq": {"cluster": [[0.0, 1.618033988749895], []], "offsets": 8},
+    })
+    outs = []
+    for threads in ("1", "4"):
+        out = tmp_path / ("t" + threads)
+        assert main(["freq", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outs[0]) == ["freq.csv", "freq.json", "manifest.json"]
+    assert outs[0] == outs[1]

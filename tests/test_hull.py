@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, as_float, coord_key, is_exact_coord
 from pointspec.geometry import Interval, cluster_1d
 from pointspec.hull import (
     CylinderSpec,
@@ -19,7 +22,7 @@ from pointspec.sources import (
     fibonacci_cut_project,
     integer_lattice,
 )
-from pointspec.stats import halton
+from pointspec.stats import _count_in_patch, halton
 from pointspec.spectra import plateau_kernel
 
 
@@ -139,6 +142,123 @@ def test_cylinder_patch_too_small_is_an_error():
     patch = z.window(Interval(-1, 1))
     with pytest.raises(PatchTooSmallError):
         cylinder_contains(patch, CylinderSpec(cluster_1d([0.0, 1.0, 2.0]), Interval(-3.0, 3.0)))
+
+
+def _has_point(patch, color, x, tol=TOL_EQ):
+    """Tolerant membership by a linear scan (no sorted search)."""
+    return bool(np.any(np.abs(patch.positions(color) - x) <= tol))
+
+
+def scalar_occurrences(patch, P, lo=-np.inf, hi=np.inf, tol=TOL_EQ):
+    """Reference L_P: anchor-colour indices j, tried one at a time."""
+    color = P.anchor_color()
+    av = as_float(P.anchor_point()[0])
+    pos = patch.positions(color)
+    return [j for j in range(np.searchsorted(pos, lo + av - tol),
+                             np.searchsorted(pos, hi + av + tol))
+            if all(_has_point(patch, i, pos[j] - av + as_float(p[0]), tol)
+                   for i, part in enumerate(P.parts) for p in part)]
+
+
+def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
+    """Reference cylinder decision: the per-candidate loop, g tested against V
+    first (exactly for exact inputs), then every point of -g + P looked up."""
+    P, V = cyl.cluster, cyl.window
+    anchor, color = P.anchor_point(), P.anchor_color()
+    av = as_float(anchor[0])
+    pos = patch.positions(color)
+    exactish = patch.exact and all(is_exact_coord(p[0]) for p in P.support())
+    for j in range(np.searchsorted(pos, av - as_float(V.hi) - tol),
+                   np.searchsorted(pos, av - as_float(V.lo) + tol)):
+        if exactish:
+            g = anchor[0] - patch.parts[color][j][0]
+            if not V.contains_value(g):
+                continue
+        else:
+            g = av - pos[j]
+            if not V.contains_value(g, tol):
+                continue
+        if all(_has_point(patch, i, as_float(p[0] - g) if exactish else as_float(p[0]) - g, tol)
+               for i, part in enumerate(P.parts) for p in part):
+            return True
+    return False
+
+
+def assert_kernel_matches_oracle(patch, cyl):
+    P = cyl.cluster
+    want = scalar_cylinder_contains(patch, cyl)
+    assert cylinder_contains(patch, cyl) == want
+    occ = scalar_occurrences(patch, P)
+    assert patch.occurrences(P).tolist() == occ
+    assert _count_in_patch(patch, P) == len(occ)
+    return want
+
+
+def test_cylinder_kernel_matches_scalar_oracle_exact_fibonacci():
+    fib = fibonacci_cut_project()
+    clusters = [fib.window(Interval(lo, lo + w)).as_cluster()
+                for lo, w in ((0, 5), (-3, 2), (1.5, 4), (2, 1.7))]
+    clusters.append(cluster_1d([QuadNum(0, 0, GOLDEN)], []))
+    shifts = [QuadNum(a, b, GOLDEN) for a, b in ((0, 0), (1, 0), (-2, 1), (3, -2), (-1, 1))]
+    hits = 0
+    for s in shifts:
+        patch = TranslatedSource(fib, s).window(Interval(-16, 16))
+        assert patch.exact
+        for P in clusters:
+            # -s + P lies in the patch, so g = s whenever P occurs at 0 in fib;
+            # the last two windows put g 1e-10 outside an end, where only the
+            # exact test of g against V decides
+            for dlo, dhi, clo, chi in (("-0.1", "0.1", True, True), ("0", "0.2", True, False),
+                                       ("0", "0.2", False, True), ("-0.2", "0", True, False),
+                                       ("-0.2", "0", False, True), ("0.05", "0.15", True, True),
+                                       ("1e-10", "0.2", True, True), ("-1e-10", "0.2", False, True)):
+                V = Interval(s + Fraction(dlo), s + Fraction(dhi), clo, chi)
+                hits += assert_kernel_matches_oracle(patch, CylinderSpec(P, V))
+    assert 0 < hits
+
+
+def test_cylinder_kernel_matches_scalar_oracle_float_lattice():
+    shifts = [0.0, 0.3, -0.25, 0.1 + 0.2] + list(halton(12) * 3.0 - 1.5)
+    clusters = [cluster_1d([0.0]), cluster_1d([0.0, 1.0]), cluster_1d([0.0, 2.0, 3.0]),
+                cluster_1d([0.0, 0.5]), cluster_1d([-1.0, 0.0, 1.0])]
+    windows = [Interval(0.0, 0.3, True, False), Interval(0.3, 0.4), Interval(-0.2, 0.2, False, True),
+               Interval(-0.3, 0.25, False, False), Interval(0.25, 0.5, True, False)]
+    hits = 0
+    for src in (integer_lattice(), integer_lattice(colors=2)):
+        for h in shifts:
+            patch = TranslatedSource(src, h).window(Interval(-8, 8))
+            for P in clusters:
+                if src.m == 2:
+                    P = cluster_1d(*[[p[0] for p in P.parts[0]][k::2] for k in (0, 1)])
+                for V in windows:
+                    hits += assert_kernel_matches_oracle(patch, CylinderSpec(P, V))
+    assert 0 < hits
+
+
+def test_cylinder_kernel_matches_scalar_oracle_on_partition_cell_ends():
+    fib = fibonacci_cut_project()
+    part = build_partition_1d(fib, 3.0, 0.2)
+    master = fib.window(Interval(-60, 60))
+    keys = [{coord_key(p[0]) for p in part_i} for part_i in master.parts]
+    shifts = {}
+    for cell in part.cells:
+        P = cell.pinned
+        a = P.anchor_point()[0]
+        # an exact occurrence v of the pinned cluster in the Fibonacci set
+        v = next(q[0] - a for q in master.parts[P.anchor_color()]
+                 if all(coord_key(q[0] - a + p[0]) in keys[i]
+                        for i, pts in enumerate(P.parts) for p in pts))
+        # in -s + fib the cluster sits at v - s, i.e. g = s - v lands on a cell end
+        for end in (cell.window.lo, cell.window.hi):
+            s = v + end
+            shifts[coord_key(s)] = s
+    for s in shifts.values():
+        patch = TranslatedSource(fib, s).window(Interval(-16, 16))
+        assert patch.exact
+        hits = [k for k, cell in enumerate(part.cells)
+                if assert_kernel_matches_oracle(patch, cell.cylinder())]
+        assert len(hits) == 1
+        assert part.locate(patch) == hits
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,39 @@ def test_fibonacci_five_fold_expansion_word():
         assert c == d and abs(x - y) < 1e-9
 
 
+def _word_positions(rule, seed, upto):
+    """String-substitution oracle: exact left endpoints of the fixed point's tiles."""
+    word = seed
+    while len(word) < upto:
+        word = "".join(rule.expansions[rule.letters.index(ch)] for ch in word)
+    pos, cur = [], 0
+    for ch in word[:upto]:
+        pos.append(cur)
+        cur = cur + rule.lengths[rule.letters.index(ch)]
+    return pos
+
+
+def test_sources_sharing_a_rule_keep_their_own_exact_positions():
+    tau = QuadNum(0, 1, GOLDEN)
+    rule = SubstitutionRule(letters="ab", expansions=("aab", "ba"), lengths=(tau, 1),
+                            color_of=(0, 0), field=GOLDEN)
+
+    def check(src):
+        got = [p[0] for p in src.window(Interval(0, 30)).parts[0]]
+        assert got == _word_positions(rule, src.seed_letter, len(got))
+        return got
+
+    for _ in range(10):
+        a = substitution_source(rule, "a")
+        a.window(Interval(0, 30))
+        del a  # a later source may reuse the dropped word's memory
+        b = substitution_source(rule, "b")
+        assert check(b)[1] == 1  # b -> ba: the unit tile comes first
+    both = [substitution_source(rule, "a"), substitution_source(rule, "b")]
+    for src in both + both:
+        check(src)
+
+
 def test_period_doubling_support_is_nonnegative_integers():
     pd = period_doubling_source()
     patch = pd.window(Interval(-5, 12))

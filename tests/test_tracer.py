@@ -1,0 +1,61 @@
+"""The benchmark's span tracer must still find every entry point it wraps.
+
+`perfbench/tracer.py` wraps pointspec functions and methods by name from
+outside the package; a renamed entry point breaks `install()` there.  This
+test installs it around two small checks and requires every original to
+come back on `uninstall()`.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pointspec
+from pointspec import verify
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _snapshot():
+    """Every attribute of every loaded pointspec module and class, by identity."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "pointspec" or name.startswith("pointspec.")):
+            continue
+        for key, val in vars(mod).items():
+            out[(name, key)] = val
+            if isinstance(val, type) and val.__module__ == name:
+                out.update({(name, key, k): v for k, v in vars(val).items()})
+            elif isinstance(val, dict):
+                out.update({(name, key, k): v for k, v in val.items()})
+    return out
+
+
+def test_tracer_wraps_and_restores_traced_entry_points():
+    tracer_mod = _load_tracer()
+    before = _snapshot()
+    tracer = tracer_mod.Tracer()
+    tracer.install(count_work=True)
+    try:
+        assert pointspec.stats._count_in_patch is not before[("pointspec.stats", "_count_in_patch")]
+        assert verify.check_cylinder_measure(fast=True).passed
+        assert verify.check_product_identity(fast=True).passed
+    finally:
+        tracer.uninstall()
+    after = _snapshot()
+    changed = [k for k in before if after.get(k) is not before[k]]
+    assert changed == []
+    spans = tracer.self_times()
+    for name in ("hull.cylinder_contains", "hull.empirical_cylinder_measure",
+                 "geometry.patch_arrays", "sources.window.CutProjectSource"):
+        assert spans[name][0] > 0, name
+    metrics = tracer.metrics()
+    assert metrics["hull.cylinder_contains.calls"] >= 200  # one per product-identity sample
+    assert metrics["sources.window.CutProjectSource.points"] > 0
