@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .geometry import Interval, cluster_1d
 from .hull import build_partition_1d, hull_metric
-from .sources import SourceError, save_patch, source_from_config
+from .sources import save_patch, source_from_config
 from .stats import (
     VanHoveSpec,
     default_offsets,
@@ -78,22 +78,27 @@ def _van_hove(cfg, dim=1):
 
 def _weights(cfg, m):
     w = cfg.get("weights", [1] * m)
+    if not isinstance(w, list) or len(w) != m:
+        raise ConfigError("weights must have one entry per color (m=%d)" % m)
     out = []
     for entry in w:
-        if isinstance(entry, (list, tuple)):
-            out.append(complex(entry[0], entry[1]))
-        else:
-            out.append(complex(entry))
-    if len(out) != m:
-        raise ConfigError("weights must have one entry per color (m=%d)" % m)
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        try:
+            out.append(complex(*entry) if pair else complex(entry))
+        except (TypeError, ValueError):
+            raise ConfigError("weight %r is neither a number nor a [re, im] pair" % (entry,))
     return out
 
 
-def _source(cfg, seed=None):
+def _make_source(doc, seed):
     try:
-        return source_from_config(_require(cfg, "source", dict), seed=seed)
-    except SourceError as e:
+        return source_from_config(doc, seed=seed)
+    except (TypeError, ValueError) as e:  # SourceError is a ValueError
         raise ConfigError(str(e))
+
+
+def _source(cfg, seed=None):
+    return _make_source(_require(cfg, "source", dict), seed)
 
 
 def _cluster(doc, m):
@@ -101,7 +106,10 @@ def _cluster(doc, m):
     if not isinstance(doc, list) or len(doc) != m \
             or not all(isinstance(part, list) for part in doc):
         raise ConfigError("cluster must be a list of %d per-color coordinate lists" % m)
-    return cluster_1d(*[[float(c) for c in part] for part in doc])
+    try:
+        return cluster_1d(*[[float(c) for c in part] for part in doc])
+    except (TypeError, ValueError):
+        raise ConfigError("cluster coordinates must be numbers: %r" % (doc,))
 
 
 def _outdir(args):
@@ -119,8 +127,11 @@ def _write_manifest(out: Path, command: str, cfg: dict, outputs):
 
 def _region_1d(doc):
     if isinstance(doc, (list, tuple)) and len(doc) == 2:
-        return Interval(float(doc[0]), float(doc[1]))
-    raise ConfigError("region must be [lo, hi]")
+        try:
+            return Interval(float(doc[0]), float(doc[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError("region must be [lo, hi] with numeric ends, not %r" % (doc,))
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +240,7 @@ def cmd_diffract(args, cfg):
 def cmd_metric(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("metric", {})
-    other_cfg = _require(sub, "other_source", dict, "'metric'")
-    try:
-        other = source_from_config(other_cfg, seed=args.seed)
-    except SourceError as e:
-        raise ConfigError(str(e))
+    other = _make_source(_require(sub, "other_source", dict, "'metric'"), args.seed)
     eps_grid = float(sub.get("eps_grid", 0.01))
     bracket = hull_metric(src, other, eps_grid=eps_grid)
     out = _outdir(args)

@@ -6,13 +6,15 @@ positive root of x^2 = p*x + q for a fixed real quadratic field.  All
 QuadNum comparisons are decided exactly with integer arithmetic, so two
 distinct numbers never collide and equal numbers never split, no matter
 how close their float values are.  A point source uses one representation
-consistently.
+consistently.  QuadArray holds many exact coordinates as integer arrays.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 TOL_EQ = 1e-9
@@ -227,3 +229,93 @@ def coord_key(c):
     if isinstance(c, (int, Fraction)):
         return ("E", Fraction(c), 0) if isinstance(c, Fraction) else ("E", c, 0)
     return ("F", round(float(c) / TOL_EQ))
+
+
+def exact_sign(c) -> int:
+    """Exact sign of an int, Fraction or QuadNum."""
+    return c.field.sign(c.a, c.b) if isinstance(c, QuadNum) else (c > 0) - (c < 0)
+
+
+def _pair(c):
+    """(a, b, field) with c = a + b*tau, a and b Fractions; field None for rationals."""
+    if isinstance(c, QuadNum):
+        return Fraction(c.a), Fraction(c.b), c.field
+    return Fraction(c), Fraction(0), None
+
+
+def _join(f, g):
+    if f is not None and g is not None and f != g:
+        raise ValueError("mixed quadratic fields")
+    return f if f is not None else g
+
+
+EXACT_MAX = 2 ** 53  # |a|, |b| and den stay below this, so floats() rounds as float() does
+
+
+def _check(den, *magnitudes):
+    if den >= EXACT_MAX or max(magnitudes, default=0) >= EXACT_MAX:
+        raise ValueError("exact coordinates beyond the int64 range")
+
+
+class QuadArray:
+    """Exact numbers (a + b*tau)/den as int64 arrays a, b over one positive
+    denominator: the array counterpart of QuadNum.  With no field the
+    numbers are rationals and b is zero."""
+
+    __slots__ = ("a", "b", "den", "field")
+
+    def __init__(self, a, b, den: int = 1, field: QuadField = None):
+        self.a = np.asarray(a, dtype=np.int64)
+        self.b = np.asarray(b, dtype=np.int64)
+        self.den = int(den)
+        self.field = field
+
+    @classmethod
+    def of(cls, values, field: QuadField = None) -> "QuadArray":
+        """From exact scalars (int, Fraction, QuadNum)."""
+        pairs = [_pair(c) for c in values]
+        for _, _, f in pairs:
+            field = _join(field, f)
+        den = math.lcm(1, *(c.denominator for a, b, _ in pairs for c in (a, b)))
+        a, b = [int(a * den) for a, _, _ in pairs], [int(b * den) for _, b, _ in pairs]
+        _check(den, *map(abs, a), *map(abs, b))
+        return cls(a, b, den, field)
+
+    @staticmethod
+    def concat(arrays) -> "QuadArray":
+        """One QuadArray of several over the same denominator and field."""
+        return QuadArray(np.concatenate([q.a for q in arrays]),
+                         np.concatenate([q.b for q in arrays]), arrays[0].den, arrays[0].field)
+
+    def __getitem__(self, idx) -> "QuadArray":
+        return QuadArray(self.a[idx], self.b[idx], self.den, self.field)
+
+    def __neg__(self) -> "QuadArray":
+        return QuadArray(-self.a, -self.b, self.den, self.field)
+
+    def floats(self) -> np.ndarray:
+        """Float values, rounded exactly as float() rounds each QuadNum."""
+        x = self.a / self.den
+        return x if self.field is None else x + (self.b / self.den) * self.field.tau
+
+    def magnitude(self) -> float:
+        """max |a|/den + |tau| max |b|/den: the scale of the rounding error in floats()."""
+        tau = 0.0 if self.field is None else abs(self.field.tau)
+        top = np.abs(self.a).max(initial=0) + tau * np.abs(self.b).max(initial=0)
+        return float(top) / self.den
+
+    def value(self, k: int):
+        """Entry k as a scalar: a QuadNum over a field, an int or Fraction otherwise."""
+        a, b = int(self.a[k]), int(self.b[k])
+        if self.den != 1:
+            a, b = Fraction(a, self.den), Fraction(b, self.den)
+        return a if self.field is None else QuadNum(a, b, self.field)
+
+    def shift(self, c) -> "QuadArray":
+        """c + self for an exact scalar c."""
+        ca, cb, cf = _pair(c)
+        den = math.lcm(self.den, ca.denominator, cb.denominator)
+        k, ia, ib = den // self.den, int(ca * den), int(cb * den)
+        _check(den, int(np.abs(self.a).max(initial=0)) * k + abs(ia),
+               int(np.abs(self.b).max(initial=0)) * k + abs(ib))
+        return QuadArray(self.a * k + ia, self.b * k + ib, den, _join(self.field, cf))

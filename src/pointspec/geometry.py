@@ -1,29 +1,51 @@
 """Colored point configurations and the regions they are observed through.
 
-Points are d-tuples of coordinates (d in {1, 2}).  A Cluster is one finite
-colored configuration: m parts, each a sorted tuple of points.  A
-MultiSetPatch is the restriction of a point set to a bounded region, i.e.
-exactly what a window query returns.  Regions are closed by default (an
-Interval may be half-open); ties at float boundaries are resolved with
-TOL_EQ slack.
+A MultiSetPatch is the restriction of a point set to a bounded region, i.e.
+exactly what a window query returns.  It stores each colour's points as one
+float array sorted by position, shape (N,) in 1D and (N, d) in 2D (d in
+{1, 2}), and an exact patch (1D) also as an aligned QuadArray; `.parts` is a
+read-only scalar view of the same points.  A Cluster is one finite colored
+configuration, kept as m sorted tuples of d-tuples of coordinates.
+
+Regions are closed by default (an Interval may be half-open).  Every region
+has one membership test, `mask`, over arrays of points: float ties at an end
+are resolved with TOL_EQ slack, and exact points are compared exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .coords import TOL_EQ, QuadNum, as_float, coord_eq, coord_key, is_exact_coord
+from .coords import (TOL_EQ, QuadArray, as_float, coord_eq, coord_key, exact_sign,
+                     is_exact_coord)
+
+_GUARD = 2.0 ** -46  # float tie band at a region end, relative to the magnitudes involved
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
+class _Region:
+    """What Interval, Box and Ball share; each defines bounds() and mask()."""
+
+    def contains_point(self, pt, tol: float = TOL_EQ) -> bool:
+        """mask() for one point, a d-tuple of coordinates."""
+        exact = QuadArray.of(pt) if self.dim == 1 and is_exact_coord(pt[0]) else None
+        return bool(self.mask([[as_float(c) for c in pt]], exact, tol)[0])
+
+    def covers(self, other, tol: float = TOL_EQ) -> bool:
+        """Whether other's bounding box lies in this one's (tol slack)."""
+        return all(lo <= olo + tol and hi >= ohi - tol
+                   for (lo, hi), (olo, ohi) in zip(self.bounds(), other.bounds()))
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Region):
     """1D interval; closed endpoints by default, half-open where flagged.
 
     Endpoints may be floats or exact coordinates (QuadNum / Fraction / int).
@@ -41,19 +63,41 @@ class Interval:
     def volume(self) -> float:
         return max(0.0, as_float(self.hi) - as_float(self.lo))
 
-    def contains_value(self, x, tol: float = TOL_EQ) -> bool:
-        lo, hi = self.lo, self.hi
-        if is_exact_coord(x) and is_exact_coord(lo) and is_exact_coord(hi):
-            ok_lo = (x >= lo) if self.closed_lo else (x > lo)
-            ok_hi = (x <= hi) if self.closed_hi else (x < hi)
-            return bool(ok_lo and ok_hi)
-        xf, lof, hif = as_float(x), as_float(lo), as_float(hi)
-        ok_lo = xf >= lof - tol if self.closed_lo else xf > lof + tol
-        ok_hi = xf <= hif + tol if self.closed_hi else xf < hif - tol
-        return ok_lo and ok_hi
+    def mask(self, x, exact: QuadArray = None, tol: float = TOL_EQ) -> np.ndarray:
+        """Which points lie in the interval, as a boolean array.
 
-    def contains_point(self, pt, tol: float = TOL_EQ) -> bool:
-        return self.contains_value(pt[0], tol)
+        x holds the float positions (shape (N,) or (N, 1)); exact, when given,
+        the same points as a QuadArray.  Float points get tol slack at each
+        end, outward at a closed end and inward at an open one.  Exact points
+        compare exactly: with no slack when both ends are exact, otherwise
+        against end -+ tol taken at its decimal value (10**-9 for TOL_EQ).
+        An exact comparison is decided by the float gap outside a guard band
+        of rounding error around the end and by the exact sign inside it.
+        """
+        x = np.asarray(x, dtype=float).reshape(-1)
+        ok = np.ones(len(x), dtype=bool)
+        exact_ends = exact is not None and is_exact_coord(self.lo) and is_exact_coord(self.hi)
+        scale = exact.magnitude() + 1.0 if exact is not None else 0.0
+        for end, sense, closed in ((self.lo, 1, self.closed_lo), (self.hi, -1, self.closed_hi)):
+            step = 0 if exact_ends else (-sense if closed else sense)
+            bound = as_float(end) + step * tol
+            gap = sense * (x - bound)
+            if exact is None:
+                ok &= (gap >= 0) if closed else (gap > 0)
+                continue
+            guard = _GUARD * (scale + abs(bound))
+            inside = gap > guard
+            ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
+            if len(ties):
+                xend = (end if is_exact_coord(end) else Fraction(end)) + step * Fraction(repr(tol))
+                for k in ties:
+                    sign = sense * exact_sign(exact.value(k) - xend)
+                    inside[k] = sign > 0 or (sign == 0 and closed)
+            ok &= inside
+        return ok
+
+    def contains_value(self, x, tol: float = TOL_EQ) -> bool:
+        return self.contains_point((x,), tol)
 
     def dilate(self, r: float) -> "Interval":
         return Interval(as_float(self.lo) - r, as_float(self.hi) + r)
@@ -68,14 +112,9 @@ class Interval:
     def bounds(self):
         return ((as_float(self.lo), as_float(self.hi)),)
 
-    def covers(self, other, tol: float = TOL_EQ) -> bool:
-        (olo, ohi), = other.bounds()
-        (lo, hi), = self.bounds()
-        return lo <= olo + tol and hi >= ohi - tol
-
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Region):
     """Closed axis-aligned box in d dimensions."""
 
     lo: tuple
@@ -91,11 +130,12 @@ class Box:
             v *= max(0.0, as_float(b) - as_float(a))
         return v
 
-    def contains_point(self, pt, tol: float = TOL_EQ) -> bool:
-        return all(
-            as_float(a) - tol <= as_float(x) <= as_float(b) + tol
-            for x, a, b in zip(pt, self.lo, self.hi)
-        )
+    def mask(self, x, exact=None, tol: float = TOL_EQ) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the box (tol slack); exact is unused."""
+        x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
+        lo = np.array([as_float(a) - tol for a in self.lo])
+        hi = np.array([as_float(b) + tol for b in self.hi])
+        return np.all((x >= lo) & (x <= hi), axis=1)
 
     def dilate(self, r: float) -> "Box":
         return Box(tuple(as_float(a) - r for a in self.lo), tuple(as_float(b) + r for b in self.hi))
@@ -110,13 +150,9 @@ class Box:
     def bounds(self):
         return tuple((as_float(a), as_float(b)) for a, b in zip(self.lo, self.hi))
 
-    def covers(self, other, tol: float = TOL_EQ) -> bool:
-        return all(lo <= olo + tol and hi >= ohi - tol
-                   for (lo, hi), (olo, ohi) in zip(self.bounds(), other.bounds()))
-
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Region):
     """Closed Euclidean ball."""
 
     center: tuple
@@ -131,8 +167,10 @@ class Ball:
             return 2.0 * self.radius
         return math.pi * self.radius ** 2
 
-    def contains_point(self, pt, tol: float = TOL_EQ) -> bool:
-        d2 = sum((as_float(x) - as_float(c)) ** 2 for x, c in zip(pt, self.center))
+    def mask(self, x, exact=None, tol: float = TOL_EQ) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the ball (tol slack); exact is unused."""
+        x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
+        d2 = sum((x[:, k] - as_float(c)) ** 2 for k, c in enumerate(self.center))
         return d2 <= (self.radius + tol) ** 2
 
     def dilate(self, r: float) -> "Ball":
@@ -146,15 +184,6 @@ class Ball:
 
     def bounds(self):
         return tuple((as_float(c) - self.radius, as_float(c) + self.radius) for c in self.center)
-
-    def covers(self, other, tol: float = TOL_EQ) -> bool:
-        # conservative: cover via bounding boxes for balls
-        return all(lo <= olo + tol and hi >= ohi - tol
-                   for (lo, hi), (olo, ohi) in zip(self.bounds(), other.bounds()))
-
-
-def interval(lo, hi, closed_lo=True, closed_hi=True) -> Interval:
-    return Interval(lo, hi, closed_lo, closed_hi)
 
 
 def boundary_shell_volume(region, r: float) -> float:
@@ -180,6 +209,15 @@ def in_sorted(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.n
     return ok
 
 
+def sorted_slice(pos: np.ndarray, region) -> slice:
+    """The slice of a sorted 1D float array that can hold points of the
+    region: its float bounds, widened past every slack its mask allows."""
+    (lo, hi), = region.bounds()
+    pad = 2 * TOL_EQ + _GUARD * (abs(lo) + abs(hi) + 1.0)
+    a, b = np.searchsorted(pos, [lo - pad, hi + pad])
+    return slice(int(a), int(b))
+
+
 def point_value(pt) -> tuple:
     return tuple(as_float(c) for c in pt)
 
@@ -197,10 +235,6 @@ def as_point(p, dim: int):
 
 def points_eq(p1, p2, tol: float = TOL_EQ) -> bool:
     return all(coord_eq(a, b, tol) for a, b in zip(p1, p2))
-
-
-def _point_sort_key(pt):
-    return tuple(as_float(c) for c in pt)
 
 
 class Cluster:
@@ -221,7 +255,7 @@ class Cluster:
                 if d is None:
                     d = len(p) if isinstance(p, (tuple, list)) else 1
                 pts.append(as_point(p, d))
-            pts.sort(key=_point_sort_key)
+            pts.sort(key=point_value)
             dedup = []
             for p in pts:
                 if not dedup or not points_eq(dedup[-1], p):
@@ -248,7 +282,7 @@ class Cluster:
     def support(self) -> tuple:
         if self._sup is None:
             pts = [p for part in self.parts for p in part]
-            pts.sort(key=_point_sort_key)
+            pts.sort(key=point_value)
             self._sup = tuple(pts)
         return self._sup
 
@@ -369,53 +403,88 @@ def cluster_distance(P: Cluster, Q: Cluster) -> float:
 
 
 class MultiSetPatch:
-    """A window query result: region plus the m sorted point lists inside it."""
+    """A window query result: the region and, per colour, the points inside it.
 
-    __slots__ = ("region", "dim", "m", "parts", "exact", "_pos", "_all")
+    Colour i is one float array sorted by position, positions(i), and in an
+    exact patch (1D only) also a QuadArray aligned with it,
+    exact_positions(i).  `.parts` is a read-only view of the same points for
+    scalar code: per colour, a tuple of point tuples of QuadNum, int or
+    Fraction coordinates (exact) or floats.
+    """
 
-    def __init__(self, region, parts, dim: int, exact: bool, presorted: bool = False):
+    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_points")
+
+    def __init__(self, region, dim: int, pos, exact=None):
+        """pos: per colour, a sorted float array; exact: per colour, the
+        aligned QuadArray, or None for a float patch."""
         self.region = region
         self.dim = dim
-        self.m = len(parts)
-        if presorted:
-            self.parts = tuple(tuple(part) for part in parts)
-        else:
-            self.parts = tuple(tuple(sorted(part, key=_point_sort_key)) for part in parts)
-        self.exact = exact
-        self._pos = [None] * self.m
-        self._all = None
+        self.m = len(pos)
+        self._pos = list(pos)
+        self._exact = None if exact is None else list(exact)
+        self._parts = self._all = self._points = None
+
+    @classmethod
+    def from_points(cls, region, dim: int, m: int, x, color, exact: QuadArray = None):
+        """Patch of the points x (float, (N,) in 1D, (N, d) otherwise) with
+        colours in range(m), sorted once: by colour, then stably by position."""
+        x = np.asarray(x, dtype=float)
+        keys = (x,) if dim == 1 else tuple(x[:, k] for k in reversed(range(dim)))
+        order = np.lexsort(keys + (color,))
+        ends = np.searchsorted(np.asarray(color)[order], np.arange(m + 1))
+        pieces = list(zip(ends[:-1], ends[1:]))
+        x, exact = x[order], None if exact is None else exact[order]
+        return cls(region, dim, [x[a:b] for a, b in pieces],
+                   None if exact is None else [exact[a:b] for a, b in pieces])
+
+    @property
+    def exact(self) -> bool:
+        return self._exact is not None
 
     @property
     def total_points(self) -> int:
-        return sum(len(p) for p in self.parts)
+        return sum(len(p) for p in self._pos)
 
     def positions(self, color: int) -> np.ndarray:
         """Float positions of one color: shape (N,) in 1D, (N, d) otherwise."""
-        if self._pos[color] is None:
-            pts = self.parts[color]
-            if self.dim == 1:
-                arr = np.array([as_float(p[0]) for p in pts], dtype=float)
-            else:
-                arr = np.array([[as_float(c) for c in p] for p in pts], dtype=float)
-                arr = arr.reshape(len(pts), self.dim)
-            self._pos[color] = arr
         return self._pos[color]
+
+    def exact_positions(self, color: int):
+        """The QuadArray aligned with positions(color), or None in a float patch."""
+        return None if self._exact is None else self._exact[color]
+
+    @property
+    def parts(self) -> tuple:
+        """Per colour, the points as tuples of scalars; built on first use."""
+        if self._parts is None:
+            if self._exact is not None:
+                self._parts = tuple(tuple((q.value(k),) for k in range(len(q.a)))
+                                    for q in self._exact)
+            else:
+                self._parts = tuple(tuple(map(tuple, p.reshape(len(p), self.dim).tolist()))
+                                    for p in self._pos)
+        return self._parts
 
     def all_positions(self):
         """(positions, colors) over the support, sorted by position."""
+        return self._support()[:2]
+
+    def all_points(self) -> list:
+        """The support's point tuples (as in .parts), in the order of all_positions."""
+        if self._points is None:
+            flat = [p for part in self.parts for p in part]
+            self._points = [flat[k] for k in self._support()[2]]
+        return self._points
+
+    def _support(self):
         if self._all is None:
-            chunks, cols = [], []
-            for i in range(self.m):
-                pos = self.positions(i)
-                chunks.append(pos)
-                cols.append(np.full(len(pos), i, dtype=int))
-            pos = np.concatenate(chunks) if chunks else np.empty(0)
-            col = np.concatenate(cols) if cols else np.empty(0, dtype=int)
+            pos = np.concatenate(self._pos)
+            col = np.repeat(np.arange(self.m), [len(p) for p in self._pos])
             if self.dim == 1:
                 order = np.argsort(pos, kind="stable")
             else:
                 order = np.lexsort(tuple(pos[:, k] for k in reversed(range(self.dim))))
-            self._all = (pos[order], col[order])
+            self._all = (pos[order], col[order], order)
         return self._all
 
     def as_cluster(self) -> Cluster:
@@ -423,28 +492,27 @@ class MultiSetPatch:
 
     def translate(self, vec) -> "MultiSetPatch":
         vec = as_point(vec, self.dim)
-        parts = [
-            tuple(tuple(c + v for c, v in zip(p, vec)) for p in part) for part in self.parts
-        ]
-        exact = self.exact and all(is_exact_coord(v) for v in vec)
-        return MultiSetPatch(self.region.translate(vec), parts, self.dim, exact)
+        region = self.region.translate(vec)
+        col = np.repeat(np.arange(self.m), [len(p) for p in self._pos])
+        if self.exact and all(is_exact_coord(v) for v in vec):
+            q = QuadArray.concat(self._exact).shift(vec[0])
+            return MultiSetPatch.from_points(region, 1, self.m, q.floats(), col, q)
+        shift = np.array([as_float(v) for v in vec])
+        x = np.concatenate(self._pos) + (shift[0] if self.dim == 1 else shift)
+        return MultiSetPatch.from_points(region, self.dim, self.m, x, col)
 
     def restrict(self, region) -> "MultiSetPatch":
         if not self.region.covers(region):
             raise ValueError("restriction region exceeds the patch region")
-        if self.dim == 1 and isinstance(region, Interval) and region.closed_lo and region.closed_hi:
-            (lo, hi), = region.bounds()
-            parts = []
-            for i in range(self.m):
-                pos = self.positions(i)
-                a = int(np.searchsorted(pos, lo - TOL_EQ))
-                b = int(np.searchsorted(pos, hi + TOL_EQ))
-                parts.append(self.parts[i][a:b])
-            return MultiSetPatch(region, parts, self.dim, self.exact, presorted=True)
-        parts = [
-            tuple(p for p in part if region.contains_point(p)) for part in self.parts
-        ]
-        return MultiSetPatch(region, parts, self.dim, self.exact)
+        pos, exact = [], []
+        for i, p in enumerate(self._pos):
+            cut = sorted_slice(p, region) if self.dim == 1 else slice(None)
+            q = self.exact_positions(i)
+            q = None if q is None else q[cut]
+            keep = region.mask(p[cut], q)
+            pos.append(p[cut][keep])
+            exact.append(None if q is None else q[keep])
+        return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
 
     def occurrences(self, P: Cluster, lo: float = -math.inf, hi: float = math.inf,
                     tol: float = TOL_EQ) -> np.ndarray:
@@ -526,14 +594,9 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     if R <= 0:
         raise ValueError("R must be positive")
     patch = source.window(scan.dilate(R + TOL_EQ))
-    anchors = []
-    for i in range(patch.m):
-        for p in patch.parts[i]:
-            if scan.contains_point(p):
-                anchors.append(p)
+    anchors = patch.restrict(scan).all_points()
     if not anchors:
         raise ValueError("scan region contains no anchor points")
-    anchors.sort(key=_point_sort_key)
 
     table = {}
     reps = []
@@ -567,22 +630,15 @@ def _find_equivalent(reps, rep):
 
 def _ball_cluster(patch: MultiSetPatch, x, R: float) -> Cluster:
     """B_R(x) ∩ patch, translated by -x (closed ball, tol slack)."""
-    xf = point_value(x)
+    xf = np.array(point_value(x))
     parts = []
     for i in range(patch.m):
-        pts = patch.parts[i]
         pos = patch.positions(i)
         if patch.dim == 1:
-            lo = np.searchsorted(pos, xf[0] - R - TOL_EQ)
-            hi = np.searchsorted(pos, xf[0] + R + TOL_EQ)
-            sel = [pts[j] for j in range(lo, hi)]
+            sel = range(*np.searchsorted(pos, [xf[0] - R - TOL_EQ, xf[0] + R + TOL_EQ]))
         else:
-            if len(pos) == 0:
-                sel = []
-            else:
-                d2 = np.sum((pos - np.array(xf)) ** 2, axis=1)
-                sel = [pts[j] for j in np.nonzero(d2 <= (R + TOL_EQ) ** 2)[0]]
-        parts.append([tuple(c - xc for c, xc in zip(p, x)) for p in sel])
+            sel = np.flatnonzero(np.sum((pos - xf) ** 2, axis=1) <= (R + TOL_EQ) ** 2).tolist()
+        parts.append([tuple(c - xc for c, xc in zip(patch.parts[i][j], x)) for j in sel])
     return Cluster(parts, dim=patch.dim)
 
 

@@ -70,11 +70,6 @@ def _as_source(obj):
     return _PatchSource(obj) if isinstance(obj, MultiSetPatch) else obj
 
 
-def _positions_1d(source, lo: float, hi: float):
-    patch = source.window(Interval(lo, hi))
-    return [patch.positions(i) for i in range(patch.m)]
-
-
 def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
@@ -86,8 +81,8 @@ def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
     """
     L = 1.0 / eps
     reach = L + 4 * eps
-    pos1 = _positions_1d(s1, -reach, reach)
-    pos2 = _positions_1d(s2, -reach, reach)
+    near = Interval(-reach, reach)
+    pos1, pos2 = ([w.positions(i) for i in range(w.m)] for w in (s1.window(near), s2.window(near)))
     m = max(len(pos1), len(pos2))
 
     def slab(pos, lo, hi):
@@ -251,13 +246,13 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
     # g = anchor - q_j over the occurrences v_j = q_j - anchor with -v_j near V
     anchor = sup[0][0]
     color = P.anchor_color()
-    pos = patch.positions(color)
-    exactish = patch.exact and all(is_exact_coord(c) for p in sup for c in p)
-    for j in patch.occurrences(P, -vhi, -vlo, tol):
-        g = anchor - patch.parts[color][j][0] if exactish else as_float(anchor) - pos[j]
-        if V.contains_value(g, tol):
-            return True
-    return False
+    j = patch.occurrences(P, -vhi, -vlo, tol)
+    if not len(j):
+        return False
+    if patch.exact and all(is_exact_coord(c) for p in sup for c in p):
+        g = (-patch.exact_positions(color)[j]).shift(anchor)
+        return bool(V.mask(g.floats(), g, tol).any())
+    return bool(V.mask(as_float(anchor) - patch.positions(color)[j], tol=tol).any())
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +431,14 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     plus the two points whose entry/exit delimits the piece.
     """
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
-    pts = []  # (scalar coord, color) over all colors
-    for i in range(patch.m):
-        for p in patch.parts[i]:
-            pts.append((p[0], i))
-    pts.sort(key=lambda pc: as_float(pc[0]))
-    coords = [p for p, _ in pts]
-    vals = np.array([as_float(p) for p in coords])
+    vals, cols = patch.all_positions()
+    cols, coords = cols.tolist(), [p[0] for p in patch.all_points()]
+
+    def cluster(i0, i1, anchor):
+        parts = [[] for _ in range(patch.m)]
+        for j in range(i0, i1):
+            parts[cols[j]].append((coords[j] - anchor,))
+        return Cluster(parts, dim=1)
 
     Rex = _exactify(R)
     events = []  # event offsets, exact where coords are exact
@@ -467,18 +463,12 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
         if hi_idx <= lo_idx:
             continue  # empty window (cannot happen for R >= b/2)
         anchor = coords[lo_idx]
-        parts = [[] for _ in range(patch.m)]
-        for j in range(lo_idx, hi_idx):
-            parts[pts[j][1]].append((coords[j] - anchor,))
-        rep = Cluster(parts, dim=1)
+        rep = cluster(lo_idx, hi_idx, anchor)
         # pinned cluster: everything the window ever sees across the piece,
         # closed ends, so the delimiting neighbor points are included
         plo = int(np.searchsorted(vals, af - R - TOL_EQ))
         phi = int(np.searchsorted(vals, bf + R + TOL_EQ))
-        pparts = [[] for _ in range(patch.m)]
-        for j in range(plo, phi):
-            pparts[pts[j][1]].append((coords[j] - anchor,))
-        pinned = Cluster(pparts, dim=1)
+        pinned = cluster(plo, phi, anchor)
         w_lo = a - anchor
         w_hi = b - anchor
         key = (rep.signature(), pinned.signature(), coord_key(w_lo), coord_key(w_hi),

@@ -27,15 +27,17 @@ from fractions import Fraction
 import numpy as np
 
 from .coords import (
+    EXACT_MAX,
     GOLDEN,
     TOL_EQ,
+    QuadArray,
     QuadField,
     QuadNum,
     as_float,
     field_by_name,
     is_exact_coord,
 )
-from .geometry import Ball, Box, Interval, MultiSetPatch
+from .geometry import Ball, Box, Interval, MultiSetPatch, sorted_slice
 
 
 class SourceError(ValueError):
@@ -63,10 +65,15 @@ class PointSource:
         if region.dim != self.dim:
             raise SourceError("region dimension %d != source dimension %d"
                               % (region.dim, self.dim))
-        parts = self._query(region)
-        return MultiSetPatch(region, parts, self.dim, exact=(self.coords == "exact"))
+        x, color, exact = self._query(region)
+        keep = region.mask(x, exact)
+        return MultiSetPatch.from_points(region, self.dim, self.m, x[keep], color[keep],
+                                         None if exact is None else exact[keep])
 
     def _query(self, region):
+        """Candidates for a region, a superset of the points inside it: float
+        positions ((N,) in 1D, (N, d) otherwise), colours, and the same points
+        as a QuadArray (None for a float source)."""
         raise NotImplementedError
 
 
@@ -107,13 +114,8 @@ class LatticeSource(PointSource):
         khi = np.ceil(pre.max(axis=0)).astype(int) + 1
         grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(klo, khi)], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
-        pts = ks @ self.basis.T
-        parts = [[] for _ in range(self.m)]
-        for k, p in zip(ks, pts):
-            pt = tuple(float(c) for c in p)
-            if region.contains_point(pt):
-                parts[int(k.sum()) % self.m].append(pt)
-        return parts
+        x = ks @ self.basis.T
+        return (x[:, 0] if self.dim == 1 else x), ks.sum(axis=1) % self.m, None
 
 
 def lattice_source(basis, colors: int = 1, id: str = None) -> LatticeSource:
@@ -153,20 +155,10 @@ class CutProjectSpec:
 
 # Cut-and-project window regions must lie in |x| <= COORD_MAX: the float
 # candidate bracket has a margin of 1 in a, and its rounding error stays far
-# below that while |x| <= 2**50 (it reaches 1 near |x| ~ 1e16).  Windows with
-# large denominators lower the bound (CutProjectSource.coord_max) so that the
-# int64 sign test stays exact.
+# below that while |x| <= 2**50 (it reaches 1 near |x| ~ 1e16); the integer
+# pairs (a, b) then stay below QuadArray's 2**53.
 COORD_MAX = 2.0 ** 50
 _BLOCK_ROWS = 512      # b values per block of candidates (bounds temporaries)
-_GUARD = 2.0 ** -46    # float tie band, relative to the candidates' magnitude
-
-
-def _sign_sqrt(u, v, disc: int):
-    """Sign of u + v*sqrt(disc) for int64 arrays, decided as QuadField.sign;
-    exact while |u^2 - disc*v^2| < 2**63 (the squares may wrap, not their difference)."""
-    su, sv = np.sign(u), np.sign(v)
-    t = u * u - disc * v * v
-    return np.where(su * sv < 0, su * np.sign(t), np.where(su != 0, su, sv))
 
 
 class CutProjectSource(PointSource):
@@ -177,56 +169,31 @@ class CutProjectSource(PointSource):
         self.m = len(spec.windows)
         self.coords = "exact"
         self.id = id
-        f = self.field
         self._star_lo = min(as_float(w.lo) for w in spec.windows)
         self._star_hi = max(as_float(w.hi) for w in spec.windows)
-        self._tau = f.tau
-        self._tauc = f.tau_conj
-        # window ends as integer pairs (a, b) over one common denominator d
-        ends = [e if isinstance(e, QuadNum) else QuadNum(e, 0, f)
-                for w in spec.windows for e in (w.lo, w.hi)]
-        coefs = [Fraction(c) for e in ends for c in (e.a, e.b)]
-        self._d = d = math.lcm(*(c.denominator for c in coefs))
-        scaled = [int(c * d) for c in coefs]
-        self._ends = [tuple(scaled[k:k + 4]) for k in range(0, len(scaled), 4)]
-        # for a candidate x and a window end w: |u + v sqrt D| = 2d|x* - w| <= 2d*S
-        # and |u - v sqrt D| = 2d|x - w*|, so |u^2 - D v^2| < 2**62 below coord_max
-        S = self._star_hi - self._star_lo + 3.0
-        w_conj = max(abs(float(e.conj())) for e in ends)
-        self.coord_max = min(COORD_MAX, 2.0 ** 62 / (4.0 * d * d * S) - w_conj - 3.0)
-        if self.coord_max <= 0 or max(map(abs, scaled)) >= 2 ** 62:
-            raise SourceError("acceptance windows are beyond the exact int64 range")
+        self._tau = self.field.tau
+        self._tauc = self.field.tau_conj
 
     def _query(self, region):
         (lo, hi), = region.bounds()
-        if max(abs(lo), abs(hi)) > self.coord_max:
+        if max(abs(lo), abs(hi)) > COORD_MAX:
             raise SourceError("window region beyond |x| <= %g, where the "
-                              "cut-and-project window is exact" % self.coord_max)
-        closed_lo = closed_hi = True
-        if isinstance(region, Interval):
-            closed_lo, closed_hi = region.closed_lo, region.closed_hi
+                              "cut-and-project window is exact" % COORD_MAX)
         lo_x, hi_x = lo - TOL_EQ, hi + TOL_EQ
         # x = a + b*tau in [lo, hi] and x* = a + b*tau' in the window band:
         # b = (x - x*) / (tau - tau'), then a is pinned by both constraints.
         span = self._tau - self._tauc
         b_lo = math.floor(min((lo_x - self._star_hi), (lo_x - self._star_lo)) / span) - 1
         b_hi = math.ceil(max((hi_x - self._star_lo), (hi_x - self._star_hi)) / span) + 1
-        parts = [[] for _ in range(self.m)]
+        blocks = []
         for b0 in range(b_lo, b_hi + 1, _BLOCK_ROWS):
             a, b = self._candidates(b0, min(b0 + _BLOCK_ROWS, b_hi + 1), lo_x, hi_x)
             color = self._colors(a, b)
-            xf = a + b * self._tau
-            # bound on the rounding error of xf and of the float region ends
-            guard = _GUARD * (np.abs(a).max(initial=0) + abs(self._tau) * np.abs(b).max(initial=0)
-                              + max(abs(lo), abs(hi)) + 1.0)
             keep = color >= 0
-            keep &= self._inside_end(a, b, xf, lo, 1, closed_lo, guard)
-            keep &= self._inside_end(a, b, xf, hi, -1, closed_hi, guard)
-            for i in range(self.m):
-                sel = keep & (color == i)
-                parts[i].extend((QuadNum(x, y, self.field),)
-                                for x, y in zip(a[sel].tolist(), b[sel].tolist()))
-        return parts
+            blocks.append((a[keep], b[keep], color[keep]))
+        a, b, color = (np.concatenate(cols) for cols in zip(*blocks))
+        exact = QuadArray(a, b, 1, self.field)
+        return exact.floats(), color, exact
 
     def _candidates(self, b0: int, b1: int, lo_x: float, hi_x: float):
         """All (a, b) with b0 <= b < b1 in the float bracket, b-major, a ascending."""
@@ -242,35 +209,12 @@ class CutProjectSource(PointSource):
 
     def _colors(self, a, b):
         """Index of the first acceptance window holding x* = a + b*tau', or -1."""
-        p, d = self.field.p, self._d
-        star_a = d * (a + p * b)  # d * x* = star_a + star_b * tau
-        star_b = -d * b
+        star = QuadArray(a + self.field.p * b, -b, 1, self.field)  # tau' = p - tau
+        floats = star.floats()
         color = np.full(len(a), -1, dtype=np.int64)
-        for i, (w, (la, lb, ha, hb)) in enumerate(zip(self.spec.windows, self._ends)):
-            s_lo = _sign_sqrt(2 * (star_a - la) + p * (star_b - lb), star_b - lb, self.field.disc)
-            s_hi = _sign_sqrt(2 * (star_a - ha) + p * (star_b - hb), star_b - hb, self.field.disc)
-            inside = (s_lo >= 0) if w.closed_lo else (s_lo > 0)
-            inside &= (s_hi <= 0) if w.closed_hi else (s_hi < 0)
-            color[inside & (color < 0)] = i
+        for i, w in enumerate(self.spec.windows):
+            color[w.mask(floats, star) & (color < 0)] = i
         return color
-
-    def _inside_end(self, a, b, xf, end, sense, closed, guard):
-        """Which x = a + b*tau lie inside one float region end (sense 1: lower, -1: upper).
-
-        As Interval.contains_value, the end carries TOL_EQ slack, outward when
-        closed and inward when open.  The float xf decides outside a guard band;
-        inside it QuadField.sign decides against the rational end +- 10**-9.
-        """
-        inward = -sense if closed else sense
-        gap = sense * (xf - (end + inward * TOL_EQ))
-        ok = gap > guard
-        ties = np.flatnonzero(np.abs(gap) <= guard)
-        if len(ties):
-            bound = Fraction(end) + inward * Fraction(1, 10 ** 9)
-            for k in ties:
-                s = sense * self.field.sign(int(a[k]) - bound, int(b[k]))
-                ok[k] = s > 0 or (s == 0 and closed)
-        return ok
 
 
 def cut_project_source(spec: CutProjectSpec, id: str = "cut_project") -> CutProjectSource:
@@ -409,58 +353,61 @@ class SubstitutionSource(PointSource):
         self.coords = "exact" if exact else "float"
         self.field = rule.field
         self.id = id
-        self._word = [rule.letters.index(seed_letter)]
-        self._ends = None  # cumulative float endpoints, built lazily
-        self._prefix = [0]  # exact left endpoints, grown on demand
+        exp = [[rule.letters.index(ch) for ch in w] for w in rule.expansions]
+        width = max(map(len, exp))
+        self._table = np.array([e + [0] * (width - len(e)) for e in exp])
+        self._sizes = np.array([len(e) for e in exp])
+        self._color = np.array(rule.color_of)
+        self._longest = max(as_float(L) for L in rule.lengths)
+        # the word's tile endpoints, left ends then its right end: floats, and
+        # for an exact rule the same points as a QuadArray
+        self._word = np.array([rule.letters.index(seed_letter)])
+        self._ends, self._exact = np.zeros(1), None
+        if exact:
+            try:
+                self._lengths = QuadArray.of(rule.lengths, rule.field)
+            except ValueError as e:
+                raise SourceError(str(e))
+            self._exact = QuadArray([0], [0], self._lengths.den, self._lengths.field)
+        else:
+            self._lengths = np.array([as_float(L) for L in rule.lengths])
+        self._add_ends(0)
 
     def _extend_to(self, length_needed: float):
-        idx = {ch: i for i, ch in enumerate(self.rule.letters)}
-        exp = [[idx[ch] for ch in w] for w in self.rule.expansions]
-        lengths_f = [as_float(L) for L in self.rule.lengths]
+        """Inflate the word until its tiles reach length_needed.
 
-        def total(word):
-            return sum(lengths_f[i] for i in word)
-
-        while total(self._word) < length_needed:
-            self._word = [j for i in self._word for j in exp[i]]
-        self._ends = None
-
-    def _endpoints(self):
-        if self._ends is None:
-            lengths_f = [as_float(L) for L in self.rule.lengths]
-            arr = np.array([lengths_f[i] for i in self._word])
-            self._ends = np.concatenate([[0.0], np.cumsum(arr)])
-        return self._ends
-
-    def _exact_prefix(self, upto: int):
-        """Exact left endpoints of tiles 0..upto, kept on this source.
-
-        Each inflated word extends the previous one (the seed letter begins
-        its own expansion), so endpoints stay valid as the word grows.
+        The seed letter begins its own expansion, so each inflated word
+        extends the last and only the new tiles get endpoints.
         """
-        pos = self._prefix
-        for i in self._word[len(pos) - 1:upto]:
-            pos.append(pos[-1] + self.rule.lengths[i])
-        return pos
+        while self._ends[-1] < length_needed:
+            word = self._word
+            width = np.arange(self._table.shape[1])
+            self._word = self._table[word][width < self._sizes[word][:, None]]
+            self._add_ends(len(word))
+
+    def _add_ends(self, n: int):
+        """Append the right ends of tiles n, n+1, ... of the word."""
+        new = self._word[n:]
+        q, L = self._exact, self._lengths
+        if q is None:
+            tail = np.cumsum(np.concatenate([self._ends[-1:], L[new]]))[1:]
+        else:
+            top = max(abs(int(q.a[-1])) + len(new) * int(np.abs(L.a).max()),
+                      abs(int(q.b[-1])) + len(new) * int(np.abs(L.b).max()))
+            if top >= EXACT_MAX:
+                raise SourceError("substitution positions beyond the exact int64 range")
+            self._exact = QuadArray(np.concatenate([q.a, q.a[-1] + np.cumsum(L.a[new])]),
+                                    np.concatenate([q.b, q.b[-1] + np.cumsum(L.b[new])]),
+                                    q.den, q.field)
+            tail = self._exact[n + 1:].floats()
+        self._ends = np.concatenate([self._ends, tail])
 
     def _query(self, region):
-        (lo, hi), = region.bounds()
-        if hi < -TOL_EQ:
-            return [[] for _ in range(self.m)]
-        self._extend_to(hi + max(as_float(L) for L in self.rule.lengths) + 1.0)
-        ends = self._endpoints()
-        i0 = int(np.searchsorted(ends, lo - TOL_EQ))
-        i1 = int(np.searchsorted(ends, hi + TOL_EQ))
-        parts = [[] for _ in range(self.m)]
-        exact = self.coords == "exact"
-        # exact cumulative positions for the needed slice only
-        if exact:
-            pos = self._exact_prefix(i1)
-        for j in range(i0, min(i1, len(self._word))):
-            x = pos[j] if exact else float(ends[j])
-            if region.contains_value(x) if isinstance(region, Interval) else region.contains_point((x,)):
-                parts[self.rule.color_of[self._word[j]]].append((x,))
-        return parts
+        (_, hi), = region.bounds()
+        self._extend_to(hi + self._longest + 1.0)
+        cut = sorted_slice(self._ends[:-1], region)
+        exact = None if self._exact is None else self._exact[cut]
+        return self._ends[cut], self._color[self._word[cut]], exact
 
 
 def substitution_source(rule: SubstitutionRule, seed_letter: str, id: str = "substitution") -> SubstitutionSource:
@@ -528,22 +475,19 @@ class PoissonSource(PointSource):
     def _query(self, region):
         bounds = region.bounds()
         ranges = [range(math.floor(lo), math.ceil(hi) + 1) for lo, hi in bounds]
-        pts = []
         if self.dim == 1:
             cells = [(j,) for j in ranges[0]]
         else:
             cells = [(i, j) for i in ranges[0] for j in ranges[1]]
+        chunks = [np.empty((0, self.dim))]
         for cell in cells:
             rng = self._cell_rng(cell)
             n = rng.poisson(self.intensity)
-            if n == 0:
-                continue
-            u = rng.uniform(0.0, 1.0, size=(n, self.dim))
-            for row in u:
-                pt = tuple(float(c) + row[k] for k, c in enumerate(cell))
-                if region.contains_point(pt):
-                    pts.append(pt)
-        return [pts]
+            if n:
+                u = rng.uniform(0.0, 1.0, size=(n, self.dim))
+                chunks.append(np.array(cell, dtype=float) + u)
+        x = np.concatenate(chunks)
+        return (x[:, 0] if self.dim == 1 else x), np.zeros(len(x), dtype=np.int64), None
 
 
 def poisson_source(intensity: float, seed: int = 0, dim: int = 1) -> PoissonSource:
@@ -648,37 +592,30 @@ def source_from_config(cfg: dict, seed=None) -> PointSource:
 
 def patch_to_json(patch: MultiSetPatch, field: QuadField = None) -> dict:
     """Point-set JSON: exact coordinates as integer pairs."""
-    exact = patch.exact
     points = []
     for i in range(patch.m):
-        for p in patch.parts[i]:
-            if exact:
-                row = []
-                for c in p:
-                    if isinstance(c, QuadNum):
-                        row.append([_int_or_str(c.a), _int_or_str(c.b)])
-                    else:
-                        row.append([_int_or_str(c), 0])
-                points.append(row + [i])
-            else:
-                points.append([float(as_float(c)) for c in p] + [i])
+        q = patch.exact_positions(i)
+        if q is None:
+            points += [row + [i] for row in patch.positions(i).reshape(-1, patch.dim).tolist()]
+        else:
+            points += [[[_int_or_str(a, q.den), _int_or_str(b, q.den)], i]
+                       for a, b in zip(q.a.tolist(), q.b.tolist())]
     points.sort(key=lambda row: tuple(str(v) for v in row))
     doc = {
         "dim": patch.dim,
         "m": patch.m,
-        "coords": "exact" if exact else "float",
+        "coords": "exact" if patch.exact else "float",
         "points": points,
         "region": region_to_json(patch.region),
     }
-    if exact and field is not None:
+    if patch.exact and field is not None:
         doc["field"] = {"tau": field.name}
     return doc
 
 
-def _int_or_str(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return int(v)
+def _int_or_str(num: int, den: int):
+    v = Fraction(num, den)
+    return int(v) if v.denominator == 1 else str(v)
 
 
 def region_to_json(region) -> dict:

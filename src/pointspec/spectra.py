@@ -119,21 +119,16 @@ def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> Au
     vol = spec.region(n).volume()
     meas = AutocorrelationMeasure(radius=radius, method="direct", n=n)
     exact = patch.exact
-    # flatten support with colors, sorted by position
-    pts = []
-    for i in range(patch.m):
-        for p in patch.parts[i]:
-            pts.append((p[0], i))
-    pts.sort(key=lambda pc: as_float(pc[0]))
-    vals = np.array([as_float(p) for p, _ in pts])
+    vals, cols = patch.all_positions()
+    xs = [p[0] for p in patch.all_points()] if exact else None
     agg = {}
-    for a_idx in range(len(pts)):
-        xa, ia = pts[a_idx]
+    for a_idx in range(len(vals)):
+        ia = cols[a_idx]
         lo = np.searchsorted(vals, vals[a_idx] - radius - TOL_EQ)
         hi = np.searchsorted(vals, vals[a_idx] + radius + TOL_EQ)
         for b_idx in range(lo, hi):
-            xb, ib = pts[b_idx]
-            t = xa - xb if exact else vals[a_idx] - vals[b_idx]
+            ib = cols[b_idx]
+            t = xs[a_idx] - xs[b_idx] if exact else vals[a_idx] - vals[b_idx]
             key = coord_key(t)
             cur = agg.get(key)
             coef = w[ia] * np.conj(w[ib])
@@ -273,7 +268,6 @@ def _golden_refine(fn, lo, hi, iters=60):
         b = np.where(~swap, d, b)
         c_new = b - invphi * (b - a)
         d_new = a + invphi * (b - a)
-        fc_keep = np.where(swap, fd, fc)
         c, d = c_new, d_new
         fc, fd = fn(c), fn(d)
     mid = 0.5 * (a + b)

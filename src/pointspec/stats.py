@@ -125,7 +125,7 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets,
     offsets = [o if isinstance(o, (tuple, list)) else (o,) for o in offsets]
     schedule = spec.schedule()
     n_max = schedule[-1]
-    span = max(max(abs(as_float(c)) for c in o) for o in offsets) if offsets else 0.0
+    span = max(max(abs(as_float(c)) for c in o) for o in offsets)
     sup = P.support()
     reach = max(
         (max(abs(as_float(c)) for c in p) for p in sup), default=0.0

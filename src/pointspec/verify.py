@@ -174,7 +174,7 @@ def check_cylinder_measure(fast=False) -> CheckResult:
         n, eta=1.0)
     # independent point-count oracle for the color-0 density
     patch = fib.window(Interval(-n, n))
-    density = len(patch.parts[0]) / (2.0 * n)
+    density = len(patch.positions(0)) / (2.0 * n)
     ok_f = abs(mf - 0.1 * density) <= 2e-3
     return _result("cylinder_measure", t0, ok_z and ok_f,
                    "Z: %.5f (want 0.3), fib: %.6f vs 0.1*density=%.6f" %

@@ -182,3 +182,20 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
         outs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert sorted(outs[0]) == ["freq.csv", "freq.json", "manifest.json"]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("autocorr", {"source": {"type": "lattice"}, "weights": [[1]],
+                  "autocorr": {"radius": 2, "n": 20}}),
+    ("autocorr", {"source": {"type": "lattice"}, "weights": [["a", 1]],
+                  "autocorr": {"radius": 2, "n": 20}}),
+    ("generate", {"source": {"type": "lattice"}, "generate": {"region": ["a", 3]}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"cluster": [["x"]]}}),
+    ("generate", {"source": {"type": "lattice", "basis": "q"}, "generate": {"region": [0, 3]}}),
+    ("metric", {"source": {"type": "lattice"},
+                "metric": {"other_source": {"type": "lattice", "basis": "q"}}}),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
+    cfg = write_cfg(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err

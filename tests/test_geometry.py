@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from pointspec.coords import TOL_EQ, QuadArray, is_exact_coord
 from pointspec.geometry import (
     Ball,
     Box,
@@ -33,6 +37,43 @@ def test_half_open_interval():
     iv = Interval(0.0, 1.0, True, False)
     assert iv.contains_value(0.0)
     assert not iv.contains_value(1.0)
+
+
+def reference_contains(iv, x):
+    """The interval contract for one point, spelled out in scalar arithmetic."""
+    tol = Fraction(1, 10 ** 9)
+    if not is_exact_coord(x):
+        lo, hi = float(iv.lo), float(iv.hi)
+        ok_lo = x >= lo - TOL_EQ if iv.closed_lo else x > lo + TOL_EQ
+        ok_hi = x <= hi + TOL_EQ if iv.closed_hi else x < hi - TOL_EQ
+    elif is_exact_coord(iv.lo) and is_exact_coord(iv.hi):
+        ok_lo = x >= iv.lo if iv.closed_lo else x > iv.lo
+        ok_hi = x <= iv.hi if iv.closed_hi else x < iv.hi
+    else:
+        lo, hi = (c if is_exact_coord(c) else Fraction(c) for c in (iv.lo, iv.hi))
+        ok_lo = x >= lo - tol if iv.closed_lo else x > lo + tol
+        ok_hi = x <= hi + tol if iv.closed_hi else x < hi - tol
+    return bool(ok_lo and ok_hi)
+
+
+def test_interval_mask_matches_the_scalar_contract():
+    # ends on, 1e-9 off and one ulp past exact Fibonacci points, exact or float
+    patch = fibonacci_cut_project().window(Interval(-40, 40))
+    exact = QuadArray.concat([patch.exact_positions(i) for i in range(patch.m)])
+    xs, values = exact.floats(), [exact.value(k) for k in range(len(exact.a))]
+    ends = []
+    for v in values[::6]:
+        f = float(v)
+        ends += [v, v + Fraction(1, 10 ** 9), v - Fraction(1, 10 ** 9), f, f - 1e-9, f + 1e-9,
+                 math.nextafter(f - 1e-9, -math.inf), math.nextafter(f + 1e-9, math.inf)]
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        i, j = sorted(rng.choice(len(ends), 2, replace=False))
+        for flags in ((True, True), (True, False), (False, True), (False, False)):
+            iv = Interval(ends[i], ends[j], *flags)
+            assert iv.mask(xs, exact).tolist() == [reference_contains(iv, v) for v in values]
+            assert iv.mask(xs).tolist() == [reference_contains(iv, x) for x in xs.tolist()]
+            assert all(iv.contains_value(v) == reference_contains(iv, v) for v in values[::10])
 
 
 def test_box_and_ball():

@@ -63,10 +63,8 @@ class _LatticePlusFarPoint(PointSource):
         self.base = integer_lattice()
 
     def _query(self, region):
-        parts = [list(self.base.window(region).parts[0])]
-        if region.contains_value(500.25):
-            parts[0].append((500.25,))
-        return parts
+        x, color, exact = self.base._query(region)
+        return np.append(x, 500.25), np.append(color, 0), exact
 
 
 def test_metric_far_modification_small():

@@ -252,6 +252,22 @@ def test_half_open_regions_exclude_open_end(make, has_origin):
         assert at_origin == int(has_origin)
 
 
+@pytest.mark.parametrize("region, want", [
+    # tau lies 5.4e-10 past the closed exact upper end, so only 0 is inside
+    (Interval(0, Fraction(46368, 28657)), [(0, 0, 0)]),
+    # the mirror image: tau lies 2.1e-10 below the closed exact lower end
+    (Interval(Fraction(75025, 46368), 5), [(1, 1, 0), (1, 2, 0)]),
+])
+def test_exact_region_ends_agree_across_fibonacci_constructions(region, want):
+    def triples(src):
+        patch = src.window(region)
+        return sorted((int(p[0].a), int(p[0].b), i)
+                      for i in range(patch.m) for p in patch.parts[i])
+
+    assert triples(fibonacci_cut_project()) == want
+    assert triples(fibonacci_substitution()) == want
+
+
 # ---------------------------------------------------------------------------
 # substitutions
 
@@ -307,6 +323,32 @@ def test_sources_sharing_a_rule_keep_their_own_exact_positions():
     both = [substitution_source(rule, "a"), substitution_source(rule, "b")]
     for src in both + both:
         check(src)
+
+
+def test_short_window_after_long_one_keeps_the_endpoints():
+    tm = thue_morse_source()
+    tm.window(Interval(0, 2e4))
+    ends = tm._ends
+    for lo in range(0, 3000, 100):
+        tm.window(Interval(lo, lo + 10))
+    assert tm._ends is ends
+
+
+def test_float_endpoints_are_one_running_sum():
+    # float tile lengths: positions are the one-pass running sum of the tile
+    # lengths along the word, however many steps the word took to grow
+    rule = SubstitutionRule(letters="ab", expansions=("ab", "a"), lengths=(TAU, 1.0),
+                            color_of=(0, 1))
+    src = substitution_source(rule, "a")
+    for hi in (3, 30, 300, 3000):
+        patch = src.window(Interval(0, hi))
+    word = "a"
+    while len(word) < 3000:
+        word = "".join("ab" if ch == "a" else "a" for ch in word)
+    ends = np.concatenate([[0.0], np.cumsum([TAU if ch == "a" else 1.0 for ch in word])])
+    got = np.sort(np.concatenate([patch.positions(0), patch.positions(1)]))
+    assert len(got) > 1500
+    assert got.tobytes() == ends[:len(got)].tobytes()
 
 
 def test_period_doubling_support_is_nonnegative_integers():
