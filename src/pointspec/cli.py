@@ -67,13 +67,27 @@ def _require(cfg, key, typ, what="config"):
     return v
 
 
+def _number(sub, key, default, typ=float):
+    """sub[key], or default when absent, converted by typ (entry by entry
+    when default is a list); a value typ cannot convert is a ConfigError."""
+    v = sub.get(key, default)
+    many = isinstance(default, list)
+    try:
+        if many and not isinstance(v, list):
+            raise TypeError
+        return [typ(x) for x in v] if many else typ(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%r must be %s, not %r"
+                          % (key, "a list of numbers" if many else "a number", v))
+
+
 def _van_hove(cfg, dim=1):
     sub = cfg.get("van_hove", {})
     if not isinstance(sub, dict):
         raise ConfigError("'van_hove' must be an object")
-    return VanHoveSpec(n0=float(sub.get("n0", 125)),
-                       doublings=int(sub.get("doublings", 4)),
-                       dim=int(sub.get("dim", dim)))
+    return VanHoveSpec(n0=_number(sub, "n0", 125),
+                       doublings=_number(sub, "doublings", 4, int),
+                       dim=_number(sub, "dim", dim, int))
 
 
 def _weights(cfg, m):
@@ -152,7 +166,7 @@ def cmd_generate(args, cfg):
 def cmd_classes(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("classes", {})
-    R = float(sub.get("R", 1.0))
+    R = _number(sub, "R", 1.0)
     scan = _region_1d(sub.get("scan", [0, 200]))
     table = enumerate_cluster_classes(src, R, scan)
     rows = []
@@ -175,8 +189,8 @@ def cmd_freq(args, cfg):
     sub = cfg.get("freq", {})
     spec = _van_hove(cfg, dim=src.dim)
     P = _cluster(sub.get("cluster", [[0.0]] + [[]] * (src.m - 1)), src.m)
-    n_off = int(sub.get("offsets", 50))
-    span = float(sub.get("offset_span", 10.0))
+    n_off = _number(sub, "offsets", 50, int)
+    span = _number(sub, "offset_span", 10.0)
     offsets = [(0.0,)] + list(default_offsets(n_off - 1, span)) if n_off > 1 else [(0.0,)]
     est = estimate_frequency(src, P, spec, offsets, threads=args.threads)
     out = _outdir(args)
@@ -190,8 +204,8 @@ def cmd_autocorr(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("autocorr", {})
     spec = _van_hove(cfg, dim=src.dim)
-    radius = float(sub.get("radius", 10.0))
-    n = float(sub.get("n", spec.schedule()[-1]))
+    radius = _number(sub, "radius", 10.0)
+    n = _number(sub, "n", spec.schedule()[-1])
     w = _weights(cfg, src.m)
     method = sub.get("method", "both")
     measures = []
@@ -218,10 +232,10 @@ def cmd_diffract(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("diffract", {})
     spec = _van_hove(cfg, dim=src.dim)
-    k_lo = float(sub.get("k_min", -3.0))
-    k_hi = float(sub.get("k_max", 3.0))
-    resolution = float(sub.get("resolution", 0.01))
-    schedule = [float(x) for x in sub.get("n_schedule", [1000, 2000])]
+    k_lo = _number(sub, "k_min", -3.0)
+    k_hi = _number(sub, "k_max", 3.0)
+    resolution = _number(sub, "resolution", 0.01)
+    schedule = _number(sub, "n_schedule", [1000, 2000])
     w = _weights(cfg, src.m)
     est = peak_scan(src, w, (k_lo, k_hi), resolution, schedule, spec)
     out = _outdir(args)
@@ -241,7 +255,7 @@ def cmd_metric(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("metric", {})
     other = _make_source(_require(sub, "other_source", dict, "'metric'"), args.seed)
-    eps_grid = float(sub.get("eps_grid", 0.01))
+    eps_grid = _number(sub, "eps_grid", 0.01)
     bracket = hull_metric(src, other, eps_grid=eps_grid)
     out = _outdir(args)
     with open(out / "metric.json", "w") as fh:
@@ -254,11 +268,9 @@ def cmd_metric(args, cfg):
 def cmd_partition(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = cfg.get("partition", {})
-    R = float(sub.get("R", 3.0))
-    delta = float(sub.get("delta", 0.2))
-    scan_length = sub.get("scan_length")
-    part = build_partition_1d(src, R, delta,
-                              scan_length=float(scan_length) if scan_length else None)
+    R = _number(sub, "R", 3.0)
+    delta = _number(sub, "delta", 0.2)
+    part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
     out = _outdir(args)
     with open(out / "partition.json", "w") as fh:
         json.dump({"radius": R, "delta": delta, "n_cells": part.n_cells,

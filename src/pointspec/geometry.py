@@ -209,6 +209,17 @@ def in_sorted(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.n
     return ok
 
 
+def ranges(starts, stops):
+    """Flatten the index ranges [starts[r], stops[r]) into (row, index) arrays,
+    row by row and ascending within a row; a range with stop <= start is empty."""
+    starts = np.asarray(starts).astype(np.int64)
+    counts = np.maximum(np.asarray(stops).astype(np.int64) - starts, 0)
+    rows = np.repeat(np.arange(len(starts)), counts)
+    idx = np.arange(int(counts.sum()), dtype=np.int64)
+    idx += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return rows, idx
+
+
 def sorted_slice(pos: np.ndarray, region) -> slice:
     """The slice of a sorted 1D float array that can hold points of the
     region: its float bounds, widened past every slack its mask allows."""
@@ -468,6 +479,10 @@ class MultiSetPatch:
     def all_positions(self):
         """(positions, colors) over the support, sorted by position."""
         return self._support()[:2]
+
+    def all_exact(self):
+        """The QuadArray aligned with all_positions(), or None in a float patch."""
+        return None if self._exact is None else QuadArray.concat(self._exact)[self._support()[2]]
 
     def all_points(self) -> list:
         """The support's point tuples (as in .parts), in the order of all_positions."""

@@ -27,6 +27,8 @@ from .geometry import (
     enumerate_cluster_classes,
     cluster_distance,
     delone_params,
+    in_sorted,
+    ranges,
 )
 from .sources import TranslatedSource
 
@@ -50,40 +52,25 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-class _PatchSource:
-    """Adapter exposing a fixed patch through the window-query interface.
-
-    Queries beyond the patch region raise, so a too-small patch surfaces
-    as an error instead of silently truncating the metric decision.
-    """
-
-    def __init__(self, patch: MultiSetPatch):
-        self.patch = patch
-        self.dim = patch.dim
-        self.m = patch.m
-
-    def window(self, region):
-        return self.patch.restrict(region)
-
-
-def _as_source(obj):
-    return _PatchSource(obj) if isinstance(obj, MultiSetPatch) else obj
-
-
-def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
+def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
 
-    1D decision: every candidate relative shift delta = x - y comes from a
-    matched pair of near-origin points (or the empty-window case); for a
-    fixed delta the feasible x form an interval minus the closed L-balls
-    around mismatched points, which is checked by interval coverage.
+    The patches must cover [-(1/eps + 4 eps), 1/eps + 4 eps]; restricting
+    them there raises otherwise.  1D decision: every candidate relative
+    shift delta = x - y comes from a matched pair of near-origin points
+    (or the empty-window case); for a fixed delta the feasible x form an
+    interval minus the closed L-balls around mismatched points, which is
+    checked by interval coverage.
     """
     L = 1.0 / eps
     reach = L + 4 * eps
     near = Interval(-reach, reach)
-    pos1, pos2 = ([w.positions(i) for i in range(w.m)] for w in (s1.window(near), s2.window(near)))
+    pos1, pos2 = ([w.positions(i) for i in range(w.m)] for w in (patch1.restrict(near),
+                                                                  patch2.restrict(near)))
     m = max(len(pos1), len(pos2))
+    pos1 += [np.empty(0)] * (m - len(pos1))
+    pos2 += [np.empty(0)] * (m - len(pos2))
 
     def slab(pos, lo, hi):
         a = np.searchsorted(pos, lo - tol)
@@ -92,7 +79,8 @@ def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
 
     # windows can never be empty when the sets are relatively dense with
     # b < 2L; guard for degenerate inputs anyway
-    any1 = any(len(slab(p, -L - eps, L + eps)) for p in pos1)
+    slabs1 = [slab(p, -L - eps, L + eps) for p in pos1]
+    any1 = any(len(p) for p in slabs1)
     any2 = any(len(slab(p, -L - eps, L + eps)) for p in pos2)
     if not any1 and not any2:
         return True
@@ -100,16 +88,13 @@ def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
         return False
 
     deltas = []
-    for i in range(m):
-        p1 = slab(pos1[i] if i < len(pos1) else np.empty(0), -L - eps, L + eps)
-        p2 = pos2[i] if i < len(pos2) else np.empty(0)
-        for p in p1:
-            a = np.searchsorted(p2, p - 2 * eps - tol)
-            b = np.searchsorted(p2, p + 2 * eps + tol)
-            deltas.extend(p - q for q in p2[a:b])
-    if not deltas:
+    for p1, p2 in zip(slabs1, pos2):
+        a, b = ranges(np.searchsorted(p2, p1 - 2 * eps - tol),
+                      np.searchsorted(p2, p1 + 2 * eps + tol))
+        deltas.append(p1[a] - p2[b])
+    deltas = np.sort(np.concatenate(deltas))
+    if not len(deltas):
         return False
-    deltas = np.array(sorted(deltas))
     keep = np.concatenate([[True], np.diff(deltas) > tol])
     deltas = deltas[keep]
 
@@ -119,10 +104,10 @@ def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
         if x_lo > x_hi + tol:
             continue
         blockers = []
-        for i in range(m):
-            a1 = slab(pos1[i] if i < len(pos1) else np.empty(0), -L - eps, L + eps)
-            a2 = slab((pos2[i] if i < len(pos2) else np.empty(0)) + delta, -L - eps, L + eps)
-            blockers.extend(_mismatched(a1, a2, tol))
+        for a1, p2 in zip(slabs1, pos2):
+            a2 = slab(p2 + delta, -L - eps, L + eps)
+            blockers.extend(a1[~in_sorted(a2, a1, tol)])
+            blockers.extend(a2[~in_sorted(a1, a2, tol)])
         # feasible x in [x_lo, x_hi] avoiding the closed interval [d-L, d+L]
         # around every mismatched point d; sweep for an uncovered gap
         intervals = sorted((d - L - tol, d + L + tol) for d in blockers)
@@ -142,45 +127,28 @@ def _match_predicate(s1, s2, eps: float, tol: float = TOL_EQ) -> bool:
     return False
 
 
-def _mismatched(a1: np.ndarray, a2: np.ndarray, tol: float):
-    """Points of the symmetric difference of two sorted 1D sets (tol match)."""
-    out = []
-    i = j = 0
-    while i < len(a1) and j < len(a2):
-        d = a1[i] - a2[j]
-        if abs(d) <= tol:
-            i += 1
-            j += 1
-        elif d < 0:
-            out.append(a1[i])
-            i += 1
-        else:
-            out.append(a2[j])
-            j += 1
-    out.extend(a1[i:])
-    out.extend(a2[j:])
-    return out
-
-
 def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CAP) -> MetricBracket:
     """Certified bracket for the local-matching distance (1D sources).
 
     Descends a geometric epsilon grid while the matching predicate holds,
     then bisects the first failing bracket down to width eps_grid.  Both
-    bounds are capped at 2^(-1/2).
+    bounds are capped at 2^(-1/2).  Each input is a source, windowed once
+    around the origin wide enough for every epsilon tried, or a patch,
+    used as given: one too small for some epsilon raises ValueError.
     """
-    source1 = _as_source(source1)
-    source2 = _as_source(source2)
     if source1.dim != 1 or source2.dim != 1:
         raise NotImplementedError("hull metric is implemented in 1D only")
-    if not _match_predicate(source1, source2, cap):
+    floor = max(eps_grid / 2.0, 1e-4)
+    reach = 1.0 / min(floor, cap) + 4 * cap  # every eps tried is cap or above floor
+    near = Interval(-reach, reach)
+    p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
+    if not _match_predicate(p1, p2, cap):
         return MetricBracket(lower=cap, upper=cap, eps_grid=eps_grid)
     hi = cap  # known true
     lo = None  # known false, > all true
     eps = cap / 2.0
-    floor = max(eps_grid / 2.0, 1e-4)
     while eps > floor:
-        if _match_predicate(source1, source2, eps):
+        if _match_predicate(p1, p2, eps):
             hi = eps
             eps /= 2.0
         else:
@@ -190,7 +158,7 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
         return MetricBracket(lower=0.0, upper=hi, eps_grid=eps_grid)
     while hi - lo > eps_grid:
         mid = 0.5 * (lo + hi)
-        if _match_predicate(source1, source2, mid):
+        if _match_predicate(p1, p2, mid):
             hi = mid
         else:
             lo = mid

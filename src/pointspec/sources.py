@@ -37,7 +37,7 @@ from .coords import (
     field_by_name,
     is_exact_coord,
 )
-from .geometry import Ball, Box, Interval, MultiSetPatch, sorted_slice
+from .geometry import Ball, Box, Interval, MultiSetPatch, ranges, sorted_slice
 
 
 class SourceError(ValueError):
@@ -201,11 +201,8 @@ class CutProjectSource(PointSource):
         bf = rows.astype(float)
         a_min = np.floor(np.maximum(lo_x - bf * self._tau, self._star_lo - bf * self._tauc)) - 1
         a_max = np.ceil(np.minimum(hi_x - bf * self._tau, self._star_hi - bf * self._tauc)) + 1
-        counts = np.maximum(a_max - a_min + 1, 0).astype(np.int64)
-        starts = np.cumsum(counts) - counts
-        a = np.arange(int(counts.sum()), dtype=np.int64)
-        a += np.repeat(a_min.astype(np.int64) - starts, counts)
-        return a, np.repeat(rows, counts)
+        row, a = ranges(a_min, a_max + 1)
+        return a, rows[row]
 
     def _colors(self, a, b):
         """Index of the first acceptance window holding x* = a + b*tau', or -1."""

@@ -7,6 +7,14 @@ Two independent autocorrelation routes act as each other's oracle:
 * autocorr_from_frequencies   pair-cluster frequencies per difference
                          vector, one count per distinct (t, color pair)
 
+Both find the differences t that occur the same way: one pair-range
+expansion (geometry.ranges) over the sorted positions, keyed as coord_key
+keys them.  What they compute from there stays independent: the direct
+route sums the weights of the pairs it found, while the frequency route
+uses each pair only to learn t and takes every count from a separate
+tolerant membership search (geometry.in_sorted), so a pair the shared
+expansion dropped or invented shows up as a disagreement.
+
 Diffraction is probed by normalized exponential sums A_n(k); Bragg
 candidates must survive a non-decay drift test across the averaging
 schedule to be retained.  Smoothing kernels carry closed-form Fourier
@@ -25,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import TOL_EQ, as_float, coord_key, is_exact_coord
-from .geometry import Interval, in_sorted
+from .coords import TOL_EQ, QuadArray, as_float, coord_key
+from .geometry import Interval, in_sorted, ranges
 from .stats import VanHoveSpec
 
 
@@ -67,7 +75,7 @@ class AutocorrelationMeasure:
     entries: dict = field(default_factory=dict)  # key -> [t, c]
 
     def add(self, t, c: complex):
-        key = coord_key(t) if is_exact_coord(t) else coord_key(float(t))
+        key = coord_key(t)
         cur = self.entries.get(key)
         if cur is None:
             self.entries[key] = [t, c]
@@ -81,7 +89,7 @@ class AutocorrelationMeasure:
         return out
 
     def coefficient(self, t) -> complex:
-        key = coord_key(t) if is_exact_coord(t) else coord_key(float(t))
+        key = coord_key(t)
         cur = self.entries.get(key)
         if cur is not None:
             return cur[1]
@@ -94,8 +102,7 @@ class AutocorrelationMeasure:
     def hermitian_defect(self) -> float:
         worst = 0.0
         for t, c in self.entries.values():
-            worst = max(worst, abs(self.coefficient(-t if is_exact_coord(t) else -as_float(t))
-                                   - np.conj(c)))
+            worst = max(worst, abs(self.coefficient(-t) - np.conj(c)))
         return worst
 
     def max_difference(self, other: "AutocorrelationMeasure") -> float:
@@ -110,6 +117,30 @@ class AutocorrelationMeasure:
         return worst
 
 
+def _differences(x, qx, y, qy, radius: float):
+    """All pairs (a, b) with y_b within radius of x_a (TOL_EQ slack), a-major
+    and b ascending, grouped by the coord_key of the difference x_a - y_b.
+
+    x, y are sorted float positions; qx, qy the aligned QuadArrays of an exact
+    patch (then differences are exact) or None.  Returns (a, b, group, ts):
+    group numbers each pair's difference in order of first occurrence and
+    ts[g] is the first difference of group g.
+    """
+    a, b = ranges(np.searchsorted(y, x - radius - TOL_EQ), np.searchsorted(y, x + radius + TOL_EQ))
+    if qx is None:
+        d = x[a] - y[b]
+        key = np.rint(d / TOL_EQ).astype(np.int64)[:, None]  # coord_key of a float
+    else:
+        d = QuadArray(qx.a[a] - qy.a[b], qx.b[a] - qy.b[b], qx.den, qx.field)
+        key = np.stack([d.a, d.b], axis=1)
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ts = list(d[first[order]]) if qx is None else [d.value(k) for k in first[order]]
+    return a, b, rank[group.reshape(-1)], ts
+
+
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:
     """c(t) = (1/Vol F_n) sum over pairs x - y = t of w(x) conj(w(y))."""
     if radius <= 0:
@@ -118,26 +149,16 @@ def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> Au
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
     meas = AutocorrelationMeasure(radius=radius, method="direct", n=n)
-    exact = patch.exact
-    vals, cols = patch.all_positions()
-    xs = [p[0] for p in patch.all_points()] if exact else None
-    agg = {}
-    for a_idx in range(len(vals)):
-        ia = cols[a_idx]
-        lo = np.searchsorted(vals, vals[a_idx] - radius - TOL_EQ)
-        hi = np.searchsorted(vals, vals[a_idx] + radius + TOL_EQ)
-        for b_idx in range(lo, hi):
-            ib = cols[b_idx]
-            t = xs[a_idx] - xs[b_idx] if exact else vals[a_idx] - vals[b_idx]
-            key = coord_key(t)
-            cur = agg.get(key)
-            coef = w[ia] * np.conj(w[ib])
-            if cur is None:
-                agg[key] = [t, coef]
-            else:
-                cur[1] = cur[1] + coef
-    for t, c in agg.values():
-        meas.add(t, c / vol)
+    x, col = patch.all_positions()
+    q = patch.all_exact()
+    a, b, group, ts = _differences(x, q, x, q, radius)
+    # scalar products: an array multiply can round w(x) conj(w(y)) differently
+    table = np.array([[wi * np.conj(wj) for wj in w] for wi in w])
+    coef = table[col[a], col[b]]
+    # bincount adds each group's terms in pair order, as a running sum would
+    sums = [np.bincount(group, part, len(ts)) for part in (coef.real, coef.imag)]
+    for t, re, im in zip(ts, *sums):
+        meas.add(t, np.complex128(complex(re, im)) / vol)
     return meas
 
 
@@ -155,34 +176,19 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    exact = patch.exact
     positions = [patch.positions(i) for i in range(patch.m)]
+    exact = [patch.exact_positions(i) for i in range(patch.m)]
     meas = AutocorrelationMeasure(radius=radius, method="from-frequencies", n=n)
-
-    # discover occurring differences per color pair
-    diffs = {}
     for i in range(patch.m):
-        pts_i = patch.parts[i]
-        vals_i = positions[i]
         for j in range(patch.m):
-            vals_j = positions[j]
-            pts_j = patch.parts[j]
-            for a_idx in range(len(pts_i)):
-                lo = np.searchsorted(vals_j, vals_i[a_idx] - radius - TOL_EQ)
-                hi = np.searchsorted(vals_j, vals_i[a_idx] + radius + TOL_EQ)
-                for b_idx in range(lo, hi):
-                    t = (pts_i[a_idx][0] - pts_j[b_idx][0]) if exact \
-                        else vals_i[a_idx] - vals_j[b_idx]
-                    diffs.setdefault((i, j, coord_key(t)), t)
-
-    for (i, j, _key), t in diffs.items():
-        tf = as_float(t)
-        if abs(tf) <= TOL_EQ and i == j:
-            count = len(positions[i])  # degenerate pair: single-point frequency
-        else:
-            targets = positions[i] - tf
-            count = int(in_sorted(positions[j], targets).sum())
-        meas.add(t, w[i] * np.conj(w[j]) * (count / vol))
+            *_, ts = _differences(positions[i], exact[i], positions[j], exact[j], radius)
+            for t in ts:
+                tf = as_float(t)
+                if abs(tf) <= TOL_EQ and i == j:
+                    count = len(positions[i])  # degenerate pair: single-point frequency
+                else:
+                    count = int(in_sorted(positions[j], positions[i] - tf).sum())
+                meas.add(t, w[i] * np.conj(w[j]) * (count / vol))
     return meas
 
 
@@ -564,49 +570,45 @@ def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np
     hw = kernel.half_width
     patch = source.window(Interval(lo - hw - 1.0, hi + hw + 1.0))
     step = grid[1] - grid[0]
-    rho = np.zeros(len(grid), dtype=complex)
-    for i in range(patch.m):
-        pos = patch.positions(i)
-        for p in pos:
-            a = int(np.searchsorted(grid, p + kernel.support[0] - step))
-            b = int(np.searchsorted(grid, p + kernel.support[1] + step))
-            if b > a:
-                rho[a:b] += w[i] * kernel(grid[a:b] - p)
+    pos = [patch.positions(i) for i in range(patch.m)]
+    col = np.repeat(np.arange(patch.m), [len(p) for p in pos])
+    pos = np.concatenate(pos)  # colour-major: the order the sum adds in
+    p, g = ranges(np.searchsorted(grid, pos + kernel.support[0] - step),
+                  np.searchsorted(grid, pos + kernel.support[1] + step))
+    terms = w[col[p]] * kernel(grid[g] - pos[p])
+    rho = np.empty(len(grid), dtype=complex)
+    rho.real = np.bincount(g, terms.real, len(grid))
+    rho.imag = np.bincount(g, terms.imag, len(grid))
     return rho
 
 
 def dworkin_correlation(source, w, kernel: SmoothingKernel, x: float, spec: VanHoveSpec,
-                        n: float, autocorr: AutocorrelationMeasure = None,
-                        quad_step: float = None) -> DworkinRow:
-    """One row of the spectral check at shift x.
-
-    lhs: midpoint quadrature of (1/Vol F_n) int_{F_n} rho(x+y) conj(rho(y)) dy
-    rhs: gamma_omega(x) from the frequency-route autocorrelation measure.
-    """
-    hw = kernel.half_width
-    if quad_step is None:
-        quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20 for radius-s kernels
-    grid = np.arange(-n + quad_step / 2, n, quad_step)
-    rho = smoothed_density(source, w, kernel, grid)
-    rho_shift = smoothed_density(source, w, kernel, grid + x)
-    prods = rho_shift * np.conj(rho)
-    lhs = complex(pairwise_sum(prods)) * quad_step / (2.0 * n)
-    if autocorr is None:
-        radius = abs(x) + 2 * hw + 1.0
-        autocorr = autocorr_from_frequencies(source, w, radius, spec, n)
-    rhs = smoothed_autocorr_profile(autocorr, kernel, [x])[0]
-    lhs_r, rhs_r = float(np.real(lhs)), float(np.real(rhs))
-    abs_diff = abs(lhs - rhs)
-    rel = abs_diff / max(abs(rhs), 1e-300)
-    return DworkinRow(x=float(x), lhs=lhs_r, rhs=rhs_r, abs_diff=float(abs_diff),
-                      rel_diff=float(rel))
+                        n: float) -> DworkinRow:
+    """One row of the spectral check at shift x; see dworkin_report."""
+    return dworkin_report(source, w, kernel, [x], spec, n).rows[0]
 
 
 def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
                    n: float) -> SpectralCheckReport:
-    """Spectral check rows over sampled shifts, sharing one autocorrelation."""
+    """Spectral check rows over sampled shifts x.
+
+    lhs: midpoint quadrature of (1/Vol F_n) int_{F_n} rho(x+y) conj(rho(y)) dy
+    rhs: gamma_omega(x) from one frequency-route autocorrelation measure
+    shared by all rows.
+    """
     xs = [float(x) for x in xs]
     radius = max(abs(x) for x in xs) + 2 * kernel.half_width + 1.0
     ac = autocorr_from_frequencies(source, w, radius, spec, n)
-    rows = [dworkin_correlation(source, w, kernel, x, spec, n, autocorr=ac) for x in xs]
+    quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20 for radius-s kernels
+    grid = np.arange(-n + quad_step / 2, n, quad_step)
+    rho = np.conj(smoothed_density(source, w, kernel, grid))
+    rows = []
+    for x in xs:
+        prods = smoothed_density(source, w, kernel, grid + x) * rho
+        lhs = complex(pairwise_sum(prods)) * quad_step / (2.0 * n)
+        rhs = smoothed_autocorr_profile(ac, kernel, [x])[0]
+        abs_diff = abs(lhs - rhs)
+        rows.append(DworkinRow(x=x, lhs=float(np.real(lhs)), rhs=float(np.real(rhs)),
+                               abs_diff=float(abs_diff),
+                               rel_diff=float(abs_diff / max(abs(rhs), 1e-300))))
     return SpectralCheckReport(rows=rows, kernel=kernel.shape, n=n)

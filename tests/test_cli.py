@@ -194,6 +194,16 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("generate", {"source": {"type": "lattice", "basis": "q"}, "generate": {"region": [0, 3]}}),
     ("metric", {"source": {"type": "lattice"},
                 "metric": {"other_source": {"type": "lattice", "basis": "q"}}}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"n0": "x"}}),
+    ("classes", {"source": {"type": "lattice"}, "classes": {"R": "x"}}),
+    ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": "x"}}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"k_min": "x"}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": "x"}}),
+    ("partition", {"source": {"type": "lattice"}, "partition": {"delta": "x"}}),
+    ("metric", {"source": {"type": "lattice"},
+                "metric": {"other_source": {"type": "lattice"}, "eps_grid": "x"}}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": "ab"}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offset_span": [1]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, as_float, coord_key, is_exact_coord
-from pointspec.geometry import Interval, cluster_1d
+from pointspec.geometry import Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
+    METRIC_CAP,
     CylinderSpec,
     IncompletePartitionError,
     PatchTooSmallError,
     build_partition_1d,
     cylinder_contains,
     empirical_cylinder_measure,
+    _match_predicate,
     hull_metric,
     partition_params,
     sample_orbit,
@@ -21,6 +23,8 @@ from pointspec.sources import (
     TranslatedSource,
     fibonacci_cut_project,
     integer_lattice,
+    poisson_source,
+    thue_morse_source,
 )
 from pointspec.stats import _count_in_patch, halton
 from pointspec.spectra import plateau_kernel
@@ -99,6 +103,122 @@ def test_metric_triangle_sampled():
 
 # ---------------------------------------------------------------------------
 # orbit sampling
+
+
+def scalar_mismatched(a1, a2, tol):
+    """Reference symmetric difference of two sorted 1D sets: a tolerant merge."""
+    out = []
+    i = j = 0
+    while i < len(a1) and j < len(a2):
+        d = a1[i] - a2[j]
+        if abs(d) <= tol:
+            i += 1
+            j += 1
+        elif d < 0:
+            out.append(a1[i])
+            i += 1
+        else:
+            out.append(a2[j])
+            j += 1
+    out.extend(a1[i:])
+    out.extend(a2[j:])
+    return out
+
+
+def scalar_match_predicate(s1, s2, eps, tol=TOL_EQ):
+    """Reference matching predicate: per-point shift search, per-shift merge.
+    Each input is a source (windowed) or a patch (restricted)."""
+    L = 1.0 / eps
+    near = Interval(-(L + 4 * eps), L + 4 * eps)
+    wins = [s.restrict(near) if isinstance(s, MultiSetPatch) else s.window(near) for s in (s1, s2)]
+    pos1, pos2 = ([w.positions(i) for i in range(w.m)] for w in wins)
+    m = max(len(pos1), len(pos2))
+
+    def slab(pos, lo, hi):
+        return pos[np.searchsorted(pos, lo - tol):np.searchsorted(pos, hi + tol)]
+
+    def part(pos, i):
+        return pos[i] if i < len(pos) else np.empty(0)
+
+    any1 = any(len(slab(p, -L - eps, L + eps)) for p in pos1)
+    any2 = any(len(slab(p, -L - eps, L + eps)) for p in pos2)
+    if not any1 and not any2:
+        return True
+    if not any1 or not any2:
+        return False
+    deltas = []
+    for i in range(m):
+        p2 = part(pos2, i)
+        for p in slab(part(pos1, i), -L - eps, L + eps):
+            a = np.searchsorted(p2, p - 2 * eps - tol)
+            b = np.searchsorted(p2, p + 2 * eps + tol)
+            deltas.extend(p - q for q in p2[a:b])
+    if not deltas:
+        return False
+    deltas = np.array(sorted(deltas))
+    deltas = deltas[np.concatenate([[True], np.diff(deltas) > tol])]
+    for delta in deltas:
+        x_lo, x_hi = max(-eps, delta - eps), min(eps, delta + eps)
+        if x_lo > x_hi + tol:
+            continue
+        blockers = []
+        for i in range(m):
+            a1 = slab(part(pos1, i), -L - eps, L + eps)
+            a2 = slab(part(pos2, i) + delta, -L - eps, L + eps)
+            blockers.extend(scalar_mismatched(a1, a2, tol))
+        cur, feasible = x_lo, False
+        for a, b in sorted((d - L - tol, d + L + tol) for d in blockers):
+            if a > cur:
+                feasible = True
+                break
+            cur = max(cur, b)
+            if cur > x_hi:
+                break
+        if feasible or cur < x_hi:
+            return True
+    return False
+
+
+def test_match_predicate_matches_scalar_reference():
+    z, fib = integer_lattice(), fibonacci_cut_project()
+    tm, comb = thue_morse_source(), integer_lattice(1.0, colors=2)
+    pairs = [(z, TranslatedSource(z, 0.1)), (integer_lattice(2.0), TranslatedSource(z, 0.3)),
+             (comb, TranslatedSource(comb, 2.04)), (fib, TranslatedSource(fib, 0.05)),
+             (fib, TranslatedSource(fib, (1 + 5 ** 0.5) / 2 + 0.02)), (fib, z),
+             (tm, TranslatedSource(tm, 4.03)),
+             (poisson_source(1.0, seed=7), TranslatedSource(poisson_source(1.0, seed=7), 0.01)),
+             (z.window(Interval(-120, 120)), TranslatedSource(z, 0.07).window(Interval(-120, 120)))]
+    ladder = [METRIC_CAP, 0.5, 0.3, 0.2, 0.12, 0.07, 0.04, 0.025, 0.011]
+    reach = 1.0 / ladder[-1] + 4 * METRIC_CAP
+    seen = set()
+    for s1, s2 in pairs:
+        p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(Interval(-reach, reach))
+                  for s in (s1, s2))
+        for eps in ladder:
+            want = scalar_match_predicate(s1, s2, eps)
+            assert _match_predicate(p1, p2, eps) == want, (s1, s2, eps)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+class _CountingSource:
+    """A source that counts its window queries."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.m, self.calls = base, base.dim, base.m, 0
+
+    def window(self, region):
+        self.calls += 1
+        return self.base.window(region)
+
+
+def test_metric_windows_each_source_once():
+    z, fib = integer_lattice(), fibonacci_cut_project()
+    for s1, s2, grid in [(z, TranslatedSource(z, 0.1), 0.01), (z, TranslatedSource(z, 0.1), 2.0),
+                         (fib, TranslatedSource(fib, 3.3), 0.05), (z, z, 0.005)]:
+        c1, c2 = _CountingSource(s1), _CountingSource(s2)
+        assert hull_metric(c1, c2, eps_grid=grid) == hull_metric(s1, s2, eps_grid=grid)
+        assert (c1.calls, c2.calls) == (1, 1)
 
 
 def test_sample_orbit_identity_and_shift():
