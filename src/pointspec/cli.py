@@ -34,7 +34,6 @@ from .spectra import (
 )
 from .verify import SUITES, run_suite
 from .geometry import enumerate_cluster_classes
-from .coords import as_float
 
 
 class ConfigError(ValueError):
@@ -81,10 +80,16 @@ def _number(sub, key, default, typ=float):
                           % (key, "a list of numbers" if many else "a number", v))
 
 
-def _van_hove(cfg, dim=1):
-    sub = cfg.get("van_hove", {})
+def _section(cfg, name):
+    """cfg[name], a JSON object ({} when absent)."""
+    sub = cfg.get(name, {})
     if not isinstance(sub, dict):
-        raise ConfigError("'van_hove' must be an object")
+        raise ConfigError("%r must be an object" % name)
+    return sub
+
+
+def _van_hove(cfg, dim=1):
+    sub = _section(cfg, "van_hove")
     return VanHoveSpec(n0=_number(sub, "n0", 125),
                        doublings=_number(sub, "doublings", 4, int),
                        dim=_number(sub, "dim", dim, int))
@@ -154,7 +159,7 @@ def _region_1d(doc):
 
 def cmd_generate(args, cfg):
     src = _source(cfg, seed=args.seed)
-    gen = cfg.get("generate", {})
+    gen = _section(cfg, "generate")
     region = _region_1d(_require(gen, "region", (list, tuple), "'generate'"))
     patch = src.window(region)
     out = _outdir(args)
@@ -165,7 +170,7 @@ def cmd_generate(args, cfg):
 
 def cmd_classes(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("classes", {})
+    sub = _section(cfg, "classes")
     R = _number(sub, "R", 1.0)
     scan = _region_1d(sub.get("scan", [0, 200]))
     table = enumerate_cluster_classes(src, R, scan)
@@ -173,7 +178,7 @@ def cmd_classes(args, cfg):
     for rep, count in zip(table.representatives, table.counts):
         rows.append({
             "count": count,
-            "cluster": [[[as_float(c) for c in p] for p in part] for part in rep.parts],
+            "cluster": rep.to_json(),
         })
     out = _outdir(args)
     with open(out / "classes.json", "w") as fh:
@@ -186,7 +191,7 @@ def cmd_classes(args, cfg):
 
 def cmd_freq(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("freq", {})
+    sub = _section(cfg, "freq")
     spec = _van_hove(cfg, dim=src.dim)
     P = _cluster(sub.get("cluster", [[0.0]] + [[]] * (src.m - 1)), src.m)
     n_off = _number(sub, "offsets", 50, int)
@@ -202,7 +207,7 @@ def cmd_freq(args, cfg):
 
 def cmd_autocorr(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("autocorr", {})
+    sub = _section(cfg, "autocorr")
     spec = _van_hove(cfg, dim=src.dim)
     radius = _number(sub, "radius", 10.0)
     n = _number(sub, "n", spec.schedule()[-1])
@@ -230,7 +235,7 @@ def cmd_autocorr(args, cfg):
 
 def cmd_diffract(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("diffract", {})
+    sub = _section(cfg, "diffract")
     spec = _van_hove(cfg, dim=src.dim)
     k_lo = _number(sub, "k_min", -3.0)
     k_hi = _number(sub, "k_max", 3.0)
@@ -253,7 +258,7 @@ def cmd_diffract(args, cfg):
 
 def cmd_metric(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("metric", {})
+    sub = _section(cfg, "metric")
     other = _make_source(_require(sub, "other_source", dict, "'metric'"), args.seed)
     eps_grid = _number(sub, "eps_grid", 0.01)
     bracket = hull_metric(src, other, eps_grid=eps_grid)
@@ -267,7 +272,7 @@ def cmd_metric(args, cfg):
 
 def cmd_partition(args, cfg):
     src = _source(cfg, seed=args.seed)
-    sub = cfg.get("partition", {})
+    sub = _section(cfg, "partition")
     R = _number(sub, "R", 3.0)
     delta = _number(sub, "delta", 0.2)
     part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
@@ -342,7 +347,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](args, cfg)
-    except ConfigError as e:
+    except ValueError as e:  # a ConfigError, or a value the library rejects as out of range
         print("config error: %s" % e, file=sys.stderr)
         return 2
 

@@ -251,6 +251,22 @@ def _join(f, g):
 
 EXACT_MAX = 2 ** 53  # |a|, |b| and den stay below this, so floats() rounds as float() does
 
+# float(a + b*tau) rounds a, b, tau, b*tau and the sum: an error of at most
+# u (2|a| + (4|tau| + sqrt(D)/2)|b|) with u = 2^-53, up to O(u^2).  FLOAT_ERR
+# times |a| + (2|tau| + sqrt(D)/4)|b| is twice that.
+FLOAT_ERR = 2.0 ** -51
+
+
+def _weight_b(field) -> float:
+    return 0.0 if field is None else 2 * abs(field.tau) + math.sqrt(field.disc) / 4
+
+
+def float_error(c) -> float:
+    """A bound on |float(c) - c| for a coordinate: 0 for a float."""
+    if isinstance(c, QuadNum):
+        return FLOAT_ERR * (abs(float(c.a)) + _weight_b(c.field) * abs(float(c.b)))
+    return FLOAT_ERR * abs(float(c)) if _is_exact(c) else 0.0
+
 
 def _check(den, *magnitudes):
     if den >= EXACT_MAX or max(magnitudes, default=0) >= EXACT_MAX:
@@ -298,11 +314,10 @@ class QuadArray:
         x = self.a / self.den
         return x if self.field is None else x + (self.b / self.den) * self.field.tau
 
-    def magnitude(self) -> float:
-        """max |a|/den + |tau| max |b|/den: the scale of the rounding error in floats()."""
-        tau = 0.0 if self.field is None else abs(self.field.tau)
-        top = np.abs(self.a).max(initial=0) + tau * np.abs(self.b).max(initial=0)
-        return float(top) / self.den
+    def float_error(self) -> float:
+        """A bound on |floats() - exact value| over every entry (see FLOAT_ERR)."""
+        top = np.abs(self.a).max(initial=0) + _weight_b(self.field) * np.abs(self.b).max(initial=0)
+        return FLOAT_ERR * float(top) / self.den
 
     def value(self, k: int):
         """Entry k as a scalar: a QuadNum over a field, an int or Fraction otherwise."""

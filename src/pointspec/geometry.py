@@ -4,8 +4,10 @@ A MultiSetPatch is the restriction of a point set to a bounded region, i.e.
 exactly what a window query returns.  It stores each colour's points as one
 float array sorted by position, shape (N,) in 1D and (N, d) in 2D (d in
 {1, 2}), and an exact patch (1D) also as an aligned QuadArray; `.parts` is a
-read-only scalar view of the same points.  A Cluster is one finite colored
-configuration, kept as m sorted tuples of d-tuples of coordinates.
+read-only scalar view of the same points.  A Cluster, one finite colored
+configuration, is stored the same way: a patch without a region.  Its
+signature is array bytes, and ClusterSearch finds the translates of many
+clusters in a patch at once.
 
 Regions are closed by default (an Interval may be half-open).  Every region
 has one membership test, `mask`, over arrays of points: float ties at an end
@@ -20,10 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import (TOL_EQ, QuadArray, as_float, coord_eq, coord_key, exact_sign,
+from .coords import (FLOAT_ERR, TOL_EQ, QuadArray, as_float, exact_sign, float_error,
                      is_exact_coord)
-
-_GUARD = 2.0 ** -46  # float tie band at a region end, relative to the magnitudes involved
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,15 @@ class Interval(_Region):
         compare exactly: with no slack when both ends are exact, otherwise
         against end -+ tol taken at its decimal value (10**-9 for TOL_EQ).
         An exact comparison is decided by the float gap outside a guard band
-        of rounding error around the end and by the exact sign inside it.
+        around the end, the rounding bound of the floats involved
+        (QuadArray.float_error, coords.float_error), and by the exact sign
+        inside it.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         ok = np.ones(len(x), dtype=bool)
         exact_ends = exact is not None and is_exact_coord(self.lo) and is_exact_coord(self.hi)
-        scale = exact.magnitude() + 1.0 if exact is not None else 0.0
+        if exact is not None:  # the points' largest float error, and the rounding of the gap
+            err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + tol)
         for end, sense, closed in ((self.lo, 1, self.closed_lo), (self.hi, -1, self.closed_hi)):
             step = 0 if exact_ends else (-sense if closed else sense)
             bound = as_float(end) + step * tol
@@ -85,7 +88,7 @@ class Interval(_Region):
             if exact is None:
                 ok &= (gap >= 0) if closed else (gap > 0)
                 continue
-            guard = _GUARD * (scale + abs(bound))
+            guard = err + float_error(end) + FLOAT_ERR * abs(bound)
             inside = gap > guard
             ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
             if len(ties):
@@ -198,39 +201,38 @@ def boundary_shell_volume(region, r: float) -> float:
 
 
 def in_sorted(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
-    """Boolean membership, within tol, of targets in a sorted 1D position array."""
+    """Boolean membership, within tol, of targets in a sorted 1D position array:
+    the nearest points are the two around each target's sorted position."""
     if len(pos) == 0:
         return np.zeros(len(targets), dtype=bool)
     idx = np.searchsorted(pos, targets)
-    ok = np.zeros(len(targets), dtype=bool)
-    for shift in (-1, 0):
-        j = np.clip(idx + shift, 0, len(pos) - 1)
-        ok |= np.abs(pos[j] - targets) <= tol
-    return ok
+    return ((np.abs(pos[np.maximum(idx - 1, 0)] - targets) <= tol)
+            | (np.abs(pos[np.minimum(idx, len(pos) - 1)] - targets) <= tol))
 
 
 def ranges(starts, stops):
     """Flatten the index ranges [starts[r], stops[r]) into (row, index) arrays,
     row by row and ascending within a row; a range with stop <= start is empty."""
-    starts = np.asarray(starts).astype(np.int64)
-    counts = np.maximum(np.asarray(stops).astype(np.int64) - starts, 0)
-    rows = np.repeat(np.arange(len(starts)), counts)
-    idx = np.arange(int(counts.sum()), dtype=np.int64)
-    idx += np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return rows, idx
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) == 1:  # one range: nothing to flatten
+        idx = np.arange(starts[0], stops[0])
+        return np.zeros(len(idx), dtype=np.int64), idx
+    counts = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
+    ends = np.cumsum(counts)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts)[rows]
 
 
-def sorted_slice(pos: np.ndarray, region) -> slice:
+def sorted_slice(pos: np.ndarray, region, err: float = 0.0) -> slice:
     """The slice of a sorted 1D float array that can hold points of the
-    region: its float bounds, widened past every slack its mask allows."""
+    region: its float bounds, widened past every slack its mask allows.
+    err bounds the float error of the positions (0 for float points)."""
     (lo, hi), = region.bounds()
-    pad = 2 * TOL_EQ + _GUARD * (abs(lo) + abs(hi) + 1.0)
+    ends = (region.lo, region.hi) if isinstance(region, Interval) else ()
+    pad = (2 * TOL_EQ + err + sum(map(float_error, ends))
+           + FLOAT_ERR * (abs(lo) + abs(hi) + 1.0))
     a, b = np.searchsorted(pos, [lo - pad, hi + pad])
     return slice(int(a), int(b))
-
-
-def point_value(pt) -> tuple:
-    return tuple(as_float(c) for c in pt)
 
 
 def as_point(p, dim: int):
@@ -244,186 +246,43 @@ def as_point(p, dim: int):
     return (p,)
 
 
-def points_eq(p1, p2, tol: float = TOL_EQ) -> bool:
-    return all(coord_eq(a, b, tol) for a, b in zip(p1, p2))
+def _lex_keys(x, dim: int) -> tuple:
+    """np.lexsort keys ordering points by position, lexicographically in 2D."""
+    return (x,) if dim == 1 else tuple(x[:, k] for k in reversed(range(dim)))
 
 
-class Cluster:
-    """Finite colored configuration P = (P_1, ..., P_m).
-
-    Parts are kept sorted lexicographically (by coordinate value) and
-    duplicate-free.  Immutable once built.
-    """
-
-    __slots__ = ("parts", "dim", "_sig", "_sup")
-
-    def __init__(self, parts, dim=None):
-        norm = []
-        d = dim
-        for part in parts:
-            pts = []
-            for p in part:
-                if d is None:
-                    d = len(p) if isinstance(p, (tuple, list)) else 1
-                pts.append(as_point(p, d))
-            pts.sort(key=point_value)
-            dedup = []
-            for p in pts:
-                if not dedup or not points_eq(dedup[-1], p):
-                    dedup.append(p)
-            norm.append(tuple(dedup))
-        if d is None:
-            d = 1
-        self.parts = tuple(norm)
-        self.dim = d
-        self._sig = None
-        self._sup = None
-
-    @property
-    def m(self) -> int:
-        return len(self.parts)
-
-    @property
-    def total_points(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def is_empty(self) -> bool:
-        return self.total_points == 0
-
-    def support(self) -> tuple:
-        if self._sup is None:
-            pts = [p for part in self.parts for p in part]
-            pts.sort(key=point_value)
-            self._sup = tuple(pts)
-        return self._sup
-
-    def translate(self, vec) -> "Cluster":
-        vec = as_point(vec, self.dim)
-        return Cluster(
-            [tuple(tuple(c + v for c, v in zip(p, vec)) for p in part) for part in self.parts],
-            dim=self.dim,
-        )
-
-    def anchor_point(self):
-        """Lexicographically smallest support point (None if empty)."""
-        sup = self.support()
-        return sup[0] if sup else None
-
-    def anchor_color(self) -> int:
-        """Index of the first part holding the anchor point."""
-        a = self.anchor_point()
-        return next(i for i, part in enumerate(self.parts)
-                    if part and all(as_float(x) == as_float(y) for x, y in zip(part[0], a)))
-
-    def anchored(self):
-        """(representative with anchor at origin, anchor point)."""
-        a = self.anchor_point()
-        if a is None:
-            return self, None
-        return self.translate(tuple(-c for c in a)), a
-
-    def signature(self):
-        """Hashable identity key; exact for exact coordinates."""
-        if self._sig is None:
-            self._sig = tuple(
-                tuple(tuple(coord_key(c) for c in p) for p in part) for part in self.parts
-            )
-        return self._sig
-
-    def __eq__(self, other):
-        if not isinstance(other, Cluster):
-            return NotImplemented
-        if self.m != other.m or self.dim != other.dim:
-            return False
-        for pa, pb in zip(self.parts, other.parts):
-            if len(pa) != len(pb):
-                return False
-            if not all(points_eq(a, b) for a, b in zip(pa, pb)):
-                return False
-        return True
-
-    def __hash__(self):
-        return hash(self.signature())
-
-    def __repr__(self):
-        return "Cluster(%s)" % (", ".join(
-            "{" + ", ".join(str(point_value(p) if self.dim > 1 else point_value(p)[0]) for p in part) + "}"
-            for part in self.parts
-        ))
+def complex_keys(color, x) -> np.ndarray:
+    """color + 1j * x (1D positions x): as complex numbers the keys sort
+    lexicographically, so one sorted search finds a (colour, position)."""
+    keys = np.empty(len(x), dtype=complex)
+    keys.real, keys.imag = color, x
+    return keys
 
 
-def cluster_1d(*parts) -> Cluster:
-    """Convenience: build a 1D cluster from per-color coordinate lists."""
-    return Cluster([[(c,) for c in part] for part in parts], dim=1)
-
-
-def translate_cluster(P: Cluster, vec) -> Cluster:
-    """x + P, per-part shift with sorting restored."""
-    return P.translate(vec)
-
-
-def match_clusters(P: Cluster, Q: Cluster, tol: float = TOL_EQ):
-    """The unique x with P = -x + Q, or None if not translation-equivalent."""
-    if P.m != Q.m or P.dim != Q.dim:
-        raise ValueError("cluster shapes differ (m or dimension)")
-    if any(len(a) != len(b) for a, b in zip(P.parts, Q.parts)):
-        return None
-    ap, aq = P.anchor_point(), Q.anchor_point()
-    if ap is None and aq is None:
-        return tuple(0.0 for _ in range(P.dim))
-    if ap is None or aq is None:
-        return None
-    x = tuple(cq - cp for cp, cq in zip(ap, aq))
-    shifted = Q.translate(tuple(-c for c in x))
-    for pa, pb in zip(P.parts, shifted.parts):
-        if not all(points_eq(a, b, tol) for a, b in zip(pa, pb)):
-            return None
-    return x
-
-
-def _dist(p, q) -> float:
-    return math.sqrt(sum((as_float(a) - as_float(b)) ** 2 for a, b in zip(p, q)))
-
-
-def cluster_distance(P: Cluster, Q: Cluster) -> float:
-    """Per-color symmetric point-set distance, maximized over colors.
-
-    A color empty on one side only contributes 1; empty on both sides
-    contributes 0.
-    """
-    if P.m != Q.m or P.dim != Q.dim:
-        raise ValueError("cluster shapes differ (m or dimension)")
-    worst = 0.0
-    for pa, pb in zip(P.parts, Q.parts):
-        if not pa and not pb:
-            continue
-        if not pa or not pb:
-            worst = max(worst, 1.0)
-            continue
-        d = 0.0
-        for p in pa:
-            d = max(d, min(_dist(p, q) for q in pb))
-        for q in pb:
-            d = max(d, min(_dist(q, p) for p in pa))
-        worst = max(worst, d)
-    return worst
+def _exact_key(q: QuadArray):
+    """The exact values of q as hashable bytes, the same for every way of
+    writing them (common denominator, field when every b is 0)."""
+    g = math.gcd(q.den, int(np.gcd.reduce(q.a, initial=0)), int(np.gcd.reduce(q.b, initial=0)))
+    field = (q.field.p, q.field.q) if q.b.any() else None
+    return q.den // g, (q.a // g).tobytes(), (q.b // g).tobytes(), field
 
 
 # ---------------------------------------------------------------------------
-# patches
+# patches and clusters
 
 
 class MultiSetPatch:
     """A window query result: the region and, per colour, the points inside it.
 
-    Colour i is one float array sorted by position, positions(i), and in an
+    Colour i is one float array sorted by position (lexicographically in
+    2D), shape (N,) in 1D and (N, d) otherwise, positions(i), and in an
     exact patch (1D only) also a QuadArray aligned with it,
     exact_positions(i).  `.parts` is a read-only view of the same points for
     scalar code: per colour, a tuple of point tuples of QuadNum, int or
     Fraction coordinates (exact) or floats.
     """
 
-    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_points")
+    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_points", "_err")
 
     def __init__(self, region, dim: int, pos, exact=None):
         """pos: per colour, a sorted float array; exact: per colour, the
@@ -433,20 +292,24 @@ class MultiSetPatch:
         self.m = len(pos)
         self._pos = list(pos)
         self._exact = None if exact is None else list(exact)
-        self._parts = self._all = self._points = None
+        self._parts = self._all = self._points = self._err = None
+
+    @staticmethod
+    def _by_colour(dim: int, m: int, x, color, exact=None):
+        """Per colour arrays (pos, exact) of the points x with colours in
+        range(m), sorted once: by colour, then stably by position."""
+        order = np.lexsort(_lex_keys(x, dim) + (color,))
+        ends = np.searchsorted(np.asarray(color)[order], np.arange(m + 1)).tolist()
+        cuts = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        x, exact = x[order], None if exact is None else exact[order]
+        return [x[s] for s in cuts], None if exact is None else [exact[s] for s in cuts]
 
     @classmethod
     def from_points(cls, region, dim: int, m: int, x, color, exact: QuadArray = None):
         """Patch of the points x (float, (N,) in 1D, (N, d) otherwise) with
-        colours in range(m), sorted once: by colour, then stably by position."""
-        x = np.asarray(x, dtype=float)
-        keys = (x,) if dim == 1 else tuple(x[:, k] for k in reversed(range(dim)))
-        order = np.lexsort(keys + (color,))
-        ends = np.searchsorted(np.asarray(color)[order], np.arange(m + 1))
-        pieces = list(zip(ends[:-1], ends[1:]))
-        x, exact = x[order], None if exact is None else exact[order]
-        return cls(region, dim, [x[a:b] for a, b in pieces],
-                   None if exact is None else [exact[a:b] for a, b in pieces])
+        colours in range(m)."""
+        return MultiSetPatch(region, dim, *cls._by_colour(dim, m, np.asarray(x, dtype=float), color,
+                                                          exact))
 
     @property
     def exact(self) -> bool:
@@ -491,37 +354,47 @@ class MultiSetPatch:
             self._points = [flat[k] for k in self._support()[2]]
         return self._points
 
+    def colour_major(self):
+        """(positions, colors) of every point, colour by colour."""
+        return np.concatenate(self._pos), np.repeat(np.arange(self.m), [len(p) for p in self._pos])
+
+
     def _support(self):
         if self._all is None:
-            pos = np.concatenate(self._pos)
-            col = np.repeat(np.arange(self.m), [len(p) for p in self._pos])
-            if self.dim == 1:
-                order = np.argsort(pos, kind="stable")
-            else:
-                order = np.lexsort(tuple(pos[:, k] for k in reversed(range(self.dim))))
+            pos, col = self.colour_major()
+            order = np.lexsort(_lex_keys(pos, self.dim))  # stable: colour order among ties
             self._all = (pos[order], col[order], order)
         return self._all
 
-    def as_cluster(self) -> Cluster:
-        return Cluster(self.parts, dim=self.dim)
+    def as_cluster(self) -> "Cluster":
+        return Cluster._of(self.dim, self._pos, self._exact)
+
+    def _moved(self, vec):
+        """Per colour arrays (pos, exact) of the points moved by vec, exactly
+        when the points and vec are exact."""
+        vec = as_point(vec, self.dim)
+        x, col = self.colour_major()
+        if self._exact is not None and all(is_exact_coord(v) for v in vec):
+            q = QuadArray.concat(self._exact).shift(vec[0])
+            return self._by_colour(1, self.m, q.floats(), col, q)
+        shift = np.array([as_float(v) for v in vec])
+        if self.dim == 1:  # adding one float keeps each colour sorted
+            return [p + shift[0] for p in self._pos], None
+        return self._by_colour(self.dim, self.m, x + shift, col)
 
     def translate(self, vec) -> "MultiSetPatch":
-        vec = as_point(vec, self.dim)
-        region = self.region.translate(vec)
-        col = np.repeat(np.arange(self.m), [len(p) for p in self._pos])
-        if self.exact and all(is_exact_coord(v) for v in vec):
-            q = QuadArray.concat(self._exact).shift(vec[0])
-            return MultiSetPatch.from_points(region, 1, self.m, q.floats(), col, q)
-        shift = np.array([as_float(v) for v in vec])
-        x = np.concatenate(self._pos) + (shift[0] if self.dim == 1 else shift)
-        return MultiSetPatch.from_points(region, self.dim, self.m, x, col)
+        region = self.region.translate(as_point(vec, self.dim))
+        return MultiSetPatch(region, self.dim, *self._moved(vec))
 
     def restrict(self, region) -> "MultiSetPatch":
         if not self.region.covers(region):
             raise ValueError("restriction region exceeds the patch region")
+        if self._err is None:  # per colour, the largest float error of an exact point
+            self._err = [0.0 if q is None else q.float_error()
+                         for q in (self._exact or [None] * self.m)]
         pos, exact = [], []
         for i, p in enumerate(self._pos):
-            cut = sorted_slice(p, region) if self.dim == 1 else slice(None)
+            cut = sorted_slice(p, region, self._err[i]) if self.dim == 1 else slice(None)
             q = self.exact_positions(i)
             q = None if q is None else q[cut]
             keep = region.mask(p[cut], q)
@@ -529,7 +402,7 @@ class MultiSetPatch:
             exact.append(None if q is None else q[keep])
         return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
 
-    def occurrences(self, P: Cluster, lo: float = -math.inf, hi: float = math.inf,
+    def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf,
                     tol: float = TOL_EQ) -> np.ndarray:
         """L_P over the patch: indices j into positions(P.anchor_color()) with
         v_j + P inside the patch's point set, v_j = position_j - anchor.
@@ -538,40 +411,238 @@ class MultiSetPatch:
         every anchor-colour point is a candidate.  Membership is tolerant:
         sorted search in 1D, a KD-tree in 2D.
         """
-        if P.is_empty():
-            raise ValueError("cannot count the empty cluster")
-        if P.m != self.m or P.dim != self.dim:
-            raise ValueError("cluster shape does not match the point set")
-        color = P.anchor_color()
-        anchor = np.array(point_value(P.parts[color][0]))
-        base = self.positions(color)
-        if self.dim == 1:
-            a, b = np.searchsorted(base, [lo + anchor[0] - tol, hi + anchor[0] + tol])
-        elif (lo, hi) != (-math.inf, math.inf):
-            raise NotImplementedError("translate bounds are 1D only")
-        else:
-            from scipy.spatial import cKDTree
+        if P._search is None:
+            P._search = ClusterSearch([P])
+        return P._search.search(self, [lo], [hi], tol)[1]
 
-            a, b = 0, len(base)
-        idx = np.arange(a, b)
-        cand = base[a:b] - anchor
-        mask = np.ones(len(idx), dtype=bool)
-        for i, part in enumerate(P.parts):
-            pos, tree = self.positions(i), None
-            for k, p in enumerate(part):
-                if not mask.any():
-                    return idx[:0]
-                if i == color and k == 0:
-                    continue  # the anchor itself
-                targets = cand + np.array(point_value(p))
-                if self.dim == 1:
-                    mask &= in_sorted(pos, targets, tol)
-                elif len(pos) == 0:
-                    return idx[:0]
-                else:
-                    tree = tree if tree is not None else cKDTree(pos)
-                    mask &= tree.query(targets, k=1)[0] <= tol
-        return idx[mask]
+
+class Cluster(MultiSetPatch):
+    """Finite colored configuration P = (P_1, ..., P_m): a patch without a
+    region, each colour duplicate-free (exactly, or within TOL_EQ for float
+    points).  An exact cluster is 1D with every coordinate exact.  Its anchor
+    is its smallest point (lexicographically), of the first colour holding
+    it.  Immutable once built.
+    """
+
+    __slots__ = ("_anchor", "_sig", "_search")
+
+    def __init__(self, parts, dim=None):
+        """parts: per colour, points as d-tuples (scalars in 1D) of floats or
+        exact coordinates."""
+        parts = [list(part) for part in parts]
+        pts = [p for part in parts for p in part]
+        if dim is None:
+            dim = len(pts[0]) if pts and isinstance(pts[0], (tuple, list)) else 1
+        coords = [c for p in pts for c in as_point(p, dim)]
+        exact = dim == 1 and coords and all(map(is_exact_coord, coords))
+        q = QuadArray.of(coords) if exact else None
+        x = np.array([as_float(c) for c in coords], dtype=float) if q is None else q.floats()
+        color = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        self._set(dim, *self._by_colour(dim, len(parts), x if dim == 1 else x.reshape(-1, dim),
+                                        color, q))
+
+    @classmethod
+    def from_arrays(cls, dim: int, m: int, x, color, exact: QuadArray = None) -> "Cluster":
+        """Cluster of the float points x ((N,) in 1D, (N, d) otherwise) with
+        colours in range(m), in 1D optionally also given exactly."""
+        return cls._of(dim, *cls._by_colour(dim, m, np.asarray(x, dtype=float), color, exact))
+
+    @classmethod
+    def _of(cls, dim, pos, exact):
+        cl = cls.__new__(cls)
+        cl._set(dim, pos, exact)
+        return cl
+
+    def _set(self, dim, pos, exact):
+        keep = [_distinct(p, None if exact is None else exact[i]) for i, p in enumerate(pos)]
+        pos = [p[k] for p, k in zip(pos, keep)]
+        if exact is not None:
+            exact = [q[k] for q, k in zip(exact, keep)] if any(map(len, pos)) else None
+        MultiSetPatch.__init__(self, None, dim, pos, exact)
+        self._anchor = min((i for i, p in enumerate(pos) if len(p)), default=None,
+                           key=lambda i: np.atleast_1d(pos[i][0]).tolist())
+        self._sig = self._search = None
+
+    def is_empty(self) -> bool:
+        return self._anchor is None
+
+    def support(self) -> tuple:
+        """Every point, sorted by position (stably over colours)."""
+        return tuple(self.all_points())
+
+    def to_json(self) -> list:
+        """Per colour, the points as lists of float coordinates."""
+        return [p.reshape(-1, self.dim).tolist() for p in self._pos]
+
+    def translate(self, vec) -> "Cluster":
+        return Cluster._of(self.dim, *self._moved(vec))
+
+    def anchor_point(self):
+        """Lexicographically smallest support point (None if empty)."""
+        return None if self._anchor is None else self.parts[self._anchor][0]
+
+    def anchor_color(self) -> int:
+        """Index of the first colour holding the anchor point."""
+        return self._anchor
+
+    def signature(self):
+        """Hashable identity key: the exact values, or the floats on a TOL_EQ grid."""
+        if self._sig is None:
+            values = (_exact_key(QuadArray.concat(self._exact)) if self.exact
+                      else (np.round(np.concatenate(self._pos) / TOL_EQ) + 0.0).tobytes())
+            self._sig = (self.dim, tuple(map(len, self._pos)), self.exact, values)
+        return self._sig
+
+    def __eq__(self, other):
+        if not isinstance(other, Cluster):
+            return NotImplemented
+        if (self.m, self.dim) != (other.m, other.dim) or any(
+                len(a) != len(b) for a, b in zip(self._pos, other._pos)):
+            return False
+        if self.exact and other.exact:
+            return self.signature() == other.signature()
+        diff = np.concatenate(self._pos) - np.concatenate(other._pos)
+        return bool(np.all(np.abs(diff) <= TOL_EQ))
+
+    def __hash__(self):
+        return hash(self.signature())
+
+    def __repr__(self):
+        return "Cluster(%s)" % ", ".join(
+            "{" + ", ".join(str(c if self.dim == 1 else tuple(c)) for c in p.tolist()) + "}"
+            for p in self._pos)
+
+
+def _distinct(x, q) -> np.ndarray:
+    """Which points of one sorted colour to keep: each unless it equals the
+    last point kept, exactly (q given) or within TOL_EQ."""
+    keep = np.ones(len(x), dtype=bool)
+    if q is not None:  # exact equality is transitive: compare with the predecessor
+        keep[1:] = (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
+        return keep
+    d = np.abs(np.diff(x, axis=0))
+    if ((d if x.ndim == 1 else d.max(axis=1, initial=0)) <= TOL_EQ).any():
+        last = 0  # a run of near-duplicates can drift past TOL_EQ
+        for k in range(1, len(x)):
+            keep[k] = np.abs(x[k] - x[last]).max() > TOL_EQ
+            last = k if keep[k] else last
+    return keep
+
+
+def cluster_1d(*parts) -> Cluster:
+    """Convenience: build a 1D cluster from per-color coordinate lists."""
+    return Cluster([[(c,) for c in part] for part in parts], dim=1)
+
+
+def translate_cluster(P: Cluster, vec) -> Cluster:
+    """x + P, per-part shift with sorting restored."""
+    return P.translate(vec)
+
+
+def match_clusters(P: Cluster, Q: Cluster, tol: float = TOL_EQ):
+    """The unique x with P = -x + Q, or None if not translation-equivalent."""
+    if P.m != Q.m or P.dim != Q.dim:
+        raise ValueError("cluster shapes differ (m or dimension)")
+    if any(len(a) != len(b) for a, b in zip(P._pos, Q._pos)):
+        return None
+    if P.is_empty():
+        return tuple(0.0 for _ in range(P.dim))
+    x = tuple(cq - cp for cp, cq in zip(P.anchor_point(), Q.anchor_point()))
+    if P.exact and Q.exact:
+        return x if Q.translate(tuple(-c for c in x)).signature() == P.signature() else None
+    shift = np.array([-as_float(c) for c in x])
+    moved = np.concatenate(Q._pos) + (shift[0] if P.dim == 1 else shift)
+    return x if np.all(np.abs(np.concatenate(P._pos) - moved) <= tol) else None
+
+
+def cluster_distance(P: Cluster, Q: Cluster) -> float:
+    """Per-color symmetric point-set distance, maximized over colors.
+
+    A color empty on one side only contributes 1; empty on both sides
+    contributes 0.
+    """
+    if P.m != Q.m or P.dim != Q.dim:
+        raise ValueError("cluster shapes differ (m or dimension)")
+    worst = 0.0
+    for pa, pb in zip(P._pos, Q._pos):
+        if not len(pa) and not len(pb):
+            continue
+        if not len(pa) or not len(pb):
+            worst = max(worst, 1.0)
+            continue
+        pa, pb = pa.reshape(len(pa), 1, -1), pb.reshape(1, len(pb), -1)
+        d = np.sqrt(((pa - pb) ** 2).sum(axis=2))
+        worst = max(worst, float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+    return worst
+
+
+class ClusterSearch:
+    """The translates of several clusters inside a patch, found together.
+
+    Cluster k is tried at every v = x - anchor_k, x a patch point of its
+    anchor colour (in 1D only v in [lo_k - tol, hi_k + tol]); v + P_k lies
+    in the patch when every other point of P_k has a patch point of its
+    colour within tol: sorted search in 1D, a KD-tree in 2D.
+    """
+
+    def __init__(self, clusters):
+        if any(P.is_empty() for P in clusters):
+            raise ValueError("cannot count the empty cluster")
+        self.clusters = list(clusters)
+        self.color = np.array([P.anchor_color() for P in clusters])
+        self.anchor = np.array([P.positions(c)[0] for P, c in zip(clusters, self.color)])
+        self.groups = [(i, np.flatnonzero(self.color == i)) for i in np.unique(self.color)]
+        # per colour: each cluster's points but its anchor, as the rows of one
+        # array padded by repeating them, and how many there are
+        self.others = []
+        for i in range(clusters[0].m):
+            parts = [P.positions(i)[int(c == i):] for P, c in zip(clusters, self.color)]
+            width = max(map(len, parts))
+            self.others.append((np.array([p[np.arange(width) % len(p)] if len(p)
+                                          else np.zeros((width,) + p.shape[1:]) for p in parts]),
+                                np.array([len(p) for p in parts])))
+
+    def search(self, patch: MultiSetPatch, lo, hi, tol: float = TOL_EQ):
+        """(k, j) pairs, ordered by k then j: cluster k occurs at translate
+        patch.positions(color_k)[j] - anchor_k.  lo, hi: the translate
+        bounds of each cluster (infinite in 2D)."""
+        if any(P.m != patch.m or P.dim != patch.dim for P in self.clusters):
+            raise ValueError("cluster shape does not match the point set")
+        base = [patch.positions(i) for i in range(patch.m)]
+        a = np.zeros(len(self.color), dtype=np.int64)
+        b = np.array([len(base[c]) for c in self.color], dtype=np.int64)
+        if patch.dim == 1:
+            lo, hi = np.asarray(lo) + self.anchor - tol, np.asarray(hi) + self.anchor + tol
+            for i, mine in self.groups:  # the clusters anchored in colour i
+                a[mine] = np.searchsorted(base[i], lo[mine])
+                b[mine] = np.searchsorted(base[i], hi[mine])
+        elif np.isfinite(np.concatenate([lo, hi])).any():
+            raise NotImplementedError("translate bounds are 1D only")
+        k, j = ranges(a, b)  # candidate j of cluster k, indexing its anchor colour
+        if len(self.groups) == 1:
+            cand = base[self.groups[0][0]][j] - self.anchor[k]
+        else:
+            first = np.cumsum([0] + [len(p) for p in base])
+            cand = np.concatenate(base)[first[self.color][k] + j] - self.anchor[k]
+        for pos, (others, count) in zip(base, self.others):
+            if not len(k):
+                break
+            if not others.shape[1]:
+                continue
+            targets = cand[:, None] + (others[k] if len(others) > 1 else others)  # all pairs
+            targets = targets.reshape(-1) if patch.dim == 1 else targets.reshape(-1, patch.dim)
+            if patch.dim == 1:
+                hit = in_sorted(pos, targets, tol)
+            else:
+                from scipy.spatial import cKDTree
+
+                hit = (cKDTree(pos).query(targets, k=1)[0] <= tol if len(pos)
+                       else np.zeros(len(targets), dtype=bool))
+            ok = hit.reshape(len(k), -1).all(axis=1)
+            if not count.all():  # clusters without points of this colour
+                ok |= count[k] == 0
+            k, j, cand = k[ok], j[ok], cand[ok]
+        return k, j
 
 
 # ---------------------------------------------------------------------------
@@ -592,69 +663,103 @@ class ClusterClassTable:
         return len(self.representatives)
 
     def class_of(self, cluster: Cluster, tol: float = TOL_EQ):
-        for j, rep in enumerate(self.representatives):
-            if len(rep.support()) != len(cluster.support()):
-                continue
-            if match_clusters(rep, cluster, tol) is not None:
-                return j
-        return None
+        return _find_equivalent(self.representatives, cluster, tol)
+
+
+def _find_equivalent(reps, rep, tol: float = TOL_EQ):
+    """Index of the first of reps that rep matches by a translation, or None."""
+    for j, r in enumerate(reps):
+        if r.total_points == rep.total_points and match_clusters(r, rep, tol) is not None:
+            return j
+    return None
+
+
+def first_labels(table) -> tuple:
+    """Label the equal rows of a 2D integer table in order of first
+    appearance: (each label's first row, each row's label)."""
+    rows = table[:, 0] if table.shape[1] == 1 else table  # one column sorts as plain integers
+    _, first, label = np.unique(rows, axis=None if rows.ndim == 1 else 0,
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[label.ravel()]
+
+
+def distinct_windows(rows, columns, n: int, extra=()):
+    """first_labels of n windows by content.  Window r holds the pairs
+    where rows == r (rows ascending); two windows get one label when their
+    lengths, their per-pair int64 columns entry by entry, and their
+    per-window extra columns agree."""
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max(initial=0))
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    table = np.zeros((n, 1 + len(extra) + width * len(columns)), dtype=np.int64)
+    table[:, 0] = counts
+    for c, values in enumerate(extra):
+        table[:, 1 + c] = values
+    for c, values in enumerate(columns):
+        table[rows, 1 + len(extra) + c * width + slot] = values
+    return first_labels(table)
+
+
+def float_keys(v) -> list:
+    """Per coordinate, the int64 keys of float values on the TOL_EQ grid, as
+    coord_key rounds them (|v| must stay below 2**62 TOL_EQ, about 4.6e9)."""
+    if np.abs(v).max(initial=0.0) >= 2.0 ** 62 * TOL_EQ:
+        raise ValueError("float keys beyond the int64 range")
+    keys = np.rint(v / TOL_EQ).astype(np.int64)
+    return [keys] if keys.ndim == 1 else list(keys.T)
 
 
 def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     """Classes of B_R(x) ∩ Λ over anchors x in supp(Λ) ∩ scan.
 
     Representatives are anchored (lex-smallest support point at the
-    origin) and deduplicated by exact matching in exact mode.
+    origin) and deduplicated by exact matching in exact mode.  Balls with
+    equal contents are grouped on arrays first; one Cluster is built per
+    distinct ball and looked up by signature, falling back to a matching
+    scan against float-key splits.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     patch = source.window(scan.dilate(R + TOL_EQ))
-    anchors = patch.restrict(scan).all_points()
-    if not anchors:
+    x, col = patch.all_positions()
+    q = patch.all_exact()
+    anchors = np.flatnonzero(scan.mask(x, q))
+    if not len(anchors):
         raise ValueError("scan region contains no anchor points")
-
-    table = {}
-    reps = []
-    counts = []
-    for x in anchors:
-        cl = _ball_cluster(patch, x, R)
-        rep, _ = cl.anchored()
-        key = rep.signature()
-        j = table.get(key)
+    # the closed ball B_R(x) around each anchor, as (ball, support index) pairs
+    if patch.dim == 1:
+        rows, idx = ranges(np.searchsorted(x, x[anchors] - R - TOL_EQ),
+                           np.searchsorted(x, x[anchors] + R + TOL_EQ))
+    else:
+        balls = [np.flatnonzero(np.sum((x - x[a]) ** 2, axis=1) <= (R + TOL_EQ) ** 2)
+                 for a in anchors]
+        rows, idx = np.repeat(np.arange(len(anchors)), list(map(len, balls))), np.concatenate(balls)
+    start = np.searchsorted(rows, np.arange(len(anchors) + 1))
+    first = idx[start[:-1]][rows]  # each ball's lex-smallest point
+    if q is not None:
+        exact = QuadArray(q.a[idx] - q.a[first], q.b[idx] - q.b[first], q.den, q.field)
+        vals, keys = exact.floats(), [exact.a, exact.b]
+    else:  # translated by -x, then anchored, as Cluster.translate rounds
+        at = x[anchors][rows]
+        vals = (x[idx] - at) + -(x[first] - at)
+        keys = float_keys(vals)
+    firsts, label = distinct_windows(rows, [col[idx]] + keys, len(anchors))
+    table, reps, class_of = {}, [], []
+    for r in firsts.tolist():
+        s = slice(start[r], start[r + 1])
+        rep = Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]],
+                                  None if q is None else exact[s])
+        j = table.get(rep.signature())
         if j is None:
-            # guard against float-key splits: fall back to matching scan
             j = _find_equivalent(reps, rep)
             if j is None:
-                table[key] = len(reps)
+                j = len(reps)
                 reps.append(rep)
-                counts.append(1)
-                continue
-            table[key] = j
-        counts[j] += 1
+            table[rep.signature()] = j
+        class_of.append(j)
+    counts = np.bincount(np.asarray(class_of)[label], minlength=len(reps)).tolist()
     return ClusterClassTable(radius=R, representatives=reps, counts=counts, scan=scan)
-
-
-def _find_equivalent(reps, rep):
-    for j, r in enumerate(reps):
-        if r.total_points != rep.total_points:
-            continue
-        if match_clusters(r, rep) is not None:
-            return j
-    return None
-
-
-def _ball_cluster(patch: MultiSetPatch, x, R: float) -> Cluster:
-    """B_R(x) ∩ patch, translated by -x (closed ball, tol slack)."""
-    xf = np.array(point_value(x))
-    parts = []
-    for i in range(patch.m):
-        pos = patch.positions(i)
-        if patch.dim == 1:
-            sel = range(*np.searchsorted(pos, [xf[0] - R - TOL_EQ, xf[0] + R + TOL_EQ]))
-        else:
-            sel = np.flatnonzero(np.sum((pos - xf) ** 2, axis=1) <= (R + TOL_EQ) ** 2).tolist()
-        parts.append([tuple(c - xc for c, xc in zip(patch.parts[i][j], x)) for j in sel])
-    return Cluster(parts, dim=patch.dim)
 
 
 @dataclass

@@ -16,21 +16,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .coords import TOL_EQ, as_float, coord_key, is_exact_coord
+from .coords import TOL_EQ, QuadArray, as_float, coord_key
 from .geometry import (
+    Box,
     Cluster,
+    ClusterSearch,
     Interval,
     MultiSetPatch,
-    enumerate_cluster_classes,
     cluster_distance,
+    complex_keys,
     delone_params,
-    in_sorted,
+    distinct_windows,
+    enumerate_cluster_classes,
+    float_keys,
     ranges,
 )
-from .sources import TranslatedSource
 
 METRIC_CAP = 2.0 ** -0.5
 
@@ -52,79 +56,104 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
+def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ, cache: dict = None) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
 
-    The patches must cover [-(1/eps + 4 eps), 1/eps + 4 eps]; restricting
-    them there raises otherwise.  1D decision: every candidate relative
-    shift delta = x - y comes from a matched pair of near-origin points
-    (or the empty-window case); for a fixed delta the feasible x form an
-    interval minus the closed L-balls around mismatched points, which is
-    checked by interval coverage.
+    The patch regions must cover [-(1/eps + 4 eps), 1/eps + 4 eps]
+    (ValueError otherwise).  1D decision: every candidate relative shift
+    delta = x - y comes from a matched pair of near-origin points (or the
+    empty-window case); for a fixed delta the feasible x form an interval
+    minus the closed L-balls around mismatched points, which is checked by
+    interval coverage.  All deltas are decided together on arrays.  cache,
+    a dict the calls on one pair of patches share, keeps per delta the
+    pairs of points within tol of set 1 and set 2 moved by delta.
     """
     L = 1.0 / eps
-    reach = L + 4 * eps
-    near = Interval(-reach, reach)
-    pos1, pos2 = ([w.positions(i) for i in range(w.m)] for w in (patch1.restrict(near),
-                                                                  patch2.restrict(near)))
-    m = max(len(pos1), len(pos2))
-    pos1 += [np.empty(0)] * (m - len(pos1))
-    pos2 += [np.empty(0)] * (m - len(pos2))
-
-    def slab(pos, lo, hi):
-        a = np.searchsorted(pos, lo - tol)
-        b = np.searchsorted(pos, hi + tol)
-        return pos[a:b]
-
+    cache = {} if cache is None else cache
+    if cache.get("reach", -1.0) < L + 4 * eps:  # the patches cover what earlier calls needed
+        near = Interval(-(L + 4 * eps), L + 4 * eps)
+        if not (patch1.region.covers(near) and patch2.region.covers(near)):
+            raise ValueError("patches on %s and %s do not cover %s"
+                             % (patch1.region, patch2.region, near))
+        cache["reach"] = L + 4 * eps
+    if "sets" not in cache:  # per patch: positions, colours and keys, colour by colour
+        cache["sets"] = [(x, c, complex_keys(c, x))
+                         for x, c in (w.colour_major() for w in (patch1, patch2))]
+    (x1, c1, _), (x2, c2, k2) = cache["sets"]
+    lo, hi = -L - eps - tol, L + eps + tol  # the slab: lo <= x < hi
+    in1 = (x1 >= lo) & (x1 < hi)
+    any1, any2 = in1.any(), ((x2 >= lo) & (x2 < hi)).any()
     # windows can never be empty when the sets are relatively dense with
     # b < 2L; guard for degenerate inputs anyway
-    slabs1 = [slab(p, -L - eps, L + eps) for p in pos1]
-    any1 = any(len(p) for p in slabs1)
-    any2 = any(len(slab(p, -L - eps, L + eps)) for p in pos2)
-    if not any1 and not any2:
-        return True
     if not any1 or not any2:
-        return False
+        return not any1 and not any2
 
-    deltas = []
-    for p1, p2 in zip(slabs1, pos2):
-        a, b = ranges(np.searchsorted(p2, p1 - 2 * eps - tol),
-                      np.searchsorted(p2, p1 + 2 * eps + tol))
-        deltas.append(p1[a] - p2[b])
-    deltas = np.sort(np.concatenate(deltas))
+    # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - tol, t + 2 eps + tol)
+    t = x1[in1]
+    r, u = _near(c1[in1], t - 2 * eps - tol, t + 2 * eps + tol, k2)
+    deltas = np.sort(t[r] - x2[u])
     if not len(deltas):
         return False
-    keep = np.concatenate([[True], np.diff(deltas) > tol])
-    deltas = deltas[keep]
+    deltas = deltas[np.concatenate(([True], deltas[1:] - deltas[:-1] > tol))]
+    x_lo, x_hi = np.maximum(-eps, deltas - eps), np.minimum(eps, deltas + eps)
+    ok = ~(x_lo > x_hi + tol)
+    deltas, x_lo, x_hi = deltas[ok], x_lo[ok], x_hi[ok]
+    if not len(deltas):
+        return False
 
-    for delta in deltas:
-        x_lo = max(-eps, delta - eps)
-        x_hi = min(eps, delta + eps)
-        if x_lo > x_hi + tol:
-            continue
-        blockers = []
-        for a1, p2 in zip(slabs1, pos2):
-            a2 = slab(p2 + delta, -L - eps, L + eps)
-            blockers.extend(a1[~in_sorted(a2, a1, tol)])
-            blockers.extend(a2[~in_sorted(a1, a2, tol)])
-        # feasible x in [x_lo, x_hi] avoiding the closed interval [d-L, d+L]
-        # around every mismatched point d; sweep for an uncovered gap
-        intervals = sorted((d - L - tol, d + L + tol) for d in blockers)
-        cur = x_lo
-        feasible = False
-        for a, b in intervals:
-            if a > cur:
-                feasible = True
-                break
-            cur = max(cur, b)
-            if cur > x_hi:
-                break
-        if not feasible and cur < x_hi:
-            feasible = True
-        if feasible:
-            return True
-    return False
+    # set 2 moved by each delta (row), and its pairs (a, b) within tol of set 1
+    keys = deltas.tolist()
+    for d in keys:
+        if d not in cache:
+            moved = x2 + d
+            a, b = _near(c1, x1 - 2 * tol, x1 + 2 * tol, complex_keys(c2, moved))
+            close = np.abs(moved[b] - x1[a]) <= tol
+            cache[d] = moved, a[close], b[close]
+    moved, a, b = (np.concatenate(v) for v in zip(*(cache[d] for d in keys)))
+    row = np.repeat(np.arange(len(keys)), len(x2))
+    b += np.repeat(np.arange(len(keys)) * len(x2), [len(cache[d][2]) for d in keys])
+    in2 = (moved >= lo) & (moved < hi)
+    # mismatched points: slab points with no partner in the other slab
+    matched1 = np.zeros((len(keys), len(x1)), dtype=bool)
+    matched1[row[b[in2[b]]], a[in2[b]]] = True
+    matched2 = np.zeros(len(moved), dtype=bool)
+    matched2[b[in1[a]]] = True
+    r1, k1 = (in1 & ~matched1).nonzero()
+    miss2 = (in2 & ~matched2).nonzero()[0]
+    rows = np.concatenate([r1, row[miss2]])
+    blockers = np.concatenate([x1[k1], moved[miss2]])
+    if not len(rows):
+        return bool((x_lo < x_hi).any())
+    order = np.lexsort((blockers, rows))
+    rows, starts, ends = rows[order], blockers[order] - L - tol, blockers[order] + L + tol
+
+    # feasible x in [x_lo, x_hi] avoiding the closed interval [d-L, d+L]
+    # around every mismatched point d: sweep each delta's sorted intervals
+    # for an uncovered gap.  Their ends ascend with their starts, so the
+    # covered reach before interval k is max(x_lo, end of interval k - 1).
+    head = np.concatenate(([True], rows[1:] != rows[:-1]))
+    before = np.maximum(x_lo[rows], np.where(head, -np.inf, np.concatenate(([-np.inf], ends[:-1]))))
+    if ((starts > before) & (head | (before <= x_hi[rows]))).any():
+        return True
+    tail = np.concatenate((head[1:], [True]))
+    reached = x_lo.copy()
+    reached[rows[tail]] = np.maximum(x_lo[rows[tail]], ends[tail])
+    return bool((reached < x_hi).any())
+
+
+def _near(c, lo, hi, keys):
+    """(i, j) pairs: keys[j] (complex_keys) of colour c[i] and position in
+    [lo[i], hi[i])."""
+    return ranges(np.searchsorted(keys, complex_keys(c, lo)),
+                  np.searchsorted(keys, complex_keys(c, hi)))
+
+
+def metric_window(eps_grid: float, cap: float = METRIC_CAP) -> Interval:
+    """The window hull_metric takes of a source: around the origin, wide
+    enough for every epsilon it tries (the cap, or above max(eps_grid/2, 1e-4))."""
+    reach = 1.0 / min(max(eps_grid / 2.0, 1e-4), cap) + 4 * cap
+    return Interval(-reach, reach)
 
 
 def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CAP) -> MetricBracket:
@@ -133,22 +162,22 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
     Descends a geometric epsilon grid while the matching predicate holds,
     then bisects the first failing bracket down to width eps_grid.  Both
     bounds are capped at 2^(-1/2).  Each input is a source, windowed once
-    around the origin wide enough for every epsilon tried, or a patch,
-    used as given: one too small for some epsilon raises ValueError.
+    on metric_window(eps_grid, cap), or a patch, used as given: one too
+    small for some epsilon raises ValueError.
     """
     if source1.dim != 1 or source2.dim != 1:
         raise NotImplementedError("hull metric is implemented in 1D only")
     floor = max(eps_grid / 2.0, 1e-4)
-    reach = 1.0 / min(floor, cap) + 4 * cap  # every eps tried is cap or above floor
-    near = Interval(-reach, reach)
+    near = metric_window(eps_grid, cap)
     p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
-    if not _match_predicate(p1, p2, cap):
+    cache = {}
+    if not _match_predicate(p1, p2, cap, cache=cache):
         return MetricBracket(lower=cap, upper=cap, eps_grid=eps_grid)
     hi = cap  # known true
     lo = None  # known false, > all true
     eps = cap / 2.0
     while eps > floor:
-        if _match_predicate(p1, p2, eps):
+        if _match_predicate(p1, p2, eps, cache=cache):
             hi = eps
             eps /= 2.0
         else:
@@ -158,7 +187,7 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
         return MetricBracket(lower=0.0, upper=hi, eps_grid=eps_grid)
     while hi - lo > eps_grid:
         mid = 0.5 * (lo + hi)
-        if _match_predicate(p1, p2, mid):
+        if _match_predicate(p1, p2, mid, cache=cache):
             hi = mid
         else:
             lo = mid
@@ -166,11 +195,17 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
 
 
 def sample_orbit(source, offsets, region):
-    """Window the translates -h + Lambda over the given offsets."""
-    out = []
-    for h in offsets:
-        out.append(TranslatedSource(source, h).window(region))
-    return out
+    """The translates -h + Lambda on region, one patch per offset h, each
+    cut exactly from one window of the source over all translated regions:
+    the same points as TranslatedSource(source, h).window(region)."""
+    shifts = [tuple(h) if isinstance(h, (tuple, list)) else (h,) for h in offsets]
+    moved = [region.translate(h) for h in shifts]
+    if not moved:
+        return []
+    bounds = np.array([r.bounds() for r in moved])
+    lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
+    master = source.window(Interval(lo[0], hi[0]) if source.dim == 1 else Box(tuple(lo), tuple(hi)))
+    return [master.restrict(r).translate(tuple(-c for c in h)) for r, h in zip(moved, shifts)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +223,10 @@ class CylinderSpec:
     cluster: Cluster
     window: Interval
 
+    @cached_property
+    def _decider(self):
+        return _Cylinders([self])
+
 
 def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_EQ) -> bool:
     """Decide whether the patch's point set lies in the cylinder X_{P,V}.
@@ -195,32 +234,50 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
     Requires the patch region to cover supp(P) - V; raises
     PatchTooSmallError otherwise (undecidable is an error, not False).
     """
-    P = cyl.cluster
-    V = cyl.window
-    if P.is_empty():
-        raise ValueError("cylinder cluster must be nonempty")
-    if P.dim != patch.dim or P.m != patch.m:
-        raise ValueError("cluster shape does not match the patch")
-    sup = P.support()
-    vlo, vhi = as_float(V.lo), as_float(V.hi)
-    if patch.dim == 1:
-        need = Interval(as_float(sup[0][0]) - vhi, as_float(sup[-1][0]) - vlo)
-        if not patch.region.covers(need, tol):
-            raise PatchTooSmallError(
-                "patch region %s cannot decide cylinder with reach %s" % (patch.region, need))
-    else:
-        raise NotImplementedError("cylinder decision is 1D in this build")
+    return bool(cyl._decider.hits(patch, tol)[0])
 
-    # g = anchor - q_j over the occurrences v_j = q_j - anchor with -v_j near V
-    anchor = sup[0][0]
-    color = P.anchor_color()
-    j = patch.occurrences(P, -vhi, -vlo, tol)
-    if not len(j):
-        return False
-    if patch.exact and all(is_exact_coord(c) for p in sup for c in p):
-        g = (-patch.exact_positions(color)[j]).shift(anchor)
-        return bool(V.mask(g.floats(), g, tol).any())
-    return bool(V.mask(as_float(anchor) - patch.positions(color)[j], tol=tol).any())
+
+class _Cylinders:
+    """Cylinders X_{P,V} decided together, patch by patch (1D).
+
+    One ClusterSearch over their clusters finds, per cylinder, the
+    occurrences v_j = q_j - anchor with -v_j near V; Interval.mask decides
+    their g = anchor - q_j, exactly when the patch and P are exact.
+    """
+
+    def __init__(self, cylinders):
+        self.cylinders = list(cylinders)
+        if any(cyl.cluster.is_empty() for cyl in self.cylinders):
+            raise ValueError("cylinder cluster must be nonempty")
+        self.vlo = np.array([as_float(cyl.window.lo) for cyl in self.cylinders])
+        self.vhi = np.array([as_float(cyl.window.hi) for cyl in self.cylinders])
+        sup = [np.concatenate([cyl.cluster.positions(i) for i in range(cyl.cluster.m)])
+               for cyl in self.cylinders]
+        self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi)),
+                              float(np.max([p.max() for p in sup] - self.vlo)))
+        self.search = ClusterSearch([cyl.cluster for cyl in self.cylinders])
+
+    def hits(self, patch: MultiSetPatch, tol: float = TOL_EQ) -> np.ndarray:
+        """For each cylinder, whether the patch lies in it."""
+        if any(cyl.cluster.dim != patch.dim or cyl.cluster.m != patch.m for cyl in self.cylinders):
+            raise ValueError("cluster shape does not match the patch")
+        if patch.dim != 1:
+            raise NotImplementedError("cylinder decision is 1D in this build")
+        if not patch.region.covers(self.reach, tol):
+            raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
+                                     % (patch.region, self.reach))
+        k, j = self.search.search(patch, -self.vhi, -self.vlo, tol)
+        hits = np.zeros(len(self.cylinders), dtype=bool)
+        ends = np.searchsorted(k, np.arange(len(hits) + 1))
+        for c in np.flatnonzero(ends[1:] > ends[:-1]).tolist():
+            cyl, color, q = self.cylinders[c], self.search.color[c], j[ends[c]:ends[c + 1]]
+            if patch.exact and cyl.cluster.exact:
+                g = (-patch.exact_positions(color)[q]).shift(cyl.cluster.anchor_point()[0])
+                hits[c] = cyl.window.mask(g.floats(), g, tol).any()
+            else:
+                g = self.search.anchor[c] - patch.positions(color)[q]
+                hits[c] = cyl.window.mask(g, tol=tol).any()
+        return hits
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +347,25 @@ class HullPartition:
     def total_window_length(self) -> float:
         return sum(c.window.volume() for c in self.cells)
 
+    @cached_property
+    def _cylinders(self):
+        return _Cylinders([cell.cylinder() for cell in self.cells])
+
     def locate(self, patch: MultiSetPatch):
-        """Indices of cells whose cylinder contains the patch."""
-        hits = []
-        for idx, cell in enumerate(self.cells):
-            if cylinder_contains(patch, cell.cylinder()):
-                hits.append(idx)
-        return hits
+        """Indices of cells whose cylinder contains the patch, all decided
+        by one search of the cells' pinned clusters."""
+        return np.flatnonzero(self._cylinders.hits(patch)).tolist()
 
     def to_json(self):
         out = []
         for cell in self.cells:
             out.append({
                 "class": cell.class_index,
-                "cluster": _cluster_json(cell.cluster),
-                "pinned": _cluster_json(cell.pinned),
+                "cluster": cell.cluster.to_json(),
+                "pinned": cell.pinned.to_json(),
                 "interval": [as_float(cell.window.lo), as_float(cell.window.hi)],
             })
         return out
-
-
-def _cluster_json(cl: Cluster):
-    return [[[as_float(c) for c in p] for p in part] for part in cl.parts]
 
 
 class IncompletePartitionError(RuntimeError):
@@ -366,7 +420,7 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     reps = []
     rep_index = {}
     cells = []
-    for key in sorted(pieces_full, key=lambda k: (k[0], k[3], k[4])):
+    for key in sorted(pieces_full, key=lambda k: (_sort_key(pieces_full[k][0]), k[3], k[4])):
         rep, pinned, w_lo, w_hi = pieces_full[key]
         sig = rep.signature()
         idx = rep_index.get(sig)
@@ -390,57 +444,79 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     return HullPartition(cells=cells, radius=R, delta=delta, representatives=reps)
 
 
+def _sort_key(cl: Cluster):
+    """The order in which cells list their window patterns: per colour, the
+    points' coord_keys."""
+    return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in cl.parts)
+
+
 def _scan_pieces(source, R: float, t0: float, t1: float):
     """Distinct (window pattern, pinned cluster, offset window) pieces for
     the sliding window B_R(t), t in [t0, t1].
 
     The pinned cluster is the patch over the closed hull of window
     positions of the piece, [e_i - R, e_{i+1} + R]: the window pattern
-    plus the two points whose entry/exit delimits the piece.
+    plus the two points whose entry/exit delimits the piece.  Event
+    intervals with equal contents are grouped on arrays; clusters are
+    built once per distinct interval.
     """
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
     vals, cols = patch.all_positions()
-    cols, coords = cols.tolist(), [p[0] for p in patch.all_points()]
+    q = patch.all_exact()
+    Rex = _exactify(R)
+
+    def value(j):
+        return float(vals[j]) if q is None else q.value(j)
+
+    def event(k):  # event 2j is p_j - R, event 2j + 1 is p_j + R (exact where p_j is)
+        return value(k // 2) + Rex if k % 2 else value(k // 2) - Rex
+
+    if q is not None and q.den != 1:
+        ev = np.array([as_float(event(k)) for k in range(2 * len(vals))])
+    else:  # float(p -+ R) as the scalar events round it
+        a = vals if q is None else q.a
+        ev = np.stack([a - R, a + R], axis=1).ravel()
+        if q is not None and q.field is not None:
+            ev += np.repeat(q.b * q.field.tau, 2)
+    order = np.argsort(ev, kind="stable")
+    order = order[(ev[order] >= t0 - TOL_EQ) & (ev[order] <= t1 + TOL_EQ)]
+    evs, last = [], -math.inf
+    for k, f in zip(order.tolist(), ev[order].tolist()):
+        if not evs or last < f - TOL_EQ:
+            evs.append(k)
+            last = f
+    ka, kb = np.array(evs[:-1], dtype=np.int64), np.array(evs[1:], dtype=np.int64)
+    af, bf = ev[ka], ev[kb]
+    mid = 0.5 * (af + bf)
+    lo = np.searchsorted(vals, mid - R - TOL_EQ)
+    hi = np.searchsorted(vals, mid + R + TOL_EQ)
+    # pinned cluster: everything the window ever sees across the piece,
+    # closed ends, so the delimiting neighbor points are included
+    plo = np.searchsorted(vals, af - R - TOL_EQ)
+    phi = np.searchsorted(vals, bf + R + TOL_EQ)
+    live = hi > lo  # an empty window cannot happen for R >= b/2
+    ka, kb, lo, hi, plo, phi = (v[live] for v in (ka, kb, lo, hi, plo, phi))
+    rows, idx = ranges(plo, phi)
+    at = lo[rows]  # each piece's anchor: the first point of its window
+    keys = (float_keys(vals[idx] - vals[at]) if q is None
+            else [q.a[idx] - q.a[at], q.b[idx] - q.b[at]])
+    firsts, _ = distinct_windows(rows, [cols[idx]] + keys, len(lo),
+                                 extra=(lo - plo, hi - lo, ka - 2 * plo, kb - 2 * plo))
 
     def cluster(i0, i1, anchor):
-        parts = [[] for _ in range(patch.m)]
-        for j in range(i0, i1):
-            parts[cols[j]].append((coords[j] - anchor,))
-        return Cluster(parts, dim=1)
-
-    Rex = _exactify(R)
-    events = []  # event offsets, exact where coords are exact
-    for p in coords:
-        events.append(p - Rex)
-        events.append(p + Rex)
-    events_sorted = sorted(range(len(events)), key=lambda k: as_float(events[k]))
-    evs = []
-    for k in events_sorted:
-        e = events[k]
-        ef = as_float(e)
-        if t0 - TOL_EQ <= ef <= t1 + TOL_EQ:
-            if not evs or as_float(evs[-1]) < ef - TOL_EQ:
-                evs.append(e)
+        s = slice(i0, i1)
+        if q is None:
+            return Cluster.from_arrays(1, patch.m, vals[s] - vals[anchor], cols[s])
+        e = QuadArray(q.a[s] - q.a[anchor], q.b[s] - q.b[anchor], q.den, q.field)
+        return Cluster.from_arrays(1, patch.m, e.floats(), cols[s], e)
 
     pieces = {}
-    for a, b in zip(evs[:-1], evs[1:]):
-        af, bf = as_float(a), as_float(b)
-        mid = 0.5 * (af + bf)
-        lo_idx = int(np.searchsorted(vals, mid - R - TOL_EQ))
-        hi_idx = int(np.searchsorted(vals, mid + R + TOL_EQ))
-        if hi_idx <= lo_idx:
-            continue  # empty window (cannot happen for R >= b/2)
-        anchor = coords[lo_idx]
-        rep = cluster(lo_idx, hi_idx, anchor)
-        # pinned cluster: everything the window ever sees across the piece,
-        # closed ends, so the delimiting neighbor points are included
-        plo = int(np.searchsorted(vals, af - R - TOL_EQ))
-        phi = int(np.searchsorted(vals, bf + R + TOL_EQ))
-        pinned = cluster(plo, phi, anchor)
-        w_lo = a - anchor
-        w_hi = b - anchor
+    for r in firsts.tolist():
+        rep, pinned = cluster(lo[r], hi[r], lo[r]), cluster(plo[r], phi[r], lo[r])
+        w_lo = event(int(ka[r])) - value(lo[r])
+        w_hi = event(int(kb[r])) - value(lo[r])
         key = (rep.signature(), pinned.signature(), coord_key(w_lo), coord_key(w_hi),
-               len(pinned.support()))
+               pinned.total_points)
         if key not in pieces:
             pieces[key] = (rep, pinned, w_lo, w_hi)
     return pieces

@@ -359,7 +359,7 @@ class SubstitutionSource(PointSource):
         # the word's tile endpoints, left ends then its right end: floats, and
         # for an exact rule the same points as a QuadArray
         self._word = np.array([rule.letters.index(seed_letter)])
-        self._ends, self._exact = np.zeros(1), None
+        self._ends, self._exact, self._err = np.zeros(1), None, 0.0  # _err: the ends' float error
         if exact:
             try:
                 self._lengths = QuadArray.of(rule.lengths, rule.field)
@@ -397,12 +397,13 @@ class SubstitutionSource(PointSource):
                                     np.concatenate([q.b, q.b[-1] + np.cumsum(L.b[new])]),
                                     q.den, q.field)
             tail = self._exact[n + 1:].floats()
+            self._err = self._exact.float_error()
         self._ends = np.concatenate([self._ends, tail])
 
     def _query(self, region):
         (_, hi), = region.bounds()
         self._extend_to(hi + self._longest + 1.0)
-        cut = sorted_slice(self._ends[:-1], region)
+        cut = sorted_slice(self._ends[:-1], region, self._err)
         exact = None if self._exact is None else self._exact[cut]
         return self._ends[cut], self._color[self._word[cut]], exact
 

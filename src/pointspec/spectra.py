@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import TOL_EQ, QuadArray, as_float, coord_key
-from .geometry import Interval, in_sorted, ranges
+from .geometry import Interval, first_labels, float_keys, in_sorted, ranges
 from .stats import VanHoveSpec
 
 
@@ -129,16 +129,13 @@ def _differences(x, qx, y, qy, radius: float):
     a, b = ranges(np.searchsorted(y, x - radius - TOL_EQ), np.searchsorted(y, x + radius + TOL_EQ))
     if qx is None:
         d = x[a] - y[b]
-        key = np.rint(d / TOL_EQ).astype(np.int64)[:, None]  # coord_key of a float
+        key = float_keys(d)  # coord_key of a float
     else:
         d = QuadArray(qx.a[a] - qy.a[b], qx.b[a] - qy.b[b], qx.den, qx.field)
-        key = np.stack([d.a, d.b], axis=1)
-    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ts = list(d[first[order]]) if qx is None else [d.value(k) for k in first[order]]
-    return a, b, rank[group.reshape(-1)], ts
+        key = [d.a, d.b]
+    first, group = first_labels(np.stack(key, axis=1))
+    ts = list(d[first]) if qx is None else [d.value(k) for k in first]
+    return a, b, group, ts
 
 
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:

@@ -21,7 +21,9 @@ from .hull import (
     cylinder_contains,
     empirical_cylinder_measure,
     hull_metric,
+    metric_window,
     partition_params,
+    sample_orbit,
 )
 from .sources import (
     TranslatedSource,
@@ -200,12 +202,9 @@ def check_partition(fast=False) -> CheckResult:
             freq_cache[key] = _count_in_patch(sub, cell.pinned) / (2.0 * n)
         total += cell.window.volume() * freq_cache[key]
     n_samples = 200 if fast else 1000
-    offsets = halton(n_samples) * 500.0
-    misses = 0
-    for h in offsets:
-        patch = TranslatedSource(fib, float(h)).window(Interval(-16, 16))
-        if len(part.locate(patch)) != 1:
-            misses += 1
+    offsets = (halton(n_samples) * 500.0).tolist()
+    misses = sum(len(part.locate(patch)) != 1
+                 for patch in sample_orbit(fib, offsets, Interval(-16, 16)))
     ok = abs(total - 1.0) <= 1e-3 and misses == 0
     return _result("partition", t0, ok,
                    "sum Vol*freq=%.6f, %d/%d patches in exactly one cell (%d cells)" %
@@ -247,22 +246,16 @@ def check_product_identity(fast=False) -> CheckResult:
     vlen = min(pp.theta, pp.eta) / 4.0
     V = Interval(0.05, 0.05 + vlen, True, False)
     base = fib.window(Interval(-1.0 / eps, 1.0 / eps)).as_cluster()
+    whole = CylinderSpec(base, V)
+    singles = [CylinderSpec(cluster_1d(*[[p[0]] if j == i else [] for j in range(base.m)]), V)
+               for i, part in enumerate(base.parts) for p in part]
     n_samples = 200 if fast else 1000
-    offsets = halton(n_samples) * 400.0
+    offsets = (halton(n_samples) * 400.0).tolist()
     violations = 0
     hits = 0
-    for h in offsets:
-        patch = TranslatedSource(fib, float(h)).window(Interval(-12, 12))
-        lhs = cylinder_contains(patch, CylinderSpec(base, V))
-        rhs = True
-        for i, part in enumerate(base.parts):
-            for p in part:
-                single = cluster_1d(*[[p[0]] if j == i else [] for j in range(base.m)])
-                rhs = rhs and cylinder_contains(patch, CylinderSpec(single, V))
-                if not rhs:
-                    break
-            if not rhs:
-                break
+    for patch in sample_orbit(fib, offsets, Interval(-12, 12)):
+        lhs = cylinder_contains(patch, whole)
+        rhs = all(cylinder_contains(patch, cyl) for cyl in singles)
         if lhs != rhs:
             violations += 1
         if lhs:
@@ -289,9 +282,9 @@ def check_metric(fast=False) -> CheckResult:
     h1 = halton(n_triples, 2) * 50.0
     h2 = halton(n_triples, 3) * 50.0
     h3 = halton(n_triples, 5) * 50.0
+    near = metric_window(eps_grid)
     bad = 0
-    for a, b, c in zip(h1, h2, h3):
-        sa, sb, sc = (TranslatedSource(fib, float(x)) for x in (a, b, c))
+    for sa, sb, sc in zip(*(sample_orbit(fib, h.tolist(), near) for h in (h1, h2, h3))):
         dab = hull_metric(sa, sb, eps_grid=eps_grid).upper
         dbc = hull_metric(sb, sc, eps_grid=eps_grid).upper
         dac = hull_metric(sa, sc, eps_grid=eps_grid).lower

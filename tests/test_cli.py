@@ -204,6 +204,20 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
                 "metric": {"other_source": {"type": "lattice"}, "eps_grid": "x"}}),
     ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": "ab"}}),
     ("freq", {"source": {"type": "lattice"}, "freq": {"offset_span": [1]}}),
+    # values the library rejects as out of range
+    ("classes", {"source": {"type": "fibonacci"}, "classes": {"R": -1}}),
+    ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": 0}}),
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"delta": 0}}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": [2000, 1000]}}),
+    # subcommand sections that are not JSON objects
+    ("generate", {"source": {"type": "lattice"}, "generate": 5}),
+    ("classes", {"source": {"type": "lattice"}, "classes": "x"}),
+    ("freq", {"source": {"type": "lattice"}, "freq": []}),
+    ("autocorr", {"source": {"type": "lattice"}, "autocorr": [1]}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": "x"}),
+    ("metric", {"source": {"type": "lattice"}, "metric": 3}),
+    ("partition", {"source": {"type": "lattice"}, "partition": [0]}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": "x"}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -1,13 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pointspec.coords import TOL_EQ, QuadArray, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_eq, coord_key, is_exact_coord
 from pointspec.geometry import (
     Ball,
     Box,
+    Cluster,
     Interval,
     boundary_shell_volume,
     cluster_1d,
@@ -203,3 +205,108 @@ def test_delone_needs_two_points():
     z = integer_lattice()
     with pytest.raises(ValueError):
         delone_params(z, Interval(0.1, 0.9))
+
+
+# ---------------------------------------------------------------------------
+# the array Cluster against the tuple store it replaced
+
+
+class TupleCluster:
+    """Reference: one sorted tuple of coordinate tuples per colour, as the
+    Cluster store kept its points before it held arrays."""
+
+    def __init__(self, parts):
+        norm = []
+        for part in parts:
+            pts = sorted((tuple(p) for p in part), key=lambda p: tuple(map(float, p)))
+            dedup = []
+            for p in pts:
+                if not dedup or not all(coord_eq(a, b) for a, b in zip(dedup[-1], p)):
+                    dedup.append(p)
+            norm.append(tuple(dedup))
+        self.parts = tuple(norm)
+
+    def anchor_point(self):
+        pts = sorted((p for part in self.parts for p in part), key=lambda p: tuple(map(float, p)))
+        return pts[0] if pts else None
+
+    def anchor_color(self):
+        a = self.anchor_point()
+        return next(i for i, part in enumerate(self.parts)
+                    if part and all(float(x) == float(y) for x, y in zip(part[0], a)))
+
+    def translate(self, vec):
+        return TupleCluster([[tuple(c + v for c, v in zip(p, vec)) for p in part]
+                             for part in self.parts])
+
+    def signature(self):
+        return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in self.parts)
+
+
+def tuple_match(P, Q, tol=TOL_EQ):
+    if any(len(a) != len(b) for a, b in zip(P.parts, Q.parts)):
+        return None
+    ap, aq = P.anchor_point(), Q.anchor_point()
+    if ap is None:
+        return (0.0,) * 1
+    x = tuple(cq - cp for cp, cq in zip(ap, aq))
+    shifted = Q.translate(tuple(-c for c in x))
+    for pa, pb in zip(P.parts, shifted.parts):
+        if not all(coord_eq(c, d, tol) for a, b in zip(pa, pb) for c, d in zip(a, b)):
+            return None
+    return x
+
+
+def tuple_eq(P, Q):
+    return all(len(pa) == len(pb) and all(coord_eq(c, d) for a, b in zip(pa, pb)
+                                          for c, d in zip(a, b))
+               for pa, pb in zip(P.parts, Q.parts))
+
+
+def tuple_distance(P, Q):
+    worst = 0.0
+    for pa, pb in zip(P.parts, Q.parts):
+        if not pa and not pb:
+            continue
+        if not pa or not pb:
+            worst = max(worst, 1.0)
+            continue
+        dist = [[math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p, q))) for q in pb]
+                for p in pa]
+        worst = max(worst, max(min(row) for row in dist), max(min(col) for col in zip(*dist)))
+    return worst
+
+
+def cluster_pairs(parts_list):
+    return [(Cluster(p, dim=1), TupleCluster(p)) for p in parts_list]
+
+
+def oracle_clusters():
+    """Exact Fibonacci windows (anchored and not) and float lattice clusters."""
+    fib = fibonacci_cut_project()
+    exact = []
+    for lo, w in ((0, 5), (-3, 2), (1.5, 4), (2, 1.7), (7, 6), (-9, 3), (30, 5), (41.2, 3)):
+        patch = fib.window(Interval(lo, lo + w))
+        exact.append(patch.parts)
+        a = patch.as_cluster().anchor_point()[0]
+        exact.append([[(p[0] - a,) for p in part] for part in patch.parts])
+    rng = np.random.default_rng(8)
+    floats = [[[(float(c),) for c in rng.integers(-4, 5, rng.integers(0, 4))] for _ in range(2)]
+              for _ in range(30)]
+    floats += [[[(0.0,), (1.0 + 1e-10,), (1.0,)], [(2.5,)]], [[(0.0,), (3.0,)], []]]
+    return cluster_pairs(exact), cluster_pairs([p for p in floats if any(p)])
+
+
+def test_array_cluster_matches_tuple_reference():
+    for pairs in oracle_clusters():
+        for P, T in pairs:
+            assert P.parts == T.parts
+            assert P.anchor_point() == T.anchor_point()
+            assert P.anchor_color() == T.anchor_color()
+            for v in (0.5, -2.0) + ((QuadNum(1, -1, GOLDEN), QuadNum(-3, 2, GOLDEN)) if P.exact else ()):
+                assert P.translate((v,)).parts == T.translate((v,)).parts
+        for (P, T), (Q, U) in itertools.product(pairs, repeat=2):
+            assert (P.signature() == Q.signature()) == (T.signature() == U.signature())
+            assert match_clusters(P, Q) == tuple_match(T, U)
+            assert cluster_distance(P, Q) == tuple_distance(T, U)
+            assert (P == Q) == tuple_eq(T, U)

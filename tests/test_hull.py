@@ -201,6 +201,30 @@ def test_match_predicate_matches_scalar_reference():
     assert seen == {True, False}
 
 
+def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch):
+    # every epsilon hull_metric tries, through the cache its calls share,
+    # including slabs empty on both sides (True) or on one side (False)
+    import pointspec.hull as hull
+
+    calls, real = [], hull._match_predicate
+
+    def record(p1, p2, eps, tol=TOL_EQ, cache=None):
+        calls.append((p1, p2, eps, real(p1, p2, eps, tol, cache)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(hull, "_match_predicate", record)
+    z, fib, sparse, pz = integer_lattice(), fibonacci_cut_project(), integer_lattice(10.0), poisson_source(1.0, seed=3)
+    pairs = [(fib, TranslatedSource(fib, h)) for h in (halton(6) * 40.0).tolist()] + [
+        (z, TranslatedSource(z, 0.1)), (fib, z), (sparse, TranslatedSource(sparse, 5.0)),
+        (TranslatedSource(sparse, 5.0), TranslatedSource(sparse, 5.5)), (pz, TranslatedSource(pz, 0.02))]
+    for s1, s2 in pairs:
+        for grid in (0.05, 0.01):
+            hull_metric(s1, s2, eps_grid=grid)
+    assert {result for *_, result in calls} == {True, False}
+    for p1, p2, eps, result in calls:
+        assert result == scalar_match_predicate(p1, p2, eps), eps
+
+
 class _CountingSource:
     """A source that counts its window queries."""
 
@@ -377,6 +401,36 @@ def test_cylinder_kernel_matches_scalar_oracle_on_partition_cell_ends():
                 if assert_kernel_matches_oracle(patch, cell.cylinder())]
         assert len(hits) == 1
         assert part.locate(patch) == hits
+
+
+def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
+    # one search per pinned cluster decides all its cells: compare with the
+    # per-cell scalar oracle on float patches, at random offsets and with
+    # the offset g on a cell end (as floats)
+    fib = fibonacci_cut_project()
+    part = build_partition_1d(fib, 3.0, 0.2)
+    master = fib.window(Interval(-60, 60))
+    offsets = (halton(40) * 300.0).tolist()
+    for cell in part.cells[::3]:
+        color = cell.pinned.anchor_color()
+        v = (master.positions(color)[master.occurrences(cell.pinned)[0]]
+             - cell.pinned.positions(color)[0])
+        offsets += [v + float(cell.window.lo), v + float(cell.window.hi)]
+    cases = [(part, [TranslatedSource(fib, h).window(Interval(-16, 16)) for h in offsets])]
+    for z, R, delta in ((integer_lattice(), 1.0, 0.3), (integer_lattice(2.0), 1.5, 0.7),
+                        (integer_lattice(1.0, colors=2), 1.0, 0.3)):
+        lat = build_partition_1d(z, R, delta, scan_length=200)
+        ends = [float(e) for c in lat.cells for e in (c.window.lo, c.window.hi)]
+        cases.append((lat, [TranslatedSource(z, h).window(Interval(-8, 8))
+                            for h in ends + (halton(20) * 3.0).tolist()]))
+    hits = 0
+    for p, patches in cases:
+        for patch in patches:
+            want = [k for k, cell in enumerate(p.cells)
+                    if scalar_cylinder_contains(patch, cell.cylinder())]
+            assert p.locate(patch) == want
+            hits += len(want)
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,64 @@ def test_window_exact_just_inside_coordinate_bound(lo, hi):
         assert (d.a, d.b) in ((1, 0), (0, 1))
 
 
+def fraction_window(src, region):
+    """Reference (a, b, color) triples decided by exact comparisons alone:
+    x = a + b*tau against the closed region's ends as Fractions, 10**-9
+    outward, and x* against each acceptance window's ends."""
+    (lo, hi), = region.bounds()
+    f, slack = src.field, Fraction(1, 10 ** 9)
+    span = f.tau - f.tau_conj  # x - x* = b * span, and x* lies in [-1, 1)
+    out = []
+    for b in range(math.floor((lo - 2) / span), math.ceil((hi + 2) / span) + 1):
+        a0 = math.floor(-b * f.tau_conj)
+        for a in range(a0 - 4, a0 + 5):
+            x = QuadNum(a, b, f)
+            if Fraction(lo) - slack <= x <= Fraction(hi) + slack:
+                out += [(a, b, i) for i, w in enumerate(src.spec.windows)
+                        if w.lo <= x.conj() < w.hi][:1]
+    return sorted(out)
+
+
+def former_band_ties(iv, x, exact, tol=TOL_EQ):
+    """The scalar tie-breaks Interval.mask made with its former guard band,
+    2**-46 times (largest magnitude + 1 + |end|), each end deciding the
+    points still inside exactly."""
+    tau = 0.0 if exact.field is None else exact.field.tau
+    scale = (np.abs(exact.a).max(initial=0) + tau * np.abs(exact.b).max(initial=0)) / exact.den + 1
+    exact_ends = all(isinstance(c, (int, Fraction, QuadNum)) for c in (iv.lo, iv.hi))
+    inside, n = np.ones(len(x), dtype=bool), 0
+    for end, sense, closed in ((iv.lo, 1, iv.closed_lo), (iv.hi, -1, iv.closed_hi)):
+        step = 0 if exact_ends else (-sense if closed else sense)
+        bound = float(end) + step * tol
+        guard = 2.0 ** -46 * (scale + abs(bound))
+        n += int((inside & (np.abs(sense * (x - bound)) <= guard)).sum())
+        xend = (end if exact_ends else Fraction(end)) + step * Fraction(repr(tol))
+        for k in np.flatnonzero(inside):
+            v = exact.value(k)
+            inside[k] = (v >= xend if closed else v > xend) if sense > 0 else (v <= xend if closed else v < xend)
+    return n
+
+
+def test_far_windows_match_a_fraction_oracle_with_fewer_ties(monkeypatch):
+    from pointspec import geometry
+
+    signs, calls = [], []
+    real_sign, real_mask = geometry.exact_sign, Interval.mask
+
+    def mask(iv, x, exact=None, tol=TOL_EQ):
+        if exact is not None:
+            calls.append(former_band_ties(iv, np.asarray(x, dtype=float).reshape(-1), exact, tol))
+        return real_mask(iv, x, exact, tol)
+
+    monkeypatch.setattr(geometry, "exact_sign", lambda c: signs.append(1) or real_sign(c))
+    monkeypatch.setattr(Interval, "mask", mask)
+    for lo in (1e12, -1e12 - 40, 1e15, -1e15 - 40):
+        region = Interval(lo, lo + 40)
+        got = window_triples(FIB[2], region)
+        assert len(got) > 20 and got == fraction_window(FIB[2], region)
+    assert len(signs) < sum(calls)
+
+
 @pytest.mark.parametrize("lo, hi", [(COORD_MAX - 40, math.nextafter(COORD_MAX, math.inf)),
                                     (-math.nextafter(COORD_MAX, math.inf), -COORD_MAX + 40)])
 def test_window_beyond_coordinate_bound_raises(lo, hi):
