@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, as_float, coord_key, is_exact_coord
-from pointspec.geometry import Interval, MultiSetPatch, cluster_1d
+from pointspec.geometry import ClusterSearch, Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
     CylinderSpec,
@@ -253,6 +253,23 @@ def test_sample_orbit_identity_and_shift():
     assert np.allclose(patches[1].positions(0), [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
 
 
+def test_sample_orbit_cuts_the_translated_windows():
+    # each sample is the window TranslatedSource opens: the same float bytes
+    # and the same exact values, for float and exact offsets alike
+    fib, comb = fibonacci_cut_project(), integer_lattice(colors=2)
+    region = Interval(-16, 16, True, False)
+    for src, offsets in ((fib, (halton(60) * 500.0).tolist() + [QuadNum(3, -1, GOLDEN), QuadNum(-5, 4, GOLDEN)]),
+                         (comb, (halton(30) * 7.0).tolist())):
+        for h, patch in zip(offsets, sample_orbit(src, offsets, region)):
+            want = TranslatedSource(src, h).window(region)
+            assert patch.region == want.region
+            for i in range(src.m):
+                assert patch.positions(i).tobytes() == want.positions(i).tobytes()
+                q, r = patch.exact_positions(i), want.exact_positions(i)
+                assert (q is None) == (r is None)
+                assert q is None or (q.a.tolist(), q.b.tolist(), q.den) == (r.a.tolist(), r.b.tolist(), r.den)
+
+
 def test_sample_orbit_consistency():
     fib = fibonacci_cut_project()
     region = Interval(-20, 20)
@@ -334,6 +351,23 @@ def assert_kernel_matches_oracle(patch, cyl):
     assert patch.occurrences(P).tolist() == occ
     assert _count_in_patch(patch, P) == len(occ)
     return want
+
+
+def test_cluster_search_matches_one_cluster_at_a_time():
+    # clusters anchored in either colour, some with no points of a colour,
+    # searched together, each within its own translate bounds
+    fib = fibonacci_cut_project()
+    patch = fib.window(Interval(-40, 40))
+    clusters = [fib.window(Interval(lo, lo + w)).as_cluster() for lo, w in ((0, 3), (2.5, 1.2), (-7, 4.4))]
+    clusters += [cluster_1d([0.0], []), cluster_1d([], [0.0]), cluster_1d([0.0, 2.618033988749895], []),
+                 cluster_1d([], [0.0, 3.618033988749895]), cluster_1d([0.0], [1.618033988749895])]
+    bounds = [(-np.inf, np.inf), (-20.0, 5.0), (-3.5, 30.0), (0.0, 0.0)]
+    lo, hi = zip(*(bounds[k % len(bounds)] for k in range(len(clusters))))
+    k, j = ClusterSearch(clusters).search(patch, lo, hi)
+    assert np.all(np.diff(k) >= 0)
+    for c, P in enumerate(clusters):
+        assert j[k == c].tolist() == scalar_occurrences(patch, P, lo[c], hi[c])
+    assert len(set(k.tolist())) > 3
 
 
 def test_cylinder_kernel_matches_scalar_oracle_exact_fibonacci():
