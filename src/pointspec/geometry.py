@@ -356,7 +356,8 @@ class MultiSetPatch:
 
     def colour_major(self):
         """(positions, colors) of every point, colour by colour."""
-        return np.concatenate(self._pos), np.repeat(np.arange(self.m), [len(p) for p in self._pos])
+        x = np.concatenate(self._pos) if self.m else np.empty(0)
+        return x, np.repeat(np.arange(self.m), [len(p) for p in self._pos])
 
 
     def _support(self):
@@ -489,7 +490,7 @@ class Cluster(MultiSetPatch):
         """Hashable identity key: the exact values, or the floats on a TOL_EQ grid."""
         if self._sig is None:
             values = (_exact_key(QuadArray.concat(self._exact)) if self.exact
-                      else (np.round(np.concatenate(self._pos) / TOL_EQ) + 0.0).tobytes())
+                      else (np.round(self.colour_major()[0] / TOL_EQ) + 0.0).tobytes())
             self._sig = (self.dim, tuple(map(len, self._pos)), self.exact, values)
         return self._sig
 
@@ -501,7 +502,7 @@ class Cluster(MultiSetPatch):
             return False
         if self.exact and other.exact:
             return self.signature() == other.signature()
-        diff = np.concatenate(self._pos) - np.concatenate(other._pos)
+        diff = self.colour_major()[0] - other.colour_major()[0]
         return bool(np.all(np.abs(diff) <= TOL_EQ))
 
     def __hash__(self):
@@ -589,13 +590,13 @@ class ClusterSearch:
         if any(P.is_empty() for P in clusters):
             raise ValueError("cannot count the empty cluster")
         self.clusters = list(clusters)
-        self.color = np.array([P.anchor_color() for P in clusters])
+        self.color = np.array([P.anchor_color() for P in clusters], dtype=np.int64)
         self.anchor = np.array([P.positions(c)[0] for P, c in zip(clusters, self.color)])
         self.groups = [(i, np.flatnonzero(self.color == i)) for i in np.unique(self.color)]
         # per colour: each cluster's points but its anchor, as the rows of one
         # array padded by repeating them, and how many there are
         self.others = []
-        for i in range(clusters[0].m):
+        for i in range(clusters[0].m if clusters else 0):
             parts = [P.positions(i)[int(c == i):] for P, c in zip(clusters, self.color)]
             width = max(map(len, parts))
             self.others.append((np.array([p[np.arange(width) % len(p)] if len(p)

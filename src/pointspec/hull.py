@@ -253,8 +253,8 @@ class _Cylinders:
         self.vhi = np.array([as_float(cyl.window.hi) for cyl in self.cylinders])
         sup = [np.concatenate([cyl.cluster.positions(i) for i in range(cyl.cluster.m)])
                for cyl in self.cylinders]
-        self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi)),
-                              float(np.max([p.max() for p in sup] - self.vlo)))
+        self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi, initial=np.inf)),
+                              float(np.max([p.max() for p in sup] - self.vlo, initial=-np.inf)))
         self.search = ClusterSearch([cyl.cluster for cyl in self.cylinders])
 
     def hits(self, patch: MultiSetPatch, tol: float = TOL_EQ) -> np.ndarray:

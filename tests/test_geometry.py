@@ -310,3 +310,10 @@ def test_array_cluster_matches_tuple_reference():
             assert match_clusters(P, Q) == tuple_match(T, U)
             assert cluster_distance(P, Q) == tuple_distance(T, U)
             assert (P == Q) == tuple_eq(T, U)
+
+
+def test_empty_clusters_compare_and_hash():
+    for empty in (Cluster([]), cluster_1d([], [])):
+        assert empty == Cluster([[] for _ in range(empty.m)])
+        assert hash(empty) == hash(Cluster([[] for _ in range(empty.m)]))
+        assert empty.is_empty() and empty.anchor_point() is None

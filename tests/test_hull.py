@@ -8,6 +8,7 @@ from pointspec.geometry import ClusterSearch, Interval, MultiSetPatch, cluster_1
 from pointspec.hull import (
     METRIC_CAP,
     CylinderSpec,
+    HullPartition,
     IncompletePartitionError,
     PatchTooSmallError,
     build_partition_1d,
@@ -469,6 +470,11 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
 
 # ---------------------------------------------------------------------------
 # partition
+
+
+def test_partition_without_cells_locates_nothing():
+    empty = HullPartition(cells=[], radius=1.0, delta=0.5, representatives=[])
+    assert empty.locate(integer_lattice().window(Interval(-3, 3))) == []
 
 
 def test_partition_lattice_cells():
