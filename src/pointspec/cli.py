@@ -80,6 +80,13 @@ def _number(sub, key, default, typ=float):
                           % (key, "a list of numbers" if many else "a number", v))
 
 
+def _positive(sub, key, default):
+    v = _number(sub, key, default)
+    if not v > 0:
+        raise ConfigError("%r must be positive, not %r" % (key, v))
+    return v
+
+
 def _section(cfg, name):
     """cfg[name], a JSON object ({} when absent)."""
     sub = cfg.get(name, {})
@@ -171,7 +178,7 @@ def cmd_generate(args, cfg):
 def cmd_classes(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "classes")
-    R = _number(sub, "R", 1.0)
+    R = _positive(sub, "R", 1.0)
     scan = _region_1d(sub.get("scan", [0, 200]))
     table = enumerate_cluster_classes(src, R, scan)
     rows = []
@@ -209,7 +216,7 @@ def cmd_autocorr(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "autocorr")
     spec = _van_hove(cfg, dim=src.dim)
-    radius = _number(sub, "radius", 10.0)
+    radius = _positive(sub, "radius", 10.0)
     n = _number(sub, "n", spec.schedule()[-1])
     w = _weights(cfg, src.m)
     method = sub.get("method", "both")
@@ -241,6 +248,8 @@ def cmd_diffract(args, cfg):
     k_hi = _number(sub, "k_max", 3.0)
     resolution = _number(sub, "resolution", 0.01)
     schedule = _number(sub, "n_schedule", [1000, 2000])
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("'n_schedule' must be increasing, not %r" % (schedule,))
     w = _weights(cfg, src.m)
     est = peak_scan(src, w, (k_lo, k_hi), resolution, schedule, spec)
     out = _outdir(args)
@@ -274,7 +283,7 @@ def cmd_partition(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "partition")
     R = _number(sub, "R", 3.0)
-    delta = _number(sub, "delta", 0.2)
+    delta = _positive(sub, "delta", 0.2)
     part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
     out = _outdir(args)
     with open(out / "partition.json", "w") as fh:
@@ -347,7 +356,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](args, cfg)
-    except ValueError as e:  # a ConfigError, or a value the library rejects as out of range
+    except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ float array sorted by position, shape (N,) in 1D and (N, d) in 2D (d in
 {1, 2}), and an exact patch (1D) also as an aligned QuadArray; `.parts` is a
 read-only scalar view of the same points.  A Cluster, one finite colored
 configuration, is stored the same way: a patch without a region.  Its
-signature is array bytes, and ClusterSearch finds the translates of many
-clusters in a patch at once.
+signature is array bytes, and MultiSetPatch.occurrences finds its translates
+in a patch for all candidate translates at once.
 
 Regions are closed by default (an Interval may be half-open).  Every region
 has one membership test, `mask`, over arrays of points: float ties at an end
@@ -214,9 +214,6 @@ def ranges(starts, stops):
     """Flatten the index ranges [starts[r], stops[r]) into (row, index) arrays,
     row by row and ascending within a row; a range with stop <= start is empty."""
     starts = np.asarray(starts, dtype=np.int64)
-    if len(starts) == 1:  # one range: nothing to flatten
-        idx = np.arange(starts[0], stops[0])
-        return np.zeros(len(idx), dtype=np.int64), idx
     counts = np.maximum(np.asarray(stops, dtype=np.int64) - starts, 0)
     ends = np.cumsum(counts)
     rows = np.repeat(np.arange(len(counts)), counts)
@@ -379,9 +376,7 @@ class MultiSetPatch:
             q = QuadArray.concat(self._exact).shift(vec[0])
             return self._by_colour(1, self.m, q.floats(), col, q)
         shift = np.array([as_float(v) for v in vec])
-        if self.dim == 1:  # adding one float keeps each colour sorted
-            return [p + shift[0] for p in self._pos], None
-        return self._by_colour(self.dim, self.m, x + shift, col)
+        return self._by_colour(self.dim, self.m, x + (shift[0] if self.dim == 1 else shift), col)
 
     def translate(self, vec) -> "MultiSetPatch":
         region = self.region.translate(as_point(vec, self.dim))
@@ -409,12 +404,38 @@ class MultiSetPatch:
         v_j + P inside the patch's point set, v_j = position_j - anchor.
 
         In 1D only translates v_j in [lo - tol, hi + tol] are tried; in 2D
-        every anchor-colour point is a candidate.  Membership is tolerant:
-        sorted search in 1D, a KD-tree in 2D.
+        every anchor-colour point is a candidate.  Membership is tolerant,
+        for every candidate and every point of a colour at once: sorted
+        search in 1D, a KD-tree in 2D.
         """
-        if P._search is None:
-            P._search = ClusterSearch([P])
-        return P._search.search(self, [lo], [hi], tol)[1]
+        if P.is_empty():
+            raise ValueError("cannot count the empty cluster")
+        if P.m != self.m or P.dim != self.dim:
+            raise ValueError("cluster shape does not match the point set")
+        color = P.anchor_color()
+        anchor, base = P.positions(color)[0], self.positions(color)
+        if self.dim == 1:
+            a, b = np.searchsorted(base, [lo + anchor - tol, hi + anchor + tol])
+        elif (lo, hi) != (-math.inf, math.inf):
+            raise NotImplementedError("translate bounds are 1D only")
+        else:
+            a, b = 0, len(base)
+        idx = np.arange(a, b)
+        for i, pos in enumerate(self._pos):
+            others = P.positions(i)[int(i == color):]  # every point but the anchor
+            if not len(idx) or not len(others):
+                continue
+            targets = (base[idx] - anchor)[:, None] + others  # (candidate, point[, axis])
+            if self.dim == 1:
+                hit = in_sorted(pos, targets.ravel(), tol)
+            elif len(pos):
+                from scipy.spatial import cKDTree
+
+                hit = cKDTree(pos).query(targets.reshape(-1, self.dim), k=1)[0] <= tol
+            else:
+                hit = np.zeros(targets.size, dtype=bool)
+            idx = idx[hit.reshape(len(idx), -1).all(axis=1)]
+        return idx
 
 
 class Cluster(MultiSetPatch):
@@ -425,7 +446,7 @@ class Cluster(MultiSetPatch):
     it.  Immutable once built.
     """
 
-    __slots__ = ("_anchor", "_sig", "_search")
+    __slots__ = ("_anchor", "_sig")
 
     def __init__(self, parts, dim=None):
         """parts: per colour, points as d-tuples (scalars in 1D) of floats or
@@ -462,7 +483,7 @@ class Cluster(MultiSetPatch):
         MultiSetPatch.__init__(self, None, dim, pos, exact)
         self._anchor = min((i for i, p in enumerate(pos) if len(p)), default=None,
                            key=lambda i: np.atleast_1d(pos[i][0]).tolist())
-        self._sig = self._search = None
+        self._sig = None
 
     def is_empty(self) -> bool:
         return self._anchor is None
@@ -521,12 +542,10 @@ def _distinct(x, q) -> np.ndarray:
     if q is not None:  # exact equality is transitive: compare with the predecessor
         keep[1:] = (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
         return keep
-    d = np.abs(np.diff(x, axis=0))
-    if ((d if x.ndim == 1 else d.max(axis=1, initial=0)) <= TOL_EQ).any():
-        last = 0  # a run of near-duplicates can drift past TOL_EQ
-        for k in range(1, len(x)):
-            keep[k] = np.abs(x[k] - x[last]).max() > TOL_EQ
-            last = k if keep[k] else last
+    last = 0  # a run of near-duplicates can drift past TOL_EQ
+    for k in range(1, len(x)):
+        keep[k] = np.abs(x[k] - x[last]).max() > TOL_EQ
+        last = k if keep[k] else last
     return keep
 
 
@@ -577,75 +596,6 @@ def cluster_distance(P: Cluster, Q: Cluster) -> float:
     return worst
 
 
-class ClusterSearch:
-    """The translates of several clusters inside a patch, found together.
-
-    Cluster k is tried at every v = x - anchor_k, x a patch point of its
-    anchor colour (in 1D only v in [lo_k - tol, hi_k + tol]); v + P_k lies
-    in the patch when every other point of P_k has a patch point of its
-    colour within tol: sorted search in 1D, a KD-tree in 2D.
-    """
-
-    def __init__(self, clusters):
-        if any(P.is_empty() for P in clusters):
-            raise ValueError("cannot count the empty cluster")
-        self.clusters = list(clusters)
-        self.color = np.array([P.anchor_color() for P in clusters], dtype=np.int64)
-        self.anchor = np.array([P.positions(c)[0] for P, c in zip(clusters, self.color)])
-        self.groups = [(i, np.flatnonzero(self.color == i)) for i in np.unique(self.color)]
-        # per colour: each cluster's points but its anchor, as the rows of one
-        # array padded by repeating them, and how many there are
-        self.others = []
-        for i in range(clusters[0].m if clusters else 0):
-            parts = [P.positions(i)[int(c == i):] for P, c in zip(clusters, self.color)]
-            width = max(map(len, parts))
-            self.others.append((np.array([p[np.arange(width) % len(p)] if len(p)
-                                          else np.zeros((width,) + p.shape[1:]) for p in parts]),
-                                np.array([len(p) for p in parts])))
-
-    def search(self, patch: MultiSetPatch, lo, hi, tol: float = TOL_EQ):
-        """(k, j) pairs, ordered by k then j: cluster k occurs at translate
-        patch.positions(color_k)[j] - anchor_k.  lo, hi: the translate
-        bounds of each cluster (infinite in 2D)."""
-        if any(P.m != patch.m or P.dim != patch.dim for P in self.clusters):
-            raise ValueError("cluster shape does not match the point set")
-        base = [patch.positions(i) for i in range(patch.m)]
-        a = np.zeros(len(self.color), dtype=np.int64)
-        b = np.array([len(base[c]) for c in self.color], dtype=np.int64)
-        if patch.dim == 1:
-            lo, hi = np.asarray(lo) + self.anchor - tol, np.asarray(hi) + self.anchor + tol
-            for i, mine in self.groups:  # the clusters anchored in colour i
-                a[mine] = np.searchsorted(base[i], lo[mine])
-                b[mine] = np.searchsorted(base[i], hi[mine])
-        elif np.isfinite(np.concatenate([lo, hi])).any():
-            raise NotImplementedError("translate bounds are 1D only")
-        k, j = ranges(a, b)  # candidate j of cluster k, indexing its anchor colour
-        if len(self.groups) == 1:
-            cand = base[self.groups[0][0]][j] - self.anchor[k]
-        else:
-            first = np.cumsum([0] + [len(p) for p in base])
-            cand = np.concatenate(base)[first[self.color][k] + j] - self.anchor[k]
-        for pos, (others, count) in zip(base, self.others):
-            if not len(k):
-                break
-            if not others.shape[1]:
-                continue
-            targets = cand[:, None] + (others[k] if len(others) > 1 else others)  # all pairs
-            targets = targets.reshape(-1) if patch.dim == 1 else targets.reshape(-1, patch.dim)
-            if patch.dim == 1:
-                hit = in_sorted(pos, targets, tol)
-            else:
-                from scipy.spatial import cKDTree
-
-                hit = (cKDTree(pos).query(targets, k=1)[0] <= tol if len(pos)
-                       else np.zeros(len(targets), dtype=bool))
-            ok = hit.reshape(len(k), -1).all(axis=1)
-            if not count.all():  # clusters without points of this colour
-                ok |= count[k] == 0
-            k, j, cand = k[ok], j[ok], cand[ok]
-        return k, j
-
-
 # ---------------------------------------------------------------------------
 # FLC class enumeration and Delone parameters
 
@@ -678,11 +628,16 @@ def _find_equivalent(reps, rep, tol: float = TOL_EQ):
 def first_labels(table) -> tuple:
     """Label the equal rows of a 2D integer table in order of first
     appearance: (each label's first row, each row's label)."""
-    rows = table[:, 0] if table.shape[1] == 1 else table  # one column sorts as plain integers
-    _, first, label = np.unique(rows, axis=None if rows.ndim == 1 else 0,
-                                return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[label.ravel()]
+    order = np.lexsort(table.T[::-1])  # stable: equal rows keep their order
+    rows = table[order]
+    head = np.ones(len(order), dtype=bool)  # the first of each run of equal rows
+    head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first = order[head]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    label = np.empty(len(order), dtype=np.int64)
+    label[order] = rank[np.cumsum(head) - 1]
+    return np.sort(first), label
 
 
 def distinct_windows(rows, columns, n: int, extra=()):

@@ -22,9 +22,7 @@ import numpy as np
 
 from .coords import TOL_EQ, QuadArray, as_float, coord_key
 from .geometry import (
-    Box,
     Cluster,
-    ClusterSearch,
     Interval,
     MultiSetPatch,
     cluster_distance,
@@ -56,7 +54,7 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ, cache: dict = None) -> bool:
+def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
 
@@ -65,22 +63,13 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ, cache: dic
     delta = x - y comes from a matched pair of near-origin points (or the
     empty-window case); for a fixed delta the feasible x form an interval
     minus the closed L-balls around mismatched points, which is checked by
-    interval coverage.  All deltas are decided together on arrays.  cache,
-    a dict the calls on one pair of patches share, keeps per delta the
-    pairs of points within tol of set 1 and set 2 moved by delta.
+    interval coverage.  All deltas are decided together on arrays.
     """
     L = 1.0 / eps
-    cache = {} if cache is None else cache
-    if cache.get("reach", -1.0) < L + 4 * eps:  # the patches cover what earlier calls needed
-        near = Interval(-(L + 4 * eps), L + 4 * eps)
-        if not (patch1.region.covers(near) and patch2.region.covers(near)):
-            raise ValueError("patches on %s and %s do not cover %s"
-                             % (patch1.region, patch2.region, near))
-        cache["reach"] = L + 4 * eps
-    if "sets" not in cache:  # per patch: positions, colours and keys, colour by colour
-        cache["sets"] = [(x, c, complex_keys(c, x))
-                         for x, c in (w.colour_major() for w in (patch1, patch2))]
-    (x1, c1, _), (x2, c2, k2) = cache["sets"]
+    near = Interval(-(L + 4 * eps), L + 4 * eps)
+    if not (patch1.region.covers(near) and patch2.region.covers(near)):
+        raise ValueError("patches on %s and %s do not cover %s" % (patch1.region, patch2.region, near))
+    (x1, c1), (x2, c2) = patch1.colour_major(), patch2.colour_major()
     lo, hi = -L - eps - tol, L + eps + tol  # the slab: lo <= x < hi
     in1 = (x1 >= lo) & (x1 < hi)
     any1, any2 = in1.any(), ((x2 >= lo) & (x2 < hi)).any()
@@ -91,7 +80,7 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ, cache: dic
 
     # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - tol, t + 2 eps + tol)
     t = x1[in1]
-    r, u = _near(c1[in1], t - 2 * eps - tol, t + 2 * eps + tol, k2)
+    r, u = _near(c1[in1], t - 2 * eps - tol, t + 2 * eps + tol, complex_keys(c2, x2))
     deltas = np.sort(t[r] - x2[u])
     if not len(deltas):
         return False
@@ -102,20 +91,16 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ, cache: dic
     if not len(deltas):
         return False
 
-    # set 2 moved by each delta (row), and its pairs (a, b) within tol of set 1
-    keys = deltas.tolist()
-    for d in keys:
-        if d not in cache:
-            moved = x2 + d
-            a, b = _near(c1, x1 - 2 * tol, x1 + 2 * tol, complex_keys(c2, moved))
-            close = np.abs(moved[b] - x1[a]) <= tol
-            cache[d] = moved, a[close], b[close]
-    moved, a, b = (np.concatenate(v) for v in zip(*(cache[d] for d in keys)))
-    row = np.repeat(np.arange(len(keys)), len(x2))
-    b += np.repeat(np.arange(len(keys)) * len(x2), [len(cache[d][2]) for d in keys])
+    # set 2 moved by each delta (row), and its pairs (b, a) within tol of set 1
+    row = np.repeat(np.arange(len(deltas)), len(x2))
+    moved = (deltas[:, None] + x2).ravel()
+    b, a = _near(c2[np.arange(len(moved)) % len(x2)], moved - 2 * tol, moved + 2 * tol,
+                 complex_keys(c1, x1))
+    close = np.abs(moved[b] - x1[a]) <= tol
+    a, b = a[close], b[close]
     in2 = (moved >= lo) & (moved < hi)
     # mismatched points: slab points with no partner in the other slab
-    matched1 = np.zeros((len(keys), len(x1)), dtype=bool)
+    matched1 = np.zeros((len(deltas), len(x1)), dtype=bool)
     matched1[row[b[in2[b]]], a[in2[b]]] = True
     matched2 = np.zeros(len(moved), dtype=bool)
     matched2[b[in1[a]]] = True
@@ -170,14 +155,13 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
     floor = max(eps_grid / 2.0, 1e-4)
     near = metric_window(eps_grid, cap)
     p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
-    cache = {}
-    if not _match_predicate(p1, p2, cap, cache=cache):
+    if not _match_predicate(p1, p2, cap):
         return MetricBracket(lower=cap, upper=cap, eps_grid=eps_grid)
     hi = cap  # known true
     lo = None  # known false, > all true
     eps = cap / 2.0
     while eps > floor:
-        if _match_predicate(p1, p2, eps, cache=cache):
+        if _match_predicate(p1, p2, eps):
             hi = eps
             eps /= 2.0
         else:
@@ -187,7 +171,7 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
         return MetricBracket(lower=0.0, upper=hi, eps_grid=eps_grid)
     while hi - lo > eps_grid:
         mid = 0.5 * (lo + hi)
-        if _match_predicate(p1, p2, mid, cache=cache):
+        if _match_predicate(p1, p2, mid):
             hi = mid
         else:
             lo = mid
@@ -195,17 +179,24 @@ def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CA
 
 
 def sample_orbit(source, offsets, region):
-    """The translates -h + Lambda on region, one patch per offset h, each
-    cut exactly from one window of the source over all translated regions:
-    the same points as TranslatedSource(source, h).window(region)."""
+    """The translates -h + Lambda on region, one patch per offset h: the
+    same points as TranslatedSource(source, h).window(region).  In 1D they
+    are cut from one window per run of translated regions lying within one
+    region width of each other, so no window spans a wide gap."""
     shifts = [tuple(h) if isinstance(h, (tuple, list)) else (h,) for h in offsets]
     moved = [region.translate(h) for h in shifts]
-    if not moved:
-        return []
-    bounds = np.array([r.bounds() for r in moved])
-    lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
-    master = source.window(Interval(lo[0], hi[0]) if source.dim == 1 else Box(tuple(lo), tuple(hi)))
-    return [master.restrict(r).translate(tuple(-c for c in h)) for r, h in zip(moved, shifts)]
+    if source.dim != 1 or not moved:
+        patches = [source.window(r) for r in moved]
+    else:
+        patches = [None] * len(moved)
+        lo, hi = np.array([r.bounds()[0] for r in moved]).T
+        order = np.argsort(lo, kind="stable")
+        gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
+        for run in np.split(order, np.flatnonzero(gap) + 1):
+            master = source.window(Interval(lo[run].min(), hi[run].max()))
+            for k in run.tolist():
+                patches[k] = master.restrict(moved[k])
+    return [p.translate(tuple(-c for c in h)) for p, h in zip(patches, shifts)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +231,10 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_
 class _Cylinders:
     """Cylinders X_{P,V} decided together, patch by patch (1D).
 
-    One ClusterSearch over their clusters finds, per cylinder, the
-    occurrences v_j = q_j - anchor with -v_j near V; Interval.mask decides
-    their g = anchor - q_j, exactly when the patch and P are exact.
+    Cylinders with the same cluster P form one group.  One occurrences
+    search per group finds the v_j = q_j - anchor with -v_j near any of its
+    windows; Interval.mask decides each window V on g_j = anchor - q_j,
+    exactly when the patch and P are exact.
     """
 
     def __init__(self, cylinders):
@@ -251,32 +243,38 @@ class _Cylinders:
             raise ValueError("cylinder cluster must be nonempty")
         self.vlo = np.array([as_float(cyl.window.lo) for cyl in self.cylinders])
         self.vhi = np.array([as_float(cyl.window.hi) for cyl in self.cylinders])
-        sup = [np.concatenate([cyl.cluster.positions(i) for i in range(cyl.cluster.m)])
-               for cyl in self.cylinders]
+        sup = [cyl.cluster.colour_major()[0] for cyl in self.cylinders]
         self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi, initial=np.inf)),
                               float(np.max([p.max() for p in sup] - self.vlo, initial=-np.inf)))
-        self.search = ClusterSearch([cyl.cluster for cyl in self.cylinders])
+        self.shapes = {(cyl.cluster.dim, cyl.cluster.m) for cyl in self.cylinders}
+        groups = {}  # equal exact values and float bytes: one search serves all
+        for c, cyl in enumerate(self.cylinders):
+            groups.setdefault((cyl.cluster.signature(), sup[c].tobytes()), (cyl.cluster, []))[1].append(c)
+        # per group: its cluster, its cylinders, and the translate bounds of their windows
+        self.groups = [(P, c, -self.vhi[c].max(), -self.vlo[c].min()) for P, c in groups.values()]
 
     def hits(self, patch: MultiSetPatch, tol: float = TOL_EQ) -> np.ndarray:
         """For each cylinder, whether the patch lies in it."""
-        if any(cyl.cluster.dim != patch.dim or cyl.cluster.m != patch.m for cyl in self.cylinders):
+        if self.shapes - {(patch.dim, patch.m)}:
             raise ValueError("cluster shape does not match the patch")
         if patch.dim != 1:
             raise NotImplementedError("cylinder decision is 1D in this build")
         if not patch.region.covers(self.reach, tol):
             raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
                                      % (patch.region, self.reach))
-        k, j = self.search.search(patch, -self.vhi, -self.vlo, tol)
         hits = np.zeros(len(self.cylinders), dtype=bool)
-        ends = np.searchsorted(k, np.arange(len(hits) + 1))
-        for c in np.flatnonzero(ends[1:] > ends[:-1]).tolist():
-            cyl, color, q = self.cylinders[c], self.search.color[c], j[ends[c]:ends[c + 1]]
-            if patch.exact and cyl.cluster.exact:
-                g = (-patch.exact_positions(color)[q]).shift(cyl.cluster.anchor_point()[0])
-                hits[c] = cyl.window.mask(g.floats(), g, tol).any()
+        for P, members, lo, hi in self.groups:
+            color = P.anchor_color()
+            j = patch.occurrences(P, lo, hi, tol)
+            if not len(j):
+                continue
+            if patch.exact and P.exact:
+                g = (-patch.exact_positions(color)[j]).shift(P.anchor_point()[0])
+                gf = g.floats()
             else:
-                g = self.search.anchor[c] - patch.positions(color)[q]
-                hits[c] = cyl.window.mask(g, tol=tol).any()
+                g, gf = None, P.positions(color)[0] - patch.positions(color)[j]
+            for c in members:
+                hits[c] = self.cylinders[c].window.mask(gf, g, tol).any()
         return hits
 
 
@@ -471,13 +469,9 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     def event(k):  # event 2j is p_j - R, event 2j + 1 is p_j + R (exact where p_j is)
         return value(k // 2) + Rex if k % 2 else value(k // 2) - Rex
 
-    if q is not None and q.den != 1:
-        ev = np.array([as_float(event(k)) for k in range(2 * len(vals))])
-    else:  # float(p -+ R) as the scalar events round it
-        a = vals if q is None else q.a
-        ev = np.stack([a - R, a + R], axis=1).ravel()
-        if q is not None and q.field is not None:
-            ev += np.repeat(q.b * q.field.tau, 2)
+    # float(p -+ R), rounded as float() rounds each scalar event
+    ev = np.stack([vals - R, vals + R] if q is None else [q.shift(-Rex).floats(), q.shift(Rex).floats()],
+                  axis=1).ravel()
     order = np.argsort(ev, kind="stable")
     order = order[(ev[order] >= t0 - TOL_EQ) & (ev[order] <= t1 + TOL_EQ)]
     evs, last = [], -math.inf
@@ -548,12 +542,11 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
         eta = delone_params(source, Interval(0.0, 400.0)).eta
     if not (vlen < eta):
         raise ValueError("diam(V) = %.6g must be < eta = %.6g" % (vlen, eta))
-    P = cyl.cluster
-    sup = P.support()
-    reach = max(abs(as_float(p[0])) for p in sup) + max(abs(as_float(V.lo)), abs(as_float(V.hi)))
+    P, color = cyl.cluster, cyl.cluster.anchor_color()
+    reach = float(np.abs(P.colour_major()[0]).max()) + max(abs(as_float(V.lo)), abs(as_float(V.hi)))
     lo, hi = offset - n, offset + n
     patch = source.window(Interval(lo - reach - 1.0, hi + reach + 1.0))
-    positions = patch.positions(P.anchor_color())[patch.occurrences(P)] - as_float(sup[0][0])
+    positions = patch.positions(color)[patch.occurrences(P)] - P.positions(color)[0]
     vlo, vhi = as_float(V.lo), as_float(V.hi)
     starts = positions + vlo
     stops = positions + vhi

@@ -126,10 +126,7 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets,
     schedule = spec.schedule()
     n_max = schedule[-1]
     span = max(max(abs(as_float(c)) for c in o) for o in offsets)
-    sup = P.support()
-    reach = max(
-        (max(abs(as_float(c)) for c in p) for p in sup), default=0.0
-    )
+    reach = float(np.abs(P.colour_major()[0]).max(initial=0.0))
     master_region = spec.region(n_max + span + reach + 1.0)
     patch = source.window(master_region)
 

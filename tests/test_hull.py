@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, as_float, coord_key, is_exact_coord
-from pointspec.geometry import ClusterSearch, Interval, MultiSetPatch, cluster_1d
+from pointspec.geometry import Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
     CylinderSpec,
@@ -203,14 +203,14 @@ def test_match_predicate_matches_scalar_reference():
 
 
 def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch):
-    # every epsilon hull_metric tries, through the cache its calls share,
-    # including slabs empty on both sides (True) or on one side (False)
+    # every epsilon hull_metric tries, including slabs empty on both sides
+    # (True) or on one side (False)
     import pointspec.hull as hull
 
     calls, real = [], hull._match_predicate
 
-    def record(p1, p2, eps, tol=TOL_EQ, cache=None):
-        calls.append((p1, p2, eps, real(p1, p2, eps, tol, cache)))
+    def record(p1, p2, eps, tol=TOL_EQ):
+        calls.append((p1, p2, eps, real(p1, p2, eps, tol)))
         return calls[-1][-1]
 
     monkeypatch.setattr(hull, "_match_predicate", record)
@@ -227,13 +227,14 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
 
 
 class _CountingSource:
-    """A source that counts its window queries."""
+    """A source that counts its window queries and keeps their regions."""
 
     def __init__(self, base):
-        self.base, self.dim, self.m, self.calls = base, base.dim, base.m, 0
+        self.base, self.dim, self.m, self.calls, self.regions = base, base.dim, base.m, 0, []
 
     def window(self, region):
         self.calls += 1
+        self.regions.append(region)
         return self.base.window(region)
 
 
@@ -269,6 +270,23 @@ def test_sample_orbit_cuts_the_translated_windows():
                 q, r = patch.exact_positions(i), want.exact_positions(i)
                 assert (q is None) == (r is None)
                 assert q is None or (q.a.tolist(), q.b.tolist(), q.den) == (r.a.tolist(), r.b.tolist(), r.den)
+
+
+def test_sample_orbit_opens_no_window_over_a_gap():
+    # offsets far apart are cut from windows of their own, and each sample
+    # is still the window TranslatedSource opens
+    region = Interval(-16, 16)
+    for base, offsets, runs in ((integer_lattice(), [0.0, 1e6, 5.0, -3e5, 1e6 + 40.0], 3),
+                                (fibonacci_cut_project(), [0.0, 1e12], 2),
+                                (fibonacci_cut_project(), [1e12 + 20.0, 0.0, 1e12, 33.0], 2)):
+        src = _CountingSource(base)
+        patches = sample_orbit(src, offsets, region)
+        assert src.calls == runs
+        assert sum(r.volume() for r in src.regions) <= 2 * region.volume() * len(offsets)
+        for h, patch in zip(offsets, patches):
+            want = TranslatedSource(base, h).window(region)
+            for i in range(base.m):
+                assert patch.positions(i).tobytes() == want.positions(i).tobytes()
 
 
 def test_sample_orbit_consistency():
@@ -354,21 +372,22 @@ def assert_kernel_matches_oracle(patch, cyl):
     return want
 
 
-def test_cluster_search_matches_one_cluster_at_a_time():
+def test_occurrences_match_the_scalar_search_under_bounds():
     # clusters anchored in either colour, some with no points of a colour,
-    # searched together, each within its own translate bounds
+    # each within its own translate bounds
     fib = fibonacci_cut_project()
     patch = fib.window(Interval(-40, 40))
     clusters = [fib.window(Interval(lo, lo + w)).as_cluster() for lo, w in ((0, 3), (2.5, 1.2), (-7, 4.4))]
     clusters += [cluster_1d([0.0], []), cluster_1d([], [0.0]), cluster_1d([0.0, 2.618033988749895], []),
                  cluster_1d([], [0.0, 3.618033988749895]), cluster_1d([0.0], [1.618033988749895])]
     bounds = [(-np.inf, np.inf), (-20.0, 5.0), (-3.5, 30.0), (0.0, 0.0)]
-    lo, hi = zip(*(bounds[k % len(bounds)] for k in range(len(clusters))))
-    k, j = ClusterSearch(clusters).search(patch, lo, hi)
-    assert np.all(np.diff(k) >= 0)
+    found = 0
     for c, P in enumerate(clusters):
-        assert j[k == c].tolist() == scalar_occurrences(patch, P, lo[c], hi[c])
-    assert len(set(k.tolist())) > 3
+        lo, hi = bounds[c % len(bounds)]
+        occ = patch.occurrences(P, lo, hi).tolist()
+        assert occ == scalar_occurrences(patch, P, lo, hi)
+        found += bool(occ)
+    assert found > 3
 
 
 def test_cylinder_kernel_matches_scalar_oracle_exact_fibonacci():
