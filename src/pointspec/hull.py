@@ -350,8 +350,8 @@ class HullPartition:
         return _Cylinders([cell.cylinder() for cell in self.cells])
 
     def locate(self, patch: MultiSetPatch):
-        """Indices of cells whose cylinder contains the patch, all decided
-        by one search of the cells' pinned clusters."""
+        """Indices of cells whose cylinder contains the patch, decided by
+        one search per distinct pinned cluster."""
         return np.flatnonzero(self._cylinders.hits(patch)).tolist()
 
     def to_json(self):
