@@ -18,13 +18,13 @@ from pathlib import Path
 
 from .geometry import Interval, cluster_1d
 from .hull import build_partition_1d, hull_metric
-from .sources import save_patch, source_from_config
+from .output import write_json
+from .sources import patch_to_json, source_from_config
 from .stats import (
     VanHoveSpec,
     default_offsets,
     estimate_frequency,
     write_frequency_csv,
-    write_frequency_json,
 )
 from .spectra import (
     autocorr_direct,
@@ -145,10 +145,8 @@ def _outdir(args):
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, outputs):
-    doc = {"command": command, "config": cfg, "outputs": sorted(outputs)}
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", {"command": command, "config": cfg,
+                                       "outputs": sorted(outputs)})
 
 
 def _region_1d(doc):
@@ -170,7 +168,7 @@ def cmd_generate(args, cfg):
     region = _region_1d(_require(gen, "region", (list, tuple), "'generate'"))
     patch = src.window(region)
     out = _outdir(args)
-    save_patch(patch, out / "points.json", field=getattr(src, "field", None))
+    write_json(out / "points.json", patch_to_json(patch, field=getattr(src, "field", None)))
     _write_manifest(out, "generate", cfg, ["points.json"])
     return 0
 
@@ -188,10 +186,7 @@ def cmd_classes(args, cfg):
             "cluster": rep.to_json(),
         })
     out = _outdir(args)
-    with open(out / "classes.json", "w") as fh:
-        json.dump({"radius": R, "n_classes": table.n_classes, "classes": rows},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "classes.json", {"radius": R, "n_classes": table.n_classes, "classes": rows})
     _write_manifest(out, "classes", cfg, ["classes.json"])
     return 0
 
@@ -204,10 +199,10 @@ def cmd_freq(args, cfg):
     n_off = _number(sub, "offsets", 50, int)
     span = _number(sub, "offset_span", 10.0)
     offsets = [(0.0,)] + list(default_offsets(n_off - 1, span)) if n_off > 1 else [(0.0,)]
-    est = estimate_frequency(src, P, spec, offsets, threads=args.threads)
+    est = estimate_frequency(src, P, spec, offsets)
     out = _outdir(args)
     write_frequency_csv(est, out / "freq.csv")
-    write_frequency_json(est, out / "freq.json")
+    write_json(out / "freq.json", est.to_json())
     _write_manifest(out, "freq", cfg, ["freq.csv", "freq.json"])
     return 0
 
@@ -272,9 +267,7 @@ def cmd_metric(args, cfg):
     eps_grid = _number(sub, "eps_grid", 0.01)
     bracket = hull_metric(src, other, eps_grid=eps_grid)
     out = _outdir(args)
-    with open(out / "metric.json", "w") as fh:
-        json.dump(bracket.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metric.json", bracket.to_json())
     _write_manifest(out, "metric", cfg, ["metric.json"])
     return 0
 
@@ -286,10 +279,8 @@ def cmd_partition(args, cfg):
     delta = _positive(sub, "delta", 0.2)
     part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
     out = _outdir(args)
-    with open(out / "partition.json", "w") as fh:
-        json.dump({"radius": R, "delta": delta, "n_cells": part.n_cells,
-                   "cells": part.to_json()}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "partition.json", {"radius": R, "delta": delta, "n_cells": part.n_cells,
+                                        "cells": part.to_json()})
     _write_manifest(out, "partition", cfg, ["partition.json"])
     return 0
 

@@ -19,7 +19,6 @@ colors on the positive axis, which the test suite checks exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -627,9 +626,3 @@ def region_to_json(region) -> dict:
         return {"kind": "ball", "center": [as_float(c) for c in region.center],
                 "radius": region.radius}
     raise ValueError("unknown region type")
-
-
-def save_patch(patch: MultiSetPatch, path, field: QuadField = None):
-    with open(path, "w") as fh:
-        json.dump(patch_to_json(patch, field=field), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -21,13 +21,15 @@ schedule to be retained.  Smoothing kernels carry closed-form Fourier
 transforms, and the Dworkin check compares the ergodic average of the
 smoothed-density correlation against the smoothed autocorrelation.
 
-All reductions use a fixed-order pairwise tree summation so results do
-not depend on how work is split.
+Every amplitude comes from one kernel, _amplitudes_grid.  Its bits depend
+on the shape of the call (how many k and points it is given), not only on
+k: a batch-independent kernel is open item 2 of ROADMAP.md.  diffract.csv
+is still reproducible, because peak_scan's call shapes are fixed by the
+config.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -35,21 +37,8 @@ import numpy as np
 
 from .coords import TOL_EQ, QuadArray, as_float, coord_key
 from .geometry import Interval, first_labels, float_keys, in_sorted, ranges
+from .output import write_csv
 from .stats import VanHoveSpec
-
-
-def pairwise_sum(arr):
-    """Deterministic pairwise (tree) reduction of a 1D array."""
-    a = np.asarray(arr)
-    if a.size == 0:
-        return a.dtype.type(0) if a.dtype.kind in "fc" else 0.0
-    while a.size > 1:
-        n = a.size
-        if n % 2:
-            a = np.concatenate([a[: n - 1 : 2] + a[1::2], a[-1:]])
-        else:
-            a = a[0::2] + a[1::2]
-    return a[0]
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -190,39 +179,42 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
 
 
 def write_autocorr_csv(measures, path):
-    with open(path, "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(["t", "re_c", "im_c", "method"])
-        for meas in measures:
-            for t, c in meas.items():
-                wcsv.writerow(["%.17g" % t, "%.17g" % c.real, "%.17g" % c.imag, meas.method])
+    write_csv(path, ["t", "re_c", "im_c", "method"],
+              [(t, c.real, c.imag, meas.method) for meas in measures for t, c in meas.items()])
 
 
 # ---------------------------------------------------------------------------
 # exponential sums and peak scan
 
 
-def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float) -> complex:
-    """A_n(k) = (1/Vol F_n) sum over points of w(color) e^{-2 pi i k.x}."""
+def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float):
+    """A_n(k) = (1/Vol F_n) sum over points of w(color) e^{-2 pi i k.x}.
+
+    One k (a number in 1D, a length-d vector in d dimensions) gives a
+    complex; an array of them, shape (K,) or (K, d), gives an array.
+    """
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
-    vol = spec.region(n).volume()
     pos, col = patch.all_positions()
-    if len(pos) == 0:
-        return 0.0 + 0.0j
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    phase = pos @ k if pos.ndim == 2 else pos * k[0]
-    terms = w[col] * np.exp(-2j * np.pi * phase)
-    return complex(pairwise_sum(terms)) / vol
+    k = np.asarray(k, dtype=float)
+    single = k.ndim == (0 if source.dim == 1 else 1)
+    ks = k.reshape(-1) if source.dim == 1 else k.reshape(-1, source.dim)
+    amps = _amplitudes_grid(pos, w[col], ks, spec.region(n).volume())
+    return complex(amps[0]) if single else amps
 
 
 def _amplitudes_grid(pos, wvals, ks, vol):
-    """|A(k)| for many k at once (1D positions), chunked outer products."""
+    """A(k) for each k in ks: (K,) for 1D positions, (K, d) for (N, d) ones.
+
+    The only sum of w e^{-2 pi i k.x} over points: chunked outer products
+    and one matrix-vector product per chunk, so the bits of a row depend
+    on the chunk it falls in.
+    """
     out = np.empty(len(ks), dtype=complex)
     chunk = max(1, int(4e6 // max(len(pos), 1)))
     for s in range(0, len(ks), chunk):
         kk = ks[s: s + chunk]
-        ph = np.exp(-2j * np.pi * np.outer(kk, pos))
+        ph = np.exp(-2j * np.pi * (np.outer(kk, pos) if pos.ndim == 1 else kk @ pos.T))
         out[s: s + chunk] = ph @ wvals
     return out / vol
 
@@ -249,13 +241,9 @@ class DiffractionEstimate:
         return [e for e in self.entries if e.retained]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "re_A", "im_A", "intensity", "n", "retained"])
-            for e in self.entries:
-                w.writerow(["%.17g" % e.k, "%.17g" % e.amplitude.real,
-                            "%.17g" % e.amplitude.imag, "%.17g" % e.intensity,
-                            "%.17g" % e.n, int(e.retained)])
+        write_csv(path, ["k", "re_A", "im_A", "intensity", "n", "retained"],
+                  [(e.k, e.amplitude.real, e.amplitude.imag, e.intensity, float(e.n),
+                    int(e.retained)) for e in self.entries])
 
 
 def _golden_refine(fn, lo, hi, iters=60):
@@ -318,30 +306,23 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     pos1, col1 = patch1.all_positions()
     wv1 = w[col1]
 
+    def fn1(kk):
+        return np.abs(_amplitudes_grid(pos1, wv1, np.asarray(kk, dtype=float), vol1)) ** 2
+
     ks = np.arange(k_lo, k_hi + resolution / 2, resolution)
-    amps = _amplitudes_grid(pos1, wv1, ks, vol1)
-    inten = np.abs(amps) ** 2
+    inten = fn1(ks)
     noise = float(np.median(inten))
     threshold = noise + threshold_bump / vol1 ** 2
 
-    above = inten > threshold
-    cand = []
-    for idx in range(len(ks)):
-        if not above[idx]:
-            continue
-        left = inten[idx - 1] if idx > 0 else -1.0
-        right = inten[idx + 1] if idx + 1 < len(ks) else -1.0
-        if inten[idx] >= left and inten[idx] >= right:
-            cand.append(ks[idx])
+    padded = np.concatenate([[-1.0], inten, [-1.0]])
+    local_max = (inten > threshold) & (inten >= padded[:-2]) & (inten >= padded[2:])
+    cand = list(ks[local_max])
     if seed_from_module:
         cand.extend(module_seed_candidates(source, k_lo, k_hi))
     if not cand:
         return DiffractionEstimate([], (k_lo, k_hi), resolution, list(n_schedule),
                                    threshold, drift_tol)
     cand = np.array(sorted(cand))
-
-    def fn1(kk):
-        return np.abs(_amplitudes_grid(pos1, wv1, np.asarray(kk, dtype=float), vol1)) ** 2
 
     # peaks at n1 have width ~ 1/(2 n1); locate the main lobe on a fine grid
     # first (|A|^2 is not unimodal across a coarse-resolution bracket), then
@@ -353,42 +334,24 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     k0 = cand + offs[np.argmax(fine_int, axis=1)]
     k_star, i_star = _golden_refine(fn1, k0 - fine_step, k0 + fine_step)
 
-    # dedupe refined candidates within half a grid step
-    order = np.argsort(k_star)
-    uniq_k, uniq_i = [], []
-    for idx in order:
-        if uniq_k and abs(k_star[idx] - uniq_k[-1]) < resolution / 2:
-            if i_star[idx] > uniq_i[-1]:
-                uniq_k[-1], uniq_i[-1] = k_star[idx], i_star[idx]
+    # dedupe refined candidates within half a grid step, ascending in k
+    uniq = []
+    for idx in np.argsort(k_star):
+        if uniq and k_star[idx] - k_star[uniq[-1]] < resolution / 2:
+            if i_star[idx] > i_star[uniq[-1]]:
+                uniq[-1] = idx
             continue
-        uniq_k.append(k_star[idx])
-        uniq_i.append(i_star[idx])
-    uniq_k = np.array(uniq_k)
-    prev = np.array(uniq_i)
+        uniq.append(idx)
+    uniq_k, prev = k_star[uniq], i_star[uniq]
     keep = prev > threshold
-
-    entries = []
-    last_amp = None
     for n in n_schedule[1:]:
-        patchn = source.window(spec.region(n))
-        voln = spec.region(n).volume()
-        posn, coln = patchn.all_positions()
-        wvn = w[coln]
-        ampn = _amplitudes_grid(posn, wvn, uniq_k, voln)
-        inten_n = np.abs(ampn) ** 2
+        amps = bragg_amplitude(source, w, uniq_k, spec, n)
+        inten_n = np.abs(amps) ** 2
         keep &= inten_n >= (1.0 - drift_tol) * prev
         prev = inten_n
-        last_amp = ampn
-    n_last = n_schedule[-1]
-    for j in range(len(uniq_k)):
-        entries.append(PeakEntry(
-            k=float(uniq_k[j]),
-            amplitude=complex(last_amp[j]),
-            intensity=float(abs(last_amp[j]) ** 2),
-            n=n_last,
-            retained=bool(keep[j]),
-        ))
-    entries.sort(key=lambda e: e.k)
+    entries = [PeakEntry(k=float(k), amplitude=complex(a), intensity=float(abs(a) ** 2),
+                         n=n_schedule[-1], retained=bool(r))
+               for k, a, r in zip(uniq_k, amps, keep)]
     return DiffractionEstimate(entries, (k_lo, k_hi), resolution, list(n_schedule),
                                threshold, drift_tol)
 
@@ -511,16 +474,17 @@ def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: Smoothin
     if np.max(np.abs(xs)) + 2 * w > autocorr.radius + TOL_EQ:
         raise ValueError("kernel support exceeds the autocorrelation radius at the "
                          "requested x range")
-    items = autocorr.items()
+    items = autocorr.items()  # sorted by t
     ts = np.array([t for t, _ in items])
     cs = np.array([c for _, c in items], dtype=complex)
-    out = np.zeros(len(xs), dtype=complex)
-    for j, x in enumerate(xs):
-        rel = x - ts
-        mask = np.abs(rel) < 2 * w
-        if mask.any():
-            vals = kernel.autocorr(rel[mask])
-            out[j] = np.dot(cs[mask], vals)
+    j, i = ranges(np.searchsorted(ts, xs - 2 * w - TOL_EQ),
+                  np.searchsorted(ts, xs + 2 * w + TOL_EQ))
+    rel = xs[j] - ts[i]
+    near = np.abs(rel) < 2 * w
+    j, terms = j[near], cs[i[near]] * kernel.autocorr(rel[near])
+    out = np.empty(len(xs), dtype=complex)
+    out.real = np.bincount(j, terms.real, len(xs))
+    out.imag = np.bincount(j, terms.imag, len(xs))
     return out
 
 
@@ -553,11 +517,8 @@ class SpectralCheckReport:
         return max((r.rel_diff for r in self.rows), default=0.0)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "lhs", "rhs", "abs_diff", "rel_diff"])
-            for r in self.rows:
-                w.writerow(["%.17g" % v for v in (r.x, r.lhs, r.rhs, r.abs_diff, r.rel_diff)])
+        write_csv(path, ["x", "lhs", "rhs", "abs_diff", "rel_diff"],
+                  [(r.x, r.lhs, r.rhs, r.abs_diff, r.rel_diff) for r in self.rows])
 
 
 def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np.ndarray:
@@ -600,10 +561,9 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     grid = np.arange(-n + quad_step / 2, n, quad_step)
     rho = np.conj(smoothed_density(source, w, kernel, grid))
     rows = []
-    for x in xs:
+    for x, rhs in zip(xs, smoothed_autocorr_profile(ac, kernel, xs)):
         prods = smoothed_density(source, w, kernel, grid + x) * rho
-        lhs = complex(pairwise_sum(prods)) * quad_step / (2.0 * n)
-        rhs = smoothed_autocorr_profile(ac, kernel, [x])[0]
+        lhs = complex(prods.sum()) * quad_step / (2.0 * n)
         abs_diff = abs(lhs - rhs)
         rows.append(DworkinRow(x=x, lhs=float(np.real(lhs)), rhs=float(np.real(rhs)),
                                abs_diff=float(abs_diff),

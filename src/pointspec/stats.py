@@ -8,14 +8,13 @@ all bundled sources keep distinct coordinates far above TOL_EQ.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import TOL_EQ, as_float
 from .geometry import Box, Cluster, Interval, boundary_shell_volume
+from .output import write_csv
 
 
 @dataclass
@@ -78,6 +77,7 @@ class FrequencyEstimate:
     value: float         # point estimate at the largest n
     uniformity_gap: float
     cauchy_gap: float
+    rows: list           # [(n, offset, count, ratio)], n-major
 
     def to_json(self) -> dict:
         return {
@@ -109,71 +109,38 @@ def default_offsets(count: int, span: float, dim: int = 1):
     return [(float(x * span), float(y * span)) for x, y in zip(xs, ys)]
 
 
-def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets,
-                       threads: int = 1) -> FrequencyEstimate:
+def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets) -> FrequencyEstimate:
     """Per-offset, per-n counting ratios L_P(x + F_n)/Vol(F_n).
 
     The point estimate is the offset average at the largest n; the
     uniformity gap (max offset deviation) is the finite UCF diagnostic.
-    Use offsets=[(0,)] for the single-orbit estimator freq'.  Counting
-    is serial: `threads` is accepted for compatibility and changes
-    nothing (a thread pool measured slower, since counting is cheap next
-    to the one master window query).
+    Use offsets=[(0,)] for the single-orbit estimator freq'.
     """
     if not offsets:
         raise ValueError("offsets must be nonempty (use [(0,)] for freq')")
     offsets = [o if isinstance(o, (tuple, list)) else (o,) for o in offsets]
     schedule = spec.schedule()
-    n_max = schedule[-1]
     span = max(max(abs(as_float(c)) for c in o) for o in offsets)
     reach = float(np.abs(P.colour_major()[0]).max(initial=0.0))
-    master_region = spec.region(n_max + span + reach + 1.0)
-    patch = source.window(master_region)
-
-    counts = [_count_in_patch(patch.restrict(spec.region(n).translate(off)), P)
-              for n in schedule for off in offsets]
-
-    per_n = []
-    per_offset_last = []
-    rows = []  # (n, offset, count, ratio)
-    idx = 0
-    for n in schedule:
-        vol = spec.region(n).volume()
-        vals = []
-        for off in offsets:
-            c = counts[idx]
-            idx += 1
-            ratio = c / vol
-            vals.append(ratio)
-            rows.append((n, off, c, ratio))
-            if n == n_max:
-                per_offset_last.append((off, ratio))
-        per_n.append((n, float(np.mean(vals))))
+    patch = source.window(spec.region(schedule[-1] + span + reach + 1.0))
+    counts = np.array([[_count_in_patch(patch.restrict(spec.region(n).translate(off)), P)
+                        for off in offsets] for n in schedule])
+    ratios = counts / np.array([[spec.region(n).volume()] for n in schedule])
+    per_n = [(n, float(np.mean(r))) for n, r in zip(schedule, ratios)]
     value = per_n[-1][1]
-    uniformity_gap = max(abs(r - value) for _, r in per_offset_last)
-    cauchy_gap = abs(per_n[-1][1] - per_n[-2][1]) if len(per_n) >= 2 else 0.0
-    est = FrequencyEstimate(
+    return FrequencyEstimate(
         cluster=P,
         per_n=per_n,
-        per_offset=per_offset_last,
+        per_offset=[(off, float(r)) for off, r in zip(offsets, ratios[-1])],
         value=value,
-        uniformity_gap=uniformity_gap,
-        cauchy_gap=cauchy_gap,
+        uniformity_gap=float(np.abs(ratios[-1] - value).max()),
+        cauchy_gap=abs(per_n[-1][1] - per_n[-2][1]) if len(per_n) >= 2 else 0.0,
+        rows=[(n, off, int(c), float(r)) for n, cs, rs in zip(schedule, counts, ratios)
+              for off, c, r in zip(offsets, cs, rs)],
     )
-    est._rows = rows
-    return est
 
 
 def write_frequency_csv(est: FrequencyEstimate, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "offset", "count", "ratio"])
-        for n, off, c, ratio in est._rows:
-            w.writerow(["%.17g" % n, ";".join("%.17g" % as_float(x) for x in off),
-                        c, "%.17g" % ratio])
-
-
-def write_frequency_json(est: FrequencyEstimate, path):
-    with open(path, "w") as fh:
-        json.dump(est.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["n", "offset", "count", "ratio"],
+              [(float(n), ";".join("%.17g" % as_float(x) for x in off), c, ratio)
+               for n, off, c, ratio in est.rows])

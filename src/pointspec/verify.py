@@ -36,6 +36,7 @@ from .stats import VanHoveSpec, _count_in_patch, estimate_frequency, halton
 from .spectra import (
     autocorr_direct,
     autocorr_from_frequencies,
+    bragg_amplitude,
     dworkin_report,
     peak_scan,
     triangle_kernel,
@@ -307,14 +308,8 @@ def check_negative_controls(fast=False) -> CheckResult:
     n1, n2 = (500, 2000) if fast else (1000, 4000)
     ks = np.linspace(-3, 3, 241)
     ks = ks[np.abs(ks) > 1e-9]
-    p1 = tm.window(spec.region(n1))
-    p2 = tm.window(spec.region(n2))
-    from .spectra import _amplitudes_grid, validate_weights
-    w = validate_weights([1, -1], 2)
-    pos1, col1 = p1.all_positions()
-    pos2, col2 = p2.all_positions()
-    i1 = np.abs(_amplitudes_grid(pos1, w[col1], ks, 2.0 * n1)) ** 2
-    i2 = np.abs(_amplitudes_grid(pos2, w[col2], ks, 2.0 * n2)) ** 2
+    i1 = np.abs(bragg_amplitude(tm, [1, -1], ks, spec, n1)) ** 2
+    i2 = np.abs(bragg_amplitude(tm, [1, -1], ks, spec, n2)) ** 2
     ratios = i2 / np.maximum(i1, 1e-300)
     tm_ok = bool(np.max(ratios) < 0.8)
 

@@ -7,6 +7,7 @@ from pointspec.geometry import Interval, in_sorted, ranges
 from pointspec.sources import (
     fibonacci_cut_project,
     integer_lattice,
+    lattice_source,
     poisson_source,
     thue_morse_source,
 )
@@ -17,7 +18,6 @@ from pointspec.spectra import (
     bragg_amplitude,
     cosine_kernel,
     dworkin_correlation,
-    pairwise_sum,
     peak_scan,
     plateau_kernel,
     smoothed_autocorr_profile,
@@ -29,17 +29,6 @@ from pointspec.spectra import (
 
 SPEC = VanHoveSpec()
 TAU = (1 + 5 ** 0.5) / 2
-
-
-def test_pairwise_sum_matches_fsum():
-    import math
-
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=1337) * 10.0 ** rng.integers(-3, 3, size=1337)
-    assert pairwise_sum(x) == pytest.approx(math.fsum(x), rel=1e-12)
-    z = x + 1j * x[::-1]
-    s = pairwise_sum(z)
-    assert s.real == pytest.approx(math.fsum(z.real), rel=1e-12)
 
 
 def test_validate_weights():
@@ -296,6 +285,36 @@ def test_bragg_amplitude_examples():
     assert abs(a1 - a2) < 1e-3  # Cauchy check across n
 
 
+def test_bragg_amplitude_one_k_or_many():
+    z = integer_lattice()
+    one = bragg_amplitude(z, [1], 0.25, SPEC, 100)
+    many = bragg_amplitude(z, [1], np.array([0.0, 0.25]), SPEC, 100)
+    assert type(one) is complex and many.shape == (2,)
+    assert many[1] == pytest.approx(one)
+    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    spec2 = VanHoveSpec(n0=20, dim=2)
+    n = 20
+    origin = bragg_amplitude(z2, [1], (0.0, 0.0), spec2, n)
+    assert type(origin) is complex
+    assert origin == pytest.approx(((2 * n + 1) / (2 * n)) ** 2)
+    grid = bragg_amplitude(z2, [1], np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.0]]), spec2, n)
+    assert grid.shape == (3,)
+    assert grid[0] == pytest.approx(origin)
+    assert grid[1] == pytest.approx(origin)  # a dual-lattice vector
+    assert grid[2] == pytest.approx((2 * n + 1) / (2 * n) ** 2)  # alternating rows cancel
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "comb"])
+def test_peak_scan_amplitudes_are_bragg_amplitudes(name):
+    src, w = {"fibonacci": (fibonacci_cut_project(), [1, 1]),
+              "comb": (integer_lattice(1.0, colors=2), [1, -1])}[name]
+    schedule = [500, 1000]
+    est = peak_scan(src, w, (-1.6, 1.6), 0.01, schedule)
+    assert est.entries
+    amps = bragg_amplitude(src, w, np.array([e.k for e in est.entries]), SPEC, schedule[-1])
+    assert [e.amplitude for e in est.entries] == list(amps)  # bit for bit
+
+
 def test_peak_scan_lattice_integers():
     est = peak_scan(integer_lattice(), [1], (-3, 3), 0.01, [500, 1000])
     ks = sorted(e.k for e in est.retained())
@@ -336,6 +355,22 @@ def test_smoothed_profile_lattice_value():
     kern = triangle_kernel(0.4)  # s < 0.5: only the t = x term overlaps
     val = smoothed_autocorr_profile(meas, kern, [1.0])[0]
     assert val.real == pytest.approx(kern.l2_norm_sq(), rel=2e-3)
+
+
+def test_smoothed_profile_matches_per_x_loop():
+    fib = fibonacci_cut_project()
+    meas = autocorr_from_frequencies(fib, [1, 1j], 6.0, SPEC, 500)
+    kern = cosine_kernel(0.7)
+    xs = np.linspace(-4.0, 4.0, 37)
+    items = meas.items()
+    ts = np.array([t for t, _ in items])
+    cs = np.array([c for _, c in items])
+    want = []
+    for x in xs:
+        mask = np.abs(x - ts) < 2 * kern.half_width
+        want.append(np.dot(cs[mask], kern.autocorr(x - ts[mask])) if mask.any() else 0j)
+    got = smoothed_autocorr_profile(meas, kern, xs)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_smoothed_profile_radius_guard():

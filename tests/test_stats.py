@@ -151,12 +151,20 @@ def test_boundary_sandwich():
         assert lower - 1e-9 <= J <= upper + 1e-9
 
 
-def test_threaded_frequency_identical():
+def test_frequency_rows_are_the_count_table():
     fib = fibonacci_cut_project()
     spec = VanHoveSpec(n0=125, doublings=2)
     P = cluster_1d([0.0], [])
     offs = default_offsets(8, 10.0)
-    serial = estimate_frequency(fib, P, spec, offs, threads=1)
-    threaded = estimate_frequency(fib, P, spec, offs, threads=4)
-    assert serial.per_n == threaded.per_n
-    assert serial.per_offset == threaded.per_offset
+    est = estimate_frequency(fib, P, spec, offs)
+    schedule = spec.schedule()
+    assert [(n, off) for n, off, _, _ in est.rows] == [(n, o) for n in schedule for o in offs]
+    for n, off, count, ratio in est.rows:
+        assert count == count_cluster(fib, P, spec.region(n).translate(off))
+        assert ratio == count / spec.region(n).volume()
+    table = [[r for _, _, _, r in est.rows[i * len(offs):(i + 1) * len(offs)]]
+             for i in range(len(schedule))]
+    assert est.per_n == [(n, float(np.mean(rs))) for n, rs in zip(schedule, table)]
+    assert est.per_offset == list(zip(offs, table[-1]))
+    assert est.value == est.per_n[-1][1]
+    assert est.uniformity_gap == max(abs(r - est.value) for r in table[-1])
