@@ -237,6 +237,8 @@ def cmd_autocorr(args, cfg):
 
 def cmd_diffract(args, cfg):
     src = _source(cfg, seed=args.seed)
+    if src.dim != 1:
+        raise ConfigError("diffract needs a 1D source, not dim=%d" % src.dim)
     sub = _section(cfg, "diffract")
     spec = _van_hove(cfg, dim=src.dim)
     k_lo = _number(sub, "k_min", -3.0)

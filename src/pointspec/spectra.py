@@ -21,22 +21,24 @@ schedule to be retained.  Smoothing kernels carry closed-form Fourier
 transforms, and the Dworkin check compares the ergodic average of the
 smoothed-density correlation against the smoothed autocorrelation.
 
-Every amplitude comes from one kernel, _amplitudes_grid.  Its bits depend
-on the shape of the call (how many k and points it is given), not only on
-k: a batch-independent kernel is open item 2 of ROADMAP.md.  diffract.csv
-is still reproducible, because peak_scan's call shapes are fixed by the
-config.
+Every amplitude comes from one kernel, _amplitudes_grid, whose bits depend
+on the call's shape, not only on k (a batch-independent kernel is open item
+2 of ROADMAP.md).  diffract.csv is reproducible because peak_scan's call
+shapes are fixed by the config; reused golden-section phase rows keep every
+shape.  Of its decisions only the fine-grid argmax is certified
+(_fine_argmax); the coarse grid, golden section and schedule are exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coords import TOL_EQ, QuadArray, as_float, coord_key
-from .geometry import Interval, first_labels, float_keys, in_sorted, ranges
+from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, ranges
 from .output import write_csv
 from .stats import VanHoveSpec
 
@@ -213,10 +215,17 @@ def _amplitudes_grid(pos, wvals, ks, vol):
     out = np.empty(len(ks), dtype=complex)
     chunk = max(1, int(4e6 // max(len(pos), 1)))
     for s in range(0, len(ks), chunk):
-        kk = ks[s: s + chunk]
-        ph = np.exp(-2j * np.pi * (np.outer(kk, pos) if pos.ndim == 1 else kk @ pos.T))
-        out[s: s + chunk] = ph @ wvals
+        out[s: s + chunk] = _phases(ks[s: s + chunk], pos) @ wvals
     return out / vol
+
+
+def _phases(ks, pos):
+    """e(-k.x) per k and point, the bits of np.exp(-2j*np.pi*kx) built in place:
+    that argument is +0 + (0 + fl(-2 pi kx))i, and exp(+0) = 1 exactly."""
+    ph = np.zeros((len(ks), len(pos)), dtype=complex)
+    np.multiply(np.outer(ks, pos) if pos.ndim == 1 else ks @ pos.T, -2 * np.pi, out=ph.imag)
+    ph.imag += 0.0  # -0.0 -> +0.0, as the complex product rounds it
+    return np.exp(ph, out=ph)
 
 
 @dataclass
@@ -250,19 +259,70 @@ def _golden_refine(fn, lo, hi, iters=60):
     """Golden-section maximization of fn on [lo, hi] (vectorized over rows)."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(iters):
         swap = fc < fd
         a = np.where(swap, c, a)
         b = np.where(~swap, d, b)
-        c_new = b - invphi * (b - a)
-        d_new = a + invphi * (b - a)
-        c, d = c_new, d_new
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
         fc, fd = fn(c), fn(d)
     mid = 0.5 * (a + b)
     return mid, fn(mid)
+
+
+def _reusing_intensity(pos, wvals, vol, rows):
+    """fn(k) = np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2, bit for bit, `rows` k a
+    call.  A row whose k bits it had in one of the last six calls (kept up to
+    4e6 terms, one chunk) copies that phase row instead of calling exp."""
+    hist = deque(maxlen=min(6, int(4e6 // max(rows * len(pos), 1))))
+
+    def fn(kk):
+        if not hist.maxlen:
+            return np.abs(_amplitudes_grid(pos, wvals, kk, vol)) ** 2
+        ph, todo = np.empty((rows, len(pos)), dtype=complex), np.ones(rows, dtype=bool)
+        for k_old, ph_old in hist:
+            hit = todo & (k_old.view(np.int64) == kk.view(np.int64))
+            ph[hit], todo = ph_old[hit], todo & ~hit
+        ph[todo] = _phases(kk[todo], pos)
+        hist.append((kk, ph))
+        return np.abs(ph @ wvals / vol) ** 2
+    return fn
+
+
+def _certified_argmax(approx, bound, exact_rows):
+    """Row argmax of the exact values approx estimates within bound; rows whose
+    top two are within 2 bound take it from exact_rows(row indices)."""
+    best = np.argmax(approx, axis=1)
+    unsure = np.flatnonzero(np.ptp(np.sort(approx, axis=1)[:, -2:], axis=1) <= 2 * bound)
+    if unsure.size:
+        best[unsure] = np.argmax(exact_rows(unsure), axis=1)
+    return best
+
+
+def _fine_argmax(pos, wvals, vol, cand, offs):
+    """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it.
+
+    Factorized, |(W o e(-c x)) e(-o x)^T|^2 / vol^2, it takes one exp per
+    (row, point) and per (offset, point) and one GEMM.  With u = 2^-53,
+    S1 = sum|w|, Sx = sum|w||x| and kappa >= |c| + |o|, to first order vol |dA|
+    gathers 6 pi u kappa Sx per side (the roundings of k.x, or c.x and o.x,
+    of 2 pi and of their product), 2 pi u kappa Sx for k = fl(c + o), 2 sqrt2
+    u S1 per sincos (1 ulp per component; three) and for the product with w,
+    2 sqrt2 N u S1 per gamma_2N sum (gemv, GEMM) and 2u S1 per division by vol
+    (a product with fl(1/vol)).  Doubled for the dropped O(N u^2) terms,
+    E = 2u(14 pi kappa Sx + (4 sqrt2 N + 16) S1) / vol; with M = S1/vol + E,
+    B = 2 M E + 10 u M^2 (|.|^2 twice).  A row whose top two are over 2B apart
+    keeps its argmax; the others take theirs from the one-call evaluation.
+    """
+    u, aw = 2.0 ** -53, np.abs(wvals)
+    s1, sx, kappa = float(aw.sum()), float(aw @ np.abs(pos)), abs(cand).max() + abs(offs).max()
+    err = 2 * u * (14 * np.pi * kappa * sx + (4 * math.sqrt(2) * len(pos) + 16) * s1) / vol
+    m = s1 / vol + err
+    approx = np.abs((_phases(cand, pos) * wvals) @ _phases(offs, pos).T / vol) ** 2
+    ks = (cand[:, None] + offs).ravel()
+    return _certified_argmax(approx, 2 * m * err + 10 * u * m * m, lambda rows: (
+        np.abs(_amplitudes_grid(pos, wvals, ks, vol)) ** 2).reshape(approx.shape)[rows])
 
 
 def module_seed_candidates(source, k_lo: float, k_hi: float, coeff_bound: int = 12):
@@ -292,6 +352,8 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     previous schedule entry's value.  Exact cut-project sources also seed
     candidates from their Fourier module.
     """
+    if source.dim != 1:
+        raise ValueError("peak_scan needs a 1D source")
     if len(n_schedule) < 2:
         raise ValueError("n_schedule needs at least two entries")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
@@ -305,12 +367,8 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     vol1 = spec.region(n1).volume()
     pos1, col1 = patch1.all_positions()
     wv1 = w[col1]
-
-    def fn1(kk):
-        return np.abs(_amplitudes_grid(pos1, wv1, np.asarray(kk, dtype=float), vol1)) ** 2
-
     ks = np.arange(k_lo, k_hi + resolution / 2, resolution)
-    inten = fn1(ks)
+    inten = np.abs(_amplitudes_grid(pos1, wv1, ks, vol1)) ** 2
     noise = float(np.median(inten))
     threshold = noise + threshold_bump / vol1 ** 2
 
@@ -329,9 +387,8 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     # golden-section inside one fine step
     fine_step = 0.25 / (2.0 * n1)
     offs = np.arange(-resolution, resolution + fine_step / 2, fine_step)
-    fine_ks = (cand[:, None] + offs[None, :]).ravel()
-    fine_int = fn1(fine_ks).reshape(len(cand), len(offs))
-    k0 = cand + offs[np.argmax(fine_int, axis=1)]
+    k0 = cand + offs[_fine_argmax(pos1, wv1, vol1, cand, offs)]
+    fn1 = _reusing_intensity(pos1, wv1, vol1, len(cand))
     k_star, i_star = _golden_refine(fn1, k0 - fine_step, k0 + fine_step)
 
     # dedupe refined candidates within half a grid step, ascending in k
@@ -522,11 +579,11 @@ class SpectralCheckReport:
 
 
 def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np.ndarray:
-    """rho_omega(y) = sum_points w(color) omega(y - point) on a grid."""
+    """rho_omega(y) = sum_points w(color) omega(y - point) on a grid (source or covering patch)."""
     w = validate_weights(w, source.m)
-    lo, hi = float(grid[0]), float(grid[-1])
     hw = kernel.half_width
-    patch = source.window(Interval(lo - hw - 1.0, hi + hw + 1.0))
+    patch = source if isinstance(source, MultiSetPatch) else \
+        source.window(Interval(float(grid[0]) - hw - 1.0, float(grid[-1]) + hw + 1.0))
     step = grid[1] - grid[0]
     pos = [patch.positions(i) for i in range(patch.m)]
     col = np.repeat(np.arange(patch.m), [len(p) for p in pos])
@@ -559,10 +616,11 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     ac = autocorr_from_frequencies(source, w, radius, spec, n)
     quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20 for radius-s kernels
     grid = np.arange(-n + quad_step / 2, n, quad_step)
-    rho = np.conj(smoothed_density(source, w, kernel, grid))
+    patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
+    rho = np.conj(smoothed_density(patch, w, kernel, grid))
     rows = []
     for x, rhs in zip(xs, smoothed_autocorr_profile(ac, kernel, xs)):
-        prods = smoothed_density(source, w, kernel, grid + x) * rho
+        prods = smoothed_density(patch, w, kernel, grid + x) * rho
         lhs = complex(prods.sum()) * quad_step / (2.0 * n)
         abs_diff = abs(lhs - rhs)
         rows.append(DworkinRow(x=x, lhs=float(np.real(lhs)), rhs=float(np.real(rhs)),

@@ -218,6 +218,9 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("metric", {"source": {"type": "lattice"}, "metric": 3}),
     ("partition", {"source": {"type": "lattice"}, "partition": [0]}),
     ("freq", {"source": {"type": "lattice"}, "van_hove": "x"}),
+    # a source peak_scan cannot scan
+    ("diffract", {"source": {"type": "lattice", "basis": [[1, 0], [0, 1]]},
+                  "diffract": {"n_schedule": [10, 20]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

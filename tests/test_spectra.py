@@ -8,6 +8,7 @@ from pointspec.sources import (
     fibonacci_cut_project,
     integer_lattice,
     lattice_source,
+    period_doubling_source,
     poisson_source,
     thue_morse_source,
 )
@@ -345,6 +346,176 @@ def test_peak_scan_validates_schedule():
         peak_scan(integer_lattice(), [1], (-1, 1), 0.01, [1000, 500])
 
 
+def test_peak_scan_needs_a_1d_source():
+    with pytest.raises(ValueError, match="1D source"):
+        peak_scan(lattice_source([[1.0, 0.0], [0.0, 1.0]]), [1], (-1, 1), 0.01, [10, 20])
+
+
+def complex_exp_grid(pos, wvals, ks, vol):
+    """The amplitude kernel as it was written before phases were built in place."""
+    out = np.empty(len(ks), dtype=complex)
+    chunk = max(1, int(4e6 // max(len(pos), 1)))
+    for s in range(0, len(ks), chunk):
+        kk = ks[s: s + chunk]
+        ph = np.exp(-2j * np.pi * (np.outer(kk, pos) if pos.ndim == 1 else kk @ pos.T))
+        out[s: s + chunk] = ph @ wvals
+    return out / vol
+
+
+def test_amplitude_kernel_matches_the_complex_exp_formula():
+    rng = np.random.default_rng(3)
+    pos = np.concatenate([[0.0], np.sort(rng.uniform(-500, 500, 1000))])  # a point at 0
+    wvals = rng.normal(size=len(pos)) + 1j * rng.normal(size=len(pos))
+    ks = np.concatenate([[0.0, -0.0, 0.5], rng.uniform(-3, 3, 4500)])  # two chunks
+    got = spectra._amplitudes_grid(pos, wvals, ks, 1000.0)
+    assert got.tobytes() == complex_exp_grid(pos, wvals, ks, 1000.0).tobytes()
+    phases = np.exp(-2j * np.pi * np.outer(ks[:40], pos))
+    assert spectra._phases(ks[:40], pos).tobytes() == phases.tobytes()  # signed zeros too
+    pos2 = np.concatenate([[[0.0, 0.0]], rng.uniform(-20, 20, (400, 2))])
+    ks2 = np.concatenate([[[0.0, 0.0], [-0.0, 1.0]], rng.uniform(-3, 3, (60, 2))])
+    got2 = spectra._amplitudes_grid(pos2, wvals[:401], ks2, 1600.0)
+    assert got2.tobytes() == complex_exp_grid(pos2, wvals[:401], ks2, 1600.0).tobytes()
+
+
+def golden_refine_loop(fn, lo, hi, iters=60):
+    """The golden-section loop, kept as the reference run on the exact kernel."""
+    invphi = (5 ** 0.5 - 1) / 2
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        swap = fc < fd
+        a = np.where(swap, c, a)
+        b = np.where(~swap, d, b)
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = fn(c), fn(d)
+    mid = 0.5 * (a + b)
+    return mid, fn(mid)
+
+
+GOLDEN_CASES = {
+    "fibonacci": (fibonacci_cut_project(), [1, 1]),
+    "period-doubling": (period_doubling_source(), [1, -1]),
+    "poisson": (poisson_source(1.0, seed=7), [1]),
+    "Z": (integer_lattice(), [1]),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
+    src, w = GOLDEN_CASES[name]
+    n1 = 300
+    patch = src.window(SPEC.region(n1))
+    pos, col = patch.all_positions()
+    wvals, vol = np.asarray(w, dtype=complex)[col], SPEC.region(n1).volume()
+    k0 = np.concatenate([np.linspace(-3, 3, 37), [1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5]])
+    step = 0.25 / (2.0 * n1)
+
+    def exact(kk):
+        return np.abs(spectra._amplitudes_grid(pos, wvals, np.asarray(kk, dtype=float), vol)) ** 2
+    want = golden_refine_loop(exact, k0 - step, k0 + step)
+    rows = []
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases", lambda ks, p: rows.append(len(ks)) or phases(ks, p))
+    fn = spectra._reusing_intensity(pos, wvals, vol, len(k0))
+    got = spectra._golden_refine(fn, k0 - step, k0 + step)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert sum(rows) < 0.8 * 123 * len(k0)  # reuse happened
+    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # past the history's budget
+    assert spectra._reusing_intensity(pos, wvals, vol, len(many))(many).tobytes() == \
+        exact(many).tobytes()
+
+
+def capture_fine_grids(monkeypatch, scans):
+    """(approx, bound, exact table, certified argmax) of every fine grid the scans run."""
+    seen = []
+    certified = spectra._certified_argmax
+
+    def spy(approx, bound, exact_rows):
+        best = certified(approx, bound, exact_rows)
+        seen.append((approx, bound, exact_rows(np.arange(len(approx))), best))
+        return best
+    monkeypatch.setattr(spectra, "_certified_argmax", spy)
+    for src, w, schedule in scans:
+        peak_scan(src, w, (-2, 2), 0.01, schedule)
+    monkeypatch.undo()
+    return seen
+
+
+def test_fine_grid_bound_holds_and_noise_inside_it_changes_no_argmax(monkeypatch):
+    seen = capture_fine_grids(monkeypatch, [
+        (fibonacci_cut_project(), [1, 0.3 + 0.7j], [300, 600]),
+        (poisson_source(1.0, seed=7), [1], [300, 600]),
+        (period_doubling_source(), [1, -1], [300, 600]),
+    ])
+    rng = np.random.default_rng(5)
+    for approx, bound, exact, best in seen:
+        assert 0 < bound < 1e-9
+        assert np.abs(approx - exact).max() <= bound
+        assert list(best) == list(np.argmax(exact, axis=1))
+        for noise in (bound, -bound, rng.uniform(-bound, bound, approx.shape)):
+            got = spectra._certified_argmax(approx + noise, bound, lambda rows: exact[rows])
+            assert list(got) == list(best)
+
+
+def test_fallback_rows_get_the_one_call_bits(monkeypatch):
+    n1 = 300
+    patch = fibonacci_cut_project().window(SPEC.region(n1))
+    pos, col = patch.all_positions()
+    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(n1).volume()
+    step = 0.25 / (2.0 * n1)
+    cand, offs = np.linspace(-2.5, 2.5, 250), np.arange(-0.01, 0.01 + step / 2, step)
+    one_call = np.abs(spectra._amplitudes_grid(pos, wvals, (cand[:, None] + offs).ravel(), vol))
+    one_call = (one_call ** 2).reshape(len(cand), len(offs))
+    assert len(one_call.ravel()) > 4e6 // len(pos)  # more than one chunk
+    tables = []
+    certified = spectra._certified_argmax
+
+    def spy(approx, bound, exact_rows):
+        tables.append((exact_rows(np.arange(len(cand))), exact_rows(np.array([187, 0, 249]))))
+        return certified(approx, np.inf, exact_rows)
+    monkeypatch.setattr(spectra, "_certified_argmax", spy)
+    best = spectra._fine_argmax(pos, wvals, vol, cand, offs)
+    (every, some), = tables
+    assert every.tobytes() == one_call.tobytes()
+    assert some.tobytes() == one_call[[187, 0, 249]].tobytes()
+    assert list(best) == list(np.argmax(one_call, axis=1))
+
+
+def test_near_tie_row_takes_the_exact_fallback():
+    bound = 1e-12
+    approx = np.array([[0.5, 0.5 + 1.5 * bound, 0.1],    # margin under 2B
+                       [0.5, 0.5 + 3.0 * bound, 0.1]])   # margin past 2B
+    asked = []
+
+    def exact_rows(rows):
+        asked.extend(rows)
+        return np.array([[0.5 + 2 * bound, 0.5, 0.1]])
+    assert list(spectra._certified_argmax(approx, bound, exact_rows)) == [0, 1]
+    assert asked == [0]
+
+
+def test_unbounded_error_sends_every_row_to_the_exact_chunks(monkeypatch, tmp_path):
+    from pointspec.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"source": {"type": "fibonacci"}, "diffract": '
+                   '{"k_min": -1, "k_max": 1, "resolution": 0.01, "n_schedule": [200, 400]}}')
+    assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    fell_back = []
+    certified = spectra._certified_argmax
+
+    def spy(approx, bound, exact_rows):  # the bound forced to +inf
+        return certified(approx, np.inf, lambda rows: fell_back.append(len(rows) == len(approx))
+                         or exact_rows(rows))
+    monkeypatch.setattr(spectra, "_certified_argmax", spy)
+    assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert fell_back == [True]
+    assert (tmp_path / "a" / "diffract.csv").read_bytes() == \
+        (tmp_path / "b" / "diffract.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # smoothing and the Dworkin identity
 
@@ -423,6 +594,22 @@ def test_dworkin_fibonacci():
     kern = triangle_kernel(0.4)
     row = dworkin_correlation(fib, [1, 1], kern, TAU, SPEC, 4000)
     assert row.rel_diff <= 0.02
+
+
+def test_dworkin_report_windows_each_source_once(monkeypatch):
+    fib, kern, xs = fibonacci_cut_project(), triangle_kernel(0.4), [-1.3, 0.2, 2.9]
+    windows = []
+    fib_window = fib.window
+    monkeypatch.setattr(fib, "window", lambda region: windows.append(region) or fib_window(region))
+    report = spectra.dworkin_report(fib, [1, 1], kern, xs, SPEC, 300)
+    monkeypatch.undo()
+    assert len(windows) == 2  # the autocorrelation measure and the density patch
+    quad_step = 0.8 / 40.0
+    grid = np.arange(-300 + quad_step / 2, 300, quad_step)
+    rho = np.conj(smoothed_density(fib, [1, 1], kern, grid))  # one window per x, as before
+    for x, row in zip(xs, report.rows):
+        lhs = complex((smoothed_density(fib, [1, 1], kern, grid + x) * rho).sum())
+        assert row.lhs == float(np.real(lhs * quad_step / 600.0))
 
 
 def test_dworkin_report_csv(tmp_path):
