@@ -6,7 +6,9 @@ resolved config next to its outputs; re-running from a manifest
 reproduces the outputs byte for byte (no timestamps, fixed float
 formatting, deterministic seeds).
 
-Exit codes: 0 ok, 2 config error, 3 numerical check failure.
+Exit codes: 0 ok, 3 numerical check failure, 2 config error: a config that
+cannot be read or parsed, or any value the library rejects (its ValueError or
+NotImplementedError; the library alone checks values).
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ def _number(sub, key, default, typ=float):
                           % (key, "a list of numbers" if many else "a number", v))
 
 
-def _positive(sub, key, default):
-    v = _number(sub, key, default)
-    if not v > 0:
-        raise ConfigError("%r must be positive, not %r" % (key, v))
-    return v
-
-
 def _section(cfg, name):
     """cfg[name], a JSON object ({} when absent)."""
     sub = cfg.get(name, {})
@@ -119,7 +114,7 @@ def _weights(cfg, m):
 def _make_source(doc, seed):
     try:
         return source_from_config(doc, seed=seed)
-    except (TypeError, ValueError) as e:  # SourceError is a ValueError
+    except TypeError as e:  # a config value of the wrong JSON type
         raise ConfigError(str(e))
 
 
@@ -176,7 +171,7 @@ def cmd_generate(args, cfg):
 def cmd_classes(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "classes")
-    R = _positive(sub, "R", 1.0)
+    R = _number(sub, "R", 1.0)
     scan = _region_1d(sub.get("scan", [0, 200]))
     table = enumerate_cluster_classes(src, R, scan)
     rows = []
@@ -211,7 +206,7 @@ def cmd_autocorr(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "autocorr")
     spec = _van_hove(cfg, dim=src.dim)
-    radius = _positive(sub, "radius", 10.0)
+    radius = _number(sub, "radius", 10.0)
     n = _number(sub, "n", spec.schedule()[-1])
     w = _weights(cfg, src.m)
     method = sub.get("method", "both")
@@ -237,16 +232,12 @@ def cmd_autocorr(args, cfg):
 
 def cmd_diffract(args, cfg):
     src = _source(cfg, seed=args.seed)
-    if src.dim != 1:
-        raise ConfigError("diffract needs a 1D source, not dim=%d" % src.dim)
     sub = _section(cfg, "diffract")
     spec = _van_hove(cfg, dim=src.dim)
     k_lo = _number(sub, "k_min", -3.0)
     k_hi = _number(sub, "k_max", 3.0)
     resolution = _number(sub, "resolution", 0.01)
     schedule = _number(sub, "n_schedule", [1000, 2000])
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("'n_schedule' must be increasing, not %r" % (schedule,))
     w = _weights(cfg, src.m)
     est = peak_scan(src, w, (k_lo, k_hi), resolution, schedule, spec)
     out = _outdir(args)
@@ -278,7 +269,7 @@ def cmd_partition(args, cfg):
     src = _source(cfg, seed=args.seed)
     sub = _section(cfg, "partition")
     R = _number(sub, "R", 3.0)
-    delta = _positive(sub, "delta", 0.2)
+    delta = _number(sub, "delta", 0.2)
     part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
     out = _outdir(args)
     write_json(out / "partition.json", {"radius": R, "delta": delta, "n_cells": part.n_cells,
@@ -349,7 +340,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         return COMMANDS[args.command](args, cfg)
-    except ConfigError as e:
+    except (ValueError, NotImplementedError) as e:  # ConfigError is a ValueError
         print("config error: %s" % e, file=sys.stderr)
         return 2
 

@@ -202,17 +202,13 @@ def as_float(c) -> float:
 
 def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
     """Equality: exact when both coordinates are exact, |.| <= tol otherwise."""
-    if _is_exact(c1) and _is_exact(c2):
+    if is_exact_coord(c1) and is_exact_coord(c2):
         return c1 == c2
     return abs(float(c1) - float(c2)) <= tol
 
 
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, QuadNum))
-
-
 def is_exact_coord(c) -> bool:
-    return _is_exact(c)
+    return isinstance(c, (int, Fraction, QuadNum))
 
 
 def coord_key(c):
@@ -265,7 +261,7 @@ def float_error(c) -> float:
     """A bound on |float(c) - c| for a coordinate: 0 for a float."""
     if isinstance(c, QuadNum):
         return FLOAT_ERR * (abs(float(c.a)) + _weight_b(c.field) * abs(float(c.b)))
-    return FLOAT_ERR * abs(float(c)) if _is_exact(c) else 0.0
+    return FLOAT_ERR * abs(float(c)) if is_exact_coord(c) else 0.0
 
 
 def _check(den, *magnitudes):

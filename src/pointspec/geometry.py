@@ -25,6 +25,8 @@ import numpy as np
 from .coords import (FLOAT_ERR, TOL_EQ, QuadArray, as_float, exact_sign, float_error,
                      is_exact_coord)
 
+TOL_EXACT = Fraction(repr(TOL_EQ))  # TOL_EQ at its decimal value, 10**-9
+
 
 # ---------------------------------------------------------------------------
 # regions
@@ -33,14 +35,14 @@ from .coords import (FLOAT_ERR, TOL_EQ, QuadArray, as_float, exact_sign, float_e
 class _Region:
     """What Interval, Box and Ball share; each defines bounds() and mask()."""
 
-    def contains_point(self, pt, tol: float = TOL_EQ) -> bool:
+    def contains_point(self, pt) -> bool:
         """mask() for one point, a d-tuple of coordinates."""
         exact = QuadArray.of(pt) if self.dim == 1 and is_exact_coord(pt[0]) else None
-        return bool(self.mask([[as_float(c) for c in pt]], exact, tol)[0])
+        return bool(self.mask([[as_float(c) for c in pt]], exact)[0])
 
-    def covers(self, other, tol: float = TOL_EQ) -> bool:
-        """Whether other's bounding box lies in this one's (tol slack)."""
-        return all(lo <= olo + tol and hi >= ohi - tol
+    def covers(self, other) -> bool:
+        """Whether other's bounding box lies in this one's (TOL_EQ slack)."""
+        return all(lo <= olo + TOL_EQ and hi >= ohi - TOL_EQ
                    for (lo, hi), (olo, ohi) in zip(self.bounds(), other.bounds()))
 
 
@@ -63,14 +65,14 @@ class Interval(_Region):
     def volume(self) -> float:
         return max(0.0, as_float(self.hi) - as_float(self.lo))
 
-    def mask(self, x, exact: QuadArray = None, tol: float = TOL_EQ) -> np.ndarray:
+    def mask(self, x, exact: QuadArray = None) -> np.ndarray:
         """Which points lie in the interval, as a boolean array.
 
         x holds the float positions (shape (N,) or (N, 1)); exact, when given,
-        the same points as a QuadArray.  Float points get tol slack at each
+        the same points as a QuadArray.  Float points get TOL_EQ slack at each
         end, outward at a closed end and inward at an open one.  Exact points
         compare exactly: with no slack when both ends are exact, otherwise
-        against end -+ tol taken at its decimal value (10**-9 for TOL_EQ).
+        against end -+ TOL_EXACT, TOL_EQ at its decimal value (10**-9).
         An exact comparison is decided by the float gap outside a guard band
         around the end, the rounding bound of the floats involved
         (QuadArray.float_error, coords.float_error), and by the exact sign
@@ -80,10 +82,10 @@ class Interval(_Region):
         ok = np.ones(len(x), dtype=bool)
         exact_ends = exact is not None and is_exact_coord(self.lo) and is_exact_coord(self.hi)
         if exact is not None:  # the points' largest float error, and the rounding of the gap
-            err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + tol)
+            err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + TOL_EQ)
         for end, sense, closed in ((self.lo, 1, self.closed_lo), (self.hi, -1, self.closed_hi)):
             step = 0 if exact_ends else (-sense if closed else sense)
-            bound = as_float(end) + step * tol
+            bound = as_float(end) + step * TOL_EQ
             gap = sense * (x - bound)
             if exact is None:
                 ok &= (gap >= 0) if closed else (gap > 0)
@@ -92,15 +94,15 @@ class Interval(_Region):
             inside = gap > guard
             ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
             if len(ties):
-                xend = (end if is_exact_coord(end) else Fraction(end)) + step * Fraction(repr(tol))
+                xend = (end if is_exact_coord(end) else Fraction(end)) + step * TOL_EXACT
                 for k in ties:
                     sign = sense * exact_sign(exact.value(k) - xend)
                     inside[k] = sign > 0 or (sign == 0 and closed)
             ok &= inside
         return ok
 
-    def contains_value(self, x, tol: float = TOL_EQ) -> bool:
-        return self.contains_point((x,), tol)
+    def contains_value(self, x) -> bool:
+        return self.contains_point((x,))
 
     def dilate(self, r: float) -> "Interval":
         return Interval(as_float(self.lo) - r, as_float(self.hi) + r)
@@ -133,11 +135,11 @@ class Box(_Region):
             v *= max(0.0, as_float(b) - as_float(a))
         return v
 
-    def mask(self, x, exact=None, tol: float = TOL_EQ) -> np.ndarray:
-        """Which float points x, shape (N, d), lie in the box (tol slack); exact is unused."""
+    def mask(self, x, exact=None) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the box (TOL_EQ slack); exact is unused."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
-        lo = np.array([as_float(a) - tol for a in self.lo])
-        hi = np.array([as_float(b) + tol for b in self.hi])
+        lo = np.array([as_float(a) - TOL_EQ for a in self.lo])
+        hi = np.array([as_float(b) + TOL_EQ for b in self.hi])
         return np.all((x >= lo) & (x <= hi), axis=1)
 
     def dilate(self, r: float) -> "Box":
@@ -170,11 +172,11 @@ class Ball(_Region):
             return 2.0 * self.radius
         return math.pi * self.radius ** 2
 
-    def mask(self, x, exact=None, tol: float = TOL_EQ) -> np.ndarray:
-        """Which float points x, shape (N, d), lie in the ball (tol slack); exact is unused."""
+    def mask(self, x, exact=None) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the ball (TOL_EQ slack); exact is unused."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
         d2 = sum((x[:, k] - as_float(c)) ** 2 for k, c in enumerate(self.center))
-        return d2 <= (self.radius + tol) ** 2
+        return d2 <= (self.radius + TOL_EQ) ** 2
 
     def dilate(self, r: float) -> "Ball":
         return Ball(self.center, self.radius + r)
@@ -200,14 +202,14 @@ def boundary_shell_volume(region, r: float) -> float:
 # points and clusters
 
 
-def in_sorted(pos: np.ndarray, targets: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
-    """Boolean membership, within tol, of targets in a sorted 1D position array:
-    the nearest points are the two around each target's sorted position."""
+def in_sorted(pos: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Boolean membership, within TOL_EQ, of targets in a sorted 1D position
+    array: the nearest points are the two around each target's sorted position."""
     if len(pos) == 0:
         return np.zeros(len(targets), dtype=bool)
     idx = np.searchsorted(pos, targets)
-    return ((np.abs(pos[np.maximum(idx - 1, 0)] - targets) <= tol)
-            | (np.abs(pos[np.minimum(idx, len(pos) - 1)] - targets) <= tol))
+    return ((np.abs(pos[np.maximum(idx - 1, 0)] - targets) <= TOL_EQ)
+            | (np.abs(pos[np.minimum(idx, len(pos) - 1)] - targets) <= TOL_EQ))
 
 
 def ranges(starts, stops):
@@ -220,7 +222,7 @@ def ranges(starts, stops):
     return rows, np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts)[rows]
 
 
-def sorted_slice(pos: np.ndarray, region, err: float = 0.0) -> slice:
+def sorted_slice(pos: np.ndarray, region, err: float) -> slice:
     """The slice of a sorted 1D float array that can hold points of the
     region: its float bounds, widened past every slack its mask allows.
     err bounds the float error of the positions (0 for float points)."""
@@ -398,15 +400,14 @@ class MultiSetPatch:
             exact.append(None if q is None else q[keep])
         return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
 
-    def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf,
-                    tol: float = TOL_EQ) -> np.ndarray:
+    def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
         """L_P over the patch: indices j into positions(P.anchor_color()) with
         v_j + P inside the patch's point set, v_j = position_j - anchor.
 
-        In 1D only translates v_j in [lo - tol, hi + tol] are tried; in 2D
-        every anchor-colour point is a candidate.  Membership is tolerant,
-        for every candidate and every point of a colour at once: sorted
-        search in 1D, a KD-tree in 2D.
+        In 1D only translates v_j in [lo - TOL_EQ, hi + TOL_EQ] are tried; in
+        2D every anchor-colour point is a candidate.  Membership is within
+        TOL_EQ, for every candidate and every point of a colour at once:
+        sorted search in 1D, a KD-tree in 2D.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -415,7 +416,7 @@ class MultiSetPatch:
         color = P.anchor_color()
         anchor, base = P.positions(color)[0], self.positions(color)
         if self.dim == 1:
-            a, b = np.searchsorted(base, [lo + anchor - tol, hi + anchor + tol])
+            a, b = np.searchsorted(base, [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ])
         elif (lo, hi) != (-math.inf, math.inf):
             raise NotImplementedError("translate bounds are 1D only")
         else:
@@ -427,11 +428,11 @@ class MultiSetPatch:
                 continue
             targets = (base[idx] - anchor)[:, None] + others  # (candidate, point[, axis])
             if self.dim == 1:
-                hit = in_sorted(pos, targets.ravel(), tol)
+                hit = in_sorted(pos, targets.ravel())
             elif len(pos):
                 from scipy.spatial import cKDTree
 
-                hit = cKDTree(pos).query(targets.reshape(-1, self.dim), k=1)[0] <= tol
+                hit = cKDTree(pos).query(targets.reshape(-1, self.dim), k=1)[0] <= TOL_EQ
             else:
                 hit = np.zeros(targets.size, dtype=bool)
             idx = idx[hit.reshape(len(idx), -1).all(axis=1)]
@@ -559,7 +560,7 @@ def translate_cluster(P: Cluster, vec) -> Cluster:
     return P.translate(vec)
 
 
-def match_clusters(P: Cluster, Q: Cluster, tol: float = TOL_EQ):
+def match_clusters(P: Cluster, Q: Cluster):
     """The unique x with P = -x + Q, or None if not translation-equivalent."""
     if P.m != Q.m or P.dim != Q.dim:
         raise ValueError("cluster shapes differ (m or dimension)")
@@ -572,7 +573,7 @@ def match_clusters(P: Cluster, Q: Cluster, tol: float = TOL_EQ):
         return x if Q.translate(tuple(-c for c in x)).signature() == P.signature() else None
     shift = np.array([-as_float(c) for c in x])
     moved = np.concatenate(Q._pos) + (shift[0] if P.dim == 1 else shift)
-    return x if np.all(np.abs(np.concatenate(P._pos) - moved) <= tol) else None
+    return x if np.all(np.abs(np.concatenate(P._pos) - moved) <= TOL_EQ) else None
 
 
 def cluster_distance(P: Cluster, Q: Cluster) -> float:
@@ -613,14 +614,14 @@ class ClusterClassTable:
     def n_classes(self) -> int:
         return len(self.representatives)
 
-    def class_of(self, cluster: Cluster, tol: float = TOL_EQ):
-        return _find_equivalent(self.representatives, cluster, tol)
+    def class_of(self, cluster: Cluster):
+        return _find_equivalent(self.representatives, cluster)
 
 
-def _find_equivalent(reps, rep, tol: float = TOL_EQ):
+def _find_equivalent(reps, rep):
     """Index of the first of reps that rep matches by a translation, or None."""
     for j, r in enumerate(reps):
-        if r.total_points == rep.total_points and match_clusters(r, rep, tol) is not None:
+        if r.total_points == rep.total_points and match_clusters(r, rep) is not None:
             return j
     return None
 

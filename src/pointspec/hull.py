@@ -54,7 +54,7 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
+def _match_predicate(patch1, patch2, eps: float) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
 
@@ -70,7 +70,7 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
     if not (patch1.region.covers(near) and patch2.region.covers(near)):
         raise ValueError("patches on %s and %s do not cover %s" % (patch1.region, patch2.region, near))
     (x1, c1), (x2, c2) = patch1.colour_major(), patch2.colour_major()
-    lo, hi = -L - eps - tol, L + eps + tol  # the slab: lo <= x < hi
+    lo, hi = -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
     in1 = (x1 >= lo) & (x1 < hi)
     any1, any2 = in1.any(), ((x2 >= lo) & (x2 < hi)).any()
     # windows can never be empty when the sets are relatively dense with
@@ -78,25 +78,25 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
     if not any1 or not any2:
         return not any1 and not any2
 
-    # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - tol, t + 2 eps + tol)
+    # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - TOL_EQ, t + 2 eps + TOL_EQ)
     t = x1[in1]
-    r, u = _near(c1[in1], t - 2 * eps - tol, t + 2 * eps + tol, complex_keys(c2, x2))
+    r, u = _near(c1[in1], t - 2 * eps - TOL_EQ, t + 2 * eps + TOL_EQ, complex_keys(c2, x2))
     deltas = np.sort(t[r] - x2[u])
     if not len(deltas):
         return False
-    deltas = deltas[np.concatenate(([True], deltas[1:] - deltas[:-1] > tol))]
+    deltas = deltas[np.concatenate(([True], deltas[1:] - deltas[:-1] > TOL_EQ))]
     x_lo, x_hi = np.maximum(-eps, deltas - eps), np.minimum(eps, deltas + eps)
-    ok = ~(x_lo > x_hi + tol)
+    ok = ~(x_lo > x_hi + TOL_EQ)
     deltas, x_lo, x_hi = deltas[ok], x_lo[ok], x_hi[ok]
     if not len(deltas):
         return False
 
-    # set 2 moved by each delta (row), and its pairs (b, a) within tol of set 1
+    # set 2 moved by each delta (row), and its pairs (b, a) within TOL_EQ of set 1
     row = np.repeat(np.arange(len(deltas)), len(x2))
     moved = (deltas[:, None] + x2).ravel()
-    b, a = _near(c2[np.arange(len(moved)) % len(x2)], moved - 2 * tol, moved + 2 * tol,
+    b, a = _near(c2[np.arange(len(moved)) % len(x2)], moved - 2 * TOL_EQ, moved + 2 * TOL_EQ,
                  complex_keys(c1, x1))
-    close = np.abs(moved[b] - x1[a]) <= tol
+    close = np.abs(moved[b] - x1[a]) <= TOL_EQ
     a, b = a[close], b[close]
     in2 = (moved >= lo) & (moved < hi)
     # mismatched points: slab points with no partner in the other slab
@@ -111,7 +111,7 @@ def _match_predicate(patch1, patch2, eps: float, tol: float = TOL_EQ) -> bool:
     if not len(rows):
         return bool((x_lo < x_hi).any())
     order = np.lexsort((blockers, rows))
-    rows, starts, ends = rows[order], blockers[order] - L - tol, blockers[order] + L + tol
+    rows, starts, ends = rows[order], blockers[order] - L - TOL_EQ, blockers[order] + L + TOL_EQ
 
     # feasible x in [x_lo, x_hi] avoiding the closed interval [d-L, d+L]
     # around every mismatched point d: sweep each delta's sorted intervals
@@ -134,32 +134,34 @@ def _near(c, lo, hi, keys):
                   np.searchsorted(keys, complex_keys(c, hi)))
 
 
-def metric_window(eps_grid: float, cap: float = METRIC_CAP) -> Interval:
-    """The window hull_metric takes of a source: around the origin, wide
-    enough for every epsilon it tries (the cap, or above max(eps_grid/2, 1e-4))."""
-    reach = 1.0 / min(max(eps_grid / 2.0, 1e-4), cap) + 4 * cap
+def metric_window(eps_grid: float) -> Interval:
+    """The window hull_metric takes of a source: around the origin, wide enough
+    for every epsilon it tries (METRIC_CAP, or above max(eps_grid/2, 1e-4))."""
+    reach = 1.0 / min(max(eps_grid / 2.0, 1e-4), METRIC_CAP) + 4 * METRIC_CAP
     return Interval(-reach, reach)
 
 
-def hull_metric(source1, source2, eps_grid: float = 0.01, cap: float = METRIC_CAP) -> MetricBracket:
+def hull_metric(source1, source2, eps_grid: float = 0.01) -> MetricBracket:
     """Certified bracket for the local-matching distance (1D sources).
 
     Descends a geometric epsilon grid while the matching predicate holds,
     then bisects the first failing bracket down to width eps_grid.  Both
-    bounds are capped at 2^(-1/2).  Each input is a source, windowed once
-    on metric_window(eps_grid, cap), or a patch, used as given: one too
-    small for some epsilon raises ValueError.
+    bounds are capped at METRIC_CAP = 2^(-1/2).  Each input is a source,
+    windowed once on metric_window(eps_grid), or a patch, used as given: one
+    too small for some epsilon raises ValueError.
     """
     if source1.dim != 1 or source2.dim != 1:
         raise NotImplementedError("hull metric is implemented in 1D only")
+    if not eps_grid > 0:
+        raise ValueError("eps_grid must be positive")
     floor = max(eps_grid / 2.0, 1e-4)
-    near = metric_window(eps_grid, cap)
+    near = metric_window(eps_grid)
     p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
-    if not _match_predicate(p1, p2, cap):
-        return MetricBracket(lower=cap, upper=cap, eps_grid=eps_grid)
-    hi = cap  # known true
+    if not _match_predicate(p1, p2, METRIC_CAP):
+        return MetricBracket(lower=METRIC_CAP, upper=METRIC_CAP, eps_grid=eps_grid)
+    hi = METRIC_CAP  # known true
     lo = None  # known false, > all true
-    eps = cap / 2.0
+    eps = METRIC_CAP / 2.0
     while eps > floor:
         if _match_predicate(p1, p2, eps):
             hi = eps
@@ -219,13 +221,13 @@ class CylinderSpec:
         return _Cylinders([self])
 
 
-def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec, tol: float = TOL_EQ) -> bool:
+def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec) -> bool:
     """Decide whether the patch's point set lies in the cylinder X_{P,V}.
 
     Requires the patch region to cover supp(P) - V; raises
     PatchTooSmallError otherwise (undecidable is an error, not False).
     """
-    return bool(cyl._decider.hits(patch, tol)[0])
+    return bool(cyl._decider.hits(patch)[0])
 
 
 class _Cylinders:
@@ -253,19 +255,19 @@ class _Cylinders:
         # per group: its cluster, its cylinders, and the translate bounds of their windows
         self.groups = [(P, c, -self.vhi[c].max(), -self.vlo[c].min()) for P, c in groups.values()]
 
-    def hits(self, patch: MultiSetPatch, tol: float = TOL_EQ) -> np.ndarray:
+    def hits(self, patch: MultiSetPatch) -> np.ndarray:
         """For each cylinder, whether the patch lies in it."""
         if self.shapes - {(patch.dim, patch.m)}:
             raise ValueError("cluster shape does not match the patch")
         if patch.dim != 1:
             raise NotImplementedError("cylinder decision is 1D in this build")
-        if not patch.region.covers(self.reach, tol):
+        if not patch.region.covers(self.reach):
             raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
                                      % (patch.region, self.reach))
         hits = np.zeros(len(self.cylinders), dtype=bool)
         for P, members, lo, hi in self.groups:
             color = P.anchor_color()
-            j = patch.occurrences(P, lo, hi, tol)
+            j = patch.occurrences(P, lo, hi)
             if not len(j):
                 continue
             if patch.exact and P.exact:
@@ -274,7 +276,7 @@ class _Cylinders:
             else:
                 g, gf = None, P.positions(color)[0] - patch.positions(color)[j]
             for c in members:
-                hits[c] = self.cylinders[c].window.mask(gf, g, tol).any()
+                hits[c] = self.cylinders[c].window.mask(gf, g).any()
         return hits
 
 
@@ -291,16 +293,15 @@ class PartitionParams:
     zeta: float
 
 
-def partition_params(source, epsilon: float, scan=None, eta: float = None) -> PartitionParams:
-    """theta(eps) = min(eps, theta1, eta) with theta1 estimated from the
-    class table at radius 1/eps: half the minimum distance between
+def partition_params(source, epsilon: float, scan=None) -> PartitionParams:
+    """theta(eps) = min(eps, theta1, eta), eta observed on the scan, theta1 from
+    the class table at radius 1/eps: half the minimum distance between
     distinct class representatives, falling back to eta/2 when degenerate.
     """
     R = 1.0 / epsilon
     if scan is None:
         scan = Interval(0.0, max(200.0, 40.0 * R))
-    if eta is None:
-        eta = delone_params(source, scan).eta
+    eta = delone_params(source, scan).eta
     table = enumerate_cluster_classes(source, R, scan)
     reps = table.representatives
     best = math.inf
@@ -370,8 +371,7 @@ class IncompletePartitionError(RuntimeError):
     """The scan did not stabilize the class/window enumeration."""
 
 
-def build_partition_1d(source, R: float, delta: float, scan_length: float = None,
-                       eta: float = None) -> HullPartition:
+def build_partition_1d(source, R: float, delta: float, scan_length: float = None) -> HullPartition:
     """Disjoint cylinder cover from the sliding-window scan (1D).
 
     As the window center t slides, the observed cluster changes only at
@@ -398,15 +398,13 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     if scan_length is None:
         scan_length = max(400.0 * R, 1200.0)
     dp = delone_params(source, Interval(0.0, max(scan_length, 200.0)))
-    if eta is None:
-        eta = dp.eta
     if not (R >= dp.b / 2.0 - TOL_EQ):
         raise ValueError("R must be at least b/2 = %.6g so clusters are nonempty" % (dp.b / 2.0))
-    if not (delta < eta):
-        raise ValueError("delta must be smaller than eta = %.6g" % eta)
-    if not (dp.b < 2.0 * eta):
+    if not (delta < dp.eta):
+        raise ValueError("delta must be smaller than eta = %.6g" % dp.eta)
+    if not (dp.b < 2.0 * dp.eta):
         raise ValueError("pinning requires b < 2 eta (observed b=%.6g, eta=%.6g)"
-                         % (dp.b, eta))
+                         % (dp.b, dp.eta))
 
     pieces_half = _scan_pieces(source, R, 0.0, scan_length * 0.6)
     pieces_full = _scan_pieces(source, R, 0.0, scan_length)

@@ -526,6 +526,13 @@ def translate_source(base: PointSource, shift) -> TranslatedSource:
 # configuration and serialization
 
 
+def _require_keys(doc, *keys):
+    """SourceError for the first of keys that doc lacks."""
+    for key in keys:
+        if key not in doc:
+            raise SourceError("missing %r in source config" % key)
+
+
 def source_from_config(cfg: dict, seed=None) -> PointSource:
     """Build a source from a config dict ({"type": ..., ...params})."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -546,14 +553,16 @@ def source_from_config(cfg: dict, seed=None) -> PointSource:
     elif typ == "cut_project":
         f = field_by_name(cfg.pop("field", "golden"))
         windows = []
+        _require_keys(cfg, "windows")
         for w in cfg.pop("windows"):
-            lo = QuadNum(int(w["lo"][0]), int(w["lo"][1]), f)
-            hi = QuadNum(int(w["hi"][0]), int(w["hi"][1]), f)
+            _require_keys(w, "lo", "hi")
+            lo, hi = (QuadNum(int(w[end][0]), int(w[end][1]), f) for end in ("lo", "hi"))
             windows.append(Interval(lo, hi, True, False))
         src = CutProjectSource(CutProjectSpec(field=f, windows=tuple(windows)))
     elif typ == "substitution":
         fname = cfg.pop("field", None)
         f = field_by_name(fname) if fname else None
+        _require_keys(cfg, "letters", "expansions", "lengths")
         letters = cfg.pop("letters")
         expansions = tuple(cfg.pop("expansions"))
         raw_lengths = cfg.pop("lengths")

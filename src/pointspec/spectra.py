@@ -42,6 +42,9 @@ from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sort
 from .output import write_csv
 from .stats import VanHoveSpec
 
+THRESHOLD_BUMP = 10.0  # peak_scan's threshold over the noise floor, times 1/(Vol F_n1)^2
+DRIFT_TOL = 0.2  # the largest relative intensity drop a retained peak may show per schedule step
+
 
 def validate_weights(w, m: int) -> np.ndarray:
     arr = np.asarray(w, dtype=complex)
@@ -131,8 +134,8 @@ def _differences(x, qx, y, qy, radius: float):
 
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:
     """c(t) = (1/Vol F_n) sum over pairs x - y = t of w(x) conj(w(y))."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and n > 0):
+        raise ValueError("radius and n must be positive")
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
@@ -159,8 +162,8 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
     point at -t) over F_n, volume-normalized.  The t = 0, i = j term uses
     the single-point frequency.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and n > 0):
+        raise ValueError("radius and n must be positive")
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
@@ -255,13 +258,13 @@ class DiffractionEstimate:
                     int(e.retained)) for e in self.entries])
 
 
-def _golden_refine(fn, lo, hi, iters=60):
-    """Golden-section maximization of fn on [lo, hi] (vectorized over rows)."""
+def _golden_refine(fn, lo, hi):
+    """Golden-section maximization of fn on [lo, hi] in 60 steps (vectorized over rows)."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(60):
         swap = fc < fd
         a = np.where(swap, c, a)
         b = np.where(~swap, d, b)
@@ -325,32 +328,31 @@ def _fine_argmax(pos, wvals, vol, cand, offs):
         np.abs(_amplitudes_grid(pos, wvals, ks, vol)) ** 2).reshape(approx.shape)[rows])
 
 
-def module_seed_candidates(source, k_lo: float, k_hi: float, coeff_bound: int = 12):
-    """Fourier-module candidates (p + q tau)/sqrt(D) for exact cut-project sources."""
+def module_seed_candidates(source, k_lo: float, k_hi: float):
+    """Fourier-module candidates (p + q tau)/sqrt(D), |p|, |q| <= 12, of the source's field."""
     f = getattr(source, "field", None)
     if f is None:
         return []
     root = math.sqrt(f.disc)
     out = set()
-    for p in range(-coeff_bound, coeff_bound + 1):
-        for q in range(-coeff_bound, coeff_bound + 1):
+    for p in range(-12, 13):
+        for q in range(-12, 13):
             k = (p + q * f.tau) / root
             if k_lo <= k <= k_hi:
                 out.add(round(k, 12))
     return sorted(out)
 
 
-def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSpec = None,
-              threshold_bump: float = 10.0, drift_tol: float = 0.2,
-              seed_from_module: bool = True) -> DiffractionEstimate:
+def peak_scan(source, w, k_range, resolution: float, n_schedule,
+              spec: VanHoveSpec = None) -> DiffractionEstimate:
     """Locate non-decaying Bragg candidates of the weighted comb.
 
     Coarse-scan |A_{n1}|^2 on a k grid; runs above threshold (empirical
-    noise floor + threshold_bump/(Vol F_{n1})^2) yield local-max
+    noise floor + THRESHOLD_BUMP/(Vol F_{n1})^2) yield local-max
     candidates, refined by golden-section at n1; a candidate is retained
-    only if its intensity never drops below (1 - drift_tol) of the
-    previous schedule entry's value.  Exact cut-project sources also seed
-    candidates from their Fourier module.
+    only if its intensity never drops below (1 - DRIFT_TOL) of the
+    previous schedule entry's value.  Sources with a quadratic field also
+    seed candidates from their Fourier module.
     """
     if source.dim != 1:
         raise ValueError("peak_scan needs a 1D source")
@@ -358,9 +360,11 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
         raise ValueError("n_schedule needs at least two entries")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be increasing")
+    k_lo, k_hi = float(k_range[0]), float(k_range[1])
+    if not (resolution > 0 and k_lo < k_hi):
+        raise ValueError("peak_scan needs resolution > 0 and k_min < k_max")
     if spec is None:
         spec = VanHoveSpec()
-    k_lo, k_hi = float(k_range[0]), float(k_range[1])
     w = validate_weights(w, source.m)
     n1 = n_schedule[0]
     patch1 = source.window(spec.region(n1))
@@ -370,16 +374,14 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     ks = np.arange(k_lo, k_hi + resolution / 2, resolution)
     inten = np.abs(_amplitudes_grid(pos1, wv1, ks, vol1)) ** 2
     noise = float(np.median(inten))
-    threshold = noise + threshold_bump / vol1 ** 2
+    threshold = noise + THRESHOLD_BUMP / vol1 ** 2
 
     padded = np.concatenate([[-1.0], inten, [-1.0]])
     local_max = (inten > threshold) & (inten >= padded[:-2]) & (inten >= padded[2:])
-    cand = list(ks[local_max])
-    if seed_from_module:
-        cand.extend(module_seed_candidates(source, k_lo, k_hi))
+    cand = list(ks[local_max]) + module_seed_candidates(source, k_lo, k_hi)
     if not cand:
         return DiffractionEstimate([], (k_lo, k_hi), resolution, list(n_schedule),
-                                   threshold, drift_tol)
+                                   threshold, DRIFT_TOL)
     cand = np.array(sorted(cand))
 
     # peaks at n1 have width ~ 1/(2 n1); locate the main lobe on a fine grid
@@ -404,13 +406,13 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule, spec: VanHoveSp
     for n in n_schedule[1:]:
         amps = bragg_amplitude(source, w, uniq_k, spec, n)
         inten_n = np.abs(amps) ** 2
-        keep &= inten_n >= (1.0 - drift_tol) * prev
+        keep &= inten_n >= (1.0 - DRIFT_TOL) * prev
         prev = inten_n
     entries = [PeakEntry(k=float(k), amplitude=complex(a), intensity=float(abs(a) ** 2),
                          n=n_schedule[-1], retained=bool(r))
                for k, a, r in zip(uniq_k, amps, keep)]
     return DiffractionEstimate(entries, (k_lo, k_hi), resolution, list(n_schedule),
-                               threshold, drift_tol)
+                               threshold, DRIFT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +489,11 @@ class SmoothingKernel:
         L = self.v_hi - self.v_lo
         return (L - 2 * self.zeta) + 2 * self.zeta / 3.0
 
-    def autocorr(self, u, step_frac: float = 1e-3):
-        """(omega * omega~)(u) by midpoint quadrature on the overlap."""
+    def autocorr(self, u):
+        """(omega * omega~)(u) by midpoint quadrature, 1000 steps over the support."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         lo, hi = self.support
-        width = hi - lo
-        step = width * step_frac
+        step = (hi - lo) * 1e-3
         grid = np.arange(lo + step / 2, hi, step)
         base = self(grid)
         out = np.empty(len(u))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import TOL_EQ, as_float
+from .coords import as_float
 from .geometry import Box, Cluster, Interval, boundary_shell_volume
 from .output import write_csv
 
@@ -28,6 +28,10 @@ class VanHoveSpec:
     n0: float = 125.0
     doublings: int = 4
     dim: int = 1
+
+    def __post_init__(self):
+        if not (self.n0 > 0 and self.doublings >= 0 and self.dim >= 1):
+            raise ValueError("van Hove schedule needs n0 > 0, doublings >= 0 and dim >= 1")
 
     def schedule(self):
         return [self.n0 * 2 ** k for k in range(self.doublings + 1)]
@@ -54,9 +58,9 @@ def van_hove_region(spec: VanHoveSpec, n: float, rs=(1.0, 10.0)):
 # counting
 
 
-def _count_in_patch(patch, P: Cluster, tol: float = TOL_EQ) -> int:
+def _count_in_patch(patch, P: Cluster) -> int:
     """L_P over one patch: translates v with v + P inside the patch."""
-    return len(patch.occurrences(P, tol=tol))
+    return len(patch.occurrences(P))
 
 
 def count_cluster(source, P: Cluster, region) -> int:
@@ -88,11 +92,11 @@ class FrequencyEstimate:
         }
 
 
-def halton(count: int, base: int = 2, start: int = 1) -> np.ndarray:
-    """Van der Corput / Halton low-discrepancy points in [0, 1)."""
+def halton(count: int, base: int = 2) -> np.ndarray:
+    """Van der Corput / Halton low-discrepancy points in [0, 1), from index 1."""
     out = np.empty(count)
     for k in range(count):
-        i, f, x = start + k, 1.0, 0.0
+        i, f, x = 1 + k, 1.0, 0.0
         while i > 0:
             f /= base
             x += f * (i % base)

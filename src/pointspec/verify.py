@@ -314,7 +314,7 @@ def check_negative_controls(fast=False) -> CheckResult:
     tm_ok = bool(np.max(ratios) < 0.8)
 
     pz = poisson_source(1.0, seed=7)
-    est = peak_scan(pz, [1], (-3, 3), 0.01, [n1, n2], spec, seed_from_module=False)
+    est = peak_scan(pz, [1], (-3, 3), 0.01, [n1, n2], spec)
     ret = est.retained()
     poisson_ok = len(ret) == 1 and abs(ret[0].k) <= 1e-6
     ok = tm_ok and poisson_ok

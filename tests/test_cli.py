@@ -221,8 +221,43 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     # a source peak_scan cannot scan
     ("diffract", {"source": {"type": "lattice", "basis": [[1, 0], [0, 1]]},
                   "diffract": {"n_schedule": [10, 20]}}),
+    # values only the library checks; each once raised past the CLI (exit 1)
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"R": -1}}),
+    ("diffract", {"source": {"type": "lattice"},
+                  "diffract": {"resolution": 0, "n_schedule": [10, 20]}}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": [10]}}),
+    ("autocorr", {"source": {"type": "lattice"}, "weights": [0],
+                  "autocorr": {"radius": 2, "n": 20}}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"doublings": -1}}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"n0": -5}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"cluster": [[]]}}),
+    ("metric", {"source": {"type": "lattice"},
+                "metric": {"other_source": {"type": "lattice", "basis": [[1, 0], [0, 1]]}}}),
+    ("classes", {"source": {"type": "fibonacci"}, "classes": {"scan": [5, 1]}}),
+    ("generate", {"source": {"type": "fibonacci"}, "generate": {"region": [0, 1e300]}}),
+    ("generate", {"source": {"type": "lattice", "basis": [[1, 0], [0, 1]]},
+                  "generate": {"region": [0, 3]}}),
+    ("generate", {"source": {"type": "poisson", "seed": -1}, "generate": {"region": [0, 3]}}),
+    ("generate", {"source": {"type": "cut_project"}, "generate": {"region": [0, 3]}}),
+    ("generate", {"source": {"type": "cut_project", "windows": [{"lo": [0, 0]}]},
+                  "generate": {"region": [0, 3]}}),
+    ("generate", {"source": {"type": "substitution", "expansions": ["ab", "a"], "lengths": [1, 1]},
+                  "generate": {"region": [0, 3]}}),
+    ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": 2, "n": 0}}),
+    ("autocorr", {"source": {"type": "lattice"}, "van_hove": {"dim": 2},
+                  "autocorr": {"radius": 2, "n": 20}}),
+    # values that once gave NaN or empty outputs and exit 0
+    ("diffract", {"source": {"type": "lattice"},
+                  "diffract": {"resolution": -0.1, "n_schedule": [10, 20]}}),
+    ("diffract", {"source": {"type": "lattice"},
+                  "diffract": {"k_min": 3, "k_max": -3, "n_schedule": [10, 20]}}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"n0": 0}}),
+    ("metric", {"source": {"type": "lattice"},
+                "metric": {"other_source": {"type": "lattice"}, "eps_grid": -1}}),
+    ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": 2, "n": -5}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()

@@ -56,6 +56,13 @@ def test_metric_shifted_lattice():
     assert br.upper - br.lower <= 0.01
 
 
+@pytest.mark.parametrize("eps_grid", [0.0, -1.0, float("nan")])
+def test_metric_rejects_a_nonpositive_grid(eps_grid):
+    z = integer_lattice()
+    with pytest.raises(ValueError, match="eps_grid must be positive"):
+        hull_metric(z, TranslatedSource(z, 0.1), eps_grid=eps_grid)
+
+
 class _LatticePlusFarPoint(PointSource):
     """Z with one extra point far from the origin (outside B_100)."""
 
@@ -209,8 +216,8 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
 
     calls, real = [], hull._match_predicate
 
-    def record(p1, p2, eps, tol=TOL_EQ):
-        calls.append((p1, p2, eps, real(p1, p2, eps, tol)))
+    def record(p1, p2, eps):
+        calls.append((p1, p2, eps, real(p1, p2, eps)))
         return calls[-1][-1]
 
     monkeypatch.setattr(hull, "_match_predicate", record)
@@ -354,7 +361,7 @@ def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
                 continue
         else:
             g = av - pos[j]
-            if not V.contains_value(g, tol):
+            if not V.contains_value(g):
                 continue
         if all(_has_point(patch, i, as_float(p[0] - g) if exactish else as_float(p[0]) - g, tol)
                for i, part in enumerate(P.parts) for p in part):

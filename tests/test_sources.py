@@ -270,10 +270,10 @@ def test_far_windows_match_a_fraction_oracle_with_fewer_ties(monkeypatch):
     signs, calls = [], []
     real_sign, real_mask = geometry.exact_sign, Interval.mask
 
-    def mask(iv, x, exact=None, tol=TOL_EQ):
+    def mask(iv, x, exact=None):
         if exact is not None:
-            calls.append(former_band_ties(iv, np.asarray(x, dtype=float).reshape(-1), exact, tol))
-        return real_mask(iv, x, exact, tol)
+            calls.append(former_band_ties(iv, np.asarray(x, dtype=float).reshape(-1), exact))
+        return real_mask(iv, x, exact)
 
     monkeypatch.setattr(geometry, "exact_sign", lambda c: signs.append(1) or real_sign(c))
     monkeypatch.setattr(Interval, "mask", mask)
@@ -550,6 +550,19 @@ def test_source_from_config_rejects_unknown():
         source_from_config({"type": "martian"})
     with pytest.raises(SourceError):
         source_from_config({"type": "lattice", "bogus": 1})
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"type": "cut_project"}, "windows"),
+    ({"type": "cut_project", "windows": [{"hi": [1, 0]}]}, "lo"),
+    ({"type": "cut_project", "windows": [{"lo": [0, 0]}]}, "hi"),
+    ({"type": "substitution", "expansions": ["ab", "a"], "lengths": [1, 1]}, "letters"),
+    ({"type": "substitution", "letters": "ab", "lengths": [1, 1]}, "expansions"),
+    ({"type": "substitution", "letters": "ab", "expansions": ["ab", "a"]}, "lengths"),
+])
+def test_source_config_names_a_missing_key(cfg, key):
+    with pytest.raises(SourceError, match="missing '%s' in source config" % key):
+        source_from_config(cfg)
 
 
 def test_point_set_json_exact_pairs():

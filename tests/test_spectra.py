@@ -6,6 +6,7 @@ from pointspec.coords import TOL_EQ, as_float, coord_key
 from pointspec.geometry import Interval, in_sorted, ranges
 from pointspec.sources import (
     fibonacci_cut_project,
+    fibonacci_substitution,
     integer_lattice,
     lattice_source,
     period_doubling_source,
@@ -19,6 +20,7 @@ from pointspec.spectra import (
     bragg_amplitude,
     cosine_kernel,
     dworkin_correlation,
+    module_seed_candidates,
     peak_scan,
     plateau_kernel,
     smoothed_autocorr_profile,
@@ -349,6 +351,31 @@ def test_peak_scan_validates_schedule():
 def test_peak_scan_needs_a_1d_source():
     with pytest.raises(ValueError, match="1D source"):
         peak_scan(lattice_source([[1.0, 0.0], [0.0, 1.0]]), [1], (-1, 1), 0.01, [10, 20])
+
+
+@pytest.mark.parametrize("k_range, resolution", [((-1, 1), 0), ((-1, 1), -0.1),
+                                                  ((-1, 1), float("nan")), ((1, -1), 0.01),
+                                                  ((1, 1), 0.01)])
+def test_peak_scan_rejects_an_empty_or_stepless_grid(k_range, resolution):
+    with pytest.raises(ValueError, match="resolution > 0 and k_min < k_max"):
+        peak_scan(integer_lattice(), [1], k_range, resolution, [10, 20])
+
+
+@pytest.mark.parametrize("route", [autocorr_direct, autocorr_from_frequencies])
+@pytest.mark.parametrize("radius, n", [(2.0, 0), (2.0, -5), (0.0, 20), (-1.0, 20)])
+def test_autocorr_routes_reject_nonpositive_radius_or_n(route, radius, n):
+    with pytest.raises(ValueError, match="radius and n must be positive"):
+        route(integer_lattice(), [1], radius, VanHoveSpec(), n)
+
+
+def test_module_seeds_come_only_from_a_field():
+    # peak_scan seeds from the Fourier module of every source; field-less ones,
+    # the Poisson control among them, get no seeds, so no seeding switch is needed
+    for src in (poisson_source(1.0, seed=7), integer_lattice(), thue_morse_source(),
+                period_doubling_source()):
+        assert module_seed_candidates(src, -3, 3) == []
+    for src in (fibonacci_cut_project(), fibonacci_substitution()):
+        assert module_seed_candidates(src, -3, 3)
 
 
 def complex_exp_grid(pos, wvals, ks, vol):

@@ -38,6 +38,13 @@ def test_van_hove_ratio_vanishes_along_schedule():
         assert vals[-1] < 0.05 * r
 
 
+@pytest.mark.parametrize("kw", [{"n0": 0}, {"n0": -5}, {"n0": float("nan")}, {"doublings": -1},
+                                {"dim": 0}])
+def test_van_hove_spec_rejects_schedules_that_average_nothing(kw):
+    with pytest.raises(ValueError, match="van Hove schedule"):
+        VanHoveSpec(**kw)
+
+
 # ---------------------------------------------------------------------------
 # counting
 
