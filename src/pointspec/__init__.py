@@ -15,7 +15,6 @@ from .geometry import (
     delone_params,
     enumerate_cluster_classes,
     match_clusters,
-    translate_cluster,
 )
 from .sources import (
     CutProjectSource,
@@ -26,18 +25,12 @@ from .sources import (
     SubstitutionRule,
     SubstitutionSource,
     TranslatedSource,
-    cut_project_source,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
-    lattice_source,
     period_doubling_source,
-    poisson_source,
     source_from_config,
-    substitution_source,
     thue_morse_source,
-    translate_source,
-    window,
 )
 from .stats import (
     FrequencyEstimate,
@@ -69,7 +62,6 @@ from .spectra import (
     autocorr_from_frequencies,
     bragg_amplitude,
     cosine_kernel,
-    dworkin_correlation,
     dworkin_report,
     peak_scan,
     plateau_kernel,

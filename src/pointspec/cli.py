@@ -278,13 +278,8 @@ def cmd_partition(args, cfg):
     return 0
 
 
-def cmd_verify(args, cfg):
-    suite = args.suite
-    if suite not in SUITES:
-        print("unknown suite %r; available: %s" % (suite, ", ".join(sorted(SUITES))),
-              file=sys.stderr)
-        return 2
-    results = run_suite(suite, fast=args.fast)
+def cmd_verify(args):
+    results = run_suite(args.suite, fast=args.fast)
     lines = [r.line() for r in results]
     for line in lines:
         print(line)
@@ -332,14 +327,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args, None)
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        cfg = _load_config(args.config)
-        return COMMANDS[args.command](args, cfg)
+        if args.command == "verify":
+            return cmd_verify(args)
+        return COMMANDS[args.command](args, _load_config(args.config))
     except (ValueError, NotImplementedError) as e:  # ConfigError is a ValueError
         print("config error: %s" % e, file=sys.stderr)
         return 2

@@ -200,13 +200,6 @@ def as_float(c) -> float:
     return float(c)
 
 
-def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
-    """Equality: exact when both coordinates are exact, |.| <= tol otherwise."""
-    if is_exact_coord(c1) and is_exact_coord(c2):
-        return c1 == c2
-    return abs(float(c1) - float(c2)) <= tol
-
-
 def is_exact_coord(c) -> bool:
     return isinstance(c, (int, Fraction, QuadNum))
 

@@ -101,9 +101,6 @@ class Interval(_Region):
             ok &= inside
         return ok
 
-    def contains_value(self, x) -> bool:
-        return self.contains_point((x,))
-
     def dilate(self, r: float) -> "Interval":
         return Interval(as_float(self.lo) - r, as_float(self.hi) + r)
 
@@ -220,6 +217,12 @@ def ranges(starts, stops):
     ends = np.cumsum(counts)
     rows = np.repeat(np.arange(len(counts)), counts)
     return rows, np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts)[rows]
+
+
+def within(keys, lo, hi):
+    """(row, index) pairs with lo[row] <= keys[index] < hi[row], for sorted
+    keys (complex keys sort lexicographically): the ranges of a sorted search."""
+    return ranges(np.searchsorted(keys, lo), np.searchsorted(keys, hi))
 
 
 def sorted_slice(pos: np.ndarray, region, err: float) -> slice:
@@ -555,11 +558,6 @@ def cluster_1d(*parts) -> Cluster:
     return Cluster([[(c,) for c in part] for part in parts], dim=1)
 
 
-def translate_cluster(P: Cluster, vec) -> Cluster:
-    """x + P, per-part shift with sorting restored."""
-    return P.translate(vec)
-
-
 def match_clusters(P: Cluster, Q: Cluster):
     """The unique x with P = -x + Q, or None if not translation-equivalent."""
     if P.m != Q.m or P.dim != Q.dim:
@@ -686,8 +684,7 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
         raise ValueError("scan region contains no anchor points")
     # the closed ball B_R(x) around each anchor, as (ball, support index) pairs
     if patch.dim == 1:
-        rows, idx = ranges(np.searchsorted(x, x[anchors] - R - TOL_EQ),
-                           np.searchsorted(x, x[anchors] + R + TOL_EQ))
+        rows, idx = within(x, x[anchors] - R - TOL_EQ, x[anchors] + R + TOL_EQ)
     else:
         balls = [np.flatnonzero(np.sum((x - x[a]) ** 2, axis=1) <= (R + TOL_EQ) ** 2)
                  for a in anchors]

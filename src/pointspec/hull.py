@@ -32,6 +32,7 @@ from .geometry import (
     enumerate_cluster_classes,
     float_keys,
     ranges,
+    within,
 )
 
 METRIC_CAP = 2.0 ** -0.5
@@ -79,8 +80,9 @@ def _match_predicate(patch1, patch2, eps: float) -> bool:
         return not any1 and not any2
 
     # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - TOL_EQ, t + 2 eps + TOL_EQ)
-    t = x1[in1]
-    r, u = _near(c1[in1], t - 2 * eps - TOL_EQ, t + 2 * eps + TOL_EQ, complex_keys(c2, x2))
+    t, ct = x1[in1], c1[in1]
+    r, u = within(complex_keys(c2, x2), complex_keys(ct, t - 2 * eps - TOL_EQ),
+                  complex_keys(ct, t + 2 * eps + TOL_EQ))
     deltas = np.sort(t[r] - x2[u])
     if not len(deltas):
         return False
@@ -94,8 +96,9 @@ def _match_predicate(patch1, patch2, eps: float) -> bool:
     # set 2 moved by each delta (row), and its pairs (b, a) within TOL_EQ of set 1
     row = np.repeat(np.arange(len(deltas)), len(x2))
     moved = (deltas[:, None] + x2).ravel()
-    b, a = _near(c2[np.arange(len(moved)) % len(x2)], moved - 2 * TOL_EQ, moved + 2 * TOL_EQ,
-                 complex_keys(c1, x1))
+    c = c2[np.arange(len(moved)) % len(x2)]
+    b, a = within(complex_keys(c1, x1), complex_keys(c, moved - 2 * TOL_EQ),
+                  complex_keys(c, moved + 2 * TOL_EQ))
     close = np.abs(moved[b] - x1[a]) <= TOL_EQ
     a, b = a[close], b[close]
     in2 = (moved >= lo) & (moved < hi)
@@ -125,13 +128,6 @@ def _match_predicate(patch1, patch2, eps: float) -> bool:
     reached = x_lo.copy()
     reached[rows[tail]] = np.maximum(x_lo[rows[tail]], ends[tail])
     return bool((reached < x_hi).any())
-
-
-def _near(c, lo, hi, keys):
-    """(i, j) pairs: keys[j] (complex_keys) of colour c[i] and position in
-    [lo[i], hi[i])."""
-    return ranges(np.searchsorted(keys, complex_keys(c, lo)),
-                  np.searchsorted(keys, complex_keys(c, hi)))
 
 
 def metric_window(eps_grid: float) -> Interval:
@@ -397,6 +393,8 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         raise ValueError("delta must be positive")
     if scan_length is None:
         scan_length = max(400.0 * R, 1200.0)
+    elif not scan_length > 0:
+        raise ValueError("scan_length must be positive")
     dp = delone_params(source, Interval(0.0, max(scan_length, 200.0)))
     if not (R >= dp.b / 2.0 - TOL_EQ):
         raise ValueError("R must be at least b/2 = %.6g so clusters are nonempty" % (dp.b / 2.0))

@@ -52,12 +52,9 @@ def _require_bounded(region):
 class PointSource:
     """Base class: deterministic window-query interface."""
 
-    id = "source"
     dim = 1
     m = 1
-    coords = "float"  # or "exact"
     field = None
-    seed = None
 
     def window(self, region) -> MultiSetPatch:
         _require_bounded(region)
@@ -76,11 +73,6 @@ class PointSource:
         raise NotImplementedError
 
 
-def window(source: PointSource, region) -> MultiSetPatch:
-    """A ∩ Λ as a patch (boundary points included unless the region is half-open there)."""
-    return source.window(region)
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -88,7 +80,7 @@ def window(source: PointSource, region) -> MultiSetPatch:
 class LatticeSource(PointSource):
     """Points {B k : k in Z^d}, colored by (sum of integer coords) mod m."""
 
-    def __init__(self, basis, colors: int = 1, id: str = None):
+    def __init__(self, basis, colors: int = 1):
         basis = np.asarray(basis, dtype=float)
         if basis.ndim == 1:
             basis = basis.reshape(1, 1)
@@ -102,8 +94,6 @@ class LatticeSource(PointSource):
         self.m = int(colors)
         if self.m < 1:
             raise SourceError("colors must be >= 1")
-        self.coords = "float"
-        self.id = id or ("lattice%dd" % self.dim)
 
     def _query(self, region):
         bounds = region.bounds()
@@ -117,13 +107,8 @@ class LatticeSource(PointSource):
         return (x[:, 0] if self.dim == 1 else x), ks.sum(axis=1) % self.m, None
 
 
-def lattice_source(basis, colors: int = 1, id: str = None) -> LatticeSource:
-    return LatticeSource(basis, colors=colors, id=id)
-
-
 def integer_lattice(spacing: float = 1.0, colors: int = 1) -> LatticeSource:
-    return LatticeSource([[spacing]], colors=colors,
-                         id="Z" if spacing == 1.0 else "lattice[%g]" % spacing)
+    return LatticeSource([[spacing]], colors=colors)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +146,11 @@ _BLOCK_ROWS = 512      # b values per block of candidates (bounds temporaries)
 
 
 class CutProjectSource(PointSource):
-    def __init__(self, spec: CutProjectSpec, id: str = "cut_project"):
+    def __init__(self, spec: CutProjectSpec):
         self.spec = spec
         self.field = spec.field
         self.dim = 1
         self.m = len(spec.windows)
-        self.coords = "exact"
-        self.id = id
         self._star_lo = min(as_float(w.lo) for w in spec.windows)
         self._star_hi = max(as_float(w.hi) for w in spec.windows)
         self._tau = self.field.tau
@@ -213,10 +196,6 @@ class CutProjectSource(PointSource):
         return color
 
 
-def cut_project_source(spec: CutProjectSpec, id: str = "cut_project") -> CutProjectSource:
-    return CutProjectSource(spec, id=id)
-
-
 def fibonacci_cut_project(colors: int = 2) -> CutProjectSource:
     """The Fibonacci chain as a model set, exact golden-ratio coordinates.
 
@@ -233,7 +212,7 @@ def fibonacci_cut_project(colors: int = 2) -> CutProjectSource:
         spec = CutProjectSpec(field=f, windows=(Interval(QuadNum(-1, 0, f), QuadNum(-1, 1, f), True, False),))
     else:
         raise SourceError("fibonacci supports 1 or 2 colors")
-    return CutProjectSource(spec, id="fibonacci")
+    return CutProjectSource(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +314,7 @@ class SubstitutionSource(PointSource):
     The support lies in [0, inf); window queries clip accordingly.
     """
 
-    def __init__(self, rule: SubstitutionRule, seed_letter: str, id: str = "substitution"):
+    def __init__(self, rule: SubstitutionRule, seed_letter: str):
         if seed_letter not in rule.letters:
             raise SourceError("unknown seed letter %r" % seed_letter)
         if rule.expansions[rule.letters.index(seed_letter)][0] != seed_letter:
@@ -346,9 +325,7 @@ class SubstitutionSource(PointSource):
         self.dim = 1
         self.m = rule.n_colors
         exact = all(is_exact_coord(L) for L in rule.lengths)
-        self.coords = "exact" if exact else "float"
         self.field = rule.field
-        self.id = id
         exp = [[rule.letters.index(ch) for ch in w] for w in rule.expansions]
         width = max(map(len, exp))
         self._table = np.array([e + [0] * (width - len(e)) for e in exp])
@@ -407,10 +384,6 @@ class SubstitutionSource(PointSource):
         return self._ends[cut], self._color[self._word[cut]], exact
 
 
-def substitution_source(rule: SubstitutionRule, seed_letter: str, id: str = "substitution") -> SubstitutionSource:
-    return SubstitutionSource(rule, seed_letter, id=id)
-
-
 def fibonacci_substitution() -> SubstitutionSource:
     """a -> ab, b -> a with exact lengths (tau, 1); colors: a=0, b=1."""
     f = GOLDEN
@@ -421,7 +394,7 @@ def fibonacci_substitution() -> SubstitutionSource:
         color_of=(0, 1),
         field=f,
     )
-    return SubstitutionSource(rule, "a", id="fibonacci-sub")
+    return SubstitutionSource(rule, "a")
 
 
 def thue_morse_source() -> SubstitutionSource:
@@ -429,7 +402,7 @@ def thue_morse_source() -> SubstitutionSource:
     rule = SubstitutionRule(
         letters="ab", expansions=("ab", "ba"), lengths=(1, 1), color_of=(0, 1),
     )
-    return SubstitutionSource(rule, "a", id="thue-morse")
+    return SubstitutionSource(rule, "a")
 
 
 def period_doubling_source() -> SubstitutionSource:
@@ -437,7 +410,7 @@ def period_doubling_source() -> SubstitutionSource:
     rule = SubstitutionRule(
         letters="ab", expansions=("ab", "aa"), lengths=(1, 1), color_of=(0, 1),
     )
-    return SubstitutionSource(rule, "a", id="period-doubling")
+    return SubstitutionSource(rule, "a")
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +425,17 @@ class PoissonSource(PointSource):
     disordered contrast in diffraction runs.
     """
 
-    def __init__(self, intensity: float, seed: int = 0, dim: int = 1, id: str = "poisson"):
+    def __init__(self, intensity: float, seed: int = 0, dim: int = 1):
         if intensity <= 0:
             raise SourceError("intensity must be positive")
+        if seed < 0:
+            raise SourceError("seed must be >= 0")
         self.intensity = float(intensity)
         self.seed = int(seed)
         self.dim = int(dim)
         if self.dim not in (1, 2):
             raise SourceError("dim must be 1 or 2")
         self.m = 1
-        self.coords = "float"
-        self.id = id
 
     def _cell_rng(self, cell):
         offset = 2 ** 32
@@ -487,10 +460,6 @@ class PoissonSource(PointSource):
         return (x[:, 0] if self.dim == 1 else x), np.zeros(len(x), dtype=np.int64), None
 
 
-def poisson_source(intensity: float, seed: int = 0, dim: int = 1) -> PoissonSource:
-    return PoissonSource(intensity, seed=seed, dim=dim)
-
-
 # ---------------------------------------------------------------------------
 # derived sources
 
@@ -507,19 +476,12 @@ class TranslatedSource(PointSource):
         self.shift = tuple(shift)
         self.dim = base.dim
         self.m = base.m
-        exact_shift = all(is_exact_coord(s) for s in shift)
-        self.coords = base.coords if exact_shift else "float"
         self.field = base.field
-        self.id = "%s@%s" % (base.id, ",".join("%g" % as_float(s) for s in shift))
 
     def window(self, region) -> MultiSetPatch:
         moved = region.translate(self.shift)
         patch = self.base.window(moved)
         return patch.translate(tuple(-s for s in self.shift))
-
-
-def translate_source(base: PointSource, shift) -> TranslatedSource:
-    return TranslatedSource(base, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Two independent autocorrelation routes act as each other's oracle:
                          vector, one count per distinct (t, color pair)
 
 Both find the differences t that occur the same way: one pair-range
-expansion (geometry.ranges) over the sorted positions, keyed as coord_key
+expansion (geometry.within) over the sorted positions, keyed as coord_key
 keys them.  What they compute from there stays independent: the direct
 route sums the weights of the pairs it found, while the frequency route
 uses each pair only to learn t and takes every count from a separate
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coords import TOL_EQ, QuadArray, as_float, coord_key
-from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, ranges
+from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, within
 from .output import write_csv
 from .stats import VanHoveSpec
 
@@ -120,7 +120,7 @@ def _differences(x, qx, y, qy, radius: float):
     group numbers each pair's difference in order of first occurrence and
     ts[g] is the first difference of group g.
     """
-    a, b = ranges(np.searchsorted(y, x - radius - TOL_EQ), np.searchsorted(y, x + radius + TOL_EQ))
+    a, b = within(y, x - radius - TOL_EQ, x + radius + TOL_EQ)
     if qx is None:
         d = x[a] - y[b]
         key = float_keys(d)  # coord_key of a float
@@ -535,8 +535,7 @@ def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: Smoothin
     items = autocorr.items()  # sorted by t
     ts = np.array([t for t, _ in items])
     cs = np.array([c for _, c in items], dtype=complex)
-    j, i = ranges(np.searchsorted(ts, xs - 2 * w - TOL_EQ),
-                  np.searchsorted(ts, xs + 2 * w + TOL_EQ))
+    j, i = within(ts, xs - 2 * w - TOL_EQ, xs + 2 * w + TOL_EQ)
     rel = xs[j] - ts[i]
     near = np.abs(rel) < 2 * w
     j, terms = j[near], cs[i[near]] * kernel.autocorr(rel[near])
@@ -589,19 +588,12 @@ def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np
     pos = [patch.positions(i) for i in range(patch.m)]
     col = np.repeat(np.arange(patch.m), [len(p) for p in pos])
     pos = np.concatenate(pos)  # colour-major: the order the sum adds in
-    p, g = ranges(np.searchsorted(grid, pos + kernel.support[0] - step),
-                  np.searchsorted(grid, pos + kernel.support[1] + step))
+    p, g = within(grid, pos + kernel.support[0] - step, pos + kernel.support[1] + step)
     terms = w[col[p]] * kernel(grid[g] - pos[p])
     rho = np.empty(len(grid), dtype=complex)
     rho.real = np.bincount(g, terms.real, len(grid))
     rho.imag = np.bincount(g, terms.imag, len(grid))
     return rho
-
-
-def dworkin_correlation(source, w, kernel: SmoothingKernel, x: float, spec: VanHoveSpec,
-                        n: float) -> DworkinRow:
-    """One row of the spectral check at shift x; see dworkin_report."""
-    return dworkin_report(source, w, kernel, [x], spec, n).rows[0]
 
 
 def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,

@@ -26,10 +26,10 @@ from .hull import (
     sample_orbit,
 )
 from .sources import (
+    PoissonSource,
     TranslatedSource,
     fibonacci_cut_project,
     integer_lattice,
-    poisson_source,
     thue_morse_source,
 )
 from .stats import VanHoveSpec, _count_in_patch, estimate_frequency, halton
@@ -313,7 +313,7 @@ def check_negative_controls(fast=False) -> CheckResult:
     ratios = i2 / np.maximum(i1, 1e-300)
     tm_ok = bool(np.max(ratios) < 0.8)
 
-    pz = poisson_source(1.0, seed=7)
+    pz = PoissonSource(1.0, seed=7)
     est = peak_scan(pz, [1], (-3, 3), 0.01, [n1, n2], spec)
     ret = est.retained()
     poisson_ok = len(ret) == 1 and abs(ret[0].k) <= 1e-6
@@ -352,5 +352,5 @@ SUITES = {
 
 def run_suite(suite: str, fast: bool = False):
     if suite not in SUITES:
-        raise KeyError("unknown suite %r (have: %s)" % (suite, sorted(SUITES)))
+        raise ValueError("unknown suite %r; available: %s" % (suite, ", ".join(sorted(SUITES))))
     return [CHECKS[name](fast=fast) for name in SUITES[suite]]

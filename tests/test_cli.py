@@ -150,6 +150,12 @@ def test_classes_command(tmp_path):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nonsense"]) == 2
+    assert "config error: unknown suite 'nonsense'" in capsys.readouterr().err
+
+
+def test_verify_threads_flag_validated(capsys):
+    assert main(["verify", "lattice", "--fast", "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_lattice_suite_passes(capsys, tmp_path):
@@ -255,6 +261,7 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("metric", {"source": {"type": "lattice"},
                 "metric": {"other_source": {"type": "lattice"}, "eps_grid": -1}}),
     ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": 2, "n": -5}}),
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": -5}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from pointspec.coords import GOLDEN, SILVER, QuadField, QuadNum, coord_eq, coord_key
+from pointspec.coords import GOLDEN, SILVER, QuadField, QuadNum, coord_key
+
+from oracles import coord_eq
 
 
 def q(a, b):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_eq, coord_key, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_key, is_exact_coord
 from pointspec.geometry import (
     Ball,
     Box,
@@ -14,12 +14,15 @@ from pointspec.geometry import (
     boundary_shell_volume,
     cluster_1d,
     cluster_distance,
+    complex_keys,
     delone_params,
     enumerate_cluster_classes,
     match_clusters,
-    translate_cluster,
+    within,
 )
-from pointspec.sources import fibonacci_cut_project, integer_lattice, lattice_source
+from pointspec.sources import LatticeSource, fibonacci_cut_project, integer_lattice
+
+from oracles import coord_eq
 
 
 # ---------------------------------------------------------------------------
@@ -29,16 +32,16 @@ from pointspec.sources import fibonacci_cut_project, integer_lattice, lattice_so
 def test_interval_basics():
     iv = Interval(0.0, 2.0)
     assert iv.volume() == 2.0
-    assert iv.contains_value(0.0) and iv.contains_value(2.0)
-    assert not iv.contains_value(2.1)
+    assert iv.contains_point((0.0,)) and iv.contains_point((2.0,))
+    assert not iv.contains_point((2.1,))
     assert iv.dilate(1.0).bounds() == ((-1.0, 3.0),)
     assert iv.erode(0.5).volume() == 1.0
 
 
 def test_half_open_interval():
     iv = Interval(0.0, 1.0, True, False)
-    assert iv.contains_value(0.0)
-    assert not iv.contains_value(1.0)
+    assert iv.contains_point((0.0,))
+    assert not iv.contains_point((1.0,))
 
 
 def reference_contains(iv, x):
@@ -75,7 +78,7 @@ def test_interval_mask_matches_the_scalar_contract():
             iv = Interval(ends[i], ends[j], *flags)
             assert iv.mask(xs, exact).tolist() == [reference_contains(iv, v) for v in values]
             assert iv.mask(xs).tolist() == [reference_contains(iv, x) for x in xs.tolist()]
-            assert all(iv.contains_value(v) == reference_contains(iv, v) for v in values[::10])
+            assert all(iv.contains_point((v,)) == reference_contains(iv, v) for v in values[::10])
 
 
 def test_box_and_ball():
@@ -100,10 +103,10 @@ def test_boundary_shell_1d():
 
 def test_translate_examples():
     P = cluster_1d([0.0, 1.0])
-    assert [p[0] for p in translate_cluster(P, (2.0,)).parts[0]] == [2.0, 3.0]
-    assert translate_cluster(P, (0.0,)) == P
+    assert [p[0] for p in P.translate((2.0,)).parts[0]] == [2.0, 3.0]
+    assert P.translate((0.0,)) == P
     Q = cluster_1d([0.0], [1.5])
-    shifted = translate_cluster(Q, (-1.5,))
+    shifted = Q.translate((-1.5,))
     assert [p[0] for p in shifted.parts[0]] == [-1.5]
     assert [p[0] for p in shifted.parts[1]] == [0.0]
 
@@ -120,8 +123,8 @@ def test_match_round_trip():
         pts = sorted(rng.uniform(0, 10, size=4))
         P = cluster_1d(pts[:2], pts[2:])
         x = float(rng.uniform(-5, 5))
-        assert match_clusters(P, translate_cluster(P, (x,)))[0] == pytest.approx(x)
-        assert match_clusters(translate_cluster(P, (x,)), P)[0] == pytest.approx(-x)
+        assert match_clusters(P, P.translate((x,)))[0] == pytest.approx(x)
+        assert match_clusters(P.translate((x,)), P)[0] == pytest.approx(-x)
 
 
 def test_cluster_distance_examples():
@@ -195,7 +198,7 @@ def test_delone_params_examples():
 
 
 def test_delone_params_2d():
-    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
     d = delone_params(z2, Box((0.0, 0.0), (20.0, 20.0)))
     assert d.eta == pytest.approx(1.0)
     assert d.b == pytest.approx(2 ** 0.5, rel=0.1)  # covering diameter of Z^2
@@ -205,6 +208,36 @@ def test_delone_needs_two_points():
     z = integer_lattice()
     with pytest.raises(ValueError):
         delone_params(z, Interval(0.1, 0.9))
+
+
+def brute_within(keys, lo, hi):
+    pairs = [(r, j) for r in range(len(lo)) for j in range(len(keys)) if lo[r] <= keys[j] < hi[r]]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def test_within_empty_keys_and_reversed_bounds():
+    rows, idx = within(np.empty(0), np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+    assert len(rows) == len(idx) == 0
+    keys = np.arange(10.0)
+    rows, idx = within(keys, np.array([5.0, 2.0]), np.array([3.0, 4.0]))  # lo > hi is empty
+    assert rows.tolist() == [1, 1] and idx.tolist() == [2, 3]
+
+
+def test_within_complex_colour_position_keys():
+    keys = complex_keys(np.array([0, 0, 0, 1, 1]), np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
+    c = np.array([0, 1])
+    rows, idx = within(keys, complex_keys(c, np.array([0.5, 0.0])),
+                       complex_keys(c, np.array([2.5, 1.0])))
+    assert rows.tolist() == [0, 0, 1] and idx.tolist() == [1, 2, 3]  # colour 1 never reaches 0
+
+
+def test_within_matches_a_double_loop():
+    rng = np.random.default_rng(4)
+    keys = np.sort(rng.integers(0, 20, 40).astype(float))  # with repeated keys
+    lo = rng.uniform(-2, 22, 30)
+    hi = lo + rng.uniform(-3, 6, 30)
+    rows, idx = within(keys, lo, hi)
+    assert (rows.tolist(), idx.tolist()) == brute_within(keys, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from pointspec.hull import (
 )
 from pointspec.sources import (
     PointSource,
+    PoissonSource,
     TranslatedSource,
     fibonacci_cut_project,
     integer_lattice,
-    poisson_source,
     thue_morse_source,
 )
 from pointspec.stats import _count_in_patch, halton
@@ -194,7 +194,7 @@ def test_match_predicate_matches_scalar_reference():
              (comb, TranslatedSource(comb, 2.04)), (fib, TranslatedSource(fib, 0.05)),
              (fib, TranslatedSource(fib, (1 + 5 ** 0.5) / 2 + 0.02)), (fib, z),
              (tm, TranslatedSource(tm, 4.03)),
-             (poisson_source(1.0, seed=7), TranslatedSource(poisson_source(1.0, seed=7), 0.01)),
+             (PoissonSource(1.0, seed=7), TranslatedSource(PoissonSource(1.0, seed=7), 0.01)),
              (z.window(Interval(-120, 120)), TranslatedSource(z, 0.07).window(Interval(-120, 120)))]
     ladder = [METRIC_CAP, 0.5, 0.3, 0.2, 0.12, 0.07, 0.04, 0.025, 0.011]
     reach = 1.0 / ladder[-1] + 4 * METRIC_CAP
@@ -221,7 +221,7 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
         return calls[-1][-1]
 
     monkeypatch.setattr(hull, "_match_predicate", record)
-    z, fib, sparse, pz = integer_lattice(), fibonacci_cut_project(), integer_lattice(10.0), poisson_source(1.0, seed=3)
+    z, fib, sparse, pz = integer_lattice(), fibonacci_cut_project(), integer_lattice(10.0), PoissonSource(1.0, seed=3)
     pairs = [(fib, TranslatedSource(fib, h)) for h in (halton(6) * 40.0).tolist()] + [
         (z, TranslatedSource(z, 0.1)), (fib, z), (sparse, TranslatedSource(sparse, 5.0)),
         (TranslatedSource(sparse, 5.0), TranslatedSource(sparse, 5.5)), (pz, TranslatedSource(pz, 0.02))]
@@ -357,11 +357,11 @@ def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
                    np.searchsorted(pos, av - as_float(V.lo) + tol)):
         if exactish:
             g = anchor[0] - patch.parts[color][j][0]
-            if not V.contains_value(g):
+            if not V.contains_point((g,)):
                 continue
         else:
             g = av - pos[j]
-            if not V.contains_value(g):
+            if not V.contains_point((g,)):
                 continue
         if all(_has_point(patch, i, as_float(p[0] - g) if exactish else as_float(p[0]) - g, tol)
                for i, part in enumerate(P.parts) for p in part):
@@ -518,6 +518,12 @@ def test_partition_2z_cells():
     assert len(part.representatives) == 2
     assert part.n_cells == 4  # two length-1 windows, two cells each
     assert part.total_window_length() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("scan_length", [-5.0, 0.0])
+def test_partition_rejects_nonpositive_scan_length(scan_length):
+    with pytest.raises(ValueError, match="scan_length must be positive"):
+        build_partition_1d(fibonacci_cut_project(), 3.0, 0.2, scan_length=scan_length)
 
 
 def test_partition_rejects_bad_parameters():

@@ -13,17 +13,17 @@ from pointspec.sources import (
     COORD_MAX,
     CutProjectSource,
     CutProjectSpec,
+    LatticeSource,
+    PoissonSource,
     SourceError,
     SubstitutionRule,
+    SubstitutionSource,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
-    lattice_source,
     patch_to_json,
     period_doubling_source,
-    poisson_source,
     source_from_config,
-    substitution_source,
     thue_morse_source,
 )
 
@@ -49,21 +49,21 @@ def test_integer_lattice_windows():
 
 
 def test_two_color_lattice_alternates():
-    src = lattice_source([[2.0]], colors=2)  # 2Z colored by residue mod 4
+    src = LatticeSource([[2.0]], colors=2)  # 2Z colored by residue mod 4
     patch = src.window(Interval(0, 10))
     assert [p[0] for p in patch.parts[0]] == [0.0, 4.0, 8.0]
     assert [p[0] for p in patch.parts[1]] == [2.0, 6.0, 10.0]
 
 
 def test_square_lattice_window():
-    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
     patch = z2.window(Box((0.0, 0.0), (2.0, 2.0)))
     assert patch.total_points == 9
 
 
 def test_singular_basis_rejected():
     with pytest.raises(SourceError):
-        lattice_source([[1.0, 1.0], [1.0, 1.0]])
+        LatticeSource([[1.0, 1.0], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +141,10 @@ def scalar_window(src, region):
         a_max = math.ceil(min(hi_x - b * tau, star_hi - b * tauc)) + 1
         for a in range(a_min, a_max + 1):
             x = QuadNum(a, b, f)
-            if not band.contains_value(x):
+            if not band.contains_point((x,)):
                 continue
             for i, w in enumerate(src.spec.windows):
-                if w.contains_value(x.conj()):
+                if w.contains_point((x.conj(),)):
                     out.append((a, b, i))
                     break
     return sorted(out)
@@ -295,7 +295,7 @@ def test_window_beyond_coordinate_bound_raises(lo, hi):
     (integer_lattice, True),
     (fibonacci_cut_project, True),
     (fibonacci_substitution, True),
-    (lambda: poisson_source(1.0, seed=9), False),
+    (lambda: PoissonSource(1.0, seed=9), False),
 ])
 def test_half_open_regions_exclude_open_end(make, has_origin):
     src = make()
@@ -373,12 +373,12 @@ def test_sources_sharing_a_rule_keep_their_own_exact_positions():
         return got
 
     for _ in range(10):
-        a = substitution_source(rule, "a")
+        a = SubstitutionSource(rule, "a")
         a.window(Interval(0, 30))
         del a  # a later source may reuse the dropped word's memory
-        b = substitution_source(rule, "b")
+        b = SubstitutionSource(rule, "b")
         assert check(b)[1] == 1  # b -> ba: the unit tile comes first
-    both = [substitution_source(rule, "a"), substitution_source(rule, "b")]
+    both = [SubstitutionSource(rule, "a"), SubstitutionSource(rule, "b")]
     for src in both + both:
         check(src)
 
@@ -397,7 +397,7 @@ def test_float_endpoints_are_one_running_sum():
     # lengths along the word, however many steps the word took to grow
     rule = SubstitutionRule(letters="ab", expansions=("ab", "a"), lengths=(TAU, 1.0),
                             color_of=(0, 1))
-    src = substitution_source(rule, "a")
+    src = SubstitutionSource(rule, "a")
     for hi in (3, 30, 300, 3000):
         patch = src.window(Interval(0, hi))
     word = "a"
@@ -436,7 +436,7 @@ def test_illegal_seed_rejected():
                             lengths=(QuadNum(0, 1, GOLDEN), QuadNum(1, 0, GOLDEN)),
                             color_of=(0, 1), field=GOLDEN)
     with pytest.raises(SourceError):
-        substitution_source(rule, "b")  # expansion of b starts with a
+        SubstitutionSource(rule, "b")  # expansion of b starts with a
 
 
 def test_eigenvector_equation_validated():
@@ -456,16 +456,21 @@ def test_eigenvector_equation_validated():
 
 
 def test_poisson_deterministic():
-    a = poisson_source(1.0, seed=5).window(Interval(0, 2000))
-    b = poisson_source(1.0, seed=5).window(Interval(0, 2000))
+    a = PoissonSource(1.0, seed=5).window(Interval(0, 2000))
+    b = PoissonSource(1.0, seed=5).window(Interval(0, 2000))
     assert np.array_equal(a.positions(0), b.positions(0))
-    c = poisson_source(1.0, seed=6).window(Interval(0, 2000))
+    c = PoissonSource(1.0, seed=6).window(Interval(0, 2000))
     assert not np.array_equal(a.positions(0), c.positions(0))
+
+
+def test_poisson_rejects_a_negative_seed_at_construction():
+    with pytest.raises(SourceError, match="seed must be >= 0"):
+        source_from_config({"type": "poisson", "seed": -1})
 
 
 def test_poisson_count_within_5_sigma():
     lam, L = 1.0, 10000
-    n = poisson_source(lam, seed=5).window(Interval(0, L)).total_points
+    n = PoissonSource(lam, seed=5).window(Interval(0, L)).total_points
     assert abs(n - lam * L) <= 5 * (lam * L) ** 0.5
 
 
@@ -473,7 +478,7 @@ def test_poisson_cell_counts_look_independent():
     # dispersion index of per-cell counts near 1, chi-square sanity
     from scipy import stats
 
-    src = poisson_source(1.0, seed=5)
+    src = PoissonSource(1.0, seed=5)
     pos = src.window(Interval(0, 2000)).positions(0)
     counts = np.bincount(np.floor(pos).astype(int), minlength=2000)[:2000]
     disp = counts.var() / counts.mean()
@@ -493,11 +498,11 @@ def test_poisson_cell_counts_look_independent():
 
 @pytest.mark.parametrize("make", [
     integer_lattice,
-    lambda: lattice_source([[2.0]], colors=2),
+    lambda: LatticeSource([[2.0]], colors=2),
     fibonacci_cut_project,
     fibonacci_substitution,
     thue_morse_source,
-    lambda: poisson_source(1.0, seed=9),
+    lambda: PoissonSource(1.0, seed=9),
 ])
 def test_window_consistency_nested(make):
     src = make()

@@ -3,14 +3,14 @@ import pytest
 
 from pointspec import spectra
 from pointspec.coords import TOL_EQ, as_float, coord_key
-from pointspec.geometry import Interval, in_sorted, ranges
+from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
+    LatticeSource,
+    PoissonSource,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
-    lattice_source,
     period_doubling_source,
-    poisson_source,
     thue_morse_source,
 )
 from pointspec.stats import VanHoveSpec
@@ -19,7 +19,7 @@ from pointspec.spectra import (
     autocorr_from_frequencies,
     bragg_amplitude,
     cosine_kernel,
-    dworkin_correlation,
+    dworkin_report,
     module_seed_candidates,
     peak_scan,
     plateau_kernel,
@@ -149,7 +149,7 @@ SOURCES = [
     ("fibonacci", fibonacci_cut_project(), [1, 1]),
     ("fibonacci-complex", fibonacci_cut_project(), [1, 0.3 + 0.7j]),
     ("thue-morse", thue_morse_source(), [1, -1]),
-    ("poisson", poisson_source(1.0, seed=7), [1]),
+    ("poisson", PoissonSource(1.0, seed=7), [1]),
 ]
 
 
@@ -190,16 +190,16 @@ def test_routes_disagree_when_the_pair_kernel_drops_a_pair(monkeypatch):
     args = ([1], 5.0, SPEC, 500)
     assert autocorr_direct(z, *args).max_difference(autocorr_from_frequencies(z, *args)) < 1e-12
 
-    def drop_first(starts, stops):
-        rows, idx = ranges(starts, stops)
+    def drop_first(keys, lo, hi):
+        rows, idx = within(keys, lo, hi)
         return rows[1:], idx[1:]
 
-    monkeypatch.setattr(spectra, "ranges", drop_first)
+    monkeypatch.setattr(spectra, "within", drop_first)
     assert autocorr_direct(z, *args).max_difference(autocorr_from_frequencies(z, *args)) > 1e-6
 
 
 def test_poisson_c0_is_intensity():
-    pz = poisson_source(1.0, seed=3)
+    pz = PoissonSource(1.0, seed=3)
     meas = autocorr_direct(pz, [1], 1.0, SPEC, 10000)
     assert meas.coefficient(0.0).real == pytest.approx(1.0, abs=0.05)
 
@@ -294,7 +294,7 @@ def test_bragg_amplitude_one_k_or_many():
     many = bragg_amplitude(z, [1], np.array([0.0, 0.25]), SPEC, 100)
     assert type(one) is complex and many.shape == (2,)
     assert many[1] == pytest.approx(one)
-    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
     spec2 = VanHoveSpec(n0=20, dim=2)
     n = 20
     origin = bragg_amplitude(z2, [1], (0.0, 0.0), spec2, n)
@@ -350,7 +350,7 @@ def test_peak_scan_validates_schedule():
 
 def test_peak_scan_needs_a_1d_source():
     with pytest.raises(ValueError, match="1D source"):
-        peak_scan(lattice_source([[1.0, 0.0], [0.0, 1.0]]), [1], (-1, 1), 0.01, [10, 20])
+        peak_scan(LatticeSource([[1.0, 0.0], [0.0, 1.0]]), [1], (-1, 1), 0.01, [10, 20])
 
 
 @pytest.mark.parametrize("k_range, resolution", [((-1, 1), 0), ((-1, 1), -0.1),
@@ -371,7 +371,7 @@ def test_autocorr_routes_reject_nonpositive_radius_or_n(route, radius, n):
 def test_module_seeds_come_only_from_a_field():
     # peak_scan seeds from the Fourier module of every source; field-less ones,
     # the Poisson control among them, get no seeds, so no seeding switch is needed
-    for src in (poisson_source(1.0, seed=7), integer_lattice(), thue_morse_source(),
+    for src in (PoissonSource(1.0, seed=7), integer_lattice(), thue_morse_source(),
                 period_doubling_source()):
         assert module_seed_candidates(src, -3, 3) == []
     for src in (fibonacci_cut_project(), fibonacci_substitution()):
@@ -424,7 +424,7 @@ def golden_refine_loop(fn, lo, hi, iters=60):
 GOLDEN_CASES = {
     "fibonacci": (fibonacci_cut_project(), [1, 1]),
     "period-doubling": (period_doubling_source(), [1, -1]),
-    "poisson": (poisson_source(1.0, seed=7), [1]),
+    "poisson": (PoissonSource(1.0, seed=7), [1]),
     "Z": (integer_lattice(), [1]),
 }
 
@@ -473,7 +473,7 @@ def capture_fine_grids(monkeypatch, scans):
 def test_fine_grid_bound_holds_and_noise_inside_it_changes_no_argmax(monkeypatch):
     seen = capture_fine_grids(monkeypatch, [
         (fibonacci_cut_project(), [1, 0.3 + 0.7j], [300, 600]),
-        (poisson_source(1.0, seed=7), [1], [300, 600]),
+        (PoissonSource(1.0, seed=7), [1], [300, 600]),
         (period_doubling_source(), [1, -1], [300, 600]),
     ])
     rng = np.random.default_rng(5)
@@ -609,17 +609,17 @@ def test_smoothing_consistency_with_peaks():
 def test_dworkin_lattice():
     z = integer_lattice()
     kern = triangle_kernel(0.4)
-    row0 = dworkin_correlation(z, [1], kern, 0.0, SPEC, 1000)
+    row0 = dworkin_report(z, [1], kern, [0.0], SPEC, 1000).rows[0]
     assert row0.rel_diff <= 0.01
     assert row0.rhs == pytest.approx(kern.l2_norm_sq(), rel=1e-3)
-    row1 = dworkin_correlation(z, [1], kern, 1.0, SPEC, 1000)
+    row1 = dworkin_report(z, [1], kern, [1.0], SPEC, 1000).rows[0]
     assert row1.lhs == pytest.approx(row0.lhs, rel=1e-3)  # 1-periodicity
 
 
 def test_dworkin_fibonacci():
     fib = fibonacci_cut_project()
     kern = triangle_kernel(0.4)
-    row = dworkin_correlation(fib, [1, 1], kern, TAU, SPEC, 4000)
+    row = dworkin_report(fib, [1, 1], kern, [TAU], SPEC, 4000).rows[0]
     assert row.rel_diff <= 0.02
 
 

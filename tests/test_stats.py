@@ -57,19 +57,19 @@ def test_count_examples():
 
 
 def test_count_2d():
-    from pointspec.sources import lattice_source
+    from pointspec.sources import LatticeSource
     from pointspec.geometry import Cluster
 
-    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
     P = Cluster([[(0.0, 0.0), (1.0, 0.0)]], dim=2)
     assert count_cluster(z2, P, Box((0.0, 0.0), (3.0, 3.0))) == 12
 
 
 def test_count_2d_does_not_skip_points_near_the_anchor():
-    from pointspec.sources import lattice_source
+    from pointspec.sources import LatticeSource
     from pointspec.geometry import Cluster
 
-    z2 = lattice_source([[1.0, 0.0], [0.0, 1.0]])
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
     box = Box((990.0, 990.0), (1010.0, 1010.0))
     near = Cluster([[(1000.0, 1000.0), (1000.0, 1000.005)]], dim=2)
     assert count_cluster(z2, near, box) == 0  # 1000.005 is 5e-3 off the lattice

@@ -15,20 +15,20 @@ from hypothesis import strategies as st
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum
 from pointspec.geometry import Interval
 from pointspec.sources import (
+    PoissonSource,
     SubstitutionRule,
+    SubstitutionSource,
     TranslatedSource,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
-    poisson_source,
-    substitution_source,
 )
 
 SOURCES = {
     "lattice": integer_lattice(colors=2),
     "cut_project": fibonacci_cut_project(),
     "substitution": fibonacci_substitution(),
-    "poisson": poisson_source(1.5, seed=11),
+    "poisson": PoissonSource(1.5, seed=11),
 }
 NAMES = sorted(SOURCES)
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -87,9 +87,10 @@ def test_translation_covariance(name, lo, width, k, j, split):
 def test_open_ends_drop_exactly_the_points_there(name, idx, span, exact_ends, closed_lo,
                                                  closed_hi):
     src = SOURCES[name]
-    pts = [p[0] for p in src.window(Interval(0, 60)).all_points()]
+    patch = src.window(Interval(0, 60))
+    pts = [p[0] for p in patch.all_points()]
     lo, hi = pts[idx], pts[idx + span]
-    if not (exact_ends and src.coords == "exact"):
+    if not (exact_ends and patch.exact):
         lo, hi = float(lo), float(hi)
     closed = src.window(Interval(lo, hi))
     half = src.window(Interval(lo, hi, closed_lo, closed_hi))
@@ -104,7 +105,7 @@ def test_open_ends_drop_exactly_the_points_there(name, idx, span, exact_ends, cl
     assert closed.total_points - half.total_points == (not closed_lo) + (not closed_hi)
 
 
-FLOAT_FIB = substitution_source(
+FLOAT_FIB = SubstitutionSource(
     SubstitutionRule(letters="ab", expansions=("ab", "a"),
                      lengths=(float(QuadNum(0, 1, GOLDEN)), 1.0), color_of=(0, 1)), "a")
 
