@@ -1,10 +1,11 @@
 """Command-line interface: reproducible runs from JSON configs.
 
 Subcommands: generate | classes | freq | autocorr | diffract | metric |
-partition | verify.  Every run writes a manifest echoing the fully
-resolved config next to its outputs; re-running from a manifest
-reproduces the outputs byte for byte (no timestamps, fixed float
-formatting, deterministic seeds).
+partition | verify.  A data subcommand only computes; `main` builds its
+source, and once it has returned creates the output directory and writes
+its files and a manifest echoing the fully resolved config.  Re-running
+from a manifest reproduces the outputs byte for byte (no timestamps,
+fixed float formatting, deterministic seeds).
 
 Exit codes: 0 ok, 3 numerical check failure, 2 config error: a config that
 cannot be read or parsed, or any value the library rejects (its ValueError or
@@ -16,9 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
-from .geometry import Interval, cluster_1d
+from .geometry import Interval, cluster_1d, enumerate_cluster_classes
 from .hull import build_partition_1d, hull_metric
 from .output import write_json
 from .sources import patch_to_json, source_from_config
@@ -35,7 +37,6 @@ from .spectra import (
     write_autocorr_csv,
 )
 from .verify import SUITES, run_suite
-from .geometry import enumerate_cluster_classes
 
 
 class ConfigError(ValueError):
@@ -99,8 +100,8 @@ def _van_hove(cfg, dim=1):
 
 def _weights(cfg, m):
     w = cfg.get("weights", [1] * m)
-    if not isinstance(w, list) or len(w) != m:
-        raise ConfigError("weights must have one entry per color (m=%d)" % m)
+    if not isinstance(w, list):
+        raise ConfigError("weights must be a list with one entry per color")
     out = []
     for entry in w:
         pair = isinstance(entry, (list, tuple)) and len(entry) == 2
@@ -116,10 +117,6 @@ def _make_source(doc, seed):
         return source_from_config(doc, seed=seed)
     except TypeError as e:  # a config value of the wrong JSON type
         raise ConfigError(str(e))
-
-
-def _source(cfg, seed=None):
-    return _make_source(_require(cfg, "source", dict), seed)
 
 
 def _cluster(doc, m):
@@ -139,11 +136,6 @@ def _outdir(args):
     return out
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, outputs):
-    write_json(out / "manifest.json", {"command": command, "config": cfg,
-                                       "outputs": sorted(outputs)})
-
-
 def _region_1d(doc):
     if isinstance(doc, (list, tuple)) and len(doc) == 2:
         try:
@@ -153,58 +145,46 @@ def _region_1d(doc):
     raise ConfigError("region must be [lo, hi] with numeric ends, not %r" % (doc,))
 
 
+def _plot_data(header, line, rows):
+    """Writer of a --plot-data file: a '# header' line, then one line per row."""
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write("# %s\n" % header)
+            fh.writelines(line % row for row in rows)
+    return write
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, cfg, source, its config section) and returns
+# {file name: writer of that file}; main writes them and the manifest
 
 
-def cmd_generate(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    gen = _section(cfg, "generate")
-    region = _region_1d(_require(gen, "region", (list, tuple), "'generate'"))
-    patch = src.window(region)
-    out = _outdir(args)
-    write_json(out / "points.json", patch_to_json(patch, field=getattr(src, "field", None)))
-    _write_manifest(out, "generate", cfg, ["points.json"])
-    return 0
+def cmd_generate(args, cfg, src, sub):
+    region = _region_1d(_require(sub, "region", (list, tuple), "'generate'"))
+    return {"points.json": partial(write_json, doc=patch_to_json(src.window(region), src.field))}
 
 
-def cmd_classes(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "classes")
+def cmd_classes(args, cfg, src, sub):
     R = _number(sub, "R", 1.0)
-    scan = _region_1d(sub.get("scan", [0, 200]))
-    table = enumerate_cluster_classes(src, R, scan)
-    rows = []
-    for rep, count in zip(table.representatives, table.counts):
-        rows.append({
-            "count": count,
-            "cluster": rep.to_json(),
-        })
-    out = _outdir(args)
-    write_json(out / "classes.json", {"radius": R, "n_classes": table.n_classes, "classes": rows})
-    _write_manifest(out, "classes", cfg, ["classes.json"])
-    return 0
+    table = enumerate_cluster_classes(src, R, _region_1d(sub.get("scan", [0, 200])))
+    rows = [{"count": count, "cluster": rep.to_json()}
+            for rep, count in zip(table.representatives, table.counts)]
+    return {"classes.json": partial(write_json, doc={"radius": R, "n_classes": table.n_classes,
+                                                     "classes": rows})}
 
 
-def cmd_freq(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "freq")
+def cmd_freq(args, cfg, src, sub):
     spec = _van_hove(cfg, dim=src.dim)
     P = _cluster(sub.get("cluster", [[0.0]] + [[]] * (src.m - 1)), src.m)
     n_off = _number(sub, "offsets", 50, int)
     span = _number(sub, "offset_span", 10.0)
     offsets = [(0.0,)] + list(default_offsets(n_off - 1, span)) if n_off > 1 else [(0.0,)]
     est = estimate_frequency(src, P, spec, offsets)
-    out = _outdir(args)
-    write_frequency_csv(est, out / "freq.csv")
-    write_json(out / "freq.json", est.to_json())
-    _write_manifest(out, "freq", cfg, ["freq.csv", "freq.json"])
-    return 0
+    return {"freq.csv": partial(write_frequency_csv, est),
+            "freq.json": partial(write_json, doc=est.to_json())}
 
 
-def cmd_autocorr(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "autocorr")
+def cmd_autocorr(args, cfg, src, sub):
     spec = _van_hove(cfg, dim=src.dim)
     radius = _number(sub, "radius", 10.0)
     n = _number(sub, "n", spec.schedule()[-1])
@@ -217,22 +197,14 @@ def cmd_autocorr(args, cfg):
         measures.append(autocorr_from_frequencies(src, w, radius, spec, n))
     if not measures:
         raise ConfigError("autocorr method must be direct|frequencies|both")
-    out = _outdir(args)
-    outputs = ["autocorr.csv"]
-    write_autocorr_csv(measures, out / "autocorr.csv")
+    out = {"autocorr.csv": partial(write_autocorr_csv, measures)}
     if args.plot_data:
-        with open(out / "autocorr.dat", "w") as fh:
-            fh.write("# t re_c im_c\n")
-            for t, c in measures[0].items():
-                fh.write("%.17g %.17g %.17g\n" % (t, c.real, c.imag))
-        outputs.append("autocorr.dat")
-    _write_manifest(out, "autocorr", cfg, outputs)
-    return 0
+        out["autocorr.dat"] = _plot_data("t re_c im_c", "%.17g %.17g %.17g\n",
+                                         [(t, c.real, c.imag) for t, c in measures[0].items()])
+    return out
 
 
-def cmd_diffract(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "diffract")
+def cmd_diffract(args, cfg, src, sub):
     spec = _van_hove(cfg, dim=src.dim)
     k_lo = _number(sub, "k_min", -3.0)
     k_hi = _number(sub, "k_max", 3.0)
@@ -240,42 +212,26 @@ def cmd_diffract(args, cfg):
     schedule = _number(sub, "n_schedule", [1000, 2000])
     w = _weights(cfg, src.m)
     est = peak_scan(src, w, (k_lo, k_hi), resolution, schedule, spec)
-    out = _outdir(args)
-    est.to_csv(out / "diffract.csv")
-    outputs = ["diffract.csv"]
+    out = {"diffract.csv": est.to_csv}
     if args.plot_data:
-        with open(out / "diffract.dat", "w") as fh:
-            fh.write("# k intensity retained\n")
-            for e in est.entries:
-                fh.write("%.17g %.17g %d\n" % (e.k, e.intensity, int(e.retained)))
-        outputs.append("diffract.dat")
-    _write_manifest(out, "diffract", cfg, outputs)
-    return 0
+        out["diffract.dat"] = _plot_data("k intensity retained", "%.17g %.17g %d\n",
+                                         [(e.k, e.intensity, e.retained) for e in est.entries])
+    return out
 
 
-def cmd_metric(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "metric")
+def cmd_metric(args, cfg, src, sub):
     other = _make_source(_require(sub, "other_source", dict, "'metric'"), args.seed)
-    eps_grid = _number(sub, "eps_grid", 0.01)
-    bracket = hull_metric(src, other, eps_grid=eps_grid)
-    out = _outdir(args)
-    write_json(out / "metric.json", bracket.to_json())
-    _write_manifest(out, "metric", cfg, ["metric.json"])
-    return 0
+    bracket = hull_metric(src, other, eps_grid=_number(sub, "eps_grid", 0.01))
+    return {"metric.json": partial(write_json, doc=bracket.to_json())}
 
 
-def cmd_partition(args, cfg):
-    src = _source(cfg, seed=args.seed)
-    sub = _section(cfg, "partition")
+def cmd_partition(args, cfg, src, sub):
     R = _number(sub, "R", 3.0)
     delta = _number(sub, "delta", 0.2)
     part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
-    out = _outdir(args)
-    write_json(out / "partition.json", {"radius": R, "delta": delta, "n_cells": part.n_cells,
-                                        "cells": part.to_json()})
-    _write_manifest(out, "partition", cfg, ["partition.json"])
-    return 0
+    return {"partition.json": partial(write_json, doc={"radius": R, "delta": delta,
+                                                       "n_cells": part.n_cells,
+                                                       "cells": part.to_json()})}
 
 
 def cmd_verify(args):
@@ -333,7 +289,15 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        return COMMANDS[args.command](args, _load_config(args.config))
+        cfg = _load_config(args.config)
+        src = _make_source(_require(cfg, "source", dict), args.seed)
+        writers = COMMANDS[args.command](args, cfg, src, _section(cfg, args.command))
+        out = _outdir(args)  # only once the computation has succeeded
+        for name, write in writers.items():
+            write(out / name)
+        write_json(out / "manifest.json", {"command": args.command, "config": cfg,
+                                           "outputs": sorted(writers)})
+        return 0
     except (ValueError, NotImplementedError) as e:  # ConfigError is a ValueError
         print("config error: %s" % e, file=sys.stderr)
         return 2

@@ -196,10 +196,6 @@ class QuadNum:
 
 # -- generic coordinate helpers (float | int | QuadNum) --------------------
 
-def as_float(c) -> float:
-    return float(c)
-
-
 def is_exact_coord(c) -> bool:
     return isinstance(c, (int, Fraction, QuadNum))
 
@@ -297,6 +293,12 @@ class QuadArray:
 
     def __neg__(self) -> "QuadArray":
         return QuadArray(-self.a, -self.b, self.den, self.field)
+
+    def __sub__(self, other: "QuadArray") -> "QuadArray":
+        """Entrywise difference (broadcasting) of two arrays over one denominator and field."""
+        if (other.den, other.field) != (self.den, self.field):
+            raise ValueError("QuadArray difference needs one denominator and field")
+        return QuadArray(self.a - other.a, self.b - other.b, self.den, self.field)
 
     def floats(self) -> np.ndarray:
         """Float values, rounded exactly as float() rounds each QuadNum."""

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import (FLOAT_ERR, TOL_EQ, QuadArray, as_float, exact_sign, float_error,
-                     is_exact_coord)
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, exact_sign, float_error, is_exact_coord
 
 TOL_EXACT = Fraction(repr(TOL_EQ))  # TOL_EQ at its decimal value, 10**-9
 
@@ -38,7 +37,7 @@ class _Region:
     def contains_point(self, pt) -> bool:
         """mask() for one point, a d-tuple of coordinates."""
         exact = QuadArray.of(pt) if self.dim == 1 and is_exact_coord(pt[0]) else None
-        return bool(self.mask([[as_float(c) for c in pt]], exact)[0])
+        return bool(self.mask([[float(c) for c in pt]], exact)[0])
 
     def covers(self, other) -> bool:
         """Whether other's bounding box lies in this one's (TOL_EQ slack)."""
@@ -63,7 +62,7 @@ class Interval(_Region):
         return 1
 
     def volume(self) -> float:
-        return max(0.0, as_float(self.hi) - as_float(self.lo))
+        return max(0.0, float(self.hi) - float(self.lo))
 
     def mask(self, x, exact: QuadArray = None) -> np.ndarray:
         """Which points lie in the interval, as a boolean array.
@@ -85,7 +84,7 @@ class Interval(_Region):
             err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + TOL_EQ)
         for end, sense, closed in ((self.lo, 1, self.closed_lo), (self.hi, -1, self.closed_hi)):
             step = 0 if exact_ends else (-sense if closed else sense)
-            bound = as_float(end) + step * TOL_EQ
+            bound = float(end) + step * TOL_EQ
             gap = sense * (x - bound)
             if exact is None:
                 ok &= (gap >= 0) if closed else (gap > 0)
@@ -102,17 +101,17 @@ class Interval(_Region):
         return ok
 
     def dilate(self, r: float) -> "Interval":
-        return Interval(as_float(self.lo) - r, as_float(self.hi) + r)
+        return Interval(float(self.lo) - r, float(self.hi) + r)
 
     def erode(self, r: float) -> "Interval":
-        return Interval(as_float(self.lo) + r, as_float(self.hi) - r)
+        return Interval(float(self.lo) + r, float(self.hi) - r)
 
     def translate(self, vec) -> "Interval":
         (v,) = vec
         return Interval(self.lo + v, self.hi + v, self.closed_lo, self.closed_hi)
 
     def bounds(self):
-        return ((as_float(self.lo), as_float(self.hi)),)
+        return ((float(self.lo), float(self.hi)),)
 
 
 @dataclass(frozen=True)
@@ -129,28 +128,28 @@ class Box(_Region):
     def volume(self) -> float:
         v = 1.0
         for a, b in zip(self.lo, self.hi):
-            v *= max(0.0, as_float(b) - as_float(a))
+            v *= max(0.0, float(b) - float(a))
         return v
 
     def mask(self, x, exact=None) -> np.ndarray:
         """Which float points x, shape (N, d), lie in the box (TOL_EQ slack); exact is unused."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
-        lo = np.array([as_float(a) - TOL_EQ for a in self.lo])
-        hi = np.array([as_float(b) + TOL_EQ for b in self.hi])
+        lo = np.array([float(a) - TOL_EQ for a in self.lo])
+        hi = np.array([float(b) + TOL_EQ for b in self.hi])
         return np.all((x >= lo) & (x <= hi), axis=1)
 
     def dilate(self, r: float) -> "Box":
-        return Box(tuple(as_float(a) - r for a in self.lo), tuple(as_float(b) + r for b in self.hi))
+        return Box(tuple(float(a) - r for a in self.lo), tuple(float(b) + r for b in self.hi))
 
     def erode(self, r: float) -> "Box":
-        return Box(tuple(as_float(a) + r for a in self.lo), tuple(as_float(b) - r for b in self.hi))
+        return Box(tuple(float(a) + r for a in self.lo), tuple(float(b) - r for b in self.hi))
 
     def translate(self, vec) -> "Box":
         return Box(tuple(a + v for a, v in zip(self.lo, vec)),
                    tuple(b + v for b, v in zip(self.hi, vec)))
 
     def bounds(self):
-        return tuple((as_float(a), as_float(b)) for a, b in zip(self.lo, self.hi))
+        return tuple((float(a), float(b)) for a, b in zip(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class Ball(_Region):
     def mask(self, x, exact=None) -> np.ndarray:
         """Which float points x, shape (N, d), lie in the ball (TOL_EQ slack); exact is unused."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
-        d2 = sum((x[:, k] - as_float(c)) ** 2 for k, c in enumerate(self.center))
+        d2 = sum((x[:, k] - float(c)) ** 2 for k, c in enumerate(self.center))
         return d2 <= (self.radius + TOL_EQ) ** 2
 
     def dilate(self, r: float) -> "Ball":
@@ -185,7 +184,7 @@ class Ball(_Region):
         return Ball(tuple(c + v for c, v in zip(self.center, vec)), self.radius)
 
     def bounds(self):
-        return tuple((as_float(c) - self.radius, as_float(c) + self.radius) for c in self.center)
+        return tuple((float(c) - self.radius, float(c) + self.radius) for c in self.center)
 
 
 def boundary_shell_volume(region, r: float) -> float:
@@ -380,7 +379,7 @@ class MultiSetPatch:
         if self._exact is not None and all(is_exact_coord(v) for v in vec):
             q = QuadArray.concat(self._exact).shift(vec[0])
             return self._by_colour(1, self.m, q.floats(), col, q)
-        shift = np.array([as_float(v) for v in vec])
+        shift = np.array([float(v) for v in vec])
         return self._by_colour(self.dim, self.m, x + (shift[0] if self.dim == 1 else shift), col)
 
     def translate(self, vec) -> "MultiSetPatch":
@@ -403,14 +402,16 @@ class MultiSetPatch:
             exact.append(None if q is None else q[keep])
         return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
 
-    def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
-        """L_P over the patch: indices j into positions(P.anchor_color()) with
-        v_j + P inside the patch's point set, v_j = position_j - anchor.
+    def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
+        """L_P over the patch: the translates v with v + P inside the patch's
+        point set, as (v, exact v).
 
-        In 1D only translates v_j in [lo - TOL_EQ, hi + TOL_EQ] are tried; in
-        2D every anchor-colour point is a candidate.  Membership is within
-        TOL_EQ, for every candidate and every point of a colour at once:
-        sorted search in 1D, a KD-tree in 2D.
+        v = q - anchor over the anchor-colour points q, ascending, shape (N,)
+        in 1D and (N, d) in 2D; exact v is their QuadArray when the patch and
+        P are both exact, None otherwise.  In 1D only translates in
+        [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D every anchor-colour point
+        is a candidate.  Membership is within TOL_EQ, for every candidate and
+        every point of a colour at once: sorted search in 1D, a KD-tree in 2D.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -439,7 +440,10 @@ class MultiSetPatch:
             else:
                 hit = np.zeros(targets.size, dtype=bool)
             idx = idx[hit.reshape(len(idx), -1).all(axis=1)]
-        return idx
+        exact = None
+        if self.exact and P.exact:
+            exact = self.exact_positions(color)[idx].shift(-P.exact_positions(color).value(0))
+        return base[idx] - anchor, exact
 
 
 class Cluster(MultiSetPatch):
@@ -462,7 +466,7 @@ class Cluster(MultiSetPatch):
         coords = [c for p in pts for c in as_point(p, dim)]
         exact = dim == 1 and coords and all(map(is_exact_coord, coords))
         q = QuadArray.of(coords) if exact else None
-        x = np.array([as_float(c) for c in coords], dtype=float) if q is None else q.floats()
+        x = np.array([float(c) for c in coords], dtype=float) if q is None else q.floats()
         color = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
         self._set(dim, *self._by_colour(dim, len(parts), x if dim == 1 else x.reshape(-1, dim),
                                         color, q))
@@ -531,7 +535,8 @@ class Cluster(MultiSetPatch):
         return bool(np.all(np.abs(diff) <= TOL_EQ))
 
     def __hash__(self):
-        return hash(self.signature())
+        # only what equal clusters share: float equality is within TOL_EQ
+        return hash((self.dim, tuple(map(len, self._pos))))
 
     def __repr__(self):
         return "Cluster(%s)" % ", ".join(
@@ -569,7 +574,7 @@ def match_clusters(P: Cluster, Q: Cluster):
     x = tuple(cq - cp for cp, cq in zip(P.anchor_point(), Q.anchor_point()))
     if P.exact and Q.exact:
         return x if Q.translate(tuple(-c for c in x)).signature() == P.signature() else None
-    shift = np.array([-as_float(c) for c in x])
+    shift = np.array([-float(c) for c in x])
     moved = np.concatenate(Q._pos) + (shift[0] if P.dim == 1 else shift)
     return x if np.all(np.abs(np.concatenate(P._pos) - moved) <= TOL_EQ) else None
 
@@ -692,7 +697,7 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     start = np.searchsorted(rows, np.arange(len(anchors) + 1))
     first = idx[start[:-1]][rows]  # each ball's lex-smallest point
     if q is not None:
-        exact = QuadArray(q.a[idx] - q.a[first], q.b[idx] - q.b[first], q.den, q.field)
+        exact = q[idx] - q[first]
         vals, keys = exact.floats(), [exact.a, exact.b]
     else:  # translated by -x, then anchored, as Cluster.translate rounds
         at = x[anchors][rows]

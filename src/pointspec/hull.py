@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import TOL_EQ, QuadArray, as_float, coord_key
+from .coords import TOL_EQ, coord_key
 from .geometry import (
     Cluster,
     Interval,
@@ -230,17 +230,17 @@ class _Cylinders:
     """Cylinders X_{P,V} decided together, patch by patch (1D).
 
     Cylinders with the same cluster P form one group.  One occurrences
-    search per group finds the v_j = q_j - anchor with -v_j near any of its
-    windows; Interval.mask decides each window V on g_j = anchor - q_j,
-    exactly when the patch and P are exact.
+    search per group finds the translates v with -v near any of its
+    windows; Interval.mask decides each window V on g = -v, exactly when
+    the patch and P are exact.
     """
 
     def __init__(self, cylinders):
         self.cylinders = list(cylinders)
         if any(cyl.cluster.is_empty() for cyl in self.cylinders):
             raise ValueError("cylinder cluster must be nonempty")
-        self.vlo = np.array([as_float(cyl.window.lo) for cyl in self.cylinders])
-        self.vhi = np.array([as_float(cyl.window.hi) for cyl in self.cylinders])
+        self.vlo = np.array([float(cyl.window.lo) for cyl in self.cylinders])
+        self.vhi = np.array([float(cyl.window.hi) for cyl in self.cylinders])
         sup = [cyl.cluster.colour_major()[0] for cyl in self.cylinders]
         self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi, initial=np.inf)),
                               float(np.max([p.max() for p in sup] - self.vlo, initial=-np.inf)))
@@ -262,15 +262,11 @@ class _Cylinders:
                                      % (patch.region, self.reach))
         hits = np.zeros(len(self.cylinders), dtype=bool)
         for P, members, lo, hi in self.groups:
-            color = P.anchor_color()
-            j = patch.occurrences(P, lo, hi)
-            if not len(j):
+            v, exact = patch.occurrences(P, lo, hi)
+            if not len(v):
                 continue
-            if patch.exact and P.exact:
-                g = (-patch.exact_positions(color)[j]).shift(P.anchor_point()[0])
-                gf = g.floats()
-            else:
-                g, gf = None, P.positions(color)[0] - patch.positions(color)[j]
+            g = None if exact is None else -exact
+            gf = -v if g is None else g.floats()
             for c in members:
                 hits[c] = self.cylinders[c].window.mask(gf, g).any()
         return hits
@@ -358,7 +354,7 @@ class HullPartition:
                 "class": cell.class_index,
                 "cluster": cell.cluster.to_json(),
                 "pinned": cell.pinned.to_json(),
-                "interval": [as_float(cell.window.lo), as_float(cell.window.hi)],
+                "interval": [float(cell.window.lo), float(cell.window.hi)],
             })
         return out
 
@@ -385,7 +381,8 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     boundary, realized at isolated offsets) are dropped.
 
     Raises IncompletePartitionError when a longer scan would still be
-    discovering new (pattern, window) pieces.
+    discovering new (pattern, window) pieces: when the scan over
+    [0, scan_length] first meets some piece past 0.6 scan_length.
     """
     if source.dim != 1:
         raise NotImplementedError("partition is 1D only")
@@ -404,9 +401,9 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         raise ValueError("pinning requires b < 2 eta (observed b=%.6g, eta=%.6g)"
                          % (dp.b, dp.eta))
 
-    pieces_half = _scan_pieces(source, R, 0.0, scan_length * 0.6)
-    pieces_full = _scan_pieces(source, R, 0.0, scan_length)
-    if set(pieces_half) != set(pieces_full):
+    pieces = _scan_pieces(source, R, 0.0, scan_length)
+    # a scan over [0, 0.6 scan_length] sees exactly the pieces that close by its end
+    if any(end > scan_length * 0.6 + TOL_EQ for *_, end in pieces.values()):
         raise IncompletePartitionError(
             "piece enumeration still growing at scan length %g" % scan_length)
 
@@ -414,15 +411,15 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     reps = []
     rep_index = {}
     cells = []
-    for key in sorted(pieces_full, key=lambda k: (_sort_key(pieces_full[k][0]), k[3], k[4])):
-        rep, pinned, w_lo, w_hi = pieces_full[key]
+    for key in sorted(pieces, key=lambda k: (_sort_key(pieces[k][0]), k[3], k[4])):
+        rep, pinned, w_lo, w_hi, _ = pieces[key]
         sig = rep.signature()
         idx = rep_index.get(sig)
         if idx is None:
             idx = len(reps)
             rep_index[sig] = idx
             reps.append(rep)
-        width = as_float(w_hi) - as_float(w_lo)
+        width = float(w_hi) - float(w_lo)
         k = max(1, math.ceil(width / delta))
         if width / k >= delta:  # guard against exact division
             k += 1
@@ -446,7 +443,10 @@ def _sort_key(cl: Cluster):
 
 def _scan_pieces(source, R: float, t0: float, t1: float):
     """Distinct (window pattern, pinned cluster, offset window) pieces for
-    the sliding window B_R(t), t in [t0, t1].
+    the sliding window B_R(t), t in [t0, t1], as key -> (pattern, pinned,
+    w_lo, w_hi, end): end is the float closing event of the first piece
+    with that key, so a scan stopped at any t sees the keys whose end
+    is at most t + TOL_EQ.
 
     The pinned cluster is the patch over the closed hull of window
     positions of the piece, [e_i - R, e_{i+1} + R]: the window pattern
@@ -488,8 +488,8 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     ka, kb, lo, hi, plo, phi = (v[live] for v in (ka, kb, lo, hi, plo, phi))
     rows, idx = ranges(plo, phi)
     at = lo[rows]  # each piece's anchor: the first point of its window
-    keys = (float_keys(vals[idx] - vals[at]) if q is None
-            else [q.a[idx] - q.a[at], q.b[idx] - q.b[at]])
+    d = None if q is None else q[idx] - q[at]
+    keys = float_keys(vals[idx] - vals[at]) if d is None else [d.a, d.b]
     firsts, _ = distinct_windows(rows, [cols[idx]] + keys, len(lo),
                                  extra=(lo - plo, hi - lo, ka - 2 * plo, kb - 2 * plo))
 
@@ -497,7 +497,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
         s = slice(i0, i1)
         if q is None:
             return Cluster.from_arrays(1, patch.m, vals[s] - vals[anchor], cols[s])
-        e = QuadArray(q.a[s] - q.a[anchor], q.b[s] - q.b[anchor], q.den, q.field)
+        e = q[s] - q[anchor]
         return Cluster.from_arrays(1, patch.m, e.floats(), cols[s], e)
 
     pieces = {}
@@ -508,7 +508,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
         key = (rep.signature(), pinned.signature(), coord_key(w_lo), coord_key(w_hi),
                pinned.total_points)
         if key not in pieces:
-            pieces[key] = (rep, pinned, w_lo, w_hi)
+            pieces[key] = (rep, pinned, w_lo, w_hi, float(ev[kb[r]]))
     return pieces
 
 
@@ -521,29 +521,27 @@ def _exactify(x: float):
 # empirical invariant measure of a cylinder
 
 
-def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: float = 0.0,
-                               eta: float = None):
+def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: float = 0.0):
     """(1/Vol F_n) Vol{x in offset + F_n : -x + Lambda in X_{P,V}}.
 
     Computed exactly (1D) as the length of the union of translates
     (x_nu + V) ∩ (offset + F_n) over the occurrence positions x_nu of P.
-    Requires diam(V) < eta so the translates are disjoint.
-    Returns (measure, J_n, vol).
+    Requires diam(V) < eta, eta observed on [0, 400], so the translates
+    are disjoint.  Returns (measure, J_n, vol).
     """
     if source.dim != 1:
         raise NotImplementedError("cylinder measure is 1D only")
     V = cyl.window
     vlen = V.volume()
-    if eta is None:
-        eta = delone_params(source, Interval(0.0, 400.0)).eta
+    eta = delone_params(source, Interval(0.0, 400.0)).eta
     if not (vlen < eta):
         raise ValueError("diam(V) = %.6g must be < eta = %.6g" % (vlen, eta))
-    P, color = cyl.cluster, cyl.cluster.anchor_color()
-    reach = float(np.abs(P.colour_major()[0]).max()) + max(abs(as_float(V.lo)), abs(as_float(V.hi)))
+    P = cyl.cluster
+    reach = float(np.abs(P.colour_major()[0]).max()) + max(abs(float(V.lo)), abs(float(V.hi)))
     lo, hi = offset - n, offset + n
     patch = source.window(Interval(lo - reach - 1.0, hi + reach + 1.0))
-    positions = patch.positions(color)[patch.occurrences(P)] - P.positions(color)[0]
-    vlo, vhi = as_float(V.lo), as_float(V.hi)
+    positions, _ = patch.occurrences(P)
+    vlo, vhi = float(V.lo), float(V.hi)
     starts = positions + vlo
     stops = positions + vhi
     lengths = np.clip(np.minimum(stops, hi) - np.maximum(starts, lo), 0.0, None)

@@ -32,7 +32,6 @@ from .coords import (
     QuadArray,
     QuadField,
     QuadNum,
-    as_float,
     field_by_name,
     is_exact_coord,
 )
@@ -151,8 +150,8 @@ class CutProjectSource(PointSource):
         self.field = spec.field
         self.dim = 1
         self.m = len(spec.windows)
-        self._star_lo = min(as_float(w.lo) for w in spec.windows)
-        self._star_hi = max(as_float(w.hi) for w in spec.windows)
+        self._star_lo = min(float(w.lo) for w in spec.windows)
+        self._star_hi = max(float(w.hi) for w in spec.windows)
         self._tau = self.field.tau
         self._tauc = self.field.tau_conj
 
@@ -242,7 +241,7 @@ class SubstitutionRule:
             if not w or any(ch not in self.letters for ch in w):
                 raise SourceError("expansion words must be nonempty over the alphabet")
         for L in self.lengths:
-            if as_float(L) <= 0:
+            if float(L) <= 0:
                 raise SourceError("tile lengths must be positive")
         if not self._primitive():
             raise SourceError("substitution matrix is not primitive")
@@ -286,7 +285,7 @@ class SubstitutionRule:
                 elif lam - cand != 0:
                     raise SourceError("tile lengths are not a Perron eigenvector")
             else:
-                cand = as_float(total) / as_float(self.lengths[j])
+                cand = float(total) / float(self.lengths[j])
                 if lam is None:
                     lam = cand
                 elif abs(lam - cand) > 1e-9:
@@ -331,7 +330,7 @@ class SubstitutionSource(PointSource):
         self._table = np.array([e + [0] * (width - len(e)) for e in exp])
         self._sizes = np.array([len(e) for e in exp])
         self._color = np.array(rule.color_of)
-        self._longest = max(as_float(L) for L in rule.lengths)
+        self._longest = max(float(L) for L in rule.lengths)
         # the word's tile endpoints, left ends then its right end: floats, and
         # for an exact rule the same points as a QuadArray
         self._word = np.array([rule.letters.index(seed_letter)])
@@ -343,7 +342,7 @@ class SubstitutionSource(PointSource):
                 raise SourceError(str(e))
             self._exact = QuadArray([0], [0], self._lengths.den, self._lengths.field)
         else:
-            self._lengths = np.array([as_float(L) for L in rule.lengths])
+            self._lengths = np.array([float(L) for L in rule.lengths])
         self._add_ends(0)
 
     def _extend_to(self, length_needed: float):
@@ -588,12 +587,12 @@ def _int_or_str(num: int, den: int):
 
 def region_to_json(region) -> dict:
     if isinstance(region, Interval):
-        return {"kind": "interval", "lo": as_float(region.lo), "hi": as_float(region.hi),
+        return {"kind": "interval", "lo": float(region.lo), "hi": float(region.hi),
                 "closed": [region.closed_lo, region.closed_hi]}
     if isinstance(region, Box):
-        return {"kind": "box", "lo": [as_float(c) for c in region.lo],
-                "hi": [as_float(c) for c in region.hi]}
+        return {"kind": "box", "lo": [float(c) for c in region.lo],
+                "hi": [float(c) for c in region.hi]}
     if isinstance(region, Ball):
-        return {"kind": "ball", "center": [as_float(c) for c in region.center],
+        return {"kind": "ball", "center": [float(c) for c in region.center],
                 "radius": region.radius}
     raise ValueError("unknown region type")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import TOL_EQ, QuadArray, as_float, coord_key
+from .coords import TOL_EQ, coord_key
 from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, within
 from .output import write_csv
 from .stats import VanHoveSpec
@@ -78,7 +78,7 @@ class AutocorrelationMeasure:
 
     def items(self):
         """(t_float, c) pairs sorted by t."""
-        out = [(as_float(t), c) for t, c in self.entries.values()]
+        out = [(float(t), c) for t, c in self.entries.values()]
         out.sort(key=lambda tc: tc[0])
         return out
 
@@ -87,9 +87,9 @@ class AutocorrelationMeasure:
         cur = self.entries.get(key)
         if cur is not None:
             return cur[1]
-        tf = as_float(t)
+        tf = float(t)
         for u, c in self.entries.values():
-            if abs(as_float(u) - tf) <= TOL_EQ:
+            if abs(float(u) - tf) <= TOL_EQ:
                 return c
         return 0.0 + 0.0j
 
@@ -125,7 +125,7 @@ def _differences(x, qx, y, qy, radius: float):
         d = x[a] - y[b]
         key = float_keys(d)  # coord_key of a float
     else:
-        d = QuadArray(qx.a[a] - qy.a[b], qx.b[a] - qy.b[b], qx.den, qx.field)
+        d = qx[a] - qy[b]
         key = [d.a, d.b]
     first, group = first_labels(np.stack(key, axis=1))
     ts = list(d[first]) if qx is None else [d.value(k) for k in first]
@@ -174,7 +174,7 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
         for j in range(patch.m):
             *_, ts = _differences(positions[i], exact[i], positions[j], exact[j], radius)
             for t in ts:
-                tf = as_float(t)
+                tf = float(t)
                 if abs(tf) <= TOL_EQ and i == j:
                     count = len(positions[i])  # degenerate pair: single-point frequency
                 else:
@@ -585,9 +585,7 @@ def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np
     patch = source if isinstance(source, MultiSetPatch) else \
         source.window(Interval(float(grid[0]) - hw - 1.0, float(grid[-1]) + hw + 1.0))
     step = grid[1] - grid[0]
-    pos = [patch.positions(i) for i in range(patch.m)]
-    col = np.repeat(np.arange(patch.m), [len(p) for p in pos])
-    pos = np.concatenate(pos)  # colour-major: the order the sum adds in
+    pos, col = patch.colour_major()  # the order the sum adds in
     p, g = within(grid, pos + kernel.support[0] - step, pos + kernel.support[1] + step)
     terms = w[col[p]] * kernel(grid[g] - pos[p])
     rho = np.empty(len(grid), dtype=complex)

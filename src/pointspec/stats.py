@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import as_float
 from .geometry import Box, Cluster, Interval, boundary_shell_volume
 from .output import write_csv
 
@@ -60,7 +59,7 @@ def van_hove_region(spec: VanHoveSpec, n: float, rs=(1.0, 10.0)):
 
 def _count_in_patch(patch, P: Cluster) -> int:
     """L_P over one patch: translates v with v + P inside the patch."""
-    return len(patch.occurrences(P))
+    return len(patch.occurrences(P)[0])
 
 
 def count_cluster(source, P: Cluster, region) -> int:
@@ -124,7 +123,7 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets) -> Freque
         raise ValueError("offsets must be nonempty (use [(0,)] for freq')")
     offsets = [o if isinstance(o, (tuple, list)) else (o,) for o in offsets]
     schedule = spec.schedule()
-    span = max(max(abs(as_float(c)) for c in o) for o in offsets)
+    span = max(max(abs(float(c)) for c in o) for o in offsets)
     reach = float(np.abs(P.colour_major()[0]).max(initial=0.0))
     patch = source.window(spec.region(schedule[-1] + span + reach + 1.0))
     counts = np.array([[_count_in_patch(patch.restrict(spec.region(n).translate(off)), P)
@@ -146,5 +145,5 @@ def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets) -> Freque
 
 def write_frequency_csv(est: FrequencyEstimate, path):
     write_csv(path, ["n", "offset", "count", "ratio"],
-              [(float(n), ";".join("%.17g" % as_float(x) for x in off), c, ratio)
+              [(float(n), ";".join("%.17g" % float(x) for x in off), c, ratio)
                for n, off, c, ratio in est.rows])

@@ -167,14 +167,12 @@ def check_cylinder_measure(fast=False) -> CheckResult:
     t0 = time.perf_counter()
     n = 1000
     m, _, _ = empirical_cylinder_measure(
-        integer_lattice(), CylinderSpec(cluster_1d([0.0]), Interval(0.0, 0.3, True, False)),
-        n, eta=1.0)
+        integer_lattice(), CylinderSpec(cluster_1d([0.0]), Interval(0.0, 0.3, True, False)), n)
     ok_z = abs(m - 0.3) <= 1e-3
 
     fib = fibonacci_cut_project()
     mf, _, _ = empirical_cylinder_measure(
-        fib, CylinderSpec(cluster_1d([0.0], []), Interval(0.0, 0.1, True, False)),
-        n, eta=1.0)
+        fib, CylinderSpec(cluster_1d([0.0], []), Interval(0.0, 0.1, True, False)), n)
     # independent point-count oracle for the color-0 density
     patch = fib.window(Interval(-n, n))
     density = len(patch.positions(0)) / (2.0 * n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pointspec.cli import main
+from pointspec.cli import COMMANDS, main
 from pointspec.geometry import Interval
 from pointspec.sources import fibonacci_substitution
 
@@ -262,9 +262,67 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
                 "metric": {"other_source": {"type": "lattice"}, "eps_grid": -1}}),
     ("autocorr", {"source": {"type": "lattice"}, "autocorr": {"radius": 2, "n": -5}}),
     ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": -5}}),
+    # a weight vector of the wrong length, which only the library checks
+    ("autocorr", {"source": {"type": "lattice"}, "weights": [1, [0, 1]],
+                  "autocorr": {"radius": 2, "n": 20}}),
+    ("diffract", {"source": {"type": "fibonacci"}, "weights": [1],
+                  "diffract": {"n_schedule": [10, 20]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [("{not json", "config is not valid JSON"),
+                                           ("[1, 2]", "config root must be a JSON object")])
+def test_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_autocorr_plot_data_holds_the_first_measure(tmp_path):
+    # on this Fibonacci window the two routes differ in the last bits of two coefficients
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "source": {"type": "fibonacci"},
+        "weights": [1, [2, 0]],
+        "autocorr": {"radius": 2, "n": 50, "method": "both"},
+    })
+    out = tmp_path / "out"
+    assert main(["autocorr", "--config", cfg, "--out", str(out), "--plot-data"]) == 0
+    lines = (out / "autocorr.dat").read_text().splitlines()
+    assert lines[0] == "# t re_c im_c"
+    with open(out / "autocorr.csv") as fh:
+        direct = [[r["t"], r["re_c"], r["im_c"]] for r in csv.DictReader(fh) if r["method"] == "direct"]
+    assert [line.split() for line in lines[1:]] == direct
+    assert len(direct) == 5
+
+
+DATA_RUNS = {
+    "generate": ({"generate": {"region": [0, 5]}}, ["points.json"]),
+    "classes": ({"classes": {"R": 1.0, "scan": [0, 20]}}, ["classes.json"]),
+    "freq": ({"van_hove": {"n0": 10, "doublings": 1}, "freq": {"offsets": 3}},
+             ["freq.csv", "freq.json"]),
+    "autocorr": ({"autocorr": {"radius": 2, "n": 20}}, ["autocorr.csv", "autocorr.dat"]),
+    "diffract": ({"diffract": {"k_min": -1, "k_max": 1, "resolution": 0.05, "n_schedule": [20, 40]}},
+                 ["diffract.csv", "diffract.dat"]),
+    "metric": ({"metric": {"other_source": {"type": "lattice", "offset": 0.1}, "eps_grid": 0.05}},
+               ["metric.json"]),
+    "partition": ({"partition": {"R": 1.0, "delta": 0.6, "scan_length": 50}}, ["partition.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_writes_exactly_the_files_its_manifest_lists(tmp_path, command):
+    doc, files = DATA_RUNS[command]
+    doc = dict(doc, source={"type": "lattice"})
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path / "cfg.json", doc), "--out", str(out),
+                 "--plot-data"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest == {"command": command, "config": doc, "outputs": files}
+    assert sorted(f.name for f in out.iterdir()) == sorted(files + ["manifest.json"])

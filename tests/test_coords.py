@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pointspec.coords import GOLDEN, SILVER, QuadField, QuadNum, coord_key
+from pointspec.coords import GOLDEN, SILVER, QuadArray, QuadField, QuadNum, coord_key
 
 from oracles import coord_eq
 
@@ -85,3 +85,15 @@ def test_fraction_coefficients():
     x = QuadNum(Fraction(1, 2), Fraction(1, 3), GOLDEN)
     y = x * 6
     assert y == q(3, 2)
+
+
+def test_quad_array_difference_needs_one_denominator_and_field():
+    a = QuadArray([3, 5, -7], [1, -2, 0], 2, GOLDEN)
+    b = QuadArray([1, 6, 1], [1, 1, 4], 2, GOLDEN)
+    d = a - b
+    assert [d.value(k) for k in range(3)] == [a.value(k) - b.value(k) for k in range(3)]
+    assert (a - b[1]).a.tolist() == [-3, -1, -13]  # one entry broadcasts
+    for other in (QuadArray([1, 6, 1], [1, 1, 4], 1, GOLDEN), QuadArray([1, 6, 1], [1, 1, 4], 2, SILVER),
+                  QuadArray([1, 6, 1], [0, 0, 0], 2)):
+        with pytest.raises(ValueError, match="one denominator and field"):
+            a - other

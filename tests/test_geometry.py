@@ -176,6 +176,19 @@ def test_class_monotonicity_in_scan():
         assert large.class_of(rep) is not None
 
 
+def test_square_lattice_classes():
+    # every closed ball of Z^2 is one class, anchored at its lexicographically smallest point
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
+    scan = Box((0.0, 0.0), (5.0, 5.0))
+    plus = enumerate_cluster_classes(z2, 1.0, scan)
+    assert (plus.n_classes, plus.counts) == (1, [36])
+    assert plus.representatives[0].to_json() == [[[0.0, 0.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
+                                                  [2.0, 0.0]]]
+    square = enumerate_cluster_classes(z2, 1.5, scan)  # the diagonal neighbours join at sqrt 2
+    assert (square.n_classes, square.counts) == (1, [36])
+    assert square.representatives[0] == Cluster([[(x, y) for x in range(3) for y in range(3)]])
+
+
 def test_empty_scan_errors():
     z = integer_lattice()
     with pytest.raises(ValueError):
@@ -343,6 +356,15 @@ def test_array_cluster_matches_tuple_reference():
             assert match_clusters(P, Q) == tuple_match(T, U)
             assert cluster_distance(P, Q) == tuple_distance(T, U)
             assert (P == Q) == tuple_eq(T, U)
+
+
+def test_equal_float_clusters_hash_equal():
+    # float equality is within TOL_EQ, so the hash may not read the positions
+    P, Q = cluster_1d([0.0, 1.0]), cluster_1d([0.6e-9, 1.0])
+    assert P == Q
+    assert hash(P) == hash(Q)
+    assert len({P, Q}) == 1
+    assert len({P, cluster_1d([0.0, 1.1]), cluster_1d([0.0], [1.0])}) == 3
 
 
 def test_empty_clusters_compare_and_hash():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, as_float, coord_key, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, coord_key, is_exact_coord
 from pointspec.geometry import Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
@@ -15,6 +15,7 @@ from pointspec.hull import (
     cylinder_contains,
     empirical_cylinder_measure,
     _match_predicate,
+    _scan_pieces,
     hull_metric,
     partition_params,
     sample_orbit,
@@ -335,14 +336,29 @@ def _has_point(patch, color, x, tol=TOL_EQ):
 
 
 def scalar_occurrences(patch, P, lo=-np.inf, hi=np.inf, tol=TOL_EQ):
-    """Reference L_P: anchor-colour indices j, tried one at a time."""
+    """Reference L_P, tried one anchor-colour point q_j at a time: the
+    translates pos[j] - anchor, and q_j - anchor in scalar exact arithmetic
+    (None unless the patch and P are both exact)."""
     color = P.anchor_color()
-    av = as_float(P.anchor_point()[0])
+    av = float(P.anchor_point()[0])
     pos = patch.positions(color)
-    return [j for j in range(np.searchsorted(pos, lo + av - tol),
-                             np.searchsorted(pos, hi + av + tol))
-            if all(_has_point(patch, i, pos[j] - av + as_float(p[0]), tol)
-                   for i, part in enumerate(P.parts) for p in part)]
+    js = [j for j in range(np.searchsorted(pos, lo + av - tol),
+                           np.searchsorted(pos, hi + av + tol))
+          if all(_has_point(patch, i, pos[j] - av + float(p[0]), tol)
+                 for i, part in enumerate(P.parts) for p in part)]
+    exact = None
+    if patch.exact and P.exact:
+        exact = [patch.parts[color][j][0] - P.anchor_point()[0] for j in js]
+    return [pos[j] - av for j in js], exact
+
+
+def assert_occurrences_match(patch, P, lo=-np.inf, hi=np.inf):
+    """occurrences against the scalar search; returns the translates."""
+    v, exact = patch.occurrences(P, lo, hi)
+    want, want_exact = scalar_occurrences(patch, P, lo, hi)
+    assert v.tolist() == want
+    assert (None if exact is None else [exact.value(k) for k in range(len(v))]) == want_exact
+    return want
 
 
 def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
@@ -350,11 +366,11 @@ def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
     first (exactly for exact inputs), then every point of -g + P looked up."""
     P, V = cyl.cluster, cyl.window
     anchor, color = P.anchor_point(), P.anchor_color()
-    av = as_float(anchor[0])
+    av = float(anchor[0])
     pos = patch.positions(color)
     exactish = patch.exact and all(is_exact_coord(p[0]) for p in P.support())
-    for j in range(np.searchsorted(pos, av - as_float(V.hi) - tol),
-                   np.searchsorted(pos, av - as_float(V.lo) + tol)):
+    for j in range(np.searchsorted(pos, av - float(V.hi) - tol),
+                   np.searchsorted(pos, av - float(V.lo) + tol)):
         if exactish:
             g = anchor[0] - patch.parts[color][j][0]
             if not V.contains_point((g,)):
@@ -363,7 +379,7 @@ def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
             g = av - pos[j]
             if not V.contains_point((g,)):
                 continue
-        if all(_has_point(patch, i, as_float(p[0] - g) if exactish else as_float(p[0]) - g, tol)
+        if all(_has_point(patch, i, float(p[0] - g) if exactish else float(p[0]) - g, tol)
                for i, part in enumerate(P.parts) for p in part):
             return True
     return False
@@ -373,8 +389,7 @@ def assert_kernel_matches_oracle(patch, cyl):
     P = cyl.cluster
     want = scalar_cylinder_contains(patch, cyl)
     assert cylinder_contains(patch, cyl) == want
-    occ = scalar_occurrences(patch, P)
-    assert patch.occurrences(P).tolist() == occ
+    occ = assert_occurrences_match(patch, P)
     assert _count_in_patch(patch, P) == len(occ)
     return want
 
@@ -391,9 +406,7 @@ def test_occurrences_match_the_scalar_search_under_bounds():
     found = 0
     for c, P in enumerate(clusters):
         lo, hi = bounds[c % len(bounds)]
-        occ = patch.occurrences(P, lo, hi).tolist()
-        assert occ == scalar_occurrences(patch, P, lo, hi)
-        found += bool(occ)
+        found += bool(assert_occurrences_match(patch, P, lo, hi))
     assert found > 3
 
 
@@ -473,9 +486,7 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
     master = fib.window(Interval(-60, 60))
     offsets = (halton(40) * 300.0).tolist()
     for cell in part.cells[::3]:
-        color = cell.pinned.anchor_color()
-        v = (master.positions(color)[master.occurrences(cell.pinned)[0]]
-             - cell.pinned.positions(color)[0])
+        v = master.occurrences(cell.pinned)[0][0]
         offsets += [v + float(cell.window.lo), v + float(cell.window.hi)]
     cases = [(part, [TranslatedSource(fib, h).window(Interval(-16, 16)) for h in offsets])]
     for z, R, delta in ((integer_lattice(), 1.0, 0.3), (integer_lattice(2.0), 1.5, 0.7),
@@ -540,6 +551,31 @@ def test_partition_scan_stability_guard():
         build_partition_1d(fib, 3.0, 0.2, scan_length=16.0)
 
 
+def two_scans_agree(source, R, scan_length):
+    """The two-scan completeness test: a scan to 0.6 scan_length finds
+    every piece a scan to scan_length finds."""
+    return (set(_scan_pieces(source, R, 0.0, scan_length * 0.6))
+            == set(_scan_pieces(source, R, 0.0, scan_length)))
+
+
+def test_one_scan_completeness_decision_matches_two_scans():
+    fib, z, z2 = fibonacci_cut_project(), integer_lattice(), integer_lattice(2.0)
+    cases = [(fib, 3.0, 0.2, L) for L in list(range(16, 33)) + list(range(40, 601, 40))]
+    # lattice scans whose 0.6 L falls on an event (0.6 L = 1, 2, 3) or between two
+    cases += [(z, 1.0, 0.6, L) for L in (0.5, 1.0, 1.5, 5 / 3, 2.0, 10 / 3, 5.0, 200.0)]
+    cases += [(z2, 1.5, 0.7, L) for L in (1.0, 2.0, 5 / 3, 4.0, 5.0, 10.0, 300.0)]
+    seen = set()
+    for source, R, delta, L in cases:
+        try:
+            build_partition_1d(source, R, delta, scan_length=L)
+            complete = True
+        except IncompletePartitionError:
+            complete = False
+        assert complete == two_scans_agree(source, R, L), (R, L)
+        seen.add((source, complete))
+    assert len(seen) == 6  # each source scanned both too short and long enough
+
+
 def test_partition_fibonacci_disjoint_cover():
     fib = fibonacci_cut_project()
     part = build_partition_1d(fib, 3.0, 0.2, scan_length=1500)
@@ -555,10 +591,10 @@ def test_partition_fibonacci_disjoint_cover():
 def test_cylinder_measure_lattice():
     z = integer_lattice()
     m, _, _ = empirical_cylinder_measure(
-        z, CylinderSpec(cluster_1d([0.0]), Interval(0.0, 0.3, True, False)), 1000, eta=1.0)
+        z, CylinderSpec(cluster_1d([0.0]), Interval(0.0, 0.3, True, False)), 1000)
     assert m == pytest.approx(0.3, abs=1e-3)
     m2, _, _ = empirical_cylinder_measure(
-        z, CylinderSpec(cluster_1d([0.0, 1.0]), Interval(0.0, 0.5, True, False)), 1000, eta=1.0)
+        z, CylinderSpec(cluster_1d([0.0, 1.0]), Interval(0.0, 0.5, True, False)), 1000)
     assert m2 == pytest.approx(0.5, abs=1e-3)
 
 
@@ -566,7 +602,7 @@ def test_cylinder_measure_requires_small_window():
     z = integer_lattice()
     with pytest.raises(ValueError):
         empirical_cylinder_measure(
-            z, CylinderSpec(cluster_1d([0.0]), Interval(0.0, 1.5)), 100, eta=1.0)
+            z, CylinderSpec(cluster_1d([0.0]), Interval(0.0, 1.5)), 100)
 
 
 # ---------------------------------------------------------------------------

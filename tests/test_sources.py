@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum
-from pointspec.geometry import Box, Interval
+from pointspec.geometry import Ball, Box, Interval
 from pointspec.sources import (
     COORD_MAX,
     CutProjectSource,
@@ -23,6 +23,7 @@ from pointspec.sources import (
     integer_lattice,
     patch_to_json,
     period_doubling_source,
+    region_to_json,
     source_from_config,
     thue_morse_source,
 )
@@ -468,6 +469,20 @@ def test_poisson_rejects_a_negative_seed_at_construction():
         source_from_config({"type": "poisson", "seed": -1})
 
 
+def test_poisson_2d_window_is_the_restriction_of_a_larger_one():
+    src = PoissonSource(2.0, seed=3, dim=2)
+    big = src.window(Box((-4.0, -4.0), (4.0, 4.0)))
+    box = Box((-1.5, 0.0), (2.0, 3.5))
+    small = src.window(box)
+    pos = big.positions(0)
+    assert big.dim == 2 and pos.shape == (big.total_points, 2)
+    assert abs(big.total_points - 128) <= 5 * 128 ** 0.5
+    assert np.all((pos >= -4.0) & (pos <= 4.0))
+    assert np.array_equal(small.positions(0), big.restrict(box).positions(0))
+    inside = (pos[:, 0] >= -1.5) & (pos[:, 0] <= 2.0) & (pos[:, 1] >= 0.0) & (pos[:, 1] <= 3.5)
+    assert small.total_points == int(inside.sum()) > 0
+
+
 def test_poisson_count_within_5_sigma():
     lam, L = 1.0, 10000
     n = PoissonSource(lam, seed=5).window(Interval(0, L)).total_points
@@ -580,3 +595,15 @@ def test_point_set_json_exact_pairs():
         assert isinstance(pair, list) and len(pair) == 2
         assert color in (0, 1)
     assert json.dumps(doc)  # serializable
+
+
+def test_region_json_of_a_box_and_a_ball():
+    assert region_to_json(Box((0, -1.5), (2, 3))) == {"kind": "box", "lo": [0.0, -1.5],
+                                                      "hi": [2.0, 3.0]}
+    assert region_to_json(Ball((1, QuadNum(0, 1, GOLDEN)), 0.5)) == {
+        "kind": "ball", "center": [1.0, GOLDEN.tau], "radius": 0.5}
+    doc = patch_to_json(LatticeSource([[1.0, 0.0], [0.0, 1.0]]).window(Box((0.0, 0.0), (1.0, 2.0))))
+    assert doc["region"] == {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]}
+    assert len(doc["points"]) == 6 and json.dumps(doc)
+    with pytest.raises(ValueError, match="unknown region type"):
+        region_to_json((0.0, 1.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointspec import spectra
-from pointspec.coords import TOL_EQ, as_float, coord_key
+from pointspec.coords import TOL_EQ, coord_key
 from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
     LatticeSource,
@@ -117,7 +117,7 @@ def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
                         else positions[i][a_idx] - positions[j][b_idx]
                     diffs.setdefault((i, j, coord_key(t)), t)
     for (i, j, _key), t in diffs.items():
-        tf = as_float(t)
+        tf = float(t)
         if abs(tf) <= TOL_EQ and i == j:
             count = len(positions[i])
         else:

@@ -131,6 +131,13 @@ def test_freq_prime_is_offsets_zero():
     assert est.value == pytest.approx(1 / 5 ** 0.5, abs=5e-3)  # color-a density
 
 
+def test_default_offsets_in_2d_pair_the_base_2_and_base_3_sequences():
+    want = [(1 / 2, 1 / 3), (1 / 4, 2 / 3), (3 / 4, 1 / 9), (1 / 8, 4 / 9), (5 / 8, 7 / 9)]
+    offsets = default_offsets(5, 8.0, dim=2)
+    assert all(type(c) is float for o in offsets for c in o)
+    assert offsets == [pytest.approx((8.0 * x, 8.0 * y), abs=1e-12) for x, y in want]
+
+
 def test_uniformity_gap_probes_offsets():
     fib = fibonacci_cut_project()
     spec = VanHoveSpec(n0=125, doublings=2)
@@ -150,7 +157,7 @@ def test_boundary_sandwich():
     r = 0.4 + 1.0  # max |V| + max |supp P|
     n = 500
     for h in (0.0, 7.3, -12.9):
-        _, J, _ = empirical_cylinder_measure(fib, CylinderSpec(P, V), n, offset=h, eta=1.0)
+        _, J, _ = empirical_cylinder_measure(fib, CylinderSpec(P, V), n, offset=h)
         lo_region = Interval(h - (n - r), h + (n - r))
         hi_region = Interval(h - (n + r), h + (n + r))
         lower = V.volume() * count_cluster(fib, P, lo_region)

@@ -2,16 +2,20 @@
 
 `perfbench/tracer.py` wraps pointspec functions and methods by name from
 outside the package; a renamed entry point breaks `install()` there.  This
-test installs it around two small checks and requires every original to
-come back on `uninstall()`.
+test installs it around two small checks, one CLI subcommand and both
+autocorrelation routes, and requires every original to come back on
+`uninstall()`.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pointspec
-from pointspec import verify
+from pointspec import cli, spectra, verify
+from pointspec.sources import integer_lattice
+from pointspec.stats import VanHoveSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,8 +42,10 @@ def _snapshot():
     return out
 
 
-def test_tracer_wraps_and_restores_traced_entry_points():
+def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
     tracer_mod = _load_tracer()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source": {"type": "fibonacci"}, "generate": {"region": [0, 40]}}))
     before = _snapshot()
     tracer = tracer_mod.Tracer()
     tracer.install(count_work=True)
@@ -47,6 +53,10 @@ def test_tracer_wraps_and_restores_traced_entry_points():
         assert pointspec.stats._count_in_patch is not before[("pointspec.stats", "_count_in_patch")]
         assert verify.check_cylinder_measure(fast=True).passed
         assert verify.check_product_identity(fast=True).passed
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        # called through the module, as the tracer replaced them there
+        spectra.autocorr_direct(integer_lattice(), [1], 3.0, VanHoveSpec(), 20)
+        spectra.autocorr_from_frequencies(integer_lattice(), [1], 3.0, VanHoveSpec(), 20)
     finally:
         tracer.uninstall()
     after = _snapshot()
@@ -56,6 +66,11 @@ def test_tracer_wraps_and_restores_traced_entry_points():
     for name in ("hull.cylinder_contains", "hull.empirical_cylinder_measure",
                  "geometry.patch_arrays", "sources.window.CutProjectSource"):
         assert spans[name][0] > 0, name
+    assert spans["cli.generate"][0] == 1
     metrics = tracer.metrics()
     assert metrics["hull.cylinder_contains.calls"] >= 200  # one per product-identity sample
     assert metrics["sources.window.CutProjectSource.points"] > 0
+    # pair terms counted on the window each route's span captured: Z on [-20, 20], |t| <= 3
+    pairs = sum(abs(x - y) <= 3 for x in range(-20, 21) for y in range(-20, 21))
+    assert metrics["spectra.autocorr_direct.terms"] == pairs
+    assert metrics["spectra.autocorr_from_frequencies.terms"] == pairs
