@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .geometry import Interval, cluster_1d, enumerate_cluster_classes
 from .hull import build_partition_1d, hull_metric
-from .output import write_json
-from .sources import patch_to_json, source_from_config
+from .output import write_json, write_points
+from .sources import source_from_config
 from .stats import (
     VanHoveSpec,
     default_offsets,
@@ -161,7 +161,7 @@ def _plot_data(header, line, rows):
 
 def cmd_generate(args, cfg, src, sub):
     region = _region_1d(_require(sub, "region", (list, tuple), "'generate'"))
-    return {"points.json": partial(write_json, doc=patch_to_json(src.window(region), src.field))}
+    return {"points.json": partial(write_points, patch=src.window(region), field=src.field)}
 
 
 def cmd_classes(args, cfg, src, sub):

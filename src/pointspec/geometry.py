@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -82,14 +83,14 @@ class Interval(_Region):
         exact_ends = exact is not None and is_exact_coord(self.lo) and is_exact_coord(self.hi)
         if exact is not None:  # the points' largest float error, and the rounding of the gap
             err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + TOL_EQ)
-        for end, sense, closed in ((self.lo, 1, self.closed_lo), (self.hi, -1, self.closed_hi)):
+        for (end, fend, ferr), sense, closed in zip(self._ends, (1, -1), (self.closed_lo, self.closed_hi)):
             step = 0 if exact_ends else (-sense if closed else sense)
-            bound = float(end) + step * TOL_EQ
+            bound = fend + step * TOL_EQ
             gap = sense * (x - bound)
             if exact is None:
                 ok &= (gap >= 0) if closed else (gap > 0)
                 continue
-            guard = err + float_error(end) + FLOAT_ERR * abs(bound)
+            guard = err + ferr + FLOAT_ERR * abs(bound)
             inside = gap > guard
             ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
             if len(ties):
@@ -99,6 +100,11 @@ class Interval(_Region):
                     inside[k] = sign > 0 or (sign == 0 and closed)
             ok &= inside
         return ok
+
+    @cached_property
+    def _ends(self):
+        """(end, float(end), float_error(end)) of lo and hi, computed once."""
+        return tuple((end, float(end), float_error(end)) for end in (self.lo, self.hi))
 
     def dilate(self, r: float) -> "Interval":
         return Interval(float(self.lo) - r, float(self.hi) + r)

@@ -19,6 +19,7 @@ colors on the positive axis, which the test suite checks exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,12 +43,6 @@ class SourceError(ValueError):
     pass
 
 
-def _require_bounded(region):
-    for lo, hi in region.bounds():
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SourceError("window region must be bounded")
-
-
 class PointSource:
     """Base class: deterministic window-query interface."""
 
@@ -56,7 +51,8 @@ class PointSource:
     field = None
 
     def window(self, region) -> MultiSetPatch:
-        _require_bounded(region)
+        if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in region.bounds()):
+            raise SourceError("window region must be bounded")
         if region.dim != self.dim:
             raise SourceError("region dimension %d != source dimension %d"
                               % (region.dim, self.dim))
@@ -416,12 +412,61 @@ def period_doubling_source() -> SubstitutionSource:
 # Poisson
 
 
+# numpy.random.SeedSequence's hash constants, and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2 ** 128 - 1
+
+
+def _hasher(h, mult):
+    """SeedSequence's hashmix on uint32 arrays; its constant steps on every call."""
+    def hash_(v):
+        nonlocal h
+        x, h = h, h * mult & 0xFFFFFFFF
+        v = (v ^ np.uint32(x)) * np.uint32(h)
+        return v ^ (v >> 16)
+    return hash_
+
+
+def _cell_seeds(seed: int, cells) -> list:
+    """PCG64's (state, inc) as default_rng((seed, *(c + 2**32))) sets them, for
+    each row c of cells: SeedSequence's entropy words, mix_entropy and
+    generate_state(4, uint64) on wrapping uint32 arrays, then pcg64_set_seed."""
+    # the words, low first: c + 2**32 is one word when c < 0 and two,
+    # [c mod 2**32, 1 + c // 2**32], when c >= 0; one pass per word layout
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    shifted, layout = cells + 2 ** 32, (cells >= 0) @ (1 << np.arange(cells.shape[1]))
+    seeds = [None] * len(cells)
+    for code in np.unique(layout).tolist():
+        idx = np.flatnonzero(layout == code)
+        words = [np.full(len(idx), w) for w in seed_words]
+        for k in range(cells.shape[1]):
+            words += [shifted[idx, k] & 0xFFFFFFFF] + ([shifted[idx, k] >> 32] if code >> k & 1 else [])
+        words = [w.astype(np.uint32) for w in words]
+        hash_ = _hasher(_INIT_A, _MULT_A)
+        pool = [hash_(words[i] if i < len(words) else np.zeros(len(idx), np.uint32)) for i in range(4)]
+        # mix every pool word into every other one, then each word past the pool into all four
+        for s, d in itertools.chain(itertools.permutations(range(4), 2),
+                                    itertools.product(range(4, len(words)), range(4))):
+            r = (np.uint32(0xCA01F9DD) * pool[d]
+                 - np.uint32(0x4973F715) * hash_(pool[s] if s < 4 else words[s]))
+            pool[d] = r ^ (r >> 16)
+        hash_ = _hasher(_INIT_B, _MULT_B)
+        out = [hash_(pool[k % 4]).astype(np.uint64) for k in range(8)]
+        s0, s1, q0, q1 = ((out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+        for j, a, b, c, e in zip(idx.tolist(), s0, s1, q0, q1):  # initstate a:b, initseq c:e
+            inc = ((c << 64 | e) << 1 | 1) & _MASK128
+            seeds[j] = ((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc)
+    return seeds
+
+
 class PoissonSource(PointSource):
     """Homogeneous Poisson points, reproducible and window-consistent.
 
-    Each unit cell of Z^d is populated by its own seeded generator, so
-    nested queries always agree.  Not a Delone set: used only as the
-    disordered contrast in diffraction runs.
+    Each unit cell c of Z^d draws its count with poisson(intensity), then
+    its offsets in [0, 1)^d, from default_rng((seed, *(c + 2**32))), so
+    nested queries always agree.  A query seeds all its cells at once and
+    draws them with one generator of its own.  Not a Delone set: used only
+    as the disordered contrast in diffraction runs.
     """
 
     def __init__(self, intensity: float, seed: int = 0, dim: int = 1):
@@ -436,26 +481,20 @@ class PoissonSource(PointSource):
             raise SourceError("dim must be 1 or 2")
         self.m = 1
 
-    def _cell_rng(self, cell):
-        offset = 2 ** 32
-        key = (self.seed,) + tuple(int(c) + offset for c in cell)
-        return np.random.default_rng(key)
-
     def _query(self, region):
-        bounds = region.bounds()
-        ranges = [range(math.floor(lo), math.ceil(hi) + 1) for lo, hi in bounds]
-        if self.dim == 1:
-            cells = [(j,) for j in ranges[0]]
-        else:
-            cells = [(i, j) for i in ranges[0] for j in ranges[1]]
-        chunks = [np.empty((0, self.dim))]
-        for cell in cells:
-            rng = self._cell_rng(cell)
-            n = rng.poisson(self.intensity)
-            if n:
-                u = rng.uniform(0.0, 1.0, size=(n, self.dim))
-                chunks.append(np.array(cell, dtype=float) + u)
-        x = np.concatenate(chunks)
+        axes = [np.arange(math.floor(lo), math.ceil(hi) + 1) for lo, hi in region.bounds()]
+        cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        if cells.size and cells.min() < -2 ** 32:
+            raise SourceError("Poisson cells must lie at x >= -2**32")
+        gen = np.random.default_rng(0)
+        counts, draws = [], [np.empty((0, self.dim))]
+        for state, inc in _cell_seeds(self.seed, cells):
+            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
+            counts.append(gen.poisson(self.intensity))
+            if counts[-1]:
+                draws.append(gen.random((counts[-1], self.dim)))
+        x = np.repeat(cells.astype(float), counts, axis=0) + np.concatenate(draws)
         return (x[:, 0] if self.dim == 1 else x), np.zeros(len(x), dtype=np.int64), None
 
 
@@ -555,34 +594,6 @@ def source_from_config(cfg: dict, seed=None) -> PointSource:
     if offset is not None:
         src = TranslatedSource(src, offset)
     return src
-
-
-def patch_to_json(patch: MultiSetPatch, field: QuadField = None) -> dict:
-    """Point-set JSON: exact coordinates as integer pairs."""
-    points = []
-    for i in range(patch.m):
-        q = patch.exact_positions(i)
-        if q is None:
-            points += [row + [i] for row in patch.positions(i).reshape(-1, patch.dim).tolist()]
-        else:
-            points += [[[_int_or_str(a, q.den), _int_or_str(b, q.den)], i]
-                       for a, b in zip(q.a.tolist(), q.b.tolist())]
-    points.sort(key=lambda row: tuple(str(v) for v in row))
-    doc = {
-        "dim": patch.dim,
-        "m": patch.m,
-        "coords": "exact" if patch.exact else "float",
-        "points": points,
-        "region": region_to_json(patch.region),
-    }
-    if patch.exact and field is not None:
-        doc["field"] = {"tau": field.name}
-    return doc
-
-
-def _int_or_str(num: int, den: int):
-    v = Fraction(num, den)
-    return int(v) if v.denominator == 1 else str(v)
 
 
 def region_to_json(region) -> dict:

@@ -1,6 +1,14 @@
-"""Scalar reference helpers shared by the test oracles."""
+"""Reference helpers shared by the test oracles: scalar comparisons, and the
+slow direct forms of the Poisson window and of the points.json document."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
 
 from pointspec.coords import TOL_EQ, is_exact_coord
+from pointspec.sources import region_to_json
 
 
 def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
@@ -8,3 +16,49 @@ def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
     if is_exact_coord(c1) and is_exact_coord(c2):
         return c1 == c2
     return abs(float(c1) - float(c2)) <= tol
+
+
+def poisson_window_points(src, region):
+    """PoissonSource's points in region, drawn one cell at a time: a fresh
+    default_rng((seed, *(c + 2**32))) per unit cell c, its count from
+    poisson(intensity) and its offsets from uniform(0, 1)."""
+    axes = [range(math.floor(lo), math.ceil(hi) + 1) for lo, hi in region.bounds()]
+    chunks = [np.empty((0, src.dim))]
+    for cell in itertools.product(*axes):
+        rng = np.random.default_rng((src.seed,) + tuple(c + 2 ** 32 for c in cell))
+        n = rng.poisson(src.intensity)
+        if n:
+            chunks.append(np.array(cell, dtype=float) + rng.uniform(0.0, 1.0, size=(n, src.dim)))
+    x = np.concatenate(chunks)
+    x = x[:, 0] if src.dim == 1 else x
+    return x[region.mask(x)]
+
+
+def patch_to_json(patch, field=None) -> dict:
+    """The points.json document as Python rows: exact coordinates as Fractions
+    (an int, or their str), rows sorted by the str() of each entry; written
+    with output.write_json, it gives the file's bytes."""
+    points = []
+    for i in range(patch.m):
+        q = patch.exact_positions(i)
+        if q is None:
+            points += [row + [i] for row in patch.positions(i).reshape(-1, patch.dim).tolist()]
+        else:
+            points += [[[_int_or_str(a, q.den), _int_or_str(b, q.den)], i]
+                       for a, b in zip(q.a.tolist(), q.b.tolist())]
+    points.sort(key=lambda row: tuple(str(v) for v in row))
+    doc = {
+        "dim": patch.dim,
+        "m": patch.m,
+        "coords": "exact" if patch.exact else "float",
+        "points": points,
+        "region": region_to_json(patch.region),
+    }
+    if patch.exact and field is not None:
+        doc["field"] = {"tau": field.name}
+    return doc
+
+
+def _int_or_str(num: int, den: int):
+    v = Fraction(num, den)
+    return int(v) if v.denominator == 1 else str(v)

@@ -176,18 +176,20 @@ def test_threads_flag_validated(tmp_path):
 
 
 def test_freq_output_does_not_depend_on_threads(tmp_path):
-    cfg = write_cfg(tmp_path / "cfg.json", {
-        "source": {"type": "fibonacci", "offset": 0.5},
-        "van_hove": {"n0": 50, "doublings": 2},
-        "freq": {"cluster": [[0.0, 1.618033988749895], []], "offsets": 8},
-    })
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / ("t" + threads)
-        assert main(["freq", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
-        outs.append({f.name: f.read_bytes() for f in out.iterdir()})
-    assert sorted(outs[0]) == ["freq.csv", "freq.json", "manifest.json"]
-    assert outs[0] == outs[1]
+    # an exact source and a Poisson source, whose generator is local to each query
+    docs = [{"source": {"type": "fibonacci", "offset": 0.5},
+             "freq": {"cluster": [[0.0, 1.618033988749895], []], "offsets": 8}},
+            {"source": {"type": "poisson", "intensity": 1.0, "seed": 4},
+             "freq": {"cluster": [[0.0]], "offsets": 8}}]
+    for k, doc in enumerate(docs):
+        cfg = write_cfg(tmp_path / ("cfg%d.json" % k), dict(doc, van_hove={"n0": 50, "doublings": 2}))
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / ("s%d-t%s" % (k, threads))
+            assert main(["freq", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(outs[0]) == ["freq.csv", "freq.json", "manifest.json"]
+        assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command, doc", [

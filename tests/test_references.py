@@ -1,8 +1,9 @@
 """Benchmark CLI outputs stay byte-identical to perfbench/references.json.
 
-Runs every CLI task of perfbench/workloads.json at input variant 0 through
-the benchmark's own `build_tasks`, `run_task` and `dir_digest`, in a
-temporary directory; nothing under perfbench/ is written.
+Runs every CLI task of perfbench/workloads.json at input variant 0, and
+generate_poisson at every variant, through the benchmark's own
+`build_tasks`, `run_task` and `dir_digest`, in a temporary directory;
+nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -38,3 +39,15 @@ def test_cli_output_matches_reference_digest(entry, tmp_path):
     ref = REFS[entry["name"]]
     want = ref[variant] if isinstance(ref, list) else ref
     assert BENCH.dir_digest(task["out"])[0] == want
+
+
+POISSON = next(e for e in ENTRIES if e["name"] == "generate_poisson")
+
+
+@pytest.mark.parametrize("seed", range(len(REFS["generate_poisson"])))
+def test_generate_poisson_matches_reference_digest_at_every_variant(seed, tmp_path):
+    variant, values = BENCH.variant_values(SPEC, seed)
+    (task,) = BENCH.build_tasks({"verify": [], "cli": [POISSON]}, values, tmp_path)
+    _, _, reason, _ = BENCH.run_task(pointspec, task)
+    assert reason is None
+    assert BENCH.dir_digest(task["out"])[0] == REFS["generate_poisson"][variant]

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum
-from pointspec.geometry import Ball, Box, Interval
+from pointspec.geometry import Ball, Box, Interval, MultiSetPatch
+from pointspec.output import write_json, write_points
 from pointspec.sources import (
     COORD_MAX,
     CutProjectSource,
@@ -18,15 +20,17 @@ from pointspec.sources import (
     SourceError,
     SubstitutionRule,
     SubstitutionSource,
+    TranslatedSource,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
-    patch_to_json,
     period_doubling_source,
     region_to_json,
     source_from_config,
     thue_morse_source,
 )
+
+from oracles import patch_to_json, poisson_window_points
 
 TAU = (1 + 5 ** 0.5) / 2
 
@@ -507,6 +511,41 @@ def test_poisson_cell_counts_look_independent():
     assert stats.chi2.sf(chi2, df=kmax) > 0.01
 
 
+# 1D windows straddling 0, and 2D boxes in each quadrant and across the axes
+POISSON_REGIONS = [
+    Interval(-7.5, 6.2), Interval(-3, 0), Interval(-0.4, 0.4),
+    Box((1.0, 0.5), (4.0, 3.0)), Box((-4.0, 1.0), (-1.0, 3.5)),
+    Box((-4.0, -4.0), (-1.0, -2.0)), Box((0.5, -3.0), (3.0, -0.5)),
+    Box((-3.5, -2.2), (2.5, 3.1)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 101, 808, 2 ** 32 + 7, 2 ** 64 + 3])
+@pytest.mark.parametrize("intensity", [0.3, 1.0, 12.5])
+def test_poisson_window_is_byte_equal_to_one_generator_per_cell(seed, intensity):
+    for region in POISSON_REGIONS:
+        src = PoissonSource(intensity, seed=seed, dim=region.dim)
+        want = poisson_window_points(src, region)
+        want = MultiSetPatch.from_points(region, src.dim, 1, want, np.zeros(len(want), dtype=int))
+        got = src.window(region).positions(0)
+        assert got.shape == want.positions(0).shape
+        assert got.tobytes() == want.positions(0).tobytes()
+
+
+def test_poisson_rejects_cells_below_the_seeding_range():
+    with pytest.raises(SourceError, match="x >= -2\\*\\*32"):
+        PoissonSource(1.0).window(Interval(-2.0 ** 32 - 3, -2.0 ** 32 + 3))
+
+
+def test_poisson_queries_from_several_threads_equal_serial_ones():
+    src = PoissonSource(1.0, seed=808)
+    regions = [Interval(-50.0 + 7 * k, 20.0 + 7 * k) for k in range(8)]
+    serial = [src.window(r).positions(0).tobytes() for r in regions]
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(lambda r: src.window(r).positions(0).tobytes(), regions * 4))
+    assert threaded == serial * 4
+
+
 # ---------------------------------------------------------------------------
 # window consistency across all generators
 
@@ -585,25 +624,48 @@ def test_source_config_names_a_missing_key(cfg, key):
         source_from_config(cfg)
 
 
-def test_point_set_json_exact_pairs():
+def test_point_set_json_exact_pairs(tmp_path):
     fib = fibonacci_cut_project()
-    doc = patch_to_json(fib.window(Interval(0, 30)), field=GOLDEN)
+    write_points(tmp_path / "points.json", fib.window(Interval(0, 30)), field=GOLDEN)
+    doc = json.loads((tmp_path / "points.json").read_text())
     assert doc["coords"] == "exact"
     assert doc["field"] == {"tau": "golden"}
+    assert len(doc["points"]) > 0
     for row in doc["points"]:
         (pair, color) = row[0], row[-1]
         assert isinstance(pair, list) and len(pair) == 2
         assert color in (0, 1)
-    assert json.dumps(doc)  # serializable
 
 
-def test_region_json_of_a_box_and_a_ball():
+@pytest.mark.parametrize("src, region", [
+    (fibonacci_cut_project(), Interval(-40, 40)),
+    (thue_morse_source(), Interval(0, 300)),
+    (TranslatedSource(fibonacci_cut_project(), Fraction(1, 2)), Interval(-20, 20)),
+    (PoissonSource(1.0, seed=5), Interval(-30, 30)),
+    (PoissonSource(2.0, seed=5, dim=2), Box((-3, -3), (4, 2))),
+    (LatticeSource([[1.0, 0.5], [0.0, 1.0]], colors=3), Box((-2, -2), (3, 3))),
+    (integer_lattice(10.0), Interval(1, 2)),
+], ids=["fibonacci", "thue-morse", "fibonacci-half", "poisson-1d", "poisson-2d",
+        "lattice-2d", "empty"])
+def test_points_json_is_byte_equal_to_json_dump(src, region, tmp_path):
+    patch = src.window(region)
+    write_points(tmp_path / "points.json", patch, src.field)
+    write_json(tmp_path / "want.json", patch_to_json(patch, src.field))
+    text = (tmp_path / "points.json").read_text()
+    assert text == (tmp_path / "want.json").read_text()
+    if isinstance(src, TranslatedSource):  # denominator 2: "p/q" strings appear
+        assert '/2"' in text
+
+
+def test_region_json_of_a_box_and_a_ball(tmp_path):
     assert region_to_json(Box((0, -1.5), (2, 3))) == {"kind": "box", "lo": [0.0, -1.5],
                                                       "hi": [2.0, 3.0]}
     assert region_to_json(Ball((1, QuadNum(0, 1, GOLDEN)), 0.5)) == {
         "kind": "ball", "center": [1.0, GOLDEN.tau], "radius": 0.5}
-    doc = patch_to_json(LatticeSource([[1.0, 0.0], [0.0, 1.0]]).window(Box((0.0, 0.0), (1.0, 2.0))))
+    write_points(tmp_path / "points.json",
+                 LatticeSource([[1.0, 0.0], [0.0, 1.0]]).window(Box((0.0, 0.0), (1.0, 2.0))))
+    doc = json.loads((tmp_path / "points.json").read_text())
     assert doc["region"] == {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]}
-    assert len(doc["points"]) == 6 and json.dumps(doc)
+    assert len(doc["points"]) == 6
     with pytest.raises(ValueError, match="unknown region type"):
         region_to_json((0.0, 1.0))
