@@ -488,7 +488,7 @@ class PoissonSource(PointSource):
             raise SourceError("Poisson cells must lie at x >= -2**32")
         gen = np.random.default_rng(0)
         counts, draws = [], [np.empty((0, self.dim))]
-        for state, inc in _cell_seeds(self.seed, cells):
+        for state, inc in _cell_seeds(self.seed, cells):  # its arrays die before the draws
             gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                        "state": {"state": state, "inc": inc}}
             counts.append(gen.poisson(self.intensity))
