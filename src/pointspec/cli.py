@@ -71,13 +71,19 @@ def _require(cfg, key, typ, what="config"):
 
 def _number(sub, key, default, typ=float):
     """sub[key], or default when absent, converted by typ (entry by entry
-    when default is a list); a value typ cannot convert is a ConfigError."""
+    when default is a list); a boolean, a value typ cannot convert, or a
+    fraction where typ is int is a ConfigError."""
     v = sub.get(key, default)
     many = isinstance(default, list)
+
+    def convert(x):
+        if isinstance(x, bool) or (typ is int and float(x) != int(x)):
+            raise ValueError
+        return typ(x)
     try:
         if many and not isinstance(v, list):
             raise TypeError
-        return [typ(x) for x in v] if many else typ(v)
+        return [convert(x) for x in v] if many else convert(v)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%r must be %s, not %r"
                           % (key, "a list of numbers" if many else "a number", v))

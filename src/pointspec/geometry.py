@@ -205,8 +205,8 @@ def boundary_shell_volume(region, r: float) -> float:
 
 
 def in_sorted(pos: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Boolean membership, within TOL_EQ, of targets in a sorted 1D position
-    array: the nearest points are the two around each target's sorted position."""
+    """Boolean membership, within TOL_EQ, of targets in sorted 1D positions or complex_keys:
+    the nearest points are the two around each target's sorted position."""
     if len(pos) == 0:
         return np.zeros(len(targets), dtype=bool)
     idx = np.searchsorted(pos, targets)
@@ -379,14 +379,13 @@ class MultiSetPatch:
 
     def _moved(self, vec):
         """Per colour arrays (pos, exact) of the points moved by vec, exactly
-        when the points and vec are exact."""
+        when the points and vec are exact; a translation keeps their order."""
         vec = as_point(vec, self.dim)
-        x, col = self.colour_major()
         if self._exact is not None and all(is_exact_coord(v) for v in vec):
-            q = QuadArray.concat(self._exact).shift(vec[0])
-            return self._by_colour(1, self.m, q.floats(), col, q)
+            exact = [q.shift(vec[0]) for q in self._exact]
+            return [q.floats() for q in exact], exact
         shift = np.array([float(v) for v in vec])
-        return self._by_colour(self.dim, self.m, x + (shift[0] if self.dim == 1 else shift), col)
+        return [p + (shift[0] if self.dim == 1 else shift) for p in self._pos], None
 
     def translate(self, vec) -> "MultiSetPatch":
         region = self.region.translate(as_point(vec, self.dim))

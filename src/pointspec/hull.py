@@ -31,6 +31,7 @@ from .geometry import (
     distinct_windows,
     enumerate_cluster_classes,
     float_keys,
+    in_sorted,
     ranges,
     within,
 )
@@ -59,13 +60,17 @@ def _match_predicate(patch1, patch2, eps: float) -> bool:
     """Whether some shifts x, y in the closed eps-ball align the two sets
     on the closed window of radius 1/eps.
 
-    The patch regions must cover [-(1/eps + 4 eps), 1/eps + 4 eps]
-    (ValueError otherwise).  1D decision: every candidate relative shift
-    delta = x - y comes from a matched pair of near-origin points (or the
-    empty-window case); for a fixed delta the feasible x form an interval
-    minus the closed L-balls around mismatched points, which is checked by
-    interval coverage.  All deltas are decided together on arrays.
+    It needs eps in (0, METRIC_CAP], so eps < 1/eps, and patch regions that
+    cover [-(1/eps + 4 eps), 1/eps + 4 eps] (ValueError otherwise).  1D
+    decision: every candidate relative shift delta = x - y comes from a
+    matched pair of near-origin points (or the empty-window case); for a
+    fixed delta the feasible x form [x_lo, x_hi] minus the closed L-balls
+    around mismatched points.  As |x| <= eps < L, a mismatched d >= 0 only
+    forbids x >= d - L and a d < 0 only x <= d + L, so the nearest one on
+    each side bounds the gap.  All deltas are decided together on arrays.
     """
+    if not 0 < eps <= METRIC_CAP:
+        raise ValueError("eps must lie in (0, 2^-1/2], not %r" % eps)
     L = 1.0 / eps
     near = Interval(-(L + 4 * eps), L + 4 * eps)
     if not (patch1.region.covers(near) and patch2.region.covers(near)):
@@ -84,50 +89,29 @@ def _match_predicate(patch1, patch2, eps: float) -> bool:
     r, u = within(complex_keys(c2, x2), complex_keys(ct, t - 2 * eps - TOL_EQ),
                   complex_keys(ct, t + 2 * eps + TOL_EQ))
     deltas = np.sort(t[r] - x2[u])
-    if not len(deltas):
-        return False
-    deltas = deltas[np.concatenate(([True], deltas[1:] - deltas[:-1] > TOL_EQ))]
+    keep = np.ones(len(deltas), dtype=bool)  # the first of each run closer than TOL_EQ
+    keep[1:] = deltas[1:] - deltas[:-1] > TOL_EQ
+    deltas = deltas[keep]
     x_lo, x_hi = np.maximum(-eps, deltas - eps), np.minimum(eps, deltas + eps)
-    ok = ~(x_lo > x_hi + TOL_EQ)
+    ok = x_lo < x_hi
     deltas, x_lo, x_hi = deltas[ok], x_lo[ok], x_hi[ok]
-    if not len(deltas):
-        return False
 
-    # set 2 moved by each delta (row), and its pairs (b, a) within TOL_EQ of set 1
-    row = np.repeat(np.arange(len(deltas)), len(x2))
-    moved = (deltas[:, None] + x2).ravel()
-    c = c2[np.arange(len(moved)) % len(x2)]
-    b, a = within(complex_keys(c1, x1), complex_keys(c, moved - 2 * TOL_EQ),
-                  complex_keys(c, moved + 2 * TOL_EQ))
-    close = np.abs(moved[b] - x1[a]) <= TOL_EQ
-    a, b = a[close], b[close]
+    # the slab points of set 1 and of set 2 moved by each delta, keyed
+    # row * m + colour + i * position: sorted, as the arrays are colour-major
+    m = max(patch1.m, patch2.m)
+    base = np.arange(len(deltas))[:, None] * m
+    moved = deltas[:, None] + x2
     in2 = (moved >= lo) & (moved < hi)
+    keys1 = complex_keys((base + ct).ravel(), np.tile(t, len(deltas)))
+    keys2 = complex_keys((base + c2)[in2], moved[in2])
     # mismatched points: slab points with no partner in the other slab
-    matched1 = np.zeros((len(deltas), len(x1)), dtype=bool)
-    matched1[row[b[in2[b]]], a[in2[b]]] = True
-    matched2 = np.zeros(len(moved), dtype=bool)
-    matched2[b[in1[a]]] = True
-    r1, k1 = (in1 & ~matched1).nonzero()
-    miss2 = (in2 & ~matched2).nonzero()[0]
-    rows = np.concatenate([r1, row[miss2]])
-    blockers = np.concatenate([x1[k1], moved[miss2]])
-    if not len(rows):
-        return bool((x_lo < x_hi).any())
-    order = np.lexsort((blockers, rows))
-    rows, starts, ends = rows[order], blockers[order] - L - TOL_EQ, blockers[order] + L + TOL_EQ
-
-    # feasible x in [x_lo, x_hi] avoiding the closed interval [d-L, d+L]
-    # around every mismatched point d: sweep each delta's sorted intervals
-    # for an uncovered gap.  Their ends ascend with their starts, so the
-    # covered reach before interval k is max(x_lo, end of interval k - 1).
-    head = np.concatenate(([True], rows[1:] != rows[:-1]))
-    before = np.maximum(x_lo[rows], np.where(head, -np.inf, np.concatenate(([-np.inf], ends[:-1]))))
-    if ((starts > before) & (head | (before <= x_hi[rows]))).any():
-        return True
-    tail = np.concatenate((head[1:], [True]))
-    reached = x_lo.copy()
-    reached[rows[tail]] = np.maximum(x_lo[rows[tail]], ends[tail])
-    return bool((reached < x_hi).any())
+    miss = np.concatenate([keys1[~in_sorted(keys2, keys1)], keys2[~in_sorted(keys1, keys2)]])
+    rows, d = (miss.real // m).astype(np.intp), miss.imag
+    up = d >= 0
+    top, bottom = np.full(len(deltas), np.inf), np.full(len(deltas), -np.inf)
+    np.minimum.at(top, rows[up], d[up] - L - TOL_EQ)
+    np.maximum.at(bottom, rows[~up], d[~up] + L + TOL_EQ)
+    return bool((np.maximum(x_lo, bottom) < np.minimum(x_hi, top)).any())
 
 
 def metric_window(eps_grid: float) -> Interval:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import TOL_EQ, coord_key
+from .coords import TOL_EQ
 from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, within
 from .output import write_csv
 from .stats import VanHoveSpec
@@ -59,56 +59,42 @@ def validate_weights(w, m: int) -> np.ndarray:
 # autocorrelation measures
 
 
-@dataclass
+@dataclass(eq=False)  # identity: == on the arrays would be ambiguous
 class AutocorrelationMeasure:
-    """Finitely supported t -> c(t), |t| <= radius, from one estimator run."""
+    """Finitely supported t -> c(t), |t| <= radius, from one estimator run:
+    the support t ascending (stably sorted when built) and c aligned with it."""
 
     radius: float
     method: str
     n: float
-    entries: dict = field(default_factory=dict)  # key -> [t, c]
+    t: np.ndarray
+    c: np.ndarray
 
-    def add(self, t, c: complex):
-        key = coord_key(t)
-        cur = self.entries.get(key)
-        if cur is None:
-            self.entries[key] = [t, c]
-        else:
-            cur[1] = cur[1] + c
+    def __post_init__(self):
+        order = np.argsort(self.t, kind="stable")
+        self.t, self.c = self.t[order], self.c[order]
 
     def items(self):
-        """(t_float, c) pairs sorted by t."""
-        out = [(float(t), c) for t, c in self.entries.values()]
-        out.sort(key=lambda tc: tc[0])
-        return out
+        """(t, c) pairs sorted by t."""
+        return list(zip(self.t.tolist(), self.c))
 
-    def coefficient(self, t) -> complex:
-        key = coord_key(t)
-        cur = self.entries.get(key)
-        if cur is not None:
-            return cur[1]
-        tf = float(t)
-        for u, c in self.entries.values():
-            if abs(float(u) - tf) <= TOL_EQ:
-                return c
-        return 0.0 + 0.0j
+    def coefficient(self, t):
+        """c at the support point nearest t (a number or an array), or 0 when
+        none lies within TOL_EQ."""
+        t = np.asarray(t, dtype=float)
+        if not len(self.t):
+            return np.zeros(t.shape, dtype=complex)[()]
+        hi = np.minimum(np.searchsorted(self.t, t), len(self.t) - 1)
+        lo = np.maximum(hi - 1, 0)
+        k = np.where(np.abs(self.t[lo] - t) < np.abs(self.t[hi] - t), lo, hi)
+        return np.where(np.abs(self.t[k] - t) <= TOL_EQ, self.c[k], 0)[()]
 
     def hermitian_defect(self) -> float:
-        worst = 0.0
-        for t, c in self.entries.values():
-            worst = max(worst, abs(self.coefficient(-t) - np.conj(c)))
-        return worst
+        return float(np.abs(self.coefficient(-self.t) - np.conj(self.c)).max(initial=0.0))
 
     def max_difference(self, other: "AutocorrelationMeasure") -> float:
-        keys = set(self.entries) | set(other.entries)
-        worst = 0.0
-        for k in keys:
-            a = self.entries.get(k)
-            b = other.entries.get(k)
-            ca = a[1] if a else 0.0
-            cb = b[1] if b else 0.0
-            worst = max(worst, abs(ca - cb))
-        return worst
+        return float(max(np.abs(self.c - other.coefficient(self.t)).max(initial=0.0),
+                         np.abs(other.c - self.coefficient(other.t)).max(initial=0.0)))
 
 
 def _differences(x, qx, y, qy, radius: float):
@@ -116,9 +102,10 @@ def _differences(x, qx, y, qy, radius: float):
     and b ascending, grouped by the coord_key of the difference x_a - y_b.
 
     x, y are sorted float positions; qx, qy the aligned QuadArrays of an exact
-    patch (then differences are exact) or None.  Returns (a, b, group, ts):
-    group numbers each pair's difference in order of first occurrence and
-    ts[g] is the first difference of group g.
+    patch (then differences are exact) or None.  Returns (a, b, group, keys,
+    ts): group numbers each pair's difference in order of first occurrence,
+    keys[g] is group g's int64 key row and ts[g] the float of its first
+    difference.
     """
     a, b = within(y, x - radius - TOL_EQ, x + radius + TOL_EQ)
     if qx is None:
@@ -127,9 +114,9 @@ def _differences(x, qx, y, qy, radius: float):
     else:
         d = qx[a] - qy[b]
         key = [d.a, d.b]
-    first, group = first_labels(np.stack(key, axis=1))
-    ts = list(d[first]) if qx is None else [d.value(k) for k in first]
-    return a, b, group, ts
+    keys = np.stack(key, axis=1)
+    first, group = first_labels(keys)
+    return a, b, group, keys[first], d[first] if qx is None else d[first].floats()
 
 
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:
@@ -139,18 +126,17 @@ def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> Au
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    meas = AutocorrelationMeasure(radius=radius, method="direct", n=n)
     x, col = patch.all_positions()
     q = patch.all_exact()
-    a, b, group, ts = _differences(x, q, x, q, radius)
+    a, b, group, _, ts = _differences(x, q, x, q, radius)
     # scalar products: an array multiply can round w(x) conj(w(y)) differently
     table = np.array([[wi * np.conj(wj) for wj in w] for wi in w])
     coef = table[col[a], col[b]]
     # bincount adds each group's terms in pair order, as a running sum would
-    sums = [np.bincount(group, part, len(ts)) for part in (coef.real, coef.imag)]
-    for t, re, im in zip(ts, *sums):
-        meas.add(t, np.complex128(complex(re, im)) / vol)
-    return meas
+    sums = np.empty(len(ts), dtype=complex)
+    sums.real = np.bincount(group, coef.real, len(ts))
+    sums.imag = np.bincount(group, coef.imag, len(ts))
+    return AutocorrelationMeasure(radius, "direct", n, ts, sums / vol)
 
 
 def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
@@ -160,7 +146,9 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
     Differences are discovered on F_n; each (t, i, j) frequency is the
     translate count of the pair cluster (color-i point at 0, color-j
     point at -t) over F_n, volume-normalized.  The t = 0, i = j term uses
-    the single-point frequency.
+    the single-point frequency.  The (i, j) terms of one t are summed in
+    (i, j) order, starting from the first (not from 0.0, which would turn a
+    lone -0.0 into 0.0).
     """
     if not (radius > 0 and n > 0):
         raise ValueError("radius and n must be positive")
@@ -169,18 +157,18 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
     vol = spec.region(n).volume()
     positions = [patch.positions(i) for i in range(patch.m)]
     exact = [patch.exact_positions(i) for i in range(patch.m)]
-    meas = AutocorrelationMeasure(radius=radius, method="from-frequencies", n=n)
+    blocks = []  # per (i, j): the differences' keys, their floats t and the terms
     for i in range(patch.m):
         for j in range(patch.m):
-            *_, ts = _differences(positions[i], exact[i], positions[j], exact[j], radius)
-            for t in ts:
-                tf = float(t)
-                if abs(tf) <= TOL_EQ and i == j:
-                    count = len(positions[i])  # degenerate pair: single-point frequency
-                else:
-                    count = int(in_sorted(positions[j], positions[i] - tf).sum())
-                meas.add(t, w[i] * np.conj(w[j]) * (count / vol))
-    return meas
+            *_, key, t = _differences(positions[i], exact[i], positions[j], exact[j], radius)
+            counts = [len(positions[i]) if abs(tf) <= TOL_EQ and i == j  # single-point frequency
+                      else int(in_sorted(positions[j], positions[i] - tf).sum()) for tf in t.tolist()]
+            blocks.append((key, t, w[i] * np.conj(w[j]) * (np.array(counts, dtype=float) / vol)))
+    keys, ts, terms = (np.concatenate(parts) for parts in zip(*blocks))
+    first, label = first_labels(keys)
+    c = np.full(len(first), complex(-0.0, -0.0))  # -0.0 + x is x, bit for bit
+    np.add.at(c, label, terms)  # in (i, j) order
+    return AutocorrelationMeasure(radius, "from-frequencies", n, ts[first], c)
 
 
 def write_autocorr_csv(measures, path):
@@ -532,9 +520,7 @@ def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: Smoothin
     if np.max(np.abs(xs)) + 2 * w > autocorr.radius + TOL_EQ:
         raise ValueError("kernel support exceeds the autocorrelation radius at the "
                          "requested x range")
-    items = autocorr.items()  # sorted by t
-    ts = np.array([t for t, _ in items])
-    cs = np.array([c for _, c in items], dtype=complex)
+    ts, cs = autocorr.t, autocorr.c
     j, i = within(ts, xs - 2 * w - TOL_EQ, xs + 2 * w + TOL_EQ)
     rel = xs[j] - ts[i]
     near = np.abs(rel) < 2 * w

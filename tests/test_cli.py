@@ -269,12 +269,28 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
                   "autocorr": {"radius": 2, "n": 20}}),
     ("diffract", {"source": {"type": "fibonacci"}, "weights": [1],
                   "diffract": {"n_schedule": [10, 20]}}),
+    # integer fields that int() once truncated to 1, 1, 2 and 0 while the manifest echoed them
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"doublings": 1.5}}),
+    ("freq", {"source": {"type": "lattice"}, "van_hove": {"doublings": True}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": 2.7}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": False}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_integer_fields_accept_integral_floats(tmp_path):
+    outs = []
+    for k, offsets in enumerate((2, 2.0)):
+        cfg = write_cfg(tmp_path / ("cfg%d.json" % k),
+                        {"source": {"type": "lattice"}, "van_hove": {"n0": 50, "doublings": 1},
+                         "freq": {"offsets": offsets}})
+        assert main(["freq", "--config", cfg, "--out", str(tmp_path / str(k))]) == 0
+        outs.append((tmp_path / str(k) / "freq.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("text, message", [("{not json", "config is not valid JSON"),

@@ -177,7 +177,7 @@ def scalar_match_predicate(s1, s2, eps, tol=TOL_EQ):
             blockers.extend(scalar_mismatched(a1, a2, tol))
         cur, feasible = x_lo, False
         for a, b in sorted((d - L - tol, d + L + tol) for d in blockers):
-            if a > cur:
+            if a > cur and cur < x_hi:
                 feasible = True
                 break
             cur = max(cur, b)
@@ -208,6 +208,25 @@ def test_match_predicate_matches_scalar_reference():
             assert _match_predicate(p1, p2, eps) == want, (s1, s2, eps)
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_match_predicate_degenerate_shift_stays_infeasible():
+    # the only candidate shift, delta = -0.5 - 5e-10, leaves x in [-0.25, -0.25 - 5e-10]:
+    # empty, so no x fits, and a mismatched point at L + eps = 4.25 cannot change that
+    eps, region = 0.25, Interval(-5, 5)
+    other = MultiSetPatch.from_points(region, 1, 1, [0.5 + 5e-10], [0])
+    for pts in ([0.0], [0.0, 4.25]):
+        p = MultiSetPatch.from_points(region, 1, 1, pts, [0] * len(pts))
+        assert not _match_predicate(p, other, eps), pts
+        assert not scalar_match_predicate(p, other, eps), pts
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.75, 2.0])
+def test_match_predicate_rejects_eps_outside_the_cap(eps):
+    # each shift is bounded by one mismatched point per side only while eps < 1/eps
+    p = MultiSetPatch.from_points(Interval(-50, 50), 1, 1, [0.0, 1.0], [0, 0])
+    with pytest.raises(ValueError):
+        _match_predicate(p, p, eps)
 
 
 def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch):

@@ -1,7 +1,8 @@
 """Benchmark CLI outputs stay byte-identical to perfbench/references.json.
 
 Runs every CLI task of perfbench/workloads.json at input variant 0, and
-generate_poisson at every variant, through the benchmark's own
+each task whose reference pins one digest per variant (generate_poisson,
+freq_fib, metric_fib) at every variant, through the benchmark's own
 `build_tasks`, `run_task` and `dir_digest`, in a temporary directory;
 nothing under perfbench/ is written.
 """
@@ -30,15 +31,20 @@ REFS = json.loads((RUN.parent / "references.json").read_text())
 ENTRIES = [e for _, wl in sorted(SPEC["workloads"].items()) for e in wl["cli"]]
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
-def test_cli_output_matches_reference_digest(entry, tmp_path):
-    variant, values = BENCH.variant_values(SPEC, 0)
+def _digests(entry, seed, tmp_path):
+    """(digest of the task's outputs at the seed's variant, its reference)."""
+    variant, values = BENCH.variant_values(SPEC, seed)
     (task,) = BENCH.build_tasks({"verify": [], "cli": [entry]}, values, tmp_path)
     _, _, reason, _ = BENCH.run_task(pointspec, task)
     assert reason is None
     ref = REFS[entry["name"]]
-    want = ref[variant] if isinstance(ref, list) else ref
-    assert BENCH.dir_digest(task["out"])[0] == want
+    return BENCH.dir_digest(task["out"])[0], ref[variant] if isinstance(ref, list) else ref
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
+def test_cli_output_matches_reference_digest(entry, tmp_path):
+    got, want = _digests(entry, 0, tmp_path)
+    assert got == want
 
 
 POISSON = next(e for e in ENTRIES if e["name"] == "generate_poisson")
@@ -46,8 +52,16 @@ POISSON = next(e for e in ENTRIES if e["name"] == "generate_poisson")
 
 @pytest.mark.parametrize("seed", range(len(REFS["generate_poisson"])))
 def test_generate_poisson_matches_reference_digest_at_every_variant(seed, tmp_path):
-    variant, values = BENCH.variant_values(SPEC, seed)
-    (task,) = BENCH.build_tasks({"verify": [], "cli": [POISSON]}, values, tmp_path)
-    _, _, reason, _ = BENCH.run_task(pointspec, task)
-    assert reason is None
-    assert BENCH.dir_digest(task["out"])[0] == REFS["generate_poisson"][variant]
+    got, want = _digests(POISSON, seed, tmp_path)
+    assert got == want
+
+
+OFFSET_TASKS = [(e, seed) for e in ENTRIES if e["name"] in ("freq_fib", "metric_fib")
+                for seed in range(len(REFS[e["name"]]))]
+
+
+@pytest.mark.parametrize("entry, seed", OFFSET_TASKS,
+                         ids=["%s-%d" % (e["name"], seed) for e, seed in OFFSET_TASKS])
+def test_offset_tasks_match_reference_digest_at_every_variant(entry, seed, tmp_path):
+    got, want = _digests(entry, seed, tmp_path)
+    assert got == want

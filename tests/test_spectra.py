@@ -74,11 +74,11 @@ def test_autocorr_routes_agree_exactly_on_lattice():
 
 
 def scalar_autocorr_direct(source, w, radius, spec, n):
-    """Reference direct route: one sorted search per point, one dict update per pair."""
+    """Reference direct route: one sorted search per point, one dict update per
+    pair; the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    meas = spectra.AutocorrelationMeasure(radius=radius, method="direct", n=n)
     vals, cols = patch.all_positions()
     xs = [p[0] for p in patch.all_points()] if patch.exact else None
     agg = {}
@@ -93,18 +93,17 @@ def scalar_autocorr_direct(source, w, radius, spec, n):
                 agg[coord_key(t)] = [t, coef]
             else:
                 cur[1] = cur[1] + coef
-    for t, c in agg.values():
-        meas.add(t, c / vol)
-    return meas
+    return sorted(((float(t), c / vol) for t, c in agg.values()), key=lambda tc: tc[0])
 
 
 def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
-    """Reference frequency route: differences found pair by pair over .parts."""
+    """Reference frequency route: differences found pair by pair over .parts,
+    one dict update per (t, i, j); the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
     positions = [patch.positions(i) for i in range(patch.m)]
-    meas = spectra.AutocorrelationMeasure(radius=radius, method="from-frequencies", n=n)
+    agg = {}
     diffs = {}
     for i in range(patch.m):
         for j in range(patch.m):
@@ -122,8 +121,13 @@ def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
             count = len(positions[i])
         else:
             count = int(in_sorted(positions[j], positions[i] - tf).sum())
-        meas.add(t, w[i] * np.conj(w[j]) * (count / vol))
-    return meas
+        c = w[i] * np.conj(w[j]) * (count / vol)
+        cur = agg.get(coord_key(t))
+        if cur is None:
+            agg[coord_key(t)] = [t, c]
+        else:
+            cur[1] = cur[1] + c
+    return sorted(((float(t), c) for t, c in agg.values()), key=lambda tc: tc[0])
 
 
 def scalar_smoothed_density(source, w, kernel, grid):
@@ -148,6 +152,7 @@ SOURCES = [
     ("comb", integer_lattice(1.0, colors=2), [1, -1]),
     ("fibonacci", fibonacci_cut_project(), [1, 1]),
     ("fibonacci-complex", fibonacci_cut_project(), [1, 0.3 + 0.7j]),
+    ("fibonacci-signed", fibonacci_cut_project(), [1, -1]),
     ("thue-morse", thue_morse_source(), [1, -1]),
     ("poisson", PoissonSource(1.0, seed=7), [1]),
 ]
@@ -159,11 +164,9 @@ def _bits(c):
 
 
 def assert_same_measure(got, want):
-    """Same keys in the same order, equal t of the same type, bit-equal c."""
-    assert list(got.entries) == list(want.entries)
-    for (t, c), (u, d) in zip(got.entries.values(), want.entries.values()):
-        assert type(t) is type(u) and t == u
-        assert _bits(c) == _bits(d)
+    """The reference's (t, c) pairs in order: equal t, bit-equal c."""
+    assert [t.hex() for t in got.t.tolist()] == [t.hex() for t, _ in want]
+    assert [_bits(c) for c in got.c] == [_bits(c) for _, c in want]
 
 
 @pytest.mark.parametrize("name, src, w", SOURCES, ids=[s[0] for s in SOURCES])
