@@ -50,6 +50,7 @@ from .hull import (
     cylinder_contains,
     empirical_cylinder_measure,
     hull_metric,
+    hull_metrics,
     partition_params,
     sample_orbit,
 )

@@ -80,6 +80,8 @@ class Interval(_Region):
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         ok = np.ones(len(x), dtype=bool)
+        if not len(x):  # nothing to compare, whatever the ends
+            return ok
         exact_ends = exact is not None and is_exact_coord(self.lo) and is_exact_coord(self.hi)
         if exact is not None:  # the points' largest float error, and the rounding of the gap
             err = exact.float_error() + FLOAT_ERR * (float(np.abs(x).max(initial=0.0)) + TOL_EQ)

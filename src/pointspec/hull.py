@@ -9,6 +9,7 @@ The metric between two point sets is reported as a certified bracket
 [lower, upper], never a point value: the defining infimum ranges over a
 continuum of (epsilon, x, y) and is not exactly computable; bisection on
 the monotone matching predicate brackets it to any requested width.
+hull_metrics decides the predicate for many pairs and epsilons at once.
 """
 
 from __future__ import annotations
@@ -56,108 +57,149 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-def _match_predicate(patch1, patch2, eps: float) -> bool:
-    """Whether some shifts x, y in the closed eps-ball align the two sets
-    on the closed window of radius 1/eps.
+def _match_predicate(patches1, patches2, pair, eps) -> np.ndarray:
+    """For each query k, whether some shifts x, y in the closed eps[k]-ball
+    align patches1[pair[k]] and patches2[pair[k]] on the closed window of
+    radius 1/eps[k].
 
-    It needs eps in (0, METRIC_CAP], so eps < 1/eps, and patch regions that
-    cover [-(1/eps + 4 eps), 1/eps + 4 eps] (ValueError otherwise).  1D
+    It needs each eps in (0, METRIC_CAP], so eps < 1/eps, and patch regions
+    that cover [-(1/eps + 4 eps), 1/eps + 4 eps] (ValueError otherwise).  1D
     decision: every candidate relative shift delta = x - y comes from a
     matched pair of near-origin points (or the empty-window case); for a
     fixed delta the feasible x form [x_lo, x_hi] minus the closed L-balls
     around mismatched points.  As |x| <= eps < L, a mismatched d >= 0 only
     forbids x >= d - L and a d < 0 only x <= d + L, so the nearest one on
-    each side bounds the gap.  All deltas are decided together on arrays.
+    each side bounds the gap.  All queries and all their deltas are decided
+    together on arrays, each in the float expressions of a query alone.
     """
-    if not 0 < eps <= METRIC_CAP:
-        raise ValueError("eps must lie in (0, 2^-1/2], not %r" % eps)
+    pair, eps = np.asarray(pair, dtype=np.intp), np.asarray(eps, dtype=float)
+    if not ((eps > 0) & (eps <= METRIC_CAP)).all():
+        raise ValueError("every eps must lie in (0, 2^-1/2], not %s" % eps)
     L = 1.0 / eps
-    near = Interval(-(L + 4 * eps), L + 4 * eps)
-    if not (patch1.region.covers(near) and patch2.region.covers(near)):
-        raise ValueError("patches on %s and %s do not cover %s" % (patch1.region, patch2.region, near))
-    (x1, c1), (x2, c2) = patch1.colour_major(), patch2.colour_major()
-    lo, hi = -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
-    in1 = (x1 >= lo) & (x1 < hi)
-    any1, any2 = in1.any(), ((x2 >= lo) & (x2 < hi)).any()
+    reach, lo, hi = L + 4 * eps, -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
+    m = max(p.m for p in (*patches1, *patches2))
+    cell = (pair[:, None] * m + np.arange(m)).ravel()  # per query and colour: pair * m + colour
+
+    def find(keys, at):  # per query and colour, the first key at or past position at
+        return np.searchsorted(keys, complex_keys(cell, np.repeat(at, m)))
+
+    sides = []
+    for patches in (patches1, patches2):
+        plo, phi = np.array([p.region.bounds()[0] for p in patches]).T
+        short = eps[(plo[pair] > -reach + TOL_EQ) | (phi[pair] < reach - TOL_EQ)]
+        if len(short):
+            raise ValueError("a patch does not cover +-(1/eps + 4 eps) at eps = %r" % float(short.min()))
+        x, c = (np.concatenate(a) for a in zip(*(p.colour_major() for p in patches)))
+        # keyed (pair, colour, position): sorted, as each patch is colour-major
+        owner = np.repeat(np.arange(len(patches)), [p.total_points for p in patches])
+        keys = complex_keys(owner * m + c, x)
+        sides.append((x, c, keys, find(keys, lo), find(keys, hi)))
+    (x1, c1, k1, a1, b1), (x2, _, k2, a2, b2) = sides
+    any1, any2 = ((b - a).reshape(-1, m).sum(1) > 0 for a, b in ((a1, b1), (a2, b2)))
     # windows can never be empty when the sets are relatively dense with
     # b < 2L; guard for degenerate inputs anyway
-    if not any1 or not any2:
-        return not any1 and not any2
+    out = ~any1 & ~any2
+    rows, idx = ranges(a1, np.where(np.repeat(any1 & any2, m), b1, a1))
+    t, ct, tq = x1[idx], c1[idx], rows // m  # slab points of set 1, by query
+    tstart = np.searchsorted(tq, np.arange(len(eps) + 1))
 
     # candidate shifts: same-colour pairs (t, u), u in [t - 2 eps - TOL_EQ, t + 2 eps + TOL_EQ)
-    t, ct = x1[in1], c1[in1]
-    r, u = within(complex_keys(c2, x2), complex_keys(ct, t - 2 * eps - TOL_EQ),
-                  complex_keys(ct, t + 2 * eps + TOL_EQ))
-    deltas = np.sort(t[r] - x2[u])
-    keep = np.ones(len(deltas), dtype=bool)  # the first of each run closer than TOL_EQ
-    keep[1:] = deltas[1:] - deltas[:-1] > TOL_EQ
-    deltas = deltas[keep]
-    x_lo, x_hi = np.maximum(-eps, deltas - eps), np.minimum(eps, deltas + eps)
+    te, tc = eps[tq], pair[tq] * m + ct
+    r, u = within(k2, complex_keys(tc, t - 2 * te - TOL_EQ), complex_keys(tc, t + 2 * te + TOL_EQ))
+    shifts = np.sort(complex_keys(tq[r], t[r] - x2[u]))  # by query, then delta
+    q, deltas = shifts.real.astype(np.intp), shifts.imag
+    keep = np.ones(len(deltas), dtype=bool)  # per query, the first of each run closer than TOL_EQ
+    keep[1:] = (q[1:] != q[:-1]) | (deltas[1:] - deltas[:-1] > TOL_EQ)
+    q, deltas = q[keep], deltas[keep]
+    x_lo, x_hi = np.maximum(-eps[q], deltas - eps[q]), np.minimum(eps[q], deltas + eps[q])
     ok = x_lo < x_hi
-    deltas, x_lo, x_hi = deltas[ok], x_lo[ok], x_hi[ok]
+    q, deltas, x_lo, x_hi = q[ok], deltas[ok], x_lo[ok], x_hi[ok]
 
-    # the slab points of set 1 and of set 2 moved by each delta, keyed
-    # row * m + colour + i * position: sorted, as the arrays are colour-major
-    m = max(patch1.m, patch2.m)
-    base = np.arange(len(deltas))[:, None] * m
-    moved = deltas[:, None] + x2
-    in2 = (moved >= lo) & (moved < hi)
-    keys1 = complex_keys((base + ct).ravel(), np.tile(t, len(deltas)))
-    keys2 = complex_keys((base + c2)[in2], moved[in2])
+    # per shift row: the slab points of set 1 and of set 2 moved by its delta,
+    # keyed (row, colour, position): sorted, as the arrays are colour-major
+    row1, i1 = ranges(tstart[q], tstart[q + 1])
+    keys1 = complex_keys(row1 * m + ct[i1], t[i1])
+    # (set 2 within the slab widened past every |delta| <= 2 eps + TOL_EQ: all that can move in)
+    qc = (q[:, None] * m + np.arange(m)).ravel()
+    cr, i2 = ranges(find(k2, lo - 4 * eps - 2 * TOL_EQ)[qc], find(k2, hi + 4 * eps + 2 * TOL_EQ)[qc])
+    row2 = cr // m  # cr: row * m + colour
+    moved = deltas[row2] + x2[i2]
+    in2 = (moved >= lo[q[row2]]) & (moved < hi[q[row2]])
+    keys2 = complex_keys(cr[in2], moved[in2])
     # mismatched points: slab points with no partner in the other slab
     miss = np.concatenate([keys1[~in_sorted(keys2, keys1)], keys2[~in_sorted(keys1, keys2)]])
     rows, d = (miss.real // m).astype(np.intp), miss.imag
-    up = d >= 0
+    up, Lr = d >= 0, L[q[rows]]
     top, bottom = np.full(len(deltas), np.inf), np.full(len(deltas), -np.inf)
-    np.minimum.at(top, rows[up], d[up] - L - TOL_EQ)
-    np.maximum.at(bottom, rows[~up], d[~up] + L + TOL_EQ)
-    return bool((np.maximum(x_lo, bottom) < np.minimum(x_hi, top)).any())
+    np.minimum.at(top, rows[up], d[up] - Lr[up] - TOL_EQ)
+    np.maximum.at(bottom, rows[~up], d[~up] + Lr[~up] + TOL_EQ)
+    out[q[np.maximum(x_lo, bottom) < np.minimum(x_hi, top)]] = True
+    return out
 
 
 def metric_window(eps_grid: float) -> Interval:
-    """The window hull_metric takes of a source: around the origin, wide enough
+    """The window hull_metrics takes of a source: around the origin, wide enough
     for every epsilon it tries (METRIC_CAP, or above max(eps_grid/2, 1e-4))."""
     reach = 1.0 / min(max(eps_grid / 2.0, 1e-4), METRIC_CAP) + 4 * METRIC_CAP
     return Interval(-reach, reach)
 
 
-def hull_metric(source1, source2, eps_grid: float = 0.01) -> MetricBracket:
-    """Certified bracket for the local-matching distance (1D sources).
+_METRIC_SLICE = 100  # pairs decided together: keeps the predicate's arrays near 1 MB
+_TREE_DEPTH = 6  # bisection steps decided per predicate call
 
-    Descends a geometric epsilon grid while the matching predicate holds,
-    then bisects the first failing bracket down to width eps_grid.  Both
-    bounds are capped at METRIC_CAP = 2^(-1/2).  Each input is a source,
-    windowed once on metric_window(eps_grid), or a patch, used as given: one
-    too small for some epsilon raises ValueError.
+
+def _bisection_mids(lo, hi, grid, depth):
+    """Every midpoint the bisection of (lo, hi) to width grid can try in its next depth steps."""
+    if depth == 0 or not hi - lo > grid:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_bisection_mids(lo, mid, grid, depth - 1), *_bisection_mids(mid, hi, grid, depth - 1)]
+
+
+def hull_metrics(pairs, eps_grid: float = 0.01) -> list:
+    """Certified brackets for the local-matching distance, one MetricBracket
+    per pair (source1, source2) of 1D sources in the list pairs.
+
+    Each descends the epsilon grid METRIC_CAP / 2^k (above max(eps_grid/2,
+    1e-4)) while the matching predicate holds, then bisects the first failing
+    bracket down to width eps_grid.  One predicate call decides every descent
+    of a slice of pairs, one more every midpoint their bisections can reach.
+    Each input is a source, windowed once on metric_window(eps_grid), or a
+    patch used as given, which must cover every epsilon of the descent.
     """
-    if source1.dim != 1 or source2.dim != 1:
+    if any(s.dim != 1 for pair in pairs for s in pair):
         raise NotImplementedError("hull metric is implemented in 1D only")
     if not eps_grid > 0:
         raise ValueError("eps_grid must be positive")
-    floor = max(eps_grid / 2.0, 1e-4)
-    near = metric_window(eps_grid)
-    p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
-    if not _match_predicate(p1, p2, METRIC_CAP):
-        return MetricBracket(lower=METRIC_CAP, upper=METRIC_CAP, eps_grid=eps_grid)
-    hi = METRIC_CAP  # known true
-    lo = None  # known false, > all true
-    eps = METRIC_CAP / 2.0
-    while eps > floor:
-        if _match_predicate(p1, p2, eps):
-            hi = eps
-            eps /= 2.0
-        else:
-            lo = eps
-            break
-    if lo is None:
-        return MetricBracket(lower=0.0, upper=hi, eps_grid=eps_grid)
-    while hi - lo > eps_grid:
-        mid = 0.5 * (lo + hi)
-        if _match_predicate(p1, p2, mid):
-            hi = mid
-        else:
-            lo = mid
-    return MetricBracket(lower=lo, upper=hi, eps_grid=eps_grid)
+    near, ladder = metric_window(eps_grid), [METRIC_CAP]
+    while (eps := ladder[-1] / 2.0) > max(eps_grid / 2.0, 1e-4):
+        ladder.append(eps)
+    brackets, bisect, known = [(0.0, ladder[-1])] * len(pairs), {}, {}  # bisect: the open brackets
+    for s in range(0, len(pairs), _METRIC_SLICE):
+        p1, p2 = zip(*([p if isinstance(p, MultiSetPatch) else p.window(near) for p in pair]
+                       for pair in pairs[s:s + _METRIC_SLICE]))
+        holds = _match_predicate(p1, p2, np.repeat(np.arange(len(p1)), len(ladder)), ladder * len(p1))
+        for i, row in enumerate(holds.reshape(len(p1), -1).tolist(), s):
+            j = (row + [False]).index(False)  # the first failing epsilon
+            if j == 0:
+                brackets[i] = (METRIC_CAP, METRIC_CAP)
+            elif j < len(ladder):
+                brackets[i] = bisect[i] = (ladder[j], ladder[j - 1])  # known false, known true
+        while bisect := {i: (lo, hi) for i, (lo, hi) in bisect.items() if hi - lo > eps_grid}:
+            queries = [(i, mid) for i, (lo, hi) in bisect.items()
+                       for mid in _bisection_mids(lo, hi, eps_grid, _TREE_DEPTH)]
+            holds = _match_predicate(p1, p2, [i - s for i, _ in queries], [mid for _, mid in queries])
+            known.update(zip(queries, holds.tolist()))
+            for i, (lo, hi) in bisect.items():  # the sequential walks, as far as they are decided
+                while hi - lo > eps_grid and (i, mid := 0.5 * (lo + hi)) in known:
+                    lo, hi = (lo, mid) if known[i, mid] else (mid, hi)
+                bisect[i] = brackets[i] = (lo, hi)
+    return [MetricBracket(lower=lo, upper=hi, eps_grid=eps_grid) for lo, hi in brackets]
+
+
+def hull_metric(source1, source2, eps_grid: float = 0.01) -> MetricBracket:
+    """The bracket of one pair: hull_metrics([(source1, source2)], eps_grid)[0]."""
+    return hull_metrics([(source1, source2)], eps_grid)[0]
 
 
 def sample_orbit(source, offsets, region):

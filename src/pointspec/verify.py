@@ -21,6 +21,7 @@ from .hull import (
     cylinder_contains,
     empirical_cylinder_measure,
     hull_metric,
+    hull_metrics,
     metric_window,
     partition_params,
     sample_orbit,
@@ -278,17 +279,11 @@ def check_metric(fast=False) -> CheckResult:
     fib = fibonacci_cut_project()
     eps_grid = 0.05
     n_triples = 100 if fast else 500
-    h1 = halton(n_triples, 2) * 50.0
-    h2 = halton(n_triples, 3) * 50.0
-    h3 = halton(n_triples, 5) * 50.0
-    near = metric_window(eps_grid)
-    bad = 0
-    for sa, sb, sc in zip(*(sample_orbit(fib, h.tolist(), near) for h in (h1, h2, h3))):
-        dab = hull_metric(sa, sb, eps_grid=eps_grid).upper
-        dbc = hull_metric(sb, sc, eps_grid=eps_grid).upper
-        dac = hull_metric(sa, sc, eps_grid=eps_grid).lower
-        if dac > dab + dbc + 2 * eps_grid:
-            bad += 1
+    sa, sb, sc = (sample_orbit(fib, (halton(n_triples, b) * 50.0).tolist(), metric_window(eps_grid))
+                  for b in (2, 3, 5))
+    brackets = hull_metrics([*zip(sa, sb), *zip(sb, sc), *zip(sa, sc)], eps_grid=eps_grid)
+    ab, bc, ac = (brackets[k * n_triples:(k + 1) * n_triples] for k in range(3))
+    bad = sum(dac.lower > dab.upper + dbc.upper + 2 * eps_grid for dab, dbc, dac in zip(ab, bc, ac))
     ok = pair_ok and bad == 0
     return _result("metric", t0, ok,
                    "bracket [%.4f, %.4f] for d(Z, Z+0.1); triangle failures %d/%d" %

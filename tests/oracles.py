@@ -1,5 +1,6 @@
 """Reference helpers shared by the test oracles: scalar comparisons, and the
-slow direct forms of the Poisson window and of the points.json document."""
+slow direct forms of the Poisson window, of the points.json document and of
+the hull-metric bracket search."""
 
 import itertools
 import math
@@ -7,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from pointspec import hull
 from pointspec.coords import TOL_EQ, is_exact_coord
+from pointspec.geometry import MultiSetPatch
 from pointspec.sources import region_to_json
 
 
@@ -62,3 +65,36 @@ def patch_to_json(patch, field=None) -> dict:
 def _int_or_str(num: int, den: int):
     v = Fraction(num, den)
     return int(v) if v.denominator == 1 else str(v)
+
+
+def sequential_hull_metric(source1, source2, eps_grid: float):
+    """The hull-metric bracket (lower, upper) searched one epsilon at a time:
+    descend METRIC_CAP / 2^k while the matching predicate holds, then bisect
+    the first failing bracket down to width eps_grid.  It decides only the
+    epsilons its path reaches, so a patch need only cover those."""
+    cap, floor = hull.METRIC_CAP, max(eps_grid / 2.0, 1e-4)
+    near = hull.metric_window(eps_grid)
+    p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
+
+    def holds(eps):
+        return bool(hull._match_predicate([p1], [p2], [0], [eps])[0])
+
+    if not holds(cap):
+        return cap, cap
+    hi, lo, eps = cap, None, cap / 2.0  # hi known true, lo known false
+    while eps > floor:
+        if holds(eps):
+            hi = eps
+            eps /= 2.0
+        else:
+            lo = eps
+            break
+    if lo is None:
+        return 0.0, hi
+    while hi - lo > eps_grid:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

@@ -81,6 +81,18 @@ def test_interval_mask_matches_the_scalar_contract():
             assert all(iv.contains_point((v,)) == reference_contains(iv, v) for v in values[::10])
 
 
+def test_interval_mask_of_no_points_is_empty_for_every_kind_of_end():
+    # float ends, exact ends and mixed ones, with and without exact points
+    no_exact = QuadArray([], [], 1, GOLDEN)
+    ends = [(0.0, 2.0), (Fraction(1, 3), 2), (QuadNum(-1, 1, GOLDEN), QuadNum(2, 1, GOLDEN)),
+            (QuadNum(0, 1, GOLDEN), 3.5)]
+    for lo, hi in ends:
+        for flags in ((True, True), (True, False), (False, True), (False, False)):
+            for x, exact in ((np.empty(0), None), (np.empty(0), no_exact), (np.empty((0, 1)), no_exact)):
+                out = Interval(lo, hi, *flags).mask(x, exact)
+                assert out.dtype == bool and out.shape == (0,), (lo, hi, flags)
+
+
 def test_box_and_ball():
     b = Box((0.0, 0.0), (2.0, 3.0))
     assert b.volume() == 6.0

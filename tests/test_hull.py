@@ -17,6 +17,8 @@ from pointspec.hull import (
     _match_predicate,
     _scan_pieces,
     hull_metric,
+    hull_metrics,
+    metric_window,
     partition_params,
     sample_orbit,
 )
@@ -30,6 +32,8 @@ from pointspec.sources import (
 )
 from pointspec.stats import _count_in_patch, halton
 from pointspec.spectra import plateau_kernel
+
+from oracles import sequential_hull_metric
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,7 @@ def scalar_match_predicate(s1, s2, eps, tol=TOL_EQ):
 
 
 def test_match_predicate_matches_scalar_reference():
+    # one batched call decides every (pair, eps) query
     z, fib = integer_lattice(), fibonacci_cut_project()
     tm, comb = thue_morse_source(), integer_lattice(1.0, colors=2)
     pairs = [(z, TranslatedSource(z, 0.1)), (integer_lattice(2.0), TranslatedSource(z, 0.3)),
@@ -199,15 +204,20 @@ def test_match_predicate_matches_scalar_reference():
              (z.window(Interval(-120, 120)), TranslatedSource(z, 0.07).window(Interval(-120, 120)))]
     ladder = [METRIC_CAP, 0.5, 0.3, 0.2, 0.12, 0.07, 0.04, 0.025, 0.011]
     reach = 1.0 / ladder[-1] + 4 * METRIC_CAP
-    seen = set()
-    for s1, s2 in pairs:
-        p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(Interval(-reach, reach))
-                  for s in (s1, s2))
-        for eps in ladder:
-            want = scalar_match_predicate(s1, s2, eps)
-            assert _match_predicate(p1, p2, eps) == want, (s1, s2, eps)
-            seen.add(want)
-    assert seen == {True, False}
+    p1, p2 = zip(*([s if isinstance(s, MultiSetPatch) else s.window(Interval(-reach, reach)) for s in pair]
+                   for pair in pairs))
+    queries = [(i, eps) for i in range(len(pairs)) for eps in ladder]
+    got = _match_predicate(p1, p2, [i for i, _ in queries], [eps for _, eps in queries])
+    assert got.dtype == bool and got.shape == (len(queries),)
+    want = [scalar_match_predicate(*pairs[i], eps) for i, eps in queries]
+    assert got.tolist() == want
+    assert set(want) == {True, False}
+    # the same decisions one query at a time, and in another order
+    for k in (0, 13, len(queries) - 1):
+        i, eps = queries[k]
+        assert _match_predicate(p1, p2, [i], [eps]).tolist() == [want[k]]
+    assert _match_predicate(p1, p2, [i for i, _ in queries[::-1]],
+                            [eps for _, eps in queries[::-1]]).tolist() == want[::-1]
 
 
 def test_match_predicate_degenerate_shift_stays_infeasible():
@@ -215,42 +225,123 @@ def test_match_predicate_degenerate_shift_stays_infeasible():
     # empty, so no x fits, and a mismatched point at L + eps = 4.25 cannot change that
     eps, region = 0.25, Interval(-5, 5)
     other = MultiSetPatch.from_points(region, 1, 1, [0.5 + 5e-10], [0])
-    for pts in ([0.0], [0.0, 4.25]):
-        p = MultiSetPatch.from_points(region, 1, 1, pts, [0] * len(pts))
-        assert not _match_predicate(p, other, eps), pts
-        assert not scalar_match_predicate(p, other, eps), pts
+    ps = [MultiSetPatch.from_points(region, 1, 1, pts, [0] * len(pts)) for pts in ([0.0], [0.0, 4.25])]
+    assert _match_predicate(ps, [other, other], [0, 1], [eps, eps]).tolist() == [False, False]
+    for p in ps:
+        assert not scalar_match_predicate(p, other, eps)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1, 0.75, 2.0])
+def test_match_predicate_tie_conventions():
+    # set 1 = {0, d}, set 2 = {-delta}: the one candidate shift is delta, so
+    # x lies in [x_lo, x_hi] = [max(-eps, delta - eps), min(eps, delta + eps)],
+    # and d is the one mismatched point.  It forbids the x within L + TOL_EQ
+    # of it: x >= top = d - L - TOL_EQ for d >= 0, x <= bottom = d + L + TOL_EQ
+    # for d < 0.  A shift fits when max(x_lo, bottom) < min(x_hi, top), so a
+    # point exactly at x_hi + L + TOL_EQ or x_lo - L - TOL_EQ leaves the shift
+    # feasible, and one exactly at x_lo + L + TOL_EQ or x_hi - L - TOL_EQ
+    # closes it.  delta is chosen so that each tie holds in floats.
+    eps, L, region = 0.25, 4.0, Interval(-5, 5)
+    below, above = 0.125 - TOL_EQ, 0.125 + TOL_EQ
+    cases = [  # (delta, d, the end d touches, feasible)
+        (below - eps, 4.125, "x_hi", True),  # d = x_hi + L + TOL_EQ
+        (eps - below, -4.125, "x_lo", True),  # d = x_lo - L - TOL_EQ
+        (eps - above, 3.875, "x_lo", False),  # d = x_lo + L + TOL_EQ
+        (above - eps, -3.875, "x_hi", False),  # d = x_hi - L - TOL_EQ
+    ]
+    p1, p2 = [], []
+    for delta, d, end, feasible in cases:
+        x_lo, x_hi = max(-eps, delta - eps), min(eps, delta + eps)
+        tie = d - L - TOL_EQ if d >= 0 else d + L + TOL_EQ
+        assert tie == (x_lo if end == "x_lo" else x_hi) and x_lo < x_hi
+        p1.append(MultiSetPatch.from_points(region, 1, 1, sorted([0.0, d]), [0, 0]))
+        p2.append(MultiSetPatch.from_points(region, 1, 1, [-delta], [0]))
+        assert scalar_match_predicate(p1[-1], p2[-1], eps) == feasible, (delta, d)
+    want = [feasible for *_, feasible in cases]
+    assert _match_predicate(p1, p2, range(len(cases)), [eps] * len(cases)).tolist() == want
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.75, 2.0, float("nan")])
 def test_match_predicate_rejects_eps_outside_the_cap(eps):
     # each shift is bounded by one mismatched point per side only while eps < 1/eps
     p = MultiSetPatch.from_points(Interval(-50, 50), 1, 1, [0.0, 1.0], [0, 0])
-    with pytest.raises(ValueError):
-        _match_predicate(p, p, eps)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        _match_predicate([p], [p], [0], [eps])
+    with pytest.raises(ValueError, match="eps must lie in"):  # one bad query spoils the batch
+        _match_predicate([p], [p], [0, 0], [0.5, eps])
 
 
 def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch):
-    # every epsilon hull_metric tries, including slabs empty on both sides
-    # (True) or on one side (False)
+    # every (pair, eps) query hull_metrics makes, including slabs empty on
+    # both sides (True) or on one side (False), and one batch mixing m = 1
+    # and m = 2 pairs, which packs (pair, colour) into the keys
     import pointspec.hull as hull
 
     calls, real = [], hull._match_predicate
 
-    def record(p1, p2, eps):
-        calls.append((p1, p2, eps, real(p1, p2, eps)))
-        return calls[-1][-1]
+    def record(p1, p2, pair, eps):
+        calls.append((p1, p2, list(pair), list(eps), real(p1, p2, pair, eps).tolist()))
+        return np.array(calls[-1][-1])
 
     monkeypatch.setattr(hull, "_match_predicate", record)
     z, fib, sparse, pz = integer_lattice(), fibonacci_cut_project(), integer_lattice(10.0), PoissonSource(1.0, seed=3)
+    comb = integer_lattice(1.0, colors=2)
     pairs = [(fib, TranslatedSource(fib, h)) for h in (halton(6) * 40.0).tolist()] + [
         (z, TranslatedSource(z, 0.1)), (fib, z), (sparse, TranslatedSource(sparse, 5.0)),
         (TranslatedSource(sparse, 5.0), TranslatedSource(sparse, 5.5)), (pz, TranslatedSource(pz, 0.02))]
-    for s1, s2 in pairs:
-        for grid in (0.05, 0.01):
-            hull_metric(s1, s2, eps_grid=grid)
-    assert {result for *_, result in calls} == {True, False}
-    for p1, p2, eps, result in calls:
-        assert result == scalar_match_predicate(p1, p2, eps), eps
+    mixed = [(comb, TranslatedSource(comb, 1.02)), (sparse, TranslatedSource(sparse, 5.0)), (z, comb),
+             (TranslatedSource(sparse, 5.0), TranslatedSource(sparse, 5.5)), (comb, TranslatedSource(z, 0.04))]
+    for grid in (0.05, 0.01):
+        hull_metrics(pairs, eps_grid=grid)
+    hull_metrics(mixed, eps_grid=0.05)
+    assert {p.m for p in calls[-1][0] + calls[-1][1]} == {1, 2}
+    results = [r for *_, out in calls for r in out]
+    assert set(results) == {True, False}
+    for p1, p2, pair, eps, out in calls:
+        for i, e, r in zip(pair, eps, out):
+            assert r == scalar_match_predicate(p1[i], p2[i], e), (i, e)
+
+
+def test_metrics_match_the_sequential_search_pair_by_pair():
+    # more pairs than one slice: brackets at METRIC_CAP, with lower 0.0 and
+    # bisected ones; the fine grid needs more bisection steps than one call decides
+    import pointspec.hull as hull
+
+    fib, z = fibonacci_cut_project(), integer_lattice()
+    n = hull._METRIC_SLICE + 20
+    h1, h2 = (halton(n, b) * 40.0 for b in (2, 3))
+    near = metric_window(0.05)
+    pairs = list(zip(sample_orbit(fib, h1.tolist(), near), sample_orbit(fib, h2.tolist(), near)))
+    pairs[7] = (fib, fib)
+    pairs[hull._METRIC_SLICE + 3] = (z, TranslatedSource(z, 0.1))
+    got = hull_metrics(pairs, eps_grid=0.05)
+    assert len(got) == n
+    for (s1, s2), br in zip(pairs, got):
+        assert (br.lower, br.upper) == sequential_hull_metric(s1, s2, 0.05)
+        assert br.eps_grid == 0.05
+    assert {br.lower for br in got} >= {0.0, METRIC_CAP}
+    assert any(0.0 < br.lower < METRIC_CAP for br in got)
+    few = [(fib, TranslatedSource(fib, h)) for h in (1.3, 7.7, 0.02)] + [(z, TranslatedSource(z, 0.3)), (z, z)]
+    for grid in (1e-3, 0.3, 2.0):
+        want = [sequential_hull_metric(s1, s2, grid) for s1, s2 in few]
+        assert [(br.lower, br.upper) for br in hull_metrics(few, eps_grid=grid)] == want
+    assert hull_metrics([], eps_grid=0.05) == []
+
+
+def test_metrics_need_patches_covering_every_descent_epsilon():
+    # the sequential search stops at its first failure (eps = 0.044 here) and
+    # reads only [-23, 23]; the batch decides the whole descent, down to
+    # eps = 0.0055, so a patch must cover metric_window(eps_grid)
+    z = integer_lattice()
+    short = [s.window(Interval(-30, 30)) for s in (z, TranslatedSource(z, 0.1))]
+    lo, hi = sequential_hull_metric(*short, 0.01)
+    assert lo <= 0.05 <= hi
+    with pytest.raises(ValueError, match="does not cover"):
+        hull_metrics([tuple(short)], eps_grid=0.01)
+    with pytest.raises(ValueError, match="does not cover"):
+        hull_metric(*short, eps_grid=0.01)
+    full = [s.window(metric_window(0.01)) for s in (z, TranslatedSource(z, 0.1))]
+    br = hull_metric(*full, eps_grid=0.01)
+    assert (br.lower, br.upper) == (lo, hi)
 
 
 class _CountingSource:

@@ -2,7 +2,7 @@
 
 `perfbench/tracer.py` wraps pointspec functions and methods by name from
 outside the package; a renamed entry point breaks `install()` there.  This
-test installs it around two small checks, one CLI subcommand and both
+test installs it around three small checks, two CLI subcommands and both
 autocorrelation routes, and requires every original to come back on
 `uninstall()`.
 """
@@ -46,6 +46,10 @@ def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
     tracer_mod = _load_tracer()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"source": {"type": "fibonacci"}, "generate": {"region": [0, 40]}}))
+    metric_cfg = tmp_path / "metric.json"
+    metric_cfg.write_text(json.dumps({"source": {"type": "lattice", "basis": [[1.0]]},
+                                      "metric": {"other_source": {"type": "lattice", "basis": [[1.0]],
+                                                                  "offset": 0.1}, "eps_grid": 0.05}}))
     before = _snapshot()
     tracer = tracer_mod.Tracer()
     tracer.install(count_work=True)
@@ -53,7 +57,9 @@ def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
         assert pointspec.stats._count_in_patch is not before[("pointspec.stats", "_count_in_patch")]
         assert verify.check_cylinder_measure(fast=True).passed
         assert verify.check_product_identity(fast=True).passed
+        assert verify.check_metric(fast=True).passed
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["metric", "--config", str(metric_cfg), "--out", str(tmp_path / "metric")]) == 0
         # called through the module, as the tracer replaced them there
         spectra.autocorr_direct(integer_lattice(), [1], 3.0, VanHoveSpec(), 20)
         spectra.autocorr_from_frequencies(integer_lattice(), [1], 3.0, VanHoveSpec(), 20)
@@ -67,6 +73,13 @@ def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
                  "geometry.patch_arrays", "sources.window.CutProjectSource"):
         assert spans[name][0] > 0, name
     assert spans["cli.generate"][0] == 1
+    assert spans["cli.metric"][0] == 1
+    # hull_metric wraps one pair (check_metric's d(Z, Z + 0.1) and the CLI's);
+    # check_metric's triangle brackets go to hull_metrics in one batch
+    assert spans["hull.hull_metric"][0] == 2
+    assert spans["hull.match_predicate"][0] > 0
+    bracket = json.loads((tmp_path / "metric" / "metric.json").read_text())
+    assert bracket["lower"] <= 0.05 <= bracket["upper"]
     metrics = tracer.metrics()
     assert metrics["hull.cylinder_contains.calls"] >= 200  # one per product-identity sample
     assert metrics["sources.window.CutProjectSource.points"] > 0
