@@ -35,10 +35,8 @@ from .sources import (
 from .stats import (
     FrequencyEstimate,
     VanHoveSpec,
-    count_cluster,
     default_offsets,
     estimate_frequency,
-    van_hove_region,
 )
 from .hull import (
     CylinderSpec,

@@ -317,6 +317,12 @@ class QuadArray:
             a, b = Fraction(a, self.den), Fraction(b, self.den)
         return a if self.field is None else QuadNum(a, b, self.field)
 
+    def over(self, den: int, field: QuadField = None) -> "QuadArray":
+        """The same numbers over den, a multiple of self.den, and in field if given."""
+        k = den // self.den
+        _check(den, int(np.abs(self.a).max(initial=0)) * k, int(np.abs(self.b).max(initial=0)) * k)
+        return QuadArray(self.a * k, self.b * k, den, _join(self.field, field))
+
     def shift(self, c) -> "QuadArray":
         """c + self for an exact scalar c."""
         ca, cb, cf = _pair(c)

@@ -195,13 +195,6 @@ class Ball(_Region):
         return tuple((float(c) - self.radius, float(c) + self.radius) for c in self.center)
 
 
-def boundary_shell_volume(region, r: float) -> float:
-    """Vol((boundary F)^{+r}) for intervals/boxes/balls, in closed form."""
-    outer = region.dilate(r).volume()
-    inner = region.erode(r).volume()
-    return outer - inner
-
-
 # ---------------------------------------------------------------------------
 # points and clusters
 
@@ -410,15 +403,23 @@ class MultiSetPatch:
         return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
 
     def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
-        """L_P over the patch: the translates v with v + P inside the patch's
-        point set, as (v, exact v).
+        """L_P over the patch, as (v, exact v): v = q - anchor over the points q
+        of occurrence_index(P, lo, hi), shape (N,) in 1D and (N, d) in 2D, and
+        exact v their QuadArray when the patch and P are both exact (else None)."""
+        idx, color = self.occurrence_index(P, lo, hi), P.anchor_color()
+        exact = None
+        if self.exact and P.exact:
+            exact = self.exact_positions(color)[idx].shift(-P.exact_positions(color).value(0))
+        return self.positions(color)[idx] - P.positions(color)[0], exact
 
-        v = q - anchor over the anchor-colour points q, ascending, shape (N,)
-        in 1D and (N, d) in 2D; exact v is their QuadArray when the patch and
-        P are both exact, None otherwise.  In 1D only translates in
-        [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D every anchor-colour point
-        is a candidate.  Membership is within TOL_EQ, for every candidate and
-        every point of a colour at once: sorted search in 1D, a KD-tree in 2D.
+    def occurrence_index(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
+        """The ascending indices into positions(P.anchor_color()) of the points q
+        whose translate v = q - anchor carries P into the patch's point set.
+
+        In 1D only translates in [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D
+        every anchor-colour point is a candidate.  Membership is within
+        TOL_EQ, for every candidate and every point of a colour at once:
+        sorted search in 1D, a KD-tree in 2D.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -447,10 +448,7 @@ class MultiSetPatch:
             else:
                 hit = np.zeros(targets.size, dtype=bool)
             idx = idx[hit.reshape(len(idx), -1).all(axis=1)]
-        exact = None
-        if self.exact and P.exact:
-            exact = self.exact_positions(color)[idx].shift(-P.exact_positions(color).value(0))
-        return base[idx] - anchor, exact
+        return idx
 
 
 class Cluster(MultiSetPatch):

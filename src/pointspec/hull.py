@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import TOL_EQ, coord_key
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, coord_key, is_exact_coord
 from .geometry import (
     Cluster,
     Interval,
@@ -202,24 +202,31 @@ def hull_metric(source1, source2, eps_grid: float = 0.01) -> MetricBracket:
     return hull_metrics([(source1, source2)], eps_grid)[0]
 
 
-def sample_orbit(source, offsets, region):
-    """The translates -h + Lambda on region, one patch per offset h: the
-    same points as TranslatedSource(source, h).window(region).  In 1D they
-    are cut from one window per run of translated regions lying within one
-    region width of each other, so no window spans a wide gap."""
+def _orbit_runs(source, offsets, region):
+    """(shifts, moved, runs): each offset h as a tuple, each region + h and,
+    in 1D, per run of moved regions within one region width of each other,
+    (indices, one window of source over the run): no window spans a gap.
+    """
     shifts = [tuple(h) if isinstance(h, (tuple, list)) else (h,) for h in offsets]
     moved = [region.translate(h) for h in shifts]
     if source.dim != 1 or not moved:
-        patches = [source.window(r) for r in moved]
-    else:
-        patches = [None] * len(moved)
-        lo, hi = np.array([r.bounds()[0] for r in moved]).T
-        order = np.argsort(lo, kind="stable")
-        gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
-        for run in np.split(order, np.flatnonzero(gap) + 1):
-            master = source.window(Interval(lo[run].min(), hi[run].max()))
-            for k in run.tolist():
-                patches[k] = master.restrict(moved[k])
+        return shifts, moved, []
+    lo, hi = np.array([r.bounds()[0] for r in moved]).T
+    order = np.argsort(lo, kind="stable")
+    gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
+    return shifts, moved, ((run, source.window(Interval(lo[run].min(), hi[run].max())))
+                           for run in np.split(order, np.flatnonzero(gap) + 1))
+
+
+def sample_orbit(source, offsets, region):
+    """The translates -h + Lambda on region, one patch per offset h: the
+    same points as TranslatedSource(source, h).window(region), cut in 1D
+    from one window per run of _orbit_runs."""
+    shifts, moved, runs = _orbit_runs(source, offsets, region)
+    patches = [source.window(r) for r in moved] if source.dim != 1 else [None] * len(moved)
+    for run, master in runs:
+        for k in run.tolist():
+            patches[k] = master.restrict(moved[k])
     return [p.translate(tuple(-c for c in h)) for p, h in zip(patches, shifts)]
 
 
@@ -238,10 +245,6 @@ class CylinderSpec:
     cluster: Cluster
     window: Interval
 
-    @cached_property
-    def _decider(self):
-        return _Cylinders([self])
-
 
 def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec) -> bool:
     """Decide whether the patch's point set lies in the cylinder X_{P,V}.
@@ -249,7 +252,7 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec) -> bool:
     Requires the patch region to cover supp(P) - V; raises
     PatchTooSmallError otherwise (undecidable is an error, not False).
     """
-    return bool(cyl._decider.hits(patch)[0])
+    return bool(_Cylinders([cyl]).hits(patch)[0])
 
 
 class _Cylinders:
@@ -297,6 +300,54 @@ class _Cylinders:
                 hits[c] = self.cylinders[c].window.mask(gf, g).any()
         return hits
 
+    def orbit_hits(self, source, offsets, region) -> np.ndarray:
+        """hits(p) of each patch p of sample_orbit(source, offsets, region), as
+        the rows of one (samples, cylinders) bool array.
+
+        Per run of _orbit_runs, one occurrences search per group, over its
+        translate bounds widened by the offsets, and one within give every
+        sample the candidates hits tries.  g is built with hits' float
+        operations, -(fl(q - h) - anchor), and for an exact offset on an exact
+        source and cluster exactly, h - q + anchor.  A region within 2 TOL_EQ
+        (and the rounding of its translates) of the reach, where an occurrence
+        may stick out of a sample, is decided by hits patch by patch, which
+        raises PatchTooSmallError if it is too small.
+        """
+        if source.dim != 1:
+            raise NotImplementedError("cylinder decision is 1D in this build")
+        shifts, moved, runs = _orbit_runs(source, offsets, region)
+        hf = np.array([float(h[0]) for h in shifts])
+        err = FLOAT_ERR * (np.abs(region.bounds()[0]).max() + np.abs(hf).max(initial=0.0))
+        if not region.covers(self.reach.dilate(2 * TOL_EQ + err)):
+            return np.array([self.hits(p) for p in sample_orbit(source, offsets, region)],
+                            dtype=bool).reshape(len(shifts), len(self.cylinders))
+        out = np.zeros((len(shifts), len(self.cylinders)), dtype=bool)
+        for run, master in runs:
+            h, neg = [shifts[k][0] for k in run.tolist()], -hf[run]  # neg: the patch path's float shift
+            ex = np.array([is_exact_coord(c) for c in h]) & master.exact
+            H = QuadArray.of([c if e else 0 for c, e in zip(h, ex)]) if ex.any() else None
+            for P, members, lo, hi in self.groups:
+                color, anchor = P.anchor_color(), P.positions(P.anchor_color())[0]
+                idx = master.occurrence_index(P, lo - neg.max() - TOL_EQ, hi - neg.min() + TOL_EQ)
+                q = master.positions(color)[idx]
+                a, b = lo + anchor - TOL_EQ, hi + anchor + TOL_EQ  # hits' candidate bounds on fl(q - h)
+                rows, i = within(q, a - neg - TOL_EQ, b - neg + TOL_EQ)
+                base = q[i] + neg[rows]
+                keep = (base >= a) & (base < b)
+                rows, i, g = rows[keep], i[keep], -(base[keep] - anchor)
+                exact = ex[rows] & P.exact
+                if exact.any():  # g = h - v, v = q - anchor, over one denominator
+                    v = master.exact_positions(color)[idx[i[exact]]].shift(-P.exact_positions(color).value(0))
+                    den, field = math.lcm(H.den, v.den), H.field or v.field
+                    G = H.over(den, field)[rows[exact]] - v.over(den, field)
+                    gG = G.floats()
+                for c in members:
+                    hit = self.cylinders[c].window.mask(g)
+                    if exact.any():
+                        hit[exact] = self.cylinders[c].window.mask(gG, G)
+                    out[run[rows[hit]], c] = True
+        return out
+
 
 # ---------------------------------------------------------------------------
 # theta and partition parameters
@@ -320,12 +371,8 @@ def partition_params(source, epsilon: float, scan=None) -> PartitionParams:
     if scan is None:
         scan = Interval(0.0, max(200.0, 40.0 * R))
     eta = delone_params(source, scan).eta
-    table = enumerate_cluster_classes(source, R, scan)
-    reps = table.representatives
-    best = math.inf
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            best = min(best, cluster_distance(reps[i], reps[j]))
+    reps = enumerate_cluster_classes(source, R, scan).representatives
+    best = min((cluster_distance(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]), default=math.inf)
     if not math.isfinite(best) or best <= 10 * TOL_EQ:
         theta1 = eta / 2.0
     else:
@@ -361,9 +408,6 @@ class HullPartition:
     def n_cells(self):
         return len(self.cells)
 
-    def total_window_length(self) -> float:
-        return sum(c.window.volume() for c in self.cells)
-
     @cached_property
     def _cylinders(self):
         return _Cylinders([cell.cylinder() for cell in self.cells])
@@ -374,15 +418,8 @@ class HullPartition:
         return np.flatnonzero(self._cylinders.hits(patch)).tolist()
 
     def to_json(self):
-        out = []
-        for cell in self.cells:
-            out.append({
-                "class": cell.class_index,
-                "cluster": cell.cluster.to_json(),
-                "pinned": cell.pinned.to_json(),
-                "interval": [float(cell.window.lo), float(cell.window.hi)],
-            })
-        return out
+        return [{"class": cell.class_index, "cluster": cell.cluster.to_json(), "pinned": cell.pinned.to_json(),
+                 "interval": [float(cell.window.lo), float(cell.window.hi)]} for cell in self.cells]
 
 
 class IncompletePartitionError(RuntimeError):
@@ -434,16 +471,11 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
             "piece enumeration still growing at scan length %g" % scan_length)
 
     # window-pattern classes for reporting; pieces stay extension-refined
-    reps = []
-    rep_index = {}
-    cells = []
+    reps, rep_index, cells = [], {}, []
     for key in sorted(pieces, key=lambda k: (_sort_key(pieces[k][0]), k[3], k[4])):
         rep, pinned, w_lo, w_hi, _ = pieces[key]
-        sig = rep.signature()
-        idx = rep_index.get(sig)
-        if idx is None:
-            idx = len(reps)
-            rep_index[sig] = idx
+        idx = rep_index.setdefault(rep.signature(), len(reps))
+        if idx == len(reps):
             reps.append(rep)
         width = float(w_hi) - float(w_lo)
         k = max(1, math.ceil(width / delta))
@@ -566,11 +598,6 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
     reach = float(np.abs(P.colour_major()[0]).max()) + max(abs(float(V.lo)), abs(float(V.hi)))
     lo, hi = offset - n, offset + n
     patch = source.window(Interval(lo - reach - 1.0, hi + reach + 1.0))
-    positions, _ = patch.occurrences(P)
-    vlo, vhi = float(V.lo), float(V.hi)
-    starts = positions + vlo
-    stops = positions + vhi
-    lengths = np.clip(np.minimum(stops, hi) - np.maximum(starts, lo), 0.0, None)
-    J = float(lengths.sum())
-    vol = 2.0 * n
-    return J / vol, J, vol
+    v = patch.occurrences(P)[0]  # the translates x_nu + V are [v + lo(V), v + hi(V)]
+    J = float(np.clip(np.minimum(v + float(V.hi), hi) - np.maximum(v + float(V.lo), lo), 0.0, None).sum())
+    return J / (2.0 * n), J, 2.0 * n

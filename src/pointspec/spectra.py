@@ -89,9 +89,6 @@ class AutocorrelationMeasure:
         k = np.where(np.abs(self.t[lo] - t) < np.abs(self.t[hi] - t), lo, hi)
         return np.where(np.abs(self.t[k] - t) <= TOL_EQ, self.c[k], 0)[()]
 
-    def hermitian_defect(self) -> float:
-        return float(np.abs(self.coefficient(-self.t) - np.conj(self.c)).max(initial=0.0))
-
     def max_difference(self, other: "AutocorrelationMeasure") -> float:
         return float(max(np.abs(self.c - other.coefficient(self.t)).max(initial=0.0),
                          np.abs(other.c - self.coefficient(other.t)).max(initial=0.0)))
@@ -468,14 +465,6 @@ class SmoothingKernel:
         center = 0.5 * (self.v_lo + self.v_hi)
         mag = L * np.sinc(k * L) * np.sinc(k * self.zeta)
         return mag * np.exp(-2j * np.pi * k * center)
-
-    def l2_norm_sq(self) -> float:
-        if self.shape == "triangle":
-            return 2.0 * self.s / 3.0
-        if self.shape == "cosine":
-            return 0.75 * self.s
-        L = self.v_hi - self.v_lo
-        return (L - 2 * self.zeta) + 2 * self.zeta / 3.0
 
     def autocorr(self, u):
         """(omega * omega~)(u) by midpoint quadrature, 1000 steps over the support."""

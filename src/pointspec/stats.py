@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, Cluster, Interval, boundary_shell_volume
+from .geometry import Box, Cluster, Interval
 from .output import write_csv
 
 
@@ -45,27 +45,13 @@ class VanHoveSpec:
         return Box((-n,) * self.dim, (n,) * self.dim)
 
 
-def van_hove_region(spec: VanHoveSpec, n: float, rs=(1.0, 10.0)):
-    """The cube F_n plus the boundary ratios Vol((dF_n)^{+r})/Vol(F_n)."""
-    region = spec.region(n)
-    vol = region.volume()
-    ratios = {float(r): boundary_shell_volume(region, float(r)) / vol for r in rs}
-    return region, ratios, spec.K
-
-
 # ---------------------------------------------------------------------------
 # counting
 
 
 def _count_in_patch(patch, P: Cluster) -> int:
     """L_P over one patch: translates v with v + P inside the patch."""
-    return len(patch.occurrences(P)[0])
-
-
-def count_cluster(source, P: Cluster, region) -> int:
-    """L_P(A) = number of translates x with x + P contained in A ∩ Λ."""
-    patch = source.window(region)
-    return _count_in_patch(patch, P)
+    return len(patch.occurrence_index(P))
 
 
 # ---------------------------------------------------------------------------

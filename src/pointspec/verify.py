@@ -17,8 +17,8 @@ import numpy as np
 from .geometry import Interval, cluster_1d
 from .hull import (
     CylinderSpec,
+    _Cylinders,
     build_partition_1d,
-    cylinder_contains,
     empirical_cylinder_measure,
     hull_metric,
     hull_metrics,
@@ -203,8 +203,7 @@ def check_partition(fast=False) -> CheckResult:
         total += cell.window.volume() * freq_cache[key]
     n_samples = 200 if fast else 1000
     offsets = (halton(n_samples) * 500.0).tolist()
-    misses = sum(len(part.locate(patch)) != 1
-                 for patch in sample_orbit(fib, offsets, Interval(-16, 16)))
+    misses = int((part._cylinders.orbit_hits(fib, offsets, Interval(-16, 16)).sum(axis=1) != 1).sum())
     ok = abs(total - 1.0) <= 1e-3 and misses == 0
     return _result("partition", t0, ok,
                    "sum Vol*freq=%.6f, %d/%d patches in exactly one cell (%d cells)" %
@@ -251,15 +250,9 @@ def check_product_identity(fast=False) -> CheckResult:
                for i, part in enumerate(base.parts) for p in part]
     n_samples = 200 if fast else 1000
     offsets = (halton(n_samples) * 400.0).tolist()
-    violations = 0
-    hits = 0
-    for patch in sample_orbit(fib, offsets, Interval(-12, 12)):
-        lhs = cylinder_contains(patch, whole)
-        rhs = all(cylinder_contains(patch, cyl) for cyl in singles)
-        if lhs != rhs:
-            violations += 1
-        if lhs:
-            hits += 1
+    hits = _Cylinders([whole, *singles]).orbit_hits(fib, offsets, Interval(-12, 12))
+    lhs, rhs = hits[:, 0], hits[:, 1:].all(axis=1)
+    violations, hits = int((lhs != rhs).sum()), int(lhs.sum())
     ok = violations == 0
     return _result("product_identity", t0, ok,
                    "%d violations over %d samples (theta=%.3f, %d cylinder hits)" %

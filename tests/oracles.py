@@ -1,6 +1,8 @@
-"""Reference helpers shared by the test oracles: scalar comparisons, and the
-slow direct forms of the Poisson window, of the points.json document and of
-the hull-metric bracket search."""
+"""Reference helpers shared by the test oracles: scalar comparisons, the
+closed forms of the van Hove boundary ratios, of a kernel's L2 norm and of
+an autocorrelation's Hermitian defect, and the slow direct forms of the
+Poisson window, of the points.json document and of the hull-metric bracket
+search."""
 
 import itertools
 import math
@@ -19,6 +21,35 @@ def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
     if is_exact_coord(c1) and is_exact_coord(c2):
         return c1 == c2
     return abs(float(c1) - float(c2)) <= tol
+
+
+def boundary_shell_volume(region, r: float) -> float:
+    """Vol((boundary F)^{+r}) for intervals/boxes/balls, in closed form."""
+    return region.dilate(r).volume() - region.erode(r).volume()
+
+
+def van_hove_region(spec, n: float, rs=(1.0, 10.0)):
+    """The cube F_n of a VanHoveSpec plus the boundary ratios
+    Vol((dF_n)^{+r})/Vol(F_n), and the difference-set constant K."""
+    region = spec.region(n)
+    vol = region.volume()
+    ratios = {float(r): boundary_shell_volume(region, float(r)) / vol for r in rs}
+    return region, ratios, spec.K
+
+
+def l2_norm_sq(kern) -> float:
+    """The closed-form squared L2 norm of a SmoothingKernel."""
+    if kern.shape == "triangle":
+        return 2.0 * kern.s / 3.0
+    if kern.shape == "cosine":
+        return 0.75 * kern.s
+    L = kern.v_hi - kern.v_lo
+    return (L - 2 * kern.zeta) + 2 * kern.zeta / 3.0
+
+
+def hermitian_defect(meas) -> float:
+    """max |c(-t) - conj c(t)| over the support of an AutocorrelationMeasure."""
+    return float(np.abs(meas.coefficient(-meas.t) - np.conj(meas.c)).max(initial=0.0))
 
 
 def poisson_window_points(src, region):

@@ -77,3 +77,12 @@ def test_criterion_10_negative_controls():
     # Thue-Morse +-1 comb: every scanned k != 0 decays (ratio < 0.8 between
     # n = 1e3 and 4e3); Poisson retains only k = 0
     _run("negative_controls")
+
+
+def test_orbit_checks_keep_their_fast_details():
+    # the partition and product identity decide their orbit samples in one
+    # pass; the answers are the per-patch ones, pinned here at fast size
+    assert CHECKS["partition"](fast=True).detail == (
+        "sum Vol*freq=0.999202, 200/200 patches in exactly one cell (53 cells)")
+    assert CHECKS["product_identity"](fast=True).detail == (
+        "0 violations over 200 samples (theta=0.333, 2 cylinder hits)")

@@ -11,7 +11,6 @@ from pointspec.geometry import (
     Box,
     Cluster,
     Interval,
-    boundary_shell_volume,
     cluster_1d,
     cluster_distance,
     complex_keys,
@@ -22,7 +21,7 @@ from pointspec.geometry import (
 )
 from pointspec.sources import LatticeSource, fibonacci_cut_project, integer_lattice
 
-from oracles import coord_eq
+from oracles import boundary_shell_volume, coord_eq
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pointspec.hull import (
     HullPartition,
     IncompletePartitionError,
     PatchTooSmallError,
+    _Cylinders,
     build_partition_1d,
     cylinder_contains,
     empirical_cylinder_measure,
@@ -615,6 +616,116 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
     assert hits > 0
 
 
+def assert_orbit_hits_match(cylinders, source, offsets, region):
+    """orbit_hits against cylinder_contains on every sample_orbit patch;
+    returns the number of hits."""
+    got = _Cylinders(cylinders).orbit_hits(source, offsets, region)
+    want = [[cylinder_contains(p, c) for c in cylinders] for p in sample_orbit(source, offsets, region)]
+    assert got.tolist() == want
+    return int(got.sum())
+
+
+def _cell_end_offsets(part, master):
+    """Per cell, the exact offsets s = v + end that put g = s - v on each end
+    of its window, v an exact occurrence of its pinned cluster in master."""
+    return [master.occurrences(cell.pinned)[1].value(0) + end
+            for cell in part.cells for end in (cell.window.lo, cell.window.hi)]
+
+
+def test_orbit_hits_match_locate_on_every_sample():
+    # float offsets, the cell ends as exact offsets (g on a closed lo and an
+    # open hi end, and 1e-10 either side of a lo end, decided exactly) and
+    # as float ones, all in one call
+    fib = fibonacci_cut_project()
+    part = build_partition_1d(fib, 3.0, 0.2)
+    exact = _cell_end_offsets(part, fib.window(Interval(-60, 60)))
+    assert all(is_exact_coord(s) for s in exact)
+    near = [s + d for s in exact[0::2] for d in (Fraction(1, 10**10), -Fraction(1, 10**10))]
+    offsets = (halton(120) * 500.0).tolist() + exact + near + [float(s) for s in exact + near]
+    region = Interval(-16, 16)
+    got = part._cylinders.orbit_hits(fib, offsets, region)
+    patches = sample_orbit(fib, offsets, region)
+    assert [np.flatnonzero(row).tolist() for row in got] == [part.locate(p) for p in patches]
+    assert (got.sum(axis=1) == 1).all()
+    # an exact g on a cell's closed lo end lies in that cell, on its open hi end in the next
+    ends = got[120:120 + len(exact)].argmax(axis=1)
+    assert ends[0::2].tolist() == list(range(part.n_cells))
+    assert all(k != c for c, k in enumerate(ends[1::2].tolist()))
+
+
+def test_orbit_hits_match_cylinder_contains_on_window_ends():
+    # translates on closed and open ends of V, in float and exact arithmetic
+    z, comb, fib = integer_lattice(), integer_lattice(colors=2), fibonacci_cut_project()
+    windows = [Interval(0.0, 0.3, True, False), Interval(0.3, 0.4), Interval(-0.2, 0.2, False, True),
+               Interval(-0.3, 0.25, False, False), Interval(0.25, 0.5, True, False)]
+    lattice_offsets = [0.0, 0.3, -0.2, 0.2, 0.25, 0.5, -0.3, 0.4] + (halton(40) * 30.0 - 15.0).tolist()
+    hits = sum(assert_orbit_hits_match([CylinderSpec(P, V) for P in clusters for V in windows],
+                                       src, lattice_offsets, Interval(-8, 8))
+               for src, clusters in ((z, [cluster_1d([0.0]), cluster_1d([0.0, 1.0]), cluster_1d([-1.0, 0.0, 2.0])]),
+                                     (comb, [cluster_1d([0.0], [1.0]), cluster_1d([0.0, 2.0], [])])))
+    P = fib.window(Interval(0, 5)).as_cluster()
+    cyls = [CylinderSpec(P, Interval(lo, hi, clo, chi))
+            for lo, hi, clo, chi in ((0, Fraction(1, 5), True, False), (-Fraction(1, 5), 0, True, False),
+                                     (-Fraction(1, 5), 0, True, True), (0, Fraction(1, 5), False, True),
+                                     (Fraction(1, 10**10), Fraction(1, 5), True, True),
+                                     (-0.1, 0.1, True, True), (0.0, 0.2, False, True))]
+    # P occurs at 0 in fib, so offset s puts g = s: on an end for s = 0 and +-1/5
+    fib_offsets = [0, Fraction(1, 5), -Fraction(1, 5), QuadNum(1, 0, GOLDEN), 0.0, 0.2, -0.2,
+                   Fraction(1, 10**10), 1e-10] + (halton(40) * 200.0).tolist()
+    hits += assert_orbit_hits_match(cyls, fib, fib_offsets, Interval(-16, 16))
+    assert hits > 20
+
+
+def test_orbit_hits_try_the_candidates_hits_tries():
+    # h = 0.1 - TOL_EQ puts the translate -h of 0 exactly on the bound
+    # hi + anchor + TOL_EQ, which hits never tries, while g = h passes the
+    # slack of the closed end 0.1; the float neighbours of h either side too
+    cyl = CylinderSpec(cluster_1d([0.0]), Interval(0.1, 0.4, True, False))
+    at = 0.1 - TOL_EQ
+    offsets = [at, np.nextafter(at, 1.0), np.nextafter(at, 0.0), 0.1, 0.4 - TOL_EQ, 0.4]
+    got = _Cylinders([cyl]).orbit_hits(integer_lattice(), offsets, Interval(-3, 3))
+    assert got[:, 0].tolist() == [False, True, False, True, False, False]
+    assert assert_orbit_hits_match([cyl], integer_lattice(), offsets, Interval(-3, 3)) == 2
+
+
+def test_orbit_hits_open_one_window_per_run():
+    # offsets farther apart than the region take windows of their own
+    z, fib = integer_lattice(), fibonacci_cut_project()
+    for base, offsets, runs in ((z, [0.0, 1e6, 5.0, -3e5, 1e6 + 40.3], 3),
+                                (fib, [0.0, 1e5, 3.3, 1e5 + 0.7], 2)):
+        src = _CountingSource(base)
+        P = base.window(Interval(0, 3)).as_cluster()
+        cyls = [CylinderSpec(P, Interval(-0.5, 0.5)), CylinderSpec(P, Interval(0.6, 0.9, True, False))]
+        got = _Cylinders(cyls).orbit_hits(src, offsets, Interval(-16, 16))
+        assert src.calls == runs
+        assert got.tolist() == [[cylinder_contains(p, c) for c in cyls]
+                                for p in sample_orbit(base, offsets, Interval(-16, 16))]
+        assert got[0, 0]
+
+
+def test_orbit_hits_on_a_region_just_covering_the_reach():
+    # a region within 2 TOL_EQ of the reach is decided sample by sample;
+    # a smaller one raises PatchTooSmallError, as the per-patch path does
+    z = integer_lattice()
+    cyls = [CylinderSpec(cluster_1d([0.0, 1.0]), Interval(-0.25, 0.25)),
+            CylinderSpec(cluster_1d([0.0]), Interval(0.5, 1.0, False, True))]
+    reach = _Cylinders(cyls).reach
+    assert (float(reach.lo), float(reach.hi)) == (-1.0, 1.25)
+    offsets = [0.0, 0.25, -0.25, 0.5, 1.0, 0.75] + (halton(20) * 4.0).tolist()
+    assert assert_orbit_hits_match(cyls, z, offsets, reach) > 0
+    # inside 1e-9 of the reach: at h = -(0.25 + 0.95e-9), g = h lies in [-0.25, 0.25] with
+    # its slack, but the point 1 - h of the occurrence at -h falls outside the sample
+    tight = Interval(float(reach.lo) + 0.9e-9, float(reach.hi) - 0.9e-9)
+    at = -(0.25 + 0.95e-9)
+    assert _Cylinders(cyls).orbit_hits(z, [at, 0.0], tight)[:, 0].tolist() == [False, True]
+    assert assert_orbit_hits_match(cyls, z, offsets + [at, -at], tight) > 0
+    small = Interval(-1.0, 1.2)
+    with pytest.raises(PatchTooSmallError):
+        _Cylinders(cyls).orbit_hits(z, offsets, small)
+    with pytest.raises(PatchTooSmallError):
+        _Cylinders(cyls).hits(sample_orbit(z, offsets, small)[0])
+
+
 # ---------------------------------------------------------------------------
 # partition
 
@@ -622,13 +733,14 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
 def test_partition_without_cells_locates_nothing():
     empty = HullPartition(cells=[], radius=1.0, delta=0.5, representatives=[])
     assert empty.locate(integer_lattice().window(Interval(-3, 3))) == []
+    assert empty._cylinders.orbit_hits(integer_lattice(), [0.0, 0.5, 1e6], Interval(-3, 3)).shape == (3, 0)
 
 
 def test_partition_lattice_cells():
     part = build_partition_1d(integer_lattice(), 1.0, 0.6, scan_length=200)
     assert len(part.representatives) == 1
     assert part.n_cells == 2
-    assert part.total_window_length() == pytest.approx(1.0)
+    assert sum(c.window.volume() for c in part.cells) == pytest.approx(1.0)
     for cell in part.cells:
         assert cell.window.volume() < 0.6
         assert not cell.window.closed_hi  # half-open grid cells
@@ -638,7 +750,7 @@ def test_partition_2z_cells():
     part = build_partition_1d(integer_lattice(2.0), 1.5, 0.7, scan_length=300)
     assert len(part.representatives) == 2
     assert part.n_cells == 4  # two length-1 windows, two cells each
-    assert part.total_window_length() == pytest.approx(2.0)
+    assert sum(c.window.volume() for c in part.cells) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("scan_length", [-5.0, 0.0])

@@ -4,13 +4,14 @@ import pytest
 from pointspec.geometry import Box, Interval, cluster_1d
 from pointspec.hull import CylinderSpec, empirical_cylinder_measure
 from pointspec.sources import TranslatedSource, fibonacci_cut_project, integer_lattice
-from pointspec.stats import (
-    VanHoveSpec,
-    count_cluster,
-    default_offsets,
-    estimate_frequency,
-    van_hove_region,
-)
+from pointspec.stats import VanHoveSpec, _count_in_patch, default_offsets, estimate_frequency
+
+from oracles import van_hove_region
+
+
+def count_cluster(source, P, region) -> int:
+    """L_P(A): the translates x with x + P inside A ∩ Λ, counted on the window of A."""
+    return _count_in_patch(source.window(region), P)
 
 
 # ---------------------------------------------------------------------------

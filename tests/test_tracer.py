@@ -2,9 +2,9 @@
 
 `perfbench/tracer.py` wraps pointspec functions and methods by name from
 outside the package; a renamed entry point breaks `install()` there.  This
-test installs it around three small checks, two CLI subcommands and both
-autocorrelation routes, and requires every original to come back on
-`uninstall()`.
+test installs it around three small checks, two CLI subcommands, both
+autocorrelation routes and direct cylinder_contains calls, and requires
+every original to come back on `uninstall()`.
 """
 
 import importlib.util
@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pointspec
 from pointspec import cli, spectra, verify
+from pointspec.geometry import Interval, cluster_1d
+from pointspec.hull import CylinderSpec
 from pointspec.sources import integer_lattice
 from pointspec.stats import VanHoveSpec
 
@@ -58,6 +60,11 @@ def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
         assert verify.check_cylinder_measure(fast=True).passed
         assert verify.check_product_identity(fast=True).passed
         assert verify.check_metric(fast=True).passed
+        # the checks decide orbit samples with orbit_hits; the per-patch entry
+        # point is called here directly, a known number of times
+        patch = integer_lattice().window(Interval(-5, 5))
+        for lo in (-0.2, 0.3, 0.9):
+            pointspec.hull.cylinder_contains(patch, CylinderSpec(cluster_1d([0.0]), Interval(lo, lo + 0.2)))
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert cli.main(["metric", "--config", str(metric_cfg), "--out", str(tmp_path / "metric")]) == 0
         # called through the module, as the tracer replaced them there
@@ -81,7 +88,7 @@ def test_tracer_wraps_and_restores_traced_entry_points(tmp_path):
     bracket = json.loads((tmp_path / "metric" / "metric.json").read_text())
     assert bracket["lower"] <= 0.05 <= bracket["upper"]
     metrics = tracer.metrics()
-    assert metrics["hull.cylinder_contains.calls"] >= 200  # one per product-identity sample
+    assert metrics["hull.cylinder_contains.calls"] == 3  # the direct calls above
     assert metrics["sources.window.CutProjectSource.points"] > 0
     # pair terms counted on the window each route's span captured: Z on [-20, 20], |t| <= 3
     pairs = sum(abs(x - y) <= 3 for x in range(-20, 21) for y in range(-20, 21))
