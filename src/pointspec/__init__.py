@@ -60,12 +60,9 @@ from .spectra import (
     autocorr_direct,
     autocorr_from_frequencies,
     bragg_amplitude,
-    cosine_kernel,
     dworkin_report,
     peak_scan,
-    plateau_kernel,
     smoothed_autocorr_profile,
-    smoothed_diffraction,
     triangle_kernel,
 )
 

@@ -284,7 +284,7 @@ class MultiSetPatch:
     Fraction coordinates (exact) or floats.
     """
 
-    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_points", "_err")
+    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_err")
 
     def __init__(self, region, dim: int, pos, exact=None):
         """pos: per colour, a sorted float array; exact: per colour, the
@@ -294,7 +294,7 @@ class MultiSetPatch:
         self.m = len(pos)
         self._pos = list(pos)
         self._exact = None if exact is None else list(exact)
-        self._parts = self._all = self._points = self._err = None
+        self._parts = self._all = self._err = None
 
     @staticmethod
     def _by_colour(dim: int, m: int, x, color, exact=None):
@@ -349,18 +349,10 @@ class MultiSetPatch:
         """The QuadArray aligned with all_positions(), or None in a float patch."""
         return None if self._exact is None else QuadArray.concat(self._exact)[self._support()[2]]
 
-    def all_points(self) -> list:
-        """The support's point tuples (as in .parts), in the order of all_positions."""
-        if self._points is None:
-            flat = [p for part in self.parts for p in part]
-            self._points = [flat[k] for k in self._support()[2]]
-        return self._points
-
     def colour_major(self):
         """(positions, colors) of every point, colour by colour."""
         x = np.concatenate(self._pos) if self.m else np.empty(0)
         return x, np.repeat(np.arange(self.m), [len(p) for p in self._pos])
-
 
     def _support(self):
         if self._all is None:
@@ -500,10 +492,6 @@ class Cluster(MultiSetPatch):
 
     def is_empty(self) -> bool:
         return self._anchor is None
-
-    def support(self) -> tuple:
-        """Every point, sorted by position (stably over colours)."""
-        return tuple(self.all_points())
 
     def to_json(self) -> list:
         """Per colour, the points as lists of float coordinates."""

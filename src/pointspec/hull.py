@@ -256,12 +256,12 @@ def cylinder_contains(patch: MultiSetPatch, cyl: CylinderSpec) -> bool:
 
 
 class _Cylinders:
-    """Cylinders X_{P,V} decided together, patch by patch (1D).
+    """Cylinders X_{P,V} decided together (1D) by one routine, _decide.
 
-    Cylinders with the same cluster P form one group.  One occurrences
-    search per group finds the translates v with -v near any of its
-    windows; Interval.mask decides each window V on g = -v, exactly when
-    the patch and P are exact.
+    Cylinders with the same cluster P form one group.  Per group, one
+    occurrences search finds, for every sample -h + master at once, the
+    translates v with h - v near any of its windows; Interval.mask decides
+    each window V on g = h - v, exactly when h, the master and P are exact.
     """
 
     def __init__(self, cylinders):
@@ -289,29 +289,15 @@ class _Cylinders:
         if not patch.region.covers(self.reach):
             raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
                                      % (patch.region, self.reach))
-        hits = np.zeros(len(self.cylinders), dtype=bool)
-        for P, members, lo, hi in self.groups:
-            v, exact = patch.occurrences(P, lo, hi)
-            if not len(v):
-                continue
-            g = None if exact is None else -exact
-            gf = -v if g is None else g.floats()
-            for c in members:
-                hits[c] = self.cylinders[c].window.mask(gf, g).any()
-        return hits
+        return self._decide(patch, [0])[0]
 
     def orbit_hits(self, source, offsets, region) -> np.ndarray:
         """hits(p) of each patch p of sample_orbit(source, offsets, region), as
-        the rows of one (samples, cylinders) bool array.
-
-        Per run of _orbit_runs, one occurrences search per group, over its
-        translate bounds widened by the offsets, and one within give every
-        sample the candidates hits tries.  g is built with hits' float
-        operations, -(fl(q - h) - anchor), and for an exact offset on an exact
-        source and cluster exactly, h - q + anchor.  A region within 2 TOL_EQ
-        (and the rounding of its translates) of the reach, where an occurrence
-        may stick out of a sample, is decided by hits patch by patch, which
-        raises PatchTooSmallError if it is too small.
+        the rows of one (samples, cylinders) bool array: one _decide per run of
+        _orbit_runs.  A region within 2 TOL_EQ (and the rounding of its
+        translates) of the reach, where an occurrence may stick out of a
+        sample, is decided by hits patch by patch, which raises
+        PatchTooSmallError if it is too small.
         """
         if source.dim != 1:
             raise NotImplementedError("cylinder decision is 1D in this build")
@@ -323,29 +309,45 @@ class _Cylinders:
                             dtype=bool).reshape(len(shifts), len(self.cylinders))
         out = np.zeros((len(shifts), len(self.cylinders)), dtype=bool)
         for run, master in runs:
-            h, neg = [shifts[k][0] for k in run.tolist()], -hf[run]  # neg: the patch path's float shift
-            ex = np.array([is_exact_coord(c) for c in h]) & master.exact
-            H = QuadArray.of([c if e else 0 for c, e in zip(h, ex)]) if ex.any() else None
-            for P, members, lo, hi in self.groups:
-                color, anchor = P.anchor_color(), P.positions(P.anchor_color())[0]
-                idx = master.occurrence_index(P, lo - neg.max() - TOL_EQ, hi - neg.min() + TOL_EQ)
-                q = master.positions(color)[idx]
-                a, b = lo + anchor - TOL_EQ, hi + anchor + TOL_EQ  # hits' candidate bounds on fl(q - h)
-                rows, i = within(q, a - neg - TOL_EQ, b - neg + TOL_EQ)
-                base = q[i] + neg[rows]
-                keep = (base >= a) & (base < b)
-                rows, i, g = rows[keep], i[keep], -(base[keep] - anchor)
-                exact = ex[rows] & P.exact
-                if exact.any():  # g = h - v, v = q - anchor, over one denominator
-                    v = master.exact_positions(color)[idx[i[exact]]].shift(-P.exact_positions(color).value(0))
-                    den, field = math.lcm(H.den, v.den), H.field or v.field
-                    G = H.over(den, field)[rows[exact]] - v.over(den, field)
-                    gG = G.floats()
-                for c in members:
-                    hit = self.cylinders[c].window.mask(g)
-                    if exact.any():
-                        hit[exact] = self.cylinders[c].window.mask(gG, G)
-                    out[run[rows[hit]], c] = True
+            out[run] = self._decide(master, [shifts[k][0] for k in run.tolist()])
+        return out
+
+    def _decide(self, master: MultiSetPatch, h) -> np.ndarray:
+        """Whether each sample -h[k] + master lies in each cylinder, as a
+        (len(h), cylinders) bool array.  The caller makes sure that master
+        holds every occurrence that can decide a sample.
+
+        A sample's candidates are the anchor-colour points q with fl(q - h)
+        in [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ), at h = 0 those of
+        occurrences(P, lo, hi); g = -(fl(q - h) - anchor), and for an exact h
+        on an exact master and cluster exactly h - q + anchor.
+        """
+        neg = -np.array([float(c) for c in h])  # the float shift of each sample
+        ex = np.array([is_exact_coord(c) for c in h]) & master.exact
+        H = QuadArray.of([c if e else 0 for c, e in zip(h, ex)]) if ex.any() else None
+        out = np.zeros((len(h), len(self.cylinders)), dtype=bool)
+        for P, members, lo, hi in self.groups:
+            color, anchor = P.anchor_color(), P.positions(P.anchor_color())[0]
+            idx = master.occurrence_index(P, lo - neg.max() - TOL_EQ, hi - neg.min() + TOL_EQ)
+            q = master.positions(color)[idx]
+            a, b = lo + anchor - TOL_EQ, hi + anchor + TOL_EQ  # the candidate bounds on fl(q - h)
+            rows, i = within(q, a - neg - TOL_EQ, b - neg + TOL_EQ)
+            base = q[i] + neg[rows]
+            keep = (base >= a) & (base < b)
+            rows, i, g = rows[keep], i[keep], -(base[keep] - anchor)
+            if not len(g):
+                continue
+            exact = ex[rows] & P.exact
+            if exact.any():  # g = h - v, v = q - anchor, over one denominator
+                v = master.exact_positions(color)[idx[i[exact]]].shift(-P.exact_positions(color).value(0))
+                den, field = math.lcm(H.den, v.den), H.field or v.field
+                G = H.over(den, field)[rows[exact]] - v.over(den, field)
+                gG = G.floats()
+            for c in members:
+                hit = self.cylinders[c].window.mask(g)
+                if exact.any():
+                    hit[exact] = self.cylinders[c].window.mask(gG, G)
+                out[rows[hit], c] = True
         return out
 
 

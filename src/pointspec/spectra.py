@@ -17,9 +17,10 @@ expansion dropped or invented shows up as a disagreement.
 
 Diffraction is probed by normalized exponential sums A_n(k); Bragg
 candidates must survive a non-decay drift test across the averaging
-schedule to be retained.  Smoothing kernels carry closed-form Fourier
-transforms, and the Dworkin check compares the ergodic average of the
-smoothed-density correlation against the smoothed autocorrelation.
+schedule to be retained.  Measures are smoothed by one kernel, the triangle
+(SmoothingKernel), whose Fourier transform is closed-form; the Dworkin check
+compares the ergodic average of the smoothed-density correlation against
+the smoothed autocorrelation.
 
 Every amplitude comes from one kernel, _amplitudes_grid, whose bits depend
 on the call's shape, not only on k (a batch-independent kernel is open item
@@ -211,8 +212,13 @@ def _phases(ks, pos):
     """e(-k.x) per k and point, the bits of np.exp(-2j*np.pi*kx) built in place:
     that argument is +0 + (0 + fl(-2 pi kx))i, and exp(+0) = 1 exactly."""
     ph = np.zeros((len(ks), len(pos)), dtype=complex)
-    np.multiply(np.outer(ks, pos) if pos.ndim == 1 else ks @ pos.T, -2 * np.pi, out=ph.imag)
-    ph.imag += 0.0  # -0.0 -> +0.0, as the complex product rounds it
+    kx = ph.imag  # a view: k.x goes straight into place, with no (K, N) temporary
+    if pos.ndim == 1:
+        np.multiply.outer(ks, pos, out=kx)
+    else:
+        kx[...] = ks @ pos.T
+    kx *= -2 * np.pi
+    kx += 0.0  # -0.0 -> +0.0, as the complex product rounds it
     return np.exp(ph, out=ph)
 
 
@@ -401,70 +407,34 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
 
 
 # ---------------------------------------------------------------------------
-# smoothing kernels
+# the smoothing kernel
 
 
 class SmoothingKernel:
-    """Continuous compactly supported kernel with closed-form transform.
+    """The triangle omega(x) = max(0, 1 - |x|/s) on [-s, s]: the continuous,
+    compactly supported kernel of the smoothed measures, with a closed-form
+    Fourier transform."""
 
-    Shapes: "triangle" and "cosine" (raised-cosine bump) on [-s, s], and
-    "plateau" on an interval V with linear tapers of width zeta (equal to
-    1 on the eroded interval, 0 outside V), the exact shape the
-    smoothed-indicator bound calls for.
-    """
+    shape = "triangle"
 
-    def __init__(self, shape: str, s: float = None, v_lo: float = None,
-                 v_hi: float = None, zeta: float = None):
-        self.shape = shape
-        if shape in ("triangle", "cosine"):
-            if not s or s <= 0:
-                raise ValueError("support radius s must be positive")
-            self.s = float(s)
-            self.support = (-self.s, self.s)
-        elif shape == "plateau":
-            if v_lo is None or v_hi is None or zeta is None:
-                raise ValueError("plateau kernel needs v_lo, v_hi, zeta")
-            if not (0 < zeta < (v_hi - v_lo) / 2):
-                raise ValueError("need 0 < zeta < |V|/2")
-            self.v_lo, self.v_hi, self.zeta = float(v_lo), float(v_hi), float(zeta)
-            self.support = (self.v_lo, self.v_hi)
-        else:
-            raise ValueError("unknown kernel shape %r" % shape)
+    def __init__(self, s: float):
+        if not s or s <= 0:
+            raise ValueError("support radius s must be positive")
+        self.s = float(s)
+        self.support = (-self.s, self.s)
 
     @property
     def half_width(self) -> float:
-        lo, hi = self.support
-        return max(abs(lo), abs(hi))
+        return self.s
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.shape == "triangle":
-            return np.clip(1.0 - np.abs(x) / self.s, 0.0, None)
-        if self.shape == "cosine":
-            inside = np.abs(x) <= self.s
-            return np.where(inside, 0.5 * (1.0 + np.cos(np.pi * x / np.where(inside, self.s, 1.0))), 0.0)
-        up = np.clip((x - self.v_lo) / self.zeta, 0.0, 1.0)
-        down = np.clip((self.v_hi - x) / self.zeta, 0.0, 1.0)
-        return np.minimum(up, down)
+        return np.clip(1.0 - np.abs(x) / self.s, 0.0, None)
 
     def fourier(self, k):
-        """omega-hat(k) = integral of omega(x) e^{-2 pi i k x} dx, closed form."""
+        """omega-hat(k) = integral of omega(x) e^{-2 pi i k x} dx = s sinc^2(k s)."""
         k = np.asarray(k, dtype=float)
-        if self.shape == "triangle":
-            return self.s * np.sinc(k * self.s) ** 2  # np.sinc(x) = sin(pi x)/(pi x)
-        if self.shape == "cosine":
-            c = 1.0 / (2.0 * self.s)
-            num = np.sinc(2.0 * self.s * k)
-            den = 1.0 - (k / c) ** 2
-            safe = np.abs(den) > 1e-12
-            main = np.where(safe, self.s * num / np.where(safe, den, 1.0), 0.0)
-            # removable singularity at k = +-c: limit s/2
-            return np.where(safe, main, self.s / 2.0)
-        # plateau = (1/zeta) box(plateau+zeta/2 span) * box(zeta), shifted
-        L = (self.v_hi - self.v_lo) - self.zeta
-        center = 0.5 * (self.v_lo + self.v_hi)
-        mag = L * np.sinc(k * L) * np.sinc(k * self.zeta)
-        return mag * np.exp(-2j * np.pi * k * center)
+        return self.s * np.sinc(k * self.s) ** 2  # np.sinc(x) = sin(pi x)/(pi x)
 
     def autocorr(self, u):
         """(omega * omega~)(u) by midpoint quadrature, 1000 steps over the support."""
@@ -481,25 +451,11 @@ class SmoothingKernel:
 
 
 def triangle_kernel(s: float) -> SmoothingKernel:
-    return SmoothingKernel("triangle", s=s)
-
-
-def cosine_kernel(s: float) -> SmoothingKernel:
-    return SmoothingKernel("cosine", s=s)
-
-
-def plateau_kernel(v_lo: float, v_hi: float, zeta: float) -> SmoothingKernel:
-    return SmoothingKernel("plateau", v_lo=v_lo, v_hi=v_hi, zeta=zeta)
+    return SmoothingKernel(s)
 
 
 # ---------------------------------------------------------------------------
-# smoothed diffraction and the Dworkin check
-
-
-@dataclass
-class SmoothedDiffraction:
-    bragg: list        # [(k, |omega-hat(k)|^2 * I)]
-    profile: list      # [(x, gamma_omega(x))]
+# the smoothed autocorrelation and the Dworkin check
 
 
 def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: SmoothingKernel, xs):
@@ -520,16 +476,6 @@ def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: Smoothin
     return out
 
 
-def smoothed_diffraction(autocorr: AutocorrelationMeasure, kernel: SmoothingKernel,
-                         peaks=(), xs=()) -> SmoothedDiffraction:
-    bragg = [(float(k), float(np.abs(kernel.fourier(k)) ** 2 * I)) for k, I in peaks]
-    prof = []
-    if len(xs):
-        vals = smoothed_autocorr_profile(autocorr, kernel, xs)
-        prof = [(float(x), complex(v)) for x, v in zip(xs, vals)]
-    return SmoothedDiffraction(bragg=bragg, profile=prof)
-
-
 @dataclass
 class DworkinRow:
     x: float
@@ -547,10 +493,6 @@ class SpectralCheckReport:
 
     def max_rel_diff(self) -> float:
         return max((r.rel_diff for r in self.rows), default=0.0)
-
-    def to_csv(self, path):
-        write_csv(path, ["x", "lhs", "rhs", "abs_diff", "rel_diff"],
-                  [(r.x, r.lhs, r.rhs, r.abs_diff, r.rel_diff) for r in self.rows])
 
 
 def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np.ndarray:
@@ -580,7 +522,7 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     xs = [float(x) for x in xs]
     radius = max(abs(x) for x in xs) + 2 * kernel.half_width + 1.0
     ac = autocorr_from_frequencies(source, w, radius, spec, n)
-    quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20 for radius-s kernels
+    quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20
     grid = np.arange(-n + quad_step / 2, n, quad_step)
     patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
     rho = np.conj(smoothed_density(patch, w, kernel, grid))

@@ -1,8 +1,9 @@
 """Reference helpers shared by the test oracles: scalar comparisons, the
-closed forms of the van Hove boundary ratios, of a kernel's L2 norm and of
-an autocorrelation's Hermitian defect, and the slow direct forms of the
-Poisson window, of the points.json document and of the hull-metric bracket
-search."""
+closed forms of the van Hove boundary ratios, of the triangle kernel's L2
+norm and self-correlation and of an autocorrelation's Hermitian defect, the
+plateau function of the smoothed-indicator bound, and the slow direct forms
+of the Poisson window, of the points.json document and of the hull-metric
+bracket search."""
 
 import itertools
 import math
@@ -38,13 +39,30 @@ def van_hove_region(spec, n: float, rs=(1.0, 10.0)):
 
 
 def l2_norm_sq(kern) -> float:
-    """The closed-form squared L2 norm of a SmoothingKernel."""
-    if kern.shape == "triangle":
-        return 2.0 * kern.s / 3.0
-    if kern.shape == "cosine":
-        return 0.75 * kern.s
-    L = kern.v_hi - kern.v_lo
-    return (L - 2 * kern.zeta) + 2 * kern.zeta / 3.0
+    """The squared L2 norm of a triangle SmoothingKernel of radius s: 2s/3."""
+    return 2.0 * kern.s / 3.0
+
+
+def triangle_autocorr(s: float, u):
+    """(omega * omega~)(u) of the triangle of radius s in closed form.
+
+    The unit triangle is the self-convolution of the unit box, so its
+    self-correlation is the centred cubic B-spline B; for radius s it is
+    s B(|u|/s), with B(r) = 2/3 - r^2 + r^3/2 on [0, 1], (2 - r)^3/6 on
+    [1, 2] and 0 past 2."""
+    r = np.abs(np.asarray(u, dtype=float)) / s
+    inner = 2.0 / 3.0 - r ** 2 + r ** 3 / 2.0
+    outer = np.clip(2.0 - r, 0.0, None) ** 3 / 6.0
+    return s * np.where(r <= 1.0, inner, outer)
+
+
+def plateau(v_lo: float, v_hi: float, zeta: float):
+    """The function equal to 1 on [v_lo + zeta, v_hi - zeta], 0 outside
+    [v_lo, v_hi] and linear between: the smoothed indicator of V."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.minimum(np.clip((x - v_lo) / zeta, 0.0, 1.0), np.clip((v_hi - x) / zeta, 0.0, 1.0))
+    return f
 
 
 def hermitian_defect(meas) -> float:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, coord_key, is_exact_coord
-from pointspec.geometry import Interval, MultiSetPatch, cluster_1d
+from pointspec.geometry import Box, Cluster, Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
     CylinderSpec,
     HullPartition,
     IncompletePartitionError,
+    PartitionCell,
     PatchTooSmallError,
     _Cylinders,
     build_partition_1d,
@@ -24,6 +25,7 @@ from pointspec.hull import (
     sample_orbit,
 )
 from pointspec.sources import (
+    LatticeSource,
     PointSource,
     PoissonSource,
     TranslatedSource,
@@ -32,9 +34,8 @@ from pointspec.sources import (
     thue_morse_source,
 )
 from pointspec.stats import _count_in_patch, halton
-from pointspec.spectra import plateau_kernel
 
-from oracles import sequential_hull_metric
+from oracles import plateau, sequential_hull_metric
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +442,28 @@ def test_cylinder_patch_too_small_is_an_error():
         cylinder_contains(patch, CylinderSpec(cluster_1d([0.0, 1.0, 2.0]), Interval(-3.0, 3.0)))
 
 
+def test_cylinder_decision_rejects_other_shapes_before_any_search(monkeypatch):
+    # a cluster with another colour count than the patch, and a 2D patch
+    def searched(*args):
+        raise AssertionError("an occurrence search ran")
+
+    monkeypatch.setattr(MultiSetPatch, "occurrence_index", searched)
+    one_colour = build_partition_1d(integer_lattice(), 1.0, 0.6, scan_length=200)
+    two_colours = integer_lattice(colors=2).window(Interval(-8, 8))
+    with pytest.raises(ValueError, match="cluster shape"):
+        cylinder_contains(two_colours, one_colour.cells[0].cylinder())
+    with pytest.raises(ValueError, match="cluster shape"):
+        one_colour.locate(two_colours)
+    P = Cluster([[(0.0, 0.0), (1.0, 0.0)]], dim=2)
+    part = HullPartition(cells=[PartitionCell(P, P, Interval(-0.2, 0.2), 0)], radius=1.0, delta=0.5,
+                         representatives=[P])
+    plane = LatticeSource(np.eye(2)).window(Box((-3.0, -3.0), (3.0, 3.0)))
+    with pytest.raises(NotImplementedError):
+        cylinder_contains(plane, part.cells[0].cylinder())
+    with pytest.raises(NotImplementedError):
+        part.locate(plane)
+
+
 def _has_point(patch, color, x, tol=TOL_EQ):
     """Tolerant membership by a linear scan (no sorted search)."""
     return bool(np.any(np.abs(patch.positions(color) - x) <= tol))
@@ -479,7 +502,7 @@ def scalar_cylinder_contains(patch, cyl, tol=TOL_EQ):
     anchor, color = P.anchor_point(), P.anchor_color()
     av = float(anchor[0])
     pos = patch.positions(color)
-    exactish = patch.exact and all(is_exact_coord(p[0]) for p in P.support())
+    exactish = patch.exact and all(is_exact_coord(p[0]) for part in P.parts for p in part)
     for j in range(np.searchsorted(pos, av - float(V.hi) - tol),
                    np.searchsorted(pos, av - float(V.lo) + tol)):
         if exactish:
@@ -617,11 +640,12 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
 
 
 def assert_orbit_hits_match(cylinders, source, offsets, region):
-    """orbit_hits against cylinder_contains on every sample_orbit patch;
-    returns the number of hits."""
+    """orbit_hits against cylinder_contains and the scalar oracle on every
+    sample_orbit patch; returns the number of hits."""
     got = _Cylinders(cylinders).orbit_hits(source, offsets, region)
-    want = [[cylinder_contains(p, c) for c in cylinders] for p in sample_orbit(source, offsets, region)]
-    assert got.tolist() == want
+    patches = sample_orbit(source, offsets, region)
+    assert got.tolist() == [[cylinder_contains(p, c) for c in cylinders] for p in patches]
+    assert got.tolist() == [[scalar_cylinder_contains(p, c) for c in cylinders] for p in patches]
     return int(got.sum())
 
 
@@ -646,6 +670,8 @@ def test_orbit_hits_match_locate_on_every_sample():
     got = part._cylinders.orbit_hits(fib, offsets, region)
     patches = sample_orbit(fib, offsets, region)
     assert [np.flatnonzero(row).tolist() for row in got] == [part.locate(p) for p in patches]
+    assert got.tolist() == [[scalar_cylinder_contains(p, cell.cylinder()) for cell in part.cells]
+                            for p in patches]
     assert (got.sum(axis=1) == 1).all()
     # an exact g on a cell's closed lo end lies in that cell, on its open hi end in the next
     ends = got[120:120 + len(exact)].argmax(axis=1)
@@ -846,7 +872,7 @@ def test_smoothed_indicator_l2_bound():
     v_lo, v_hi = 0.1, 0.1 + min(pp.theta, pp.eta) * 0.6
     zeta = (v_hi - v_lo) / 4
     assert zeta < pp.theta / 2
-    kern = plateau_kernel(v_lo, v_hi, zeta)
+    kern = plateau(v_lo, v_hi, zeta)
     color = 0
     n = 4000
     patch = fib.window(Interval(-n, n))

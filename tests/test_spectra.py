@@ -18,19 +18,16 @@ from pointspec.spectra import (
     autocorr_direct,
     autocorr_from_frequencies,
     bragg_amplitude,
-    cosine_kernel,
     dworkin_report,
     module_seed_candidates,
     peak_scan,
-    plateau_kernel,
     smoothed_autocorr_profile,
     smoothed_density,
-    smoothed_diffraction,
     triangle_kernel,
     validate_weights,
 )
 
-from oracles import hermitian_defect, l2_norm_sq
+from oracles import hermitian_defect, l2_norm_sq, triangle_autocorr
 
 SPEC = VanHoveSpec()
 TAU = (1 + 5 ** 0.5) / 2
@@ -82,7 +79,8 @@ def scalar_autocorr_direct(source, w, radius, spec, n):
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
     vals, cols = patch.all_positions()
-    xs = [p[0] for p in patch.all_points()] if patch.exact else None
+    q = patch.all_exact()
+    xs = None if q is None else [q.value(k) for k in range(len(vals))]
     agg = {}
     for a_idx in range(len(vals)):
         lo = np.searchsorted(vals, vals[a_idx] - radius - TOL_EQ)
@@ -183,7 +181,7 @@ def test_autocorr_routes_match_scalar_references(name, src, w):
 @pytest.mark.parametrize("name, src, w", SOURCES, ids=[s[0] for s in SOURCES])
 def test_smoothed_density_matches_scalar_reference(name, src, w):
     grid = np.arange(-40 + 0.01, 40, 0.02)
-    for kern in (triangle_kernel(0.4), cosine_kernel(0.7), plateau_kernel(-0.5, 0.6, 0.1)):
+    for kern in (triangle_kernel(0.4), triangle_kernel(0.7), triangle_kernel(0.15)):
         got = smoothed_density(src, w, kern, grid)
         assert got.tobytes() == scalar_smoothed_density(src, w, kern, grid).tobytes()
 
@@ -248,8 +246,8 @@ def test_weight_bilinearity():
 
 @pytest.mark.parametrize("kern", [
     triangle_kernel(0.4),
-    cosine_kernel(0.35),
-    plateau_kernel(0.0, 0.3, 0.05),
+    triangle_kernel(0.35),
+    triangle_kernel(1.2),
 ])
 def test_kernel_fourier_matches_quadrature(kern):
     lo, hi = kern.support
@@ -266,15 +264,17 @@ def test_triangle_fourier_at_zero_is_support_radius():
 
 
 def test_kernel_autocorr_at_zero_is_l2():
-    for kern in (triangle_kernel(0.4), cosine_kernel(0.3), plateau_kernel(0.0, 0.4, 0.1)):
+    for kern in (triangle_kernel(0.4), triangle_kernel(0.3), triangle_kernel(0.1)):
         assert kern.autocorr([0.0])[0] == pytest.approx(l2_norm_sq(kern), rel=1e-4)
 
 
-def test_plateau_kernel_shape():
-    kern = plateau_kernel(0.1, 0.5, 0.1)
-    assert kern(np.array([0.25]))[0] == 1.0       # on the eroded interval
-    assert kern(np.array([0.05]))[0] == 0.0       # outside V
-    assert 0.0 < kern(np.array([0.15]))[0] < 1.0  # taper
+@pytest.mark.parametrize("s", [0.05, 0.4, 1.0, 3.0])
+def test_kernel_autocorr_matches_the_closed_form(s):
+    # the 1000-step quadrature against the piecewise cubic, inside, on and
+    # past each end of both pieces
+    us = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 1.7, -1.7, 2.0, -2.0, 2.5, -2.5]) * s
+    got = triangle_kernel(s).autocorr(us)
+    assert np.abs(got - triangle_autocorr(s, us)).max() <= 1e-6 * s
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ def test_smoothed_profile_lattice_value():
 def test_smoothed_profile_matches_per_x_loop():
     fib = fibonacci_cut_project()
     meas = autocorr_from_frequencies(fib, [1, 1j], 6.0, SPEC, 500)
-    kern = cosine_kernel(0.7)
+    kern = triangle_kernel(0.7)
     xs = np.linspace(-4.0, 4.0, 37)
     items = meas.items()
     ts = np.array([t for t, _ in items])
@@ -581,16 +581,6 @@ def test_smoothed_profile_radius_guard():
     meas = autocorr_from_frequencies(z, [1], 2.0, SPEC, 200)
     with pytest.raises(ValueError):
         smoothed_autocorr_profile(meas, triangle_kernel(0.4), [1.5])
-
-
-def test_smoothed_intensities_nonnegative():
-    kern = triangle_kernel(0.4)
-    z = integer_lattice()
-    meas = autocorr_from_frequencies(z, [1], 3.0, SPEC, 200)
-    sd = smoothed_diffraction(meas, kern, peaks=[(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)],
-                              xs=[0.0, 0.5])
-    assert all(v >= 0 for _, v in sd.bragg)
-    assert len(sd.profile) == 2
 
 
 def test_smoothing_consistency_with_peaks():
@@ -644,12 +634,7 @@ def test_dworkin_report_windows_each_source_once(monkeypatch):
         assert row.lhs == float(np.real(lhs * quad_step / 600.0))
 
 
-def test_dworkin_report_csv(tmp_path):
-    from pointspec.spectra import dworkin_report
-
+def test_dworkin_report_max_rel_diff():
     z = integer_lattice()
     report = dworkin_report(z, [1], triangle_kernel(0.4), [0.0, 0.5, 1.0], SPEC, 500)
     assert report.max_rel_diff() <= 0.02
-    path = tmp_path / "dworkin.csv"
-    report.to_csv(path)
-    assert path.read_text().startswith("x,lhs,rhs")

@@ -88,7 +88,8 @@ def test_open_ends_drop_exactly_the_points_there(name, idx, span, exact_ends, cl
                                                  closed_hi):
     src = SOURCES[name]
     patch = src.window(Interval(0, 60))
-    pts = [p[0] for p in patch.all_points()]
+    x, q = patch.all_positions()[0], patch.all_exact()
+    pts = x.tolist() if q is None else [q.value(k) for k in range(len(x))]
     lo, hi = pts[idx], pts[idx + span]
     if not (exact_ends and patch.exact):
         lo, hi = float(lo), float(hi)
