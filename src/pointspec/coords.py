@@ -282,12 +282,6 @@ class QuadArray:
         _check(den, *map(abs, a), *map(abs, b))
         return cls(a, b, den, field)
 
-    @staticmethod
-    def concat(arrays) -> "QuadArray":
-        """One QuadArray of several over the same denominator and field."""
-        return QuadArray(np.concatenate([q.a for q in arrays]),
-                         np.concatenate([q.b for q in arrays]), arrays[0].den, arrays[0].field)
-
     def __getitem__(self, idx) -> "QuadArray":
         return QuadArray(self.a[idx], self.b[idx], self.den, self.field)
 

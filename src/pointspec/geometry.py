@@ -1,13 +1,13 @@
 """Colored point configurations and the regions they are observed through.
 
 A MultiSetPatch is the restriction of a point set to a bounded region, i.e.
-exactly what a window query returns.  It stores each colour's points as one
-float array sorted by position, shape (N,) in 1D and (N, d) in 2D (d in
-{1, 2}), and an exact patch (1D) also as an aligned QuadArray; `.parts` is a
-read-only scalar view of the same points.  A Cluster, one finite colored
-configuration, is stored the same way: a patch without a region.  Its
-signature is array bytes, and MultiSetPatch.occurrences finds its translates
-in a patch for all candidate translates at once.
+exactly what a window query returns.  It stores its points as one float
+array, colour by colour, each colour sorted by position, shape (N,) in 1D
+and (N, d) in 2D, with the m + 1 colour offsets, and an exact patch (1D) as
+one aligned QuadArray too; `.parts` is a read-only scalar view of them.  A
+Cluster, one finite colored configuration, is stored the same way: a patch
+without a region.  Its signature is array bytes, and occurrences finds its
+translates in a patch for all candidate translates at once.
 
 Regions are closed by default (an Interval may be half-open).  Every region
 has one membership test, `mask`, over arrays of points: float ties at an end
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -274,71 +275,61 @@ def _exact_key(q: QuadArray):
 
 
 class MultiSetPatch:
-    """A window query result: the region and, per colour, the points inside it.
+    """A window query result: the region and, colour by colour, the points inside it.
 
-    Colour i is one float array sorted by position (lexicographically in
-    2D), shape (N,) in 1D and (N, d) otherwise, positions(i), and in an
-    exact patch (1D only) also a QuadArray aligned with it,
-    exact_positions(i).  `.parts` is a read-only view of the same points for
-    scalar code: per colour, a tuple of point tuples of QuadNum, int or
-    Fraction coordinates (exact) or floats.
+    Every point sits in one float array x, colour by colour, each colour
+    sorted by position (lexicographically in 2D): shape (N,) in 1D and
+    (N, d) otherwise.  Colour i is x[ends[i]:ends[i + 1]], positions(i).
+    An exact patch (1D only) also holds a QuadArray aligned with x, whose
+    slices are exact_positions(i).  `.parts` is a read-only view of the
+    same points for scalar code: per colour, a tuple of point tuples of
+    QuadNum, int or Fraction coordinates (exact) or floats.
     """
 
-    __slots__ = ("region", "dim", "m", "_pos", "_exact", "_parts", "_all", "_err")
+    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_err")
 
-    def __init__(self, region, dim: int, pos, exact=None):
-        """pos: per colour, a sorted float array; exact: per colour, the
-        aligned QuadArray, or None for a float patch."""
+    def __init__(self, region, dim: int, x, ends, exact=None):
+        """x: every point, colour-major, each colour sorted; ends: the m + 1
+        colour offsets into x; exact: the QuadArray aligned with x, or None
+        for a float patch."""
         self.region = region
         self.dim = dim
-        self.m = len(pos)
-        self._pos = list(pos)
-        self._exact = None if exact is None else list(exact)
+        self.m = len(ends) - 1
+        self._x, self._ends, self._q = x, tuple(ends), exact
         self._parts = self._all = self._err = None
 
     @staticmethod
-    def _by_colour(dim: int, m: int, x, color, exact=None):
-        """Per colour arrays (pos, exact) of the points x with colours in
-        range(m), sorted once: by colour, then stably by position."""
+    def from_points(region, dim: int, m: int, x, color, exact: QuadArray = None):
+        """Patch of the points x (float, (N,) in 1D, (N, d) otherwise) with
+        colours in range(m), sorted once: by colour, then stably by position."""
+        x = np.asarray(x, dtype=float)
         order = np.lexsort(_lex_keys(x, dim) + (color,))
         ends = np.searchsorted(np.asarray(color)[order], np.arange(m + 1)).tolist()
-        cuts = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-        x, exact = x[order], None if exact is None else exact[order]
-        return [x[s] for s in cuts], None if exact is None else [exact[s] for s in cuts]
-
-    @classmethod
-    def from_points(cls, region, dim: int, m: int, x, color, exact: QuadArray = None):
-        """Patch of the points x (float, (N,) in 1D, (N, d) otherwise) with
-        colours in range(m)."""
-        return MultiSetPatch(region, dim, *cls._by_colour(dim, m, np.asarray(x, dtype=float), color,
-                                                          exact))
+        return MultiSetPatch(region, dim, x[order], ends, None if exact is None else exact[order])
 
     @property
     def exact(self) -> bool:
-        return self._exact is not None
+        return self._q is not None
 
     @property
     def total_points(self) -> int:
-        return sum(len(p) for p in self._pos)
+        return len(self._x)
 
     def positions(self, color: int) -> np.ndarray:
         """Float positions of one color: shape (N,) in 1D, (N, d) otherwise."""
-        return self._pos[color]
+        return self._x[self._ends[color]:self._ends[color + 1]]
 
     def exact_positions(self, color: int):
         """The QuadArray aligned with positions(color), or None in a float patch."""
-        return None if self._exact is None else self._exact[color]
+        return None if self._q is None else self._q[self._ends[color]:self._ends[color + 1]]
 
     @property
     def parts(self) -> tuple:
         """Per colour, the points as tuples of scalars; built on first use."""
         if self._parts is None:
-            if self._exact is not None:
-                self._parts = tuple(tuple((q.value(k),) for k in range(len(q.a)))
-                                    for q in self._exact)
-            else:
-                self._parts = tuple(tuple(map(tuple, p.reshape(len(p), self.dim).tolist()))
-                                    for p in self._pos)
+            pts = ([(self._q.value(k),) for k in range(len(self._x))] if self._q is not None
+                   else list(map(tuple, self._x.reshape(len(self._x), self.dim).tolist())))
+            self._parts = tuple(tuple(pts[a:b]) for a, b in zip(self._ends, self._ends[1:]))
         return self._parts
 
     def all_positions(self):
@@ -347,12 +338,11 @@ class MultiSetPatch:
 
     def all_exact(self):
         """The QuadArray aligned with all_positions(), or None in a float patch."""
-        return None if self._exact is None else QuadArray.concat(self._exact)[self._support()[2]]
+        return None if self._q is None else self._q[self._support()[2]]
 
     def colour_major(self):
-        """(positions, colors) of every point, colour by colour."""
-        x = np.concatenate(self._pos) if self.m else np.empty(0)
-        return x, np.repeat(np.arange(self.m), [len(p) for p in self._pos])
+        """(positions, colors) of every point, colour by colour: the stored array."""
+        return self._x, np.repeat(np.arange(self.m), np.diff(self._ends))
 
     def _support(self):
         if self._all is None:
@@ -362,37 +352,41 @@ class MultiSetPatch:
         return self._all
 
     def as_cluster(self) -> "Cluster":
-        return Cluster._of(self.dim, self._pos, self._exact)
+        return Cluster._of(self.dim, self._x, self._ends, self._q)
 
     def _moved(self, vec):
-        """Per colour arrays (pos, exact) of the points moved by vec, exactly
-        when the points and vec are exact; a translation keeps their order."""
+        """(x, exact) of the points moved by vec, exactly when the points and
+        vec are exact; a translation keeps their order."""
         vec = as_point(vec, self.dim)
-        if self._exact is not None and all(is_exact_coord(v) for v in vec):
-            exact = [q.shift(vec[0]) for q in self._exact]
-            return [q.floats() for q in exact], exact
+        if self._q is not None and all(is_exact_coord(v) for v in vec):
+            exact = self._q.shift(vec[0])
+            return exact.floats(), exact
         shift = np.array([float(v) for v in vec])
-        return [p + (shift[0] if self.dim == 1 else shift) for p in self._pos], None
+        return self._x + (shift[0] if self.dim == 1 else shift), None
 
     def translate(self, vec) -> "MultiSetPatch":
         region = self.region.translate(as_point(vec, self.dim))
-        return MultiSetPatch(region, self.dim, *self._moved(vec))
+        x, exact = self._moved(vec)
+        return MultiSetPatch(region, self.dim, x, self._ends, exact)
 
     def restrict(self, region) -> "MultiSetPatch":
         if not self.region.covers(region):
             raise ValueError("restriction region exceeds the patch region")
         if self._err is None:  # per colour, the largest float error of an exact point
             self._err = [0.0 if q is None else q.float_error()
-                         for q in (self._exact or [None] * self.m)]
-        pos, exact = [], []
-        for i, p in enumerate(self._pos):
-            cut = sorted_slice(p, region, self._err[i]) if self.dim == 1 else slice(None)
-            q = self.exact_positions(i)
-            q = None if q is None else q[cut]
-            keep = region.mask(p[cut], q)
-            pos.append(p[cut][keep])
-            exact.append(None if q is None else q[keep])
-        return MultiSetPatch(region, self.dim, pos, exact if self.exact else None)
+                         for q in map(self.exact_positions, range(self.m))]
+        cuts, at = [], [0]  # per colour, the slice that can hold points of the region
+        for a, b, err in zip(self._ends, self._ends[1:], self._err):
+            cut = sorted_slice(self._x[a:b], region, err) if self.dim == 1 else slice(0, b - a)
+            cuts.append(slice(a + cut.start, a + cut.stop))
+            at.append(at[-1] + cut.stop - cut.start)
+        x = np.concatenate([self._x[c] for c in cuts])  # the slices joined, tested at once
+        q = None if self._q is None else QuadArray(np.concatenate([self._q.a[c] for c in cuts]),
+                                                   np.concatenate([self._q.b[c] for c in cuts]),
+                                                   self._q.den, self._q.field)
+        keep = region.mask(x, q)
+        ends = list(accumulate((int(np.count_nonzero(keep[a:b])) for a, b in zip(at, at[1:])), initial=0))
+        return MultiSetPatch(region, self.dim, x[keep], ends, None if q is None else q[keep])
 
     def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
         """L_P over the patch, as (v, exact v): v = q - anchor over the points q
@@ -426,8 +420,8 @@ class MultiSetPatch:
         else:
             a, b = 0, len(base)
         idx = np.arange(a, b)
-        for i, pos in enumerate(self._pos):
-            others = P.positions(i)[int(i == color):]  # every point but the anchor
+        for i, (s, t, u, w) in enumerate(zip(self._ends, self._ends[1:], P._ends, P._ends[1:])):
+            pos, others = self._x[s:t], P._x[u + (i == color):w]  # every point of P but the anchor
             if not len(idx) or not len(others):
                 continue
             targets = (base[idx] - anchor)[:, None] + others  # (candidate, point[, axis])
@@ -448,10 +442,10 @@ class Cluster(MultiSetPatch):
     region, each colour duplicate-free (exactly, or within TOL_EQ for float
     points).  An exact cluster is 1D with every coordinate exact.  Its anchor
     is its smallest point (lexicographically), of the first colour holding
-    it.  Immutable once built.
+    it: the first point in support order.  Immutable once built.
     """
 
-    __slots__ = ("_anchor", "_sig")
+    __slots__ = ("_sig", "_anchor")
 
     def __init__(self, parts, dim=None):
         """parts: per colour, points as d-tuples (scalars in 1D) of floats or
@@ -465,88 +459,94 @@ class Cluster(MultiSetPatch):
         q = QuadArray.of(coords) if exact else None
         x = np.array([float(c) for c in coords], dtype=float) if q is None else q.floats()
         color = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-        self._set(dim, *self._by_colour(dim, len(parts), x if dim == 1 else x.reshape(-1, dim),
-                                        color, q))
+        p = MultiSetPatch.from_points(None, dim, len(parts), x if dim == 1 else x.reshape(-1, dim),
+                                      color, q)
+        self._set(dim, p._x, p._ends, p._q)
 
-    @classmethod
-    def from_arrays(cls, dim: int, m: int, x, color, exact: QuadArray = None) -> "Cluster":
+    @staticmethod
+    def from_arrays(dim: int, m: int, x, color, exact: QuadArray = None) -> "Cluster":
         """Cluster of the float points x ((N,) in 1D, (N, d) otherwise) with
         colours in range(m), in 1D optionally also given exactly."""
-        return cls._of(dim, *cls._by_colour(dim, m, np.asarray(x, dtype=float), color, exact))
+        return MultiSetPatch.from_points(None, dim, m, x, color, exact).as_cluster()
 
     @classmethod
-    def _of(cls, dim, pos, exact):
+    def _of(cls, dim, x, ends, exact):
         cl = cls.__new__(cls)
-        cl._set(dim, pos, exact)
+        cl._set(dim, x, ends, exact)
         return cl
 
-    def _set(self, dim, pos, exact):
-        keep = [_distinct(p, None if exact is None else exact[i]) for i, p in enumerate(pos)]
-        pos = [p[k] for p, k in zip(pos, keep)]
-        if exact is not None:
-            exact = [q[k] for q, k in zip(exact, keep)] if any(map(len, pos)) else None
-        MultiSetPatch.__init__(self, None, dim, pos, exact)
-        self._anchor = min((i for i, p in enumerate(pos) if len(p)), default=None,
-                           key=lambda i: np.atleast_1d(pos[i][0]).tolist())
-        self._sig = None
+    def _set(self, dim, x, ends, exact):
+        keep = _distinct(x, ends, exact)
+        x = x[keep]
+        exact = exact[keep] if exact is not None and len(x) else None
+        kept = np.concatenate([[0], np.cumsum(keep)])
+        MultiSetPatch.__init__(self, None, dim, x, kept[list(ends)].tolist(), exact)
+        self._sig = self._anchor = None
 
     def is_empty(self) -> bool:
-        return self._anchor is None
+        return not len(self._x)
 
     def to_json(self) -> list:
         """Per colour, the points as lists of float coordinates."""
-        return [p.reshape(-1, self.dim).tolist() for p in self._pos]
+        return [self.positions(i).reshape(-1, self.dim).tolist() for i in range(self.m)]
 
     def translate(self, vec) -> "Cluster":
-        return Cluster._of(self.dim, *self._moved(vec))
+        x, exact = self._moved(vec)
+        return Cluster._of(self.dim, x, self._ends, exact)
 
     def anchor_point(self):
         """Lexicographically smallest support point (None if empty)."""
-        return None if self._anchor is None else self.parts[self._anchor][0]
+        if self.is_empty():
+            return None
+        k = int(self._support()[2][0])
+        return (self._q.value(k),) if self.exact else tuple(np.atleast_1d(self._x[k]).tolist())
 
     def anchor_color(self) -> int:
         """Index of the first colour holding the anchor point."""
+        if self._anchor is None and not self.is_empty():
+            self._anchor = int(self._support()[1][0])
         return self._anchor
 
     def signature(self):
         """Hashable identity key: the exact values, or the floats on a TOL_EQ grid."""
         if self._sig is None:
-            values = (_exact_key(QuadArray.concat(self._exact)) if self.exact
-                      else (np.round(self.colour_major()[0] / TOL_EQ) + 0.0).tobytes())
-            self._sig = (self.dim, tuple(map(len, self._pos)), self.exact, values)
+            values = (_exact_key(self._q) if self.exact
+                      else (np.round(self._x / TOL_EQ) + 0.0).tobytes())
+            self._sig = (self.dim, self._ends, self.exact, values)
         return self._sig
 
     def __eq__(self, other):
         if not isinstance(other, Cluster):
             return NotImplemented
-        if (self.m, self.dim) != (other.m, other.dim) or any(
-                len(a) != len(b) for a, b in zip(self._pos, other._pos)):
+        if (self.dim, self._ends) != (other.dim, other._ends):
             return False
         if self.exact and other.exact:
             return self.signature() == other.signature()
-        diff = self.colour_major()[0] - other.colour_major()[0]
-        return bool(np.all(np.abs(diff) <= TOL_EQ))
+        return bool(np.all(np.abs(self._x - other._x) <= TOL_EQ))
 
     def __hash__(self):
         # only what equal clusters share: float equality is within TOL_EQ
-        return hash((self.dim, tuple(map(len, self._pos))))
+        return hash((self.dim, self._ends))
 
     def __repr__(self):
         return "Cluster(%s)" % ", ".join(
             "{" + ", ".join(str(c if self.dim == 1 else tuple(c)) for c in p.tolist()) + "}"
-            for p in self._pos)
+            for p in map(self.positions, range(self.m)))
 
 
-def _distinct(x, q) -> np.ndarray:
-    """Which points of one sorted colour to keep: each unless it equals the
-    last point kept, exactly (q given) or within TOL_EQ."""
-    keep = np.ones(len(x), dtype=bool)
+def _distinct(x, ends, q) -> np.ndarray:
+    """Which points of the colour-major sorted x to keep: each unless it
+    equals the last point kept of its colour, exactly (q given) or within
+    TOL_EQ."""
+    first = np.zeros(len(x) + 1, dtype=bool)
+    first[list(ends)] = True  # each colour's first point, if any, starts afresh
+    keep = first[:-1].copy()
     if q is not None:  # exact equality is transitive: compare with the predecessor
-        keep[1:] = (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
+        keep[1:] |= (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
         return keep
     last = 0  # a run of near-duplicates can drift past TOL_EQ
     for k in range(1, len(x)):
-        keep[k] = np.abs(x[k] - x[last]).max() > TOL_EQ
+        keep[k] = first[k] or np.abs(x[k] - x[last]).max() > TOL_EQ
         last = k if keep[k] else last
     return keep
 
@@ -557,19 +557,16 @@ def cluster_1d(*parts) -> Cluster:
 
 
 def match_clusters(P: Cluster, Q: Cluster):
-    """The unique x with P = -x + Q, or None if not translation-equivalent."""
+    """The unique x with P = -x + Q, or None if not translation-equivalent:
+    x is the anchors' difference, checked by Cluster equality."""
     if P.m != Q.m or P.dim != Q.dim:
         raise ValueError("cluster shapes differ (m or dimension)")
-    if any(len(a) != len(b) for a, b in zip(P._pos, Q._pos)):
+    if P._ends != Q._ends:
         return None
     if P.is_empty():
         return tuple(0.0 for _ in range(P.dim))
     x = tuple(cq - cp for cp, cq in zip(P.anchor_point(), Q.anchor_point()))
-    if P.exact and Q.exact:
-        return x if Q.translate(tuple(-c for c in x)).signature() == P.signature() else None
-    shift = np.array([-float(c) for c in x])
-    moved = np.concatenate(Q._pos) + (shift[0] if P.dim == 1 else shift)
-    return x if np.all(np.abs(np.concatenate(P._pos) - moved) <= TOL_EQ) else None
+    return x if Q.translate(tuple(-c for c in x)) == P else None
 
 
 def cluster_distance(P: Cluster, Q: Cluster) -> float:
@@ -581,7 +578,7 @@ def cluster_distance(P: Cluster, Q: Cluster) -> float:
     if P.m != Q.m or P.dim != Q.dim:
         raise ValueError("cluster shapes differ (m or dimension)")
     worst = 0.0
-    for pa, pb in zip(P._pos, Q._pos):
+    for pa, pb in zip(map(P.positions, range(P.m)), map(Q.positions, range(Q.m))):
         if not len(pa) and not len(pb):
             continue
         if not len(pa) or not len(pb):
@@ -617,7 +614,7 @@ class ClusterClassTable:
 def _find_equivalent(reps, rep):
     """Index of the first of reps that rep matches by a translation, or None."""
     for j, r in enumerate(reps):
-        if r.total_points == rep.total_points and match_clusters(r, rep) is not None:
+        if match_clusters(r, rep) is not None:
             return j
     return None
 
@@ -668,9 +665,9 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
 
     Representatives are anchored (lex-smallest support point at the
     origin) and deduplicated by exact matching in exact mode.  Balls with
-    equal contents are grouped on arrays first; one Cluster is built per
-    distinct ball and looked up by signature, falling back to a matching
-    scan against float-key splits.
+    equal contents are grouped on arrays first, so no two distinct balls
+    share a signature; one Cluster is built per distinct ball and matched
+    against the representatives so far, which merges float-key splits.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -697,18 +694,15 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
         vals = (x[idx] - at) + -(x[first] - at)
         keys = float_keys(vals)
     firsts, label = distinct_windows(rows, [col[idx]] + keys, len(anchors))
-    table, reps, class_of = {}, [], []
+    reps, class_of = [], []
     for r in firsts.tolist():
         s = slice(start[r], start[r + 1])
         rep = Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]],
                                   None if q is None else exact[s])
-        j = table.get(rep.signature())
+        j = _find_equivalent(reps, rep)
         if j is None:
-            j = _find_equivalent(reps, rep)
-            if j is None:
-                j = len(reps)
-                reps.append(rep)
-            table[rep.signature()] = j
+            j = len(reps)
+            reps.append(rep)
         class_of.append(j)
     counts = np.bincount(np.asarray(class_of)[label], minlength=len(reps)).tolist()
     return ClusterClassTable(radius=R, representatives=reps, counts=counts, scan=scan)

@@ -437,17 +437,13 @@ class SmoothingKernel:
         return self.s * np.sinc(k * self.s) ** 2  # np.sinc(x) = sin(pi x)/(pi x)
 
     def autocorr(self, u):
-        """(omega * omega~)(u) by midpoint quadrature, 1000 steps over the support."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        lo, hi = self.support
-        step = (hi - lo) * 1e-3
-        grid = np.arange(lo + step / 2, hi, step)
-        base = self(grid)
-        out = np.empty(len(u))
-        for idx, uu in enumerate(u):
-            shifted = self(grid - uu)
-            out[idx] = float(np.dot(base, shifted)) * step
-        return out
+        """(omega * omega~)(u) = s B(|u|/s), B the centred cubic B-spline (the unit
+        triangle is the unit box convolved with itself): B(r) = 2/3 - r^2 + r^3/2
+        on [0, 1], (2 - r)^3/6 on [1, 2] and 0 past 2."""
+        r = np.abs(np.atleast_1d(np.asarray(u, dtype=float))) / self.s
+        inner = 2.0 / 3.0 - r ** 2 + r ** 3 / 2.0
+        outer = np.clip(2.0 - r, 0.0, None) ** 3 / 6.0
+        return self.s * np.where(r <= 1.0, inner, outer)
 
 
 def triangle_kernel(s: float) -> SmoothingKernel:

@@ -192,8 +192,7 @@ def check_partition(fast=False) -> CheckResult:
     fib = fibonacci_cut_project()
     part = build_partition_1d(fib, 3.0, 0.2, scan_length=600 if fast else 1500)
     n = 4000 if fast else 10000
-    master = fib.window(Interval(-n - 30, n + 30))
-    sub = master.restrict(Interval(-n, n))
+    sub = fib.window(Interval(-n, n))
     freq_cache = {}
     total = 0.0
     for cell in part.cells:
@@ -246,8 +245,8 @@ def check_product_identity(fast=False) -> CheckResult:
     V = Interval(0.05, 0.05 + vlen, True, False)
     base = fib.window(Interval(-1.0 / eps, 1.0 / eps)).as_cluster()
     whole = CylinderSpec(base, V)
-    singles = [CylinderSpec(cluster_1d(*[[p[0]] if j == i else [] for j in range(base.m)]), V)
-               for i, part in enumerate(base.parts) for p in part]
+    singles = [CylinderSpec(cluster_1d(*[[q.value(k)] if j == i else [] for j in range(base.m)]), V)
+               for i, q in enumerate(map(base.exact_positions, range(base.m))) for k in range(len(q.a))]
     n_samples = 200 if fast else 1000
     offsets = (halton(n_samples) * 400.0).tolist()
     hits = _Cylinders([whole, *singles]).orbit_hits(fib, offsets, Interval(-12, 12))

@@ -43,17 +43,17 @@ def l2_norm_sq(kern) -> float:
     return 2.0 * kern.s / 3.0
 
 
-def triangle_autocorr(s: float, u):
-    """(omega * omega~)(u) of the triangle of radius s in closed form.
-
-    The unit triangle is the self-convolution of the unit box, so its
-    self-correlation is the centred cubic B-spline B; for radius s it is
-    s B(|u|/s), with B(r) = 2/3 - r^2 + r^3/2 on [0, 1], (2 - r)^3/6 on
-    [1, 2] and 0 past 2."""
-    r = np.abs(np.asarray(u, dtype=float)) / s
-    inner = 2.0 / 3.0 - r ** 2 + r ** 3 / 2.0
-    outer = np.clip(2.0 - r, 0.0, None) ** 3 / 6.0
-    return s * np.where(r <= 1.0, inner, outer)
+def quadrature_autocorr(kern, u):
+    """(omega * omega~)(u) of a SmoothingKernel by midpoint quadrature,
+    1000 steps over its support: the reference for its closed form."""
+    lo, hi = kern.support
+    step = (hi - lo) * 1e-3
+    grid = np.arange(lo + step / 2, hi, step)
+    base = kern(grid)
+    out = np.empty(len(u))
+    for idx, uu in enumerate(u):
+        out[idx] = float(np.dot(base, kern(grid - uu))) * step
+    return out
 
 
 def plateau(v_lo: float, v_hi: float, zeta: float):

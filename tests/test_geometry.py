@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_key, is_exact_coord
+from pointspec import geometry
 from pointspec.geometry import (
     Ball,
     Box,
     Cluster,
     Interval,
+    MultiSetPatch,
     cluster_1d,
     cluster_distance,
     complex_keys,
@@ -19,7 +21,7 @@ from pointspec.geometry import (
     match_clusters,
     within,
 )
-from pointspec.sources import LatticeSource, fibonacci_cut_project, integer_lattice
+from pointspec.sources import LatticeSource, TranslatedSource, fibonacci_cut_project, integer_lattice
 
 from oracles import boundary_shell_volume, coord_eq
 
@@ -63,7 +65,7 @@ def reference_contains(iv, x):
 def test_interval_mask_matches_the_scalar_contract():
     # ends on, 1e-9 off and one ulp past exact Fibonacci points, exact or float
     patch = fibonacci_cut_project().window(Interval(-40, 40))
-    exact = QuadArray.concat([patch.exact_positions(i) for i in range(patch.m)])
+    exact = patch.all_exact()
     xs, values = exact.floats(), [exact.value(k) for k in range(len(exact.a))]
     ends = []
     for v in values[::6]:
@@ -106,6 +108,63 @@ def test_boundary_shell_1d():
     # ((202)-(198))/200 = 0.02 at n=100, r=1
     iv = Interval(-100.0, 100.0)
     assert abs(boundary_shell_volume(iv, 1.0) / iv.volume() - 0.02) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the colour-major patch layout
+
+
+def assert_same_layout(got, want):
+    """Per colour, the same float bits and the same exact (a, b, den)."""
+    assert (got.m, got.exact) == (want.m, want.exact)
+    for i in range(want.m):
+        assert got.positions(i).tobytes() == want.positions(i).tobytes()
+        q, r = got.exact_positions(i), want.exact_positions(i)
+        if r is not None:
+            assert (q.a.tolist(), q.b.tolist(), q.den) == (r.a.tolist(), r.b.tolist(), r.den)
+
+
+def two_colour_patches():
+    """A two-colour exact Fibonacci patch and the same chain shifted to floats."""
+    fib = fibonacci_cut_project()
+    return fib.window(Interval(-40, 40)), TranslatedSource(fib, 0.37).window(Interval(-40, 40))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_restrict_keeps_exactly_the_points_the_scalar_contract_admits(exact):
+    patch = two_colour_patches()[0 if exact else 1]
+    x, col = patch.all_positions()
+    q = patch.all_exact()
+    values = [q.value(k) for k in range(len(x))] if exact else x.tolist()
+    lo, hi = patch.parts[1][2][0], patch.parts[0][-3][0]  # each end on a point
+    assert (col[values.index(lo)], col[values.index(hi)]) == (1, 0)
+    flo, fhi = float(lo), float(hi)
+    ends = [(lo, hi), (flo, fhi), (flo - 1e-9, fhi + 1e-9), (flo + 1e-9, fhi - 1e-9)]
+    if exact:  # exact ends 1e-9 off the points
+        ends.append((lo - Fraction(1, 10 ** 9), hi + Fraction(1, 10 ** 9)))
+    for a, b in ends:
+        for flags in ((True, True), (True, False), (False, True), (False, False)):
+            iv = Interval(a, b, *flags)
+            inside = np.array([iv.contains_point((v,)) for v in values])
+            want = MultiSetPatch.from_points(iv, 1, 2, x[inside], col[inside],
+                                             q[inside] if exact else None)
+            assert_same_layout(patch.restrict(iv), want)
+            assert patch.restrict(iv).parts == tuple(
+                tuple(p for p in part if iv.contains_point(p)) for part in patch.parts)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_translate_and_as_cluster_keep_the_from_points_layout(exact):
+    patch = two_colour_patches()[0 if exact else 1]
+    x, col = patch.all_positions()
+    q = patch.all_exact()
+    for v in (0.37, -3) + ((QuadNum(1, -1, GOLDEN),) if exact else ()):
+        moved = q.shift(v) if exact and is_exact_coord(v) else None
+        want = MultiSetPatch.from_points(patch.region.translate((v,)), 1, 2,
+                                         x + float(v) if moved is None else moved.floats(), col, moved)
+        assert_same_layout(patch.translate((v,)), want)
+        assert_same_layout(patch.translate((v,)).as_cluster(), want)
+    assert_same_layout(patch.as_cluster(), MultiSetPatch.from_points(None, 1, 2, x, col, q))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +257,21 @@ def test_square_lattice_classes():
     square = enumerate_cluster_classes(z2, 1.5, scan)  # the diagonal neighbours join at sqrt 2
     assert (square.n_classes, square.counts) == (1, [36])
     assert square.representatives[0] == Cluster([[(x, y) for x in range(3) for y in range(3)]])
+
+
+def test_float_key_splits_merge_into_the_exact_classes(monkeypatch):
+    # shifted by 7.25 the chain is float, and equal balls can round to
+    # different 1e-9 grid keys: matching each distinct ball against the
+    # representatives so far merges those splits into the exact classes
+    shifted = TranslatedSource(fibonacci_cut_project(), 7.25)
+    floats = enumerate_cluster_classes(shifted, 5.5, Interval(0, 3000))
+    exact = enumerate_cluster_classes(fibonacci_cut_project(), 5.5, Interval(7.25, 3007.25))
+    assert not any(r.exact for r in floats.representatives)
+    assert sorted(floats.counts) == sorted(exact.counts) == [121, 195, 196, 392, 632, 634]
+    assert sorted(exact.class_of(r) for r in floats.representatives) == list(range(6))
+    assert [exact.counts[exact.class_of(r)] for r in floats.representatives] == floats.counts
+    monkeypatch.setattr(geometry, "_find_equivalent", lambda reps, rep: None)
+    assert enumerate_cluster_classes(shifted, 5.5, Interval(0, 3000)).n_classes == 12
 
 
 def test_empty_scan_errors():

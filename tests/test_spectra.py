@@ -27,7 +27,7 @@ from pointspec.spectra import (
     validate_weights,
 )
 
-from oracles import hermitian_defect, l2_norm_sq, triangle_autocorr
+from oracles import hermitian_defect, l2_norm_sq, quadrature_autocorr
 
 SPEC = VanHoveSpec()
 TAU = (1 + 5 ** 0.5) / 2
@@ -270,11 +270,11 @@ def test_kernel_autocorr_at_zero_is_l2():
 
 @pytest.mark.parametrize("s", [0.05, 0.4, 1.0, 3.0])
 def test_kernel_autocorr_matches_the_closed_form(s):
-    # the 1000-step quadrature against the piecewise cubic, inside, on and
+    # the piecewise cubic against the 1000-step quadrature, inside, on and
     # past each end of both pieces
     us = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 1.7, -1.7, 2.0, -2.0, 2.5, -2.5]) * s
-    got = triangle_kernel(s).autocorr(us)
-    assert np.abs(got - triangle_autocorr(s, us)).max() <= 1e-6 * s
+    kern = triangle_kernel(s)
+    assert np.abs(kern.autocorr(us) - quadrature_autocorr(kern, us)).max() <= 1e-6 * s
 
 
 # ---------------------------------------------------------------------------
