@@ -89,10 +89,11 @@ class Interval(_Region):
         for (end, fend, ferr), sense, closed in zip(self._ends, (1, -1), (self.closed_lo, self.closed_hi)):
             step = 0 if exact_ends else (-sense if closed else sense)
             bound = fend + step * TOL_EQ
-            gap = sense * (x - bound)
-            if exact is None:
-                ok &= (gap >= 0) if closed else (gap > 0)
+            if exact is None:  # x against the bound itself: >= or > at lo, <= or < at hi
+                a, b = (x, bound)[::sense]
+                ok &= (a >= b) if closed else (a > b)
                 continue
+            gap = sense * (x - bound)
             guard = err + ferr + FLOAT_ERR * abs(bound)
             inside = gap > guard
             ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
@@ -200,14 +201,29 @@ class Ball(_Region):
 # points and clusters
 
 
+def nearest(pos: np.ndarray, targets):
+    """(index, distance) of the point of pos nearest to each target.  Sorted 1D
+    floats or complex_keys (exact up to distance 1, the colour gap) take the
+    nearer of the two points around the target's sorted position, the later on
+    a tie; (N, d) points a KD-tree, with targets (..., d).  Empty pos: 0, inf."""
+    targets = np.asarray(targets)
+    if not len(pos):
+        shape = targets.shape if pos.ndim == 1 else targets.shape[:-1]
+        return np.zeros(shape, dtype=np.intp), np.full(shape, np.inf)
+    if pos.ndim == 1:
+        hi = np.minimum(np.searchsorted(pos, targets), len(pos) - 1)
+        lo = np.maximum(hi - 1, 0)
+        dlo, dhi = np.abs(pos[lo] - targets), np.abs(pos[hi] - targets)
+        return np.where(dlo < dhi, lo, hi), np.minimum(dlo, dhi)
+    from scipy.spatial import cKDTree  # imported here, not at start-up: few runs need it
+
+    dist, idx = cKDTree(pos).query(targets, k=1)
+    return idx, dist
+
+
 def in_sorted(pos: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Boolean membership, within TOL_EQ, of targets in sorted 1D positions or complex_keys:
-    the nearest points are the two around each target's sorted position."""
-    if len(pos) == 0:
-        return np.zeros(len(targets), dtype=bool)
-    idx = np.searchsorted(pos, targets)
-    return ((np.abs(pos[np.maximum(idx - 1, 0)] - targets) <= TOL_EQ)
-            | (np.abs(pos[np.minimum(idx, len(pos) - 1)] - targets) <= TOL_EQ))
+    """Boolean membership, within TOL_EQ, of targets in pos, as nearest reads them."""
+    return nearest(pos, targets)[1] <= TOL_EQ
 
 
 def ranges(starts, stops):
@@ -404,8 +420,8 @@ class MultiSetPatch:
 
         In 1D only translates in [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D
         every anchor-colour point is a candidate.  Membership is within
-        TOL_EQ, for every candidate and every point of a colour at once:
-        sorted search in 1D, a KD-tree in 2D.
+        TOL_EQ, by in_sorted for every candidate and every point of a colour
+        at once.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -421,19 +437,9 @@ class MultiSetPatch:
             a, b = 0, len(base)
         idx = np.arange(a, b)
         for i, (s, t, u, w) in enumerate(zip(self._ends, self._ends[1:], P._ends, P._ends[1:])):
-            pos, others = self._x[s:t], P._x[u + (i == color):w]  # every point of P but the anchor
-            if not len(idx) or not len(others):
-                continue
-            targets = (base[idx] - anchor)[:, None] + others  # (candidate, point[, axis])
-            if self.dim == 1:
-                hit = in_sorted(pos, targets.ravel())
-            elif len(pos):
-                from scipy.spatial import cKDTree
-
-                hit = cKDTree(pos).query(targets.reshape(-1, self.dim), k=1)[0] <= TOL_EQ
-            else:
-                hit = np.zeros(targets.size, dtype=bool)
-            idx = idx[hit.reshape(len(idx), -1).all(axis=1)]
+            others = P._x[u + (i == color):w]  # every point of P but the anchor
+            if len(idx) and len(others):  # targets: (candidate, point[, axis])
+                idx = idx[in_sorted(self._x[s:t], (base[idx] - anchor)[:, None] + others).all(axis=1)]
         return idx
 
 
@@ -579,14 +585,10 @@ def cluster_distance(P: Cluster, Q: Cluster) -> float:
         raise ValueError("cluster shapes differ (m or dimension)")
     worst = 0.0
     for pa, pb in zip(map(P.positions, range(P.m)), map(Q.positions, range(Q.m))):
-        if not len(pa) and not len(pb):
-            continue
-        if not len(pa) or not len(pb):
+        if len(pa) and len(pb):
+            worst = max(worst, float(nearest(pb, pa)[1].max()), float(nearest(pa, pb)[1].max()))
+        elif len(pa) or len(pb):
             worst = max(worst, 1.0)
-            continue
-        pa, pb = pa.reshape(len(pa), 1, -1), pb.reshape(1, len(pb), -1)
-        d = np.sqrt(((pa - pb) ** 2).sum(axis=2))
-        worst = max(worst, float(d.min(axis=1).max()), float(d.min(axis=0).max()))
     return worst
 
 

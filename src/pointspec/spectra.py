@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import TOL_EQ
-from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, within
+from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, nearest, within
 from .output import write_csv
 from .stats import VanHoveSpec
 
@@ -85,10 +85,8 @@ class AutocorrelationMeasure:
         t = np.asarray(t, dtype=float)
         if not len(self.t):
             return np.zeros(t.shape, dtype=complex)[()]
-        hi = np.minimum(np.searchsorted(self.t, t), len(self.t) - 1)
-        lo = np.maximum(hi - 1, 0)
-        k = np.where(np.abs(self.t[lo] - t) < np.abs(self.t[hi] - t), lo, hi)
-        return np.where(np.abs(self.t[k] - t) <= TOL_EQ, self.c[k], 0)[()]
+        k, dist = nearest(self.t, t)
+        return np.where(dist <= TOL_EQ, self.c[k], 0)[()]
 
     def max_difference(self, other: "AutocorrelationMeasure") -> float:
         return float(max(np.abs(self.c - other.coefficient(self.t)).max(initial=0.0),

@@ -24,7 +24,6 @@ from .hull import (
     hull_metrics,
     metric_window,
     partition_params,
-    sample_orbit,
 )
 from .sources import (
     PoissonSource,
@@ -271,8 +270,8 @@ def check_metric(fast=False) -> CheckResult:
     fib = fibonacci_cut_project()
     eps_grid = 0.05
     n_triples = 100 if fast else 500
-    sa, sb, sc = (sample_orbit(fib, (halton(n_triples, b) * 50.0).tolist(), metric_window(eps_grid))
-                  for b in (2, 3, 5))
+    master = fib.window(Interval(0.0, 50.0).dilate(metric_window(eps_grid).hi))  # holds every sample's slabs
+    sa, sb, sc = ([master.translate((-h,)) for h in (halton(n_triples, b) * 50.0).tolist()] for b in (2, 3, 5))
     brackets = hull_metrics([*zip(sa, sb), *zip(sb, sc), *zip(sa, sc)], eps_grid=eps_grid)
     ab, bc, ac = (brackets[k * n_triples:(k + 1) * n_triples] for k in range(3))
     bad = sum(dac.lower > dab.upper + dbc.upper + 2 * eps_grid for dab, dbc, dac in zip(ab, bc, ac))

@@ -2,8 +2,8 @@
 closed forms of the van Hove boundary ratios, of the triangle kernel's L2
 norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
-of the Poisson window, of the points.json document and of the hull-metric
-bracket search."""
+of the Poisson window, of the points.json document, of the hull-metric
+bracket search and of the cluster distance."""
 
 import itertools
 import math
@@ -68,6 +68,21 @@ def plateau(v_lo: float, v_hi: float, zeta: float):
 def hermitian_defect(meas) -> float:
     """max |c(-t) - conj c(t)| over the support of an AutocorrelationMeasure."""
     return float(np.abs(meas.coefficient(-meas.t) - np.conj(meas.c)).max(initial=0.0))
+
+
+def dense_cluster_distance(P, Q) -> float:
+    """cluster_distance from every |P| x |Q| distance, colour by colour."""
+    worst = 0.0
+    for pa, pb in zip(map(P.positions, range(P.m)), map(Q.positions, range(Q.m))):
+        if not len(pa) and not len(pb):
+            continue
+        if not len(pa) or not len(pb):
+            worst = max(worst, 1.0)
+            continue
+        pa, pb = pa.reshape(len(pa), 1, -1), pb.reshape(1, len(pb), -1)
+        d = np.sqrt(((pa - pb) ** 2).sum(axis=2))
+        worst = max(worst, float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+    return worst
 
 
 def poisson_window_points(src, region):

@@ -81,8 +81,11 @@ def test_criterion_10_negative_controls():
 
 def test_orbit_checks_keep_their_fast_details():
     # the partition and product identity decide their orbit samples in one
-    # pass; the answers are the per-patch ones, pinned here at fast size
+    # pass, and the metric cuts its samples from one window; the answers are
+    # the per-patch ones, pinned here at fast size
     assert CHECKS["partition"](fast=True).detail == (
         "sum Vol*freq=0.999202, 200/200 patches in exactly one cell (53 cells)")
     assert CHECKS["product_identity"](fast=True).detail == (
         "0 violations over 200 samples (theta=0.333, 2 cylinder hits)")
+    assert CHECKS["metric"](fast=True).detail == (
+        "bracket [0.0497, 0.0552] for d(Z, Z+0.1); triangle failures 0/100")

@@ -5,6 +5,9 @@ change in CHANGES.md.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pointspec
 
@@ -37,3 +40,12 @@ def test_the_package_exports_exactly_the_pinned_names():
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == PUBLIC_NAMES
     exec("from pointspec import " + ", ".join(sorted(PUBLIC_NAMES)), {})  # every name resolves
+
+
+def test_importing_the_package_and_its_entry_points_leaves_scipy_unloaded():
+    # scipy serves only the KD-tree lookups; importing it would slow every start-up
+    src = os.path.dirname(os.path.dirname(pointspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pointspec, pointspec.cli, pointspec.verify; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -19,11 +19,12 @@ from pointspec.geometry import (
     delone_params,
     enumerate_cluster_classes,
     match_clusters,
+    nearest,
     within,
 )
 from pointspec.sources import LatticeSource, TranslatedSource, fibonacci_cut_project, integer_lattice
 
-from oracles import boundary_shell_volume, coord_eq
+from oracles import boundary_shell_volume, coord_eq, dense_cluster_distance
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,16 @@ def test_interval_mask_matches_the_scalar_contract():
             assert iv.mask(xs, exact).tolist() == [reference_contains(iv, v) for v in values]
             assert iv.mask(xs).tolist() == [reference_contains(iv, x) for x in xs.tolist()]
             assert all(iv.contains_point((v,)) == reference_contains(iv, v) for v in values[::10])
+    # float points on each bound end -+ TOL_EQ, TOL_EQ and one ulp off it, on the
+    # end, and at +-0.0 and +-inf, against finite, signed-zero and infinite ends
+    for lo, hi in ((-1.5, 2.0), (0.0, 3.0), (-2.0, -0.0), (-0.0, 0.0), (-math.inf, 2.0), (1.0, math.inf)):
+        pts = [0.0, -0.0, math.inf, -math.inf]
+        for end in (lo, hi):
+            for b in (end - TOL_EQ, end + TOL_EQ):
+                pts += [end, b, b - TOL_EQ, b + TOL_EQ, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+        for flags in ((True, True), (True, False), (False, True), (False, False)):
+            iv = Interval(lo, hi, *flags)
+            assert iv.mask(np.array(pts)).tolist() == [reference_contains(iv, x) for x in pts], (lo, hi, flags)
 
 
 def test_interval_mask_of_no_points_is_empty_for_every_kind_of_end():
@@ -204,6 +215,18 @@ def test_cluster_distance_examples():
     assert cluster_distance(cluster_1d([0.0, 1.0]), cluster_1d([0.1, 1.0])) == pytest.approx(0.1)
 
 
+def test_cluster_distance_matches_the_dense_formula():
+    # the nearest-point distances both ways against every |P| x |Q| distance,
+    # in 1D and 2D, with colours empty on one side or both
+    rng = np.random.default_rng(12)
+    for dim in (1, 2):
+        for _ in range(60):
+            parts = [[[tuple(p) for p in rng.integers(-6, 7, (rng.integers(0, 5), dim)) * 0.5
+                       + rng.normal(0, 0.1, dim)] for _ in range(2)] for _ in range(2)]
+            P, Q = (Cluster(part, dim=dim) for part in parts)
+            assert cluster_distance(P, Q) == dense_cluster_distance(P, Q), parts
+
+
 def test_cluster_distance_axioms_on_class_table():
     # symmetry + triangle inequality on representatives of one class table
     fib = fibonacci_cut_project()
@@ -311,6 +334,51 @@ def test_delone_needs_two_points():
 def brute_within(keys, lo, hi):
     pairs = [(r, j) for r in range(len(lo)) for j in range(len(keys)) if lo[r] <= keys[j] < hi[r]]
     return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def dense_nearest(pos, targets):
+    """(index, distance) from every |pos - t|, the last index among equal distances."""
+    diff = pos[None] - targets[:, None]
+    d = np.abs(diff) if pos.ndim == 1 else np.sqrt((diff ** 2).sum(axis=2))
+    last = d.shape[1] - 1 - np.argmin(d[:, ::-1], axis=1)
+    return last, d.min(axis=1)
+
+
+def test_nearest_matches_a_dense_search():
+    rng = np.random.default_rng(21)
+    pos = np.sort(rng.uniform(-5, 5, 40))
+    targets = np.concatenate([rng.uniform(-6, 6, 200), [-100.0, -5.5, 5.5, 100.0], pos])  # past both ends
+    for got, want in zip(nearest(pos, targets), dense_nearest(pos, targets)):
+        assert got.tolist() == want.tolist()
+    k, dist = nearest(pos, np.float64(pos[3] + 1e-3))  # a scalar target, as coefficient passes
+    assert (int(k), float(dist)) == (3, abs(pos[3] - (pos[3] + 1e-3)))
+    # ties: a target midway between two points takes the later one
+    pos = np.array([0.0, 1.0, 2.0, 4.0])
+    assert nearest(pos, np.array([0.5, 1.5, 3.0, -1.0, 9.0]))[0].tolist() == [1, 2, 3, 0, 3]
+    # complex keys: exact whenever the nearest point is closer than the next colour
+    col, x = rng.integers(0, 3, 60), rng.uniform(-5, 5, 60)
+    keys = np.sort(complex_keys(col, x))
+    targets = complex_keys(rng.integers(0, 3, 300), rng.uniform(-6, 6, 300))
+    (k, dist), (wk, wdist) = nearest(keys, targets), dense_nearest(keys, targets)
+    near = wdist < 1
+    assert near.sum() > 200 and (dist[~near] >= 1).all()
+    assert k[near].tolist() == wk[near].tolist() and dist[near].tolist() == wdist[near].tolist()
+    # 2D points by the KD-tree, targets of shape (N, d) and (N, K, d)
+    pos = rng.uniform(-5, 5, (50, 2))
+    targets = rng.uniform(-6, 6, (120, 2))
+    (k, dist), (_, wdist) = nearest(pos, targets), dense_nearest(pos, targets)
+    assert dist.tolist() == wdist.tolist()
+    assert (np.sqrt(((pos[k] - targets) ** 2).sum(axis=1)) == dist).all()
+    assert nearest(pos, targets.reshape(40, 3, 2))[1].tolist() == dist.reshape(40, 3).tolist()
+
+
+def test_nearest_in_no_points_is_infinitely_far():
+    for pos, targets, shape in ((np.empty(0), np.array([1.0, 2.0]), (2,)),
+                                (np.empty(0, dtype=complex), complex_keys([0, 1], [1.0, 2.0]), (2,)),
+                                (np.empty((0, 2)), np.zeros((3, 4, 2)), (3, 4))):
+        k, dist = nearest(pos, targets)
+        assert k.shape == dist.shape == shape
+        assert (k == 0).all() and (dist == np.inf).all()
 
 
 def test_within_empty_keys_and_reversed_bounds():

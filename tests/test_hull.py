@@ -303,6 +303,22 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
             assert r == scalar_match_predicate(p1[i], p2[i], e), (i, e)
 
 
+def test_metric_brackets_do_not_depend_on_how_far_a_sample_reaches():
+    # the predicate reads only points near the origin: translates of one wide
+    # window and sample_orbit's patches cut to metric_window give the same brackets
+    fib = fibonacci_cut_project()
+    for eps_grid, n in ((0.05, 100), (0.01, 40)):
+        master = fib.window(Interval(0.0, 50.0).dilate(metric_window(eps_grid).hi))
+        offsets = [(halton(n, b) * 50.0).tolist() for b in (2, 3)]
+        wide = [[master.translate((-h,)) for h in hs] for hs in offsets]
+        cut = [sample_orbit(fib, hs, metric_window(eps_grid)) for hs in offsets]
+        assert all(p.total_points > q.total_points for p, q in zip(wide[0], cut[0]))
+        brackets = [[(br.lower, br.upper) for br in hull_metrics(list(zip(*s)), eps_grid=eps_grid)]
+                    for s in (wide, cut)]
+        assert brackets[0] == brackets[1]
+        assert len(set(brackets[0])) > 2
+
+
 def test_metrics_match_the_sequential_search_pair_by_pair():
     # more pairs than one slice: brackets at METRIC_CAP, with lower 0.0 and
     # bisected ones; the fine grid needs more bisection steps than one call decides
