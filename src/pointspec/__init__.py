@@ -50,7 +50,6 @@ from .hull import (
     hull_metric,
     hull_metrics,
     partition_params,
-    sample_orbit,
 )
 from .spectra import (
     AutocorrelationMeasure,
@@ -63,7 +62,6 @@ from .spectra import (
     dworkin_report,
     peak_scan,
     smoothed_autocorr_profile,
-    triangle_kernel,
 )
 
 __version__ = "0.1.0"

@@ -202,34 +202,6 @@ def hull_metric(source1, source2, eps_grid: float = 0.01) -> MetricBracket:
     return hull_metrics([(source1, source2)], eps_grid)[0]
 
 
-def _orbit_runs(source, offsets, region):
-    """(shifts, moved, runs): each offset h as a tuple, each region + h and,
-    in 1D, per run of moved regions within one region width of each other,
-    (indices, one window of source over the run): no window spans a gap.
-    """
-    shifts = [tuple(h) if isinstance(h, (tuple, list)) else (h,) for h in offsets]
-    moved = [region.translate(h) for h in shifts]
-    if source.dim != 1 or not moved:
-        return shifts, moved, []
-    lo, hi = np.array([r.bounds()[0] for r in moved]).T
-    order = np.argsort(lo, kind="stable")
-    gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
-    return shifts, moved, ((run, source.window(Interval(lo[run].min(), hi[run].max())))
-                           for run in np.split(order, np.flatnonzero(gap) + 1))
-
-
-def sample_orbit(source, offsets, region):
-    """The translates -h + Lambda on region, one patch per offset h: the
-    same points as TranslatedSource(source, h).window(region), cut in 1D
-    from one window per run of _orbit_runs."""
-    shifts, moved, runs = _orbit_runs(source, offsets, region)
-    patches = [source.window(r) for r in moved] if source.dim != 1 else [None] * len(moved)
-    for run, master in runs:
-        for k in run.tolist():
-            patches[k] = master.restrict(moved[k])
-    return [p.translate(tuple(-c for c in h)) for p, h in zip(patches, shifts)]
-
-
 # ---------------------------------------------------------------------------
 # cylinder sets
 
@@ -292,24 +264,32 @@ class _Cylinders:
         return self._decide(patch, [0])[0]
 
     def orbit_hits(self, source, offsets, region) -> np.ndarray:
-        """hits(p) of each patch p of sample_orbit(source, offsets, region), as
-        the rows of one (samples, cylinders) bool array: one _decide per run of
-        _orbit_runs.  A region within 2 TOL_EQ (and the rounding of its
-        translates) of the reach, where an occurrence may stick out of a
-        sample, is decided by hits patch by patch, which raises
-        PatchTooSmallError if it is too small.
+        """hits(p) of each sample p = -h + source on region, h in offsets (the
+        window TranslatedSource(source, h) opens), as the rows of one
+        (samples, cylinders) bool array.  The regions moved by h are sorted,
+        and each run of them within one region width of each other takes one
+        window of source and one _decide, so no window spans a gap.  A region
+        within 2 TOL_EQ (and the rounding of its translates) of the reach,
+        where an occurrence may stick out of a sample, is decided by hits
+        sample by sample, which raises PatchTooSmallError if it is too small.
         """
         if source.dim != 1:
             raise NotImplementedError("cylinder decision is 1D in this build")
-        shifts, moved, runs = _orbit_runs(source, offsets, region)
-        hf = np.array([float(h[0]) for h in shifts])
+        moved = [region.translate((h,)) for h in offsets]
+        hf = np.array([float(h) for h in offsets])
         err = FLOAT_ERR * (np.abs(region.bounds()[0]).max() + np.abs(hf).max(initial=0.0))
         if not region.covers(self.reach.dilate(2 * TOL_EQ + err)):
-            return np.array([self.hits(p) for p in sample_orbit(source, offsets, region)],
-                            dtype=bool).reshape(len(shifts), len(self.cylinders))
-        out = np.zeros((len(shifts), len(self.cylinders)), dtype=bool)
-        for run, master in runs:
-            out[run] = self._decide(master, [shifts[k][0] for k in run.tolist()])
+            samples = [source.window(r).translate((-h,)) for h, r in zip(offsets, moved)]
+            return np.array([self.hits(p) for p in samples], dtype=bool).reshape(len(moved), len(self.cylinders))
+        out = np.zeros((len(moved), len(self.cylinders)), dtype=bool)
+        if not moved:
+            return out
+        lo, hi = np.array([r.bounds()[0] for r in moved]).T
+        order = np.argsort(lo, kind="stable")
+        gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
+        for run in np.split(order, np.flatnonzero(gap) + 1):
+            master = source.window(Interval(lo[run].min(), hi[run].max()))
+            out[run] = self._decide(master, [offsets[k] for k in run.tolist()])
         return out
 
     def _decide(self, master: MultiSetPatch, h) -> np.ndarray:

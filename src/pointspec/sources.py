@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,15 @@ from .geometry import Ball, Box, Interval, MultiSetPatch, ranges, sorted_slice
 
 class SourceError(ValueError):
     pass
+
+
+def _whole(name, value) -> int:
+    """value as an int: SourceError for a boolean or a value that is not a
+    whole number, which int() would truncate or accept in silence."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise SourceError("%s must be an integer, not %r" % (name, value))
+    return int(value)
 
 
 class PointSource:
@@ -86,7 +96,7 @@ class LatticeSource(PointSource):
         self.basis = basis
         self.inv = np.linalg.inv(basis)
         self.dim = basis.shape[0]
-        self.m = int(colors)
+        self.m = _whole("colors", colors)
         if self.m < 1:
             raise SourceError("colors must be >= 1")
 
@@ -198,7 +208,7 @@ def fibonacci_cut_project(colors: int = 2) -> CutProjectSource:
     on [tau-2, tau-1), color 1 ('b', tile length 1) on [-1, tau-2).  With
     a single color the union window [-1, tau-1) is used.
     """
-    f = GOLDEN
+    colors, f = _whole("colors", colors), GOLDEN
     w_a = Interval(QuadNum(-2, 1, f), QuadNum(-1, 1, f), True, False)
     w_b = Interval(QuadNum(-1, 0, f), QuadNum(-2, 1, f), True, False)
     if colors == 2:
@@ -470,13 +480,13 @@ class PoissonSource(PointSource):
     """
 
     def __init__(self, intensity: float, seed: int = 0, dim: int = 1):
-        if intensity <= 0:
-            raise SourceError("intensity must be positive")
-        if seed < 0:
-            raise SourceError("seed must be >= 0")
+        if not 0 < intensity < math.inf:
+            raise SourceError("intensity must be positive and finite")
         self.intensity = float(intensity)
-        self.seed = int(seed)
-        self.dim = int(dim)
+        self.seed = _whole("seed", seed)
+        if self.seed < 0:
+            raise SourceError("seed must be >= 0")
+        self.dim = _whole("dim", dim)
         if self.dim not in (1, 2):
             raise SourceError("dim must be 1 or 2")
         self.m = 1

@@ -416,14 +416,9 @@ class SmoothingKernel:
     shape = "triangle"
 
     def __init__(self, s: float):
-        if not s or s <= 0:
-            raise ValueError("support radius s must be positive")
         self.s = float(s)
-        self.support = (-self.s, self.s)
-
-    @property
-    def half_width(self) -> float:
-        return self.s
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("support radius s must be positive and finite")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -444,10 +439,6 @@ class SmoothingKernel:
         return self.s * np.where(r <= 1.0, inner, outer)
 
 
-def triangle_kernel(s: float) -> SmoothingKernel:
-    return SmoothingKernel(s)
-
-
 # ---------------------------------------------------------------------------
 # the smoothed autocorrelation and the Dworkin check
 
@@ -455,7 +446,7 @@ def triangle_kernel(s: float) -> SmoothingKernel:
 def smoothed_autocorr_profile(autocorr: AutocorrelationMeasure, kernel: SmoothingKernel, xs):
     """Real-space gamma_omega(x) = sum_t c(t) (omega * omega~)(x - t)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    w = kernel.half_width
+    w = kernel.s
     if np.max(np.abs(xs)) + 2 * w > autocorr.radius + TOL_EQ:
         raise ValueError("kernel support exceeds the autocorrelation radius at the "
                          "requested x range")
@@ -492,12 +483,12 @@ class SpectralCheckReport:
 def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np.ndarray:
     """rho_omega(y) = sum_points w(color) omega(y - point) on a grid (source or covering patch)."""
     w = validate_weights(w, source.m)
-    hw = kernel.half_width
+    hw = kernel.s
     patch = source if isinstance(source, MultiSetPatch) else \
         source.window(Interval(float(grid[0]) - hw - 1.0, float(grid[-1]) + hw + 1.0))
     step = grid[1] - grid[0]
     pos, col = patch.colour_major()  # the order the sum adds in
-    p, g = within(grid, pos + kernel.support[0] - step, pos + kernel.support[1] + step)
+    p, g = within(grid, pos - hw - step, pos + hw + step)
     terms = w[col[p]] * kernel(grid[g] - pos[p])
     rho = np.empty(len(grid), dtype=complex)
     rho.real = np.bincount(g, terms.real, len(grid))
@@ -514,9 +505,9 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     shared by all rows.
     """
     xs = [float(x) for x in xs]
-    radius = max(abs(x) for x in xs) + 2 * kernel.half_width + 1.0
+    radius = max(abs(x) for x in xs) + 2 * kernel.s + 1.0
     ac = autocorr_from_frequencies(source, w, radius, spec, n)
-    quad_step = (kernel.support[1] - kernel.support[0]) / 40.0  # = s/20
+    quad_step = 2 * kernel.s / 40.0  # = s/20
     grid = np.arange(-n + quad_step / 2, n, quad_step)
     patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
     rho = np.conj(smoothed_density(patch, w, kernel, grid))

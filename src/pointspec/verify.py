@@ -34,12 +34,12 @@ from .sources import (
 )
 from .stats import VanHoveSpec, _count_in_patch, estimate_frequency, halton
 from .spectra import (
+    SmoothingKernel,
     autocorr_direct,
     autocorr_from_frequencies,
     bragg_amplitude,
     dworkin_report,
     peak_scan,
-    triangle_kernel,
 )
 
 
@@ -216,7 +216,7 @@ def check_dworkin(fast=False) -> CheckResult:
     t0 = time.perf_counter()
     n = 2000 if fast else 10000
     spec = VanHoveSpec()
-    kernel = triangle_kernel(0.4)
+    kernel = SmoothingKernel(0.4)
     worst = 0.0
     worst_at = ""
     for name, src, w in [("Z", integer_lattice(), [1]),

@@ -46,7 +46,7 @@ def l2_norm_sq(kern) -> float:
 def quadrature_autocorr(kern, u):
     """(omega * omega~)(u) of a SmoothingKernel by midpoint quadrature,
     1000 steps over its support: the reference for its closed form."""
-    lo, hi = kern.support
+    lo, hi = -kern.s, kern.s
     step = (hi - lo) * 1e-3
     grid = np.arange(lo + step / 2, hi, step)
     base = kern(grid)

@@ -27,11 +27,11 @@ PUBLIC_NAMES = {
     # hull
     "CylinderSpec", "HullPartition", "MetricBracket", "PartitionParams", "PatchTooSmallError",
     "build_partition_1d", "cylinder_contains", "empirical_cylinder_measure", "hull_metric",
-    "hull_metrics", "partition_params", "sample_orbit",
+    "hull_metrics", "partition_params",
     # spectra
     "AutocorrelationMeasure", "DiffractionEstimate", "SmoothingKernel", "SpectralCheckReport",
     "autocorr_direct", "autocorr_from_frequencies", "bragg_amplitude", "dworkin_report", "peak_scan",
-    "smoothed_autocorr_profile", "triangle_kernel",
+    "smoothed_autocorr_profile",
 }
 
 

@@ -274,6 +274,13 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("freq", {"source": {"type": "lattice"}, "van_hove": {"doublings": True}}),
     ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": 2.7}}),
     ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": False}}),
+    # source parameters that int() once truncated, and intensities that failed only in NumPy
+    ("generate", {"source": {"type": "poisson", "seed": 1.5}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "lattice", "colors": 2.5}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "fibonacci", "colors": True}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "poisson", "dim": True}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "poisson", "intensity": float("nan")}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "poisson", "intensity": float("inf")}, "generate": {"region": [0, 5]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -22,7 +22,6 @@ from pointspec.hull import (
     hull_metrics,
     metric_window,
     partition_params,
-    sample_orbit,
 )
 from pointspec.sources import (
     LatticeSource,
@@ -303,15 +302,21 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
             assert r == scalar_match_predicate(p1[i], p2[i], e), (i, e)
 
 
+def translated_windows(source, offsets, region):
+    """The samples -h + source on region, one per offset h: the windows
+    TranslatedSource opens."""
+    return [TranslatedSource(source, h).window(region) for h in offsets]
+
+
 def test_metric_brackets_do_not_depend_on_how_far_a_sample_reaches():
     # the predicate reads only points near the origin: translates of one wide
-    # window and sample_orbit's patches cut to metric_window give the same brackets
+    # window and the translated windows on metric_window give the same brackets
     fib = fibonacci_cut_project()
     for eps_grid, n in ((0.05, 100), (0.01, 40)):
         master = fib.window(Interval(0.0, 50.0).dilate(metric_window(eps_grid).hi))
         offsets = [(halton(n, b) * 50.0).tolist() for b in (2, 3)]
         wide = [[master.translate((-h,)) for h in hs] for hs in offsets]
-        cut = [sample_orbit(fib, hs, metric_window(eps_grid)) for hs in offsets]
+        cut = [translated_windows(fib, hs, metric_window(eps_grid)) for hs in offsets]
         assert all(p.total_points > q.total_points for p, q in zip(wide[0], cut[0]))
         brackets = [[(br.lower, br.upper) for br in hull_metrics(list(zip(*s)), eps_grid=eps_grid)]
                     for s in (wide, cut)]
@@ -328,7 +333,7 @@ def test_metrics_match_the_sequential_search_pair_by_pair():
     n = hull._METRIC_SLICE + 20
     h1, h2 = (halton(n, b) * 40.0 for b in (2, 3))
     near = metric_window(0.05)
-    pairs = list(zip(sample_orbit(fib, h1.tolist(), near), sample_orbit(fib, h2.tolist(), near)))
+    pairs = list(zip(translated_windows(fib, h1.tolist(), near), translated_windows(fib, h2.tolist(), near)))
     pairs[7] = (fib, fib)
     pairs[hull._METRIC_SLICE + 3] = (z, TranslatedSource(z, 0.1))
     got = hull_metrics(pairs, eps_grid=0.05)
@@ -381,61 +386,6 @@ def test_metric_windows_each_source_once():
         c1, c2 = _CountingSource(s1), _CountingSource(s2)
         assert hull_metric(c1, c2, eps_grid=grid) == hull_metric(s1, s2, eps_grid=grid)
         assert (c1.calls, c2.calls) == (1, 1)
-
-
-def test_sample_orbit_identity_and_shift():
-    z = integer_lattice()
-    region = Interval(-3, 3)
-    patches = sample_orbit(z, [0.0, 0.5], region)
-    assert np.allclose(patches[0].positions(0), [-3, -2, -1, 0, 1, 2, 3])
-    assert np.allclose(patches[1].positions(0), [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
-
-
-def test_sample_orbit_cuts_the_translated_windows():
-    # each sample is the window TranslatedSource opens: the same float bytes
-    # and the same exact values, for float and exact offsets alike
-    fib, comb = fibonacci_cut_project(), integer_lattice(colors=2)
-    region = Interval(-16, 16, True, False)
-    for src, offsets in ((fib, (halton(60) * 500.0).tolist() + [QuadNum(3, -1, GOLDEN), QuadNum(-5, 4, GOLDEN)]),
-                         (comb, (halton(30) * 7.0).tolist())):
-        for h, patch in zip(offsets, sample_orbit(src, offsets, region)):
-            want = TranslatedSource(src, h).window(region)
-            assert patch.region == want.region
-            for i in range(src.m):
-                assert patch.positions(i).tobytes() == want.positions(i).tobytes()
-                q, r = patch.exact_positions(i), want.exact_positions(i)
-                assert (q is None) == (r is None)
-                assert q is None or (q.a.tolist(), q.b.tolist(), q.den) == (r.a.tolist(), r.b.tolist(), r.den)
-
-
-def test_sample_orbit_opens_no_window_over_a_gap():
-    # offsets far apart are cut from windows of their own, and each sample
-    # is still the window TranslatedSource opens
-    region = Interval(-16, 16)
-    for base, offsets, runs in ((integer_lattice(), [0.0, 1e6, 5.0, -3e5, 1e6 + 40.0], 3),
-                                (fibonacci_cut_project(), [0.0, 1e12], 2),
-                                (fibonacci_cut_project(), [1e12 + 20.0, 0.0, 1e12, 33.0], 2)):
-        src = _CountingSource(base)
-        patches = sample_orbit(src, offsets, region)
-        assert src.calls == runs
-        assert sum(r.volume() for r in src.regions) <= 2 * region.volume() * len(offsets)
-        for h, patch in zip(offsets, patches):
-            want = TranslatedSource(base, h).window(region)
-            for i in range(base.m):
-                assert patch.positions(i).tobytes() == want.positions(i).tobytes()
-
-
-def test_sample_orbit_consistency():
-    fib = fibonacci_cut_project()
-    region = Interval(-20, 20)
-    inner = Interval(-8, 8)
-    for patch in sample_orbit(fib, (halton(100) * 100.0).tolist(), region):
-        direct = patch.restrict(inner)
-        for i in range(2):
-            a = direct.positions(i)
-            b = patch.positions(i)
-            b = b[(b >= -8 - 1e-9) & (b <= 8 + 1e-9)]
-            assert np.allclose(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +607,9 @@ def test_grouped_locate_matches_per_cell_oracle_on_float_patches():
 
 def assert_orbit_hits_match(cylinders, source, offsets, region):
     """orbit_hits against cylinder_contains and the scalar oracle on every
-    sample_orbit patch; returns the number of hits."""
+    translated window; returns the number of hits."""
     got = _Cylinders(cylinders).orbit_hits(source, offsets, region)
-    patches = sample_orbit(source, offsets, region)
+    patches = translated_windows(source, offsets, region)
     assert got.tolist() == [[cylinder_contains(p, c) for c in cylinders] for p in patches]
     assert got.tolist() == [[scalar_cylinder_contains(p, c) for c in cylinders] for p in patches]
     return int(got.sum())
@@ -684,7 +634,7 @@ def test_orbit_hits_match_locate_on_every_sample():
     offsets = (halton(120) * 500.0).tolist() + exact + near + [float(s) for s in exact + near]
     region = Interval(-16, 16)
     got = part._cylinders.orbit_hits(fib, offsets, region)
-    patches = sample_orbit(fib, offsets, region)
+    patches = translated_windows(fib, offsets, region)
     assert [np.flatnonzero(row).tolist() for row in got] == [part.locate(p) for p in patches]
     assert got.tolist() == [[scalar_cylinder_contains(p, cell.cylinder()) for cell in part.cells]
                             for p in patches]
@@ -730,18 +680,38 @@ def test_orbit_hits_try_the_candidates_hits_tries():
     assert assert_orbit_hits_match([cyl], integer_lattice(), offsets, Interval(-3, 3)) == 2
 
 
+def test_orbit_hits_match_hits_on_the_translated_windows():
+    # each row is hits on the window TranslatedSource opens, on a half-open
+    # region, for float and exact offsets and for two colours alike
+    fib, comb = fibonacci_cut_project(), integer_lattice(colors=2)
+    region = Interval(-16, 16, True, False)
+    comb_cyls = _Cylinders([CylinderSpec(cluster_1d([0.0], [1.0]), Interval(-0.3, 0.3, True, False)),
+                            CylinderSpec(cluster_1d([0.0, 2.0], []), Interval(0.2, 0.7))])
+    for src, cyls, offsets in (
+            (fib, build_partition_1d(fib, 3.0, 0.2)._cylinders,
+             (halton(60) * 500.0).tolist() + [QuadNum(3, -1, GOLDEN), QuadNum(-5, 4, GOLDEN)]),
+            (comb, comb_cyls, (halton(30) * 7.0).tolist())):
+        got = cyls.orbit_hits(src, offsets, region)
+        assert got.tolist() == [cyls.hits(p).tolist() for p in translated_windows(src, offsets, region)]
+        assert got.any()
+
+
 def test_orbit_hits_open_one_window_per_run():
-    # offsets farther apart than the region take windows of their own
+    # offsets farther apart than the region take windows of their own, float
+    # and exact ones alike, and no window spans the gap between two runs
     z, fib = integer_lattice(), fibonacci_cut_project()
+    far = [QuadNum(0, 0, GOLDEN), QuadNum(10**5, 1, GOLDEN), QuadNum(3, 1, GOLDEN),
+           QuadNum(-6 * 10**4, 0, GOLDEN), QuadNum(10**5 + 5, -2, GOLDEN)]
+    region = Interval(-16, 16)
     for base, offsets, runs in ((z, [0.0, 1e6, 5.0, -3e5, 1e6 + 40.3], 3),
-                                (fib, [0.0, 1e5, 3.3, 1e5 + 0.7], 2)):
+                                (fib, [0.0, 1e5, 3.3, 1e5 + 0.7], 2), (fib, far, 3)):
         src = _CountingSource(base)
         P = base.window(Interval(0, 3)).as_cluster()
-        cyls = [CylinderSpec(P, Interval(-0.5, 0.5)), CylinderSpec(P, Interval(0.6, 0.9, True, False))]
-        got = _Cylinders(cyls).orbit_hits(src, offsets, Interval(-16, 16))
+        cyls = _Cylinders([CylinderSpec(P, Interval(-0.5, 0.5)), CylinderSpec(P, Interval(0.6, 0.9, True, False))])
+        got = cyls.orbit_hits(src, offsets, region)
         assert src.calls == runs
-        assert got.tolist() == [[cylinder_contains(p, c) for c in cyls]
-                                for p in sample_orbit(base, offsets, Interval(-16, 16))]
+        assert sum(r.volume() for r in src.regions) <= 2 * region.volume() * len(offsets)
+        assert got.tolist() == [cyls.hits(p).tolist() for p in translated_windows(base, offsets, region)]
         assert got[0, 0]
 
 
@@ -765,7 +735,7 @@ def test_orbit_hits_on_a_region_just_covering_the_reach():
     with pytest.raises(PatchTooSmallError):
         _Cylinders(cyls).orbit_hits(z, offsets, small)
     with pytest.raises(PatchTooSmallError):
-        _Cylinders(cyls).hits(sample_orbit(z, offsets, small)[0])
+        _Cylinders(cyls).hits(TranslatedSource(z, offsets[0]).window(small))
 
 
 # ---------------------------------------------------------------------------

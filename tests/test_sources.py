@@ -473,6 +473,32 @@ def test_poisson_rejects_a_negative_seed_at_construction():
         source_from_config({"type": "poisson", "seed": -1})
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"type": "poisson", "seed": 1.5}, "seed must be an integer"),
+    ({"type": "poisson", "seed": True}, "seed must be an integer"),
+    ({"type": "poisson", "dim": 1.5}, "dim must be an integer"),
+    ({"type": "poisson", "dim": True}, "dim must be an integer"),
+    ({"type": "lattice", "colors": 2.5}, "colors must be an integer"),
+    ({"type": "lattice", "colors": True}, "colors must be an integer"),
+    ({"type": "fibonacci", "colors": True}, "colors must be an integer"),
+    ({"type": "fibonacci", "colors": 1.5}, "colors must be an integer"),
+    ({"type": "poisson", "intensity": float("nan")}, "intensity must be positive and finite"),
+    ({"type": "poisson", "intensity": float("inf")}, "intensity must be positive and finite"),
+    ({"type": "poisson", "intensity": 0.0}, "intensity must be positive and finite"),
+])
+def test_source_config_rejects_what_int_would_truncate(cfg, message):
+    with pytest.raises(SourceError, match=message):
+        source_from_config(cfg)
+
+
+def test_source_config_accepts_integral_floats():
+    assert source_from_config({"type": "lattice", "colors": 2.0}).m == 2
+    assert source_from_config({"type": "fibonacci", "colors": 1.0}).m == 1
+    assert source_from_config({"type": "poisson", "dim": 2.0}).dim == 2
+    a, b = (source_from_config({"type": "poisson", "seed": v}).window(Interval(0, 50)) for v in (3, 3.0))
+    assert a.positions(0).tobytes() == b.positions(0).tobytes()
+
+
 def test_poisson_2d_window_is_the_restriction_of_a_larger_one():
     src = PoissonSource(2.0, seed=3, dim=2)
     big = src.window(Box((-4.0, -4.0), (4.0, 4.0)))

@@ -15,6 +15,7 @@ from pointspec.sources import (
 )
 from pointspec.stats import VanHoveSpec
 from pointspec.spectra import (
+    SmoothingKernel,
     autocorr_direct,
     autocorr_from_frequencies,
     bragg_amplitude,
@@ -23,7 +24,6 @@ from pointspec.spectra import (
     peak_scan,
     smoothed_autocorr_profile,
     smoothed_density,
-    triangle_kernel,
     validate_weights,
 )
 
@@ -133,14 +133,14 @@ def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
 def scalar_smoothed_density(source, w, kernel, grid):
     """Reference rho_omega: one slice update per point, colour by colour."""
     w = validate_weights(w, source.m)
-    hw = kernel.half_width
+    hw = kernel.s
     patch = source.window(Interval(float(grid[0]) - hw - 1.0, float(grid[-1]) + hw + 1.0))
     step = grid[1] - grid[0]
     rho = np.zeros(len(grid), dtype=complex)
     for i in range(patch.m):
         for p in patch.positions(i):
-            a = int(np.searchsorted(grid, p + kernel.support[0] - step))
-            b = int(np.searchsorted(grid, p + kernel.support[1] + step))
+            a = int(np.searchsorted(grid, p - kernel.s - step))
+            b = int(np.searchsorted(grid, p + kernel.s + step))
             if b > a:
                 rho[a:b] += w[i] * kernel(grid[a:b] - p)
     return rho
@@ -181,7 +181,7 @@ def test_autocorr_routes_match_scalar_references(name, src, w):
 @pytest.mark.parametrize("name, src, w", SOURCES, ids=[s[0] for s in SOURCES])
 def test_smoothed_density_matches_scalar_reference(name, src, w):
     grid = np.arange(-40 + 0.01, 40, 0.02)
-    for kern in (triangle_kernel(0.4), triangle_kernel(0.7), triangle_kernel(0.15)):
+    for kern in (SmoothingKernel(0.4), SmoothingKernel(0.7), SmoothingKernel(0.15)):
         got = smoothed_density(src, w, kern, grid)
         assert got.tobytes() == scalar_smoothed_density(src, w, kern, grid).tobytes()
 
@@ -245,12 +245,12 @@ def test_weight_bilinearity():
 
 
 @pytest.mark.parametrize("kern", [
-    triangle_kernel(0.4),
-    triangle_kernel(0.35),
-    triangle_kernel(1.2),
+    SmoothingKernel(0.4),
+    SmoothingKernel(0.35),
+    SmoothingKernel(1.2),
 ])
 def test_kernel_fourier_matches_quadrature(kern):
-    lo, hi = kern.support
+    lo, hi = -kern.s, kern.s
     step = (hi - lo) / 200000
     grid = np.arange(lo + step / 2, hi, step)
     vals = kern(grid)
@@ -259,12 +259,18 @@ def test_kernel_fourier_matches_quadrature(kern):
         assert abs(kern.fourier(k) - quad) < 1e-9
 
 
+@pytest.mark.parametrize("s", [0.0, -0.4, float("nan"), float("inf"), float("-inf")])
+def test_kernel_rejects_a_radius_that_is_not_positive_and_finite(s):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SmoothingKernel(s)
+
+
 def test_triangle_fourier_at_zero_is_support_radius():
-    assert triangle_kernel(0.4).fourier(0.0) == pytest.approx(0.4)
+    assert SmoothingKernel(0.4).fourier(0.0) == pytest.approx(0.4)
 
 
 def test_kernel_autocorr_at_zero_is_l2():
-    for kern in (triangle_kernel(0.4), triangle_kernel(0.3), triangle_kernel(0.1)):
+    for kern in (SmoothingKernel(0.4), SmoothingKernel(0.3), SmoothingKernel(0.1)):
         assert kern.autocorr([0.0])[0] == pytest.approx(l2_norm_sq(kern), rel=1e-4)
 
 
@@ -273,7 +279,7 @@ def test_kernel_autocorr_matches_the_closed_form(s):
     # the piecewise cubic against the 1000-step quadrature, inside, on and
     # past each end of both pieces
     us = np.array([0.0, 0.3, -0.3, 1.0, -1.0, 1.7, -1.7, 2.0, -2.0, 2.5, -2.5]) * s
-    kern = triangle_kernel(s)
+    kern = SmoothingKernel(s)
     assert np.abs(kern.autocorr(us) - quadrature_autocorr(kern, us)).max() <= 1e-6 * s
 
 
@@ -555,7 +561,7 @@ def test_unbounded_error_sends_every_row_to_the_exact_chunks(monkeypatch, tmp_pa
 def test_smoothed_profile_lattice_value():
     z = integer_lattice()
     meas = autocorr_from_frequencies(z, [1], 5.0, SPEC, 1000)
-    kern = triangle_kernel(0.4)  # s < 0.5: only the t = x term overlaps
+    kern = SmoothingKernel(0.4)  # s < 0.5: only the t = x term overlaps
     val = smoothed_autocorr_profile(meas, kern, [1.0])[0]
     assert val.real == pytest.approx(l2_norm_sq(kern), rel=2e-3)
 
@@ -563,14 +569,14 @@ def test_smoothed_profile_lattice_value():
 def test_smoothed_profile_matches_per_x_loop():
     fib = fibonacci_cut_project()
     meas = autocorr_from_frequencies(fib, [1, 1j], 6.0, SPEC, 500)
-    kern = triangle_kernel(0.7)
+    kern = SmoothingKernel(0.7)
     xs = np.linspace(-4.0, 4.0, 37)
     items = meas.items()
     ts = np.array([t for t, _ in items])
     cs = np.array([c for _, c in items])
     want = []
     for x in xs:
-        mask = np.abs(x - ts) < 2 * kern.half_width
+        mask = np.abs(x - ts) < 2 * kern.s
         want.append(np.dot(cs[mask], kern.autocorr(x - ts[mask])) if mask.any() else 0j)
     got = smoothed_autocorr_profile(meas, kern, xs)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -580,12 +586,12 @@ def test_smoothed_profile_radius_guard():
     z = integer_lattice()
     meas = autocorr_from_frequencies(z, [1], 2.0, SPEC, 200)
     with pytest.raises(ValueError):
-        smoothed_autocorr_profile(meas, triangle_kernel(0.4), [1.5])
+        smoothed_autocorr_profile(meas, SmoothingKernel(0.4), [1.5])
 
 
 def test_smoothing_consistency_with_peaks():
     # discrete transform of the real-space profile vs |omega-hat|^2 I at peaks
-    kern = triangle_kernel(0.4)
+    kern = SmoothingKernel(0.4)
     for src, w, peaks in [
         (integer_lattice(), [1], [0.0, 1.0, 2.0]),
         (integer_lattice(1.0, colors=2), [1, -1], [0.5, 1.5]),
@@ -603,7 +609,7 @@ def test_smoothing_consistency_with_peaks():
 
 def test_dworkin_lattice():
     z = integer_lattice()
-    kern = triangle_kernel(0.4)
+    kern = SmoothingKernel(0.4)
     row0 = dworkin_report(z, [1], kern, [0.0], SPEC, 1000).rows[0]
     assert row0.rel_diff <= 0.01
     assert row0.rhs == pytest.approx(l2_norm_sq(kern), rel=1e-3)
@@ -613,13 +619,13 @@ def test_dworkin_lattice():
 
 def test_dworkin_fibonacci():
     fib = fibonacci_cut_project()
-    kern = triangle_kernel(0.4)
+    kern = SmoothingKernel(0.4)
     row = dworkin_report(fib, [1, 1], kern, [TAU], SPEC, 4000).rows[0]
     assert row.rel_diff <= 0.02
 
 
 def test_dworkin_report_windows_each_source_once(monkeypatch):
-    fib, kern, xs = fibonacci_cut_project(), triangle_kernel(0.4), [-1.3, 0.2, 2.9]
+    fib, kern, xs = fibonacci_cut_project(), SmoothingKernel(0.4), [-1.3, 0.2, 2.9]
     windows = []
     fib_window = fib.window
     monkeypatch.setattr(fib, "window", lambda region: windows.append(region) or fib_window(region))
@@ -636,5 +642,5 @@ def test_dworkin_report_windows_each_source_once(monkeypatch):
 
 def test_dworkin_report_max_rel_diff():
     z = integer_lattice()
-    report = dworkin_report(z, [1], triangle_kernel(0.4), [0.0, 0.5, 1.0], SPEC, 500)
+    report = dworkin_report(z, [1], SmoothingKernel(0.4), [0.0, 0.5, 1.0], SPEC, 500)
     assert report.max_rel_diff() <= 0.02
