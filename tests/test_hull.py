@@ -715,6 +715,23 @@ def test_orbit_hits_open_one_window_per_run():
         assert got[0, 0]
 
 
+def test_sample_orbit_opens_no_window_over_a_gap():
+    # offsets far apart, up to 1e12 and in any order, are cut from windows of
+    # their own, and each row is the one the offset gets when decided alone
+    region = Interval(-16, 16)
+    for base, offsets, runs in ((integer_lattice(), [0.0, 1e6, 5.0, -3e5, 1e6 + 40.0], 3),
+                                (fibonacci_cut_project(), [0.0, 1e12], 2),
+                                (fibonacci_cut_project(), [1e12 + 20.0, 0.0, 1e12, 33.0], 2)):
+        src = _CountingSource(base)
+        P = base.window(Interval(0, 3)).as_cluster()
+        cyls = _Cylinders([CylinderSpec(P, Interval(-0.5, 0.5)), CylinderSpec(P, Interval(0.6, 0.9, True, False))])
+        got = cyls.orbit_hits(src, offsets, region)
+        assert src.calls == runs
+        assert sum(r.volume() for r in src.regions) <= 2 * region.volume() * len(offsets)
+        assert got.tolist() == [cyls.orbit_hits(base, [h], region)[0].tolist() for h in offsets]
+        assert got[offsets.index(0.0), 0]
+
+
 def test_orbit_hits_on_a_region_just_covering_the_reach():
     # a region within 2 TOL_EQ of the reach is decided sample by sample;
     # a smaller one raises PatchTooSmallError, as the per-patch path does
