@@ -204,8 +204,11 @@ def coord_key(c):
     """Hashable key identifying a coordinate value.
 
     Exact coordinates key exactly (ints and QuadNum(a, 0) agree).  Floats
-    snap to a TOL_EQ-sized grid; callers relying on float keys must keep
-    distinct values well separated relative to TOL_EQ.
+    snap to a TOL_EQ-sized grid, which splits two equal values that float
+    error puts on either side of a grid boundary: fit for the dict and sort
+    keys that use it, where a split only repeats work, never for grouping
+    float values, which geometry.first_labels does in runs of gaps of at
+    most TOL_EQ.
     """
     if isinstance(c, QuadNum):
         if c.b == 0:

@@ -541,19 +541,16 @@ class Cluster(MultiSetPatch):
 
 
 def _distinct(x, ends, q) -> np.ndarray:
-    """Which points of the colour-major sorted x to keep: each unless it
-    equals the last point kept of its colour, exactly (q given) or within
-    TOL_EQ."""
-    first = np.zeros(len(x) + 1, dtype=bool)
-    first[list(ends)] = True  # each colour's first point, if any, starts afresh
-    keep = first[:-1].copy()
-    if q is not None:  # exact equality is transitive: compare with the predecessor
-        keep[1:] |= (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
-        return keep
-    last = 0  # a run of near-duplicates can drift past TOL_EQ
-    for k in range(1, len(x)):
-        keep[k] = first[k] or np.abs(x[k] - x[last]).max() > TOL_EQ
-        last = k if keep[k] else last
+    """Which points of the colour-major sorted x to keep: each colour's
+    first point, and each point that differs from its predecessor, exactly
+    (q given) or as run_starts reads floats, so a chain of near-duplicates
+    less than TOL_EQ apart keeps only its first point."""
+    keep = np.zeros(len(x) + 1, dtype=bool)
+    keep[list(ends)] = True  # each colour's first point, if any, starts afresh
+    keep = keep[:-1]
+    if q is None:
+        return keep | run_starts(x)
+    keep[1:] |= (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
     return keep
 
 
@@ -610,30 +607,46 @@ class ClusterClassTable:
         return len(self.representatives)
 
     def class_of(self, cluster: Cluster):
-        return _find_equivalent(self.representatives, cluster)
+        """Index of the first representative that cluster matches by a translation, or None."""
+        return next((j for j, r in enumerate(self.representatives)
+                     if match_clusters(r, cluster) is not None), None)
 
 
-def _find_equivalent(reps, rep):
-    """Index of the first of reps that rep matches by a translation, or None."""
-    for j, r in enumerate(reps):
-        if match_clusters(r, rep) is not None:
-            return j
-    return None
+def run_starts(v) -> np.ndarray:
+    """Whether each of the sorted values v starts a run: the first value,
+    and each more than TOL_EQ from its predecessor (in some coordinate, for
+    (N, d) points in lexicographic order; by modulus, for complex keys).
+    This is the one rule by which float values are distinct: a run of gaps
+    of at most TOL_EQ is one value."""
+    head = np.ones(len(v), dtype=bool)
+    gap = np.abs(np.diff(v, axis=0))
+    head[1:] = (gap if gap.ndim == 1 else gap.max(axis=1, initial=0.0)) > TOL_EQ
+    return head
 
 
-def first_labels(table) -> tuple:
-    """Label the equal rows of a 2D integer table in order of first
-    appearance: (each label's first row, each row's label)."""
-    order = np.lexsort(table.T[::-1])  # stable: equal rows keep their order
-    rows = table[order]
-    head = np.ones(len(order), dtype=bool)  # the first of each run of equal rows
-    head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    first = order[head]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
+def first_labels(keys) -> tuple:
+    """Label equal keys in order of first appearance: (each label's first
+    index, ascending; each key's label).  Keys are the rows of a 2D integer
+    table, equal entry by entry, or 1D floats, equal in the runs of their
+    sorted order that run_starts marks: one sort, then the runs' heads."""
+    if keys.ndim == 1:
+        order = np.argsort(keys)
+        head = run_starts(keys[order])
+    else:
+        order = np.lexsort(keys.T[::-1])
+        rows = keys[order]
+        head = np.ones(len(order), dtype=bool)  # the first of each run of equal rows
+        head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first = np.minimum.reduceat(order, np.flatnonzero(head))  # each run's first index
     label = np.empty(len(order), dtype=np.int64)
-    label[order] = rank[np.cumsum(head) - 1]
+    label[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]
     return np.sort(first), label
+
+
+def tolerant_labels(v) -> list:
+    """Per coordinate of the float values v, (N,) or (N, d), the labels
+    first_labels gives that coordinate's values."""
+    return [first_labels(c)[1] for c in ([v] if v.ndim == 1 else v.T)]
 
 
 def distinct_windows(rows, columns, n: int, extra=()):
@@ -653,23 +666,13 @@ def distinct_windows(rows, columns, n: int, extra=()):
     return first_labels(table)
 
 
-def float_keys(v) -> list:
-    """Per coordinate, the int64 keys of float values on the TOL_EQ grid, as
-    coord_key rounds them (|v| must stay below 2**62 TOL_EQ, about 4.6e9)."""
-    if np.abs(v).max(initial=0.0) >= 2.0 ** 62 * TOL_EQ:
-        raise ValueError("float keys beyond the int64 range")
-    keys = np.rint(v / TOL_EQ).astype(np.int64)
-    return [keys] if keys.ndim == 1 else list(keys.T)
-
-
 def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     """Classes of B_R(x) ∩ Λ over anchors x in supp(Λ) ∩ scan.
 
     Representatives are anchored (lex-smallest support point at the
-    origin) and deduplicated by exact matching in exact mode.  Balls with
-    equal contents are grouped on arrays first, so no two distinct balls
-    share a signature; one Cluster is built per distinct ball and matched
-    against the representatives so far, which merges float-key splits.
+    origin).  Balls are grouped on arrays by their anchored contents,
+    exactly in exact mode and by tolerant_labels otherwise, and one Cluster
+    is built per group, from its first ball.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -694,19 +697,11 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     else:  # translated by -x, then anchored, as Cluster.translate rounds
         at = x[anchors][rows]
         vals = (x[idx] - at) + -(x[first] - at)
-        keys = float_keys(vals)
+        keys = tolerant_labels(vals)
     firsts, label = distinct_windows(rows, [col[idx]] + keys, len(anchors))
-    reps, class_of = [], []
-    for r in firsts.tolist():
-        s = slice(start[r], start[r + 1])
-        rep = Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]],
-                                  None if q is None else exact[s])
-        j = _find_equivalent(reps, rep)
-        if j is None:
-            j = len(reps)
-            reps.append(rep)
-        class_of.append(j)
-    counts = np.bincount(np.asarray(class_of)[label], minlength=len(reps)).tolist()
+    reps = [Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]], None if q is None else exact[s])
+            for s in (slice(start[r], start[r + 1]) for r in firsts.tolist())]
+    counts = np.bincount(label, minlength=len(reps)).tolist()
     return ClusterClassTable(radius=R, representatives=reps, counts=counts, scan=scan)
 
 

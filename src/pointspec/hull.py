@@ -31,9 +31,10 @@ from .geometry import (
     delone_params,
     distinct_windows,
     enumerate_cluster_classes,
-    float_keys,
     in_sorted,
     ranges,
+    run_starts,
+    tolerant_labels,
     within,
 )
 
@@ -107,10 +108,8 @@ def _match_predicate(patches1, patches2, pair, eps) -> np.ndarray:
     te, tc = eps[tq], pair[tq] * m + ct
     r, u = within(k2, complex_keys(tc, t - 2 * te - TOL_EQ), complex_keys(tc, t + 2 * te + TOL_EQ))
     shifts = np.sort(complex_keys(tq[r], t[r] - x2[u]))  # by query, then delta
+    shifts = shifts[run_starts(shifts)]  # per query, the first delta of each run
     q, deltas = shifts.real.astype(np.intp), shifts.imag
-    keep = np.ones(len(deltas), dtype=bool)  # per query, the first of each run closer than TOL_EQ
-    keep[1:] = (q[1:] != q[:-1]) | (deltas[1:] - deltas[:-1] > TOL_EQ)
-    q, deltas = q[keep], deltas[keep]
     x_lo, x_hi = np.maximum(-eps[q], deltas - eps[q]), np.minimum(eps[q], deltas + eps[q])
     ok = x_lo < x_hi
     q, deltas, x_lo, x_hi = q[ok], deltas[ok], x_lo[ok], x_hi[ok]
@@ -456,7 +455,7 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     reps, rep_index, cells = [], {}, []
     for key in sorted(pieces, key=lambda k: (_sort_key(pieces[k][0]), k[3], k[4])):
         rep, pinned, w_lo, w_hi, _ = pieces[key]
-        idx = rep_index.setdefault(rep.signature(), len(reps))
+        idx = rep_index.setdefault(rep, len(reps))  # Cluster ==, the tolerant compare
         if idx == len(reps):
             reps.append(rep)
         width = float(w_hi) - float(w_lo)
@@ -510,12 +509,8 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
                   axis=1).ravel()
     order = np.argsort(ev, kind="stable")
     order = order[(ev[order] >= t0 - TOL_EQ) & (ev[order] <= t1 + TOL_EQ)]
-    evs, last = [], -math.inf
-    for k, f in zip(order.tolist(), ev[order].tolist()):
-        if not evs or last < f - TOL_EQ:
-            evs.append(k)
-            last = f
-    ka, kb = np.array(evs[:-1], dtype=np.int64), np.array(evs[1:], dtype=np.int64)
+    evs = order[run_starts(ev[order])]
+    ka, kb = evs[:-1], evs[1:]
     af, bf = ev[ka], ev[kb]
     mid = 0.5 * (af + bf)
     lo = np.searchsorted(vals, mid - R - TOL_EQ)
@@ -529,7 +524,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     rows, idx = ranges(plo, phi)
     at = lo[rows]  # each piece's anchor: the first point of its window
     d = None if q is None else q[idx] - q[at]
-    keys = float_keys(vals[idx] - vals[at]) if d is None else [d.a, d.b]
+    keys = tolerant_labels(vals[idx] - vals[at]) if d is None else [d.a, d.b]
     firsts, _ = distinct_windows(rows, [cols[idx]] + keys, len(lo),
                                  extra=(lo - plo, hi - lo, ka - 2 * plo, kb - 2 * plo))
 

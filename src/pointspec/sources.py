@@ -480,8 +480,8 @@ class PoissonSource(PointSource):
     """
 
     def __init__(self, intensity: float, seed: int = 0, dim: int = 1):
-        if not 0 < intensity < math.inf:
-            raise SourceError("intensity must be positive and finite")
+        if isinstance(intensity, bool) or not 0 < intensity < math.inf:
+            raise SourceError("intensity must be positive and finite, not %r" % (intensity,))
         self.intensity = float(intensity)
         self.seed = _whole("seed", seed)
         if self.seed < 0:
@@ -520,6 +520,8 @@ class TranslatedSource(PointSource):
             shift = (shift,)
         if len(shift) != base.dim:
             raise SourceError("shift dimension mismatch")
+        if any(isinstance(s, bool) for s in shift):
+            raise SourceError("shift must be numbers, not %r" % (shift,))
         self.base = base
         self.shift = tuple(shift)
         self.dim = base.dim

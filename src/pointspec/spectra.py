@@ -8,8 +8,9 @@ Two independent autocorrelation routes act as each other's oracle:
                          vector, one count per distinct (t, color pair)
 
 Both find the differences t that occur the same way: one pair-range
-expansion (geometry.within) over the sorted positions, keyed as coord_key
-keys them.  What they compute from there stays independent: the direct
+expansion (geometry.within) over the sorted positions, grouped by
+geometry.first_labels (exactly, or floats in runs of gaps of at most
+TOL_EQ).  What they compute from there stays independent: the direct
 route sums the weights of the pairs it found, while the frequency route
 uses each pair only to learn t and takes every count from a separate
 tolerant membership search (geometry.in_sorted), so a pair the shared
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import TOL_EQ
-from .geometry import Interval, MultiSetPatch, first_labels, float_keys, in_sorted, nearest, within
+from .geometry import Interval, MultiSetPatch, first_labels, in_sorted, nearest, within
 from .output import write_csv
 from .stats import VanHoveSpec
 
@@ -95,22 +96,22 @@ class AutocorrelationMeasure:
 
 def _differences(x, qx, y, qy, radius: float):
     """All pairs (a, b) with y_b within radius of x_a (TOL_EQ slack), a-major
-    and b ascending, grouped by the coord_key of the difference x_a - y_b.
+    and b ascending, grouped by their difference x_a - y_b as first_labels
+    groups keys.
 
     x, y are sorted float positions; qx, qy the aligned QuadArrays of an exact
-    patch (then differences are exact) or None.  Returns (a, b, group, keys,
-    ts): group numbers each pair's difference in order of first occurrence,
-    keys[g] is group g's int64 key row and ts[g] the float of its first
-    difference.
+    patch or None.  A difference's key is its exact (a, b) pair, or its float,
+    so float differences group in runs of gaps of at most TOL_EQ.  Returns
+    (a, b, group, keys, ts): group numbers each pair's difference in order of
+    first occurrence, keys[g] is group g's key and ts[g] the float of its
+    first difference.
     """
     a, b = within(y, x - radius - TOL_EQ, x + radius + TOL_EQ)
     if qx is None:
-        d = x[a] - y[b]
-        key = float_keys(d)  # coord_key of a float
+        keys = d = x[a] - y[b]
     else:
         d = qx[a] - qy[b]
-        key = [d.a, d.b]
-    keys = np.stack(key, axis=1)
+        keys = np.stack([d.a, d.b], axis=1)
     first, group = first_labels(keys)
     return a, b, group, keys[first], d[first] if qx is None else d[first].floats()
 

@@ -4,6 +4,7 @@ A change that adds or removes an export edits PUBLIC_NAMES and records the
 change in CHANGES.md.
 """
 
+import ast
 import inspect
 import os
 import subprocess
@@ -49,3 +50,47 @@ def test_importing_the_package_and_its_entry_points_leaves_scipy_unloaded():
     code = "import sys, pointspec, pointspec.cli, pointspec.verify; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the two keys that may still round a float to the TOL_EQ grid: the dict keys
+# of single coordinates and of whole clusters
+GRID_KEY_OWNERS = {("coords.py", "coord_key"), ("geometry.py", "Cluster.signature")}
+
+
+def grid_key_owners(tree) -> set:
+    """The qualified names of the functions in tree that round (rint,
+    round, around) an expression holding a division by TOL_EQ."""
+    found = set()
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and name(child.func) in ("rint", "round", "around")
+                    and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div) and name(n.right) == "TOL_EQ"
+                            for arg in child.args for n in ast.walk(arg))):
+                found.add(".".join(scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if inner else scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_floats_meet_the_tolerance_grid_only_in_coord_key_and_cluster_signature():
+    # float values are equal when geometry.run_starts joins them (runs of gaps of at
+    # most TOL_EQ); a grid key round(v / TOL_EQ) is a second rule, which splits a
+    # value that float error moves across a grid boundary
+    for code in ("def f(v):\n    return np.rint(v / TOL_EQ)",
+                 "class C:\n    def f(self, c):\n        return round(float(c) / coords.TOL_EQ)",
+                 "def f(x):\n    return (np.round(x / TOL_EQ) + 0.0).tobytes()"):
+        assert len(grid_key_owners(ast.parse(code))) == 1, code
+    assert not grid_key_owners(ast.parse("def f(v):\n    return np.rint(v * TOL_EQ), round(v / 2)"))
+    pkg = os.path.dirname(pointspec.__file__)
+    found = set()
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
+                found |= {(fname, owner) for owner in grid_key_owners(ast.parse(fh.read()))}
+    assert found <= GRID_KEY_OWNERS

@@ -281,6 +281,10 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("generate", {"source": {"type": "poisson", "dim": True}, "generate": {"region": [0, 5]}}),
     ("generate", {"source": {"type": "poisson", "intensity": float("nan")}, "generate": {"region": [0, 5]}}),
     ("generate", {"source": {"type": "poisson", "intensity": float("inf")}, "generate": {"region": [0, 5]}}),
+    # booleans that float() once read as 1.0
+    ("generate", {"source": {"type": "poisson", "intensity": True}, "generate": {"region": [0, 5]}}),
+    ("generate", {"source": {"type": "lattice", "basis": [[2.0]], "offset": True},
+                  "generate": {"region": [0, 5]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_key, is_exact_coord
-from pointspec import geometry
 from pointspec.geometry import (
     Ball,
     Box,
@@ -18,11 +17,21 @@ from pointspec.geometry import (
     complex_keys,
     delone_params,
     enumerate_cluster_classes,
+    first_labels,
     match_clusters,
     nearest,
+    run_starts,
+    tolerant_labels,
     within,
 )
-from pointspec.sources import LatticeSource, TranslatedSource, fibonacci_cut_project, integer_lattice
+from pointspec.sources import (
+    LatticeSource,
+    TranslatedSource,
+    fibonacci_cut_project,
+    fibonacci_substitution,
+    integer_lattice,
+    source_from_config,
+)
 
 from oracles import boundary_shell_volume, coord_eq, dense_cluster_distance
 
@@ -282,10 +291,10 @@ def test_square_lattice_classes():
     assert square.representatives[0] == Cluster([[(x, y) for x in range(3) for y in range(3)]])
 
 
-def test_float_key_splits_merge_into_the_exact_classes(monkeypatch):
-    # shifted by 7.25 the chain is float, and equal balls can round to
-    # different 1e-9 grid keys: matching each distinct ball against the
-    # representatives so far merges those splits into the exact classes
+def test_float_key_splits_merge_into_the_exact_classes():
+    # shifted by 7.25 the chain is float, and equal balls once rounded to
+    # different 1e-9 grid keys (12 classes): grouped in runs of gaps of at
+    # most TOL_EQ they fall into the exact classes
     shifted = TranslatedSource(fibonacci_cut_project(), 7.25)
     floats = enumerate_cluster_classes(shifted, 5.5, Interval(0, 3000))
     exact = enumerate_cluster_classes(fibonacci_cut_project(), 5.5, Interval(7.25, 3007.25))
@@ -293,8 +302,20 @@ def test_float_key_splits_merge_into_the_exact_classes(monkeypatch):
     assert sorted(floats.counts) == sorted(exact.counts) == [121, 195, 196, 392, 632, 634]
     assert sorted(exact.class_of(r) for r in floats.representatives) == list(range(6))
     assert [exact.counts[exact.class_of(r)] for r in floats.representatives] == floats.counts
-    monkeypatch.setattr(geometry, "_find_equivalent", lambda reps, rep: None)
-    assert enumerate_cluster_classes(shifted, 5.5, Interval(0, 3000)).n_classes == 12
+
+
+@pytest.mark.parametrize("R, want", [(3.0, [210, 210, 210, 340, 470]),
+                                     (5.5, [80, 130, 130, 260, 420, 420])])
+def test_every_description_of_the_chain_has_the_same_classes(R, want):
+    # cut and project, exact and float-length substitution, and the chain moved
+    # by h (float points): one class table, scanned on [10 + h, 2000 + h]
+    fib = fibonacci_cut_project()
+    float_lengths = source_from_config({"type": "substitution", "letters": "ab", "expansions": ["ab", "a"],
+                                        "lengths": [1.618033988749895, 1.0]})
+    cases = [(fib, 0.0), (fibonacci_substitution(), 0.0), (float_lengths, 0.0)]
+    cases += [(TranslatedSource(fib, h), h) for h in (0.3, 7.25, 1e4)]
+    for src, h in cases:
+        assert sorted(enumerate_cluster_classes(src, R, Interval(10 + h, 2000 + h)).counts) == want, h
 
 
 def test_empty_scan_errors():
@@ -329,6 +350,56 @@ def test_delone_needs_two_points():
     z = integer_lattice()
     with pytest.raises(ValueError):
         delone_params(z, Interval(0.1, 0.9))
+
+
+# ---------------------------------------------------------------------------
+# the tolerant grouping of floats
+
+
+def test_values_astride_a_grid_boundary_form_one_group():
+    # within 1e-13 of (k + 1/2) TOL_EQ, where rounding to the TOL_EQ grid splits them
+    for mid in (4236067977.5 * TOL_EQ, -12.5 * TOL_EQ, 0.5 * TOL_EQ):
+        v = np.array([mid - 5e-14, mid + 5e-14])
+        assert np.rint(v[0] / TOL_EQ) != np.rint(v[1] / TOL_EQ)
+        assert first_labels(v)[1].tolist() == [0, 0]
+        assert tolerant_labels(v)[0][0] == tolerant_labels(v)[0][1]
+
+
+def test_values_two_tolerances_apart_form_two_groups():
+    v = np.array([3.0, 3.0 + 2 * TOL_EQ, 3.0 + 1e-12])
+    first, label = first_labels(v)
+    assert first.tolist() == [0, 1] and label.tolist() == [0, 1, 0]
+    assert run_starts(np.sort(v)).tolist() == [True, False, True]
+
+
+def test_groups_are_numbered_by_first_appearance_and_keep_the_first_value():
+    v = np.array([5.0, 1.0, 5.0 + 1e-12, 1.0 - 1e-12, -2.0, 5.0 - 1e-12])
+    first, label = first_labels(v)
+    assert first.tolist() == [0, 1, 4] and label.tolist() == [0, 1, 0, 1, 2, 0]
+    rows = np.array([[1, 2], [3, 4], [1, 2], [1, 3]])  # integer rows: equal entry by entry
+    assert [x.tolist() for x in first_labels(rows)] == [[0, 1, 3], [0, 1, 0, 2]]
+    empty = first_labels(np.empty(0))
+    assert len(empty[0]) == len(empty[1]) == 0 and [x.tolist() for x in tolerant_labels(np.empty((0, 2)))] == [[], []]
+
+
+def test_points_group_per_coordinate():
+    v = np.array([[0.0, 5.0], [1e-12, 3.0], [3.0, 5.0 + 1e-12], [3.0 + 1e-12, 1e-12]])
+    x, y = tolerant_labels(v)
+    assert x[0] == x[1] != x[2] == x[3]
+    assert y[0] == y[2] and len({y[0], y[1], y[3]}) == 3
+
+
+def test_values_near_1e10_group_like_any_others():
+    # the grid keys needed |v| below 2**62 TOL_EQ, about 4.6e9
+    v = np.array([1e10, np.nextafter(1e10, np.inf), 1e10, -1e10, -1e10 + 1e-12])
+    first, label = first_labels(v)
+    assert first.tolist() == [0, 1, 3] and label.tolist() == [0, 1, 0, 2, 2]
+
+
+def test_a_chain_of_near_duplicates_keeps_only_its_first_point():
+    # each gap is below TOL_EQ, though the ends are more than TOL_EQ apart
+    cl = cluster_1d([0.0, 0.6e-9, 1.2e-9, 1.8e-9, 5.0], [1.2e-9])
+    assert cl.to_json() == [[[0.0], [5.0]], [[1.2e-9]]]
 
 
 def brute_within(keys, lo, hi):

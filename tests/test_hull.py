@@ -835,6 +835,21 @@ def test_partition_fibonacci_disjoint_cover():
         assert len(part.locate(patch)) == 1
 
 
+def test_partition_of_the_chain_moved_by_1e4_is_the_exact_one():
+    # far from the origin the differences carry float error, and one of
+    # tau^3 = 4.236... sits 2e-13 from a 1e-9 grid boundary: grid keys split
+    # every pattern holding it (106 cells, 21 patterns, sum Vol*freq 1.998)
+    src = TranslatedSource(fibonacci_cut_project(), 1e4)
+    part = build_partition_1d(src, 3.0, 0.2, scan_length=1500)
+    assert (part.n_cells, len(part.representatives)) == (53, 11)
+    n = 4000
+    sub = src.window(Interval(-n, n))
+    total = sum(cell.window.volume() * _count_in_patch(sub, cell.pinned) / (2.0 * n) for cell in part.cells)
+    assert abs(total - 1.0) <= 1e-3
+    hits = part._cylinders.orbit_hits(src, (halton(200) * 500.0).tolist(), Interval(-16, 16))
+    assert (hits.sum(axis=1) == 1).all()
+
+
 # ---------------------------------------------------------------------------
 # empirical cylinder measure
 

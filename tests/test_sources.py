@@ -485,6 +485,9 @@ def test_poisson_rejects_a_negative_seed_at_construction():
     ({"type": "poisson", "intensity": float("nan")}, "intensity must be positive and finite"),
     ({"type": "poisson", "intensity": float("inf")}, "intensity must be positive and finite"),
     ({"type": "poisson", "intensity": 0.0}, "intensity must be positive and finite"),
+    ({"type": "poisson", "intensity": True}, "intensity must be positive and finite"),
+    ({"type": "lattice", "basis": [[2.0]], "offset": True}, "shift must be numbers"),
+    ({"type": "lattice", "basis": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.5, False]}, "shift must be numbers"),
 ])
 def test_source_config_rejects_what_int_would_truncate(cfg, message):
     with pytest.raises(SourceError, match=message):

@@ -11,6 +11,7 @@ from pointspec.sources import (
     fibonacci_substitution,
     integer_lattice,
     period_doubling_source,
+    source_from_config,
     thue_morse_source,
 )
 from pointspec.stats import VanHoveSpec
@@ -66,6 +67,27 @@ def test_autocorr_routes_agree_exactly_on_lattice():
     d = autocorr_direct(z, [1], 10.0, SPEC, 1000)
     f = autocorr_from_frequencies(z, [1], 10.0, SPEC, 1000)
     assert d.max_difference(f) < 1e-12
+
+
+FLOAT_CHAINS = [  # the Fibonacci chain given by floats, and the n of each run
+    ({"type": "substitution", "letters": "ab", "expansions": ["ab", "a"],
+      "lengths": [1.618033988749895, 1.0]}, 1e4),
+    ({"type": "fibonacci", "offset": 10000.0}, 2000),
+]
+
+
+@pytest.mark.parametrize("cfg, n", FLOAT_CHAINS, ids=["float-lengths", "offset-1e4"])
+def test_autocorr_routes_agree_on_float_descriptions_of_the_chain(cfg, n):
+    # a difference of tau^3 = 4.2360679774997... lies 2e-13 from a 1e-9 grid
+    # boundary: grid keys split it (17 support points, routes 0.19 and 0.38
+    # apart), runs of gaps of at most TOL_EQ keep the exact chain's 13
+    src = source_from_config(cfg)
+    d = autocorr_direct(src, [1, 1], 5.0, SPEC, n)
+    f = autocorr_from_frequencies(src, [1, 1], 5.0, SPEC, n)
+    exact = autocorr_direct(fibonacci_substitution(), [1, 1], 5.0, SPEC, 1000)
+    assert len(d.t) == len(f.t) == len(exact.t) == 13
+    assert np.abs(d.t - exact.t).max() < 1e-9 and np.abs(f.t - exact.t).max() < 1e-9
+    assert d.max_difference(f) <= 2e-3
 
 
 # ---------------------------------------------------------------------------
