@@ -20,13 +20,13 @@ Diffraction is probed by normalized exponential sums A_n(k); Bragg
 candidates must survive a non-decay drift test across the averaging
 schedule to be retained.  Measures are smoothed by one kernel, the triangle
 (SmoothingKernel), whose Fourier transform is closed-form; the Dworkin check
-compares the ergodic average of the smoothed-density correlation against
-the smoothed autocorrelation.
+compares the ergodic average of the smoothed-density correlation (one
+density) against the smoothed autocorrelation.
 
 Every amplitude comes from one kernel, _amplitudes_grid, whose bits depend
 on the call's shape, not only on k (a batch-independent kernel is open item
 2 of ROADMAP.md).  diffract.csv is reproducible because peak_scan's call
-shapes are fixed by the config; reused golden-section phase rows keep every
+shapes are fixed by the config; reused golden-section values keep every
 shape.  Of its decisions only the fine-grid argmax is certified
 (_fine_argmax); the coarse grid, golden section and schedule are exact.
 """
@@ -266,20 +266,26 @@ def _golden_refine(fn, lo, hi):
 
 def _reusing_intensity(pos, wvals, vol, rows):
     """fn(k) = np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2, bit for bit, `rows` k a
-    call.  A row whose k bits it had in one of the last six calls (kept up to
-    4e6 terms, one chunk) copies that phase row instead of calling exp."""
-    hist = deque(maxlen=min(6, int(4e6 // max(rows * len(pos), 1))))
+    call.  A row whose k bits it had in one of the last six calls takes that
+    value; the others, chunk by chunk as _amplitudes_grid runs, get phase
+    rows in one chunk-shaped buffer, whose gemv row sums read no other row."""
+    chunk = max(1, int(4e6 // max(len(pos), 1)))
+    buf = np.zeros((min(chunk, rows), len(pos)), dtype=complex)
+    hist = deque(maxlen=6)
 
     def fn(kk):
-        if not hist.maxlen:
-            return np.abs(_amplitudes_grid(pos, wvals, kk, vol)) ** 2
-        ph, todo = np.empty((rows, len(pos)), dtype=complex), np.ones(rows, dtype=bool)
-        for k_old, ph_old in hist:
+        out, todo = np.empty(rows), np.ones(rows, dtype=bool)
+        for k_old, v_old in hist:
             hit = todo & (k_old.view(np.int64) == kk.view(np.int64))
-            ph[hit], todo = ph_old[hit], todo & ~hit
-        ph[todo] = _phases(kk[todo], pos)
-        hist.append((kk, ph))
-        return np.abs(ph @ wvals / vol) ** 2
+            out[hit], todo = v_old[hit], todo & ~hit
+        for s in range(0, rows, chunk):
+            new = np.flatnonzero(todo[s: s + chunk])
+            if len(new):
+                block = buf[: min(chunk, rows - s)]
+                block[new] = _phases(kk[s + new], pos)
+                out[s + new] = np.abs((block @ wvals)[new] / vol) ** 2
+        hist.append((kk, out))
+        return out
     return fn
 
 
@@ -323,14 +329,8 @@ def module_seed_candidates(source, k_lo: float, k_hi: float):
     f = getattr(source, "field", None)
     if f is None:
         return []
-    root = math.sqrt(f.disc)
-    out = set()
-    for p in range(-12, 13):
-        for q in range(-12, 13):
-            k = (p + q * f.tau) / root
-            if k_lo <= k <= k_hi:
-                out.add(round(k, 12))
-    return sorted(out)
+    ks = ((p + q * f.tau) / math.sqrt(f.disc) for p in range(-12, 13) for q in range(-12, 13))
+    return sorted({round(k, 12) for k in ks if k_lo <= k <= k_hi})
 
 
 def peak_scan(source, w, k_range, resolution: float, n_schedule,
@@ -501,7 +501,10 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
                    n: float) -> SpectralCheckReport:
     """Spectral check rows over sampled shifts x.
 
-    lhs: midpoint quadrature of (1/Vol F_n) int_{F_n} rho(x+y) conj(rho(y)) dy
+    lhs: midpoint quadrature of (1/Vol F_n) int_{F_n} rho(x+y) conj(rho(y)) dy,
+    summed as w_p omega((y + x) - p) conj(rho(y)) over points p and a block of
+    grid points y per p (past the grid's end y = inf, where omega is 0): the
+    kernel values of rho(x + y) bit for bit, added in another order.
     rhs: gamma_omega(x) from one frequency-route autocorrelation measure
     shared by all rows.
     """
@@ -512,12 +515,17 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     grid = np.arange(-n + quad_step / 2, n, quad_step)
     patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
     rho = np.conj(smoothed_density(patch, w, kernel, grid))
+    pos, col = patch.colour_major()
+    wp = validate_weights(w, source.m)[col]
+    reach = kernel.s + quad_step
+    block = np.arange(int(2 * reach / quad_step) + 2)  # past every grid point within reach
+    grid, rho = np.append(grid, np.full(len(block), np.inf)), np.append(rho, np.zeros(len(block)))
     rows = []
     for x, rhs in zip(xs, smoothed_autocorr_profile(ac, kernel, xs)):
-        prods = smoothed_density(patch, w, kernel, grid + x) * rho
-        lhs = complex(prods.sum()) * quad_step / (2.0 * n)
+        g = np.searchsorted(grid, pos - x - reach)[:, None] + block
+        sums = np.einsum("pk,pk->p", kernel((grid[g] + x) - pos[:, None]), rho[g])
+        lhs = complex(wp @ sums) * quad_step / (2.0 * n)
         abs_diff = abs(lhs - rhs)
-        rows.append(DworkinRow(x=x, lhs=float(np.real(lhs)), rhs=float(np.real(rhs)),
-                               abs_diff=float(abs_diff),
-                               rel_diff=float(abs_diff / max(abs(rhs), 1e-300))))
+        rows.append(DworkinRow(x, float(np.real(lhs)), float(np.real(rhs)), float(abs_diff),
+                               float(abs_diff / max(abs(rhs), 1e-300))))
     return SpectralCheckReport(rows=rows, kernel=kernel.shape, n=n)

@@ -3,7 +3,7 @@ closed forms of the van Hove boundary ratios, of the triangle kernel's L2
 norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
-bracket search and of the cluster distance."""
+bracket search, of the cluster distance and of the Dworkin left side."""
 
 import itertools
 import math
@@ -15,6 +15,7 @@ from pointspec import hull
 from pointspec.coords import TOL_EQ, is_exact_coord
 from pointspec.geometry import MultiSetPatch
 from pointspec.sources import region_to_json
+from pointspec.spectra import smoothed_density
 
 
 def coord_eq(c1, c2, tol: float = TOL_EQ) -> bool:
@@ -54,6 +55,17 @@ def quadrature_autocorr(kern, u):
     for idx, uu in enumerate(u):
         out[idx] = float(np.dot(base, kern(grid - uu))) * step
     return out
+
+
+def shifted_density_lhs(source, w, kern, xs, n: float):
+    """The Dworkin left side at each x by a shifted density per x: the
+    midpoint quadrature of (1/Vol F_n) int_{F_n} rho(x + y) conj(rho(y)) dy
+    on dworkin_report's grid, as complex numbers."""
+    step = 2 * kern.s / 40.0
+    grid = np.arange(-n + step / 2, n, step)
+    rho = np.conj(smoothed_density(source, w, kern, grid))
+    return [complex((smoothed_density(source, w, kern, grid + x) * rho).sum()) * step / (2.0 * n)
+            for x in xs]
 
 
 def plateau(v_lo: float, v_hi: float, zeta: float):

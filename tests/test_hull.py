@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, coord_key, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, is_exact_coord
 from pointspec.geometry import Box, Cluster, Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
@@ -555,20 +555,19 @@ def test_cylinder_kernel_matches_scalar_oracle_on_partition_cell_ends():
     fib = fibonacci_cut_project()
     part = build_partition_1d(fib, 3.0, 0.2)
     master = fib.window(Interval(-60, 60))
-    keys = [{coord_key(p[0]) for p in part_i} for part_i in master.parts]
-    shifts = {}
+    points = [{p[0] for p in part_i} for part_i in master.parts]  # exact values, equal exactly
+    shifts = []
     for cell in part.cells:
         P = cell.pinned
         a = P.anchor_point()[0]
         # an exact occurrence v of the pinned cluster in the Fibonacci set
         v = next(q[0] - a for q in master.parts[P.anchor_color()]
-                 if all(coord_key(q[0] - a + p[0]) in keys[i]
+                 if all(q[0] - a + p[0] in points[i]
                         for i, pts in enumerate(P.parts) for p in pts))
         # in -s + fib the cluster sits at v - s, i.e. g = s - v lands on a cell end
         for end in (cell.window.lo, cell.window.hi):
-            s = v + end
-            shifts[coord_key(s)] = s
-    for s in shifts.values():
+            shifts.append(v + end)
+    for s in dict.fromkeys(shifts):  # each exact shift once
         patch = TranslatedSource(fib, s).window(Interval(-16, 16))
         assert patch.exact
         hits = [k for k, cell in enumerate(part.cells)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pointspec import spectra
-from pointspec.coords import TOL_EQ, coord_key
+from pointspec.coords import TOL_EQ
 from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
     LatticeSource,
@@ -28,7 +30,7 @@ from pointspec.spectra import (
     validate_weights,
 )
 
-from oracles import hermitian_defect, l2_norm_sq, quadrature_autocorr
+from oracles import hermitian_defect, l2_norm_sq, quadrature_autocorr, shifted_density_lhs
 
 SPEC = VanHoveSpec()
 TAU = (1 + 5 ** 0.5) / 2
@@ -94,62 +96,82 @@ def test_autocorr_routes_agree_on_float_descriptions_of_the_chain(cfg, n):
 # the pair-range kernels vs the scalar loops they replaced
 
 
+def group_keys(ts, exact):
+    """A grouping key per coordinate: exact values key as themselves; floats
+    are sorted and scanned, and a gap of more than TOL_EQ to the previous
+    value starts a new group (written apart from geometry.run_starts)."""
+    if exact:
+        return list(ts)
+    keys, group, prev = [0] * len(ts), -1, None
+    for i in sorted(range(len(ts)), key=lambda i: ts[i]):
+        if prev is None or ts[i] - prev > TOL_EQ:
+            group += 1
+        keys[i], prev = group, ts[i]
+    return keys
+
+
+def grouped_sums(terms, exact):
+    """The (float t, sum of c) of each group of the (t, c) terms, t the group's
+    first and c summed in order, sorted by t."""
+    agg = {}
+    for key, (t, c) in zip(group_keys([t for t, _ in terms], exact), terms):
+        cur = agg.get(key)
+        if cur is None:
+            agg[key] = [t, c]
+        else:
+            cur[1] = cur[1] + c
+    return sorted(((float(t), c) for t, c in agg.values()), key=lambda tc: tc[0])
+
+
 def scalar_autocorr_direct(source, w, radius, spec, n):
-    """Reference direct route: one sorted search per point, one dict update per
-    pair; the (float t, c) pairs sorted by t."""
+    """Reference direct route: one sorted search per point, the pairs' terms
+    summed by group_keys in pair order; the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
     vals, cols = patch.all_positions()
     q = patch.all_exact()
     xs = None if q is None else [q.value(k) for k in range(len(vals))]
-    agg = {}
+    terms = []
     for a_idx in range(len(vals)):
         lo = np.searchsorted(vals, vals[a_idx] - radius - TOL_EQ)
         hi = np.searchsorted(vals, vals[a_idx] + radius + TOL_EQ)
         for b_idx in range(lo, hi):
             t = xs[a_idx] - xs[b_idx] if patch.exact else vals[a_idx] - vals[b_idx]
-            coef = w[cols[a_idx]] * np.conj(w[cols[b_idx]])
-            cur = agg.get(coord_key(t))
-            if cur is None:
-                agg[coord_key(t)] = [t, coef]
-            else:
-                cur[1] = cur[1] + coef
-    return sorted(((float(t), c / vol) for t, c in agg.values()), key=lambda tc: tc[0])
+            terms.append((t, w[cols[a_idx]] * np.conj(w[cols[b_idx]])))
+    return [(t, c / vol) for t, c in grouped_sums(terms, patch.exact)]
 
 
 def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
-    """Reference frequency route: differences found pair by pair over .parts,
-    one dict update per (t, i, j); the (float t, c) pairs sorted by t."""
+    """Reference frequency route: differences found pair by pair over .parts
+    and grouped by group_keys per (i, j), one count per (t, i, j), the terms
+    summed by group_keys in (i, j) order; the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
     positions = [patch.positions(i) for i in range(patch.m)]
-    agg = {}
-    diffs = {}
+    terms = []
     for i in range(patch.m):
         for j in range(patch.m):
             pts_i, pts_j = patch.parts[i], patch.parts[j]
+            block = []
             for a_idx in range(len(pts_i)):
                 lo = np.searchsorted(positions[j], positions[i][a_idx] - radius - TOL_EQ)
                 hi = np.searchsorted(positions[j], positions[i][a_idx] + radius + TOL_EQ)
                 for b_idx in range(lo, hi):
-                    t = (pts_i[a_idx][0] - pts_j[b_idx][0]) if patch.exact \
-                        else positions[i][a_idx] - positions[j][b_idx]
-                    diffs.setdefault((i, j, coord_key(t)), t)
-    for (i, j, _key), t in diffs.items():
-        tf = float(t)
-        if abs(tf) <= TOL_EQ and i == j:
-            count = len(positions[i])
-        else:
-            count = int(in_sorted(positions[j], positions[i] - tf).sum())
-        c = w[i] * np.conj(w[j]) * (count / vol)
-        cur = agg.get(coord_key(t))
-        if cur is None:
-            agg[coord_key(t)] = [t, c]
-        else:
-            cur[1] = cur[1] + c
-    return sorted(((float(t), c) for t, c in agg.values()), key=lambda tc: tc[0])
+                    block.append((pts_i[a_idx][0] - pts_j[b_idx][0]) if patch.exact
+                                 else positions[i][a_idx] - positions[j][b_idx])
+            firsts = {}
+            for key, t in zip(group_keys(block, patch.exact), block):
+                firsts.setdefault(key, t)
+            for t in firsts.values():
+                tf = float(t)
+                if abs(tf) <= TOL_EQ and i == j:
+                    count = len(positions[i])
+                else:
+                    count = int(in_sorted(positions[j], positions[i] - tf).sum())
+                terms.append((t, w[i] * np.conj(w[j]) * (count / vol)))
+    return grouped_sums(terms, patch.exact)
 
 
 def scalar_smoothed_density(source, w, kernel, grid):
@@ -198,6 +220,17 @@ def test_autocorr_routes_match_scalar_references(name, src, w):
                             scalar_autocorr_direct(src, w, radius, SPEC, n))
         assert_same_measure(autocorr_from_frequencies(src, w, radius, SPEC, n),
                             scalar_autocorr_from_frequencies(src, w, radius, SPEC, n))
+
+
+def test_scalar_references_match_on_a_difference_near_a_grid_boundary():
+    # the offset chain's tau^3 lies 2e-13 from a 1e-9 grid boundary, where
+    # grid keys split it (17 support points); the sorted scan keeps 13
+    src = source_from_config({"type": "fibonacci", "offset": 10000.0})
+    direct = scalar_autocorr_direct(src, [1, 1], 5.0, SPEC, 2000)
+    freq = scalar_autocorr_from_frequencies(src, [1, 1], 5.0, SPEC, 2000)
+    assert len(direct) == len(freq) == 13
+    assert_same_measure(autocorr_direct(src, [1, 1], 5.0, SPEC, 2000), direct)
+    assert_same_measure(autocorr_from_frequencies(src, [1, 1], 5.0, SPEC, 2000), freq)
 
 
 @pytest.mark.parametrize("name, src, w", SOURCES, ids=[s[0] for s in SOURCES])
@@ -482,9 +515,56 @@ def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
     got = spectra._golden_refine(fn, k0 - step, k0 + step)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert sum(rows) < 0.8 * 123 * len(k0)  # reuse happened
-    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # past the history's budget
+    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # two chunks
     assert spectra._reusing_intensity(pos, wvals, vol, len(many))(many).tobytes() == \
         exact(many).tobytes()
+
+
+def test_value_reuse_over_several_chunks_is_bit_exact(monkeypatch):
+    patch = fibonacci_cut_project().window(SPEC.region(300))
+    pos, col = patch.all_positions()
+    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(300).volume()
+    chunk = int(4e6 // len(pos))
+    rows = 2 * chunk + 500  # three chunks, the last one short
+    rng = np.random.default_rng(9)
+    k1 = rng.uniform(-3, 3, rows)
+    k2 = np.where(rng.random(rows) < 0.5, k1, rng.uniform(-3, 3, rows))
+    k2[:chunk] = k1[:chunk]  # a chunk of repeated rows only
+    k3 = np.where(rng.random(rows) < 0.5, k1, k2)  # rows of both earlier calls
+    k3[chunk - 50: chunk + 50] = rng.uniform(-3, 3, 100)  # fresh rows across a chunk end
+    computed = []
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases", lambda ks, p: computed.append(len(ks)) or phases(ks, p))
+    fn = spectra._reusing_intensity(pos, wvals, vol, rows)
+    got = [fn(k) for k in (k1, k2, k3)]
+    monkeypatch.undo()
+    assert sum(computed) == rows + (k2 != k1).sum() + ((k3 != k1) & (k3 != k2)).sum()
+    for k, values in zip((k1, k2, k3), got):
+        assert values.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k, vol)) ** 2).tobytes()
+
+
+def test_amplitude_row_bits_ignore_the_other_rows_of_its_block():
+    rng = np.random.default_rng(4)
+    pos = np.sort(rng.uniform(-300, 300, 611))
+    wvals = rng.normal(size=611) + 1j * rng.normal(size=611)
+    for rows in (1, 2, 3, 4, 5, 7, 8, 13, 40):
+        block = spectra._phases(rng.uniform(-3, 3, rows), pos)
+        want = block @ wvals
+        for other in (np.zeros_like(block), spectra._phases(rng.uniform(-3, 3, rows), pos)):
+            for i in range(rows):
+                mixed = other.copy()
+                mixed[i] = block[i]
+                assert (mixed @ wvals)[i].tobytes() == want[i].tobytes()
+
+
+def test_fibonacci_peak_scan_peaks_under_20_mb():
+    tracemalloc.start()
+    try:
+        peak_scan(fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [500, 2000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def capture_fine_grids(monkeypatch, scans):
@@ -648,18 +728,29 @@ def test_dworkin_fibonacci():
 
 def test_dworkin_report_windows_each_source_once(monkeypatch):
     fib, kern, xs = fibonacci_cut_project(), SmoothingKernel(0.4), [-1.3, 0.2, 2.9]
-    windows = []
-    fib_window = fib.window
+    windows, densities = [], []
+    fib_window, density = fib.window, spectra.smoothed_density
     monkeypatch.setattr(fib, "window", lambda region: windows.append(region) or fib_window(region))
-    report = spectra.dworkin_report(fib, [1, 1], kern, xs, SPEC, 300)
-    monkeypatch.undo()
+    monkeypatch.setattr(spectra, "smoothed_density",
+                        lambda *args: densities.append(args) or density(*args))
+    spectra.dworkin_report(fib, [1, 1], kern, xs, SPEC, 300)
     assert len(windows) == 2  # the autocorrelation measure and the density patch
-    quad_step = 0.8 / 40.0
-    grid = np.arange(-300 + quad_step / 2, 300, quad_step)
-    rho = np.conj(smoothed_density(fib, [1, 1], kern, grid))  # one window per x, as before
-    for x, row in zip(xs, report.rows):
-        lhs = complex((smoothed_density(fib, [1, 1], kern, grid + x) * rho).sum())
-        assert row.lhs == float(np.real(lhs * quad_step / 600.0))
+    assert len(densities) == 1  # one density, no shifted one per x
+
+
+DWORKIN_CASES = [("Z", integer_lattice(), [1]),
+                 ("fibonacci", fibonacci_cut_project(), [1, 1]),
+                 ("fibonacci-complex", fibonacci_cut_project(), [1, 0.3 + 0.7j])]
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("name, src, w", DWORKIN_CASES, ids=[c[0] for c in DWORKIN_CASES])
+def test_dworkin_lhs_matches_the_shifted_density_quadrature(name, src, w, n):
+    # the same kernel values summed in another order: equal to rounding only
+    kern, xs = SmoothingKernel(0.4), [-2.9, -1.3, 0.0, 0.2, 1.5, 2.9]
+    report = dworkin_report(src, w, kern, xs, SPEC, n)
+    for row, want in zip(report.rows, shifted_density_lhs(src, w, kern, xs, n)):
+        assert abs(row.lhs - want.real) <= 1e-12 * abs(want)
 
 
 def test_dworkin_report_max_rel_diff():
