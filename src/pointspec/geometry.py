@@ -672,10 +672,14 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     Representatives are anchored (lex-smallest support point at the
     origin).  Balls are grouped on arrays by their anchored contents,
     exactly in exact mode and by tolerant_labels otherwise, and one Cluster
-    is built per group, from its first ball.
+    is built per group, from its first ball.  A 1D scan must start at least R
+    past the source's left end: a ball reaching past it holds no hull pattern.
     """
     if R <= 0:
         raise ValueError("R must be positive")
+    if scan.dim == 1 and float(scan.lo) < source.left_end + R:
+        raise ValueError("scan starts at %g, less than R = %g past the source's left end %g"
+                         % (float(scan.lo), R, source.left_end))
     patch = source.window(scan.dilate(R + TOL_EQ))
     x, col = patch.all_positions()
     q = patch.all_exact()

@@ -424,9 +424,11 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     < delta.  Measure-zero event classes (a point exactly on the window
     boundary, realized at isolated offsets) are dropped.
 
-    Raises IncompletePartitionError when a longer scan would still be
-    discovering new (pattern, window) pieces: when the scan over
-    [0, scan_length] first meets some piece past 0.6 scan_length.
+    The scan covers [t0, t0 + scan_length], t0 = max(0, left end + R), so no
+    window reaches past a one-sided source's left end.  Raises
+    IncompletePartitionError when a longer scan would still be discovering
+    new (pattern, window) pieces: when the scan first meets some piece past
+    t0 + 0.6 scan_length.
     """
     if source.dim != 1:
         raise NotImplementedError("partition is 1D only")
@@ -436,7 +438,8 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         scan_length = max(400.0 * R, 1200.0)
     elif not scan_length > 0:
         raise ValueError("scan_length must be positive")
-    dp = delone_params(source, Interval(0.0, max(scan_length, 200.0)))
+    t0 = max(0.0, source.left_end + R)
+    dp = delone_params(source, Interval(t0, t0 + max(scan_length, 200.0)))
     if not (R >= dp.b / 2.0 - TOL_EQ):
         raise ValueError("R must be at least b/2 = %.6g so clusters are nonempty" % (dp.b / 2.0))
     if not (delta < dp.eta):
@@ -445,9 +448,9 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         raise ValueError("pinning requires b < 2 eta (observed b=%.6g, eta=%.6g)"
                          % (dp.b, dp.eta))
 
-    pieces = _scan_pieces(source, R, 0.0, scan_length)
-    # a scan over [0, 0.6 scan_length] sees exactly the pieces that close by its end
-    if any(end > scan_length * 0.6 + TOL_EQ for *_, end in pieces.values()):
+    pieces = _scan_pieces(source, R, t0, t0 + scan_length)
+    # a scan over [t0, t0 + 0.6 scan_length] sees exactly the pieces that close by its end
+    if any(end > t0 + scan_length * 0.6 + TOL_EQ for *_, end in pieces.values()):
         raise IncompletePartitionError(
             "piece enumeration still growing at scan length %g" % scan_length)
 

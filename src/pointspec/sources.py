@@ -54,11 +54,13 @@ def _whole(name, value) -> int:
 
 
 class PointSource:
-    """Base class: deterministic window-query interface."""
+    """Base class: deterministic window-query interface.  left_end bounds the
+    support's first coordinate from below: -inf unless the source is one-sided."""
 
     dim = 1
     m = 1
     field = None
+    left_end = -math.inf
 
     def window(self, region) -> MultiSetPatch:
         if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in region.bounds()):
@@ -319,6 +321,8 @@ class SubstitutionSource(PointSource):
     The support lies in [0, inf); window queries clip accordingly.
     """
 
+    left_end = 0.0
+
     def __init__(self, rule: SubstitutionRule, seed_letter: str):
         if seed_letter not in rule.letters:
             raise SourceError("unknown seed letter %r" % seed_letter)
@@ -527,6 +531,7 @@ class TranslatedSource(PointSource):
         self.dim = base.dim
         self.m = base.m
         self.field = base.field
+        self.left_end = base.left_end - float(self.shift[0])
 
     def window(self, region) -> MultiSetPatch:
         moved = region.translate(self.shift)

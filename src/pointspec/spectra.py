@@ -23,12 +23,10 @@ schedule to be retained.  Measures are smoothed by one kernel, the triangle
 compares the ergodic average of the smoothed-density correlation (one
 density) against the smoothed autocorrelation.
 
-Every amplitude comes from one kernel, _amplitudes_grid, whose bits depend
-on the call's shape, not only on k (a batch-independent kernel is open item
-2 of ROADMAP.md).  diffract.csv is reproducible because peak_scan's call
-shapes are fixed by the config; reused golden-section values keep every
-shape.  Of its decisions only the fine-grid argmax is certified
-(_fine_argmax); the coarse grid, golden section and schedule are exact.
+Every exponential sum runs through _tile_sums in phase tiles of at most 1 MiB,
+so an amplitude's bits depend on its k alone (and on whether its call had one
+k).  The golden section sums only the k it has not seen.  Of peak_scan's steps
+only the fine-grid argmax is certified (_fine_argmax); the others are exact.
 """
 
 from __future__ import annotations
@@ -194,30 +192,36 @@ def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float):
 
 
 def _amplitudes_grid(pos, wvals, ks, vol):
-    """A(k) for each k in ks: (K,) for 1D positions, (K, d) for (N, d) ones.
-
-    The only sum of w e^{-2 pi i k.x} over points: chunked outer products
-    and one matrix-vector product per chunk, so the bits of a row depend
-    on the chunk it falls in.
-    """
-    out = np.empty(len(ks), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(pos), 1)))
-    for s in range(0, len(ks), chunk):
-        out[s: s + chunk] = _phases(ks[s: s + chunk], pos) @ wvals
-    return out / vol
+    """A(k) for each k in ks ((K,) for 1D positions, (K, d) for (N, d) ones)."""
+    return _tile_sums(ks, pos, wvals) / vol
 
 
-def _phases(ks, pos):
-    """e(-k.x) per k and point, the bits of np.exp(-2j*np.pi*kx) built in place:
-    that argument is +0 + (0 + fl(-2 pi kx))i, and exp(+0) = 1 exactly."""
-    ph = np.zeros((len(ks), len(pos)), dtype=complex)
-    kx = ph.imag  # a view: k.x goes straight into place, with no (K, N) temporary
-    if pos.ndim == 1:
-        np.multiply.outer(ks, pos, out=kx)
-    else:
-        kx[...] = ks @ pos.T
+def _tile_sums(ks, pos, rhs):
+    """e(-k.x) @ rhs for each k, rhs (N,) or (N, M): phases in tiles of at most
+    max(3, 2^16 // N) rows from one buffer, one BLAS product per tile.  A row's
+    gemv bits are the same in any tile of two or more rows, but a one-row
+    product takes numpy's other path: so no call of K >= 2 has a one-row tile."""
+    tile = max(3, 2 ** 16 // max(len(pos), 1))
+    starts = list(range(0, len(ks), tile))
+    if len(ks) > 1 and len(ks) % tile == 1:
+        starts[-1] -= 1
+    buf = np.empty((min(tile, len(ks)), len(pos)), dtype=complex)
+    out = np.empty((len(ks),) + rhs.shape[1:], dtype=complex)
+    for s, e in zip(starts, starts[1:] + [len(ks)]):
+        out[s:e] = _phases(ks[s:e], pos, buf[: e - s]) @ rhs
+    return out
+
+
+def _phases(ks, pos, out=None):
+    """e(-k.x) per k and point, in out when given: the bits of np.exp(-2j*np.pi*kx),
+    whose argument is +0 + (0 + fl(-2 pi kx))i, and exp(+0) = 1 exactly."""
+    kx = np.multiply.outer(ks, pos) if pos.ndim == 1 else ks @ pos.T
+    # contiguous, so numpy's vector loops run here: they also clear the AVX state
+    # a BLAS gemm leaves behind, under which the complex exp runs ten times slower
     kx *= -2 * np.pi
     kx += 0.0  # -0.0 -> +0.0, as the complex product rounds it
+    ph = np.empty(kx.shape, dtype=complex) if out is None else out
+    ph.real, ph.imag = 0.0, kx
     return np.exp(ph, out=ph)
 
 
@@ -252,25 +256,19 @@ def _golden_refine(fn, lo, hi):
     """Golden-section maximization of fn on [lo, hi] in 60 steps (vectorized over rows)."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
     for _ in range(60):
-        swap = fc < fd
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        swap = fn(c) < fn(d)
         a = np.where(swap, c, a)
         b = np.where(~swap, d, b)
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = fn(c), fn(d)
     mid = 0.5 * (a + b)
     return mid, fn(mid)
 
 
 def _reusing_intensity(pos, wvals, vol, rows):
     """fn(k) = np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2, bit for bit, `rows` k a
-    call.  A row whose k bits it had in one of the last six calls takes that
-    value; the others, chunk by chunk as _amplitudes_grid runs, get phase
-    rows in one chunk-shaped buffer, whose gemv row sums read no other row."""
-    chunk = max(1, int(4e6 // max(len(pos), 1)))
-    buf = np.zeros((min(chunk, rows), len(pos)), dtype=complex)
+    call.  A k whose bits one of the last six calls had takes that value, and
+    _tile_sums sums the others, with a second row when one row of several is new."""
     hist = deque(maxlen=6)
 
     def fn(kk):
@@ -278,12 +276,10 @@ def _reusing_intensity(pos, wvals, vol, rows):
         for k_old, v_old in hist:
             hit = todo & (k_old.view(np.int64) == kk.view(np.int64))
             out[hit], todo = v_old[hit], todo & ~hit
-        for s in range(0, rows, chunk):
-            new = np.flatnonzero(todo[s: s + chunk])
-            if len(new):
-                block = buf[: min(chunk, rows - s)]
-                block[new] = _phases(kk[s + new], pos)
-                out[s + new] = np.abs((block @ wvals)[new] / vol) ** 2
+        if rows > 1 and todo.sum() == 1:
+            todo[int(todo[0])] = True  # row 1 joins a new row 0; row 0 joins any other
+        new = np.flatnonzero(todo)
+        out[new] = np.abs(_tile_sums(kk[new], pos, wvals) / vol) ** 2
         hist.append((kk, out))
         return out
     return fn
@@ -302,8 +298,8 @@ def _certified_argmax(approx, bound, exact_rows):
 def _fine_argmax(pos, wvals, vol, cand, offs):
     """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it.
 
-    Factorized, |(W o e(-c x)) e(-o x)^T|^2 / vol^2, it takes one exp per
-    (row, point) and per (offset, point) and one GEMM.  With u = 2^-53,
+    Factorized, |e(-c x) (W o e(-o x))^T|^2 / vol^2 (W with the shorter list), it
+    takes one exp per (row, point) and per (offset, point).  With u = 2^-53,
     S1 = sum|w|, Sx = sum|w||x| and kappa >= |c| + |o|, to first order vol |dA|
     gathers 6 pi u kappa Sx per side (the roundings of k.x, or c.x and o.x,
     of 2 pi and of their product), 2 pi u kappa Sx for k = fl(c + o), 2 sqrt2
@@ -318,10 +314,11 @@ def _fine_argmax(pos, wvals, vol, cand, offs):
     s1, sx, kappa = float(aw.sum()), float(aw @ np.abs(pos)), abs(cand).max() + abs(offs).max()
     err = 2 * u * (14 * np.pi * kappa * sx + (4 * math.sqrt(2) * len(pos) + 16) * s1) / vol
     m = s1 / vol + err
-    approx = np.abs((_phases(cand, pos) * wvals) @ _phases(offs, pos).T / vol) ** 2
-    ks = (cand[:, None] + offs).ravel()
-    return _certified_argmax(approx, 2 * m * err + 10 * u * m * m, lambda rows: (
-        np.abs(_amplitudes_grid(pos, wvals, ks, vol)) ** 2).reshape(approx.shape)[rows])
+    few, many = (cand, offs) if len(cand) < len(offs) else (offs, cand)
+    approx = np.abs(_tile_sums(many, pos, (_phases(few, pos) * wvals).T) / vol) ** 2
+    approx = approx.T if few is cand else approx
+    return _certified_argmax(approx, 2 * m * err + 10 * u * m * m, lambda rows: (np.abs(
+        _amplitudes_grid(pos, wvals, (cand[rows][:, None] + offs).ravel(), vol)) ** 2).reshape(len(rows), -1))
 
 
 def module_seed_candidates(source, k_lo: float, k_hi: float):
@@ -422,8 +419,11 @@ class SmoothingKernel:
             raise ValueError("support radius s must be positive and finite")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip(1.0 - np.abs(x) / self.s, 0.0, None)
+        t = np.array(x, dtype=float)  # a copy, then in place: x is never written
+        np.abs(t, out=t)
+        t /= self.s
+        np.subtract(1.0, t, out=t)
+        return np.clip(t, 0.0, None, out=t)[()]
 
     def fourier(self, k):
         """omega-hat(k) = integral of omega(x) e^{-2 pi i k x} dx = s sinc^2(k s)."""
@@ -482,18 +482,18 @@ class SpectralCheckReport:
 
 
 def smoothed_density(source, w, kernel: SmoothingKernel, grid: np.ndarray) -> np.ndarray:
-    """rho_omega(y) = sum_points w(color) omega(y - point) on a grid (source or covering patch)."""
+    """rho_omega(y) = sum_points w(color) omega(y - point) on a grid (source or covering patch),
+    one running sum per grid point in point order, over tiles of about 2^16 terms."""
     w = validate_weights(w, source.m)
-    hw = kernel.s
+    hw, step = kernel.s, grid[1] - grid[0]
     patch = source if isinstance(source, MultiSetPatch) else \
         source.window(Interval(float(grid[0]) - hw - 1.0, float(grid[-1]) + hw + 1.0))
-    step = grid[1] - grid[0]
     pos, col = patch.colour_major()  # the order the sum adds in
-    p, g = within(grid, pos - hw - step, pos + hw + step)
-    terms = w[col[p]] * kernel(grid[g] - pos[p])
-    rho = np.empty(len(grid), dtype=complex)
-    rho.real = np.bincount(g, terms.real, len(grid))
-    rho.imag = np.bincount(g, terms.imag, len(grid))
+    rows = max(1, 2 ** 16 // int(2 * (hw + step) / step + 2))  # points a tile
+    rho = np.zeros(len(grid), dtype=complex)
+    for s in range(0, len(pos), rows):
+        p, g = within(grid, pos[s: s + rows] - hw - step, pos[s: s + rows] + hw + step)
+        np.add.at(rho, g, w[col[s + p]] * kernel(grid[g] - pos[s + p]))  # in pair order
     return rho
 
 

@@ -285,6 +285,8 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
     ("generate", {"source": {"type": "poisson", "intensity": True}, "generate": {"region": [0, 5]}}),
     ("generate", {"source": {"type": "lattice", "basis": [[2.0]], "offset": True},
                   "generate": {"region": [0, 5]}}),
+    # a class scan from the left end of a one-sided source, where balls reach past it
+    ("classes", {"source": {"type": "thue_morse"}, "classes": {"R": 1.0, "scan": [0, 50]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -318,6 +318,21 @@ def test_every_description_of_the_chain_has_the_same_classes(R, want):
         assert sorted(enumerate_cluster_classes(src, R, Interval(10 + h, 2000 + h)).counts) == want, h
 
 
+def test_classes_scan_must_start_R_past_a_left_end():
+    # the one-sided substitution chain scanned from its first point sees a
+    # sixth class, a ball cut off at 0; from 10 on it has the two-sided classes
+    sub, cp = fibonacci_substitution(), fibonacci_cut_project()
+    with pytest.raises(ValueError, match="left end"):
+        enumerate_cluster_classes(sub, 3.0, Interval(0.0, 2000.0))
+    with pytest.raises(ValueError, match="left end"):
+        enumerate_cluster_classes(TranslatedSource(sub, 5.0), 3.0, Interval(-3.0, 2000.0))
+    assert enumerate_cluster_classes(TranslatedSource(sub, 5.0), 3.0, Interval(-2.0, 2000.0)).n_classes == 5
+    got, want = (enumerate_cluster_classes(s, 3.0, Interval(10.0, 2010.0)) for s in (sub, cp))
+    assert got.n_classes == want.n_classes == 5
+    assert sorted(got.counts) == sorted(want.counts)
+    assert sorted(want.class_of(r) for r in got.representatives) == list(range(5))
+
+
 def test_empty_scan_errors():
     z = integer_lattice()
     with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from pointspec.sources import (
     PoissonSource,
     TranslatedSource,
     fibonacci_cut_project,
+    fibonacci_substitution,
     integer_lattice,
     thue_morse_source,
 )
@@ -832,6 +833,17 @@ def test_partition_fibonacci_disjoint_cover():
     for h in halton(150) * 300.0:
         patch = TranslatedSource(fib, float(h)).window(Interval(-16, 16))
         assert len(part.locate(patch)) == 1
+
+
+def test_partition_of_the_one_sided_chain_is_the_two_sided_one():
+    # scanned from 0, windows reaching past the left end added 9 cells, and
+    # 111 of 400 orbit samples lay in more than one cell
+    sub = fibonacci_substitution()
+    part = build_partition_1d(sub, 3.0, 0.2, scan_length=1500)
+    assert (part.n_cells, len(part.representatives)) == (53, 11)
+    hits = part._cylinders.orbit_hits(sub, (20.0 + halton(400) * 3000.0).tolist(), Interval(-16, 16))
+    assert (hits.sum(axis=1) == 1).all()
+    assert build_partition_1d(TranslatedSource(sub, 2.0), 3.0, 0.2, scan_length=1500).n_cells == 53
 
 
 def test_partition_of_the_chain_moved_by_1e4_is_the_exact_one():

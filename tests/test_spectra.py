@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pointspec import spectra
+from pointspec import spectra, verify
 from pointspec.coords import TOL_EQ
 from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
@@ -235,8 +235,9 @@ def test_scalar_references_match_on_a_difference_near_a_grid_boundary():
 
 @pytest.mark.parametrize("name, src, w", SOURCES, ids=[s[0] for s in SOURCES])
 def test_smoothed_density_matches_scalar_reference(name, src, w):
-    grid = np.arange(-40 + 0.01, 40, 0.02)
-    for kern in (SmoothingKernel(0.4), SmoothingKernel(0.7), SmoothingKernel(0.15)):
+    # on the wide grid, tiles of points meet where each grid point takes several terms
+    narrow, wide = np.arange(-40 + 0.01, 40, 0.02), np.arange(-300 + 0.01, 300, 0.02)
+    for grid, kern in [(narrow, SmoothingKernel(s)) for s in (0.4, 0.7, 0.15)] + [(wide, SmoothingKernel(2.5))]:
         got = smoothed_density(src, w, kern, grid)
         assert got.tobytes() == scalar_smoothed_density(src, w, kern, grid).tobytes()
 
@@ -318,6 +319,20 @@ def test_kernel_fourier_matches_quadrature(kern):
 def test_kernel_rejects_a_radius_that_is_not_positive_and_finite(s):
     with pytest.raises(ValueError, match="positive and finite"):
         SmoothingKernel(s)
+
+
+@pytest.mark.parametrize("s", [0.4, 0.35, 1 / 3, 1.2])
+def test_kernel_values_are_the_triangle_formula_bit_for_bit(s):
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[s, -s, 0.0, -0.0, np.nextafter(s, 0), np.nextafter(-s, 0), 2 * s],
+                        rng.uniform(-2 * s, 2 * s, 500)])
+    keep = x.copy()
+    got = SmoothingKernel(s)(x)
+    assert got.tobytes() == np.clip(1.0 - np.abs(x) / s, 0.0, None).tobytes()  # +0.0 at |x| = s
+    assert x.tobytes() == keep.tobytes()  # the caller's array is not written
+    grid = x[:6].reshape(2, 3)
+    assert SmoothingKernel(s)(grid).tobytes() == np.clip(1.0 - np.abs(grid) / s, 0.0, None).tobytes()
+    assert SmoothingKernel(s)(-s) == 0.0 and SmoothingKernel(s)(0.25 * s) == 0.75
 
 
 def test_triangle_fourier_at_zero_is_support_radius():
@@ -510,12 +525,12 @@ def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
     want = golden_refine_loop(exact, k0 - step, k0 + step)
     rows = []
     phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases", lambda ks, p: rows.append(len(ks)) or phases(ks, p))
+    monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: rows.append(len(ks)) or phases(ks, p, out))
     fn = spectra._reusing_intensity(pos, wvals, vol, len(k0))
     got = spectra._golden_refine(fn, k0 - step, k0 + step)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert sum(rows) < 0.8 * 123 * len(k0)  # reuse happened
-    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # two chunks
+    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # many tiles
     assert spectra._reusing_intensity(pos, wvals, vol, len(many))(many).tobytes() == \
         exact(many).tobytes()
 
@@ -534,7 +549,8 @@ def test_value_reuse_over_several_chunks_is_bit_exact(monkeypatch):
     k3[chunk - 50: chunk + 50] = rng.uniform(-3, 3, 100)  # fresh rows across a chunk end
     computed = []
     phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases", lambda ks, p: computed.append(len(ks)) or phases(ks, p))
+    monkeypatch.setattr(spectra, "_phases",
+                        lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
     fn = spectra._reusing_intensity(pos, wvals, vol, rows)
     got = [fn(k) for k in (k1, k2, k3)]
     monkeypatch.undo()
@@ -557,14 +573,82 @@ def test_amplitude_row_bits_ignore_the_other_rows_of_its_block():
                 assert (mixed @ wvals)[i].tobytes() == want[i].tobytes()
 
 
-def test_fibonacci_peak_scan_peaks_under_20_mb():
+def peak_bytes(task):
     tracemalloc.start()
     try:
-        peak_scan(fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [500, 2000])
-        peak = tracemalloc.get_traced_memory()[1]
+        task()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+
+
+def test_fibonacci_peak_scan_peaks_under_20_mb():
+    assert peak_bytes(lambda: peak_scan(fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [500, 2000])) < 20e6
+
+
+def tile_rows(n_points):
+    return max(3, 2 ** 16 // n_points)
+
+
+@pytest.mark.parametrize("n_points", [501, 723, 2501])
+def test_amplitude_bits_match_the_complex_exp_formula_at_every_tile_edge(n_points):
+    rng = np.random.default_rng(n_points)
+    pos = np.sort(rng.uniform(-n_points, n_points, n_points))
+    wvals = rng.normal(size=n_points) + 1j * rng.normal(size=n_points)
+    t = tile_rows(n_points)
+    for rows in (1, 2, 3, t - 1, t, t + 1, 2 * t + 1, 601):
+        ks = rng.uniform(-3, 3, rows)
+        got = spectra._amplitudes_grid(pos, wvals, ks, 1000.0)
+        assert got.tobytes() == complex_exp_grid(pos, wvals, ks, 1000.0).tobytes(), rows
+
+
+def test_phase_tiles_hold_two_to_t_rows(monkeypatch):
+    rng = np.random.default_rng(6)
+    pos = np.sort(rng.uniform(-700, 700, 723))
+    wvals = rng.normal(size=723) + 0j
+    t = tile_rows(723)
+    tiles = []
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases",
+                        lambda ks, p, out=None: tiles.append(len(ks)) or phases(ks, p, out))
+    for rows in (1, 2, 3, t - 1, t, t + 1, 2 * t + 1, 3 * t, 601):
+        tiles.clear()
+        spectra._amplitudes_grid(pos, wvals, rng.uniform(-3, 3, rows), 1.0)
+        assert sum(tiles) == rows and max(tiles) <= t, rows
+        assert rows == 1 or min(tiles) >= 2, (rows, tiles)
+
+
+def test_golden_call_with_one_fresh_row_keeps_the_one_call_bits(monkeypatch):
+    patch = fibonacci_cut_project().window(SPEC.region(300))
+    pos, col = patch.all_positions()
+    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(300).volume()
+    k1 = np.linspace(-2.5, 2.5, 9)
+    computed = []
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases",
+                        lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
+    for fresh in (0, 4, 8):
+        fn = spectra._reusing_intensity(pos, wvals, vol, len(k1))
+        fn(k1)
+        k2 = k1.copy()
+        k2[fresh] += 1e-3
+        computed.clear()
+        got = fn(k2)
+        assert computed == [2]  # the fresh row and one other, never a one-row tile
+        assert got.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k2, vol)) ** 2).tobytes()
+    one = spectra._reusing_intensity(pos, wvals, vol, 1)
+    assert one(k1[:1]).tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k1[:1], vol)) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("name, task, bound", [
+    # measured 3.2 and 4.1 MB in phase tiles; whole phase matrices for the
+    # coarse grid and the schedule take 24.3 and 14.5 MB
+    ("comb peak_scan", lambda: peak_scan(LatticeSource([[1.0]], colors=2), [1, -1], (-3, 3), 0.01,
+                                         [1250, 2500]), 6e6),
+    ("negative_controls", lambda: verify.check_negative_controls(fast=True), 8e6),
+])
+def test_fast_spectral_tasks_peak_under_their_bounds(name, task, bound):
+    assert peak_bytes(task) < bound
 
 
 def capture_fine_grids(monkeypatch, scans):
