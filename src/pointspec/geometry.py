@@ -278,6 +278,15 @@ def complex_keys(color, x) -> np.ndarray:
     return keys
 
 
+def stacked_colour_major(patches, m: int):
+    """(x, cell) over the points of patches, patch after patch and each
+    colour-major: cell is k * m + colour for a point of patches[k], so with
+    m at least every patch's m, complex_keys(cell, x) is sorted (1D)."""
+    x = np.concatenate([p._x for p in patches])
+    cells = [k * m + i for k, p in enumerate(patches) for i in range(p.m)]
+    return x, np.repeat(cells, [b - a for p in patches for a, b in zip(p._ends, p._ends[1:])])
+
+
 def _exact_key(q: QuadArray):
     """The exact values of q as hashable bytes, the same for every way of
     writing them (common denominator, field when every b is 0)."""
@@ -420,8 +429,9 @@ class MultiSetPatch:
 
         In 1D only translates in [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D
         every anchor-colour point is a candidate.  Membership is within
-        TOL_EQ, by in_sorted for every candidate and every point of a colour
-        at once.
+        TOL_EQ, by in_sorted on the colour's slice: in 1D one point of P at a
+        time, for the candidates every earlier point kept; in 2D, where each
+        search builds a KD-tree, every point of a colour at once.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -438,7 +448,12 @@ class MultiSetPatch:
         idx = np.arange(a, b)
         for i, (s, t, u, w) in enumerate(zip(self._ends, self._ends[1:], P._ends, P._ends[1:])):
             others = P._x[u + (i == color):w]  # every point of P but the anchor
-            if len(idx) and len(others):  # targets: (candidate, point[, axis])
+            if self.dim == 1:  # one point at a time, against the candidates left
+                for o in others.tolist():
+                    if not len(idx):
+                        break
+                    idx = idx[in_sorted(self._x[s:t], (base[idx] - anchor) + o)]
+            elif len(idx) and len(others):  # targets: (candidate, point, axis)
                 idx = idx[in_sorted(self._x[s:t], (base[idx] - anchor)[:, None] + others).all(axis=1)]
         return idx
 

@@ -34,6 +34,7 @@ from .geometry import (
     in_sorted,
     ranges,
     run_starts,
+    stacked_colour_major,
     tolerant_labels,
     within,
 )
@@ -58,10 +59,33 @@ class MetricBracket:
         return {"lower": self.lower, "upper": self.upper, "eps_grid": self.eps_grid}
 
 
-def _match_predicate(patches1, patches2, pair, eps) -> np.ndarray:
+def _predicate_sides(patches1, patches2):
+    """What every predicate call on the pairs (patches1[k], patches2[k]) reads,
+    built once: the colour count m and, per side, each patch's region bounds
+    (plo, phi), the patches' points x with their colours c, concatenated
+    colour-major, and their keys (pair, colour, position), sorted."""
+    m = max(p.m for p in (*patches1, *patches2))
+    sides = []
+    for patches in (patches1, patches2):
+        plo, phi = np.array([p.region.bounds()[0] for p in patches]).T
+        x, cell = stacked_colour_major(patches, m)
+        sides.append((plo, phi, x, cell % m, complex_keys(cell, x)))
+    return m, sides
+
+
+def _check_cover(sides, pair, eps):
+    """ValueError unless both patches of each pair[k] cover +-(1/eps[k] + 4 eps[k])."""
+    reach = 1.0 / eps + 4 * eps
+    for plo, phi, *_ in sides[1]:  # sides: m, then each side's arrays
+        short = eps[(plo[pair] > -reach + TOL_EQ) | (phi[pair] < reach - TOL_EQ)]
+        if len(short):
+            raise ValueError("a patch does not cover +-(1/eps + 4 eps) at eps = %r" % float(short.min()))
+
+
+def _match_predicate(sides, pair, eps) -> np.ndarray:
     """For each query k, whether some shifts x, y in the closed eps[k]-ball
-    align patches1[pair[k]] and patches2[pair[k]] on the closed window of
-    radius 1/eps[k].
+    align the patches of pair pair[k] (of _predicate_sides(patches1, patches2))
+    on the closed window of radius 1/eps[k].
 
     It needs each eps in (0, METRIC_CAP], so eps < 1/eps, and patch regions
     that cover [-(1/eps + 4 eps), 1/eps + 4 eps] (ValueError otherwise).  1D
@@ -76,26 +100,16 @@ def _match_predicate(patches1, patches2, pair, eps) -> np.ndarray:
     pair, eps = np.asarray(pair, dtype=np.intp), np.asarray(eps, dtype=float)
     if not ((eps > 0) & (eps <= METRIC_CAP)).all():
         raise ValueError("every eps must lie in (0, 2^-1/2], not %s" % eps)
+    _check_cover(sides, pair, eps)
+    m, ((_, _, x1, c1, k1), (_, _, x2, _, k2)) = sides
     L = 1.0 / eps
-    reach, lo, hi = L + 4 * eps, -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
-    m = max(p.m for p in (*patches1, *patches2))
+    lo, hi = -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
     cell = (pair[:, None] * m + np.arange(m)).ravel()  # per query and colour: pair * m + colour
 
     def find(keys, at):  # per query and colour, the first key at or past position at
         return np.searchsorted(keys, complex_keys(cell, np.repeat(at, m)))
 
-    sides = []
-    for patches in (patches1, patches2):
-        plo, phi = np.array([p.region.bounds()[0] for p in patches]).T
-        short = eps[(plo[pair] > -reach + TOL_EQ) | (phi[pair] < reach - TOL_EQ)]
-        if len(short):
-            raise ValueError("a patch does not cover +-(1/eps + 4 eps) at eps = %r" % float(short.min()))
-        x, c = (np.concatenate(a) for a in zip(*(p.colour_major() for p in patches)))
-        # keyed (pair, colour, position): sorted, as each patch is colour-major
-        owner = np.repeat(np.arange(len(patches)), [p.total_points for p in patches])
-        keys = complex_keys(owner * m + c, x)
-        sides.append((x, c, keys, find(keys, lo), find(keys, hi)))
-    (x1, c1, k1, a1, b1), (x2, _, k2, a2, b2) = sides
+    a1, b1, a2, b2 = find(k1, lo), find(k1, hi), find(k2, lo), find(k2, hi)
     any1, any2 = ((b - a).reshape(-1, m).sum(1) > 0 for a, b in ((a1, b1), (a2, b2)))
     # windows can never be empty when the sets are relatively dense with
     # b < 2L; guard for degenerate inputs anyway
@@ -161,8 +175,10 @@ def hull_metrics(pairs, eps_grid: float = 0.01) -> list:
 
     Each descends the epsilon grid METRIC_CAP / 2^k (above max(eps_grid/2,
     1e-4)) while the matching predicate holds, then bisects the first failing
-    bracket down to width eps_grid.  One predicate call decides every descent
-    of a slice of pairs, one more every midpoint their bisections can reach.
+    bracket down to width eps_grid.  Per slice of pairs, one predicate call
+    decides METRIC_CAP for every pair, one more the rest of the descent of the
+    pairs that hold there, and one more every midpoint their bisections can
+    reach; every call reads the arrays _predicate_sides builds once.
     Each input is a source, windowed once on metric_window(eps_grid), or a
     patch used as given, which must cover every epsilon of the descent.
     """
@@ -173,21 +189,26 @@ def hull_metrics(pairs, eps_grid: float = 0.01) -> list:
     near, ladder = metric_window(eps_grid), [METRIC_CAP]
     while (eps := ladder[-1] / 2.0) > max(eps_grid / 2.0, 1e-4):
         ladder.append(eps)
-    brackets, bisect, known = [(0.0, ladder[-1])] * len(pairs), {}, {}  # bisect: the open brackets
+    brackets, bisect, known = [(METRIC_CAP, METRIC_CAP)] * len(pairs), {}, {}  # bisect: the open brackets
     for s in range(0, len(pairs), _METRIC_SLICE):
         p1, p2 = zip(*([p if isinstance(p, MultiSetPatch) else p.window(near) for p in pair]
                        for pair in pairs[s:s + _METRIC_SLICE]))
-        holds = _match_predicate(p1, p2, np.repeat(np.arange(len(p1)), len(ladder)), ladder * len(p1))
-        for i, row in enumerate(holds.reshape(len(p1), -1).tolist(), s):
-            j = (row + [False]).index(False)  # the first failing epsilon
-            if j == 0:
-                brackets[i] = (METRIC_CAP, METRIC_CAP)
-            elif j < len(ladder):
+        sides, every = _predicate_sides(p1, p2), np.arange(len(p1))
+        _check_cover(sides, every, np.full(len(p1), ladder[-1]))  # the widest slab of the descent
+        held = np.flatnonzero(_match_predicate(sides, every, np.full(len(p1), METRIC_CAP)))
+        rest = ladder[1:]  # decided only for the pairs that hold at the cap
+        holds = (_match_predicate(sides, np.repeat(held, len(rest)), rest * len(held))
+                 if len(held) and rest else np.zeros(0, dtype=bool))
+        for i, row in zip((held + s).tolist(), holds.reshape(len(held), len(rest)).tolist()):
+            j = (row + [False]).index(False) + 1  # the first failing epsilon
+            if j < len(ladder):
                 brackets[i] = bisect[i] = (ladder[j], ladder[j - 1])  # known false, known true
+            else:
+                brackets[i] = (0.0, ladder[-1])
         while bisect := {i: (lo, hi) for i, (lo, hi) in bisect.items() if hi - lo > eps_grid}:
             queries = [(i, mid) for i, (lo, hi) in bisect.items()
                        for mid in _bisection_mids(lo, hi, eps_grid, _TREE_DEPTH)]
-            holds = _match_predicate(p1, p2, [i - s for i, _ in queries], [mid for _, mid in queries])
+            holds = _match_predicate(sides, [i - s for i, _ in queries], [mid for _, mid in queries])
             known.update(zip(queries, holds.tolist()))
             for i, (lo, hi) in bisect.items():  # the sequential walks, as far as they are decided
                 while hi - lo > eps_grid and (i, mid := 0.5 * (lo + hi)) in known:
@@ -347,10 +368,13 @@ def partition_params(source, epsilon: float, scan=None) -> PartitionParams:
     """theta(eps) = min(eps, theta1, eta), eta observed on the scan, theta1 from
     the class table at radius 1/eps: half the minimum distance between
     distinct class representatives, falling back to eta/2 when degenerate.
+    The default scan is [t0, t0 + max(200, 40/eps)], t0 = max(0, left end +
+    1/eps), so no ball reaches past a one-sided source's left end.
     """
     R = 1.0 / epsilon
     if scan is None:
-        scan = Interval(0.0, max(200.0, 40.0 * R))
+        t0 = max(0.0, source.left_end + R)
+        scan = Interval(t0, t0 + max(200.0, 40.0 * R))
     eta = delone_params(source, scan).eta
     reps = enumerate_cluster_classes(source, R, scan).representatives
     best = min((cluster_distance(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]), default=math.inf)

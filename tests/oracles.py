@@ -3,7 +3,8 @@ closed forms of the van Hove boundary ratios, of the triangle kernel's L2
 norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
-bracket search, of the cluster distance and of the Dworkin left side."""
+bracket search, of the cluster distance, of the Dworkin left side and of
+the occurrence search."""
 
 import itertools
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from pointspec import hull
 from pointspec.coords import TOL_EQ, is_exact_coord
-from pointspec.geometry import MultiSetPatch
+from pointspec.geometry import MultiSetPatch, in_sorted
 from pointspec.sources import region_to_json
 from pointspec.spectra import smoothed_density
 
@@ -152,8 +153,10 @@ def sequential_hull_metric(source1, source2, eps_grid: float):
     near = hull.metric_window(eps_grid)
     p1, p2 = (s if isinstance(s, MultiSetPatch) else s.window(near) for s in (source1, source2))
 
+    sides = hull._predicate_sides([p1], [p2])
+
     def holds(eps):
-        return bool(hull._match_predicate([p1], [p2], [0], [eps])[0])
+        return bool(hull._match_predicate(sides, [0], [eps])[0])
 
     if not holds(cap):
         return cap, cap
@@ -174,3 +177,19 @@ def sequential_hull_metric(source1, source2, eps_grid: float):
         else:
             lo = mid
     return lo, hi
+
+
+def batched_occurrence_index(patch, P, lo: float = -math.inf, hi: float = math.inf):
+    """MultiSetPatch.occurrence_index by the all-points-at-once rule: per
+    colour, one in_sorted search of every candidate translate of every point
+    of P (but the anchor), the target of candidate q and point o being
+    (q - anchor) + o.  Translate bounds apply in 1D only."""
+    color = P.anchor_color()
+    anchor, base = P.positions(color)[0], patch.positions(color)
+    a, b = np.searchsorted(base, [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ]) if patch.dim == 1 else (0, len(base))
+    idx = np.arange(a, b)
+    for i in range(P.m):
+        others = P.positions(i)[int(i == color):]
+        if len(idx) and len(others):
+            idx = idx[in_sorted(patch.positions(i), (base[idx] - anchor)[:, None] + others).all(axis=1)]
+    return idx

@@ -26,6 +26,7 @@ from pointspec.geometry import (
 )
 from pointspec.sources import (
     LatticeSource,
+    PoissonSource,
     TranslatedSource,
     fibonacci_cut_project,
     fibonacci_substitution,
@@ -33,7 +34,7 @@ from pointspec.sources import (
     source_from_config,
 )
 
-from oracles import boundary_shell_volume, coord_eq, dense_cluster_distance
+from oracles import batched_occurrence_index, boundary_shell_volume, coord_eq, dense_cluster_distance
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +581,35 @@ def oracle_clusters():
               for _ in range(30)]
     floats += [[[(0.0,), (1.0 + 1e-10,), (1.0,)], [(2.5,)]], [[(0.0,), (3.0,)], []]]
     return cluster_pairs(exact), cluster_pairs([p for p in floats if any(p)])
+
+
+def test_occurrence_index_matches_the_batched_rule():
+    # 1D tests one cluster point at a time; the index set is the one of
+    # testing every point of a colour at once, under translate bounds too
+    fib = fibonacci_cut_project()
+    sources = [fib, TranslatedSource(fib, 0.37), integer_lattice(1.0, colors=2), PoissonSource(1.0, seed=5)]
+    bounds = [(-math.inf, math.inf), (-20.0, 5.0), (3.0, 3.0), (12.5, -4.0)]
+    sizes, spans = [], 0
+    for src in sources:
+        patch = src.window(Interval(-60, 60))
+        assert patch.exact == (src is fib)
+        clusters = [src.window(Interval(lo, lo + w)).as_cluster() for lo, w in ((0, 4), (-7.3, 6.1), (11.2, 2.5))]
+        clusters += [Cluster.from_arrays(1, src.m, [0.0], [c]) for c in range(src.m)]  # single points
+        clusters += [Cluster.from_arrays(1, src.m, [0.0, 0.123456], [0, src.m - 1])]  # no occurrence
+        for P in clusters:
+            spans += P.m == 2 and all(len(P.positions(c)) for c in range(2))
+            for lo, hi in bounds:
+                got = patch.occurrence_index(P, lo, hi)
+                assert got.tolist() == batched_occurrence_index(patch, P, lo, hi).tolist()
+                sizes.append(len(got))
+    assert spans >= 6 and min(sizes) == 0 and max(sizes) > 50
+    # 2D keeps its batched search
+    plane = LatticeSource(np.eye(2), colors=2).window(Box((-4.0, -4.0), (4.0, 4.0)))
+    # (coordinate-sum parity colours: both clusters occur, the last only in colour 1)
+    for parts in ([[(0.0, 0.0), (1.0, 1.0)], [(1.0, 0.0), (0.0, 1.0)]], [[], [(0.0, 0.0)]]):
+        P = Cluster(parts, dim=2)
+        got = plane.occurrence_index(P)
+        assert got.tolist() == batched_occurrence_index(plane, P).tolist() and len(got)
 
 
 def test_array_cluster_matches_tuple_reference():

@@ -17,6 +17,7 @@ from pointspec.hull import (
     cylinder_contains,
     empirical_cylinder_measure,
     _match_predicate,
+    _predicate_sides,
     _scan_pieces,
     hull_metric,
     hull_metrics,
@@ -209,7 +210,8 @@ def test_match_predicate_matches_scalar_reference():
     p1, p2 = zip(*([s if isinstance(s, MultiSetPatch) else s.window(Interval(-reach, reach)) for s in pair]
                    for pair in pairs))
     queries = [(i, eps) for i in range(len(pairs)) for eps in ladder]
-    got = _match_predicate(p1, p2, [i for i, _ in queries], [eps for _, eps in queries])
+    sides = _predicate_sides(p1, p2)
+    got = _match_predicate(sides, [i for i, _ in queries], [eps for _, eps in queries])
     assert got.dtype == bool and got.shape == (len(queries),)
     want = [scalar_match_predicate(*pairs[i], eps) for i, eps in queries]
     assert got.tolist() == want
@@ -217,8 +219,8 @@ def test_match_predicate_matches_scalar_reference():
     # the same decisions one query at a time, and in another order
     for k in (0, 13, len(queries) - 1):
         i, eps = queries[k]
-        assert _match_predicate(p1, p2, [i], [eps]).tolist() == [want[k]]
-    assert _match_predicate(p1, p2, [i for i, _ in queries[::-1]],
+        assert _match_predicate(sides, [i], [eps]).tolist() == [want[k]]
+    assert _match_predicate(sides, [i for i, _ in queries[::-1]],
                             [eps for _, eps in queries[::-1]]).tolist() == want[::-1]
 
 
@@ -228,7 +230,7 @@ def test_match_predicate_degenerate_shift_stays_infeasible():
     eps, region = 0.25, Interval(-5, 5)
     other = MultiSetPatch.from_points(region, 1, 1, [0.5 + 5e-10], [0])
     ps = [MultiSetPatch.from_points(region, 1, 1, pts, [0] * len(pts)) for pts in ([0.0], [0.0, 4.25])]
-    assert _match_predicate(ps, [other, other], [0, 1], [eps, eps]).tolist() == [False, False]
+    assert _match_predicate(_predicate_sides(ps, [other, other]), [0, 1], [eps, eps]).tolist() == [False, False]
     for p in ps:
         assert not scalar_match_predicate(p, other, eps)
 
@@ -259,7 +261,7 @@ def test_match_predicate_tie_conventions():
         p2.append(MultiSetPatch.from_points(region, 1, 1, [-delta], [0]))
         assert scalar_match_predicate(p1[-1], p2[-1], eps) == feasible, (delta, d)
     want = [feasible for *_, feasible in cases]
-    assert _match_predicate(p1, p2, range(len(cases)), [eps] * len(cases)).tolist() == want
+    assert _match_predicate(_predicate_sides(p1, p2), range(len(cases)), [eps] * len(cases)).tolist() == want
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, 0.75, 2.0, float("nan")])
@@ -267,9 +269,9 @@ def test_match_predicate_rejects_eps_outside_the_cap(eps):
     # each shift is bounded by one mismatched point per side only while eps < 1/eps
     p = MultiSetPatch.from_points(Interval(-50, 50), 1, 1, [0.0, 1.0], [0, 0])
     with pytest.raises(ValueError, match="eps must lie in"):
-        _match_predicate([p], [p], [0], [eps])
+        _match_predicate(_predicate_sides([p], [p]), [0], [eps])
     with pytest.raises(ValueError, match="eps must lie in"):  # one bad query spoils the batch
-        _match_predicate([p], [p], [0, 0], [0.5, eps])
+        _match_predicate(_predicate_sides([p], [p]), [0, 0], [0.5, eps])
 
 
 def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch):
@@ -278,12 +280,20 @@ def test_every_predicate_call_of_the_metric_matches_scalar_reference(monkeypatch
     # and m = 2 pairs, which packs (pair, colour) into the keys
     import pointspec.hull as hull
 
-    calls, real = [], hull._match_predicate
+    calls, built = [], {}  # built: id of each sides array set -> (patches1, patches2, it)
+    real_sides, real_predicate = hull._predicate_sides, hull._match_predicate
 
-    def record(p1, p2, pair, eps):
-        calls.append((p1, p2, list(pair), list(eps), real(p1, p2, pair, eps).tolist()))
+    def sides(p1, p2):
+        out = real_sides(p1, p2)
+        built[id(out)] = (p1, p2, out)  # out kept alive, so no later set reuses its id
+        return out
+
+    def record(arrays, pair, eps):
+        p1, p2, _ = built[id(arrays)]
+        calls.append((p1, p2, list(pair), list(eps), real_predicate(arrays, pair, eps).tolist()))
         return np.array(calls[-1][-1])
 
+    monkeypatch.setattr(hull, "_predicate_sides", sides)
     monkeypatch.setattr(hull, "_match_predicate", record)
     z, fib, sparse, pz = integer_lattice(), fibonacci_cut_project(), integer_lattice(10.0), PoissonSource(1.0, seed=3)
     comb = integer_lattice(1.0, colors=2)
@@ -351,6 +361,28 @@ def test_metrics_match_the_sequential_search_pair_by_pair():
     assert hull_metrics([], eps_grid=0.05) == []
 
 
+@pytest.mark.parametrize("grid", [0.05, 0.01])
+def test_metrics_deciding_the_cap_first_match_the_sequential_search(grid):
+    # one batch mixing pairs that fail at METRIC_CAP, pairs that hold down the
+    # whole ladder and bisected ones, on both sides of a slice boundary; and a
+    # batch whose every pair fails at the cap
+    import pointspec.hull as hull
+
+    fib, sparse, b = fibonacci_cut_project(), integer_lattice(10.0), hull._METRIC_SLICE
+    h1, h2 = (halton(b + 10, base) * 40.0 for base in (2, 3))
+    near = metric_window(grid)
+    pairs = list(zip(translated_windows(fib, h1.tolist(), near), translated_windows(fib, h2.tolist(), near)))
+    fails, holds = (sparse, TranslatedSource(sparse, 5.0)), (fib, fib)
+    pairs[b - 3:b + 3] = [fails, holds, fails, holds, fails, holds]
+    got = [(br.lower, br.upper) for br in hull_metrics(pairs, eps_grid=grid)]
+    assert got == [sequential_hull_metric(s1, s2, grid) for s1, s2 in pairs]
+    floor = got[b - 2][1]
+    for part in (got[:b], got[b:]):  # each slice holds every kind of bracket
+        assert (METRIC_CAP, METRIC_CAP) in part and (0.0, floor) in part
+        assert any(0.0 < lo < METRIC_CAP for lo, _ in part)
+    assert [(br.lower, br.upper) for br in hull_metrics([fails] * 3, eps_grid=grid)] == [got[b - 3]] * 3
+
+
 def test_metrics_need_patches_covering_every_descent_epsilon():
     # the sequential search stops at its first failure (eps = 0.044 here) and
     # reads only [-23, 23]; the batch decides the whole descent, down to
@@ -366,6 +398,12 @@ def test_metrics_need_patches_covering_every_descent_epsilon():
     full = [s.window(metric_window(0.01)) for s in (z, TranslatedSource(z, 0.1))]
     br = hull_metric(*full, eps_grid=0.01)
     assert (br.lower, br.upper) == (lo, hi)
+    # also when every pair of the batch fails at METRIC_CAP, so no call decides the rest
+    sparse = integer_lattice(10.0)
+    apart = tuple(s.window(Interval(-30, 30)) for s in (sparse, TranslatedSource(sparse, 5.0)))
+    assert sequential_hull_metric(*apart, 0.01) == (METRIC_CAP, METRIC_CAP)
+    with pytest.raises(ValueError, match="does not cover"):
+        hull_metrics([apart] * 3, eps_grid=0.01)
 
 
 class _CountingSource:
@@ -892,6 +930,14 @@ def test_partition_params_bounds():
     assert 0 < pp.theta <= pp.eta
     assert pp.zeta < pp.theta / 2
     assert pp.theta <= pp.epsilon
+
+
+def test_partition_params_default_scan_starts_past_a_left_end():
+    # [t0, t0 + max(200, 40/eps)], t0 = max(0, left end + 1/eps): moved on a
+    # one-sided source, where a scan from 0 would raise, and kept on a two-sided one
+    sub, fib = fibonacci_substitution(), fibonacci_cut_project()
+    assert partition_params(sub, 1 / 3.0) == partition_params(sub, 1 / 3.0, scan=Interval(3.0, 3.0 + 200.0))
+    assert partition_params(fib, 1 / 3.0) == partition_params(fib, 1 / 3.0, scan=Interval(0.0, 200.0))
 
 
 def test_smoothed_indicator_l2_bound():
