@@ -278,15 +278,6 @@ def complex_keys(color, x) -> np.ndarray:
     return keys
 
 
-def stacked_colour_major(patches, m: int):
-    """(x, cell) over the points of patches, patch after patch and each
-    colour-major: cell is k * m + colour for a point of patches[k], so with
-    m at least every patch's m, complex_keys(cell, x) is sorted (1D)."""
-    x = np.concatenate([p._x for p in patches])
-    cells = [k * m + i for k, p in enumerate(patches) for i in range(p.m)]
-    return x, np.repeat(cells, [b - a for p in patches for a, b in zip(p._ends, p._ends[1:])])
-
-
 def _exact_key(q: QuadArray):
     """The exact values of q as hashable bytes, the same for every way of
     writing them (common denominator, field when every b is 0)."""
@@ -368,6 +359,16 @@ class MultiSetPatch:
     def colour_major(self):
         """(positions, colors) of every point, colour by colour: the stored array."""
         return self._x, np.repeat(np.arange(self.m), np.diff(self._ends))
+
+    @staticmethod
+    def stacked_colour_major(patches, m: int):
+        """(x, cell) over the points of patches, patch after patch and each
+        colour-major, cell being k * m + colour for a point of patches[k]: so
+        with m at least every patch's m, complex_keys(cell, x) is sorted (1D).
+        One np.repeat for all patches, not one colour_major each."""
+        x = np.concatenate([p._x for p in patches])
+        cells = [k * m + i for k, p in enumerate(patches) for i in range(p.m)]
+        return x, np.repeat(cells, [b - a for p in patches for a, b in zip(p._ends, p._ends[1:])])
 
     def _support(self):
         if self._all is None:
@@ -679,6 +680,12 @@ def distinct_windows(rows, columns, n: int, extra=()):
     for c, values in enumerate(columns):
         table[rows, 1 + len(extra) + c * width + slot] = values
     return first_labels(table)
+
+
+def scan_start(source, R: float) -> float:
+    """Where a 1D scan of B_R balls starts by default: max(0, left end + R),
+    the first anchor enumerate_cluster_classes accepts on a one-sided source."""
+    return max(0.0, source.left_end + R)
 
 
 def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:

@@ -34,7 +34,7 @@ from .geometry import (
     in_sorted,
     ranges,
     run_starts,
-    stacked_colour_major,
+    scan_start,
     tolerant_labels,
     within,
 )
@@ -68,18 +68,9 @@ def _predicate_sides(patches1, patches2):
     sides = []
     for patches in (patches1, patches2):
         plo, phi = np.array([p.region.bounds()[0] for p in patches]).T
-        x, cell = stacked_colour_major(patches, m)
+        x, cell = MultiSetPatch.stacked_colour_major(patches, m)  # cell: pair * m + colour
         sides.append((plo, phi, x, cell % m, complex_keys(cell, x)))
     return m, sides
-
-
-def _check_cover(sides, pair, eps):
-    """ValueError unless both patches of each pair[k] cover +-(1/eps[k] + 4 eps[k])."""
-    reach = 1.0 / eps + 4 * eps
-    for plo, phi, *_ in sides[1]:  # sides: m, then each side's arrays
-        short = eps[(plo[pair] > -reach + TOL_EQ) | (phi[pair] < reach - TOL_EQ)]
-        if len(short):
-            raise ValueError("a patch does not cover +-(1/eps + 4 eps) at eps = %r" % float(short.min()))
 
 
 def _match_predicate(sides, pair, eps) -> np.ndarray:
@@ -100,10 +91,14 @@ def _match_predicate(sides, pair, eps) -> np.ndarray:
     pair, eps = np.asarray(pair, dtype=np.intp), np.asarray(eps, dtype=float)
     if not ((eps > 0) & (eps <= METRIC_CAP)).all():
         raise ValueError("every eps must lie in (0, 2^-1/2], not %s" % eps)
-    _check_cover(sides, pair, eps)
-    m, ((_, _, x1, c1, k1), (_, _, x2, _, k2)) = sides
+    m, sides = sides
     L = 1.0 / eps
-    lo, hi = -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
+    reach, lo, hi = L + 4 * eps, -L - eps - TOL_EQ, L + eps + TOL_EQ  # the slab: lo <= x < hi
+    for plo, phi, *_ in sides:
+        short = eps[(plo[pair] > -reach + TOL_EQ) | (phi[pair] < reach - TOL_EQ)]
+        if len(short):
+            raise ValueError("a patch does not cover +-(1/eps + 4 eps) at eps = %r" % float(short.min()))
+    (_, _, x1, c1, k1), (_, _, x2, _, k2) = sides
     cell = (pair[:, None] * m + np.arange(m)).ravel()  # per query and colour: pair * m + colour
 
     def find(keys, at):  # per query and colour, the first key at or past position at
@@ -176,8 +171,7 @@ def hull_metrics(pairs, eps_grid: float = 0.01) -> list:
     Each descends the epsilon grid METRIC_CAP / 2^k (above max(eps_grid/2,
     1e-4)) while the matching predicate holds, then bisects the first failing
     bracket down to width eps_grid.  Per slice of pairs, one predicate call
-    decides METRIC_CAP for every pair, one more the rest of the descent of the
-    pairs that hold there, and one more every midpoint their bisections can
+    decides every descent, one more every midpoint their bisections can
     reach; every call reads the arrays _predicate_sides builds once.
     Each input is a source, windowed once on metric_window(eps_grid), or a
     patch used as given, which must cover every epsilon of the descent.
@@ -189,22 +183,18 @@ def hull_metrics(pairs, eps_grid: float = 0.01) -> list:
     near, ladder = metric_window(eps_grid), [METRIC_CAP]
     while (eps := ladder[-1] / 2.0) > max(eps_grid / 2.0, 1e-4):
         ladder.append(eps)
-    brackets, bisect, known = [(METRIC_CAP, METRIC_CAP)] * len(pairs), {}, {}  # bisect: the open brackets
+    brackets, bisect, known = [(0.0, ladder[-1])] * len(pairs), {}, {}  # bisect: the open brackets
     for s in range(0, len(pairs), _METRIC_SLICE):
         p1, p2 = zip(*([p if isinstance(p, MultiSetPatch) else p.window(near) for p in pair]
                        for pair in pairs[s:s + _METRIC_SLICE]))
-        sides, every = _predicate_sides(p1, p2), np.arange(len(p1))
-        _check_cover(sides, every, np.full(len(p1), ladder[-1]))  # the widest slab of the descent
-        held = np.flatnonzero(_match_predicate(sides, every, np.full(len(p1), METRIC_CAP)))
-        rest = ladder[1:]  # decided only for the pairs that hold at the cap
-        holds = (_match_predicate(sides, np.repeat(held, len(rest)), rest * len(held))
-                 if len(held) and rest else np.zeros(0, dtype=bool))
-        for i, row in zip((held + s).tolist(), holds.reshape(len(held), len(rest)).tolist()):
-            j = (row + [False]).index(False) + 1  # the first failing epsilon
-            if j < len(ladder):
+        sides = _predicate_sides(p1, p2)
+        holds = _match_predicate(sides, np.repeat(np.arange(len(p1)), len(ladder)), ladder * len(p1))
+        for i, row in enumerate(holds.reshape(len(p1), -1).tolist(), s):
+            j = (row + [False]).index(False)  # the first failing epsilon
+            if j == 0:
+                brackets[i] = (METRIC_CAP, METRIC_CAP)
+            elif j < len(ladder):
                 brackets[i] = bisect[i] = (ladder[j], ladder[j - 1])  # known false, known true
-            else:
-                brackets[i] = (0.0, ladder[-1])
         while bisect := {i: (lo, hi) for i, (lo, hi) in bisect.items() if hi - lo > eps_grid}:
             queries = [(i, mid) for i, (lo, hi) in bisect.items()
                        for mid in _bisection_mids(lo, hi, eps_grid, _TREE_DEPTH)]
@@ -373,7 +363,7 @@ def partition_params(source, epsilon: float, scan=None) -> PartitionParams:
     """
     R = 1.0 / epsilon
     if scan is None:
-        t0 = max(0.0, source.left_end + R)
+        t0 = scan_start(source, R)
         scan = Interval(t0, t0 + max(200.0, 40.0 * R))
     eta = delone_params(source, scan).eta
     reps = enumerate_cluster_classes(source, R, scan).representatives
@@ -462,7 +452,7 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         scan_length = max(400.0 * R, 1200.0)
     elif not scan_length > 0:
         raise ValueError("scan_length must be positive")
-    t0 = max(0.0, source.left_end + R)
+    t0 = scan_start(source, R)
     dp = delone_params(source, Interval(t0, t0 + max(scan_length, 200.0)))
     if not (R >= dp.b / 2.0 - TOL_EQ):
         raise ValueError("R must be at least b/2 = %.6g so clusters are nonempty" % (dp.b / 2.0))

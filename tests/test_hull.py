@@ -336,51 +336,34 @@ def test_metric_brackets_do_not_depend_on_how_far_a_sample_reaches():
 
 
 def test_metrics_match_the_sequential_search_pair_by_pair():
-    # more pairs than one slice: brackets at METRIC_CAP, with lower 0.0 and
-    # bisected ones; the fine grid needs more bisection steps than one call decides
+    # more pairs than one slice, at two grids: each slice holds brackets at
+    # METRIC_CAP, with lower 0.0 and bisected ones, and pairs failing at the
+    # cap and holding down the whole ladder alternate across the slice
+    # boundary; the fine grids need more bisection steps than one call decides
     import pointspec.hull as hull
 
-    fib, z = fibonacci_cut_project(), integer_lattice()
-    n = hull._METRIC_SLICE + 20
-    h1, h2 = (halton(n, b) * 40.0 for b in (2, 3))
-    near = metric_window(0.05)
-    pairs = list(zip(translated_windows(fib, h1.tolist(), near), translated_windows(fib, h2.tolist(), near)))
-    pairs[7] = (fib, fib)
-    pairs[hull._METRIC_SLICE + 3] = (z, TranslatedSource(z, 0.1))
-    got = hull_metrics(pairs, eps_grid=0.05)
-    assert len(got) == n
-    for (s1, s2), br in zip(pairs, got):
-        assert (br.lower, br.upper) == sequential_hull_metric(s1, s2, 0.05)
-        assert br.eps_grid == 0.05
-    assert {br.lower for br in got} >= {0.0, METRIC_CAP}
-    assert any(0.0 < br.lower < METRIC_CAP for br in got)
+    fib, z, sparse, b = fibonacci_cut_project(), integer_lattice(), integer_lattice(10.0), hull._METRIC_SLICE
+    n = b + 20
+    h1, h2 = (halton(n, base) * 40.0 for base in (2, 3))
+    fails, holds = (sparse, TranslatedSource(sparse, 5.0)), (fib, fib)
+    for grid in (0.05, 0.01):
+        near = metric_window(grid)
+        pairs = list(zip(translated_windows(fib, h1.tolist(), near), translated_windows(fib, h2.tolist(), near)))
+        pairs[b - 3:b + 3] = [fails, holds, fails, holds, fails, holds]
+        pairs[b + 5] = (z, TranslatedSource(z, 0.1))
+        got = hull_metrics(pairs, eps_grid=grid)
+        assert len(got) == n and all(br.eps_grid == grid for br in got)
+        got = [(br.lower, br.upper) for br in got]
+        assert got == [sequential_hull_metric(s1, s2, grid) for s1, s2 in pairs]
+        floor = got[b - 2][1]
+        for part in (got[:b], got[b:]):
+            assert (METRIC_CAP, METRIC_CAP) in part and (0.0, floor) in part
+            assert any(0.0 < lo < METRIC_CAP for lo, _ in part)
     few = [(fib, TranslatedSource(fib, h)) for h in (1.3, 7.7, 0.02)] + [(z, TranslatedSource(z, 0.3)), (z, z)]
     for grid in (1e-3, 0.3, 2.0):
         want = [sequential_hull_metric(s1, s2, grid) for s1, s2 in few]
         assert [(br.lower, br.upper) for br in hull_metrics(few, eps_grid=grid)] == want
     assert hull_metrics([], eps_grid=0.05) == []
-
-
-@pytest.mark.parametrize("grid", [0.05, 0.01])
-def test_metrics_deciding_the_cap_first_match_the_sequential_search(grid):
-    # one batch mixing pairs that fail at METRIC_CAP, pairs that hold down the
-    # whole ladder and bisected ones, on both sides of a slice boundary; and a
-    # batch whose every pair fails at the cap
-    import pointspec.hull as hull
-
-    fib, sparse, b = fibonacci_cut_project(), integer_lattice(10.0), hull._METRIC_SLICE
-    h1, h2 = (halton(b + 10, base) * 40.0 for base in (2, 3))
-    near = metric_window(grid)
-    pairs = list(zip(translated_windows(fib, h1.tolist(), near), translated_windows(fib, h2.tolist(), near)))
-    fails, holds = (sparse, TranslatedSource(sparse, 5.0)), (fib, fib)
-    pairs[b - 3:b + 3] = [fails, holds, fails, holds, fails, holds]
-    got = [(br.lower, br.upper) for br in hull_metrics(pairs, eps_grid=grid)]
-    assert got == [sequential_hull_metric(s1, s2, grid) for s1, s2 in pairs]
-    floor = got[b - 2][1]
-    for part in (got[:b], got[b:]):  # each slice holds every kind of bracket
-        assert (METRIC_CAP, METRIC_CAP) in part and (0.0, floor) in part
-        assert any(0.0 < lo < METRIC_CAP for lo, _ in part)
-    assert [(br.lower, br.upper) for br in hull_metrics([fails] * 3, eps_grid=grid)] == [got[b - 3]] * 3
 
 
 def test_metrics_need_patches_covering_every_descent_epsilon():
@@ -398,7 +381,7 @@ def test_metrics_need_patches_covering_every_descent_epsilon():
     full = [s.window(metric_window(0.01)) for s in (z, TranslatedSource(z, 0.1))]
     br = hull_metric(*full, eps_grid=0.01)
     assert (br.lower, br.upper) == (lo, hi)
-    # also when every pair of the batch fails at METRIC_CAP, so no call decides the rest
+    # also when every pair of the batch fails at METRIC_CAP
     sparse = integer_lattice(10.0)
     apart = tuple(s.window(Interval(-30, 30)) for s in (sparse, TranslatedSource(sparse, 5.0)))
     assert sequential_hull_metric(*apart, 0.01) == (METRIC_CAP, METRIC_CAP)
