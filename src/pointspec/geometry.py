@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -299,10 +298,12 @@ class MultiSetPatch:
     An exact patch (1D only) also holds a QuadArray aligned with x, whose
     slices are exact_positions(i).  `.parts` is a read-only view of the
     same points for scalar code: per colour, a tuple of point tuples of
-    QuadNum, int or Fraction coordinates (exact) or floats.
+    QuadNum, int or Fraction coordinates (exact) or floats.  A float
+    translate base + h stores fl(x + h) and keeps the base and h, so that
+    occurrence searches (_local) hold at any offset.
     """
 
-    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_err")
+    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_base", "_parts", "_all", "_err", "_rel")
 
     def __init__(self, region, dim: int, x, ends, exact=None):
         """x: every point, colour-major, each colour sorted; ends: the m + 1
@@ -312,7 +313,7 @@ class MultiSetPatch:
         self.dim = dim
         self.m = len(ends) - 1
         self._x, self._ends, self._q = x, tuple(ends), exact
-        self._parts = self._all = self._err = None
+        self._base = self._parts = self._all = self._err = self._rel = None  # _base: (base patch, shift)
 
     @staticmethod
     def from_points(region, dim: int, m: int, x, color, exact: QuadArray = None):
@@ -381,19 +382,23 @@ class MultiSetPatch:
         return Cluster._of(self.dim, self._x, self._ends, self._q)
 
     def _moved(self, vec):
-        """(x, exact) of the points moved by vec, exactly when the points and
-        vec are exact; a translation keeps their order."""
+        """(x, ends, exact) of the points moved by vec, exactly when the points
+        and vec are exact; a translation keeps their order."""
         vec = as_point(vec, self.dim)
         if self._q is not None and all(is_exact_coord(v) for v in vec):
             exact = self._q.shift(vec[0])
-            return exact.floats(), exact
+            return exact.floats(), self._ends, exact
         shift = np.array([float(v) for v in vec])
-        return self._x + (shift[0] if self.dim == 1 else shift), None
+        return self._x + (shift[0] if self.dim == 1 else shift), self._ends, None
 
     def translate(self, vec) -> "MultiSetPatch":
-        region = self.region.translate(as_point(vec, self.dim))
-        x, exact = self._moved(vec)
-        return MultiSetPatch(region, self.dim, x, self._ends, exact)
+        """The patch moved by vec; a float translate keeps the base and the float shifts' sum."""
+        vec = as_point(vec, self.dim)
+        out = MultiSetPatch(self.region.translate(vec), self.dim, *self._moved(vec))
+        if out._q is None:
+            base, h = self._base or (self, (0.0,) * self.dim)
+            out._base = base, tuple(float(a) + float(b) for a, b in zip(h, vec))
+        return out
 
     def restrict(self, region) -> "MultiSetPatch":
         if not self.region.covers(region):
@@ -401,18 +406,28 @@ class MultiSetPatch:
         if self._err is None:  # per colour, the largest float error of an exact point
             self._err = [0.0 if q is None else q.float_error()
                          for q in map(self.exact_positions, range(self.m))]
-        cuts, at = [], [0]  # per colour, the slice that can hold points of the region
-        for a, b, err in zip(self._ends, self._ends[1:], self._err):
-            cut = sorted_slice(self._x[a:b], region, err) if self.dim == 1 else slice(0, b - a)
-            cuts.append(slice(a + cut.start, a + cut.stop))
-            at.append(at[-1] + cut.stop - cut.start)
-        x = np.concatenate([self._x[c] for c in cuts])  # the slices joined, tested at once
-        q = None if self._q is None else QuadArray(np.concatenate([self._q.a[c] for c in cuts]),
-                                                   np.concatenate([self._q.b[c] for c in cuts]),
-                                                   self._q.den, self._q.field)
-        keep = region.mask(x, q)
-        ends = list(accumulate((int(np.count_nonzero(keep[a:b])) for a, b in zip(at, at[1:])), initial=0))
-        return MultiSetPatch(region, self.dim, x[keep], ends, None if q is None else q[keep])
+        cuts = [sorted_slice(self._x[a:b], region, err) if self.dim == 1 else slice(0, b - a)
+                for a, b, err in zip(self._ends, self._ends[1:], self._err)]  # per colour, what can hold points
+        idx = np.concatenate([np.arange(a + c.start, a + c.stop) for a, c in zip(self._ends, cuts)])
+        idx = idx[region.mask(self._x[idx], None if self._q is None else self._q[idx])]
+        return self._select(region, idx, np.searchsorted(idx, self._ends).tolist())
+
+    def _select(self, region, idx, ends) -> "MultiSetPatch":
+        """The points idx (ends: their colour offsets) on region; the base's on region moved back."""
+        out = MultiSetPatch(region, self.dim, self._x[idx], ends, None if self._q is None else self._q[idx])
+        if self._base:
+            base, h = self._base
+            out._base = base._select(region.translate([-c for c in h]), idx, ends), h
+        out._rel = self._local()[idx]
+        return out
+
+    def _local(self) -> np.ndarray:
+        """The points as occurrence searches compare them, aligned with x: the base's floats,
+        or an exact base's differences from its first point, precise at any offset."""
+        if self._rel is None:
+            q = self._q
+            self._rel = self._base[0]._local() if self._base else self._x if q is None else (q - q[:1]).floats()
+        return self._rel
 
     def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
         """L_P over the patch, as (v, exact v): v = q - anchor over the points q
@@ -430,32 +445,33 @@ class MultiSetPatch:
 
         In 1D only translates in [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D
         every anchor-colour point is a candidate.  Membership is within
-        TOL_EQ, by in_sorted on the colour's slice: in 1D one point of P at a
-        time, for the candidates every earlier point kept; in 2D, where each
-        search builds a KD-tree, every point of a colour at once.
+        TOL_EQ, by in_sorted on the colour's slice of _local(): in 1D one point
+        of P at a time, for the candidates every earlier point kept; in 2D,
+        where each search builds a KD-tree, every point of a colour at once.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
         if P.m != self.m or P.dim != self.dim:
             raise ValueError("cluster shape does not match the point set")
         color = P.anchor_color()
-        anchor, base = P.positions(color)[0], self.positions(color)
+        anchor, pos = P.positions(color)[0], self.positions(color)
         if self.dim == 1:
-            a, b = np.searchsorted(base, [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ])
+            a, b = np.searchsorted(pos, [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ])
         elif (lo, hi) != (-math.inf, math.inf):
             raise NotImplementedError("translate bounds are 1D only")
         else:
-            a, b = 0, len(base)
-        idx = np.arange(a, b)
+            a, b = 0, len(pos)
+        idx, x = np.arange(a, b), self._local()
+        base = x[self._ends[color]:self._ends[color + 1]]
         for i, (s, t, u, w) in enumerate(zip(self._ends, self._ends[1:], P._ends, P._ends[1:])):
             others = P._x[u + (i == color):w]  # every point of P but the anchor
             if self.dim == 1:  # one point at a time, against the candidates left
                 for o in others.tolist():
                     if not len(idx):
                         break
-                    idx = idx[in_sorted(self._x[s:t], (base[idx] - anchor) + o)]
+                    idx = idx[in_sorted(x[s:t], (base[idx] - anchor) + o)]
             elif len(idx) and len(others):  # targets: (candidate, point, axis)
-                idx = idx[in_sorted(self._x[s:t], (base[idx] - anchor)[:, None] + others).all(axis=1)]
+                idx = idx[in_sorted(x[s:t], (base[idx] - anchor)[:, None] + others).all(axis=1)]
         return idx
 
 
@@ -513,8 +529,7 @@ class Cluster(MultiSetPatch):
         return [self.positions(i).reshape(-1, self.dim).tolist() for i in range(self.m)]
 
     def translate(self, vec) -> "Cluster":
-        x, exact = self._moved(vec)
-        return Cluster._of(self.dim, x, self._ends, exact)
+        return Cluster._of(self.dim, *self._moved(vec))
 
     def anchor_point(self):
         """Lexicographically smallest support point (None if empty)."""

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, coord_key, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, coord_key, float_error, is_exact_coord
 from .geometry import (
     Cluster,
     Interval,
@@ -263,7 +263,7 @@ class _Cylinders:
         self.groups = [(P, c, -self.vhi[c].max(), -self.vlo[c].min()) for P, c in groups.values()]
 
     def hits(self, patch: MultiSetPatch) -> np.ndarray:
-        """For each cylinder, whether the patch lies in it."""
+        """For each cylinder, whether the patch, base + h, lies in it: _decide(base, [-h])."""
         if self.shapes - {(patch.dim, patch.m)}:
             raise ValueError("cluster shape does not match the patch")
         if patch.dim != 1:
@@ -271,35 +271,36 @@ class _Cylinders:
         if not patch.region.covers(self.reach):
             raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
                                      % (patch.region, self.reach))
-        return self._decide(patch, [0])[0]
+        base, (h,) = patch._base or (patch, (0,))
+        return self._decide(base, [-h])[0]
 
     def orbit_hits(self, source, offsets, region) -> np.ndarray:
         """hits(p) of each sample p = -h + source on region, h in offsets (the
         window TranslatedSource(source, h) opens), as the rows of one
         (samples, cylinders) bool array.  The regions moved by h are sorted,
         and each run of them within one region width of each other takes one
-        window of source and one _decide, so no window spans a gap.  A region
+        window of source and one _decide, so no window spans a gap; a run of
+        one takes its own moved region, the window hits decides.  A region
         within 2 TOL_EQ (and the rounding of its translates) of the reach,
-        where an occurrence may stick out of a sample, is decided by hits
-        sample by sample, which raises PatchTooSmallError if it is too small.
+        where an occurrence may stick out of a sample, makes every sample a
+        run of one; one that misses the reach raises PatchTooSmallError.
         """
         if source.dim != 1:
             raise NotImplementedError("cylinder decision is 1D in this build")
+        if not region.covers(self.reach):
+            raise PatchTooSmallError("region %s cannot decide cylinder with reach %s" % (region, self.reach))
         moved = [region.translate((h,)) for h in offsets]
-        hf = np.array([float(h) for h in offsets])
-        err = FLOAT_ERR * (np.abs(region.bounds()[0]).max() + np.abs(hf).max(initial=0.0))
-        if not region.covers(self.reach.dilate(2 * TOL_EQ + err)):
-            samples = [source.window(r).translate((-h,)) for h, r in zip(offsets, moved)]
-            return np.array([self.hits(p) for p in samples], dtype=bool).reshape(len(moved), len(self.cylinders))
+        err = FLOAT_ERR * (np.abs(region.bounds()[0]).max() + max((abs(float(h)) for h in offsets), default=0.0))
+        near = not region.covers(self.reach.dilate(2 * TOL_EQ + err))
         out = np.zeros((len(moved), len(self.cylinders)), dtype=bool)
         if not moved:
             return out
         lo, hi = np.array([r.bounds()[0] for r in moved]).T
         order = np.argsort(lo, kind="stable")
-        gap = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume()
+        gap = near | (lo[order][1:] > np.maximum.accumulate(hi[order])[:-1] + region.volume())
         for run in np.split(order, np.flatnonzero(gap) + 1):
-            master = source.window(Interval(lo[run].min(), hi[run].max()))
-            out[run] = self._decide(master, [offsets[k] for k in run.tolist()])
+            window = moved[run[0]] if len(run) == 1 else Interval(lo[run].min(), hi[run].max())
+            out[run] = self._decide(source.window(window), [offsets[k] for k in run.tolist()])
         return out
 
     def _decide(self, master: MultiSetPatch, h) -> np.ndarray:
@@ -310,7 +311,9 @@ class _Cylinders:
         A sample's candidates are the anchor-colour points q with fl(q - h)
         in [lo + anchor - TOL_EQ, hi + anchor + TOL_EQ), at h = 0 those of
         occurrences(P, lo, hi); g = -(fl(q - h) - anchor), and for an exact h
-        on an exact master and cluster exactly h - q + anchor.
+        on an exact master and cluster exactly h - q + anchor.  The searches
+        allow for rounding at the scale of h, and exact candidates for their
+        float error (mask decides them), so no offset loses a candidate.
         """
         neg = -np.array([float(c) for c in h])  # the float shift of each sample
         ex = np.array([is_exact_coord(c) for c in h]) & master.exact
@@ -318,16 +321,18 @@ class _Cylinders:
         out = np.zeros((len(h), len(self.cylinders)), dtype=bool)
         for P, members, lo, hi in self.groups:
             color, anchor = P.anchor_color(), P.positions(P.anchor_color())[0]
-            idx = master.occurrence_index(P, lo - neg.max() - TOL_EQ, hi - neg.min() + TOL_EQ)
+            pad = TOL_EQ + FLOAT_ERR * (np.abs(neg).max() + abs(lo) + abs(hi) + abs(anchor))
+            if P.exact and ex.any():  # the float error of an exact h and of the points
+                pad += max(map(float_error, h)) + master.exact_positions(color).float_error()
+            idx = master.occurrence_index(P, lo - neg.max() - pad, hi - neg.min() + pad)
             q = master.positions(color)[idx]
             a, b = lo + anchor - TOL_EQ, hi + anchor + TOL_EQ  # the candidate bounds on fl(q - h)
-            rows, i = within(q, a - neg - TOL_EQ, b - neg + TOL_EQ)
-            base = q[i] + neg[rows]
-            keep = (base >= a) & (base < b)
-            rows, i, g = rows[keep], i[keep], -(base[keep] - anchor)
+            rows, i = within(q, a - neg - pad, b - neg + pad)
+            pos, exact = q[i] + neg[rows], ex[rows] & P.exact
+            keep = (pos >= a - pad * exact) & (pos < b + pad * exact)
+            rows, i, g, exact = rows[keep], i[keep], -(pos[keep] - anchor), exact[keep]
             if not len(g):
                 continue
-            exact = ex[rows] & P.exact
             if exact.any():  # g = h - v, v = q - anchor, over one denominator
                 v = master.exact_positions(color)[idx[i[exact]]].shift(-P.exact_positions(color).value(0))
                 den, field = math.lcm(H.den, v.den), H.field or v.field
@@ -513,7 +518,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
     vals, cols = patch.all_positions()
     q = patch.all_exact()
-    Rex = _exactify(R)
+    Rex = Fraction(R)
 
     def value(j):
         return float(vals[j]) if q is None else q.value(j)
@@ -562,11 +567,6 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
         if key not in pieces:
             pieces[key] = (rep, pinned, w_lo, w_hi, float(ev[kb[r]]))
     return pieces
-
-
-def _exactify(x: float):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
 
 
 # ---------------------------------------------------------------------------

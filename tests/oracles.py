@@ -4,7 +4,7 @@ norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
-the occurrence search."""
+the occurrence search, batched and on exact keys."""
 
 import itertools
 import math
@@ -193,3 +193,12 @@ def batched_occurrence_index(patch, P, lo: float = -math.inf, hi: float = math.i
         if len(idx) and len(others):
             idx = idx[in_sorted(patch.positions(i), (base[idx] - anchor)[:, None] + others).all(axis=1)]
     return idx
+
+
+def exact_occurrence_count(patch, P) -> int:
+    """L_P over an exact patch, on exact keys: the anchor-colour points q
+    with q - anchor + p a point of the patch for every point p of P."""
+    points = [set(map(q.value, range(len(q.a)))) for q in map(patch.exact_positions, range(patch.m))]
+    (anchor,), colour = P.anchor_point(), P.anchor_color()
+    return sum(all(q - anchor + p in points[i] for i, part in enumerate(P.parts) for (p,) in part)
+               for q in points[colour])

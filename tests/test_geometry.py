@@ -34,7 +34,8 @@ from pointspec.sources import (
     source_from_config,
 )
 
-from oracles import batched_occurrence_index, boundary_shell_volume, coord_eq, dense_cluster_distance
+from oracles import (batched_occurrence_index, boundary_shell_volume, coord_eq, dense_cluster_distance,
+                     exact_occurrence_count)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,24 @@ def test_translate_and_as_cluster_keep_the_from_points_layout(exact):
         assert_same_layout(patch.translate((v,)), want)
         assert_same_layout(patch.translate((v,)).as_cluster(), want)
     assert_same_layout(patch.as_cluster(), MultiSetPatch.from_points(None, 1, 2, x, col, q))
+
+
+@pytest.mark.parametrize("h", [1e4, 1e8, 1e12])
+def test_a_far_float_translate_keeps_its_points_and_counts_as_its_base(h):
+    # moved by -h the chain stores fl(x - h), as a float patch always did; it
+    # and its restrictions, also after a second move and back, count the
+    # occurrences that exact keys count on the window they came from
+    fib = fibonacci_cut_project()
+    base, P = fib.window(Interval(h - 40, h + 40)), fib.window(Interval(0, 5)).as_cluster()
+    moved = base.translate((-h,))
+    assert not moved.exact and moved.all_exact() is None
+    assert_same_layout(moved, MultiSetPatch.from_points(moved.region, 1, 2, base.all_positions()[0] - h,
+                                                        base.all_positions()[1]))
+    near, back = base.restrict(Interval(h - 20, h + 20)), moved.translate((0.25,)).translate((-0.25,))
+    for patch, window in ((moved, base), (moved.restrict(Interval(-20, 20)), near),
+                          (back.restrict(Interval(-20, 20)), near)):
+        assert patch.total_points == window.total_points
+        assert len(patch.occurrence_index(P)) == exact_occurrence_count(window, P) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -754,26 +754,55 @@ def test_sample_orbit_opens_no_window_over_a_gap():
 
 
 def test_orbit_hits_on_a_region_just_covering_the_reach():
-    # a region within 2 TOL_EQ of the reach is decided sample by sample;
-    # a smaller one raises PatchTooSmallError, as the per-patch path does
+    # a region within 2 TOL_EQ of the reach (and of the rounding of its
+    # translates) makes each sample a run of its own, windowed on its moved
+    # region; a smaller one raises PatchTooSmallError, as the per-patch path
+    # does, at any offset
     z = integer_lattice()
     cyls = [CylinderSpec(cluster_1d([0.0, 1.0]), Interval(-0.25, 0.25)),
             CylinderSpec(cluster_1d([0.0]), Interval(0.5, 1.0, False, True))]
     reach = _Cylinders(cyls).reach
     assert (float(reach.lo), float(reach.hi)) == (-1.0, 1.25)
-    offsets = [0.0, 0.25, -0.25, 0.5, 1.0, 0.75] + (halton(20) * 4.0).tolist()
-    assert assert_orbit_hits_match(cyls, z, offsets, reach) > 0
+    near = [0.0, 0.25, -0.25, 0.5, 1.0, 0.75] + (halton(20) * 4.0).tolist()
+    tight, small = Interval(float(reach.lo) + 0.9e-9, float(reach.hi) - 0.9e-9), Interval(-1.0, 1.2)
+    for far in (0.0, 1e8, 1e10, 1e12):
+        offsets = [far + h for h in near]
+        assert assert_orbit_hits_match(cyls, z, offsets, reach) > 0
+        src = _CountingSource(z)
+        _Cylinders(cyls).orbit_hits(src, offsets, reach)
+        assert src.regions == [reach.translate((h,)) for h in sorted(offsets)]  # a run of one each
+        assert assert_orbit_hits_match(cyls, z, offsets, tight) > 0
+        with pytest.raises(PatchTooSmallError):
+            _Cylinders(cyls).orbit_hits(z, offsets, small)
+        with pytest.raises(PatchTooSmallError):
+            _Cylinders(cyls).hits(TranslatedSource(z, offsets[0]).window(small))
     # inside 1e-9 of the reach: at h = -(0.25 + 0.95e-9), g = h lies in [-0.25, 0.25] with
     # its slack, but the point 1 - h of the occurrence at -h falls outside the sample
-    tight = Interval(float(reach.lo) + 0.9e-9, float(reach.hi) - 0.9e-9)
     at = -(0.25 + 0.95e-9)
     assert _Cylinders(cyls).orbit_hits(z, [at, 0.0], tight)[:, 0].tolist() == [False, True]
-    assert assert_orbit_hits_match(cyls, z, offsets + [at, -at], tight) > 0
-    small = Interval(-1.0, 1.2)
-    with pytest.raises(PatchTooSmallError):
-        _Cylinders(cyls).orbit_hits(z, offsets, small)
-    with pytest.raises(PatchTooSmallError):
-        _Cylinders(cyls).hits(TranslatedSource(z, offsets[0]).window(small))
+    assert assert_orbit_hits_match(cyls, z, near + [at, -at], tight) > 0
+
+
+@pytest.mark.parametrize("e", range(6, 13))
+def test_orbit_hits_at_far_offsets_are_the_exact_rows(e):
+    # offsets 10^e + k: orbit_hits, hits on the windows moved by the float
+    # offsets and hits on those moved by the exact integer offsets agree
+    fib = fibonacci_cut_project()
+    P = fib.window(Interval(0, 3)).as_cluster()
+    cyls = _Cylinders([CylinderSpec(P, Interval(-0.5, 0.5)), CylinderSpec(P, Interval(0.6, 0.9, True, False))])
+    region, offsets = Interval(-16, 16), [10 ** e + k for k in range(40)]
+    got = cyls.orbit_hits(fib, [float(h) for h in offsets], region)
+    for hs in ([float(h) for h in offsets], offsets):
+        assert got.tolist() == [cyls.hits(p).tolist() for p in translated_windows(fib, hs, region)]
+    assert got[:, 0].sum() > 5
+    # exact offsets that put g on a closed end of exact windows, decided exactly
+    cyls = _Cylinders([CylinderSpec(P, Interval(-Fraction(1, 2), Fraction(1, 2))),
+                       CylinderSpec(P, Interval(Fraction(3, 5), Fraction(9, 10)))])
+    v = fib.window(Interval(10 ** e - 8, 10 ** e + 8)).occurrences(P)[1]
+    ties = [v.value(k) + end for k in range(len(v.a)) for end in (-Fraction(1, 2), Fraction(9, 10))]
+    got = cyls.orbit_hits(fib, ties, region)
+    assert got.tolist() == [cyls.hits(p).tolist() for p in translated_windows(fib, ties, region)]
+    assert got[0::2, 0].all() and got[1::2, 1].all() and len(ties) >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pointspec.geometry import Box, Interval, cluster_1d
+from pointspec.coords import GOLDEN, QuadNum
+from pointspec.geometry import Box, Cluster, Interval, cluster_1d
 from pointspec.hull import CylinderSpec, empirical_cylinder_measure
 from pointspec.sources import TranslatedSource, fibonacci_cut_project, integer_lattice
 from pointspec.stats import VanHoveSpec, _count_in_patch, default_offsets, estimate_frequency
 
-from oracles import van_hove_region
+from oracles import exact_occurrence_count, van_hove_region
 
 
 def count_cluster(source, P, region) -> int:
@@ -100,6 +101,30 @@ def test_count_subadditivity_and_separated_equality():
     u2 = count_cluster(fib, P, Interval(0, 30))
     # separated regions (gap > diam supp P): counts add over the union
     assert count_cluster(fib, P, Interval(0, 90)) >= u2 + c
+
+
+@pytest.mark.parametrize("h", [0, 10**4, 10**6, 10**8, 10**10, 10**12])
+def test_counts_at_far_offsets_are_the_exact_ones(h):
+    # the window at h and the source moved by the float h hold one point set:
+    # both count what exact keys count, and estimate_frequency reads it on
+    # the source moved by the float h and by the exact h alike
+    fib = fibonacci_cut_project()
+    P = Cluster([[0, QuadNum(0, 1, GOLDEN)], []])
+    direct = fib.window(Interval(h - 500, h + 500))
+    want = exact_occurrence_count(direct, P)
+    assert want > 150
+    assert len(direct.occurrence_index(P)) == want
+    assert len(TranslatedSource(fib, float(h)).window(Interval(-500, 500)).occurrence_index(P)) == want
+    spec = VanHoveSpec(n0=500, doublings=0)
+    assert [estimate_frequency(TranslatedSource(fib, s), P, spec, [(0.0,)]).value
+            for s in (float(h), h)] == [want / 1000] * 2
+
+
+def test_lattice_moved_far_counts_as_moved_near():
+    z, P, spec = integer_lattice(), cluster_1d([0.0, 1.0]), VanHoveSpec(n0=500, doublings=0)
+    counts = [[count_cluster(TranslatedSource(z, h), P, Interval(-500, 500)),
+               estimate_frequency(TranslatedSource(z, h), P, spec, [(0.0,)]).value] for h in (0.1, 1e8 + 0.1)]
+    assert counts[0] == counts[1] == [999, 0.999]
 
 
 # ---------------------------------------------------------------------------
