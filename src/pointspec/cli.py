@@ -275,8 +275,9 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; work is serial and results "
-                            "do not depend on it")
+                       help="accepted for compatibility and changes nothing; peak "
+                            "refinement uses a second thread when the process may run "
+                            "on two CPUs, and no output depends on either")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot-data", action="store_true", dest="plot_data")
     v = sub.add_parser("verify")

@@ -23,15 +23,19 @@ schedule to be retained.  Measures are smoothed by one kernel, the triangle
 compares the ergodic average of the smoothed-density correlation (one
 density) against the smoothed autocorrelation.
 
-Every exponential sum runs through _tile_sums in phase tiles of at most 1 MiB,
-so an amplitude's bits depend on its k alone (and on whether its call had one
-k).  The golden section sums only the k it has not seen.  Of peak_scan's steps
-only the fine-grid argmax is certified (_fine_argmax); the others are exact.
+Every exponential sum runs through _tile_sums in phase tiles of at most
+0.5 MiB, so an amplitude's bits depend on its k alone (and on whether its call
+had one k).  The golden section sums only the k it has not seen, and its rows
+split between the calling thread and one worker when the process may run on
+two CPUs.  Of peak_scan's steps only the fine-grid argmax is certified
+(_fine_argmax); the others are exact.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -198,10 +202,11 @@ def _amplitudes_grid(pos, wvals, ks, vol):
 
 def _tile_sums(ks, pos, rhs):
     """e(-k.x) @ rhs for each k, rhs (N,) or (N, M): phases in tiles of at most
-    max(3, 2^16 // N) rows from one buffer, one BLAS product per tile.  A row's
-    gemv bits are the same in any tile of two or more rows, but a one-row
+    max(3, 2^15 // N) rows (0.5 MiB; the two halves of a split refinement
+    hold one tile each at once) from one buffer, one BLAS product per tile.  A
+    row's gemv bits are the same in any tile of two or more rows, but a one-row
     product takes numpy's other path: so no call of K >= 2 has a one-row tile."""
-    tile = max(3, 2 ** 16 // max(len(pos), 1))
+    tile = max(3, 2 ** 15 // max(len(pos), 1))
     starts = list(range(0, len(ks), tile))
     if len(ks) > 1 and len(ks) % tile == 1:
         starts[-1] -= 1
@@ -285,6 +290,45 @@ def _reusing_intensity(pos, wvals, vol, rows):
     return fn
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on (its affinity mask, where the
+    OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _refine_rows(pos, wvals, vol, lo, hi):
+    """_golden_refine of |A(k)|^2 on each row's [lo, hi], as one call gives it.
+
+    From 4 rows on, when the process may run on two CPUs, one worker thread
+    refines the second half while this thread refines the first.  Each half has
+    two or more rows, so every row keeps its bits (see _tile_sums).  The worker
+    is always joined, and an exception it raised is raised here."""
+    def refine(s, e):
+        return _golden_refine(_reusing_intensity(pos, wvals, vol, e - s), lo[s:e], hi[s:e])
+
+    rows = len(lo)
+    if rows < 4 or _usable_cpus() < 2:
+        return refine(0, rows)
+    mid, box = rows // 2, []
+
+    def work():
+        try:
+            box.append(refine(mid, rows))
+        except BaseException as exc:  # re-raised by the caller
+            box.append(exc)
+    worker = threading.Thread(target=work, name="peak_scan-refine")
+    worker.start()
+    try:
+        first = refine(0, mid)
+    finally:
+        worker.join()
+    if isinstance(box[0], BaseException):
+        raise box[0]
+    return tuple(np.concatenate(parts) for parts in zip(first, box[0]))
+
+
 def _certified_argmax(approx, bound, exact_rows):
     """Row argmax of the exact values approx estimates within bound; rows whose
     top two are within 2 bound take it from exact_rows(row indices)."""
@@ -336,7 +380,9 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
 
     Coarse-scan |A_{n1}|^2 on a k grid; runs above threshold (empirical
     noise floor + THRESHOLD_BUMP/(Vol F_{n1})^2) yield local-max
-    candidates, refined by golden-section at n1; a candidate is retained
+    candidates, refined by golden-section at n1 (the rows split between this
+    thread and one worker when the process may run on two CPUs, with the
+    same bits; see _refine_rows); a candidate is retained
     only if its intensity never drops below (1 - DRIFT_TOL) of the
     previous schedule entry's value.  Sources with a quadratic field also
     seed candidates from their Fourier module.
@@ -377,8 +423,7 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     fine_step = 0.25 / (2.0 * n1)
     offs = np.arange(-resolution, resolution + fine_step / 2, fine_step)
     k0 = cand + offs[_fine_argmax(pos1, wv1, vol1, cand, offs)]
-    fn1 = _reusing_intensity(pos1, wv1, vol1, len(cand))
-    k_star, i_star = _golden_refine(fn1, k0 - fine_step, k0 + fine_step)
+    k_star, i_star = _refine_rows(pos1, wv1, vol1, k0 - fine_step, k0 + fine_step)
 
     # dedupe refined candidates within half a grid step, ascending in k
     uniq = []

@@ -4,7 +4,8 @@ norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
-the occurrence search, batched and on exact keys."""
+the occurrence search, batched and on exact keys, and the closed-form Bragg
+amplitudes of the Fibonacci model set."""
 
 import itertools
 import math
@@ -202,3 +203,21 @@ def exact_occurrence_count(patch, P) -> int:
     (anchor,), colour = P.anchor_point(), P.anchor_color()
     return sum(all(q - anchor + p in points[i] for i, part in enumerate(P.parts) for (p,) in part)
                for q in points[colour])
+
+
+def fibonacci_bragg_amplitudes(w, bound: int = 40):
+    """(k, A(k)) at the Fourier-module points k = (p + q tau)/sqrt5 with |p|, |q|
+    <= bound, for fibonacci_cut_project's windows and colour weights w.
+
+    With k* = -(p + q tau')/sqrt5, e(-k x) = e(k* x*) on Z[tau], so the
+    amplitude is A(k) = (1/sqrt5) sum_c w_c int_{W_c} e(k* y) dy (Hof 1995)."""
+    tau, tau_c, s5 = (1 + 5 ** 0.5) / 2, (1 - 5 ** 0.5) / 2, 5 ** 0.5
+    p, q = (g.ravel() for g in np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1)))
+    k, k_star = (p + q * tau) / s5, -(p + q * tau_c) / s5
+    amp = np.zeros(len(k), dtype=complex)
+    for w_c, (lo, hi) in zip(w, [(tau - 2, tau - 1), (-1, tau - 2)]):
+        zero = k_star == 0
+        ks = np.where(zero, 1.0, k_star)
+        integral = (np.exp(2j * np.pi * ks * hi) - np.exp(2j * np.pi * ks * lo)) / (2j * np.pi * ks)
+        amp += w_c * np.where(zero, hi - lo, integral)
+    return k, amp / s5

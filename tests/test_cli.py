@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pointspec import spectra
 from pointspec.cli import COMMANDS, main
 from pointspec.geometry import Interval
 from pointspec.sources import fibonacci_substitution
@@ -190,6 +191,21 @@ def test_freq_output_does_not_depend_on_threads(tmp_path):
             outs.append({f.name: f.read_bytes() for f in out.iterdir()})
         assert sorted(outs[0]) == ["freq.csv", "freq.json", "manifest.json"]
         assert outs[0] == outs[1]
+
+
+def test_diffract_output_does_not_depend_on_threads_or_cpus(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "source": {"type": "fibonacci"},
+        "diffract": {"k_min": -2, "k_max": 2, "resolution": 0.01, "n_schedule": [100, 200]}})
+    outs = []
+    for cpus in (1, 2):  # the peak refinement splits its rows on two CPUs
+        monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+        for threads in ("1", "4"):
+            out = tmp_path / ("c%d-t%s" % (cpus, threads))
+            assert main(["diffract", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outs[0]) == ["diffract.csv", "manifest.json"]
+    assert all(out == outs[0] for out in outs)
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,13 @@ from pointspec.spectra import (
     validate_weights,
 )
 
-from oracles import hermitian_defect, l2_norm_sq, quadrature_autocorr, shifted_density_lhs
+from oracles import (
+    fibonacci_bragg_amplitudes,
+    hermitian_defect,
+    l2_norm_sq,
+    quadrature_autocorr,
+    shifted_density_lhs,
+)
 
 SPEC = VanHoveSpec()
 TAU = (1 + 5 ** 0.5) / 2
@@ -414,6 +421,20 @@ def test_peak_scan_fibonacci_module_peak():
     assert any(abs(k - strong) < 1e-4 for k in ks)
 
 
+@pytest.mark.parametrize("w", [[1, 1], [1, 0.3 + 0.7j]])
+def test_retained_fibonacci_peaks_carry_the_model_set_intensity(w):
+    # diffract_fib's settings; measured: every k within 6.8e-5 of a module
+    # point, |I - I_th| at most 4.0e-4 ([1, 1]) and 5.2e-4 ([1, 0.3+0.7j])
+    schedule = [500, 2000]
+    k_mod, amp = fibonacci_bragg_amplitudes(w)
+    retained = peak_scan(fibonacci_cut_project(), w, (-3, 3), 0.01, schedule).retained()
+    assert len(retained) > 100
+    for e in retained:
+        j = np.argmin(np.abs(k_mod - e.k))
+        assert abs(k_mod[j] - e.k) < 1e-4, e.k
+        assert abs(e.intensity - abs(amp[j]) ** 2) < 2 / schedule[-1], e.k
+
+
 def test_peak_scan_generic_k_decays():
     fib = fibonacci_cut_project()
     spec = VanHoveSpec()
@@ -587,7 +608,7 @@ def test_fibonacci_peak_scan_peaks_under_20_mb():
 
 
 def tile_rows(n_points):
-    return max(3, 2 ** 16 // n_points)
+    return max(3, 2 ** 15 // n_points)
 
 
 @pytest.mark.parametrize("n_points", [501, 723, 2501])
@@ -638,6 +659,81 @@ def test_golden_call_with_one_fresh_row_keeps_the_one_call_bits(monkeypatch):
         assert got.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k2, vol)) ** 2).tobytes()
     one = spectra._reusing_intensity(pos, wvals, vol, 1)
     assert one(k1[:1]).tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k1[:1], vol)) ** 2).tobytes()
+
+
+def refinement_spies(monkeypatch, cpus):
+    """Make _usable_cpus report cpus; return the row counts of every
+    _golden_refine call, from whichever thread made it."""
+    rows = []
+    golden = spectra._golden_refine
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(spectra, "_golden_refine", lambda fn, lo, hi: rows.append(len(lo)) or golden(fn, lo, hi))
+    return rows
+
+
+def entry_bits(est):
+    return [(np.array([e.k, e.intensity, e.n]).tobytes(), np.complex128(e.amplitude).tobytes(), e.retained)
+            for e in est.entries]
+
+
+@pytest.mark.parametrize("name, src, w", [
+    ("fibonacci", fibonacci_cut_project(), [1, 1]),
+    ("period-doubling", period_doubling_source(), [1, -1]),
+    ("poisson", PoissonSource(1.0, seed=101), [1]),
+])
+def test_peak_scan_bits_do_not_depend_on_the_refinement_split(name, src, w, monkeypatch):
+    got = {}
+    for cpus in (1, 2):
+        rows = refinement_spies(monkeypatch, cpus)
+        got[cpus] = entry_bits(peak_scan(src, w, (-3, 3), 0.01, [100, 200]))
+        assert len(rows) == cpus and min(rows) >= 2, rows
+    assert got[1] == got[2]
+
+
+@pytest.mark.parametrize("rows, halves", [(1, [1]), (2, [2]), (3, [3]), (4, [2, 2]), (5, [2, 3])])
+def test_refinement_splits_from_four_rows_and_keeps_every_bit(rows, halves, monkeypatch):
+    n1 = 300
+    patch = fibonacci_cut_project().window(SPEC.region(n1))
+    pos, col = patch.all_positions()
+    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(n1).volume()
+    step = 0.25 / (2.0 * n1)
+    k0 = np.array([1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5, -1.3, 2.2])[:rows]
+    got = {}
+    for cpus in (1, 2):
+        seen = refinement_spies(monkeypatch, cpus)
+        got[cpus] = [x.tobytes() for x in spectra._refine_rows(pos, wvals, vol, k0 - step, k0 + step)]
+        assert sorted(seen) == ([rows] if cpus == 1 else halves)
+    assert got[1] == got[2]
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_refinement_half_raises_itself_after_the_join(failing, monkeypatch):
+    class Boom(Exception):
+        pass
+    golden = spectra._golden_refine
+    main = threading.main_thread()
+
+    def refine(fn, lo, hi):
+        if (threading.current_thread() is main) == (failing == "caller"):
+            raise Boom(failing)
+        return golden(fn, lo, hi)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectra, "_golden_refine", refine)
+    before = threading.active_count()
+    with pytest.raises(Boom, match=failing):
+        peak_scan(fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [100, 200])
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_reads_the_affinity_mask_or_the_cpu_count(monkeypatch):
+    if hasattr(spectra.os, "sched_getaffinity"):
+        monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: {3})
+        assert spectra._usable_cpus() == 1
+        monkeypatch.delattr(spectra.os, "sched_getaffinity")
+    monkeypatch.setattr(spectra.os, "cpu_count", lambda: 6)
+    assert spectra._usable_cpus() == 6
+    monkeypatch.setattr(spectra.os, "cpu_count", lambda: None)
+    assert spectra._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("name, task, bound", [
