@@ -7,7 +7,8 @@ and (N, d) in 2D, with the m + 1 colour offsets, and an exact patch (1D) as
 one aligned QuadArray too; `.parts` is a read-only scalar view of them.  A
 Cluster, one finite colored configuration, is stored the same way: a patch
 without a region.  Its signature is array bytes, and occurrences finds its
-translates in a patch for all candidate translates at once.
+translates in a patch for all candidate translates at once.  Differences
+of two points read local coordinates (MultiSetPatch.local), at any offset.
 
 Regions are closed by default (an Interval may be half-open).  Every region
 has one membership test, `mask`, over arrays of points: float ties at an end
@@ -299,21 +300,22 @@ class MultiSetPatch:
     slices are exact_positions(i).  `.parts` is a read-only view of the
     same points for scalar code: per colour, a tuple of point tuples of
     QuadNum, int or Fraction coordinates (exact) or floats.  A float
-    translate base + h stores fl(x + h) and keeps the base and h, so that
-    occurrence searches (_local) hold at any offset.
+    translate stores fl(x + h) and the local floats it was moved from.
+    Every difference of two points reads those (local()), so it holds at
+    any offset; absolute floats only meet regions, events and output.
     """
 
-    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_base", "_parts", "_all", "_err", "_rel")
+    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_err", "_rel")
 
-    def __init__(self, region, dim: int, x, ends, exact=None):
+    def __init__(self, region, dim: int, x, ends, exact=None, local=None):
         """x: every point, colour-major, each colour sorted; ends: the m + 1
         colour offsets into x; exact: the QuadArray aligned with x, or None
-        for a float patch."""
+        for a float patch; local: _local(), when the points were moved."""
         self.region = region
         self.dim = dim
         self.m = len(ends) - 1
-        self._x, self._ends, self._q = x, tuple(ends), exact
-        self._base = self._parts = self._all = self._err = self._rel = None  # _base: (base patch, shift)
+        self._x, self._ends, self._q, self._rel = x, tuple(ends), exact, local
+        self._parts = self._all = self._err = None
 
     @staticmethod
     def from_points(region, dim: int, m: int, x, color, exact: QuadArray = None):
@@ -392,13 +394,9 @@ class MultiSetPatch:
         return self._x + (shift[0] if self.dim == 1 else shift), self._ends, None
 
     def translate(self, vec) -> "MultiSetPatch":
-        """The patch moved by vec; a float translate keeps the base and the float shifts' sum."""
+        """The patch moved by vec, with the local coordinates it was moved from."""
         vec = as_point(vec, self.dim)
-        out = MultiSetPatch(self.region.translate(vec), self.dim, *self._moved(vec))
-        if out._q is None:
-            base, h = self._base or (self, (0.0,) * self.dim)
-            out._base = base, tuple(float(a) + float(b) for a, b in zip(h, vec))
-        return out
+        return MultiSetPatch(self.region.translate(vec), self.dim, *self._moved(vec), self._local())
 
     def restrict(self, region) -> "MultiSetPatch":
         if not self.region.covers(region):
@@ -410,24 +408,24 @@ class MultiSetPatch:
                 for a, b, err in zip(self._ends, self._ends[1:], self._err)]  # per colour, what can hold points
         idx = np.concatenate([np.arange(a + c.start, a + c.stop) for a, c in zip(self._ends, cuts)])
         idx = idx[region.mask(self._x[idx], None if self._q is None else self._q[idx])]
-        return self._select(region, idx, np.searchsorted(idx, self._ends).tolist())
-
-    def _select(self, region, idx, ends) -> "MultiSetPatch":
-        """The points idx (ends: their colour offsets) on region; the base's on region moved back."""
-        out = MultiSetPatch(region, self.dim, self._x[idx], ends, None if self._q is None else self._q[idx])
-        if self._base:
-            base, h = self._base
-            out._base = base._select(region.translate([-c for c in h]), idx, ends), h
-        out._rel = self._local()[idx]
-        return out
+        return MultiSetPatch(region, self.dim, self._x[idx], np.searchsorted(idx, self._ends).tolist(),
+                             None if self._q is None else self._q[idx], self._local()[idx])
 
     def _local(self) -> np.ndarray:
-        """The points as occurrence searches compare them, aligned with x: the base's floats,
-        or an exact base's differences from its first point, precise at any offset."""
+        """The points aligned with x as differences read them, precise at any offset:
+        the floats a float patch was moved from (its own, if never moved), or an
+        exact patch's differences from its first point."""
         if self._rel is None:
-            q = self._q
-            self._rel = self._base[0]._local() if self._base else self._x if q is None else (q - q[:1]).floats()
+            self._rel = self._x if self._q is None else (self._q - self._q[:1]).floats()
         return self._rel
+
+    def local(self, color: int = None) -> np.ndarray:
+        """The local coordinates every difference of two points reads: colour
+        color's, aligned with positions(color), or with no colour all of them,
+        aligned with all_positions()."""
+        if color is None:
+            return self._local()[self._support()[2]]
+        return self._local()[self._ends[color]:self._ends[color + 1]]
 
     def occurrences(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
         """L_P over the patch, as (v, exact v): v = q - anchor over the points q
@@ -445,9 +443,10 @@ class MultiSetPatch:
 
         In 1D only translates in [lo - TOL_EQ, hi + TOL_EQ] are tried; in 2D
         every anchor-colour point is a candidate.  Membership is within
-        TOL_EQ, by in_sorted on the colour's slice of _local(): in 1D one point
-        of P at a time, for the candidates every earlier point kept; in 2D,
-        where each search builds a KD-tree, every point of a colour at once.
+        TOL_EQ, by in_sorted on local(colour): in 1D one point of P at a
+        time, for the candidates every earlier point kept; in 2D every point
+        of a colour at once: one point at a time, even on one KD-tree per
+        colour per call, measured no faster on 3- to 13-point clusters.
         """
         if P.is_empty():
             raise ValueError("cannot count the empty cluster")
@@ -483,7 +482,7 @@ class Cluster(MultiSetPatch):
     it: the first point in support order.  Immutable once built.
     """
 
-    __slots__ = ("_sig", "_anchor")
+    __slots__ = ("_sig",)
 
     def __init__(self, parts, dim=None):
         """parts: per colour, points as d-tuples (scalars in 1D) of floats or
@@ -519,7 +518,7 @@ class Cluster(MultiSetPatch):
         exact = exact[keep] if exact is not None and len(x) else None
         kept = np.concatenate([[0], np.cumsum(keep)])
         MultiSetPatch.__init__(self, None, dim, x, kept[list(ends)].tolist(), exact)
-        self._sig = self._anchor = None
+        self._sig = None
 
     def is_empty(self) -> bool:
         return not len(self._x)
@@ -540,9 +539,7 @@ class Cluster(MultiSetPatch):
 
     def anchor_color(self) -> int:
         """Index of the first colour holding the anchor point."""
-        if self._anchor is None and not self.is_empty():
-            self._anchor = int(self._support()[1][0])
-        return self._anchor
+        return None if self.is_empty() else int(self._support()[1][0])
 
     def signature(self):
         """Hashable identity key: the exact values, or the floats on a TOL_EQ grid."""
@@ -707,10 +704,11 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     """Classes of B_R(x) ∩ Λ over anchors x in supp(Λ) ∩ scan.
 
     Representatives are anchored (lex-smallest support point at the
-    origin).  Balls are grouped on arrays by their anchored contents,
-    exactly in exact mode and by tolerant_labels otherwise, and one Cluster
-    is built per group, from its first ball.  A 1D scan must start at least R
-    past the source's left end: a ball reaching past it holds no hull pattern.
+    origin).  Balls (a KD-tree's in 2D) and their contents read local(), and
+    are grouped on arrays by their anchored contents, exactly in exact mode
+    and by tolerant_labels otherwise, and one Cluster is built per group,
+    from its first ball.  A 1D scan must start at least R past the source's
+    left end: a ball reaching past it holds no hull pattern.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -724,11 +722,13 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
     if not len(anchors):
         raise ValueError("scan region contains no anchor points")
     # the closed ball B_R(x) around each anchor, as (ball, support index) pairs
+    loc = patch.local()
     if patch.dim == 1:
-        rows, idx = within(x, x[anchors] - R - TOL_EQ, x[anchors] + R + TOL_EQ)
+        rows, idx = within(loc, loc[anchors] - R - TOL_EQ, loc[anchors] + R + TOL_EQ)
     else:
-        balls = [np.flatnonzero(np.sum((x - x[a]) ** 2, axis=1) <= (R + TOL_EQ) ** 2)
-                 for a in anchors]
+        from scipy.spatial import cKDTree
+
+        balls = cKDTree(loc).query_ball_point(loc[anchors], R + TOL_EQ, return_sorted=True)
         rows, idx = np.repeat(np.arange(len(anchors)), list(map(len, balls))), np.concatenate(balls)
     start = np.searchsorted(rows, np.arange(len(anchors) + 1))
     first = idx[start[:-1]][rows]  # each ball's lex-smallest point
@@ -736,8 +736,8 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
         exact = q[idx] - q[first]
         vals, keys = exact.floats(), [exact.a, exact.b]
     else:  # translated by -x, then anchored, as Cluster.translate rounds
-        at = x[anchors][rows]
-        vals = (x[idx] - at) + -(x[first] - at)
+        at = loc[anchors][rows]
+        vals = (loc[idx] - at) + -(loc[first] - at)
         keys = tolerant_labels(vals)
     firsts, label = distinct_windows(rows, [col[idx]] + keys, len(anchors))
     reps = [Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]], None if q is None else exact[s])

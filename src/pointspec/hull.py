@@ -263,7 +263,7 @@ class _Cylinders:
         self.groups = [(P, c, -self.vhi[c].max(), -self.vlo[c].min()) for P, c in groups.values()]
 
     def hits(self, patch: MultiSetPatch) -> np.ndarray:
-        """For each cylinder, whether the patch, base + h, lies in it: _decide(base, [-h])."""
+        """For each cylinder, whether the patch lies in it: _decide(patch, [0])."""
         if self.shapes - {(patch.dim, patch.m)}:
             raise ValueError("cluster shape does not match the patch")
         if patch.dim != 1:
@@ -271,8 +271,7 @@ class _Cylinders:
         if not patch.region.covers(self.reach):
             raise PatchTooSmallError("patch region %s cannot decide cylinder with reach %s"
                                      % (patch.region, self.reach))
-        base, (h,) = patch._base or (patch, (0,))
-        return self._decide(base, [-h])[0]
+        return self._decide(patch, [0])[0]
 
     def orbit_hits(self, source, offsets, region) -> np.ndarray:
         """hits(p) of each sample p = -h + source on region, h in offsets (the
@@ -513,15 +512,16 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     positions of the piece, [e_i - R, e_{i+1} + R]: the window pattern
     plus the two points whose entry/exit delimits the piece.  Event
     intervals with equal contents are grouped on arrays; clusters are
-    built once per distinct interval.
+    built once per distinct interval.  Events are absolute floats; keys,
+    float clusters and window ends read the patch's local coordinates.
     """
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
     vals, cols = patch.all_positions()
-    q = patch.all_exact()
+    q, loc = patch.all_exact(), patch.local()
     Rex = Fraction(R)
 
     def value(j):
-        return float(vals[j]) if q is None else q.value(j)
+        return float(loc[j]) if q is None else q.value(j)
 
     def event(k):  # event 2j is p_j - R, event 2j + 1 is p_j + R (exact where p_j is)
         return value(k // 2) + Rex if k % 2 else value(k // 2) - Rex
@@ -546,16 +546,14 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     rows, idx = ranges(plo, phi)
     at = lo[rows]  # each piece's anchor: the first point of its window
     d = None if q is None else q[idx] - q[at]
-    keys = tolerant_labels(vals[idx] - vals[at]) if d is None else [d.a, d.b]
+    keys = tolerant_labels(loc[idx] - loc[at]) if d is None else [d.a, d.b]
     firsts, _ = distinct_windows(rows, [cols[idx]] + keys, len(lo),
                                  extra=(lo - plo, hi - lo, ka - 2 * plo, kb - 2 * plo))
 
     def cluster(i0, i1, anchor):
         s = slice(i0, i1)
-        if q is None:
-            return Cluster.from_arrays(1, patch.m, vals[s] - vals[anchor], cols[s])
-        e = q[s] - q[anchor]
-        return Cluster.from_arrays(1, patch.m, e.floats(), cols[s], e)
+        e = None if q is None else q[s] - q[anchor]
+        return Cluster.from_arrays(1, patch.m, loc[s] - loc[anchor] if e is None else e.floats(), cols[s], e)
 
     pieces = {}
     for r in firsts.tolist():

@@ -101,12 +101,12 @@ def _differences(x, qx, y, qy, radius: float):
     and b ascending, grouped by their difference x_a - y_b as first_labels
     groups keys.
 
-    x, y are sorted float positions; qx, qy the aligned QuadArrays of an exact
-    patch or None.  A difference's key is its exact (a, b) pair, or its float,
-    so float differences group in runs of gaps of at most TOL_EQ.  Returns
-    (a, b, group, keys, ts): group numbers each pair's difference in order of
-    first occurrence, keys[g] is group g's key and ts[g] the float of its
-    first difference.
+    x, y are sorted local coordinates (MultiSetPatch.local); qx, qy the
+    aligned QuadArrays of an exact patch or None.  A difference's key is its
+    exact (a, b) pair, or its float, so float differences group in runs of
+    gaps of at most TOL_EQ.  Returns (a, b, group, keys, ts): group numbers
+    each pair's difference in order of first occurrence, keys[g] is group
+    g's key and ts[g] the float of its first difference.
     """
     a, b = within(y, x - radius - TOL_EQ, x + radius + TOL_EQ)
     if qx is None:
@@ -125,7 +125,7 @@ def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> Au
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    x, col = patch.all_positions()
+    x, col = patch.local(), patch.all_positions()[1]
     q = patch.all_exact()
     a, b, group, _, ts = _differences(x, q, x, q, radius)
     # scalar products: an array multiply can round w(x) conj(w(y)) differently
@@ -154,14 +154,14 @@ def autocorr_from_frequencies(source, w, radius: float, spec: VanHoveSpec,
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    positions = [patch.positions(i) for i in range(patch.m)]
+    local = [patch.local(i) for i in range(patch.m)]
     exact = [patch.exact_positions(i) for i in range(patch.m)]
     blocks = []  # per (i, j): the differences' keys, their floats t and the terms
     for i in range(patch.m):
         for j in range(patch.m):
-            *_, key, t = _differences(positions[i], exact[i], positions[j], exact[j], radius)
-            counts = [len(positions[i]) if abs(tf) <= TOL_EQ and i == j  # single-point frequency
-                      else int(in_sorted(positions[j], positions[i] - tf).sum()) for tf in t.tolist()]
+            *_, key, t = _differences(local[i], exact[i], local[j], exact[j], radius)
+            counts = [len(local[i]) if abs(tf) <= TOL_EQ and i == j  # single-point frequency
+                      else int(in_sorted(local[j], local[i] - tf).sum()) for tf in t.tolist()]
             blocks.append((key, t, w[i] * np.conj(w[j]) * (np.array(counts, dtype=float) / vol)))
     keys, ts, terms = (np.concatenate(parts) for parts in zip(*blocks))
     first, label = first_labels(keys)

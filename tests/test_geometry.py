@@ -311,6 +311,21 @@ def test_square_lattice_classes():
     assert square.representatives[0] == Cluster([[(x, y) for x in range(3) for y in range(3)]])
 
 
+@pytest.mark.parametrize("shift", [None, (0.37, -0.21)])
+def test_square_lattice_balls_keep_the_points_on_their_sphere(shift):
+    # (3, 4) and its 11 images lie at distance exactly 5: a closed ball of
+    # radius 5 holds them (81 points) until R + TOL_EQ drops below 5 (69)
+    z2 = LatticeSource([[1.0, 0.0], [0.0, 1.0]])
+    src = z2 if shift is None else TranslatedSource(z2, shift)
+    for R, size in ((5.0, 81), (5.0 - TOL_EQ, 81), (5.0 - 2 * TOL_EQ, 69)):
+        table = enumerate_cluster_classes(src, R, Box((-2.0, -2.0), (2.0, 2.0)))
+        assert (table.n_classes, table.counts) == (1, [25 if shift is None else 16])
+        rep = table.representatives[0]
+        assert rep.total_points == size
+        # the full ball is anchored at (-5, 0), so (3, 4) sits at (8, 4)
+        assert size == 69 or [8.0, 4.0] in rep.to_json()[0]
+
+
 def test_float_key_splits_merge_into_the_exact_classes():
     # shifted by 7.25 the chain is float, and equal balls once rounded to
     # different 1e-9 grid keys (12 classes): grouped in runs of gaps of at

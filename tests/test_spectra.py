@@ -131,12 +131,13 @@ def grouped_sums(terms, exact):
 
 
 def scalar_autocorr_direct(source, w, radius, spec, n):
-    """Reference direct route: one sorted search per point, the pairs' terms
-    summed by group_keys in pair order; the (float t, c) pairs sorted by t."""
+    """Reference direct route: one sorted search per point of the patch's
+    local coordinates, the pairs' terms summed by group_keys in pair order;
+    the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    vals, cols = patch.all_positions()
+    vals, cols = patch.local(), patch.all_positions()[1]
     q = patch.all_exact()
     xs = None if q is None else [q.value(k) for k in range(len(vals))]
     terms = []
@@ -151,12 +152,13 @@ def scalar_autocorr_direct(source, w, radius, spec, n):
 
 def scalar_autocorr_from_frequencies(source, w, radius, spec, n):
     """Reference frequency route: differences found pair by pair over .parts
-    and grouped by group_keys per (i, j), one count per (t, i, j), the terms
+    (exact) or the local coordinates (float) and grouped by group_keys per
+    (i, j), one count per (t, i, j) on the local coordinates, the terms
     summed by group_keys in (i, j) order; the (float t, c) pairs sorted by t."""
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     vol = spec.region(n).volume()
-    positions = [patch.positions(i) for i in range(patch.m)]
+    positions = [patch.local(i) for i in range(patch.m)]
     terms = []
     for i in range(patch.m):
         for j in range(patch.m):
@@ -231,11 +233,13 @@ def test_autocorr_routes_match_scalar_references(name, src, w):
 
 def test_scalar_references_match_on_a_difference_near_a_grid_boundary():
     # the offset chain's tau^3 lies 2e-13 from a 1e-9 grid boundary, where
-    # grid keys split it (17 support points); the sorted scan keeps 13
+    # grid keys split it (17 support points); the sorted scan keeps 13.  On
+    # local coordinates the first t is -(2 + sqrt 5) correctly rounded
     src = source_from_config({"type": "fibonacci", "offset": 10000.0})
     direct = scalar_autocorr_direct(src, [1, 1], 5.0, SPEC, 2000)
     freq = scalar_autocorr_from_frequencies(src, [1, 1], 5.0, SPEC, 2000)
     assert len(direct) == len(freq) == 13
+    assert direct[0][0].hex() == freq[0][0].hex() == "-0x1.0f1bbcdcbfa54p+2"
     assert_same_measure(autocorr_direct(src, [1, 1], 5.0, SPEC, 2000), direct)
     assert_same_measure(autocorr_from_frequencies(src, [1, 1], 5.0, SPEC, 2000), freq)
 
