@@ -7,6 +7,8 @@ QuadNum comparisons are decided exactly with integer arithmetic, so two
 distinct numbers never collide and equal numbers never split, no matter
 how close their float values are.  A point source uses one representation
 consistently.  QuadArray holds many exact coordinates as integer arrays.
+Every exact sign comes from QuadField.signs, on arrays of Python ints:
+for one QuadNum ordering, or all the ties at a region's end at once.
 """
 
 from __future__ import annotations
@@ -44,29 +46,19 @@ class QuadField:
         self.tau = (p + math.sqrt(disc)) / 2.0
         self.tau_conj = (p - math.sqrt(disc)) / 2.0
 
+    def signs(self, a, b) -> np.ndarray:
+        """Exact signs of a + b*tau, entrywise (broadcasting), as an int
+        array: a and b hold Python ints or Fractions, with no int64 bound."""
+        # 2(a + b*tau) = u + v sqrt(D): where u and v differ in sign, the sign
+        # is sign(u) * sign(u^2 - D v^2), and elsewhere that of u + v
+        v = np.asarray(b, dtype=object)
+        u = 2 * np.asarray(a, dtype=object) + self.p * v
+        su, sv = np.sign(u), np.sign(v)
+        return np.where(su * sv < 0, su * np.sign(u * u - self.disc * v * v), np.sign(su + sv)).astype(int)
+
     def sign(self, a, b) -> int:
         """Exact sign of a + b*tau for rational a, b."""
-        # 2(a + b*tau) = (2a + p*b) + b*sqrt(D)
-        if type(a) is int and type(b) is int:
-            u = 2 * a + self.p * b
-            v = b
-        else:
-            u = 2 * Fraction(a) + self.p * Fraction(b)
-            v = Fraction(b)
-        if v == 0:
-            return 0 if u == 0 else (1 if u > 0 else -1)
-        if u == 0:
-            return 1 if v > 0 else -1
-        if u > 0 and v > 0:
-            return 1
-        if u < 0 and v < 0:
-            return -1
-        t = u * u - v * v * self.disc  # sign(u + v sqrt(D)) = sign(u) * sign(t) here
-        if t == 0:
-            return 0
-        if u > 0:  # v < 0
-            return 1 if t > 0 else -1
-        return 1 if t < 0 else -1  # u < 0, v > 0
+        return int(self.signs([a], [b])[0])
 
     def __repr__(self):
         return "QuadField(%r, p=%d, q=%d)" % (self.name, self.p, self.q)
@@ -219,11 +211,6 @@ def coord_key(c):
     return ("F", round(float(c) / TOL_EQ))
 
 
-def exact_sign(c) -> int:
-    """Exact sign of an int, Fraction or QuadNum."""
-    return c.field.sign(c.a, c.b) if isinstance(c, QuadNum) else (c > 0) - (c < 0)
-
-
 def _pair(c):
     """(a, b, field) with c = a + b*tau, a and b Fractions; field None for rationals."""
     if isinstance(c, QuadNum):
@@ -292,10 +279,15 @@ class QuadArray:
         return QuadArray(-self.a, -self.b, self.den, self.field)
 
     def __sub__(self, other: "QuadArray") -> "QuadArray":
-        """Entrywise difference (broadcasting) of two arrays over one denominator and field."""
-        if (other.den, other.field) != (self.den, self.field):
-            raise ValueError("QuadArray difference needs one denominator and field")
-        return QuadArray(self.a - other.a, self.b - other.b, self.den, self.field)
+        """Entrywise difference (broadcasting), over the lcm of the two
+        denominators and in the field of either."""
+        den = math.lcm(self.den, other.den)
+        i, j = den // self.den, den // other.den
+        if i * j > 1:  # each rescaled operand stays in range
+            _check(den, *(int(np.abs(x).max(initial=0)) * k for x, k in
+                          ((self.a, i), (self.b, i), (other.a, j), (other.b, j))))
+        field = _join(self.field, other.field)
+        return QuadArray(self.a * i - other.a * j, self.b * i - other.b * j, den, field)
 
     def floats(self) -> np.ndarray:
         """Float values, rounded exactly as float() rounds each QuadNum."""
@@ -314,11 +306,16 @@ class QuadArray:
             a, b = Fraction(a, self.den), Fraction(b, self.den)
         return a if self.field is None else QuadNum(a, b, self.field)
 
-    def over(self, den: int, field: QuadField = None) -> "QuadArray":
-        """The same numbers over den, a multiple of self.den, and in field if given."""
+    def compare(self, c) -> np.ndarray:
+        """The exact sign of each entry minus the exact scalar c (int,
+        Fraction or QuadNum), on Python ints over the lcm denominator: no
+        int64 bound."""
+        ca, cb, cf = _pair(c)
+        field = _join(self.field, cf)
+        den = math.lcm(self.den, ca.denominator, cb.denominator)
         k = den // self.den
-        _check(den, int(np.abs(self.a).max(initial=0)) * k, int(np.abs(self.b).max(initial=0)) * k)
-        return QuadArray(self.a * k, self.b * k, den, _join(self.field, field))
+        a, b = (x.astype(object) * k - int(c * den) for x, c in ((self.a, ca), (self.b, cb)))
+        return np.sign(a).astype(int) if field is None else field.signs(a, b)
 
     def shift(self, c) -> "QuadArray":
         """c + self for an exact scalar c."""

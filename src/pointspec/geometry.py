@@ -4,7 +4,8 @@ A MultiSetPatch is the restriction of a point set to a bounded region, i.e.
 exactly what a window query returns.  It stores its points as one float
 array, colour by colour, each colour sorted by position, shape (N,) in 1D
 and (N, d) in 2D, with the m + 1 colour offsets, and an exact patch (1D) as
-one aligned QuadArray too; `.parts` is a read-only scalar view of them.  A
+one aligned QuadArray too; `.parts`, a read-only scalar view of them, is
+for tests and perfbench/tracer.py, and nothing in the package reads it.  A
 Cluster, one finite colored configuration, is stored the same way: a patch
 without a region.  Its signature is array bytes, and occurrences finds its
 translates in a patch for all candidate translates at once.  Differences
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, exact_sign, float_error, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, float_error, is_exact_coord
 
 TOL_EXACT = Fraction(repr(TOL_EQ))  # TOL_EQ at its decimal value, 10**-9
 
@@ -76,8 +77,8 @@ class Interval(_Region):
         against end -+ TOL_EXACT, TOL_EQ at its decimal value (10**-9).
         An exact comparison is decided by the float gap outside a guard band
         around the end, the rounding bound of the floats involved
-        (QuadArray.float_error, coords.float_error), and by the exact sign
-        inside it.
+        (QuadArray.float_error, coords.float_error), and inside it by one
+        exact call per end (QuadArray.compare) for all the points there.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
         ok = np.ones(len(x), dtype=bool)
@@ -99,9 +100,8 @@ class Interval(_Region):
             ties = np.flatnonzero(ok & (np.abs(gap) <= guard))
             if len(ties):
                 xend = (end if is_exact_coord(end) else Fraction(end)) + step * TOL_EXACT
-                for k in ties:
-                    sign = sense * exact_sign(exact.value(k) - xend)
-                    inside[k] = sign > 0 or (sign == 0 and closed)
+                sign = sense * exact[ties].compare(xend)
+                inside[ties] = (sign > 0) | ((sign == 0) & closed)
             ok &= inside
         return ok
 
@@ -298,8 +298,9 @@ class MultiSetPatch:
     (N, d) otherwise.  Colour i is x[ends[i]:ends[i + 1]], positions(i).
     An exact patch (1D only) also holds a QuadArray aligned with x, whose
     slices are exact_positions(i).  `.parts` is a read-only view of the
-    same points for scalar code: per colour, a tuple of point tuples of
-    QuadNum, int or Fraction coordinates (exact) or floats.  A float
+    same points for scalar code outside the package (tests, and
+    perfbench/tracer.py): per colour, a tuple of point tuples of QuadNum,
+    int or Fraction coordinates (exact) or floats.  A float
     translate stores fl(x + h) and the local floats it was moved from.
     Every difference of two points reads those (local()), so it holds at
     any offset; absolute floats only meet regions, events and output.
@@ -346,7 +347,7 @@ class MultiSetPatch:
     def parts(self) -> tuple:
         """Per colour, the points as tuples of scalars; built on first use."""
         if self._parts is None:
-            pts = ([(self._q.value(k),) for k in range(len(self._x))] if self._q is not None
+            pts = ([(v,) for v in map(self._q.value, range(len(self._x)))] if self._q is not None
                    else list(map(tuple, self._x.reshape(len(self._x), self.dim).tolist())))
             self._parts = tuple(tuple(pts[a:b]) for a, b in zip(self._ends, self._ends[1:]))
         return self._parts
@@ -434,7 +435,7 @@ class MultiSetPatch:
         idx, color = self.occurrence_index(P, lo, hi), P.anchor_color()
         exact = None
         if self.exact and P.exact:
-            exact = self.exact_positions(color)[idx].shift(-P.exact_positions(color).value(0))
+            exact = self.exact_positions(color)[idx] - P.exact_positions(color)[:1]
         return self.positions(color)[idx] - P.positions(color)[0], exact
 
     def occurrence_index(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
@@ -534,8 +535,8 @@ class Cluster(MultiSetPatch):
         """Lexicographically smallest support point (None if empty)."""
         if self.is_empty():
             return None
-        k = int(self._support()[2][0])
-        return (self._q.value(k),) if self.exact else tuple(np.atleast_1d(self._x[k]).tolist())
+        first = int(self._support()[2][0])
+        return (self._q.value(first),) if self.exact else tuple(np.atleast_1d(self._x[first]).tolist())
 
     def anchor_color(self) -> int:
         """Index of the first colour holding the anchor point."""

@@ -332,10 +332,9 @@ class _Cylinders:
             rows, i, g, exact = rows[keep], i[keep], -(pos[keep] - anchor), exact[keep]
             if not len(g):
                 continue
-            if exact.any():  # g = h - v, v = q - anchor, over one denominator
-                v = master.exact_positions(color)[idx[i[exact]]].shift(-P.exact_positions(color).value(0))
-                den, field = math.lcm(H.den, v.den), H.field or v.field
-                G = H.over(den, field)[rows[exact]] - v.over(den, field)
+            if exact.any():  # g = h - v, v = q - anchor, exactly
+                v = master.exact_positions(color)[idx[i[exact]]] - P.exact_positions(color)[:1]
+                G = H[rows[exact]] - v
                 gG = G.floats()
             for c in members:
                 hit = self.cylinders[c].window.mask(g)
@@ -496,9 +495,11 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
 
 
 def _sort_key(cl: Cluster):
-    """The order in which cells list their window patterns: per colour, the
-    points' coord_keys."""
-    return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in cl.parts)
+    """The order in which cells list their window patterns: per colour, exact points'
+    (a, b) numerators (one denominator per partition), or float points' coord_keys."""
+    if cl.exact:
+        return tuple(tuple(zip(q.a.tolist(), q.b.tolist())) for q in map(cl.exact_positions, range(cl.m)))
+    return tuple(tuple(map(coord_key, cl.positions(i).tolist())) for i in range(cl.m))
 
 
 def _scan_pieces(source, R: float, t0: float, t1: float):

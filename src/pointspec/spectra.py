@@ -557,14 +557,14 @@ def dworkin_report(source, w, kernel: SmoothingKernel, xs, spec: VanHoveSpec,
     radius = max(abs(x) for x in xs) + 2 * kernel.s + 1.0
     ac = autocorr_from_frequencies(source, w, radius, spec, n)
     quad_step = 2 * kernel.s / 40.0  # = s/20
-    grid = np.arange(-n + quad_step / 2, n, quad_step)
-    patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
-    rho = np.conj(smoothed_density(patch, w, kernel, grid))
-    pos, col = patch.colour_major()
-    wp = validate_weights(w, source.m)[col]
     reach = kernel.s + quad_step
     block = np.arange(int(2 * reach / quad_step) + 2)  # past every grid point within reach
-    grid, rho = np.append(grid, np.full(len(block), np.inf)), np.append(rho, np.zeros(len(block)))
+    grid = np.concatenate([np.arange(-n + quad_step / 2, n, quad_step), np.full(len(block), np.inf)])
+    patch = source.window(Interval(-n - radius, n + radius))  # every shifted grid's reach
+    rho = smoothed_density(patch, w, kernel, grid)  # 0 at y = inf
+    np.conj(rho, out=rho)
+    pos, col = patch.colour_major()
+    wp = validate_weights(w, source.m)[col]
     rows = []
     for x, rhs in zip(xs, smoothed_autocorr_profile(ac, kernel, xs)):
         g = np.searchsorted(grid, pos - x - reach)[:, None] + block

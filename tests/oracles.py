@@ -4,8 +4,9 @@ norm and self-correlation and of an autocorrelation's Hermitian defect, the
 plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
-the occurrence search, batched and on exact keys, and the closed-form Bragg
-amplitudes of the Fibonacci model set."""
+the occurrence search, batched and on exact keys, the closed-form Bragg
+amplitudes of the Fibonacci model set, and the exact sign of a + b*tau one
+scalar at a time."""
 
 import itertools
 import math
@@ -203,6 +204,31 @@ def exact_occurrence_count(patch, P) -> int:
     (anchor,), colour = P.anchor_point(), P.anchor_color()
     return sum(all(q - anchor + p in points[i] for i, part in enumerate(P.parts) for (p,) in part)
                for q in points[colour])
+
+
+def scalar_sign(field, a, b) -> int:
+    """Exact sign of a + b*tau for rational a, b, by cases on the signs of
+    u = 2a + p*b and v = b, where 2(a + b*tau) = u + v sqrt(D)."""
+    if type(a) is int and type(b) is int:
+        u = 2 * a + field.p * b
+        v = b
+    else:
+        u = 2 * Fraction(a) + field.p * Fraction(b)
+        v = Fraction(b)
+    if v == 0:
+        return 0 if u == 0 else (1 if u > 0 else -1)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    t = u * u - v * v * field.disc  # sign(u + v sqrt(D)) = sign(u) * sign(t) here
+    if t == 0:
+        return 0
+    if u > 0:  # v < 0
+        return 1 if t > 0 else -1
+    return 1 if t < 0 else -1  # u < 0, v > 0
 
 
 def fibonacci_bragg_amplitudes(w, bound: int = 40):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, coord_key, is_exact_coord
 from pointspec.geometry import Box, Cluster, Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
@@ -19,6 +19,7 @@ from pointspec.hull import (
     _match_predicate,
     _predicate_sides,
     _scan_pieces,
+    _sort_key,
     hull_metric,
     hull_metrics,
     metric_window,
@@ -875,6 +876,30 @@ def test_one_scan_completeness_decision_matches_two_scans():
         assert complete == two_scans_agree(source, R, L), (R, L)
         seen.add((source, complete))
     assert len(seen) == 6  # each source scanned both too short and long enough
+
+
+def former_sort_key(cl):
+    """The cell order of the scalar view: per colour, each point's coord_keys."""
+    return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in cl.parts)
+
+
+@pytest.mark.parametrize("source, exact", [
+    (fibonacci_cut_project(), True), (thue_morse_source(), True),
+    (TranslatedSource(fibonacci_cut_project(), Fraction(1, 3)), True),
+    (TranslatedSource(fibonacci_cut_project(), 0.37), False)])
+def test_cell_order_on_arrays_is_the_scalar_views_order(source, exact):
+    pieces = _scan_pieces(source, 3.0, 0.0, 600.0)
+    clusters = [cl for rep, pinned, *_ in pieces.values() for cl in (rep, pinned)]
+    assert all(cl.exact == exact for cl in clusters)
+
+    def ranks(key):  # each cluster's place among the distinct keys: the order and its ties
+        keys = [key(cl) for cl in clusters]
+        order = sorted(set(keys))
+        return [order.index(k) for k in keys]
+
+    assert ranks(_sort_key) == ranks(former_sort_key) and len(set(ranks(_sort_key))) > 5
+    if isinstance(source, TranslatedSource) and exact:
+        assert clusters[0].exact_positions(0).den == 3
 
 
 def test_partition_fibonacci_disjoint_cover():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadNum
+from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum
 from pointspec.geometry import Ball, Box, Interval, MultiSetPatch
 from pointspec.output import write_json, write_points
 from pointspec.sources import (
@@ -270,23 +270,22 @@ def former_band_ties(iv, x, exact, tol=TOL_EQ):
 
 
 def test_far_windows_match_a_fraction_oracle_with_fewer_ties(monkeypatch):
-    from pointspec import geometry
-
-    signs, calls = [], []
-    real_sign, real_mask = geometry.exact_sign, Interval.mask
+    rows, calls = [], []
+    real_compare, real_mask = QuadArray.compare, Interval.mask
 
     def mask(iv, x, exact=None):
         if exact is not None:
             calls.append(former_band_ties(iv, np.asarray(x, dtype=float).reshape(-1), exact))
         return real_mask(iv, x, exact)
 
-    monkeypatch.setattr(geometry, "exact_sign", lambda c: signs.append(1) or real_sign(c))
+    # the tie rows decided exactly, against the former band's scalar decisions
+    monkeypatch.setattr(QuadArray, "compare", lambda q, c: rows.append(len(q.a)) or real_compare(q, c))
     monkeypatch.setattr(Interval, "mask", mask)
     for lo in (1e12, -1e12 - 40, 1e15, -1e15 - 40):
         region = Interval(lo, lo + 40)
         got = window_triples(FIB[2], region)
         assert len(got) > 20 and got == fraction_window(FIB[2], region)
-    assert len(signs) < sum(calls)
+    assert sum(rows) < sum(calls)
 
 
 @pytest.mark.parametrize("lo, hi", [(COORD_MAX - 40, math.nextafter(COORD_MAX, math.inf)),
