@@ -192,25 +192,6 @@ def is_exact_coord(c) -> bool:
     return isinstance(c, (int, Fraction, QuadNum))
 
 
-def coord_key(c):
-    """Hashable key identifying a coordinate value.
-
-    Exact coordinates key exactly (ints and QuadNum(a, 0) agree).  Floats
-    snap to a TOL_EQ-sized grid, which splits two equal values that float
-    error puts on either side of a grid boundary: fit for the dict and sort
-    keys that use it, where a split only repeats work, never for grouping
-    float values, which geometry.first_labels does in runs of gaps of at
-    most TOL_EQ.
-    """
-    if isinstance(c, QuadNum):
-        if c.b == 0:
-            return ("E", c.a, 0)
-        return ("E", c.a, c.b, c.field.p, c.field.q)
-    if isinstance(c, (int, Fraction)):
-        return ("E", Fraction(c), 0) if isinstance(c, Fraction) else ("E", c, 0)
-    return ("F", round(float(c) / TOL_EQ))
-
-
 def _pair(c):
     """(a, b, field) with c = a + b*tau, a and b Fractions; field None for rationals."""
     if isinstance(c, QuadNum):

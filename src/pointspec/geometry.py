@@ -7,7 +7,9 @@ and (N, d) in 2D, with the m + 1 colour offsets, and an exact patch (1D) as
 one aligned QuadArray too; `.parts`, a read-only scalar view of them, is
 for tests and perfbench/tracer.py, and nothing in the package reads it.  A
 Cluster, one finite colored configuration, is stored the same way: a patch
-without a region.  Its signature is array bytes, and occurrences finds its
+without a region.  Its signature is array bytes, the exact values or the
+float bits; float values are equal by one rule only, run_starts, and no
+key rounds them to a TOL_EQ grid.  occurrences finds a cluster's
 translates in a patch for all candidate translates at once.  Differences
 of two points read local coordinates (MultiSetPatch.local), at any offset.
 
@@ -174,9 +176,9 @@ class Ball(_Region):
         return len(self.center)
 
     def volume(self) -> float:
-        if self.dim == 1:
-            return 2.0 * self.radius
-        return math.pi * self.radius ** 2
+        """2r in 1D, otherwise pi^(d/2) r^d / Gamma(d/2 + 1): pi r^2 in 2D."""
+        d = self.dim
+        return 2.0 * self.radius if d == 1 else math.pi ** (d / 2) / math.gamma(d / 2 + 1) * self.radius ** d
 
     def mask(self, x, exact=None) -> np.ndarray:
         """Which float points x, shape (N, d), lie in the ball (TOL_EQ slack); exact is unused."""
@@ -306,7 +308,7 @@ class MultiSetPatch:
     any offset; absolute floats only meet regions, events and output.
     """
 
-    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_err", "_rel")
+    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_rel")
 
     def __init__(self, region, dim: int, x, ends, exact=None, local=None):
         """x: every point, colour-major, each colour sorted; ends: the m + 1
@@ -316,7 +318,7 @@ class MultiSetPatch:
         self.dim = dim
         self.m = len(ends) - 1
         self._x, self._ends, self._q, self._rel = x, tuple(ends), exact, local
-        self._parts = self._all = self._err = None
+        self._parts = self._all = None
 
     @staticmethod
     def from_points(region, dim: int, m: int, x, color, exact: QuadArray = None):
@@ -400,15 +402,12 @@ class MultiSetPatch:
         return MultiSetPatch(self.region.translate(vec), self.dim, *self._moved(vec), self._local())
 
     def restrict(self, region) -> "MultiSetPatch":
+        """The patch of the points in region, which this patch's region must
+        cover: one region.mask over every point, exact where the points are;
+        the kept points keep their local coordinates."""
         if not self.region.covers(region):
             raise ValueError("restriction region exceeds the patch region")
-        if self._err is None:  # per colour, the largest float error of an exact point
-            self._err = [0.0 if q is None else q.float_error()
-                         for q in map(self.exact_positions, range(self.m))]
-        cuts = [sorted_slice(self._x[a:b], region, err) if self.dim == 1 else slice(0, b - a)
-                for a, b, err in zip(self._ends, self._ends[1:], self._err)]  # per colour, what can hold points
-        idx = np.concatenate([np.arange(a + c.start, a + c.stop) for a, c in zip(self._ends, cuts)])
-        idx = idx[region.mask(self._x[idx], None if self._q is None else self._q[idx])]
+        idx = np.flatnonzero(region.mask(self._x, self._q))
         return MultiSetPatch(region, self.dim, self._x[idx], np.searchsorted(idx, self._ends).tolist(),
                              None if self._q is None else self._q[idx], self._local()[idx])
 
@@ -543,10 +542,9 @@ class Cluster(MultiSetPatch):
         return None if self.is_empty() else int(self._support()[1][0])
 
     def signature(self):
-        """Hashable identity key: the exact values, or the floats on a TOL_EQ grid."""
+        """Hashable identity key: the exact values, or the float bits (-0.0 as 0.0)."""
         if self._sig is None:
-            values = (_exact_key(self._q) if self.exact
-                      else (np.round(self._x / TOL_EQ) + 0.0).tobytes())
+            values = _exact_key(self._q) if self.exact else (self._x + 0.0).tobytes()
             self._sig = (self.dim, self._ends, self.exact, values)
         return self._sig
 

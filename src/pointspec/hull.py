@@ -18,10 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, coord_key, float_error, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, float_error, is_exact_coord
 from .geometry import (
     Cluster,
     Interval,
@@ -256,9 +257,9 @@ class _Cylinders:
         self.reach = Interval(float(np.min([p.min() for p in sup] - self.vhi, initial=np.inf)),
                               float(np.max([p.max() for p in sup] - self.vlo, initial=-np.inf)))
         self.shapes = {(cyl.cluster.dim, cyl.cluster.m) for cyl in self.cylinders}
-        groups = {}  # equal exact values and float bytes: one search serves all
+        groups = {}  # equal signatures (exact values, or float bits): one search serves all
         for c, cyl in enumerate(self.cylinders):
-            groups.setdefault((cyl.cluster.signature(), sup[c].tobytes()), (cyl.cluster, []))[1].append(c)
+            groups.setdefault(cyl.cluster.signature(), (cyl.cluster, []))[1].append(c)
         # per group: its cluster, its cylinders, and the translate bounds of their windows
         self.groups = [(P, c, -self.vhi[c].max(), -self.vlo[c].min()) for P, c in groups.values()]
 
@@ -438,8 +439,9 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     point inside its span would violate the packing gap when b < 2 eta).
     This keeps the cells pairwise disjoint as cylinder sets and makes
     sum Vol(V) freq exact.  Pieces are split into grid cells of length
-    < delta.  Measure-zero event classes (a point exactly on the window
-    boundary, realized at isolated offsets) are dropped.
+    < delta, listed by window pattern, window end and pinned size
+    (_cell_keys).  Measure-zero event classes (a point exactly on the
+    window boundary, realized at isolated offsets) are dropped.
 
     The scan covers [t0, t0 + scan_length], t0 = max(0, left end + R), so no
     window reaches past a one-sided source's left end.  Raises
@@ -465,71 +467,84 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
         raise ValueError("pinning requires b < 2 eta (observed b=%.6g, eta=%.6g)"
                          % (dp.b, dp.eta))
 
-    pieces = _scan_pieces(source, R, t0, t0 + scan_length)
+    reps, pins, w_lo, w_hi, end = _scan_pieces(source, R, t0, t0 + scan_length)
     # a scan over [t0, t0 + 0.6 scan_length] sees exactly the pieces that close by its end
-    if any(end > t0 + scan_length * 0.6 + TOL_EQ for *_, end in pieces.values()):
+    if (end > t0 + scan_length * 0.6 + TOL_EQ).any():
         raise IncompletePartitionError(
             "piece enumeration still growing at scan length %g" % scan_length)
 
     # window-pattern classes for reporting; pieces stay extension-refined
-    reps, rep_index, cells = [], {}, []
-    for key in sorted(pieces, key=lambda k: (_sort_key(pieces[k][0]), k[3], k[4])):
-        rep, pinned, w_lo, w_hi, _ = pieces[key]
-        idx = rep_index.setdefault(rep, len(reps))  # Cluster ==, the tolerant compare
-        if idx == len(reps):
-            reps.append(rep)
-        width = float(w_hi) - float(w_lo)
+    classes, rep_index, cells = [], {}, []
+    keys = _cell_keys(reps, pins, w_hi)
+    for i in sorted(range(len(keys)), key=keys.__getitem__):  # ties keep scan order
+        rep = reps[i]
+        idx = rep_index.setdefault(rep, len(classes))  # Cluster ==, the tolerant compare
+        if idx == len(classes):
+            classes.append(rep)
+        lo, hi = (w.value(i) if isinstance(w, QuadArray) else float(w[i]) for w in (w_lo, w_hi))
+        width = float(hi) - float(lo)
         k = max(1, math.ceil(width / delta))
         if width / k >= delta:  # guard against exact division
             k += 1
         for j in range(k):
-            clo = w_lo + (w_hi - w_lo) * Fraction(j, k)
-            chi = w_lo + (w_hi - w_lo) * Fraction(j + 1, k)
-            cells.append(PartitionCell(
-                cluster=rep,
-                pinned=pinned,
-                window=Interval(clo, chi, True, False),
-                class_index=idx,
-            ))
-    return HullPartition(cells=cells, radius=R, delta=delta, representatives=reps)
+            clo, chi = lo + (hi - lo) * Fraction(j, k), lo + (hi - lo) * Fraction(j + 1, k)
+            cells.append(PartitionCell(rep, pins[i], Interval(clo, chi, True, False), idx))
+    return HullPartition(cells=cells, radius=R, delta=delta, representatives=classes)
 
 
-def _sort_key(cl: Cluster):
-    """The order in which cells list their window patterns: per colour, exact points'
-    (a, b) numerators (one denominator per partition), or float points' coord_keys."""
-    if cl.exact:
-        return tuple(tuple(zip(q.a.tolist(), q.b.tolist())) for q in map(cl.exact_positions, range(cl.m)))
-    return tuple(tuple(map(coord_key, cl.positions(i).tolist())) for i in range(cl.m))
+def _order_keys(parts, exact: bool) -> list:
+    """Per array of parts, its entries' sort keys as a tuple: the (a, b)
+    numerators of exact values (QuadArrays over one denominator), or each
+    float's place among the distinct values of all parts, a run_starts run
+    being one value."""
+    if exact:
+        return [tuple(zip(p.a.tolist(), p.b.tolist())) for p in parts]
+    v = np.concatenate([np.empty(0), *parts])
+    order = np.argsort(v, kind="stable")
+    rank = np.empty(len(v), dtype=np.int64)
+    rank[order] = np.cumsum(run_starts(v[order]))
+    return [tuple(r.tolist()) for r in np.split(rank, np.cumsum([len(p) for p in parts])[:-1])]
+
+
+def _cell_keys(reps, pinned, w_hi) -> list:
+    """Each piece's sort key in cell order: its window pattern, per colour
+    (the _order_keys of its points), then its w_hi, then its pinned size."""
+    exact = isinstance(w_hi, QuadArray)
+    points = iter(_order_keys([(c.exact_positions if exact else c.positions)(i)
+                               for c in reps for i in range(c.m)], exact))
+    (ends,) = _order_keys([w_hi], exact)
+    return [(tuple(islice(points, c.m)), e, p.total_points) for c, e, p in zip(reps, ends, pinned)]
 
 
 def _scan_pieces(source, R: float, t0: float, t1: float):
-    """Distinct (window pattern, pinned cluster, offset window) pieces for
-    the sliding window B_R(t), t in [t0, t1], as key -> (pattern, pinned,
-    w_lo, w_hi, end): end is the float closing event of the first piece
-    with that key, so a scan stopped at any t sees the keys whose end
-    is at most t + TOL_EQ.
+    """The distinct (window pattern, pinned cluster, offset window) pieces
+    of the sliding window B_R(t), t in [t0, t1], in scan order, as columns
+    (patterns, pinned, w_lo, w_hi, end): the window ends are a QuadArray
+    for an exact patch, else floats, and end holds each piece's float
+    closing event, so a scan stopped at any t sees the pieces whose end is
+    at most t + TOL_EQ.
 
     The pinned cluster is the patch over the closed hull of window
     positions of the piece, [e_i - R, e_{i+1} + R]: the window pattern
     plus the two points whose entry/exit delimits the piece.  Event
-    intervals with equal contents are grouped on arrays; clusters are
-    built once per distinct interval.  Events are absolute floats; keys,
-    float clusters and window ends read the patch's local coordinates.
+    intervals are grouped once, on arrays, by distinct_windows (contents
+    and window ends), one piece per group.  Events are absolute floats;
+    keys, float clusters and window ends read local coordinates, and an
+    exact patch's window ends are exact.
     """
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
     vals, cols = patch.all_positions()
     q, loc = patch.all_exact(), patch.local()
-    Rex = Fraction(R)
-
-    def value(j):
-        return float(loc[j]) if q is None else q.value(j)
-
-    def event(k):  # event 2j is p_j - R, event 2j + 1 is p_j + R (exact where p_j is)
-        return value(k // 2) + Rex if k % 2 else value(k // 2) - Rex
-
-    # float(p -+ R), rounded as float() rounds each scalar event
-    ev = np.stack([vals - R, vals + R] if q is None else [q.shift(-Rex).floats(), q.shift(Rex).floats()],
-                  axis=1).ravel()
+    # event 2j is p_j - R and event 2j + 1 is p_j + R: float(p -+ R) in ev, and
+    # in events on local coordinates, exact where p_j is
+    j, side = np.repeat(np.arange(len(vals)), 2), np.tile([-1, 1], len(vals))
+    base = loc if q is None else q
+    if q is None:
+        ev, events = vals[j] + side * R, loc[j] + side * R
+    else:
+        Rex = Fraction(R)
+        events = q[j] - QuadArray(-side * Rex.numerator, np.zeros_like(side), Rex.denominator)
+        ev = events.floats()
     order = np.argsort(ev, kind="stable")
     order = order[(ev[order] >= t0 - TOL_EQ) & (ev[order] <= t1 + TOL_EQ)]
     evs = order[run_starts(ev[order])]
@@ -546,26 +561,19 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     ka, kb, lo, hi, plo, phi = (v[live] for v in (ka, kb, lo, hi, plo, phi))
     rows, idx = ranges(plo, phi)
     at = lo[rows]  # each piece's anchor: the first point of its window
-    d = None if q is None else q[idx] - q[at]
-    keys = tolerant_labels(loc[idx] - loc[at]) if d is None else [d.a, d.b]
-    firsts, _ = distinct_windows(rows, [cols[idx]] + keys, len(lo),
-                                 extra=(lo - plo, hi - lo, ka - 2 * plo, kb - 2 * plo))
+    ends = events[ka] - base[lo], events[kb] - base[lo]  # each piece's offset window
+    labels = tolerant_labels if q is None else (lambda v: [v.a, v.b])  # int64 columns, equal where v is
+    firsts, _ = distinct_windows(rows, [cols[idx], *labels(base[idx] - base[at])], len(lo),
+                                 extra=(lo - plo, hi - lo, *labels(ends[0]), *labels(ends[1])))
 
     def cluster(i0, i1, anchor):
-        s = slice(i0, i1)
-        e = None if q is None else q[s] - q[anchor]
-        return Cluster.from_arrays(1, patch.m, loc[s] - loc[anchor] if e is None else e.floats(), cols[s], e)
+        d = base[i0:i1] - base[anchor]
+        return Cluster.from_arrays(1, patch.m, d if q is None else d.floats(), cols[i0:i1], None if q is None else d)
 
-    pieces = {}
-    for r in firsts.tolist():
-        rep, pinned = cluster(lo[r], hi[r], lo[r]), cluster(plo[r], phi[r], lo[r])
-        w_lo = event(int(ka[r])) - value(lo[r])
-        w_hi = event(int(kb[r])) - value(lo[r])
-        key = (rep.signature(), pinned.signature(), coord_key(w_lo), coord_key(w_hi),
-               pinned.total_points)
-        if key not in pieces:
-            pieces[key] = (rep, pinned, w_lo, w_hi, float(ev[kb[r]]))
-    return pieces
+    f = firsts.tolist()
+    reps = [cluster(lo[r], hi[r], lo[r]) for r in f]
+    pinned = [cluster(plo[r], phi[r], lo[r]) for r in f]
+    return reps, pinned, ends[0][firsts], ends[1][firsts], ev[kb[firsts]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ all bundled sources keep distinct coordinates far above TOL_EQ.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,10 @@ def halton(count: int, base: int = 2) -> np.ndarray:
 
 
 def default_offsets(count: int, span: float, dim: int = 1):
-    """Low-discrepancy probe offsets in [0, span]^d."""
-    if dim == 1:
-        return [(float(x),) for x in halton(count) * span]
-    xs, ys = halton(count, 2), halton(count, 3)
-    return [(float(x * span), float(y * span)) for x, y in zip(xs, ys)]
+    """Low-discrepancy probe offsets in [0, span]^d: per axis the Halton
+    sequence of the next prime base, 2, 3, 5, ..."""
+    primes = (b for b in itertools.count(2) if all(b % k for k in range(2, b)))
+    return list(zip(*(map(float, halton(count, b) * span) for b in itertools.islice(primes, dim))))
 
 
 def estimate_frequency(source, P: Cluster, spec: VanHoveSpec, offsets) -> FrequencyEstimate:

@@ -5,8 +5,8 @@ plateau function of the smoothed-indicator bound, and the slow direct forms
 of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
 the occurrence search, batched and on exact keys, the closed-form Bragg
-amplitudes of the Fibonacci model set, and the exact sign of a + b*tau one
-scalar at a time."""
+amplitudes of the Fibonacci model set, the exact sign of a + b*tau one
+scalar at a time, and the TOL_EQ grid key that ordered partition cells."""
 
 import itertools
 import math
@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from pointspec import hull
-from pointspec.coords import TOL_EQ, is_exact_coord
+from pointspec.coords import TOL_EQ, QuadNum, is_exact_coord
 from pointspec.geometry import MultiSetPatch, in_sorted
 from pointspec.sources import region_to_json
 from pointspec.spectra import smoothed_density
@@ -229,6 +229,20 @@ def scalar_sign(field, a, b) -> int:
     if u > 0:  # v < 0
         return 1 if t > 0 else -1
     return 1 if t < 0 else -1  # u < 0, v > 0
+
+
+def coord_key(c):
+    """Hashable key of a coordinate value, as the package once ordered partition
+    cells by: exact coordinates key exactly (ints and QuadNum(a, 0) agree),
+    floats snap to the TOL_EQ grid, which splits two equal values that float
+    error puts on either side of a grid boundary."""
+    if isinstance(c, QuadNum):
+        if c.b == 0:
+            return ("E", c.a, 0)
+        return ("E", c.a, c.b, c.field.p, c.field.q)
+    if isinstance(c, (int, Fraction)):
+        return ("E", Fraction(c), 0) if isinstance(c, Fraction) else ("E", c, 0)
+    return ("F", round(float(c) / TOL_EQ))
 
 
 def fibonacci_bragg_amplitudes(w, bound: int = 40):

@@ -52,9 +52,8 @@ def test_importing_the_package_and_its_entry_points_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# the two keys that may still round a float to the TOL_EQ grid: the dict keys
-# of single coordinates and of whole clusters
-GRID_KEY_OWNERS = {("coords.py", "coord_key"), ("geometry.py", "Cluster.signature")}
+# the functions that may round a float to the TOL_EQ grid: none
+GRID_KEY_OWNERS = set()
 
 
 def grid_key_owners(tree) -> set:
@@ -78,7 +77,7 @@ def grid_key_owners(tree) -> set:
     return found
 
 
-def test_floats_meet_the_tolerance_grid_only_in_coord_key_and_cluster_signature():
+def test_no_function_rounds_floats_to_the_tolerance_grid():
     # float values are equal when geometry.run_starts joins them (runs of gaps of at
     # most TOL_EQ); a grid key round(v / TOL_EQ) is a second rule, which splits a
     # value that float error moves across a grid boundary

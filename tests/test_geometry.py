@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, coord_key, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, is_exact_coord
 from pointspec.geometry import (
     Ball,
     Box,
@@ -124,6 +124,12 @@ def test_box_and_ball():
     assert abs(ball.volume() - np.pi * 4) < 1e-12
     assert ball.contains_point((2.0, 0.0))
     assert not ball.contains_point((2.0, 0.1))
+    # pi^(d/2) r^d / Gamma(d/2 + 1): 2r and pi r^2 bit for bit, 4/3 pi r^3 in 3D
+    assert (Ball((0.0,), 2.5).volume(), ball.volume()) == (5.0, np.pi * 2.0 ** 2)
+    ball3 = Ball((0.0, 0.0, 0.0), 2.0)
+    assert abs(ball3.volume() - 4.0 / 3.0 * np.pi * 8.0) < 1e-12
+    assert abs(Ball((0.0,) * 4, 2.0).volume() - np.pi ** 2 / 2.0 * 16.0) < 1e-12
+    assert ball3.contains_point((0.0, 0.0, 2.0)) and not ball3.contains_point((1.5, 1.5, 0.1))
 
 
 def test_boundary_shell_1d():
@@ -560,7 +566,9 @@ class TupleCluster:
                              for part in self.parts])
 
     def signature(self):
-        return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in self.parts)
+        # exact values key exactly, floats on their bits (-0.0 as 0.0)
+        return tuple(tuple(tuple(c if is_exact_coord(c) else (float(c) + 0.0).hex() for c in p) for p in part)
+                     for part in self.parts)
 
 
 def tuple_match(P, Q, tol=TOL_EQ):

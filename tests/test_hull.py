@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, TOL_EQ, QuadNum, coord_key, is_exact_coord
+from pointspec.coords import GOLDEN, TOL_EQ, QuadArray, QuadNum, is_exact_coord
 from pointspec.geometry import Box, Cluster, Interval, MultiSetPatch, cluster_1d
 from pointspec.hull import (
     METRIC_CAP,
@@ -18,8 +18,8 @@ from pointspec.hull import (
     empirical_cylinder_measure,
     _match_predicate,
     _predicate_sides,
+    _cell_keys,
     _scan_pieces,
-    _sort_key,
     hull_metric,
     hull_metrics,
     metric_window,
@@ -33,11 +33,13 @@ from pointspec.sources import (
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
+    period_doubling_source,
+    source_from_config,
     thue_morse_source,
 )
 from pointspec.stats import _count_in_patch, halton
 
-from oracles import plateau, sequential_hull_metric
+from oracles import coord_key, plateau, sequential_hull_metric
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +855,22 @@ def test_partition_scan_stability_guard():
         build_partition_1d(fib, 3.0, 0.2, scan_length=16.0)
 
 
+def end_keys(w) -> list:
+    """Each window end's value: exact, as (a, b) over the denominator, or as a float."""
+    return list(zip(w.a.tolist(), w.b.tolist(), [w.den] * len(w.a))) if isinstance(w, QuadArray) else w.tolist()
+
+
+def piece_identities(pieces) -> set:
+    """Each piece's identity: its clusters' signatures and its window ends' keys."""
+    reps, pinned, w_lo, w_hi, _ = pieces
+    return set(zip([r.signature() for r in reps], [p.signature() for p in pinned], end_keys(w_lo), end_keys(w_hi)))
+
+
 def two_scans_agree(source, R, scan_length):
     """The two-scan completeness test: a scan to 0.6 scan_length finds
     every piece a scan to scan_length finds."""
-    return (set(_scan_pieces(source, R, 0.0, scan_length * 0.6))
-            == set(_scan_pieces(source, R, 0.0, scan_length)))
+    return (piece_identities(_scan_pieces(source, R, 0.0, scan_length * 0.6))
+            == piece_identities(_scan_pieces(source, R, 0.0, scan_length)))
 
 
 def test_one_scan_completeness_decision_matches_two_scans():
@@ -883,23 +896,38 @@ def former_sort_key(cl):
     return tuple(tuple(tuple(coord_key(c) for c in p) for p in part) for part in cl.parts)
 
 
+FLOAT_FIBONACCI = {"type": "substitution", "letters": "ab", "expansions": ["ab", "a"],
+                   "lengths": [1.618033988749895, 1.0]}
+
+
 @pytest.mark.parametrize("source, exact", [
     (fibonacci_cut_project(), True), (thue_morse_source(), True),
     (TranslatedSource(fibonacci_cut_project(), Fraction(1, 3)), True),
-    (TranslatedSource(fibonacci_cut_project(), 0.37), False)])
+    (TranslatedSource(fibonacci_cut_project(), 0.37), False),
+    (fibonacci_substitution(), True), (period_doubling_source(), True),
+    (TranslatedSource(fibonacci_cut_project(), 1e4), False),
+    (TranslatedSource(fibonacci_cut_project(), 1e8), False),
+    (source_from_config(FLOAT_FIBONACCI), False),
+    (TranslatedSource(thue_morse_source(), 0.3), False),
+    (TranslatedSource(period_doubling_source(), 0.3), False),
+    (integer_lattice(), False), (TranslatedSource(integer_lattice(), 0.1), False),
+    (integer_lattice(2.0), False), (integer_lattice(1.0, colors=2), False)])
 def test_cell_order_on_arrays_is_the_scalar_views_order(source, exact):
-    pieces = _scan_pieces(source, 3.0, 0.0, 600.0)
-    clusters = [cl for rep, pinned, *_ in pieces.values() for cl in (rep, pinned)]
-    assert all(cl.exact == exact for cl in clusters)
+    # exact values order by their (a, b) numerators, floats by value with each
+    # run_starts run as one value: the former coord_key order, ties included
+    reps, pinned, w_lo, w_hi, _ = _scan_pieces(source, 3.0, 0.0, 600.0)
+    assert all(cl.exact == exact for cl in reps + pinned)
+    ends = [w_hi.value(i) if exact else float(w_hi[i]) for i in range(len(reps))]
+    former = [(former_sort_key(r), coord_key(e), p.total_points) for r, e, p in zip(reps, ends, pinned)]
 
-    def ranks(key):  # each cluster's place among the distinct keys: the order and its ties
-        keys = [key(cl) for cl in clusters]
+    def ranks(keys):  # each piece's place among the distinct keys: the order and its ties
         order = sorted(set(keys))
         return [order.index(k) for k in keys]
 
-    assert ranks(_sort_key) == ranks(former_sort_key) and len(set(ranks(_sort_key))) > 5
-    if isinstance(source, TranslatedSource) and exact:
-        assert clusters[0].exact_positions(0).den == 3
+    assert ranks(_cell_keys(reps, pinned, w_hi)) == ranks(former)
+    assert len(set(former)) >= min(len(reps), 11)  # the lattices have one or two pieces
+    if isinstance(source, TranslatedSource) and source.shift == (Fraction(1, 3),):
+        assert reps[0].exact_positions(0).den == 3
 
 
 def test_partition_fibonacci_disjoint_cover():

@@ -164,6 +164,17 @@ def test_default_offsets_in_2d_pair_the_base_2_and_base_3_sequences():
     assert offsets == [pytest.approx((8.0 * x, 8.0 * y), abs=1e-12) for x, y in want]
 
 
+def test_default_offsets_in_3d_add_the_base_5_sequence():
+    # each axis takes the next prime base; 1D and 2D keep their values
+    want = [(1 / 2, 1 / 3, 1 / 5), (1 / 4, 2 / 3, 2 / 5), (3 / 4, 1 / 9, 3 / 5), (1 / 8, 4 / 9, 4 / 5),
+            (5 / 8, 7 / 9, 1 / 25)]
+    offsets = default_offsets(5, 8.0, dim=3)
+    assert all(len(o) == 3 and type(c) is float for o in offsets for c in o)
+    assert offsets == [pytest.approx(tuple(8.0 * c for c in w), abs=1e-12) for w in want]
+    assert [o[:2] for o in offsets] == default_offsets(5, 8.0, dim=2)
+    assert [o[:1] for o in offsets] == default_offsets(5, 8.0)
+
+
 def test_uniformity_gap_probes_offsets():
     fib = fibonacci_cut_project()
     spec = VanHoveSpec(n0=125, doublings=2)
