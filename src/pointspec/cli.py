@@ -234,7 +234,8 @@ def cmd_metric(args, cfg, src, sub):
 def cmd_partition(args, cfg, src, sub):
     R = _number(sub, "R", 3.0)
     delta = _number(sub, "delta", 0.2)
-    part = build_partition_1d(src, R, delta, scan_length=_number(sub, "scan_length", 0.0) or None)
+    scan_length = _number(sub, "scan_length", 0.0) if "scan_length" in sub else None
+    part = build_partition_1d(src, R, delta, scan_length=scan_length)
     return {"partition.json": partial(write_json, doc={"radius": R, "delta": delta,
                                                        "n_cells": part.n_cells,
                                                        "cells": part.to_json()})}

@@ -1,5 +1,7 @@
 """Exact quadratic-field coordinates and float tolerance conventions.
 
+This module alone does field arithmetic: it conjugates, divides, keys and
+aligns the denominators of exact numbers, and the other modules call it.
 A coordinate is either a plain Python float (compared with the global
 tolerance TOL_EQ), a plain int, or a QuadNum a + b*tau where tau is the
 positive root of x^2 = p*x + q for a fixed real quadratic field.  All
@@ -20,6 +22,12 @@ import numpy as np
 
 
 TOL_EQ = 1e-9
+
+
+def decimal(x) -> Fraction:
+    """x as an exact rational: an int or Fraction as it is, a float at its
+    shortest decimal value (3.7 is 37/10, not its binary value over 2^51)."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(repr(float(x)))
 
 
 class QuadField:
@@ -141,10 +149,13 @@ class QuadNum:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(1, 1) / Fraction(other)
-            return QuadNum(self.a * f, self.b * f, self.field)
-        return float(self) / float(other)
+        # exact for an exact y: x / y = x conj(y) / N(y), the norm N(y) = y conj(y) rational
+        o = self._coerce(other)
+        if o is None:
+            return float(self) / float(other)
+        c, f = self * o.conj(), self.field
+        n = Fraction(o.a * o.a + f.p * o.a * o.b - f.q * o.b * o.b)
+        return QuadNum(c.a / n, c.b / n, f)
 
     def conj(self) -> "QuadNum":
         """Galois conjugate: tau -> p - tau."""
@@ -261,14 +272,33 @@ class QuadArray:
 
     def __sub__(self, other: "QuadArray") -> "QuadArray":
         """Entrywise difference (broadcasting), over the lcm of the two
-        denominators and in the field of either."""
+        denominators and in the field of either: the one alignment of two
+        denominators.  Raises when the result passes EXACT_MAX."""
         den = math.lcm(self.den, other.den)
         i, j = den // self.den, den // other.den
-        if i * j > 1:  # each rescaled operand stays in range
+        if i * j > 1:  # each rescaled operand stays in range, so nothing wraps in int64
             _check(den, *(int(np.abs(x).max(initial=0)) * k for x, k in
                           ((self.a, i), (self.b, i), (other.a, j), (other.b, j))))
-        field = _join(self.field, other.field)
-        return QuadArray(self.a * i - other.a * j, self.b * i - other.b * j, den, field)
+        a, b = self.a * i - other.a * j, self.b * i - other.b * j
+        _check(den, int(np.abs(a).max(initial=0)), int(np.abs(b).max(initial=0)))
+        return QuadArray(a, b, den, _join(self.field, other.field))
+
+    def shift(self, c) -> "QuadArray":
+        """c + self for an exact scalar c."""
+        return self - QuadArray.of([-c])
+
+    def conj(self) -> "QuadArray":
+        """Galois conjugates, entrywise: tau -> p - tau (a rational is its own)."""
+        a = self.a if self.field is None else self.a + self.field.p * self.b
+        _check(self.den, int(np.abs(a).max(initial=0)))  # |b| is unchanged
+        return QuadArray(a, -self.b, self.den, self.field)
+
+    def key(self) -> tuple:
+        """The exact values as a hashable key, the same for every way of
+        writing them (common denominator, field when every b is 0)."""
+        g = math.gcd(self.den, int(np.gcd.reduce(self.a, initial=0)), int(np.gcd.reduce(self.b, initial=0)))
+        field = (self.field.p, self.field.q) if self.b.any() else None
+        return self.den // g, (self.a // g).tobytes(), (self.b // g).tobytes(), field
 
     def floats(self) -> np.ndarray:
         """Float values, rounded exactly as float() rounds each QuadNum."""
@@ -297,12 +327,3 @@ class QuadArray:
         k = den // self.den
         a, b = (x.astype(object) * k - int(c * den) for x, c in ((self.a, ca), (self.b, cb)))
         return np.sign(a).astype(int) if field is None else field.signs(a, b)
-
-    def shift(self, c) -> "QuadArray":
-        """c + self for an exact scalar c."""
-        ca, cb, cf = _pair(c)
-        den = math.lcm(self.den, ca.denominator, cb.denominator)
-        k, ia, ib = den // self.den, int(ca * den), int(cb * den)
-        _check(den, int(np.abs(self.a).max(initial=0)) * k + abs(ia),
-               int(np.abs(self.b).max(initial=0)) * k + abs(ib))
-        return QuadArray(self.a * k + ia, self.b * k + ib, den, _join(self.field, cf))

@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, float_error, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, decimal, float_error, is_exact_coord
 
-TOL_EXACT = Fraction(repr(TOL_EQ))  # TOL_EQ at its decimal value, 10**-9
+TOL_EXACT = decimal(TOL_EQ)  # TOL_EQ at its decimal value, 10**-9
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +278,6 @@ def complex_keys(color, x) -> np.ndarray:
     keys = np.empty(len(x), dtype=complex)
     keys.real, keys.imag = color, x
     return keys
-
-
-def _exact_key(q: QuadArray):
-    """The exact values of q as hashable bytes, the same for every way of
-    writing them (common denominator, field when every b is 0)."""
-    g = math.gcd(q.den, int(np.gcd.reduce(q.a, initial=0)), int(np.gcd.reduce(q.b, initial=0)))
-    field = (q.field.p, q.field.q) if q.b.any() else None
-    return q.den // g, (q.a // g).tobytes(), (q.b // g).tobytes(), field
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +536,7 @@ class Cluster(MultiSetPatch):
     def signature(self):
         """Hashable identity key: the exact values, or the float bits (-0.0 as 0.0)."""
         if self._sig is None:
-            values = _exact_key(self._q) if self.exact else (self._x + 0.0).tobytes()
+            values = self._q.key() if self.exact else (self._x + 0.0).tobytes()
             self._sig = (self.dim, self._ends, self.exact, values)
         return self._sig
 

@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, float_error, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, decimal, float_error, is_exact_coord
 from .geometry import (
     Cluster,
     Interval,
@@ -542,7 +542,7 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     if q is None:
         ev, events = vals[j] + side * R, loc[j] + side * R
     else:
-        Rex = Fraction(R)
+        Rex = decimal(R)  # 3.7 as 37/10: its binary value would pass EXACT_MAX
         events = q[j] - QuadArray(-side * Rex.numerator, np.zeros_like(side), Rex.denominator)
         ev = events.floats()
     order = np.argsort(ev, kind="stable")

@@ -195,7 +195,7 @@ class CutProjectSource(PointSource):
 
     def _colors(self, a, b):
         """Index of the first acceptance window holding x* = a + b*tau', or -1."""
-        star = QuadArray(a + self.field.p * b, -b, 1, self.field)  # tau' = p - tau
+        star = QuadArray(a, b, 1, self.field).conj()
         floats = star.floats()
         color = np.full(len(a), -1, dtype=np.int64)
         for i, w in enumerate(self.spec.windows):
@@ -277,42 +277,26 @@ class SubstitutionRule:
         return False
 
     def inflation(self):
-        """Common inflation factor; raises if lengths violate the eigen equation."""
-        idx = {ch: i for i, ch in enumerate(self.letters)}
-        lam = None
-        exact = all(is_exact_coord(L) for L in self.lengths)
-        for j, w in enumerate(self.expansions):
-            total = self.lengths[idx[w[0]]]
-            for ch in w[1:]:
-                total = total + self.lengths[idx[ch]]
-            if exact:
-                # lam = total / length_j must be field-rational and shared
-                cand = _exact_ratio(total, self.lengths[j], self.field)
-                if lam is None:
-                    lam = cand
-                elif lam - cand != 0:
-                    raise SourceError("tile lengths are not a Perron eigenvector")
-            else:
-                cand = float(total) / float(self.lengths[j])
-                if lam is None:
-                    lam = cand
-                elif abs(lam - cand) > 1e-9:
-                    raise SourceError("tile lengths are not a Perron eigenvector")
+        """The common inflation factor lam of L^T M = lam L^T, L the tile
+        lengths and M the substitution matrix: a QuadNum or Fraction for
+        exact lengths, else a float checked within 1e-9."""
+        M = self.matrix()
+        if all(is_exact_coord(L) for L in self.lengths):
+            try:
+                L = QuadArray.of(self.lengths)
+                LM = QuadArray(L.a @ M, L.b @ M, L.den, L.field)  # column j: word j's length
+                top, bottom = LM.value(0), L.value(0)
+                lam = Fraction(top, bottom) if L.field is None else top / bottom
+                off = (LM - QuadArray.of([lam * L.value(j) for j in range(len(M))])).compare(0)
+            except ValueError as e:
+                raise SourceError(str(e))
+        else:
+            L = np.array([float(L) for L in self.lengths])
+            ratios = (L @ M) / L
+            lam, off = float(ratios[0]), np.abs(ratios - ratios[0]) > 1e-9
+        if off.any():
+            raise SourceError("tile lengths are not a Perron eigenvector")
         return lam
-
-
-def _exact_ratio(total, length, field):
-    """total / length within Q(tau), assuming it exists."""
-    if isinstance(length, QuadNum) or isinstance(total, QuadNum):
-        f = field or (length.field if isinstance(length, QuadNum) else total.field)
-        t = total if isinstance(total, QuadNum) else QuadNum(Fraction(total), 0, f)
-        l = length if isinstance(length, QuadNum) else QuadNum(Fraction(length), 0, f)
-        # divide via conjugate: 1/l = conj(l) / (l * conj(l)), the norm is rational
-        norm = l * l.conj()
-        assert isinstance(norm, QuadNum) and norm.b == 0
-        inv = l.conj() * Fraction(1, 1) / Fraction(norm.a)
-        return t * inv
-    return Fraction(total) / Fraction(length)
 
 
 class SubstitutionSource(PointSource):

@@ -6,7 +6,8 @@ of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
 the occurrence search, batched and on exact keys, the closed-form Bragg
 amplitudes of the Fibonacci model set, the exact sign of a + b*tau one
-scalar at a time, and the TOL_EQ grid key that ordered partition cells."""
+scalar at a time, the TOL_EQ grid key that ordered partition cells, and
+the former QuadArray.shift, which aligned its denominators by hand."""
 
 import itertools
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from pointspec import hull
-from pointspec.coords import TOL_EQ, QuadNum, is_exact_coord
+from pointspec.coords import EXACT_MAX, TOL_EQ, QuadArray, QuadNum, is_exact_coord
 from pointspec.geometry import MultiSetPatch, in_sorted
 from pointspec.sources import region_to_json
 from pointspec.spectra import smoothed_density
@@ -204,6 +205,19 @@ def exact_occurrence_count(patch, P) -> int:
     (anchor,), colour = P.anchor_point(), P.anchor_color()
     return sum(all(q - anchor + p in points[i] for i, part in enumerate(P.parts) for (p,) in part)
                for q in points[colour])
+
+
+def former_shift(q: QuadArray, c) -> QuadArray:
+    """c + q for an exact scalar c as QuadArray.shift once computed it: over
+    the lcm of the denominators, raising when |numerators| + |c's| could
+    reach EXACT_MAX."""
+    ca, cb = (Fraction(c.a), Fraction(c.b)) if isinstance(c, QuadNum) else (Fraction(c), Fraction(0))
+    den = math.lcm(q.den, ca.denominator, cb.denominator)
+    k, ia, ib = den // q.den, int(ca * den), int(cb * den)
+    if den >= EXACT_MAX or max(int(np.abs(q.a).max(initial=0)) * k + abs(ia),
+                               int(np.abs(q.b).max(initial=0)) * k + abs(ib)) >= EXACT_MAX:
+        raise ValueError("exact coordinates beyond the int64 range")
+    return QuadArray(q.a * k + ia, q.b * k + ib, den, c.field if isinstance(c, QuadNum) else q.field)
 
 
 def scalar_sign(field, a, b) -> int:

@@ -93,3 +93,22 @@ def test_no_function_rounds_floats_to_the_tolerance_grid():
             with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
                 found |= {(fname, owner) for owner in grid_key_owners(ast.parse(fh.read()))}
     assert found <= GRID_KEY_OWNERS
+
+
+def assert_lines(tree) -> list:
+    """The line numbers of the assert statements in tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_the_package_holds_no_assert():
+    # python -O drops assert statements, so a check written as one vanishes
+    # there: the package raises its errors instead
+    assert assert_lines(ast.parse("def f(x):\n    y = x\n    assert y, 'why'")) == [3]
+    assert not assert_lines(ast.parse("def f(x):\n    if not x:\n        raise ValueError(x)"))
+    pkg = os.path.dirname(pointspec.__file__)
+    found = []
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
+                found += [(fname, line) for line in assert_lines(ast.parse(fh.read()))]
+    assert found == []

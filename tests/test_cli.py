@@ -105,6 +105,16 @@ def test_partition_output(tmp_path):
     assert total == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("source, R, n_cells", [("fibonacci", 3.7, 61), ("fibonacci", 2.2, 47),
+                                              ("thue_morse", 3.7, 138), ("thue_morse", 2.2, 100)])
+def test_partition_of_an_exact_source_takes_a_float_radius(tmp_path, source, R, n_cells):
+    # the exact scan once took R at its binary value and exited 2 here
+    cfg = write_cfg(tmp_path / "cfg.json", {"source": {"type": source}, "partition": {"R": R}})
+    assert main(["partition", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "partition.json").read_text())
+    assert (doc["radius"], doc["n_cells"]) == (R, n_cells)
+
+
 def test_autocorr_outputs_both_methods(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "source": {"type": "lattice", "basis": [[1.0]], "colors": 2},
@@ -303,6 +313,8 @@ def test_diffract_output_does_not_depend_on_threads_or_cpus(tmp_path, monkeypatc
                   "generate": {"region": [0, 5]}}),
     # a class scan from the left end of a one-sided source, where balls reach past it
     ("classes", {"source": {"type": "thue_morse"}, "classes": {"R": 1.0, "scan": [0, 50]}}),
+    # a zero scan length, which once ran the default scan (scan_length -5 is above)
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": 0}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pointspec.coords import GOLDEN, SILVER, QuadArray, QuadField, QuadNum
+from pointspec.coords import GOLDEN, SILVER, TOL_EQ, QuadArray, QuadField, QuadNum, decimal
+from pointspec.geometry import TOL_EXACT
 
-from oracles import coord_eq, scalar_sign
+from oracles import coord_eq, former_shift, scalar_sign
 
 
 def q(a, b):
@@ -71,6 +72,24 @@ def test_division_by_rational():
     assert x == q(1, 2)
 
 
+@pytest.mark.parametrize("field", [GOLDEN, SILVER])
+def test_division_is_exact_in_the_field(field):
+    x, y = QuadNum(3, -2, field), QuadNum(Fraction(1, 2), 5, field)
+    z = x / y
+    assert isinstance(z, QuadNum) and z * y == x and (x / x, z / 1) == (1, z)
+    assert QuadNum(field.q, field.p, field) / QuadNum(0, 1, field) == QuadNum(0, 1, field)  # tau^2 / tau
+    assert x / 0.5 == float(x) / 0.5  # a float divisor stays a float division
+    with pytest.raises(ZeroDivisionError):
+        x / QuadNum(0, 0, field)
+
+
+def test_decimal_takes_a_float_at_its_shortest_decimal_value():
+    assert decimal(3.7) == Fraction(37, 10) != Fraction(3.7)
+    assert decimal(np.float64(2.2)) == Fraction(11, 5)
+    assert decimal(TOL_EQ) == TOL_EXACT == Fraction(1, 10 ** 9)
+    assert (decimal(Fraction(1, 3)), decimal(3), decimal(3.5)) == (Fraction(1, 3), 3, Fraction(7, 2))
+
+
 def test_mixed_field_rejected():
     with pytest.raises(ValueError):
         QuadNum(1, 1, GOLDEN) + QuadNum(1, 1, SILVER)
@@ -108,6 +127,56 @@ def test_quad_array_difference_aligns_denominators_and_needs_one_field():
     assert (r - a).field == GOLDEN and _values(r - a) == [x - y for x, y in zip(_values(r), _values(a))]
     with pytest.raises(ValueError, match="int64"):  # rescaled numerators are checked
         QuadArray([2 ** 52], [0]) - QuadArray([1], [0], 3)
+
+
+def _random_array(rng, field, den, n=40, top=10 ** 12):
+    b = [0] * n if field is None else [rng.randint(-top, top) for _ in range(n)]
+    return QuadArray([rng.randint(-top, top) for _ in range(n)], b, den, field)
+
+
+@pytest.mark.parametrize("field", [GOLDEN, SILVER, None])
+def test_quad_array_conj_is_quad_num_conj_entry_by_entry(field):
+    x = _random_array(random.Random(5), field, 6)
+    want = [QuadNum(v, 0, GOLDEN).conj() if field is None else v.conj() for v in _values(x)]
+    assert _values(x.conj()) == want and x.conj().field == field
+    assert x.conj().conj().key() == x.key()
+
+
+def test_key_is_one_per_exact_value():
+    a, b = [3, -5, 0, 7], [1, 0, -2, 4]
+    for num, nb in ((a, b), ([1, 3, -1, 0], [0, 0, 0, 0])):  # over 2: halves, some integral
+        keys = {QuadArray([x * d for x in num], [y * d for y in nb], 2 * d, GOLDEN).key() for d in (1, 3)}
+        keys |= {QuadArray(num, nb, 2, GOLDEN).key()}
+        assert len(keys) == 1
+    assert QuadArray([x * 2 for x in a], [0] * 4, 2, GOLDEN).key() == QuadArray(a, [0] * 4).key()  # den 1
+    assert QuadArray([1, 2], [0, 0], 3, GOLDEN).key() == QuadArray([2, 4], [0, 0], 6).key()
+    assert QuadArray([1, 2], [0, 1], 3, GOLDEN).key() != QuadArray([1, 2], [0, 1], 3, SILVER).key()
+    assert QuadArray([1, 2], [0, 0], 3).key() != QuadArray([1, 2], [0, 0], 6).key()
+
+
+def test_difference_raises_past_exact_max():
+    # an unchecked result past 2^53 rounded its floats() wrongly
+    x = QuadArray([2 ** 52], [0], 1, GOLDEN)
+    for big in (x, QuadArray([0], [2 ** 52], 1, GOLDEN)):
+        with pytest.raises(ValueError, match="int64"):
+            big - (-big)
+    top = x - QuadArray([-(2 ** 52 - 1)], [0])
+    assert top.a.tolist() == [2 ** 53 - 1] and top.floats().tolist() == [float(top.value(0))]
+
+
+@pytest.mark.parametrize("field", [GOLDEN, SILVER, None])
+def test_shift_is_the_former_shift(field):
+    rng = random.Random(11)
+    for _ in range(200):
+        x = _random_array(rng, field, rng.choice([1, 2, 3, 6, 10]), n=rng.randint(0, 6), top=10 ** 9)
+        c = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice([1, 2, 5, 7]))
+        if rng.random() < 0.5:
+            c = QuadNum(c, Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice([1, 3])), field or GOLDEN)
+        elif c.denominator == 1:
+            c = int(c)
+        got, want = x.shift(c), former_shift(x, c)
+        assert (got.a.tolist(), got.b.tolist(), got.den, got.field) == \
+               (want.a.tolist(), want.b.tolist(), want.den, want.field)
 
 
 def _near_ties(field, bs):

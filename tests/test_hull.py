@@ -964,6 +964,35 @@ def test_partition_of_the_chain_moved_by_1e4_is_the_exact_one():
     assert (hits.sum(axis=1) == 1).all()
 
 
+@pytest.mark.parametrize("source, R, n_cells", [
+    (fibonacci_cut_project(), 3.7, 61), (fibonacci_cut_project(), 2.2, 47),
+    (TranslatedSource(fibonacci_cut_project(), 0.37), 3.7, 61),
+    (thue_morse_source(), 3.7, 138), (thue_morse_source(), 2.2, 100)])
+def test_exact_partition_takes_a_float_radius_at_its_decimal_value(source, R, n_cells):
+    # Fraction(3.7) has denominator 2^51, and the exact events p -+ R over it
+    # passed the int64 range; 37/10 keeps them small
+    assert build_partition_1d(source, R, 0.2, scan_length=600).n_cells == n_cells
+
+
+PARTITION_OVERLAP = pytest.mark.xfail(strict=True, reason=(
+    "a piece whose delimiting events are points of its own window pattern pins "
+    "just that pattern, and a second environment contains it too"))
+
+
+@pytest.mark.parametrize("R", [2.5, 3.0, 3.25, 3.75, 4.5]
+                         + [pytest.param(R, marks=PARTITION_OVERLAP) for R in (2.0, 3.5, 4.0)])
+def test_partition_cells_are_disjoint_and_cover_the_hull(R):
+    # sum Vol(V) freq = 1 and every orbit sample lies in exactly one cell; at
+    # R = 2, 3.5 and 4 the sum is 1.146, 1.105 and 1.120, and 42, 34 and 38 of
+    # the samples lie in two cells
+    fib, n = fibonacci_cut_project(), 4000
+    part = build_partition_1d(fib, R, 0.2, scan_length=1500)
+    sub = fib.window(Interval(-n, n))
+    total = sum(cell.window.volume() * _count_in_patch(sub, cell.pinned) / (2.0 * n) for cell in part.cells)
+    hits = part._cylinders.orbit_hits(fib, (halton(300) * 500.0 + 50.0).tolist(), Interval(-25, 25))
+    assert abs(total - 1.0) <= 2e-3 and (hits.sum(axis=1) == 1).all()
+
+
 # ---------------------------------------------------------------------------
 # empirical cylinder measure
 

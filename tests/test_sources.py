@@ -448,11 +448,17 @@ def test_eigenvector_equation_validated():
                             lengths=(QuadNum(0, 1, GOLDEN), QuadNum(1, 0, GOLDEN)),
                             color_of=(0, 1), field=GOLDEN)
     lam = rule.inflation()
-    assert lam == QuadNum(0, 1, GOLDEN)  # inflation factor is tau, exactly
-    bad = SubstitutionRule(letters="ab", expansions=("ab", "a"),
-                           lengths=(2, 1), color_of=(0, 1))
-    with pytest.raises(SourceError):
-        bad.inflation()
+    assert isinstance(lam, QuadNum) and lam == QuadNum(0, 1, GOLDEN)  # inflation factor is tau, exactly
+    for source in (thue_morse_source(), period_doubling_source()):
+        lam = source.rule.inflation()
+        assert type(lam) is Fraction and lam == 2
+    tau = GOLDEN.tau
+    lam = SubstitutionRule(letters="ab", expansions=("ab", "a"), lengths=(tau, 1.0), color_of=(0, 1)).inflation()
+    assert type(lam) is float and abs(lam - tau) <= 1e-12
+    for lengths in ((2, 1), (tau + 1e-6, 1.0), (QuadNum(1, 1, GOLDEN), 1)):
+        bad = SubstitutionRule(letters="ab", expansions=("ab", "a"), lengths=lengths, color_of=(0, 1))
+        with pytest.raises(SourceError, match="Perron eigenvector"):
+            bad.inflation()
 
 
 # ---------------------------------------------------------------------------
