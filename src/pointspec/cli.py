@@ -184,7 +184,7 @@ def cmd_freq(args, cfg, src, sub):
     P = _cluster(sub.get("cluster", [[0.0]] + [[]] * (src.m - 1)), src.m)
     n_off = _number(sub, "offsets", 50, int)
     span = _number(sub, "offset_span", 10.0)
-    offsets = [(0.0,)] + list(default_offsets(n_off - 1, span)) if n_off > 1 else [(0.0,)]
+    offsets = [(0.0,)] + default_offsets(n_off - 1, span)
     est = estimate_frequency(src, P, spec, offsets)
     return {"freq.csv": partial(write_frequency_csv, est),
             "freq.json": partial(write_json, doc=est.to_json())}

@@ -8,7 +8,8 @@ positive root of x^2 = p*x + q for a fixed real quadratic field.  All
 QuadNum comparisons are decided exactly with integer arithmetic, so two
 distinct numbers never collide and equal numbers never split, no matter
 how close their float values are.  A point source uses one representation
-consistently.  QuadArray holds many exact coordinates as integer arrays.
+consistently.  QuadArray holds many exact coordinates as integer arrays
+and keeps their floats, so no caller passes floats next to their QuadArray.
 Every exact sign comes from QuadField.signs, on arrays of Python ints:
 for one QuadNum ordering, or all the ties at a region's end at once.
 """
@@ -245,13 +246,14 @@ class QuadArray:
     denominator: the array counterpart of QuadNum.  With no field the
     numbers are rationals and b is zero."""
 
-    __slots__ = ("a", "b", "den", "field")
+    __slots__ = ("a", "b", "den", "field", "_f")
 
     def __init__(self, a, b, den: int = 1, field: QuadField = None):
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
         self.den = int(den)
         self.field = field
+        self._f = None  # floats(), once computed
 
     @classmethod
     def of(cls, values, field: QuadField = None) -> "QuadArray":
@@ -264,8 +266,22 @@ class QuadArray:
         _check(den, *map(abs, a), *map(abs, b))
         return cls(a, b, den, field)
 
+    @staticmethod
+    def concat(arrays) -> "QuadArray":
+        """The entries of a nonempty list of arrays in one field, in order, over one denominator."""
+        aligned = [q - QuadArray([0], [0], math.lcm(*(q.den for q in arrays))) for q in arrays]
+        a, b = (np.concatenate([getattr(q, k) for q in aligned]) for k in "ab")
+        return QuadArray(a, b, aligned[0].den, arrays[0].field)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
     def __getitem__(self, idx) -> "QuadArray":
-        return QuadArray(self.a[idx], self.b[idx], self.den, self.field)
+        out = QuadArray(self.a[idx], self.b[idx], self.den, self.field)
+        if self._f is not None:
+            out._f = self._f[idx]
+            out._f.setflags(write=False)  # a copy, when idx selects entries
+        return out
 
     def __neg__(self) -> "QuadArray":
         return QuadArray(-self.a, -self.b, self.den, self.field)
@@ -301,9 +317,12 @@ class QuadArray:
         return self.den // g, (self.a // g).tobytes(), (self.b // g).tobytes(), field
 
     def floats(self) -> np.ndarray:
-        """Float values, rounded exactly as float() rounds each QuadNum."""
-        x = self.a / self.den
-        return x if self.field is None else x + (self.b / self.den) * self.field.tau
+        """Float values, rounded exactly as float() rounds each QuadNum; kept, read-only."""
+        if self._f is None:
+            x = self.a / self.den
+            self._f = x if self.field is None else x + (self.b / self.den) * self.field.tau
+            self._f.setflags(write=False)
+        return self._f
 
     def float_error(self) -> float:
         """A bound on |floats() - exact value| over every entry (see FLOAT_ERR)."""
@@ -327,3 +346,8 @@ class QuadArray:
         k = den // self.den
         a, b = (x.astype(object) * k - int(c * den) for x, c in ((self.a, ca), (self.b, cb)))
         return np.sign(a).astype(int) if field is None else field.signs(a, b)
+
+
+def as_floats(x) -> np.ndarray:
+    """The float values of a point array: a QuadArray's floats(), or x as floats."""
+    return x.floats() if isinstance(x, QuadArray) else np.asarray(x, dtype=float)

@@ -1,21 +1,21 @@
 """Colored point configurations and the regions they are observed through.
 
 A MultiSetPatch is the restriction of a point set to a bounded region, i.e.
-exactly what a window query returns.  It stores its points as one float
-array, colour by colour, each colour sorted by position, shape (N,) in 1D
-and (N, d) in 2D, with the m + 1 colour offsets, and an exact patch (1D) as
-one aligned QuadArray too; `.parts`, a read-only scalar view of them, is
-for tests and perfbench/tracer.py, and nothing in the package reads it.  A
-Cluster, one finite colored configuration, is stored the same way: a patch
-without a region.  Its signature is array bytes, the exact values or the
-float bits; float values are equal by one rule only, run_starts, and no
-key rounds them to a TOL_EQ grid.  occurrences finds a cluster's
-translates in a patch for all candidate translates at once.  Differences
-of two points read local coordinates (MultiSetPatch.local), at any offset.
+exactly what a window query returns.  It stores its points as one point
+array, colour by colour, each colour sorted by position: floats, (N,) in 1D
+and (N, d) in 2D, or in an exact patch (1D) a QuadArray, with the m + 1
+colour offsets; `.parts`, a read-only scalar view of them, is for tests
+and perfbench/tracer.py.  A Cluster, one finite colored configuration, is
+stored the same way: a patch without a region.  Its signature is array
+bytes, the exact values or the float bits; float values are equal by one
+rule only, run_starts, which value_keys turns into integer keys.
+occurrences finds a cluster's translates in a patch for all candidate
+translates at once.  Differences of two points read local coordinates
+(MultiSetPatch.local), at any offset.
 
 Regions are closed by default (an Interval may be half-open).  Every region
-has one membership test, `mask`, over arrays of points: float ties at an end
-are resolved with TOL_EQ slack, and exact points are compared exactly.
+has one membership test, `mask`, over a point array: float ties at an end
+are resolved with TOL_EQ slack, and a QuadArray's points compare exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import FLOAT_ERR, TOL_EQ, QuadArray, decimal, float_error, is_exact_coord
+from .coords import FLOAT_ERR, TOL_EQ, QuadArray, as_floats, decimal, float_error, is_exact_coord
 
 TOL_EXACT = decimal(TOL_EQ)  # TOL_EQ at its decimal value, 10**-9
 
@@ -41,8 +41,8 @@ class _Region:
 
     def contains_point(self, pt) -> bool:
         """mask() for one point, a d-tuple of coordinates."""
-        exact = QuadArray.of(pt) if self.dim == 1 and is_exact_coord(pt[0]) else None
-        return bool(self.mask([[float(c) for c in pt]], exact)[0])
+        return bool(self.mask(QuadArray.of(pt) if self.dim == 1 and is_exact_coord(pt[0])
+                              else [[float(c) for c in pt]])[0])
 
     def covers(self, other) -> bool:
         """Whether other's bounding box lies in this one's (TOL_EQ slack)."""
@@ -69,20 +69,21 @@ class Interval(_Region):
     def volume(self) -> float:
         return max(0.0, float(self.hi) - float(self.lo))
 
-    def mask(self, x, exact: QuadArray = None) -> np.ndarray:
+    def mask(self, x) -> np.ndarray:
         """Which points lie in the interval, as a boolean array.
 
-        x holds the float positions (shape (N,) or (N, 1)); exact, when given,
-        the same points as a QuadArray.  Float points get TOL_EQ slack at each
-        end, outward at a closed end and inward at an open one.  Exact points
-        compare exactly: with no slack when both ends are exact, otherwise
-        against end -+ TOL_EXACT, TOL_EQ at its decimal value (10**-9).
-        An exact comparison is decided by the float gap outside a guard band
-        around the end, the rounding bound of the floats involved
-        (QuadArray.float_error, coords.float_error), and inside it by one
-        exact call per end (QuadArray.compare) for all the points there.
+        x holds float positions (shape (N,) or (N, 1)), or exact ones as a
+        QuadArray.  Float points get TOL_EQ slack at each end, outward at a
+        closed end and inward at an open one.  Exact points compare exactly:
+        with no slack when both ends are exact, otherwise against end -+
+        TOL_EXACT, TOL_EQ at its decimal value (10**-9).  An exact comparison
+        is decided by the float gap outside a guard band around the end, the
+        rounding bound of the floats involved (QuadArray.float_error,
+        coords.float_error), and inside it by one exact call per end
+        (QuadArray.compare) for all the points there.
         """
-        x = np.asarray(x, dtype=float).reshape(-1)
+        exact = x if isinstance(x, QuadArray) else None
+        x = as_floats(x).reshape(-1)
         ok = np.ones(len(x), dtype=bool)
         if not len(x):  # nothing to compare, whatever the ends
             return ok
@@ -143,8 +144,8 @@ class Box(_Region):
             v *= max(0.0, float(b) - float(a))
         return v
 
-    def mask(self, x, exact=None) -> np.ndarray:
-        """Which float points x, shape (N, d), lie in the box (TOL_EQ slack); exact is unused."""
+    def mask(self, x) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the box (TOL_EQ slack)."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
         lo = np.array([float(a) - TOL_EQ for a in self.lo])
         hi = np.array([float(b) + TOL_EQ for b in self.hi])
@@ -180,8 +181,8 @@ class Ball(_Region):
         d = self.dim
         return 2.0 * self.radius if d == 1 else math.pi ** (d / 2) / math.gamma(d / 2 + 1) * self.radius ** d
 
-    def mask(self, x, exact=None) -> np.ndarray:
-        """Which float points x, shape (N, d), lie in the ball (TOL_EQ slack); exact is unused."""
+    def mask(self, x) -> np.ndarray:
+        """Which float points x, shape (N, d), lie in the ball (TOL_EQ slack)."""
         x = np.asarray(x, dtype=float).reshape(len(x), self.dim)
         d2 = sum((x[:, k] - float(c)) ** 2 for k, c in enumerate(self.center))
         return d2 <= (self.radius + TOL_EQ) ** 2
@@ -244,15 +245,14 @@ def within(keys, lo, hi):
     return ranges(np.searchsorted(keys, lo), np.searchsorted(keys, hi))
 
 
-def sorted_slice(pos: np.ndarray, region, err: float) -> slice:
-    """The slice of a sorted 1D float array that can hold points of the
-    region: its float bounds, widened past every slack its mask allows.
-    err bounds the float error of the positions (0 for float points)."""
+def sorted_slice(x, region) -> slice:
+    """The slice of a sorted 1D point array that can hold points of the region: its float
+    bounds, widened past every slack its mask allows and the points' float error."""
     (lo, hi), = region.bounds()
     ends = (region.lo, region.hi) if isinstance(region, Interval) else ()
-    pad = (2 * TOL_EQ + err + sum(map(float_error, ends))
+    pad = (2 * TOL_EQ + (x.float_error() if isinstance(x, QuadArray) else 0.0) + sum(map(float_error, ends))
            + FLOAT_ERR * (abs(lo) + abs(hi) + 1.0))
-    a, b = np.searchsorted(pos, [lo - pad, hi + pad])
+    a, b = np.searchsorted(as_floats(x), [lo - pad, hi + pad])
     return slice(int(a), int(b))
 
 
@@ -287,43 +287,42 @@ def complex_keys(color, x) -> np.ndarray:
 class MultiSetPatch:
     """A window query result: the region and, colour by colour, the points inside it.
 
-    Every point sits in one float array x, colour by colour, each colour
-    sorted by position (lexicographically in 2D): shape (N,) in 1D and
-    (N, d) otherwise.  Colour i is x[ends[i]:ends[i + 1]], positions(i).
-    An exact patch (1D only) also holds a QuadArray aligned with x, whose
-    slices are exact_positions(i).  `.parts` is a read-only view of the
-    same points for scalar code outside the package (tests, and
-    perfbench/tracer.py): per colour, a tuple of point tuples of QuadNum,
-    int or Fraction coordinates (exact) or floats.  A float
-    translate stores fl(x + h) and the local floats it was moved from.
-    Every difference of two points reads those (local()), so it holds at
-    any offset; absolute floats only meet regions, events and output.
+    Every point sits in one point array x, colour by colour, each colour
+    sorted by position (lexicographically in 2D): floats, shape (N,) in 1D
+    and (N, d) otherwise, or in an exact patch (1D only) a QuadArray.  Colour
+    i is x[ends[i]:ends[i + 1]], positions(i) as floats and exact_positions(i)
+    as a QuadArray.  `.parts` is a read-only view of the same points for
+    scalar code outside the package (tests, and perfbench/tracer.py): per
+    colour, a tuple of point tuples of QuadNum, int or Fraction coordinates
+    (exact) or floats.  A float translate stores fl(x + h) and the local
+    floats it was moved from.  Every difference of two points reads those
+    (local()), so it holds at any offset; absolute floats only meet regions,
+    events and output.
     """
 
-    __slots__ = ("region", "dim", "m", "_x", "_ends", "_q", "_parts", "_all", "_rel")
+    __slots__ = ("region", "dim", "m", "points", "_x", "_ends", "_parts", "_all", "_rel")
 
-    def __init__(self, region, dim: int, x, ends, exact=None, local=None):
-        """x: every point, colour-major, each colour sorted; ends: the m + 1
-        colour offsets into x; exact: the QuadArray aligned with x, or None
-        for a float patch; local: _local(), when the points were moved."""
+    def __init__(self, region, dim: int, x, ends, local=None):
+        """x (kept as .points): every point, colour-major, each colour sorted; ends: the
+        m + 1 colour offsets into x; local: _local(), when the points were moved."""
         self.region = region
         self.dim = dim
         self.m = len(ends) - 1
-        self._x, self._ends, self._q, self._rel = x, tuple(ends), exact, local
+        self.points, self._x, self._ends, self._rel = x, as_floats(x), tuple(ends), local
         self._parts = self._all = None
 
     @staticmethod
-    def from_points(region, dim: int, m: int, x, color, exact: QuadArray = None):
-        """Patch of the points x (float, (N,) in 1D, (N, d) otherwise) with
-        colours in range(m), sorted once: by colour, then stably by position."""
-        x = np.asarray(x, dtype=float)
-        order = np.lexsort(_lex_keys(x, dim) + (color,))
+    def from_points(region, dim: int, m: int, x, color):
+        """Patch of the points x (floats, (N,) in 1D, (N, d) otherwise, or a QuadArray)
+        with colours in range(m), sorted once: by colour, then stably by position."""
+        x = x if isinstance(x, QuadArray) else np.asarray(x, dtype=float)
+        order = np.lexsort(_lex_keys(as_floats(x), dim) + (color,))
         ends = np.searchsorted(np.asarray(color)[order], np.arange(m + 1)).tolist()
-        return MultiSetPatch(region, dim, x[order], ends, None if exact is None else exact[order])
+        return MultiSetPatch(region, dim, x[order], ends)
 
     @property
     def exact(self) -> bool:
-        return self._q is not None
+        return isinstance(self.points, QuadArray)
 
     @property
     def total_points(self) -> int:
@@ -335,13 +334,13 @@ class MultiSetPatch:
 
     def exact_positions(self, color: int):
         """The QuadArray aligned with positions(color), or None in a float patch."""
-        return None if self._q is None else self._q[self._ends[color]:self._ends[color + 1]]
+        return self.points[self._ends[color]:self._ends[color + 1]] if self.exact else None
 
     @property
     def parts(self) -> tuple:
         """Per colour, the points as tuples of scalars; built on first use."""
         if self._parts is None:
-            pts = ([(v,) for v in map(self._q.value, range(len(self._x)))] if self._q is not None
+            pts = ([(v,) for v in map(self.points.value, range(len(self._x)))] if self.exact
                    else list(map(tuple, self._x.reshape(len(self._x), self.dim).tolist())))
             self._parts = tuple(tuple(pts[a:b]) for a, b in zip(self._ends, self._ends[1:]))
         return self._parts
@@ -352,7 +351,7 @@ class MultiSetPatch:
 
     def all_exact(self):
         """The QuadArray aligned with all_positions(), or None in a float patch."""
-        return None if self._q is None else self._q[self._support()[2]]
+        return self.points[self._support()[2]] if self.exact else None
 
     def colour_major(self):
         """(positions, colors) of every point, colour by colour: the stored array."""
@@ -376,22 +375,20 @@ class MultiSetPatch:
         return self._all
 
     def as_cluster(self) -> "Cluster":
-        return Cluster._of(self.dim, self._x, self._ends, self._q)
+        return Cluster._of(self.dim, self.points, self._ends)
 
     def _moved(self, vec):
-        """(x, ends, exact) of the points moved by vec, exactly when the points
-        and vec are exact; a translation keeps their order."""
+        """The point array moved by vec (exactly when it and vec are exact), in its order."""
         vec = as_point(vec, self.dim)
-        if self._q is not None and all(is_exact_coord(v) for v in vec):
-            exact = self._q.shift(vec[0])
-            return exact.floats(), self._ends, exact
+        if self.exact and all(is_exact_coord(v) for v in vec):
+            return self.points.shift(vec[0])
         shift = np.array([float(v) for v in vec])
-        return self._x + (shift[0] if self.dim == 1 else shift), self._ends, None
+        return self._x + (shift[0] if self.dim == 1 else shift)
 
     def translate(self, vec) -> "MultiSetPatch":
         """The patch moved by vec, with the local coordinates it was moved from."""
         vec = as_point(vec, self.dim)
-        return MultiSetPatch(self.region.translate(vec), self.dim, *self._moved(vec), self._local())
+        return MultiSetPatch(self.region.translate(vec), self.dim, self._moved(vec), self._ends, self._local())
 
     def restrict(self, region) -> "MultiSetPatch":
         """The patch of the points in region, which this patch's region must
@@ -399,16 +396,16 @@ class MultiSetPatch:
         the kept points keep their local coordinates."""
         if not self.region.covers(region):
             raise ValueError("restriction region exceeds the patch region")
-        idx = np.flatnonzero(region.mask(self._x, self._q))
-        return MultiSetPatch(region, self.dim, self._x[idx], np.searchsorted(idx, self._ends).tolist(),
-                             None if self._q is None else self._q[idx], self._local()[idx])
+        idx = np.flatnonzero(region.mask(self.points))
+        return MultiSetPatch(region, self.dim, self.points[idx], np.searchsorted(idx, self._ends).tolist(),
+                             self._local()[idx])
 
     def _local(self) -> np.ndarray:
         """The points aligned with x as differences read them, precise at any offset:
         the floats a float patch was moved from (its own, if never moved), or an
         exact patch's differences from its first point."""
         if self._rel is None:
-            self._rel = self._x if self._q is None else (self._q - self._q[:1]).floats()
+            self._rel = (self.points - self.points[:1]).floats() if self.exact else self._x
         return self._rel
 
     def local(self, color: int = None) -> np.ndarray:
@@ -424,9 +421,7 @@ class MultiSetPatch:
         of occurrence_index(P, lo, hi), shape (N,) in 1D and (N, d) in 2D, and
         exact v their QuadArray when the patch and P are both exact (else None)."""
         idx, color = self.occurrence_index(P, lo, hi), P.anchor_color()
-        exact = None
-        if self.exact and P.exact:
-            exact = self.exact_positions(color)[idx] - P.exact_positions(color)[:1]
+        exact = self.exact_positions(color)[idx] - P.exact_positions(color)[:1] if self.exact and P.exact else None
         return self.positions(color)[idx] - P.positions(color)[0], exact
 
     def occurrence_index(self, P: "Cluster", lo: float = -math.inf, hi: float = math.inf):
@@ -484,33 +479,28 @@ class Cluster(MultiSetPatch):
         if dim is None:
             dim = len(pts[0]) if pts and isinstance(pts[0], (tuple, list)) else 1
         coords = [c for p in pts for c in as_point(p, dim)]
-        exact = dim == 1 and coords and all(map(is_exact_coord, coords))
-        q = QuadArray.of(coords) if exact else None
-        x = np.array([float(c) for c in coords], dtype=float) if q is None else q.floats()
+        x = (QuadArray.of(coords) if dim == 1 and coords and all(map(is_exact_coord, coords))
+             else np.array([float(c) for c in coords]).reshape((-1, dim) if dim > 1 else -1))
         color = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-        p = MultiSetPatch.from_points(None, dim, len(parts), x if dim == 1 else x.reshape(-1, dim),
-                                      color, q)
-        self._set(dim, p._x, p._ends, p._q)
+        p = MultiSetPatch.from_points(None, dim, len(parts), x, color)
+        self._set(dim, p.points, p._ends)
 
     @staticmethod
-    def from_arrays(dim: int, m: int, x, color, exact: QuadArray = None) -> "Cluster":
-        """Cluster of the float points x ((N,) in 1D, (N, d) otherwise) with
-        colours in range(m), in 1D optionally also given exactly."""
-        return MultiSetPatch.from_points(None, dim, m, x, color, exact).as_cluster()
+    def from_arrays(dim: int, m: int, x, color) -> "Cluster":
+        """Cluster of the points x (floats, (N,) in 1D, (N, d) otherwise, or
+        a QuadArray) with colours in range(m)."""
+        return MultiSetPatch.from_points(None, dim, m, x, color).as_cluster()
 
     @classmethod
-    def _of(cls, dim, x, ends, exact):
-        cl = cls.__new__(cls)
-        cl._set(dim, x, ends, exact)
-        return cl
+    def _of(cls, dim, x, ends):
+        return cls.__new__(cls)._set(dim, x, ends)
 
-    def _set(self, dim, x, ends, exact):
-        keep = _distinct(x, ends, exact)
-        x = x[keep]
-        exact = exact[keep] if exact is not None and len(x) else None
+    def _set(self, dim, x, ends):
+        keep = _distinct(x, ends)
         kept = np.concatenate([[0], np.cumsum(keep)])
-        MultiSetPatch.__init__(self, None, dim, x, kept[list(ends)].tolist(), exact)
+        MultiSetPatch.__init__(self, None, dim, x[keep], kept[list(ends)].tolist())
         self._sig = None
+        return self
 
     def is_empty(self) -> bool:
         return not len(self._x)
@@ -520,14 +510,14 @@ class Cluster(MultiSetPatch):
         return [self.positions(i).reshape(-1, self.dim).tolist() for i in range(self.m)]
 
     def translate(self, vec) -> "Cluster":
-        return Cluster._of(self.dim, *self._moved(vec))
+        return Cluster._of(self.dim, self._moved(vec), self._ends)
 
     def anchor_point(self):
         """Lexicographically smallest support point (None if empty)."""
         if self.is_empty():
             return None
         first = int(self._support()[2][0])
-        return (self._q.value(first),) if self.exact else tuple(np.atleast_1d(self._x[first]).tolist())
+        return (self.points.value(first),) if self.exact else tuple(np.atleast_1d(self._x[first]).tolist())
 
     def anchor_color(self) -> int:
         """Index of the first colour holding the anchor point."""
@@ -536,7 +526,7 @@ class Cluster(MultiSetPatch):
     def signature(self):
         """Hashable identity key: the exact values, or the float bits (-0.0 as 0.0)."""
         if self._sig is None:
-            values = self._q.key() if self.exact else (self._x + 0.0).tobytes()
+            values = self.points.key() if self.exact else (self._x + 0.0).tobytes()
             self._sig = (self.dim, self._ends, self.exact, values)
         return self._sig
 
@@ -559,17 +549,17 @@ class Cluster(MultiSetPatch):
             for p in map(self.positions, range(self.m)))
 
 
-def _distinct(x, ends, q) -> np.ndarray:
+def _distinct(x, ends) -> np.ndarray:
     """Which points of the colour-major sorted x to keep: each colour's
     first point, and each point that differs from its predecessor, exactly
-    (q given) or as run_starts reads floats, so a chain of near-duplicates
-    less than TOL_EQ apart keeps only its first point."""
+    (a QuadArray) or as run_starts reads floats, so a chain of
+    near-duplicates less than TOL_EQ apart keeps only its first point."""
     keep = np.zeros(len(x) + 1, dtype=bool)
     keep[list(ends)] = True  # each colour's first point, if any, starts afresh
     keep = keep[:-1]
-    if q is None:
+    if not isinstance(x, QuadArray):
         return keep | run_starts(x)
-    keep[1:] |= (q.a[1:] != q.a[:-1]) | (q.b[1:] != q.b[:-1])
+    keep[1:] |= (x.a[1:] != x.a[:-1]) | (x.b[1:] != x.b[:-1])
     return keep
 
 
@@ -662,10 +652,18 @@ def first_labels(keys) -> tuple:
     return np.sort(first), label
 
 
-def tolerant_labels(v) -> list:
-    """Per coordinate of the float values v, (N,) or (N, d), the labels
-    first_labels gives that coordinate's values."""
-    return [first_labels(c)[1] for c in ([v] if v.ndim == 1 else v.T)]
+def value_keys(v) -> list:
+    """Integer key columns of the values v, equal where the values are: a QuadArray's
+    numerators [a, b], or per coordinate of floats v, (N,) or (N, d), each value's
+    rank among the distinct values, a run_starts run counting as one value."""
+    if isinstance(v, QuadArray):
+        return [v.a, v.b]
+    keys = []
+    for c in [v] if v.ndim == 1 else v.T:
+        order, rank = np.argsort(c, kind="stable"), np.empty(len(c), dtype=np.int64)
+        rank[order] = np.cumsum(run_starts(c[order])) - 1
+        keys.append(rank)
+    return keys
 
 
 def distinct_windows(rows, columns, n: int, extra=()):
@@ -696,8 +694,8 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
 
     Representatives are anchored (lex-smallest support point at the
     origin).  Balls (a KD-tree's in 2D) and their contents read local(), and
-    are grouped on arrays by their anchored contents, exactly in exact mode
-    and by tolerant_labels otherwise, and one Cluster is built per group,
+    are grouped on arrays by the value_keys of their anchored contents
+    (exact in exact mode), and one Cluster is built per group,
     from its first ball.  A 1D scan must start at least R past the source's
     left end: a ball reaching past it holds no hull pattern.
     """
@@ -707,9 +705,9 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
         raise ValueError("scan starts at %g, less than R = %g past the source's left end %g"
                          % (float(scan.lo), R, source.left_end))
     patch = source.window(scan.dilate(R + TOL_EQ))
-    x, col = patch.all_positions()
-    q = patch.all_exact()
-    anchors = np.flatnonzero(scan.mask(x, q))
+    _, col, order = patch._support()
+    pts = patch.points[order]  # the point array in support order
+    anchors = np.flatnonzero(scan.mask(pts))
     if not len(anchors):
         raise ValueError("scan region contains no anchor points")
     # the closed ball B_R(x) around each anchor, as (ball, support index) pairs
@@ -723,15 +721,13 @@ def enumerate_cluster_classes(source, R: float, scan) -> ClusterClassTable:
         rows, idx = np.repeat(np.arange(len(anchors)), list(map(len, balls))), np.concatenate(balls)
     start = np.searchsorted(rows, np.arange(len(anchors) + 1))
     first = idx[start[:-1]][rows]  # each ball's lex-smallest point
-    if q is not None:
-        exact = q[idx] - q[first]
-        vals, keys = exact.floats(), [exact.a, exact.b]
+    if patch.exact:
+        vals = pts[idx] - pts[first]
     else:  # translated by -x, then anchored, as Cluster.translate rounds
         at = loc[anchors][rows]
         vals = (loc[idx] - at) + -(loc[first] - at)
-        keys = tolerant_labels(vals)
-    firsts, label = distinct_windows(rows, [col[idx]] + keys, len(anchors))
-    reps = [Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]], None if q is None else exact[s])
+    firsts, label = distinct_windows(rows, [col[idx], *value_keys(vals)], len(anchors))
+    reps = [Cluster.from_arrays(patch.dim, patch.m, vals[s], col[idx[s]])
             for s in (slice(start[r], start[r + 1]) for r in firsts.tolist())]
     counts = np.bincount(label, minlength=len(reps)).tolist()
     return ClusterClassTable(radius=R, representatives=reps, counts=counts, scan=scan)

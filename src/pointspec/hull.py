@@ -36,7 +36,7 @@ from .geometry import (
     ranges,
     run_starts,
     scan_start,
-    tolerant_labels,
+    value_keys,
     within,
 )
 
@@ -335,12 +335,11 @@ class _Cylinders:
                 continue
             if exact.any():  # g = h - v, v = q - anchor, exactly
                 v = master.exact_positions(color)[idx[i[exact]]] - P.exact_positions(color)[:1]
-                G = H[rows[exact]] - v
-                gG = G.floats()
+                G = H[rows[exact]] - v  # G keeps its floats for every member's mask
             for c in members:
                 hit = self.cylinders[c].window.mask(g)
                 if exact.any():
-                    hit[exact] = self.cylinders[c].window.mask(gG, G)
+                    hit[exact] = self.cylinders[c].window.mask(G)
                 out[rows[hit], c] = True
         return out
 
@@ -421,7 +420,7 @@ class HullPartition:
                  "interval": [float(cell.window.lo), float(cell.window.hi)]} for cell in self.cells]
 
 
-class IncompletePartitionError(RuntimeError):
+class IncompletePartitionError(ValueError):
     """The scan did not stabilize the class/window enumeration."""
 
 
@@ -447,7 +446,7 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     window reaches past a one-sided source's left end.  Raises
     IncompletePartitionError when a longer scan would still be discovering
     new (pattern, window) pieces: when the scan first meets some piece past
-    t0 + 0.6 scan_length.
+    t0 + 0.6 scan_length, or closes none.
     """
     if source.dim != 1:
         raise NotImplementedError("partition is 1D only")
@@ -469,9 +468,8 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
 
     reps, pins, w_lo, w_hi, end = _scan_pieces(source, R, t0, t0 + scan_length)
     # a scan over [t0, t0 + 0.6 scan_length] sees exactly the pieces that close by its end
-    if (end > t0 + scan_length * 0.6 + TOL_EQ).any():
-        raise IncompletePartitionError(
-            "piece enumeration still growing at scan length %g" % scan_length)
+    if not reps or (end > t0 + scan_length * 0.6 + TOL_EQ).any():
+        raise IncompletePartitionError("piece enumeration still growing at scan length %g" % scan_length)
 
     # window-pattern classes for reporting; pieces stay extension-refined
     classes, rep_index, cells = [], {}, []
@@ -492,28 +490,15 @@ def build_partition_1d(source, R: float, delta: float, scan_length: float = None
     return HullPartition(cells=cells, radius=R, delta=delta, representatives=classes)
 
 
-def _order_keys(parts, exact: bool) -> list:
-    """Per array of parts, its entries' sort keys as a tuple: the (a, b)
-    numerators of exact values (QuadArrays over one denominator), or each
-    float's place among the distinct values of all parts, a run_starts run
-    being one value."""
-    if exact:
-        return [tuple(zip(p.a.tolist(), p.b.tolist())) for p in parts]
-    v = np.concatenate([np.empty(0), *parts])
-    order = np.argsort(v, kind="stable")
-    rank = np.empty(len(v), dtype=np.int64)
-    rank[order] = np.cumsum(run_starts(v[order]))
-    return [tuple(r.tolist()) for r in np.split(rank, np.cumsum([len(p) for p in parts])[:-1])]
-
-
 def _cell_keys(reps, pinned, w_hi) -> list:
     """Each piece's sort key in cell order: its window pattern, per colour
-    (the _order_keys of its points), then its w_hi, then its pinned size."""
-    exact = isinstance(w_hi, QuadArray)
-    points = iter(_order_keys([(c.exact_positions if exact else c.positions)(i)
-                               for c in reps for i in range(c.m)], exact))
-    (ends,) = _order_keys([w_hi], exact)
-    return [(tuple(islice(points, c.m)), e, p.total_points) for c, e, p in zip(reps, ends, pinned)]
+    (each point's value_keys, over every pattern's points together), then
+    its w_hi's, then its pinned size."""
+    pts = [c.points for c in reps]
+    whole = QuadArray.concat(pts) if isinstance(w_hi, QuadArray) else np.concatenate(pts)
+    points, ends = (iter(zip(*(k.tolist() for k in value_keys(v)))) for v in (whole, w_hi))
+    return [(tuple(tuple(islice(points, len(c.positions(i)))) for i in range(c.m)), e, p.total_points)
+            for c, e, p in zip(reps, ends, pinned)]
 
 
 def _scan_pieces(source, R: float, t0: float, t1: float):
@@ -529,8 +514,8 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     plus the two points whose entry/exit delimits the piece.  Event
     intervals are grouped once, on arrays, by distinct_windows (contents
     and window ends), one piece per group.  Events are absolute floats;
-    keys, float clusters and window ends read local coordinates, and an
-    exact patch's window ends are exact.
+    keys (value_keys), float clusters and window ends read local
+    coordinates, and an exact patch's window ends are exact.
     """
     patch = source.window(Interval(t0 - R - 2.0, t1 + R + 2.0))
     vals, cols = patch.all_positions()
@@ -562,17 +547,10 @@ def _scan_pieces(source, R: float, t0: float, t1: float):
     rows, idx = ranges(plo, phi)
     at = lo[rows]  # each piece's anchor: the first point of its window
     ends = events[ka] - base[lo], events[kb] - base[lo]  # each piece's offset window
-    labels = tolerant_labels if q is None else (lambda v: [v.a, v.b])  # int64 columns, equal where v is
-    firsts, _ = distinct_windows(rows, [cols[idx], *labels(base[idx] - base[at])], len(lo),
-                                 extra=(lo - plo, hi - lo, *labels(ends[0]), *labels(ends[1])))
-
-    def cluster(i0, i1, anchor):
-        d = base[i0:i1] - base[anchor]
-        return Cluster.from_arrays(1, patch.m, d if q is None else d.floats(), cols[i0:i1], None if q is None else d)
-
-    f = firsts.tolist()
-    reps = [cluster(lo[r], hi[r], lo[r]) for r in f]
-    pinned = [cluster(plo[r], phi[r], lo[r]) for r in f]
+    firsts, _ = distinct_windows(rows, [cols[idx], *value_keys(base[idx] - base[at])], len(lo),
+                                 extra=(lo - plo, hi - lo, *value_keys(ends[0]), *value_keys(ends[1])))
+    reps, pinned = ([Cluster.from_arrays(1, patch.m, base[a[r]:b[r]] - base[lo[r]], cols[a[r]:b[r]])
+                     for r in firsts.tolist()] for a, b in ((lo, hi), (plo, phi)))
     return reps, pinned, ends[0][firsts], ends[1][firsts], ev[kb[firsts]]
 
 
@@ -590,6 +568,8 @@ def empirical_cylinder_measure(source, cyl: CylinderSpec, n: float, offset: floa
     """
     if source.dim != 1:
         raise NotImplementedError("cylinder measure is 1D only")
+    if not n > 0:
+        raise ValueError("n must be positive")
     V = cyl.window
     vlen = V.volume()
     eta = delone_params(source, Interval(0.0, 400.0)).eta

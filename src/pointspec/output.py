@@ -45,12 +45,10 @@ def write_points(path, patch, field=None):
             "points": [], "region": region_to_json(patch.region)}
     if patch.exact and field is not None:
         head["field"] = {"tau": field.name}
-    texts = []
-    for i in range(patch.m):
-        q = patch.exact_positions(i)
-        cols = ([map(float.__repr__, c) for c in patch.positions(i).reshape(-1, patch.dim).T.tolist()]
-                if q is None else [[_ratio_text(n, q.den) for n in c.tolist()] for c in (q.a, q.b)])
-        texts += [t + (i,) for t in zip(*cols)]
+    x, colour = patch.points, patch.colour_major()[1].tolist()
+    cols = ([[_ratio_text(n, x.den) for n in c.tolist()] for c in (x.a, x.b)] if patch.exact
+            else [map(float.__repr__, c) for c in x.reshape(-1, patch.dim).T.tolist()])
+    texts = list(zip(*cols, colour))
     shape = "exact" if patch.exact else patch.dim
     texts.sort(key=lambda t: _POINT_KEY[shape] % t)
     before, after = json.dumps(head, indent=1, sort_keys=True).split('"points": []')

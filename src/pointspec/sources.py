@@ -3,7 +3,9 @@
 Every source is an infinite colored point set Lambda = (Lambda_i)_{i<=m}
 exposed only through `window(region) -> MultiSetPatch`.  Queries are
 deterministic and consistent across nested regions; no source ever holds
-an infinite set in memory.
+an infinite set in memory.  A source's _query hands window its candidates
+as one point array (a QuadArray for exact sources) and their colours.  A
+reversed region (lo > hi) holds no point: every source gives an empty patch.
 
 Bundled test beds:
 
@@ -34,6 +36,7 @@ from .coords import (
     QuadArray,
     QuadField,
     QuadNum,
+    as_floats,
     field_by_name,
     is_exact_coord,
 )
@@ -68,15 +71,13 @@ class PointSource:
         if region.dim != self.dim:
             raise SourceError("region dimension %d != source dimension %d"
                               % (region.dim, self.dim))
-        x, color, exact = self._query(region)
-        keep = region.mask(x, exact)
-        return MultiSetPatch.from_points(region, self.dim, self.m, x[keep], color[keep],
-                                         None if exact is None else exact[keep])
+        x, color = self._query(region)
+        keep = region.mask(x)
+        return MultiSetPatch.from_points(region, self.dim, self.m, x[keep], color[keep])
 
     def _query(self, region):
-        """Candidates for a region, a superset of the points inside it: float
-        positions ((N,) in 1D, (N, d) otherwise), colours, and the same points
-        as a QuadArray (None for a float source)."""
+        """Candidates for a region, a superset of the points inside it: their point
+        array (floats, (N,) in 1D and (N, d) otherwise, or a QuadArray) and colours."""
         raise NotImplementedError
 
 
@@ -111,7 +112,7 @@ class LatticeSource(PointSource):
         grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(klo, khi)], indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
         x = ks @ self.basis.T
-        return (x[:, 0] if self.dim == 1 else x), ks.sum(axis=1) % self.m, None
+        return (x[:, 0] if self.dim == 1 else x), ks.sum(axis=1) % self.m
 
 
 def integer_lattice(spacing: float = 1.0, colors: int = 1) -> LatticeSource:
@@ -174,15 +175,14 @@ class CutProjectSource(PointSource):
         span = self._tau - self._tauc
         b_lo = math.floor(min((lo_x - self._star_hi), (lo_x - self._star_lo)) / span) - 1
         b_hi = math.ceil(max((hi_x - self._star_lo), (hi_x - self._star_hi)) / span) + 1
-        blocks = []
+        blocks = [(np.zeros(0, dtype=np.int64),) * 3]  # a reversed region has no block of its own
         for b0 in range(b_lo, b_hi + 1, _BLOCK_ROWS):
             a, b = self._candidates(b0, min(b0 + _BLOCK_ROWS, b_hi + 1), lo_x, hi_x)
             color = self._colors(a, b)
             keep = color >= 0
             blocks.append((a[keep], b[keep], color[keep]))
         a, b, color = (np.concatenate(cols) for cols in zip(*blocks))
-        exact = QuadArray(a, b, 1, self.field)
-        return exact.floats(), color, exact
+        return QuadArray(a, b, 1, self.field), color
 
     def _candidates(self, b0: int, b1: int, lo_x: float, hi_x: float):
         """All (a, b) with b0 <= b < b1 in the float bracket, b-major, a ascending."""
@@ -196,10 +196,9 @@ class CutProjectSource(PointSource):
     def _colors(self, a, b):
         """Index of the first acceptance window holding x* = a + b*tau', or -1."""
         star = QuadArray(a, b, 1, self.field).conj()
-        floats = star.floats()
         color = np.full(len(a), -1, dtype=np.int64)
         for i, w in enumerate(self.spec.windows):
-            color[w.mask(floats, star) & (color < 0)] = i
+            color[w.mask(star) & (color < 0)] = i
         return color
 
 
@@ -325,18 +324,17 @@ class SubstitutionSource(PointSource):
         self._sizes = np.array([len(e) for e in exp])
         self._color = np.array(rule.color_of)
         self._longest = max(float(L) for L in rule.lengths)
-        # the word's tile endpoints, left ends then its right end: floats, and
-        # for an exact rule the same points as a QuadArray
+        # the word's tile endpoints, left ends then its right end: floats, or
+        # for an exact rule a QuadArray
         self._word = np.array([rule.letters.index(seed_letter)])
-        self._ends, self._exact, self._err = np.zeros(1), None, 0.0  # _err: the ends' float error
         if exact:
             try:
                 self._lengths = QuadArray.of(rule.lengths, rule.field)
             except ValueError as e:
                 raise SourceError(str(e))
-            self._exact = QuadArray([0], [0], self._lengths.den, self._lengths.field)
         else:
             self._lengths = np.array([float(L) for L in rule.lengths])
+        self._ends = self._lengths[:1] - self._lengths[:1]  # the first left end, 0
         self._add_ends(0)
 
     def _extend_to(self, length_needed: float):
@@ -345,7 +343,7 @@ class SubstitutionSource(PointSource):
         The seed letter begins its own expansion, so each inflated word
         extends the last and only the new tiles get endpoints.
         """
-        while self._ends[-1] < length_needed:
+        while as_floats(self._ends)[-1] < length_needed:
             word = self._word
             width = np.arange(self._table.shape[1])
             self._word = self._table[word][width < self._sizes[word][:, None]]
@@ -353,28 +351,20 @@ class SubstitutionSource(PointSource):
 
     def _add_ends(self, n: int):
         """Append the right ends of tiles n, n+1, ... of the word."""
-        new = self._word[n:]
-        q, L = self._exact, self._lengths
-        if q is None:
-            tail = np.cumsum(np.concatenate([self._ends[-1:], L[new]]))[1:]
-        else:
-            top = max(abs(int(q.a[-1])) + len(new) * int(np.abs(L.a).max()),
-                      abs(int(q.b[-1])) + len(new) * int(np.abs(L.b).max()))
-            if top >= EXACT_MAX:
-                raise SourceError("substitution positions beyond the exact int64 range")
-            self._exact = QuadArray(np.concatenate([q.a, q.a[-1] + np.cumsum(L.a[new])]),
-                                    np.concatenate([q.b, q.b[-1] + np.cumsum(L.b[new])]),
-                                    q.den, q.field)
-            tail = self._exact[n + 1:].floats()
-            self._err = self._exact.float_error()
-        self._ends = np.concatenate([self._ends, tail])
+        new, q, L = self._word[n:], self._ends, self._lengths
+        if not isinstance(q, QuadArray):
+            self._ends = np.concatenate([q, np.cumsum(np.concatenate([q[-1:], L[new]]))[1:]])
+            return
+        if max(abs(int(c[-1])) + len(new) * int(abs(d).max()) for c, d in ((q.a, L.a), (q.b, L.b))) >= EXACT_MAX:
+            raise SourceError("substitution positions beyond the exact int64 range")
+        self._ends = QuadArray(np.concatenate([q.a, q.a[-1] + np.cumsum(L.a[new])]),
+                               np.concatenate([q.b, q.b[-1] + np.cumsum(L.b[new])]), q.den, q.field)
 
     def _query(self, region):
         (_, hi), = region.bounds()
         self._extend_to(hi + self._longest + 1.0)
-        cut = sorted_slice(self._ends[:-1], region, self._err)
-        exact = None if self._exact is None else self._exact[cut]
-        return self._ends[cut], self._color[self._word[cut]], exact
+        cut = sorted_slice(self._ends[:-1], region)
+        return self._ends[cut], self._color[self._word[cut]]
 
 
 def fibonacci_substitution() -> SubstitutionSource:
@@ -493,7 +483,7 @@ class PoissonSource(PointSource):
             if counts[-1]:
                 draws.append(gen.random((counts[-1], self.dim)))
         x = np.repeat(cells.astype(float), counts, axis=0) + np.concatenate(draws)
-        return (x[:, 0] if self.dim == 1 else x), np.zeros(len(x), dtype=np.int64), None
+        return (x[:, 0] if self.dim == 1 else x), np.zeros(len(x), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

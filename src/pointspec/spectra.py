@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import TOL_EQ
+from .coords import TOL_EQ, as_floats
 from .geometry import Interval, MultiSetPatch, first_labels, in_sorted, nearest, within
 from .output import write_csv
 from .stats import VanHoveSpec
@@ -115,7 +115,7 @@ def _differences(x, qx, y, qy, radius: float):
         d = qx[a] - qy[b]
         keys = np.stack([d.a, d.b], axis=1)
     first, group = first_labels(keys)
-    return a, b, group, keys[first], d[first] if qx is None else d[first].floats()
+    return a, b, group, keys[first], as_floats(d[first])
 
 
 def autocorr_direct(source, w, radius: float, spec: VanHoveSpec, n: float) -> AutocorrelationMeasure:
@@ -185,6 +185,8 @@ def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float):
     One k (a number in 1D, a length-d vector in d dimensions) gives a
     complex; an array of them, shape (K,) or (K, d), gives an array.
     """
+    if not n > 0:
+        raise ValueError("n must be positive")
     w = validate_weights(w, source.m)
     patch = source.window(spec.region(n))
     pos, col = patch.all_positions()
@@ -393,6 +395,8 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
         raise ValueError("n_schedule needs at least two entries")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be increasing")
+    if not n_schedule[0] > 0:
+        raise ValueError("n_schedule entries must be positive")
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (resolution > 0 and k_lo < k_hi):
         raise ValueError("peak_scan needs resolution > 0 and k_min < k_max")

@@ -94,6 +94,8 @@ def halton(count: int, base: int = 2) -> np.ndarray:
 def default_offsets(count: int, span: float, dim: int = 1):
     """Low-discrepancy probe offsets in [0, span]^d: per axis the Halton
     sequence of the next prime base, 2, 3, 5, ..."""
+    if count < 0:
+        raise ValueError("the number of probe offsets must be >= 0, not %r" % (count,))
     primes = (b for b in itertools.count(2) if all(b % k for k in range(2, b)))
     return list(zip(*(map(float, halton(count, b) * span) for b in itertools.islice(primes, dim))))
 

@@ -6,8 +6,9 @@ of the Poisson window, of the points.json document, of the hull-metric
 bracket search, of the cluster distance, of the Dworkin left side and of
 the occurrence search, batched and on exact keys, the closed-form Bragg
 amplitudes of the Fibonacci model set, the exact sign of a + b*tau one
-scalar at a time, the TOL_EQ grid key that ordered partition cells, and
-the former QuadArray.shift, which aligned its denominators by hand."""
+scalar at a time, the TOL_EQ grid key that ordered partition cells, the
+former QuadArray.shift, which aligned its denominators by hand, and the
+torus parametrisation of the Fibonacci model set's R-ball classes."""
 
 import itertools
 import math
@@ -16,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from pointspec import hull
-from pointspec.coords import EXACT_MAX, TOL_EQ, QuadArray, QuadNum, is_exact_coord
-from pointspec.geometry import MultiSetPatch, in_sorted
+from pointspec.coords import EXACT_MAX, GOLDEN, TOL_EQ, QuadArray, QuadNum, is_exact_coord
+from pointspec.geometry import Cluster, MultiSetPatch, in_sorted
 from pointspec.sources import region_to_json
 from pointspec.spectra import smoothed_density
 
@@ -275,3 +276,64 @@ def fibonacci_bragg_amplitudes(w, bound: int = 40):
         integral = (np.exp(2j * np.pi * ks * hi) - np.exp(2j * np.pi * ks * lo)) / (2j * np.pi * ks)
         amp += w_c * np.where(zero, hi - lo, integral)
     return k, amp / s5
+
+
+# fibonacci_cut_project()'s window W = [-1, tau - 1): colour 0 on [tau - 2, tau - 1),
+# colour 1 on [-1, tau - 2), as (lo, hi) per colour
+FIB_W = (QuadNum(-1, 0, GOLDEN), QuadNum(-1, 1, GOLDEN))
+FIB_COLOURS = ((QuadNum(-2, 1, GOLDEN), FIB_W[1]), (FIB_W[0], QuadNum(-2, 1, GOLDEN)))
+
+
+def _exact_sort(values) -> list:
+    """The distinct exact scalars of values, ascending, each placed by
+    QuadArray.compare: its rank is the number of values below it."""
+    q = QuadArray.of(values, GOLDEN)
+    below = {int((q.compare(v) < 0).sum()): v for v in values}
+    return [below[k] for k in sorted(below)]
+
+
+def fibonacci_domain(P) -> QuadNum:
+    """The length of P's occurrence domain: the u = x* in W of the points x
+    with x + P (P anchored at 0) in the Fibonacci model set, the
+    intersection of W_i - p* over the points p of colour i of P."""
+    lo, hi = FIB_W
+    for (wlo, whi), part in zip(FIB_COLOURS, P.parts):
+        for (p,) in part:
+            star = p.conj() if isinstance(p, QuadNum) else p
+            lo, hi = max(lo, wlo - star), min(hi, whi - star)
+    return hi - lo if hi > lo else QuadNum(0, 0, GOLDEN)
+
+
+def fibonacci_classes(R) -> list:
+    """The classes of closed R-balls around the points of
+    fibonacci_cut_project(), from its torus parametrisation, exactly in
+    Q(tau), sharing no code with the window scans: (anchored cluster, total
+    length of its pieces of W) per class.
+
+    A point x is fixed by u = x* in W, and its ball holds the module point
+    t = a + b tau, |t| <= R, in colour i exactly when u + t* lies in W_i.
+    That changes only at u = c - t*, c a window end or the colour boundary
+    tau - 2, so W cut there falls into pieces of one centred R-patch each.
+    Pieces whose patches, anchored at their smallest point, agree are
+    merged, as enumerate_cluster_classes groups balls by anchored contents.
+    A piece's length over |W| is its patch's share of the points, as the
+    rotation u -> u + 1 mod tau carries each point's u to the next one's.
+    """
+    r, (lo, hi) = Fraction(repr(float(R))), FIB_W
+    width, tau = hi - lo, GOLDEN.tau
+    # |t - t*| = sqrt5 |b| < R + |W| bounds b; a is then within R of -b tau
+    bmax = math.ceil((float(R) + tau) / math.sqrt(5))
+    ts = [QuadNum(a, b, GOLDEN) for b in range(-bmax, bmax + 1)
+          for a in range(math.floor(-float(R) - b * tau) - 1, math.ceil(float(R) - b * tau) + 2)]
+    ts = [t for t in ts if -r <= t <= r and -width < t.conj() < width]  # u + t* in W for some u in W
+    cuts = _exact_sort([c - t.conj() for c in (lo, FIB_COLOURS[0][0], hi) for t in ts])
+    cuts = [u for u in cuts if lo <= u <= hi]
+    classes = {}
+    for u0, u1 in zip(cuts, cuts[1:]):
+        u = (u0 + u1) * Fraction(1, 2)  # inside the piece, so on no cut
+        parts = [[t for t in ts if wlo <= u + t.conj() < whi] for wlo, whi in FIB_COLOURS]
+        first = min(t for part in parts for t in part)
+        P = Cluster([[(t - first,) for t in part] for part in parts])
+        cls = classes.setdefault(P.signature(), [P, QuadNum(0, 0, GOLDEN)])
+        cls[1] = cls[1] + (u1 - u0)
+    return [tuple(cls) for cls in classes.values()]

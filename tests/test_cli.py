@@ -39,6 +39,16 @@ def test_generate_lattice(tmp_path):
     assert len(doc["points"]) == 6
 
 
+@pytest.mark.parametrize("source", [{"type": "fibonacci"}, {"type": "fibonacci", "offset": 0.5},
+                                    {"type": "lattice"}, {"type": "thue_morse"}, {"type": "poisson"}])
+def test_generate_on_a_reversed_region_writes_no_points(tmp_path, source):
+    # the cut-and-project window once failed unpacking an empty candidate list
+    cfg = write_cfg(tmp_path / "cfg.json", {"source": source, "generate": {"region": [10, 0]}})
+    out = tmp_path / "out"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "points.json").read_text())["points"] == []
+
+
 def test_bad_spec_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "source": {"type": "nope"}, "generate": {"region": [0, 5]},
@@ -315,6 +325,16 @@ def test_diffract_output_does_not_depend_on_threads_or_cpus(tmp_path, monkeypatc
     ("classes", {"source": {"type": "thue_morse"}, "classes": {"R": 1.0, "scan": [0, 50]}}),
     # a zero scan length, which once ran the default scan (scan_length -5 is above)
     ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": 0}}),
+    # scans too short to see every piece (once a traceback) or to close one (once n_cells 0)
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": 5}}),
+    ("partition", {"source": {"type": "fibonacci"}, "partition": {"scan_length": 1}}),
+    # non-positive sizes, once a ZeroDivisionError traceback or one silent offset
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": [0, 200]}}),
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"n_schedule": [-100, 200]}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": 0}}),
+    ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": -3}}),
+    # a reversed class scan, which once failed unpacking an empty candidate list
+    ("classes", {"source": {"type": "fibonacci"}, "classes": {"scan": [100, 0]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -21,7 +21,7 @@ from pointspec.geometry import (
     match_clusters,
     nearest,
     run_starts,
-    tolerant_labels,
+    value_keys,
     within,
 )
 from pointspec.sources import (
@@ -35,7 +35,7 @@ from pointspec.sources import (
 )
 
 from oracles import (batched_occurrence_index, boundary_shell_volume, coord_eq, dense_cluster_distance,
-                     exact_occurrence_count)
+                     exact_occurrence_count, fibonacci_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_interval_mask_matches_the_scalar_contract():
         i, j = sorted(rng.choice(len(ends), 2, replace=False))
         for flags in ((True, True), (True, False), (False, True), (False, False)):
             iv = Interval(ends[i], ends[j], *flags)
-            assert iv.mask(xs, exact).tolist() == [reference_contains(iv, v) for v in values]
+            assert iv.mask(exact).tolist() == [reference_contains(iv, v) for v in values]
             assert iv.mask(xs).tolist() == [reference_contains(iv, x) for x in xs.tolist()]
             assert all(iv.contains_point((v,)) == reference_contains(iv, v) for v in values[::10])
     # float points on each bound end -+ TOL_EQ, TOL_EQ and one ulp off it, on the
@@ -111,8 +111,8 @@ def test_interval_mask_of_no_points_is_empty_for_every_kind_of_end():
             (QuadNum(0, 1, GOLDEN), 3.5)]
     for lo, hi in ends:
         for flags in ((True, True), (True, False), (False, True), (False, False)):
-            for x, exact in ((np.empty(0), None), (np.empty(0), no_exact), (np.empty((0, 1)), no_exact)):
-                out = Interval(lo, hi, *flags).mask(x, exact)
+            for x in (np.empty(0), np.empty((0, 1)), no_exact):
+                out = Interval(lo, hi, *flags).mask(x)
                 assert out.dtype == bool and out.shape == (0,), (lo, hi, flags)
 
 
@@ -174,8 +174,7 @@ def test_restrict_keeps_exactly_the_points_the_scalar_contract_admits(exact):
         for flags in ((True, True), (True, False), (False, True), (False, False)):
             iv = Interval(a, b, *flags)
             inside = np.array([iv.contains_point((v,)) for v in values])
-            want = MultiSetPatch.from_points(iv, 1, 2, x[inside], col[inside],
-                                             q[inside] if exact else None)
+            want = MultiSetPatch.from_points(iv, 1, 2, (q if exact else x)[inside], col[inside])
             assert_same_layout(patch.restrict(iv), want)
             assert patch.restrict(iv).parts == tuple(
                 tuple(p for p in part if iv.contains_point(p)) for part in patch.parts)
@@ -189,10 +188,10 @@ def test_translate_and_as_cluster_keep_the_from_points_layout(exact):
     for v in (0.37, -3) + ((QuadNum(1, -1, GOLDEN),) if exact else ()):
         moved = q.shift(v) if exact and is_exact_coord(v) else None
         want = MultiSetPatch.from_points(patch.region.translate((v,)), 1, 2,
-                                         x + float(v) if moved is None else moved.floats(), col, moved)
+                                         x + float(v) if moved is None else moved, col)
         assert_same_layout(patch.translate((v,)), want)
         assert_same_layout(patch.translate((v,)).as_cluster(), want)
-    assert_same_layout(patch.as_cluster(), MultiSetPatch.from_points(None, 1, 2, x, col, q))
+    assert_same_layout(patch.as_cluster(), MultiSetPatch.from_points(None, 1, 2, q if exact else x, col))
 
 
 @pytest.mark.parametrize("h", [1e4, 1e8, 1e12])
@@ -402,6 +401,24 @@ def test_delone_params_2d():
     assert d.b == pytest.approx(2 ** 0.5, rel=0.1)  # covering diameter of Z^2
 
 
+@pytest.mark.parametrize("R, n_classes", [(1, 2), (2, 4), (2.5, 4), (3, 5), (3.5, 6), (4, 7), (5, 8), (7, 12)])
+def test_fibonacci_classes_are_its_acceptance_domains(R, n_classes):
+    # the torus parametrisation gives the classes exactly; the scan's anchors,
+    # N consecutive points, have u = x* on a rotation by 1/tau, whose
+    # discrepancy is at most log_tau(N) + 3 (Ostrowski: partial quotients 1),
+    # so each class's share of them is its pieces' share of W within twice that over N
+    classes = fibonacci_classes(R)
+    table = enumerate_cluster_classes(fibonacci_cut_project(), R, Interval(10, 3010))
+    assert len(classes) == table.n_classes == n_classes
+    assert {P.signature() for P, _ in classes} == {P.signature() for P in table.representatives}
+    width = QuadNum(0, 1, GOLDEN)  # |W| = tau
+    assert sum((length for _, length in classes), QuadNum(0, 0, GOLDEN)) == width
+    N = sum(table.counts)
+    share = {P.signature(): float(length / width) for P, length in classes}
+    for P, count in zip(table.representatives, table.counts):
+        assert abs(count / N - share[P.signature()]) <= 2 * (math.log(N, GOLDEN.tau) + 3) / N
+
+
 def test_delone_needs_two_points():
     z = integer_lattice()
     with pytest.raises(ValueError):
@@ -418,7 +435,7 @@ def test_values_astride_a_grid_boundary_form_one_group():
         v = np.array([mid - 5e-14, mid + 5e-14])
         assert np.rint(v[0] / TOL_EQ) != np.rint(v[1] / TOL_EQ)
         assert first_labels(v)[1].tolist() == [0, 0]
-        assert tolerant_labels(v)[0][0] == tolerant_labels(v)[0][1]
+        assert value_keys(v)[0][0] == value_keys(v)[0][1]
 
 
 def test_values_two_tolerances_apart_form_two_groups():
@@ -435,12 +452,12 @@ def test_groups_are_numbered_by_first_appearance_and_keep_the_first_value():
     rows = np.array([[1, 2], [3, 4], [1, 2], [1, 3]])  # integer rows: equal entry by entry
     assert [x.tolist() for x in first_labels(rows)] == [[0, 1, 3], [0, 1, 0, 2]]
     empty = first_labels(np.empty(0))
-    assert len(empty[0]) == len(empty[1]) == 0 and [x.tolist() for x in tolerant_labels(np.empty((0, 2)))] == [[], []]
+    assert len(empty[0]) == len(empty[1]) == 0 and [x.tolist() for x in value_keys(np.empty((0, 2)))] == [[], []]
 
 
 def test_points_group_per_coordinate():
     v = np.array([[0.0, 5.0], [1e-12, 3.0], [3.0, 5.0 + 1e-12], [3.0 + 1e-12, 1e-12]])
-    x, y = tolerant_labels(v)
+    x, y = value_keys(v)
     assert x[0] == x[1] != x[2] == x[3]
     assert y[0] == y[2] and len({y[0], y[1], y[3]}) == 3
 

@@ -86,8 +86,8 @@ class _LatticePlusFarPoint(PointSource):
         self.base = integer_lattice()
 
     def _query(self, region):
-        x, color, exact = self.base._query(region)
-        return np.append(x, 500.25), np.append(color, 0), exact
+        x, color = self.base._query(region)
+        return np.append(x, 500.25), np.append(color, 0)
 
 
 def test_metric_far_modification_small():
@@ -853,6 +853,12 @@ def test_partition_scan_stability_guard():
     fib = fibonacci_cut_project()
     with pytest.raises(IncompletePartitionError):
         build_partition_1d(fib, 3.0, 0.2, scan_length=16.0)
+    # too short to close a piece (once n_cells 0), or to see every piece; a
+    # config error, as the scan length is a value the caller chose
+    for length in (1.0, 5.0):
+        with pytest.raises(IncompletePartitionError, match="still growing"):
+            build_partition_1d(fib, 3.0, 0.2, scan_length=length)
+    assert issubclass(IncompletePartitionError, ValueError)
 
 
 def end_keys(w) -> list:
@@ -868,9 +874,9 @@ def piece_identities(pieces) -> set:
 
 def two_scans_agree(source, R, scan_length):
     """The two-scan completeness test: a scan to 0.6 scan_length finds
-    every piece a scan to scan_length finds."""
-    return (piece_identities(_scan_pieces(source, R, 0.0, scan_length * 0.6))
-            == piece_identities(_scan_pieces(source, R, 0.0, scan_length)))
+    every piece a scan to scan_length finds, and that scan finds one."""
+    full = piece_identities(_scan_pieces(source, R, 0.0, scan_length))
+    return bool(full) and piece_identities(_scan_pieces(source, R, 0.0, scan_length * 0.6)) == full
 
 
 def test_one_scan_completeness_decision_matches_two_scans():
@@ -1012,6 +1018,13 @@ def test_cylinder_measure_requires_small_window():
     with pytest.raises(ValueError):
         empirical_cylinder_measure(
             z, CylinderSpec(cluster_1d([0.0]), Interval(0.0, 1.5)), 100)
+
+
+@pytest.mark.parametrize("n", [0, -1, float("nan")])
+def test_cylinder_measure_rejects_a_nonpositive_n(n):
+    # n = 0 once raised ZeroDivisionError, and n = -1 gave (-0.0, 0.0, -2.0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        empirical_cylinder_measure(integer_lattice(), CylinderSpec(cluster_1d([0.0]), Interval(0.0, 0.3)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,10 @@ def test_far_windows_match_a_fraction_oracle_with_fewer_ties(monkeypatch):
     rows, calls = [], []
     real_compare, real_mask = QuadArray.compare, Interval.mask
 
-    def mask(iv, x, exact=None):
-        if exact is not None:
-            calls.append(former_band_ties(iv, np.asarray(x, dtype=float).reshape(-1), exact))
-        return real_mask(iv, x, exact)
+    def mask(iv, x):
+        if isinstance(x, QuadArray):
+            calls.append(former_band_ties(iv, x.floats(), x))
+        return real_mask(iv, x)
 
     # the tie rows decided exactly, against the former band's scalar decisions
     monkeypatch.setattr(QuadArray, "compare", lambda q, c: rows.append(len(q.a)) or real_compare(q, c))

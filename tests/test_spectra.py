@@ -452,6 +452,16 @@ def test_peak_scan_validates_schedule():
         peak_scan(integer_lattice(), [1], (-1, 1), 0.01, [1000])
     with pytest.raises(ValueError):
         peak_scan(integer_lattice(), [1], (-1, 1), 0.01, [1000, 500])
+    for schedule in ([0, 200], [-100, 200]):  # once a ZeroDivisionError or NaN intensities
+        with pytest.raises(ValueError, match="n_schedule entries must be positive"):
+            peak_scan(integer_lattice(), [1], (-1, 1), 0.01, schedule)
+
+
+@pytest.mark.parametrize("n", [0, -5, float("nan")])
+def test_bragg_amplitude_rejects_a_nonpositive_n(n):
+    # n = 0 once gave inf + nanj and n = -5 a NaN
+    with pytest.raises(ValueError, match="n must be positive"):
+        bragg_amplitude(integer_lattice(), [1], 0.5, VanHoveSpec(), n)
 
 
 def test_peak_scan_needs_a_1d_source():

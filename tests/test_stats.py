@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from pointspec.hull import CylinderSpec, empirical_cylinder_measure
 from pointspec.sources import TranslatedSource, fibonacci_cut_project, integer_lattice
 from pointspec.stats import VanHoveSpec, _count_in_patch, default_offsets, estimate_frequency
 
-from oracles import exact_occurrence_count, van_hove_region
+from oracles import exact_occurrence_count, fibonacci_classes, fibonacci_domain, van_hove_region
 
 
 def count_cluster(source, P, region) -> int:
@@ -173,6 +175,37 @@ def test_default_offsets_in_3d_add_the_base_5_sequence():
     assert offsets == [pytest.approx(tuple(8.0 * c for c in w), abs=1e-12) for w in want]
     assert [o[:2] for o in offsets] == default_offsets(5, 8.0, dim=2)
     assert [o[:1] for o in offsets] == default_offsets(5, 8.0)
+
+
+def test_fibonacci_class_frequencies_are_their_acceptance_domains():
+    """estimate_frequency of each R = 3 class against |D|/sqrt5 = dens |D|/|W|
+    (dens = tau/sqrt5), D its occurrence domain; D is the class's piece of W
+    when one piece holds the class.
+
+    The tolerance, from F_n = [-n, n]: the N points in F_n have u = x* on a
+    rotation by 1/tau of W, whose discrepancy is at most log_tau(N) + 3
+    (Ostrowski, all partial quotients 1), twice that for an interval D not
+    at 0; translates whose cluster (span s) leaves F_n drop at most s + 1
+    counts (points lie at least 1 apart); and |N - 2n dens| <= 4, as the
+    tile counts of Fibonacci words are balanced.  Over Vol F_n = 2n."""
+    fib, spec = fibonacci_cut_project(), VanHoveSpec(n0=500, doublings=3)
+    n = spec.schedule()[-1]
+    N = fib.window(spec.region(n)).total_points
+    one_piece = 0
+    for P, length in fibonacci_classes(3):
+        D = fibonacci_domain(P)
+        one_piece += D == length
+        assert D <= length  # a pattern met from two centres has two pieces, one domain
+        span = float(np.ptp(P.colour_major()[0]))
+        tol = (2 * (math.log(N, GOLDEN.tau) + 3) + span + 1 + 4) / (2 * n)
+        assert abs(estimate_frequency(fib, P, spec, [(0.0,)]).value - float(D) / math.sqrt(5)) <= tol
+    assert one_piece == 4
+
+
+def test_default_offsets_reject_a_negative_count():
+    assert default_offsets(0, 8.0) == []
+    with pytest.raises(ValueError, match="number of probe offsets must be >= 0"):
+        default_offsets(-1, 8.0)
 
 
 def test_uniformity_gap_probes_offsets():

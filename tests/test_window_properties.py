@@ -9,6 +9,7 @@ float coordinates give the same points.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,23 @@ def test_open_ends_drop_exactly_the_points_there(name, idx, span, exact_ends, cl
             drop |= np.abs(pos - float(hi)) <= TOL_EQ
         assert half.positions(i).tolist() == pos[~drop].tolist()
     assert closed.total_points - half.total_points == (not closed_lo) + (not closed_hi)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("translated", [False, True])
+def test_reversed_windows_are_empty_and_zero_width_ones_hold_one_point(name, translated):
+    src = TranslatedSource(SOURCES[name], _shift(name, 3, 1)) if translated else SOURCES[name]
+    patch = src.window(Interval(0, 60))
+    x, q = patch.all_positions()[0], patch.all_exact()
+    pts = x.tolist() if q is None else [q.value(k) for k in range(len(x))]
+    for lo, hi in ((10, 0), (60, 59.5), (Fraction(7), Fraction(3)), (1000.0, -1000.0)):
+        got = src.window(Interval(lo, hi))
+        assert (got.total_points, got.m, got.exact) == (0, src.m, patch.exact), (lo, hi)
+    for p in pts[::7]:
+        for flags in ((True, True), (True, False), (False, True), (False, False)):
+            got = src.window(Interval(p, p, *flags))
+            assert got.parts == patch.restrict(Interval(p, p, *flags)).parts
+            assert got.total_points == (flags == (True, True)), (p, flags)
 
 
 FLOAT_FIB = SubstitutionSource(
