@@ -27,8 +27,11 @@ Every exponential sum runs through _tile_sums in phase tiles of at most
 0.5 MiB, so an amplitude's bits depend on its k alone (and on whether its call
 had one k).  The golden section sums only the k it has not seen, and its rows
 split between the calling thread and one worker when the process may run on
-two CPUs.  Of peak_scan's steps only the fine-grid argmax is certified
-(_fine_argmax); the others are exact.
+two CPUs.  Two of peak_scan's steps are certified: the fine-grid argmax
+(_fine_argmax), and the golden section's comparisons while a Taylor model of
+|A| decides them within its error bound (_taylor_model); from a row's first
+comparison the bound cannot decide on, its values are exact.  The coarse grid
+and the schedule rows are exact.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ def validate_weights(w, m: int) -> np.ndarray:
     arr = np.asarray(w, dtype=complex)
     if arr.shape != (m,):
         raise ValueError("weight vector must have one entry per color (m=%d)" % m)
+    if not np.isfinite(arr).all():
+        raise ValueError("weight vector entries must be finite")
     if np.allclose(arr, 0):
         raise ValueError("weight vector must not be identically zero")
     return arr
@@ -259,36 +264,151 @@ class DiffractionEstimate:
                     int(e.retained)) for e in self.entries])
 
 
-def _golden_refine(fn, lo, hi):
-    """Golden-section maximization of fn on [lo, hi] in 60 steps (vectorized over rows)."""
-    invphi = (math.sqrt(5.0) - 1) / 2
+_INVPHI = (math.sqrt(5.0) - 1) / 2
+_U = 2.0 ** -53  # the unit roundoff
+_SLACK = 1 + 2.0 ** -20  # covers the O(N u^2) terms and the roundings of a bound itself
+
+
+def _kernel_error(s1, sx, n, kappa, vol):
+    """A bound on |fl(A(k)) - A(k)| for |k| <= kappa, where _tile_sums sums A over n
+    points and divides by vol, S1 = sum|w| and Sx = sum|w||x|.
+
+    To first order in u = 2^-53, vol |dA| gathers 6 pi u kappa Sx from the phases
+    (the roundings of k.x, of 2 pi and of their product), 2u S1 from the sincos
+    (1 ulp per component), 2 sqrt2 N u S1 from the gamma_2N sum with w (gemv) and
+    u S1 from the division by vol: under 2u(3 pi kappa Sx + (sqrt2 N + 4) S1) / vol.
+    """
+    return 2 * _U * (3 * np.pi * kappa * sx + (math.sqrt(2) * n + 4) * s1) / vol
+
+
+def _taylor_model(pos, wvals, vol, lo, hi):
+    """(start, model): the rows of the brackets [lo, hi] that start on a Taylor model
+    of |A|, and model(k, r) -> (|T(k)|, e), T the model of row r's bracket and e a
+    bound on | |T(k)| - |fl(A(k))| | for the exact kernel's fl(A(k)).
+
+    A global phase leaves |A| alone, so the model sums over y = x - x0 (x0 the
+    middle of the points' range, Y = max|y|, t = y/Y).  Around a bracket's centre
+    c, with z = -2 pi i (k - c) Y and G_p = sum w e(-c y) t^p / vol, the sum over
+    y is the sum over p of z^p/p! G_p, and T(k) keeps its terms p < P: G takes
+    one phase row per bracket and one GEMM, and T Horner's rule.  |G_p| <= S1/vol
+    (|t| <= 1), so the terms from P on sum to at most
+    tail = |z|^P/P! e^|z| S1/vol.  P is the least order with tail < u S1/vol at
+    the largest |z| <= 2 pi half Y of a bracket; brackets whose |z| can pass 1
+    start on the exact kernel.
+
+    With Sy = sum|w||y|, kappa = |c| + half and |z| <= 1, to first order in u,
+    vol |dT| gathers 2 pi u kappa Sy from y = fl(x - x0); 6 pi u |c| Sy + 2u S1
+    from e(-c y), as in _kernel_error; 2p u |w| |t|^p from t = fl(y/Y), the p - 1
+    products of its power and the product with w; 2 sqrt2 N u S1 from the GEMM
+    and u S1 from the division by vol, per G_p; 4u|z| e^|z| S1 from z (k - c,
+    2 pi and two products) through |dT/dz| <= e^|z| S1/vol; and 3u e^|z| S1 per
+    Horner step (z/p, the product with it and the sum), carried on by factors
+    |z|/p <= 1.  Weighted by the sums of |z|^p/p! (e^|z|) and of p |z|^p/p!
+    (|z| e^|z|), that is under
+        e_m = e^|z| (2u(pi (3|c| + kappa) Sy + (sqrt2 N + 2P + 3) S1) + |z|^P/P! S1) / vol.
+    The exact kernel is within e_x = _kernel_error(kappa) of A, so e = e_x + e_m
+    bounds the distance of the two moduli.
+    """
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    y = pos - 0.5 * (pos.min() + pos.max()) if len(pos) else pos
+    big_y = float(np.abs(y).max(initial=0.0))
+    zmax = 2 * np.pi * half * big_y
+    start = zmax <= 1.0
+    if not start.any():
+        return start, None
+    z1 = float(zmax[start].max())
+    order = 1
+    while z1 ** order / math.factorial(order) * math.exp(z1) >= _U:
+        order += 1
+    aw = np.abs(wvals)
+    s1, sx, sy, kappa = float(aw.sum()), float(aw @ np.abs(pos)), float(aw @ np.abs(y)), abs(centre) + half
+    e_m = np.exp(zmax) * (2 * _U * (np.pi * (3 * abs(centre) + kappa) * sy
+                                    + (math.sqrt(2) * len(pos) + 2 * order + 3) * s1)
+                          + zmax ** order / math.factorial(order) * s1) / vol
+    err = _kernel_error(s1, sx, len(pos), kappa, vol) + e_m
+    t = y / big_y if big_y else y
+    g = _tile_sums(centre, y, wvals[:, None] * np.vander(t, order, increasing=True)) / vol
+
+    def model(k, r):
+        s = -2 * np.pi * (k - centre[r]) * big_y  # z = i s
+        acc = np.zeros(s.shape, dtype=complex)
+        for p in range(order, 0, -1):
+            acc = g[r, p - 1] + acc * (1j * (s / p))
+        return np.abs(acc), err[r]
+    return start, model
+
+
+def _golden_refine(pos, wvals, vol, lo, hi):
+    """Golden-section maximization of |A(k)|^2 on each row's [lo, hi] in 60 steps,
+    every comparison fn(c) < fn(d) with the outcome it has on the exact kernel.
+
+    A row starts on _taylor_model, and a comparison is certified while the model
+    intensities m_c, m_d are more than D_c + D_d apart.  With a = |T(k)| (T the
+    model) and e its bound, an intensity fl(|fl(A)|)^2 is within 5u of |fl(A)|^2
+    (hypot within 1 ulp, then the square), so |m - fl(|fl(A)|)^2| <= e(2|T| + e)
+    + 5u(|T|^2 + (|T| + e)^2) <= D = 2(a + e)e + 12u(a + e)^2.  From a row's first
+    comparison the bound cannot decide on, its values come from
+    _reusing_intensity, so each row keeps the bits the plain loop gives it.
+    """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    exact = _reusing_intensity(pos, wvals, vol, len(a))
+    guess, model = _taylor_model(pos, wvals, vol, a, b)
     for _ in range(60):
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        swap = fn(c) < fn(d)
+        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        swap = np.zeros(len(a), dtype=bool)
+        r = np.flatnonzero(guess)
+        if r.size:
+            amp, err = model(np.stack([c[r], d[r]]), r)
+            dist = 2 * (amp + err) * err + 12 * _U * (amp + err) ** 2
+            m = amp ** 2
+            swap[r] = m[0] < m[1]
+            guess[r[~(np.abs(m[0] - m[1]) > (dist[0] + dist[1]) * _SLACK)]] = False
+        if not guess.all():
+            fc, fd = exact((c, d), ~guess)
+            swap[~guess] = (fc < fd)[~guess]
         a = np.where(swap, c, a)
         b = np.where(~swap, d, b)
     mid = 0.5 * (a + b)
-    return mid, fn(mid)
+    return mid, exact((mid,))[0]
 
 
 def _reusing_intensity(pos, wvals, vol, rows):
-    """fn(k) = np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2, bit for bit, `rows` k a
-    call.  A k whose bits one of the last six calls had takes that value, and
-    _tile_sums sums the others, with a second row when one row of several is new."""
-    hist = deque(maxlen=6)
+    """fn(ks, on) = [np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2 for k in ks] on
+    the rows `on` (all by default; the others are undefined), bit for bit, each k
+    `rows` long.  A row takes the value of the same k bits from an earlier k of
+    the call or of the last six k, where that value was computed; _tile_sums sums
+    the other rows of the call at once, with a second row when one row is new
+    (from `on` where it can), or one k at a time when rows == 1, as one-k calls."""
+    hist = deque(maxlen=6)  # (k, value, computed)
 
-    def fn(kk):
-        out, todo = np.empty(rows), np.ones(rows, dtype=bool)
-        for k_old, v_old in hist:
-            hit = todo & (k_old.view(np.int64) == kk.view(np.int64))
-            out[hit], todo = v_old[hit], todo & ~hit
-        if rows > 1 and todo.sum() == 1:
-            todo[int(todo[0])] = True  # row 1 joins a new row 0; row 0 joins any other
-        new = np.flatnonzero(todo)
-        out[new] = np.abs(_tile_sums(kk[new], pos, wvals) / vol) ** 2
-        hist.append((kk, out))
-        return out
+    def fn(ks, on=None):
+        on = np.ones(rows, dtype=bool) if on is None else on
+        work, copies = [], []
+        for kk in ks:
+            out, todo = np.empty(rows), on.copy()
+            for k_old, v_old, known in hist:
+                hit = todo & known & (k_old.view(np.int64) == kk.view(np.int64))
+                copies.append((out, v_old, hit))
+                todo &= ~hit
+            known = on.copy()
+            hist.append((kk, out, known))
+            work.append((kk, out, todo, known))
+        if rows > 1 and sum(int(todo.sum()) for *_, todo, _ in work) == 1:
+            _, _, todo, known = next(w for w in work if w[2].any())
+            free = np.flatnonzero(~todo)
+            j = free[np.argmax(on[free])]  # a row of `on` where there is one
+            todo[j] = known[j] = True
+        new = [kk[todo] for kk, _, todo, _ in work]
+        if rows > 1:
+            sums = np.split(_tile_sums(np.concatenate(new), pos, wvals),
+                            np.cumsum([len(k) for k in new])[:-1])
+        else:
+            sums = [_tile_sums(k, pos, wvals) for k in new]
+        for (_, out, todo, _), s in zip(work, sums):
+            out[todo] = np.abs(s / vol) ** 2
+        for out, v_old, hit in copies:
+            out[hit] = v_old[hit]
+        return [out for _, out, _, _ in work]
     return fn
 
 
@@ -308,7 +428,7 @@ def _refine_rows(pos, wvals, vol, lo, hi):
     two or more rows, so every row keeps its bits (see _tile_sums).  The worker
     is always joined, and an exception it raised is raised here."""
     def refine(s, e):
-        return _golden_refine(_reusing_intensity(pos, wvals, vol, e - s), lo[s:e], hi[s:e])
+        return _golden_refine(pos, wvals, vol, lo[s:e], hi[s:e])
 
     rows = len(lo)
     if rows < 4 or _usable_cpus() < 2:
@@ -345,25 +465,24 @@ def _fine_argmax(pos, wvals, vol, cand, offs):
     """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it.
 
     Factorized, |e(-c x) (W o e(-o x))^T|^2 / vol^2 (W with the shorter list), it
-    takes one exp per (row, point) and per (offset, point).  With u = 2^-53,
-    S1 = sum|w|, Sx = sum|w||x| and kappa >= |c| + |o|, to first order vol |dA|
-    gathers 6 pi u kappa Sx per side (the roundings of k.x, or c.x and o.x,
-    of 2 pi and of their product), 2 pi u kappa Sx for k = fl(c + o), 2 sqrt2
-    u S1 per sincos (1 ulp per component; three) and for the product with w,
-    2 sqrt2 N u S1 per gamma_2N sum (gemv, GEMM) and 2u S1 per division by vol
-    (a product with fl(1/vol)).  Doubled for the dropped O(N u^2) terms,
-    E = 2u(14 pi kappa Sx + (4 sqrt2 N + 16) S1) / vol; with M = S1/vol + E,
+    takes one exp per (row, point) and per (offset, point).  With S1 = sum|w|,
+    Sx = sum|w||x| and kappa >= |c| + |o|, each of the two sums, the factorized
+    one and the one-call evaluation, is within _kernel_error(kappa) of A to first
+    order (the roundings of c.x and o.x, and the one more sincos and product,
+    take what the one-call k.x and gemv would), and k = fl(c + o) adds
+    2 pi u kappa Sx / vol.  Doubled for the dropped O(N u^2) terms, that is
+    E = 2 (2 _kernel_error(kappa) + 2 pi u kappa Sx / vol); with M = S1/vol + E,
     B = 2 M E + 10 u M^2 (|.|^2 twice).  A row whose top two are over 2B apart
     keeps its argmax; the others take theirs from the one-call evaluation.
     """
-    u, aw = 2.0 ** -53, np.abs(wvals)
+    aw = np.abs(wvals)
     s1, sx, kappa = float(aw.sum()), float(aw @ np.abs(pos)), abs(cand).max() + abs(offs).max()
-    err = 2 * u * (14 * np.pi * kappa * sx + (4 * math.sqrt(2) * len(pos) + 16) * s1) / vol
+    err = 2 * (2 * _kernel_error(s1, sx, len(pos), kappa, vol) + 2 * np.pi * _U * kappa * sx / vol)
     m = s1 / vol + err
     few, many = (cand, offs) if len(cand) < len(offs) else (offs, cand)
     approx = np.abs(_tile_sums(many, pos, (_phases(few, pos) * wvals).T) / vol) ** 2
     approx = approx.T if few is cand else approx
-    return _certified_argmax(approx, 2 * m * err + 10 * u * m * m, lambda rows: (np.abs(
+    return _certified_argmax(approx, 2 * m * err + 10 * _U * m * m, lambda rows: (np.abs(
         _amplitudes_grid(pos, wvals, (cand[rows][:, None] + offs).ravel(), vol)) ** 2).reshape(len(rows), -1))
 
 
@@ -382,9 +501,11 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
 
     Coarse-scan |A_{n1}|^2 on a k grid; runs above threshold (empirical
     noise floor + THRESHOLD_BUMP/(Vol F_{n1})^2) yield local-max
-    candidates, refined by golden-section at n1 (the rows split between this
-    thread and one worker when the process may run on two CPUs, with the
-    same bits; see _refine_rows); a candidate is retained
+    candidates, moved to the argmax of a fine grid (certified, see
+    _fine_argmax) and refined by golden-section at n1 (its early comparisons
+    certified from a Taylor model, the others exact, see _golden_refine; the
+    rows split between this thread and one worker when the process may run
+    on two CPUs, with the same bits; see _refine_rows); a candidate is retained
     only if its intensity never drops below (1 - DRIFT_TOL) of the
     previous schedule entry's value.  Sources with a quadratic field also
     seed candidates from their Fourier module.
@@ -400,6 +521,8 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     k_lo, k_hi = float(k_range[0]), float(k_range[1])
     if not (resolution > 0 and k_lo < k_hi):
         raise ValueError("peak_scan needs resolution > 0 and k_min < k_max")
+    if not all(math.isfinite(v) for v in (k_lo, k_hi, resolution)):
+        raise ValueError("peak_scan needs finite k_min, k_max and resolution")
     if spec is None:
         spec = VanHoveSpec()
     w = validate_weights(w, source.m)

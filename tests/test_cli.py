@@ -335,6 +335,13 @@ def test_diffract_output_does_not_depend_on_threads_or_cpus(tmp_path, monkeypatc
     ("freq", {"source": {"type": "lattice"}, "freq": {"offsets": -3}}),
     # a reversed class scan, which once failed unpacking an empty candidate list
     ("classes", {"source": {"type": "fibonacci"}, "classes": {"scan": [100, 0]}}),
+    # non-finite weights (JSON's Infinity and NaN), once nan rows and an empty table with exit 0
+    ("autocorr", {"source": {"type": "lattice"}, "weights": [float("inf")],
+                  "autocorr": {"radius": 2, "n": 20}}),
+    ("diffract", {"source": {"type": "lattice"}, "weights": [float("nan")],
+                  "diffract": {"n_schedule": [10, 20]}}),
+    # a non-finite k range, once numpy's "Maximum allowed size exceeded"
+    ("diffract", {"source": {"type": "lattice"}, "diffract": {"k_max": float("inf"), "n_schedule": [10, 20]}}),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_cfg(tmp_path / "cfg.json", doc)

@@ -10,6 +10,7 @@ from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
     LatticeSource,
     PoissonSource,
+    TranslatedSource,
     fibonacci_cut_project,
     fibonacci_substitution,
     integer_lattice,
@@ -49,6 +50,13 @@ def test_validate_weights():
     with pytest.raises(ValueError):
         validate_weights([1], 2)
     assert validate_weights([1, -1], 2).dtype == complex
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(1, float("nan"))])
+def test_validate_weights_rejects_non_finite_entries(bad):
+    # JSON configs carry NaN and Infinity; they once gave nan rows or an empty table
+    with pytest.raises(ValueError, match="weight vector entries must be finite"):
+        validate_weights([1, bad], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +485,14 @@ def test_peak_scan_rejects_an_empty_or_stepless_grid(k_range, resolution):
         peak_scan(integer_lattice(), [1], k_range, resolution, [10, 20])
 
 
+@pytest.mark.parametrize("k_range, resolution", [((-1, float("inf")), 0.01), ((-float("inf"), 1), 0.01),
+                                                  ((-1, 1), float("inf"))])
+def test_peak_scan_rejects_a_non_finite_grid(k_range, resolution):
+    # these once reached np.arange, whose error named no config value
+    with pytest.raises(ValueError, match="finite k_min, k_max and resolution"):
+        peak_scan(integer_lattice(), [1], k_range, resolution, [10, 20])
+
+
 @pytest.mark.parametrize("route", [autocorr_direct, autocorr_from_frequencies])
 @pytest.mark.parametrize("radius, n", [(2.0, 0), (2.0, -5), (0.0, 20), (-1.0, 20)])
 def test_autocorr_routes_reject_nonpositive_radius_or_n(route, radius, n):
@@ -542,16 +558,23 @@ GOLDEN_CASES = {
     "period-doubling": (period_doubling_source(), [1, -1]),
     "poisson": (PoissonSource(1.0, seed=7), [1]),
     "Z": (integer_lattice(), [1]),
+    "fibonacci-moved": (TranslatedSource(fibonacci_cut_project(), 1e4), [1, 0.3 + 0.7j]),
 }
+
+
+def golden_inputs(name, n1=300):
+    """(pos, wvals, vol) of a GOLDEN_CASES source at n1."""
+    src, w = GOLDEN_CASES[name]
+    pos, col = src.window(SPEC.region(n1)).all_positions()
+    return pos, np.asarray(w, dtype=complex)[col], SPEC.region(n1).volume()
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
-    src, w = GOLDEN_CASES[name]
+    # the certified refinement (model comparisons, then reused exact values)
+    # against the plain loop on the exact kernel
     n1 = 300
-    patch = src.window(SPEC.region(n1))
-    pos, col = patch.all_positions()
-    wvals, vol = np.asarray(w, dtype=complex)[col], SPEC.region(n1).volume()
+    pos, wvals, vol = golden_inputs(name, n1)
     k0 = np.concatenate([np.linspace(-3, 3, 37), [1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5]])
     step = 0.25 / (2.0 * n1)
 
@@ -561,12 +584,11 @@ def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
     rows = []
     phases = spectra._phases
     monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: rows.append(len(ks)) or phases(ks, p, out))
-    fn = spectra._reusing_intensity(pos, wvals, vol, len(k0))
-    got = spectra._golden_refine(fn, k0 - step, k0 + step)
+    got = spectra._golden_refine(pos, wvals, vol, k0 - step, k0 + step)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert sum(rows) < 0.8 * 123 * len(k0)  # reuse happened
     many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # many tiles
-    assert spectra._reusing_intensity(pos, wvals, vol, len(many))(many).tobytes() == \
+    assert spectra._reusing_intensity(pos, wvals, vol, len(many))((many,))[0].tobytes() == \
         exact(many).tobytes()
 
 
@@ -587,7 +609,7 @@ def test_value_reuse_over_several_chunks_is_bit_exact(monkeypatch):
     monkeypatch.setattr(spectra, "_phases",
                         lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
     fn = spectra._reusing_intensity(pos, wvals, vol, rows)
-    got = [fn(k) for k in (k1, k2, k3)]
+    got = [fn((k,))[0] for k in (k1, k2, k3)]
     monkeypatch.undo()
     assert sum(computed) == rows + (k2 != k1).sum() + ((k3 != k1) & (k3 != k2)).sum()
     for k, values in zip((k1, k2, k3), got):
@@ -664,15 +686,104 @@ def test_golden_call_with_one_fresh_row_keeps_the_one_call_bits(monkeypatch):
                         lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
     for fresh in (0, 4, 8):
         fn = spectra._reusing_intensity(pos, wvals, vol, len(k1))
-        fn(k1)
+        fn((k1,))
         k2 = k1.copy()
         k2[fresh] += 1e-3
         computed.clear()
-        got = fn(k2)
+        got, = fn((k2,))
         assert computed == [2]  # the fresh row and one other, never a one-row tile
         assert got.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k2, vol)) ** 2).tobytes()
     one = spectra._reusing_intensity(pos, wvals, vol, 1)
-    assert one(k1[:1]).tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k1[:1], vol)) ** 2).tobytes()
+    assert one((k1[:1],))[0].tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k1[:1], vol)) ** 2).tobytes()
+
+
+def test_masked_rows_are_summed_alone_and_only_computed_values_are_reused(monkeypatch):
+    pos, wvals, vol = golden_inputs("fibonacci")
+    k1, k2 = np.linspace(-2.5, 2.5, 9), np.linspace(-2.5, 2.5, 9) + 1e-3
+    exact = {i: np.abs(spectra._amplitudes_grid(pos, wvals, k, vol)) ** 2 for i, k in ((1, k1), (2, k2))}
+    summed = []  # the k of every phase tile
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: summed.append(list(ks)) or phases(ks, p, out))
+    fn = spectra._reusing_intensity(pos, wvals, vol, len(k1))
+
+    def rows(i):
+        return np.isin(np.arange(9), i)
+    got, = fn((k1,), rows([2, 5, 6]))
+    assert summed == [list(k1[[2, 5, 6]])]
+    assert got[rows([2, 5, 6])].tobytes() == exact[1][rows([2, 5, 6])].tobytes()
+    summed.clear()
+    got, = fn((k1,))  # the rows the mask skipped were not computed, so they are summed now
+    assert summed == [list(k1[[0, 1, 3, 4, 7, 8]])] and got.tobytes() == exact[1].tobytes()
+    summed.clear()
+    got, again = fn((k2, k2), rows([4]))  # one new row; no other row is on, so row 0 joins it
+    assert summed == [list(k2[[0, 4]])] and got[4] == again[4] == exact[2][4]
+    summed.clear()
+    got, = fn((k2,), rows([0, 1, 4]))  # row 0 was computed; row 1 is new, and row 0 joins it
+    assert summed == [list(k2[[0, 1]])] and got[rows([0, 1, 4])].tobytes() == exact[2][rows([0, 1, 4])].tobytes()
+    summed.clear()
+    got, = fn((k2,), rows([3, 4]))  # row 4, on, joins the new row 3 (not row 0)
+    assert summed == [list(k2[[3, 4]])] and got[3] == exact[2][3]
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_taylor_model_stays_within_its_error_bound(name):
+    # the premise of the certified comparisons, at random k inside refinement brackets
+    n1 = 300
+    pos, wvals, vol = golden_inputs(name, n1)
+    step = 0.25 / (2.0 * n1)
+    rng = np.random.default_rng(11)
+    k0 = rng.uniform(-3 + step, 3 - step, 2000)
+    start, model = spectra._taylor_model(pos, wvals, vol, k0 - step, k0 + step)
+    assert start.all()
+    k = rng.uniform(k0 - step, k0 + step)
+    amp, err = model(k, np.arange(len(k)))
+    assert 0 < err.max() < 1e-9
+    assert (np.abs(amp - np.abs(spectra._amplitudes_grid(pos, wvals, k, vol))) <= err).all()
+
+
+def test_wide_brackets_start_on_the_exact_kernel(monkeypatch):
+    pos, wvals, vol = golden_inputs("poisson")
+    k0 = np.array([-1.0, 0.5, 1.0])
+    half = np.array([0.2 / 600, 0.25 / 600, 1.0 / 600])  # |z| = 2 pi half Y: 0.6, 0.8 and 3.1
+    start, _ = spectra._taylor_model(pos, wvals, vol, k0 - half, k0 + half)
+    assert list(start) == [True, True, False]
+    want = golden_refine_loop(lambda kk: np.abs(spectra._amplitudes_grid(pos, wvals, kk, vol)) ** 2,
+                              k0 - half, k0 + half)
+    got = spectra._golden_refine(pos, wvals, vol, k0 - half, k0 + half)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+# (source, weights, n_schedule, phase rows the refinement summed on one thread
+# before it had a model, the share of those it may sum now): diffract_fib's scan
+# and the fast lattice_peaks check's; the plain loop reused values of equal k bits
+REFINE_CASES = {
+    "diffract_fib": (fibonacci_cut_project(), [1, 1], [500, 2000], 24528, 0.75),
+    "lattice_peaks": (integer_lattice(), [1], [500, 1000], 573, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", REFINE_CASES)
+def test_certified_refinement_sums_fewer_phase_rows(name, monkeypatch):
+    src, w, schedule, plain, share = REFINE_CASES[name]
+    rows, refining = [], [False]
+    phases, refine = spectra._phases, spectra._refine_rows
+
+    def count(ks, p, out=None):
+        if refining[0]:
+            rows.append(len(ks))
+        return phases(ks, p, out)
+
+    def refine_counted(*args):
+        refining[0] = True
+        try:
+            return refine(*args)
+        finally:
+            refining[0] = False
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(spectra, "_phases", count)
+    monkeypatch.setattr(spectra, "_refine_rows", refine_counted)
+    peak_scan(src, w, (-3, 3), 0.01, schedule)
+    assert 0 < sum(rows) <= share * plain
 
 
 def refinement_spies(monkeypatch, cpus):
@@ -681,7 +792,8 @@ def refinement_spies(monkeypatch, cpus):
     rows = []
     golden = spectra._golden_refine
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(spectra, "_golden_refine", lambda fn, lo, hi: rows.append(len(lo)) or golden(fn, lo, hi))
+    monkeypatch.setattr(spectra, "_golden_refine", lambda pos, wvals, vol, lo, hi: rows.append(len(lo))
+                        or golden(pos, wvals, vol, lo, hi))
     return rows
 
 
@@ -727,10 +839,10 @@ def test_a_failing_refinement_half_raises_itself_after_the_join(failing, monkeyp
     golden = spectra._golden_refine
     main = threading.main_thread()
 
-    def refine(fn, lo, hi):
+    def refine(*args):
         if (threading.current_thread() is main) == (failing == "caller"):
             raise Boom(failing)
-        return golden(fn, lo, hi)
+        return golden(*args)
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(spectra, "_golden_refine", refine)
     before = threading.active_count()

@@ -202,6 +202,26 @@ def test_fibonacci_class_frequencies_are_their_acceptance_domains():
     assert one_piece == 4
 
 
+def test_fibonacci_cylinder_measure_is_its_acceptance_window():
+    """Criterion 5's Fibonacci cylinder measure against the exact Vol(V) |W_a|/sqrt5
+    (|W_a| = 1, colour a's density), not a point count, at the check's n.
+
+    The tolerance, from F_n = [-n, n]: the colour-a points (the left ends of
+    the tiles of length tau) in F_n number N_a, and the N tiles starting in F_n
+    cover N_a tau + (N - N_a) = 2n + theta with |theta| < tau.  The Fibonacci
+    word is Sturmian, so balanced: N_a = N/tau + beta with |beta| < 1.  Hence
+    N_a = (2n + theta - beta/tau)/sqrt5 + beta, within (tau + 1/tau)/sqrt5 + 1 = 2
+    of 2n/sqrt5.  J differs from Vol(V) N_a by less than Vol(V): points lie at
+    least 1 apart, so one translate at most is cut at each end of F_n.  Over
+    Vol F_n = 2n."""
+    fib, n, V = fibonacci_cut_project(), 1000, Interval(0.0, 0.1, True, False)
+    w_a = fib.spec.windows[0]
+    exact = V.volume() * float(w_a.hi - w_a.lo) / math.sqrt(5)
+    m, _, _ = empirical_cylinder_measure(fib, CylinderSpec(cluster_1d([0.0], []), V), n)
+    assert abs(m - exact) <= 2e-3  # criterion 5's tolerance
+    assert abs(m - exact) <= 3 * V.volume() / (2 * n)
+
+
 def test_default_offsets_reject_a_negative_count():
     assert default_offsets(0, 8.0) == []
     with pytest.raises(ValueError, match="number of probe offsets must be >= 0"):
