@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .geometry import Interval, cluster_1d, enumerate_cluster_classes
@@ -266,6 +266,7 @@ COMMANDS = {
 }
 
 
+@cache  # built on first use, not at import; parse_args leaves the parser as it was
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pointspec",
@@ -276,9 +277,10 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and changes nothing; peak "
-                            "refinement uses a second thread when the process may run "
-                            "on two CPUs, and no output depends on either")
+                       help="accepted for compatibility and changes nothing; the exact "
+                            "amplitude grids and the peak refinement use a second thread "
+                            "when the process may run on two CPUs, and no output depends "
+                            "on either")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot-data", action="store_true", dest="plot_data")
     v = sub.add_parser("verify")

@@ -25,13 +25,16 @@ density) against the smoothed autocorrelation.
 
 Every exponential sum runs through _tile_sums in phase tiles of at most
 0.5 MiB, so an amplitude's bits depend on its k alone (and on whether its call
-had one k).  The golden section sums only the k it has not seen, and its rows
-split between the calling thread and one worker when the process may run on
-two CPUs.  Two of peak_scan's steps are certified: the fine-grid argmax
-(_fine_argmax), and the golden section's comparisons while a Taylor model of
-|A| decides them within its error bound (_taylor_model); from a row's first
-comparison the bound cannot decide on, its values are exact.  The coarse grid
-and the schedule rows are exact.
+had one k).  The exact amplitude grids (_amplitudes_grid) and the golden
+section's rows split between the calling thread and one worker when the
+process may run on two CPUs (_on_two_cpus), with the same bits; the golden
+section sums only the k it has not seen.  Three of peak_scan's steps are
+certified: the coarse scan's threshold and local maxima (_coarse_peaks) and
+the fine-grid argmax (_fine_argmax), both from a factorized grid within its
+error bound (_factored_intensity), and the golden section's comparisons while
+a Taylor model of |A| decides them within its bound (_taylor_model).  A
+decision the bound cannot make is taken on the exact kernel, so every output
+keeps the bits of the exact path.  The schedule rows are exact.
 """
 
 from __future__ import annotations
@@ -203,14 +206,15 @@ def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float):
 
 
 def _amplitudes_grid(pos, wvals, ks, vol):
-    """A(k) for each k in ks ((K,) for 1D positions, (K, d) for (N, d) ones)."""
-    return _tile_sums(ks, pos, wvals) / vol
+    """A(k) for each k in ks ((K,) for 1D positions, (K, d) for (N, d) ones), the k
+    split between this thread and one worker as _on_two_cpus splits rows."""
+    return np.concatenate(_on_two_cpus(lambda s, e: _tile_sums(ks[s:e], pos, wvals), len(ks))) / vol
 
 
 def _tile_sums(ks, pos, rhs):
     """e(-k.x) @ rhs for each k, rhs (N,) or (N, M): phases in tiles of at most
-    max(3, 2^15 // N) rows (0.5 MiB; the two halves of a split refinement
-    hold one tile each at once) from one buffer, one BLAS product per tile.  A
+    max(3, 2^15 // N) rows (0.5 MiB; the two halves of a split call hold
+    one tile each at once) from one buffer, one BLAS product per tile.  A
     row's gemv bits are the same in any tile of two or more rows, but a one-row
     product takes numpy's other path: so no call of K >= 2 has a one-row tile."""
     tile = max(3, 2 ** 15 // max(len(pos), 1))
@@ -252,7 +256,6 @@ class DiffractionEstimate:
     k_range: tuple
     resolution: float
     n_schedule: list
-    threshold: float
     drift_tol: float
 
     def retained(self):
@@ -420,35 +423,37 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _refine_rows(pos, wvals, vol, lo, hi):
-    """_golden_refine of |A(k)|^2 on each row's [lo, hi], as one call gives it.
-
-    From 4 rows on, when the process may run on two CPUs, one worker thread
-    refines the second half while this thread refines the first.  Each half has
-    two or more rows, so every row keeps its bits (see _tile_sums).  The worker
-    is always joined, and an exception it raised is raised here."""
-    def refine(s, e):
-        return _golden_refine(pos, wvals, vol, lo[s:e], hi[s:e])
-
-    rows = len(lo)
+def _on_two_cpus(f, rows):
+    """The parts [f(0, rows)], or [f(0, mid), f(mid, rows)] from 4 rows on when the
+    process may run on two CPUs: one worker thread runs the second half while this
+    thread runs the first.  Each half has two or more rows, so a row summed by
+    _tile_sums keeps its bits.  The worker is always joined, and an exception it
+    raised is raised here."""
     if rows < 4 or _usable_cpus() < 2:
-        return refine(0, rows)
+        return [f(0, rows)]
     mid, box = rows // 2, []
 
     def work():
         try:
-            box.append(refine(mid, rows))
+            box.append(f(mid, rows))
         except BaseException as exc:  # re-raised by the caller
             box.append(exc)
-    worker = threading.Thread(target=work, name="peak_scan-refine")
+    worker = threading.Thread(target=work, name="pointspec-half")
     worker.start()
     try:
-        first = refine(0, mid)
+        first = f(0, mid)
     finally:
         worker.join()
     if isinstance(box[0], BaseException):
         raise box[0]
-    return tuple(np.concatenate(parts) for parts in zip(first, box[0]))
+    return [first, box[0]]
+
+
+def _refine_rows(pos, wvals, vol, lo, hi):
+    """_golden_refine of |A(k)|^2 on each row's [lo, hi], as one call gives it, the
+    rows split by _on_two_cpus."""
+    parts = _on_two_cpus(lambda s, e: _golden_refine(pos, wvals, vol, lo[s:e], hi[s:e]), len(lo))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _certified_argmax(approx, bound, exact_rows):
@@ -461,29 +466,95 @@ def _certified_argmax(approx, bound, exact_rows):
     return best
 
 
-def _fine_argmax(pos, wvals, vol, cand, offs):
-    """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it.
+def _factored_intensity(pos, wvals, vol, cs, offs, ks):
+    """(approx, B): approx[i] within B of |A(ks[i])|^2 as _amplitudes_grid gives it,
+    where ks[i] lies near c_a + o_j of the grid cs x offs (row-major, i = a len(offs)
+    + j; ks may stop short of the grid's end).
 
     Factorized, |e(-c x) (W o e(-o x))^T|^2 / vol^2 (W with the shorter list), it
-    takes one exp per (row, point) and per (offset, point).  With S1 = sum|w|,
-    Sx = sum|w||x| and kappa >= |c| + |o|, each of the two sums, the factorized
-    one and the one-call evaluation, is within _kernel_error(kappa) of A to first
-    order (the roundings of c.x and o.x, and the one more sincos and product,
-    take what the one-call k.x and gemv would), and k = fl(c + o) adds
-    2 pi u kappa Sx / vol.  Doubled for the dropped O(N u^2) terms, that is
-    E = 2 (2 _kernel_error(kappa) + 2 pi u kappa Sx / vol); with M = S1/vol + E,
-    B = 2 M E + 10 u M^2 (|.|^2 twice).  A row whose top two are over 2B apart
-    keeps its argmax; the others take theirs from the one-call evaluation.
+    takes one exp per (c, point) and per (o, point).  With S1 = sum|w|,
+    Sx = sum|w||x| and kappa >= |k|, |c| + |o|, each of the two sums, the factorized
+    one at c + o and the one-call evaluation at k, is within _kernel_error(kappa)
+    of A to first order (the roundings of c.x and o.x, and the one more sincos
+    and product, take what the one-call k.x and gemv would).  |dA/dk| <= 2 pi Sx/vol,
+    so |k - (c + o)| <= Delta adds 2 pi Delta Sx / vol.  Delta comes from the
+    arrays: g = fl(c + o) is within u|c + o| <= u kappa0 of c + o
+    (kappa0 = max|c| + max|o|), and k - g is within (1 + 2u) of its float d, so
+    Delta = max|d| _SLACK + 2u kappa0 and kappa = kappa0 + Delta.  (On the
+    one-call grid k = fl(c + o), every d is 0.)  Doubled for the dropped
+    O(N u^2) terms, that is E = 2 (2 _kernel_error(kappa) + 2 pi Delta Sx / vol);
+    with M = S1/vol + E, B = 2 M E + 10 u M^2 (|.|^2 twice).
     """
     aw = np.abs(wvals)
-    s1, sx, kappa = float(aw.sum()), float(aw @ np.abs(pos)), abs(cand).max() + abs(offs).max()
-    err = 2 * (2 * _kernel_error(s1, sx, len(pos), kappa, vol) + 2 * np.pi * _U * kappa * sx / vol)
+    s1, sx = float(aw.sum()), float(aw @ np.abs(pos))
+    kappa0 = float(abs(cs).max() + abs(offs).max())
+    delta = float(np.abs(ks - (cs[:, None] + offs).ravel()[: len(ks)]).max()) * _SLACK + 2 * _U * kappa0
+    err = 2 * (2 * _kernel_error(s1, sx, len(pos), kappa0 + delta, vol) + 2 * np.pi * delta * sx / vol)
     m = s1 / vol + err
-    few, many = (cand, offs) if len(cand) < len(offs) else (offs, cand)
+    few, many = (cs, offs) if len(cs) < len(offs) else (offs, cs)
     approx = np.abs(_tile_sums(many, pos, (_phases(few, pos) * wvals).T) / vol) ** 2
-    approx = approx.T if few is cand else approx
-    return _certified_argmax(approx, 2 * m * err + 10 * _U * m * m, lambda rows: (np.abs(
-        _amplitudes_grid(pos, wvals, (cand[rows][:, None] + offs).ravel(), vol)) ** 2).reshape(len(rows), -1))
+    approx = approx.T if few is cs else approx
+    return approx.ravel()[: len(ks)], 2 * m * err + 10 * _U * m * m
+
+
+def _fine_argmax(pos, wvals, vol, cand, offs):
+    """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it,
+    from _factored_intensity: a row whose top two are over 2B apart keeps its
+    argmax; the others take theirs from the one-call evaluation."""
+    ks = cand[:, None] + offs
+    approx, bound = _factored_intensity(pos, wvals, vol, cand, offs, ks.ravel())
+    return _certified_argmax(approx.reshape(ks.shape), bound, lambda rows: (np.abs(
+        _amplitudes_grid(pos, wvals, ks[rows].ravel(), vol)) ** 2).reshape(len(rows), -1))
+
+
+def _coarse_peaks(pos, wvals, vol, ks):
+    """(local_max, above) of peak_scan's coarse grid ks, as the exact intensities
+    I = |_amplitudes_grid(pos, wvals, ks, vol)|^2 give them: with the threshold
+    t = median(I) + THRESHOLD_BUMP / vol^2, local_max = (I > t) & (I >= each
+    neighbour, -1 past either end), and above(v) = v > t.
+
+    Decided from _factored_intensity on blocks of b = ceil(sqrt K) k: c_a = ks[a b]
+    and o_j = ks[j] - ks[0], so 2b phase rows instead of K.  Order statistics are
+    1-Lipschitz in the sup norm, so the median of the approximations m is within
+    B of median(I) (for even K the mean of the middle two: 4u|m| more covers both
+    roundings), and fl(x + bump) is monotone in x, so t lies in [t_lo, t_hi], the
+    sums at m -+ that spread, each rounded outwards.  I_i > t is decided when
+    approx_i clears t_hi or stays under t_lo by B, and I_i >= I_j when
+    approx_i - approx_j clears +-2B (B times _SLACK, for the roundings of the
+    differences).  When any part of local_max is undecided, the exact grid is
+    summed and decides it, as does above() for a v inside [t_lo, t_hi].
+    """
+    bump = THRESHOLD_BUMP / vol ** 2
+    b = math.isqrt(len(ks) - 1) + 1
+    approx, bound = _factored_intensity(pos, wvals, vol, ks[::b], ks[:b] - ks[0], ks)
+    gap = bound * _SLACK
+    med = float(np.median(approx))
+    spread = gap + 4 * _U * abs(med)
+    thr = [np.nextafter(med - spread, -np.inf) + bump, np.nextafter(med + spread, np.inf) + bump]
+
+    def exact():
+        inten = np.abs(_amplitudes_grid(pos, wvals, ks, vol)) ** 2
+        thr[:] = [float(np.median(inten)) + bump] * 2
+        return inten
+
+    d = np.diff(approx)  # approx_{i+1} - approx_i
+    # (sure, surely not) for I_i > t, I_i >= I_{i-1} and I_i >= I_{i+1}
+    tests = [(approx - thr[1] > gap, thr[0] - approx >= gap),
+             (np.r_[True, d >= 2 * gap], np.r_[False, d < -2 * gap]),
+             (np.r_[d <= -2 * gap, True], np.r_[d > 2 * gap, False])]
+    sure = np.logical_and.reduce([yes for yes, _ in tests])
+    if (sure | np.logical_or.reduce([no for _, no in tests])).all():
+        local_max = sure
+    else:
+        inten = exact()
+        padded = np.concatenate([[-1.0], inten, [-1.0]])
+        local_max = (inten > thr[0]) & (inten >= padded[:-2]) & (inten >= padded[2:])
+
+    def above(v):
+        if ((v > thr[0]) & (v <= thr[1])).any():
+            exact()
+        return v > thr[1]
+    return local_max, above
 
 
 def module_seed_candidates(source, k_lo: float, k_hi: float):
@@ -501,13 +572,15 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
 
     Coarse-scan |A_{n1}|^2 on a k grid; runs above threshold (empirical
     noise floor + THRESHOLD_BUMP/(Vol F_{n1})^2) yield local-max
-    candidates, moved to the argmax of a fine grid (certified, see
-    _fine_argmax) and refined by golden-section at n1 (its early comparisons
-    certified from a Taylor model, the others exact, see _golden_refine; the
-    rows split between this thread and one worker when the process may run
-    on two CPUs, with the same bits; see _refine_rows); a candidate is retained
-    only if its intensity never drops below (1 - DRIFT_TOL) of the
-    previous schedule entry's value.  Sources with a quadratic field also
+    candidates (certified from a factorized grid, see _coarse_peaks), moved
+    to the argmax of a fine grid (certified, see _fine_argmax) and refined by
+    golden-section at n1 (its early comparisons certified from a Taylor
+    model, the others exact, see _golden_refine); a refined candidate must
+    clear the threshold too, and is retained only if its intensity never
+    drops below (1 - DRIFT_TOL) of the previous schedule entry's value.  The
+    refinement's rows and the schedule's exact amplitude grids split between
+    this thread and one worker when the process may run on two CPUs, with
+    the same bits (see _on_two_cpus).  Sources with a quadratic field also
     seed candidates from their Fourier module.
     """
     if source.dim != 1:
@@ -532,16 +605,10 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     pos1, col1 = patch1.all_positions()
     wv1 = w[col1]
     ks = np.arange(k_lo, k_hi + resolution / 2, resolution)
-    inten = np.abs(_amplitudes_grid(pos1, wv1, ks, vol1)) ** 2
-    noise = float(np.median(inten))
-    threshold = noise + THRESHOLD_BUMP / vol1 ** 2
-
-    padded = np.concatenate([[-1.0], inten, [-1.0]])
-    local_max = (inten > threshold) & (inten >= padded[:-2]) & (inten >= padded[2:])
+    local_max, above_threshold = _coarse_peaks(pos1, wv1, vol1, ks)
     cand = list(ks[local_max]) + module_seed_candidates(source, k_lo, k_hi)
     if not cand:
-        return DiffractionEstimate([], (k_lo, k_hi), resolution, list(n_schedule),
-                                   threshold, DRIFT_TOL)
+        return DiffractionEstimate([], (k_lo, k_hi), resolution, list(n_schedule), DRIFT_TOL)
     cand = np.array(sorted(cand))
 
     # peaks at n1 have width ~ 1/(2 n1); locate the main lobe on a fine grid
@@ -561,7 +628,7 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
             continue
         uniq.append(idx)
     uniq_k, prev = k_star[uniq], i_star[uniq]
-    keep = prev > threshold
+    keep = above_threshold(prev)
     for n in n_schedule[1:]:
         amps = bragg_amplitude(source, w, uniq_k, spec, n)
         inten_n = np.abs(amps) ** 2
@@ -570,8 +637,7 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     entries = [PeakEntry(k=float(k), amplitude=complex(a), intensity=float(abs(a) ** 2),
                          n=n_schedule[-1], retained=bool(r))
                for k, a, r in zip(uniq_k, amps, keep)]
-    return DiffractionEstimate(entries, (k_lo, k_hi), resolution, list(n_schedule),
-                               threshold, DRIFT_TOL)
+    return DiffractionEstimate(entries, (k_lo, k_hi), resolution, list(n_schedule), DRIFT_TOL)
 
 
 # ---------------------------------------------------------------------------

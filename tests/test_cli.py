@@ -196,6 +196,22 @@ def test_threads_flag_validated(tmp_path):
                  "--threads", "0"]) == 2
 
 
+def test_calls_in_one_process_parse_independently(tmp_path):
+    # the parser is built once per process; each call still parses its own argv
+    from pointspec.cli import build_parser
+
+    assert build_parser() is build_parser()
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "source": {"type": "lattice", "basis": [[1.0]]},
+        "autocorr": {"radius": 3, "n": 50, "method": "direct"}})
+    assert main(["autocorr", "--config", cfg, "--out", str(tmp_path / "a"), "--plot-data"]) == 0
+    assert main(["autocorr", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "autocorr.dat").exists()
+    assert sorted(f.name for f in (tmp_path / "b").iterdir()) == ["autocorr.csv", "manifest.json"]
+    assert main(["autocorr", "--config", cfg, "--out", str(tmp_path / "c"), "--threads", "0"]) == 2
+    assert main(["autocorr", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+
+
 def test_freq_output_does_not_depend_on_threads(tmp_path):
     # an exact source and a Poisson source, whose generator is local to each query
     docs = [{"source": {"type": "fibonacci", "offset": 0.5},

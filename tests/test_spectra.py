@@ -786,15 +786,49 @@ def test_certified_refinement_sums_fewer_phase_rows(name, monkeypatch):
     assert 0 < sum(rows) <= share * plain
 
 
-def refinement_spies(monkeypatch, cpus):
-    """Make _usable_cpus report cpus; return the row counts of every
-    _golden_refine call, from whichever thread made it."""
+# the functions _on_two_cpus runs on each half, and the argument holding their rows
+SPLIT_TARGETS = {"_golden_refine": 3, "_tile_sums": 0}
+
+
+def split_spies(monkeypatch, cpus, target="_golden_refine"):
+    """Make _usable_cpus report cpus; return the row counts of every call of
+    target (a SPLIT_TARGETS name), from whichever thread made it."""
     rows = []
-    golden = spectra._golden_refine
+    fn, arg = getattr(spectra, target), SPLIT_TARGETS[target]
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(spectra, "_golden_refine", lambda pos, wvals, vol, lo, hi: rows.append(len(lo))
-                        or golden(pos, wvals, vol, lo, hi))
+    monkeypatch.setattr(spectra, target, lambda *args: rows.append(len(args[arg])) or fn(*args))
     return rows
+
+
+def assert_split_keeps_every_bit(monkeypatch, target, call, rows, halves):
+    """call() has the same bits on one CPU and on two, where target runs on the
+    halves (their row counts in any order) instead of all rows at once."""
+    got = {}
+    for cpus in (1, 2):
+        seen = split_spies(monkeypatch, cpus, target)
+        got[cpus] = [x.tobytes() for x in np.atleast_1d(call())]
+        assert sorted(seen) == ([rows] if cpus == 1 else halves)
+    assert got[1] == got[2]
+
+
+def assert_a_failing_half_raises_after_the_join(monkeypatch, target, failing, call):
+    """With target raising on the worker's half or on the caller's, call() raises
+    that exception, and no thread is left running."""
+    class Boom(Exception):
+        pass
+    fn = getattr(spectra, target)
+    main = threading.main_thread()
+
+    def fail(*args):
+        if (threading.current_thread() is main) == (failing == "caller"):
+            raise Boom(failing)
+        return fn(*args)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectra, target, fail)
+    before = threading.active_count()
+    with pytest.raises(Boom, match=failing):
+        call()
+    assert threading.active_count() == before
 
 
 def entry_bits(est):
@@ -810,10 +844,13 @@ def entry_bits(est):
 def test_peak_scan_bits_do_not_depend_on_the_refinement_split(name, src, w, monkeypatch):
     got = {}
     for cpus in (1, 2):
-        rows = refinement_spies(monkeypatch, cpus)
+        rows = split_spies(monkeypatch, cpus)
         got[cpus] = entry_bits(peak_scan(src, w, (-3, 3), 0.01, [100, 200]))
         assert len(rows) == cpus and min(rows) >= 2, rows
     assert got[1] == got[2]
+
+
+SPLIT_KS = np.array([1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5, -1.3, 2.2])
 
 
 @pytest.mark.parametrize("rows, halves", [(1, [1]), (2, [2]), (3, [3]), (4, [2, 2]), (5, [2, 3])])
@@ -823,32 +860,50 @@ def test_refinement_splits_from_four_rows_and_keeps_every_bit(rows, halves, monk
     pos, col = patch.all_positions()
     wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(n1).volume()
     step = 0.25 / (2.0 * n1)
-    k0 = np.array([1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5, -1.3, 2.2])[:rows]
-    got = {}
-    for cpus in (1, 2):
-        seen = refinement_spies(monkeypatch, cpus)
-        got[cpus] = [x.tobytes() for x in spectra._refine_rows(pos, wvals, vol, k0 - step, k0 + step)]
-        assert sorted(seen) == ([rows] if cpus == 1 else halves)
-    assert got[1] == got[2]
+    k0 = SPLIT_KS[:rows]
+    assert_split_keeps_every_bit(monkeypatch, "_golden_refine",
+                                 lambda: spectra._refine_rows(pos, wvals, vol, k0 - step, k0 + step),
+                                 rows, halves)
+
+
+@pytest.mark.parametrize("rows, halves", [(1, [1]), (2, [2]), (3, [3]), (4, [2, 2]), (5, [2, 3])])
+def test_amplitude_grid_splits_from_four_k_and_keeps_every_bit(rows, halves, monkeypatch):
+    ks = SPLIT_KS[:rows]
+    assert_split_keeps_every_bit(monkeypatch, "_tile_sums", lambda: bragg_amplitude(
+        fibonacci_cut_project(), [1, 0.3 + 0.7j], ks, SPEC, 300), rows, halves)
+
+
+def test_amplitude_grid_on_a_2d_lattice_keeps_every_bit_when_split(monkeypatch):
+    lattice = LatticeSource([[1.0, 0.0], [0.3, 1.1]], colors=2)
+    ks = np.array([[0.1, 0.7], [1 / TAU, -0.4], [-1.3, 2.2], [0.5, TAU]])
+    assert_split_keeps_every_bit(monkeypatch, "_tile_sums", lambda: bragg_amplitude(
+        lattice, [1, 0.3 + 0.7j], ks, VanHoveSpec(n0=20, dim=2), 20), 4, [2, 2])
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_refinement_half_raises_itself_after_the_join(failing, monkeypatch):
-    class Boom(Exception):
-        pass
-    golden = spectra._golden_refine
-    main = threading.main_thread()
+    assert_a_failing_half_raises_after_the_join(monkeypatch, "_golden_refine", failing, lambda: peak_scan(
+        fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [100, 200]))
 
-    def refine(*args):
-        if (threading.current_thread() is main) == (failing == "caller"):
-            raise Boom(failing)
-        return golden(*args)
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_amplitude_half_raises_itself_after_the_join(failing, monkeypatch):
+    assert_a_failing_half_raises_after_the_join(monkeypatch, "_tile_sums", failing, lambda: bragg_amplitude(
+        fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 10), SPEC, 100))
+
+
+def test_the_traced_amplitude_grid_is_entered_once_a_call_from_the_caller(monkeypatch):
+    # a tracer wraps _amplitudes_grid; only the untraced _tile_sums runs on the worker
+    entered, summed = [], []
+    grid, tiles = spectra._amplitudes_grid, spectra._tile_sums
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(spectra, "_golden_refine", refine)
-    before = threading.active_count()
-    with pytest.raises(Boom, match=failing):
-        peak_scan(fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [100, 200])
-    assert threading.active_count() == before
+    monkeypatch.setattr(spectra, "_amplitudes_grid",
+                        lambda *args: entered.append(threading.current_thread()) or grid(*args))
+    monkeypatch.setattr(spectra, "_tile_sums",
+                        lambda *args: summed.append(threading.current_thread()) or tiles(*args))
+    bragg_amplitude(fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 10), SPEC, 100)
+    assert entered == [threading.main_thread()]
+    assert len(summed) == 2 and len(set(summed)) == 2
 
 
 def test_usable_cpus_reads_the_affinity_mask_or_the_cpu_count(monkeypatch):
@@ -960,6 +1015,177 @@ def test_unbounded_error_sends_every_row_to_the_exact_chunks(monkeypatch, tmp_pa
     assert fell_back == [True]
     assert (tmp_path / "a" / "diffract.csv").read_bytes() == \
         (tmp_path / "b" / "diffract.csv").read_bytes()
+
+
+COARSE_CASES = {
+    "fibonacci": (fibonacci_cut_project(), [1, 1]),
+    "fibonacci-complex": (fibonacci_cut_project(), [1, 0.3 + 0.7j]),
+    "period-doubling": (period_doubling_source(), [1, -1]),
+    "thue-morse": (thue_morse_source(), [1, -1]),
+    "poisson": (PoissonSource(1.0, seed=7), [1]),
+    "Z": (integer_lattice(), [1]),
+    "2Z": (integer_lattice(2.0), [1]),
+    "comb": (integer_lattice(1.0, colors=2), [1, -1]),
+}
+COARSE_GRIDS = {"wide": ((-3, 3), 0.01), "odd-step": ((0.1, 2.3), 0.007)}
+
+
+def coarse_inputs(name, n1, grid):
+    """(pos, wvals, vol, ks) of a COARSE_CASES source's coarse scan at n1."""
+    src, w = COARSE_CASES[name]
+    (lo, hi), res = COARSE_GRIDS[grid] if isinstance(grid, str) else grid
+    pos, col = src.window(SPEC.region(n1)).all_positions()
+    return (pos, np.asarray(w, dtype=complex)[col], SPEC.region(n1).volume(),
+            np.arange(lo, hi + res / 2, res))
+
+
+def coarse_oracle(pos, wvals, vol, ks):
+    """(local_max, threshold): peak_scan's coarse rule on the exact grid, as it
+    was written before it was certified."""
+    inten = np.abs(spectra._amplitudes_grid(pos, wvals, ks, vol)) ** 2
+    threshold = float(np.median(inten)) + spectra.THRESHOLD_BUMP / vol ** 2
+    padded = np.concatenate([[-1.0], inten, [-1.0]])
+    return (inten > threshold) & (inten >= padded[:-2]) & (inten >= padded[2:]), threshold
+
+
+def exact_grid_sums(monkeypatch, ks):
+    """The number of _amplitudes_grid calls on exactly the k of ks, as a list."""
+    calls = []
+    grid = spectra._amplitudes_grid
+
+    def spy(pos, wvals, kk, vol):
+        calls.append(len(kk) == len(ks) and (kk == ks).all())
+        return grid(pos, wvals, kk, vol)
+    monkeypatch.setattr(spectra, "_amplitudes_grid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("grid", COARSE_GRIDS)
+@pytest.mark.parametrize("n1", [100, 500])
+@pytest.mark.parametrize("name", COARSE_CASES)
+def test_coarse_peaks_match_the_exact_grid_without_summing_it(name, n1, grid, monkeypatch):
+    pos, wvals, vol, ks = coarse_inputs(name, n1, grid)
+    want, threshold = coarse_oracle(pos, wvals, vol, ks)
+    exact = exact_grid_sums(monkeypatch, ks)
+    local_max, above = spectra._coarse_peaks(pos, wvals, vol, ks)
+    assert local_max.tolist() == want.tolist()
+    far = np.array([0.0, 0.5 * threshold, 2 * threshold, 1.0])
+    assert above(far).tolist() == (far > threshold).tolist()
+    assert not any(exact)
+    near = np.array([threshold, np.nextafter(threshold, 0), np.nextafter(threshold, 1)])
+    assert above(near).tolist() == [False, False, True]  # decided on the exact grid
+    assert above(near).tolist() == [False, False, True]
+    assert sum(exact) == 1
+
+
+@pytest.mark.parametrize("grid", COARSE_GRIDS)
+@pytest.mark.parametrize("n1", [100, 300])
+@pytest.mark.parametrize("name", COARSE_CASES)
+def test_peak_scan_bits_match_the_exact_coarse_grid(name, n1, grid, monkeypatch):
+    src, w = COARSE_CASES[name]
+    (lo, hi), res = COARSE_GRIDS[grid]
+    got = entry_bits(peak_scan(src, w, (lo, hi), res, [n1, 2 * n1]))
+
+    def exact_coarse(pos, wvals, vol, ks):
+        local_max, threshold = coarse_oracle(pos, wvals, vol, ks)
+        return local_max, lambda v: v > threshold
+    monkeypatch.setattr(spectra, "_coarse_peaks", exact_coarse)
+    assert got == entry_bits(peak_scan(src, w, (lo, hi), res, [n1, 2 * n1]))
+
+
+def coarse_grids_and_bounds(monkeypatch, n1, grid):
+    """(approx, bound, exact intensities, ks, inputs) of each COARSE_CASES source's
+    coarse scan at n1, from the factorized grid _coarse_peaks asks for."""
+    seen = []
+    factored = spectra._factored_intensity
+    monkeypatch.setattr(spectra, "_factored_intensity", lambda *args: seen.append(factored(*args)) or seen[-1])
+    out = []
+    for name in COARSE_CASES:
+        pos, wvals, vol, ks = inputs = coarse_inputs(name, n1, grid)
+        seen.clear()
+        spectra._coarse_peaks(pos, wvals, vol, ks)
+        (approx, bound), = seen
+        out.append((approx, bound, np.abs(spectra._amplitudes_grid(pos, wvals, ks, vol)) ** 2, inputs))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("n1, grid", [(100, "wide"), (500, "odd-step")])
+def test_coarse_bound_holds_and_values_inside_it_change_no_decision(n1, grid, monkeypatch):
+    rng = np.random.default_rng(8)
+    for approx, bound, exact, (pos, wvals, vol, ks) in coarse_grids_and_bounds(monkeypatch, n1, grid):
+        assert 0 < bound < 1e-9
+        assert np.abs(approx - exact).max() <= bound
+        want, threshold = coarse_oracle(pos, wvals, vol, ks)
+        v = np.array([threshold * (1 - 1e-9), threshold * (1 + 1e-9), exact.max()])
+        alternating = np.where(np.arange(len(ks)) % 2, bound, -bound)
+        for noise in (bound, -bound, alternating, -alternating, rng.uniform(-bound, bound, len(ks))):
+            # any values within the bound of the exact ones
+            monkeypatch.setattr(spectra, "_factored_intensity", lambda *args: (exact + noise, bound))
+            local_max, above = spectra._coarse_peaks(pos, wvals, vol, ks)
+            assert local_max.tolist() == want.tolist()
+            assert above(v).tolist() == (v > threshold).tolist()
+        monkeypatch.undo()
+
+
+def test_a_tie_at_a_peak_top_takes_the_exact_grid(monkeypatch):
+    # Z's positions are symmetric, so |A|^2 is even: the grid points -0.005 and
+    # 0.005 on either side of the peak at 0 tie up to the rounding of their k
+    pos, wvals, vol, ks = coarse_inputs("Z", 50, ((-1.005, 0.995), 0.01))
+    want, _ = coarse_oracle(pos, wvals, vol, ks)
+    exact = exact_grid_sums(monkeypatch, ks)
+    local_max, _ = spectra._coarse_peaks(pos, wvals, vol, ks)
+    assert exact == [True]
+    assert local_max.tolist() == want.tolist() and want.sum() == 3
+
+
+def test_an_unbounded_coarse_error_keeps_the_diffract_bytes(monkeypatch, tmp_path):
+    from pointspec.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"source": {"type": "fibonacci"}, "diffract": '
+                   '{"k_min": -1, "k_max": 1, "resolution": 0.01, "n_schedule": [200, 400]}}')
+    assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    exact = exact_grid_sums(monkeypatch, np.arange(-1.0, 1.005, 0.01))
+    factored = spectra._factored_intensity
+    monkeypatch.setattr(spectra, "_factored_intensity", lambda *args: (factored(*args)[0], np.inf))
+    assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert exact.count(True) == 1
+    assert (tmp_path / "a" / "diffract.csv").read_bytes() == \
+        (tmp_path / "b" / "diffract.csv").read_bytes()
+
+
+@pytest.mark.parametrize("check", [verify.check_lattice_peaks, verify.check_weighted_comb])
+def test_the_coarse_scan_sums_2_sqrt_k_phase_rows(check, monkeypatch):
+    # the fast configs' coarse grid has 601 k, each once a phase row
+    rows, coarse = [], [False]
+    phases, peaks = spectra._phases, spectra._coarse_peaks
+
+    def count(ks, p, out=None):
+        if coarse[0]:
+            rows.append(len(ks))
+        return phases(ks, p, out)
+
+    def coarse_counted(*args):
+        coarse[0] = True
+        try:
+            return peaks(*args)
+        finally:
+            coarse[0] = False
+    monkeypatch.setattr(spectra, "_phases", count)
+    monkeypatch.setattr(spectra, "_coarse_peaks", coarse_counted)
+    assert check(fast=True).passed
+    assert 0 < sum(rows) <= 2 * 25  # 2 ceil(sqrt(601))
+
+
+@pytest.mark.xfail(strict=True, reason="peak_scan does not clip its candidates to the k range")
+@pytest.mark.parametrize("schedule", [[5, 10], [0.1, 0.2]])
+def test_peak_scan_entries_lie_within_half_a_step_of_the_k_range(schedule):
+    # the fine grid moves a candidate by up to the resolution, and the golden
+    # bracket reaches past that; nothing clips either to [k_min, k_max]
+    est = peak_scan(fibonacci_cut_project(), [1, 1], (-1, 1), 0.01, schedule)
+    ks = np.array([e.k for e in est.entries])
+    assert ((ks >= -1 - 0.005) & (ks <= 1 + 0.005)).all()
 
 
 # ---------------------------------------------------------------------------
