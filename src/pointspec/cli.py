@@ -183,6 +183,8 @@ def cmd_freq(args, cfg, src, sub):
     spec = _van_hove(cfg, dim=src.dim)
     P = _cluster(sub.get("cluster", [[0.0]] + [[]] * (src.m - 1)), src.m)
     n_off = _number(sub, "offsets", 50, int)
+    if n_off < 1:
+        raise ConfigError("'offsets' in 'freq' must be >= 1 (it counts offset 0), not %d" % n_off)
     span = _number(sub, "offset_span", 10.0)
     offsets = [(0.0,)] + default_offsets(n_off - 1, span)
     est = estimate_frequency(src, P, spec, offsets)
@@ -277,10 +279,10 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility and changes nothing; the exact "
-                            "amplitude grids and the peak refinement use a second thread "
-                            "when the process may run on two CPUs, and no output depends "
-                            "on either")
+                       help="accepted for compatibility and changes nothing; an "
+                            "exponential sum of more than one phase tile uses a second "
+                            "thread when the process may run on two CPUs, and no output "
+                            "depends on either")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot-data", action="store_true", dest="plot_data")
     v = sub.add_parser("verify")

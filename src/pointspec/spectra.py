@@ -25,16 +25,17 @@ density) against the smoothed autocorrelation.
 
 Every exponential sum runs through _tile_sums in phase tiles of at most
 0.5 MiB, so an amplitude's bits depend on its k alone (and on whether its call
-had one k).  The exact amplitude grids (_amplitudes_grid) and the golden
-section's rows split between the calling thread and one worker when the
-process may run on two CPUs (_on_two_cpus), with the same bits; the golden
-section sums only the k it has not seen.  Three of peak_scan's steps are
-certified: the coarse scan's threshold and local maxima (_coarse_peaks) and
-the fine-grid argmax (_fine_argmax), both from a factorized grid within its
-error bound (_factored_intensity), and the golden section's comparisons while
-a Taylor model of |A| decides them within its bound (_taylor_model).  A
-decision the bound cannot make is taken on the exact kernel, so every output
-keeps the bits of the exact path.  The schedule rows are exact.
+had one k).  _tile_sums alone decides when to use a second CPU: a call of more
+than one tile splits its k between the calling thread and one worker when the
+process may run on two CPUs, with the same bits.  The golden section keeps the
+values of its last three steps and sums only the k it has not seen.  Three of
+peak_scan's steps are certified: the coarse scan's threshold and local maxima
+(_coarse_peaks) and the fine-grid argmax (_fine_argmax), both from a factorized
+grid within its error bound (_factored_intensity), and the golden section's
+comparisons while a Taylor model of |A| decides them within its bound
+(_taylor_model).  A decision the bound cannot make is taken on the exact
+kernel, so every output keeps the bits of the exact path.  The schedule rows
+are exact.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,25 +206,49 @@ def bragg_amplitude(source, w, k, spec: VanHoveSpec, n: float):
 
 
 def _amplitudes_grid(pos, wvals, ks, vol):
-    """A(k) for each k in ks ((K,) for 1D positions, (K, d) for (N, d) ones), the k
-    split between this thread and one worker as _on_two_cpus splits rows."""
-    return np.concatenate(_on_two_cpus(lambda s, e: _tile_sums(ks[s:e], pos, wvals), len(ks))) / vol
+    """A(k) for each k in ks ((K,) for 1D positions, (K, d) for (N, d) ones)."""
+    return _tile_sums(ks, pos, wvals) / vol
 
 
 def _tile_sums(ks, pos, rhs):
     """e(-k.x) @ rhs for each k, rhs (N,) or (N, M): phases in tiles of at most
-    max(3, 2^15 // N) rows (0.5 MiB; the two halves of a split call hold
-    one tile each at once) from one buffer, one BLAS product per tile.  A
-    row's gemv bits are the same in any tile of two or more rows, but a one-row
-    product takes numpy's other path: so no call of K >= 2 has a one-row tile."""
+    tile = max(3, 2^15 // N) rows (0.5 MiB) from one buffer, one BLAS product per
+    tile.  A row's gemv bits are the same in any tile of two or more rows, but a
+    one-row product takes numpy's other path: so no call of K >= 2 has a one-row
+    tile.  Past one tile, when the process may run on two CPUs, one worker thread
+    sums the second half of the k while this thread sums the first, each half
+    tiled alike in its own buffer (K > tile >= 3, so both have two or more rows
+    and the same bits).  The worker is always joined, and an exception it raised
+    is raised here."""
     tile = max(3, 2 ** 15 // max(len(pos), 1))
-    starts = list(range(0, len(ks), tile))
-    if len(ks) > 1 and len(ks) % tile == 1:
-        starts[-1] -= 1
-    buf = np.empty((min(tile, len(ks)), len(pos)), dtype=complex)
     out = np.empty((len(ks),) + rhs.shape[1:], dtype=complex)
-    for s, e in zip(starts, starts[1:] + [len(ks)]):
-        out[s:e] = _phases(ks[s:e], pos, buf[: e - s]) @ rhs
+
+    def run(s, e):
+        starts = list(range(s, e, tile))
+        if e - s > 1 and (e - s) % tile == 1:
+            starts[-1] -= 1
+        buf = np.empty((min(tile, e - s), len(pos)), dtype=complex)
+        for a, b in zip(starts, starts[1:] + [e]):
+            out[a:b] = _phases(ks[a:b], pos, buf[: b - a]) @ rhs
+
+    if len(ks) <= tile or _usable_cpus() < 2:
+        run(0, len(ks))
+        return out
+    mid, failed = len(ks) // 2, []
+
+    def work():
+        try:
+            run(mid, len(ks))
+        except BaseException as exc:  # re-raised by the caller
+            failed.append(exc)
+    worker = threading.Thread(target=work, name="pointspec-half")
+    worker.start()
+    try:
+        run(0, mid)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -342,19 +366,38 @@ def _taylor_model(pos, wvals, vol, lo, hi):
 
 
 def _golden_refine(pos, wvals, vol, lo, hi):
-    """Golden-section maximization of |A(k)|^2 on each row's [lo, hi] in 60 steps,
-    every comparison fn(c) < fn(d) with the outcome it has on the exact kernel.
+    """(k, |A(k)|^2) at the golden-section maximum of |A|^2 on each row's [lo, hi]
+    after 60 steps, every comparison fn(c) < fn(d) with the outcome it has on the
+    exact kernel, and every value with the bits of the plain loop's one call.
 
     A row starts on _taylor_model, and a comparison is certified while the model
     intensities m_c, m_d are more than D_c + D_d apart.  With a = |T(k)| (T the
     model) and e its bound, an intensity fl(|fl(A)|)^2 is within 5u of |fl(A)|^2
     (hypot within 1 ulp, then the square), so |m - fl(|fl(A)|)^2| <= e(2|T| + e)
     + 5u(|T|^2 + (|T| + e)^2) <= D = 2(a + e)e + 12u(a + e)^2.  From a row's first
-    comparison the bound cannot decide on, its values come from
-    _reusing_intensity, so each row keeps the bits the plain loop gives it.
+    comparison the bound cannot decide on, its values are exact: a memo of the
+    last three steps' c and d (their k and values, on the rows summed exactly)
+    gives a (row, k) of the same k bits its value, and one _tile_sums call sums
+    the others, a lone k as [k, k] so it keeps the bits of a call of two or more
+    k; with one row, each k is summed alone, as a one-k call sums it.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    exact = _reusing_intensity(pos, wvals, vol, len(a))
+    keys, vals = np.full((6, len(a)), np.nan), np.full((6, len(a)), np.nan)
+
+    def exact(ks, on):  # |A|^2 at the k vectors ks, on the rows `on`
+        k, m = ks[:, on], len(ks)
+        hit = keys[:, None, on].view(np.int64) == k.view(np.int64)  # (6, m, rows on)
+        out = np.take_along_axis(vals[:, on], hit.argmax(axis=0), axis=0)
+        new = ~hit.any(axis=0)
+        if new.any():
+            kn = k[new]
+            parts = np.split(kn, kn.size) if len(a) == 1 else [np.resize(kn, max(kn.size, 2))]
+            sums = np.concatenate([_tile_sums(p, pos, wvals) for p in parts])[: kn.size]
+            out[new] = np.abs(sums / vol) ** 2
+        keys[:-m], vals[:-m] = keys[m:], vals[m:]
+        keys[-m:], vals[-m:, on] = np.where(on, ks, np.nan), out
+        return out
+
     guess, model = _taylor_model(pos, wvals, vol, a, b)
     for _ in range(60):
         c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
@@ -367,52 +410,12 @@ def _golden_refine(pos, wvals, vol, lo, hi):
             swap[r] = m[0] < m[1]
             guess[r[~(np.abs(m[0] - m[1]) > (dist[0] + dist[1]) * _SLACK)]] = False
         if not guess.all():
-            fc, fd = exact((c, d), ~guess)
-            swap[~guess] = (fc < fd)[~guess]
+            fc, fd = exact(np.stack([c, d]), ~guess)
+            swap[~guess] = fc < fd
         a = np.where(swap, c, a)
         b = np.where(~swap, d, b)
     mid = 0.5 * (a + b)
-    return mid, exact((mid,))[0]
-
-
-def _reusing_intensity(pos, wvals, vol, rows):
-    """fn(ks, on) = [np.abs(_amplitudes_grid(pos, wvals, k, vol)) ** 2 for k in ks] on
-    the rows `on` (all by default; the others are undefined), bit for bit, each k
-    `rows` long.  A row takes the value of the same k bits from an earlier k of
-    the call or of the last six k, where that value was computed; _tile_sums sums
-    the other rows of the call at once, with a second row when one row is new
-    (from `on` where it can), or one k at a time when rows == 1, as one-k calls."""
-    hist = deque(maxlen=6)  # (k, value, computed)
-
-    def fn(ks, on=None):
-        on = np.ones(rows, dtype=bool) if on is None else on
-        work, copies = [], []
-        for kk in ks:
-            out, todo = np.empty(rows), on.copy()
-            for k_old, v_old, known in hist:
-                hit = todo & known & (k_old.view(np.int64) == kk.view(np.int64))
-                copies.append((out, v_old, hit))
-                todo &= ~hit
-            known = on.copy()
-            hist.append((kk, out, known))
-            work.append((kk, out, todo, known))
-        if rows > 1 and sum(int(todo.sum()) for *_, todo, _ in work) == 1:
-            _, _, todo, known = next(w for w in work if w[2].any())
-            free = np.flatnonzero(~todo)
-            j = free[np.argmax(on[free])]  # a row of `on` where there is one
-            todo[j] = known[j] = True
-        new = [kk[todo] for kk, _, todo, _ in work]
-        if rows > 1:
-            sums = np.split(_tile_sums(np.concatenate(new), pos, wvals),
-                            np.cumsum([len(k) for k in new])[:-1])
-        else:
-            sums = [_tile_sums(k, pos, wvals) for k in new]
-        for (_, out, todo, _), s in zip(work, sums):
-            out[todo] = np.abs(s / vol) ** 2
-        for out, v_old, hit in copies:
-            out[hit] = v_old[hit]
-        return [out for _, out, _, _ in work]
-    return fn
+    return mid, exact(mid[None], np.ones(len(a), dtype=bool))[0]
 
 
 def _usable_cpus():
@@ -421,49 +424,6 @@ def _usable_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _on_two_cpus(f, rows):
-    """The parts [f(0, rows)], or [f(0, mid), f(mid, rows)] from 4 rows on when the
-    process may run on two CPUs: one worker thread runs the second half while this
-    thread runs the first.  Each half has two or more rows, so a row summed by
-    _tile_sums keeps its bits.  The worker is always joined, and an exception it
-    raised is raised here."""
-    if rows < 4 or _usable_cpus() < 2:
-        return [f(0, rows)]
-    mid, box = rows // 2, []
-
-    def work():
-        try:
-            box.append(f(mid, rows))
-        except BaseException as exc:  # re-raised by the caller
-            box.append(exc)
-    worker = threading.Thread(target=work, name="pointspec-half")
-    worker.start()
-    try:
-        first = f(0, mid)
-    finally:
-        worker.join()
-    if isinstance(box[0], BaseException):
-        raise box[0]
-    return [first, box[0]]
-
-
-def _refine_rows(pos, wvals, vol, lo, hi):
-    """_golden_refine of |A(k)|^2 on each row's [lo, hi], as one call gives it, the
-    rows split by _on_two_cpus."""
-    parts = _on_two_cpus(lambda s, e: _golden_refine(pos, wvals, vol, lo[s:e], hi[s:e]), len(lo))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _certified_argmax(approx, bound, exact_rows):
-    """Row argmax of the exact values approx estimates within bound; rows whose
-    top two are within 2 bound take it from exact_rows(row indices)."""
-    best = np.argmax(approx, axis=1)
-    unsure = np.flatnonzero(np.ptp(np.sort(approx, axis=1)[:, -2:], axis=1) <= 2 * bound)
-    if unsure.size:
-        best[unsure] = np.argmax(exact_rows(unsure), axis=1)
-    return best
 
 
 def _factored_intensity(pos, wvals, vol, cs, offs, ks):
@@ -500,11 +460,16 @@ def _factored_intensity(pos, wvals, vol, cs, offs, ks):
 def _fine_argmax(pos, wvals, vol, cand, offs):
     """Row argmax over j of |A(fl(cand_i + offs_j))|^2, as _amplitudes_grid gives it,
     from _factored_intensity: a row whose top two are over 2B apart keeps its
-    argmax; the others take theirs from the one-call evaluation."""
+    argmax; the others take theirs from one exact grid of their k."""
     ks = cand[:, None] + offs
     approx, bound = _factored_intensity(pos, wvals, vol, cand, offs, ks.ravel())
-    return _certified_argmax(approx.reshape(ks.shape), bound, lambda rows: (np.abs(
-        _amplitudes_grid(pos, wvals, ks[rows].ravel(), vol)) ** 2).reshape(len(rows), -1))
+    approx = approx.reshape(ks.shape)
+    best = np.argmax(approx, axis=1)
+    unsure = np.flatnonzero(np.ptp(np.sort(approx, axis=1)[:, -2:], axis=1) <= 2 * bound)
+    if unsure.size:
+        inten = np.abs(_amplitudes_grid(pos, wvals, ks[unsure].ravel(), vol)) ** 2
+        best[unsure] = np.argmax(inten.reshape(len(unsure), -1), axis=1)
+    return best
 
 
 def _coarse_peaks(pos, wvals, vol, ks):
@@ -577,11 +542,11 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     golden-section at n1 (its early comparisons certified from a Taylor
     model, the others exact, see _golden_refine); a refined candidate must
     clear the threshold too, and is retained only if its intensity never
-    drops below (1 - DRIFT_TOL) of the previous schedule entry's value.  The
-    refinement's rows and the schedule's exact amplitude grids split between
-    this thread and one worker when the process may run on two CPUs, with
-    the same bits (see _on_two_cpus).  Sources with a quadratic field also
-    seed candidates from their Fourier module.
+    drops below (1 - DRIFT_TOL) of the previous schedule entry's value.  Every
+    exponential sum of more than one phase tile splits between this thread and
+    one worker when the process may run on two CPUs, with the same bits (see
+    _tile_sums).  Sources with a quadratic field also seed candidates from
+    their Fourier module.
     """
     if source.dim != 1:
         raise ValueError("peak_scan needs a 1D source")
@@ -617,7 +582,7 @@ def peak_scan(source, w, k_range, resolution: float, n_schedule,
     fine_step = 0.25 / (2.0 * n1)
     offs = np.arange(-resolution, resolution + fine_step / 2, fine_step)
     k0 = cand + offs[_fine_argmax(pos1, wv1, vol1, cand, offs)]
-    k_star, i_star = _refine_rows(pos1, wv1, vol1, k0 - fine_step, k0 + fine_step)
+    k_star, i_star = _golden_refine(pos1, wv1, vol1, k0 - fine_step, k0 + fine_step)
 
     # dedupe refined candidates within half a grid step, ascending in k
     uniq = []

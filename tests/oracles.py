@@ -7,8 +7,9 @@ bracket search, of the cluster distance, of the Dworkin left side and of
 the occurrence search, batched and on exact keys, the closed-form Bragg
 amplitudes of the Fibonacci model set, the exact sign of a + b*tau one
 scalar at a time, the TOL_EQ grid key that ordered partition cells, the
-former QuadArray.shift, which aligned its denominators by hand, and the
-torus parametrisation of the Fibonacci model set's R-ball classes."""
+former QuadArray.shift, which aligned its denominators by hand, the
+torus parametrisation of the Fibonacci model set's R-ball classes, and the
+supertile recursion of a substitution's Bragg amplitudes."""
 
 import itertools
 import math
@@ -337,3 +338,49 @@ def fibonacci_classes(R) -> list:
         cls = classes.setdefault(P.signature(), [P, QuadNum(0, 0, GOLDEN)])
         cls[1] = cls[1] + (u1 - u0)
     return [tuple(cls) for cls in classes.values()]
+
+
+def supertile_sums(rule, w, ks, levels):
+    """(L, F): L[m][a], the length of letter a's level-m supertile sigma^m(a), and
+    F[m][a](k), the sum over its tiles of w(colour) e(-k x), x from its left end,
+    for m <= levels and each k of ks.  F_0 = w(colour of a), and
+    F_{m+1,a}(k) = sum_j e(-k x_j) F_{m,b_j}(k) over sigma(a) = b_0 b_1 ...,
+    x_j the left end of b_j's level-m supertile inside a's: the Fourier matrix
+    cocycle of the substitution (Baake-Grimm, Aperiodic Order vol. 1, ch. 4)."""
+    ks = np.asarray(ks, dtype=float)
+    words = [[rule.letters.index(ch) for ch in word] for word in rule.expansions]
+    lengths = [np.array([float(x) for x in rule.lengths])]
+    sums = [np.array([np.full(ks.shape, complex(w[c])) for c in rule.color_of])]
+    for _ in range(levels):
+        length, f = lengths[-1], sums[-1]
+        lefts = [np.cumsum([0.0] + [length[b] for b in word[:-1]]) for word in words]
+        sums.append(np.array([sum(np.exp(-2j * np.pi * ks * x) * f[b] for x, b in zip(left, word))
+                              for left, word in zip(lefts, words)]))
+        lengths.append(np.array([sum(length[b] for b in word) for word in words]))
+    return lengths, sums
+
+
+def renormalised_amplitude(source, w, ks, spec, n):
+    """A_n(k) of a SubstitutionSource at each k of ks from supertile_sums, sharing
+    no code with the library's tile sums.  The tiles with left ends in F_n (which
+    starts at or below 0) are a prefix of the fixed point, which the Dumont-Thomas
+    prefix decomposition cuts into whole supertiles of decreasing level: from the
+    seed's first supertile that reaches past F_n, each level adds the supertiles
+    that end within it and descends into the one that does not."""
+    (lo, hi), = spec.region(n).bounds()
+    assert lo <= 0, "the prefix starts at the source's left end, 0"
+    rule, a = source.rule, source.rule.letters.index(source.seed_letter)
+    levels = 0
+    while supertile_sums(rule, w, [], levels)[0][-1][a] <= hi:
+        levels += 1
+    lengths, sums = supertile_sums(rule, w, ks, levels)
+    ks, total, origin = np.asarray(ks, dtype=float), 0j, 0.0
+    for m in range(levels, 0, -1):
+        for b in (rule.letters.index(ch) for ch in rule.expansions[a]):
+            if origin + lengths[m - 1][b] > hi:
+                a = b
+                break
+            total = total + np.exp(-2j * np.pi * ks * origin) * sums[m - 1][b]
+            origin += lengths[m - 1][b]
+    total = total + np.exp(-2j * np.pi * ks * origin) * sums[0][a]  # origin <= hi
+    return total / spec.region(n).volume()

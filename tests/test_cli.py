@@ -234,7 +234,7 @@ def test_diffract_output_does_not_depend_on_threads_or_cpus(tmp_path, monkeypatc
         "source": {"type": "fibonacci"},
         "diffract": {"k_min": -2, "k_max": 2, "resolution": 0.01, "n_schedule": [100, 200]}})
     outs = []
-    for cpus in (1, 2):  # the peak refinement splits its rows on two CPUs
+    for cpus in (1, 2):  # the refinement's and the schedule's sums split on two CPUs
         monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
         for threads in ("1", "4"):
             out = tmp_path / ("c%d-t%s" % (cpus, threads))
@@ -364,6 +364,14 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, doc):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("offsets", [0, -3])
+def test_freq_offsets_below_one_name_the_key_and_the_value(tmp_path, capsys, offsets):
+    cfg = write_cfg(tmp_path / "cfg.json", {"source": {"type": "lattice"}, "freq": {"offsets": offsets}})
+    assert main(["freq", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: 'offsets' in 'freq' must be >= 1 (it counts offset 0), not %d\n" % offsets
 
 
 def test_integer_fields_accept_integral_floats(tmp_path):

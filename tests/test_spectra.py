@@ -10,6 +10,8 @@ from pointspec.geometry import Interval, in_sorted, within
 from pointspec.sources import (
     LatticeSource,
     PoissonSource,
+    SubstitutionRule,
+    SubstitutionSource,
     TranslatedSource,
     fibonacci_cut_project,
     fibonacci_substitution,
@@ -37,7 +39,9 @@ from oracles import (
     hermitian_defect,
     l2_norm_sq,
     quadrature_autocorr,
+    renormalised_amplitude,
     shifted_density_lhs,
+    supertile_sums,
 )
 
 SPEC = VanHoveSpec()
@@ -407,6 +411,39 @@ def test_bragg_amplitude_one_k_or_many():
     assert grid[2] == pytest.approx((2 * n + 1) / (2 * n) ** 2)  # alternating rows cancel
 
 
+# the substitution sources, and a float-length rule (a -> aabb, b -> ab, lambda = 3)
+# whose dyadic lengths keep every float position exact
+SUBSTITUTIONS = {
+    "thue-morse": (thue_morse_source(), [1, -1]),
+    "period-doubling": (period_doubling_source(), [1, -1]),
+    "fibonacci": (fibonacci_substitution(), [1, 0.3 + 0.7j]),
+    "float-lengths": (SubstitutionSource(SubstitutionRule(
+        letters="ab", expansions=("aabb", "ab"), lengths=(0.75, 0.375), color_of=(0, 1)), "a"), [1, 1j]),
+}
+
+
+@pytest.mark.parametrize("n", [37.5, 500, 1024, 2000])
+@pytest.mark.parametrize("name", SUBSTITUTIONS)
+def test_bragg_amplitude_is_the_supertile_recursion(name, n):
+    # the two sums differ by their roundings, under 1e-12 here, while one tile
+    # too many or too few moves an amplitude by 1/vol >= 2.5e-4
+    src, w = SUBSTITUTIONS[name]
+    for ks in (np.linspace(-3, 3, 601), np.array([0.0, 1 / 3, 0.5, 2 / 3, 8 / 3, 1 / TAU, -2.5])):
+        want = renormalised_amplitude(src, w, ks, SPEC, n)
+        assert np.abs(bragg_amplitude(src, w, ks, SPEC, n) - want).max() < 1e-11
+
+
+@pytest.mark.parametrize("m", [1, 5, 10, 11])
+def test_thue_morse_supertile_sums_are_the_riesz_product(m):
+    # over its first 2^m points, weights [1, -1]: prod_{j<m} (1 - e(-2^j k))
+    ks = np.linspace(-3, 3, 601)
+    lengths, sums = supertile_sums(thue_morse_source().rule, [1, -1], ks, m)
+    riesz = np.prod([1 - np.exp(-2j * np.pi * 2 ** j * ks) for j in range(m)], axis=0)
+    assert list(lengths[m]) == [2 ** m, 2 ** m]
+    assert np.abs(sums[m][0] - riesz).max() < 1e-15 * 2 ** m
+    assert np.abs(sums[m][1] + riesz).max() < 1e-15 * 2 ** m
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "comb"])
 def test_peak_scan_amplitudes_are_bragg_amplitudes(name):
     src, w = {"fibonacci": (fibonacci_cut_project(), [1, 1]),
@@ -569,51 +606,147 @@ def golden_inputs(name, n1=300):
     return pos, np.asarray(w, dtype=complex)[col], SPEC.region(n1).volume()
 
 
+def plain_refinement(pos, wvals, vol, lo, hi):
+    """(result, steps) of the plain loop on the exact kernel, one _amplitudes_grid
+    call per k vector; steps holds the k vectors _golden_refine evaluates: its 60
+    (c, d) pairs, then (mid,) (the loop's 61st pair decides nothing)."""
+    seen = []
+
+    def exact(kk):
+        seen.append(kk)
+        return np.abs(spectra._amplitudes_grid(pos, wvals, kk, vol)) ** 2
+    want = golden_refine_loop(exact, lo, hi)
+    return want, [tuple(seen[i: i + 2]) for i in range(0, 120, 2)] + [(seen[-1],)]
+
+
+def memo_phase_rows(steps, first):
+    """The phase rows _golden_refine sums on plain_refinement's steps, row r on the
+    exact kernel from step first[r]: a (row, k) is summed unless the row's c or d of
+    one of the last three steps, taken on the exact kernel, had the same bits, and
+    a lone summed k is summed twice."""
+    total = 0
+    for j, step in enumerate(steps):
+        memo = [np.where(first <= i, k, np.nan) for i in range(max(0, j - 3), j) for k in steps[i]]
+        memo = np.array(memo).reshape(-1, len(first)).view(np.int64)
+        new = sum(int(((k.view(np.int64) != memo).all(axis=0) & (first <= j)).sum()) for k in step)
+        total += 2 if new == 1 and len(first) > 1 else new
+    return total
+
+
+def phase_spy(monkeypatch, record=len):
+    """record(ks) of every _phases call, from whichever thread made it."""
+    seen = []
+    phases = spectra._phases
+    monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: seen.append(record(ks)) or phases(ks, p, out))
+    return seen
+
+
+def without_the_model(monkeypatch):
+    """Every refinement row starts on the exact kernel."""
+    monkeypatch.setattr(spectra, "_taylor_model", lambda pos, wvals, vol, lo, hi: (np.zeros(len(lo), dtype=bool), None))
+
+
+def model_for_the_first_steps(monkeypatch, on_model, steps):
+    """The rows on_model start on a stand-in model that decides their first `steps`
+    comparisons as the exact kernel does (complex_exp_grid's bits) and none after;
+    the other rows start on the exact kernel."""
+    def taylor_model(pos, wvals, vol, lo, hi):
+        calls = []
+
+        def model(k, r):
+            calls.append(r)
+            fc, fd = (np.abs(complex_exp_grid(pos, wvals, k.ravel(), vol)) ** 2).reshape(k.shape)
+            err = np.full(len(r), 0.0 if len(calls) <= steps else np.inf)
+            return np.where(fc < fd, [[0.0], [1.0]], [[1.0], [0.0]]), err
+        return np.array(on_model[: len(lo)]), model
+    monkeypatch.setattr(spectra, "_taylor_model", taylor_model)
+
+
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_phase_reuse_is_bit_exact(name, monkeypatch):
-    # the certified refinement (model comparisons, then reused exact values)
-    # against the plain loop on the exact kernel
+    # the certified refinement (model comparisons, then exact values from its
+    # memo or one sum) against the plain loop on the exact kernel
     n1 = 300
     pos, wvals, vol = golden_inputs(name, n1)
     k0 = np.concatenate([np.linspace(-3, 3, 37), [1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5]])
     step = 0.25 / (2.0 * n1)
-
-    def exact(kk):
-        return np.abs(spectra._amplitudes_grid(pos, wvals, np.asarray(kk, dtype=float), vol)) ** 2
-    want = golden_refine_loop(exact, k0 - step, k0 + step)
-    rows = []
-    phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: rows.append(len(ks)) or phases(ks, p, out))
+    want, _ = plain_refinement(pos, wvals, vol, k0 - step, k0 + step)
+    rows = phase_spy(monkeypatch)
     got = spectra._golden_refine(pos, wvals, vol, k0 - step, k0 + step)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert sum(rows) < 0.8 * 123 * len(k0)  # reuse happened
-    many = np.linspace(-3, 3, int(4e6 // len(pos)) + 1)  # many tiles
-    assert spectra._reusing_intensity(pos, wvals, vol, len(many))((many,))[0].tobytes() == \
-        exact(many).tobytes()
+
+
+REFINE_KS = np.concatenate([[1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5, -1.3, 2.2], np.linspace(-2.9, 2.9, 35)])
+
+
+@pytest.mark.parametrize("model", ["taylor", "exact"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 40])
+def test_golden_refine_is_the_plain_loop_bit_for_bit(rows, model, monkeypatch):
+    # 40 rows start with 80 k, past one tile (75 rows), so two CPUs split them
+    n1 = 300
+    pos, wvals, vol = golden_inputs("fibonacci", n1)
+    step = 0.25 / (2.0 * n1)
+    k0 = REFINE_KS[:rows]
+    want, _ = plain_refinement(pos, wvals, vol, k0 - step, k0 + step)
+    if model == "exact":
+        without_the_model(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+        got = spectra._golden_refine(pos, wvals, vol, k0 - step, k0 + step)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], cpus
 
 
 def test_value_reuse_over_several_chunks_is_bit_exact(monkeypatch):
-    patch = fibonacci_cut_project().window(SPEC.region(300))
-    pos, col = patch.all_positions()
-    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(300).volume()
-    chunk = int(4e6 // len(pos))
-    rows = 2 * chunk + 500  # three chunks, the last one short
-    rng = np.random.default_rng(9)
-    k1 = rng.uniform(-3, 3, rows)
-    k2 = np.where(rng.random(rows) < 0.5, k1, rng.uniform(-3, 3, rows))
-    k2[:chunk] = k1[:chunk]  # a chunk of repeated rows only
-    k3 = np.where(rng.random(rows) < 0.5, k1, k2)  # rows of both earlier calls
-    k3[chunk - 50: chunk + 50] = rng.uniform(-3, 3, 100)  # fresh rows across a chunk end
-    computed = []
-    phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases",
-                        lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
-    fn = spectra._reusing_intensity(pos, wvals, vol, rows)
-    got = [fn((k,))[0] for k in (k1, k2, k3)]
-    monkeypatch.undo()
-    assert sum(computed) == rows + (k2 != k1).sum() + ((k3 != k1) & (k3 != k2)).sum()
-    for k, values in zip((k1, k2, k3), got):
-        assert values.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k, vol)) ** 2).tobytes()
+    # 85 rows on the exact kernel: the first step's 170 k span three phase tiles
+    n1 = 300
+    pos, wvals, vol = golden_inputs("fibonacci-moved", n1)
+    step = 0.25 / (2.0 * n1)
+    k0 = np.linspace(-2.9, 2.9, tile_rows(len(pos)) + 10)
+    want, steps = plain_refinement(pos, wvals, vol, k0 - step, k0 + step)
+    without_the_model(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+        rows = phase_spy(monkeypatch)
+        got = spectra._golden_refine(pos, wvals, vol, k0 - step, k0 + step)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], cpus
+        assert sum(rows) == memo_phase_rows(steps, np.zeros(len(k0), dtype=int)) < 0.8 * 121 * len(k0)
+
+
+def test_golden_call_with_one_fresh_row_keeps_the_one_call_bits(monkeypatch):
+    # row 0 decides on a model for 25 steps, so row 1 is alone on the exact
+    # kernel, where a step often reuses one k and sums the other
+    n1 = 300
+    pos, wvals, vol = golden_inputs("fibonacci-moved", n1)
+    step = 0.25 / (2.0 * n1)
+    k0 = np.array([1 / TAU, 0.5])
+    want = {rows: plain_refinement(pos, wvals, vol, k0[:rows] - step, k0[:rows] + step)[0] for rows in (1, 2)}
+    model_for_the_first_steps(monkeypatch, [True, False], 25)
+    for rows in (1, 2):
+        summed = phase_spy(monkeypatch, lambda ks: ks.copy())
+        got = spectra._golden_refine(pos, wvals, vol, k0[:rows] - step, k0[:rows] + step)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want[rows]]
+        if rows == 1:  # each k alone, as a one-k call sums it
+            assert {len(ks) for ks in summed} == {1}
+        else:  # a lone k as [k, k], never a one-row tile
+            assert min(len(ks) for ks in summed) == 2
+            assert any(len(ks) == 2 and ks[0].tobytes() == ks[1].tobytes() for ks in summed)
+
+
+def test_masked_rows_are_summed_alone_and_only_computed_values_are_reused(monkeypatch):
+    # rows 0 and 2 decide on a model for their first 25 steps: until then only
+    # rows 1 and 3 are summed, and the k of their model steps are not in the memo
+    n1 = 300
+    pos, wvals, vol = golden_inputs("fibonacci", n1)
+    step = 0.25 / (2.0 * n1)
+    k0 = np.array([1 / TAU, -1.3, TAU ** 2 / 5 ** 0.5, 0.5])
+    want, steps = plain_refinement(pos, wvals, vol, k0 - step, k0 + step)
+    on_model = np.array([True, False, True, False])
+    model_for_the_first_steps(monkeypatch, on_model, 25)
+    rows = phase_spy(monkeypatch)
+    got = spectra._golden_refine(pos, wvals, vol, k0 - step, k0 + step)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert sum(rows) == memo_phase_rows(steps, np.where(on_model, 25, 0))
 
 
 def test_amplitude_row_bits_ignore_the_other_rows_of_its_block():
@@ -675,56 +808,6 @@ def test_phase_tiles_hold_two_to_t_rows(monkeypatch):
         assert rows == 1 or min(tiles) >= 2, (rows, tiles)
 
 
-def test_golden_call_with_one_fresh_row_keeps_the_one_call_bits(monkeypatch):
-    patch = fibonacci_cut_project().window(SPEC.region(300))
-    pos, col = patch.all_positions()
-    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(300).volume()
-    k1 = np.linspace(-2.5, 2.5, 9)
-    computed = []
-    phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases",
-                        lambda ks, p, out=None: computed.append(len(ks)) or phases(ks, p, out))
-    for fresh in (0, 4, 8):
-        fn = spectra._reusing_intensity(pos, wvals, vol, len(k1))
-        fn((k1,))
-        k2 = k1.copy()
-        k2[fresh] += 1e-3
-        computed.clear()
-        got, = fn((k2,))
-        assert computed == [2]  # the fresh row and one other, never a one-row tile
-        assert got.tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k2, vol)) ** 2).tobytes()
-    one = spectra._reusing_intensity(pos, wvals, vol, 1)
-    assert one((k1[:1],))[0].tobytes() == (np.abs(spectra._amplitudes_grid(pos, wvals, k1[:1], vol)) ** 2).tobytes()
-
-
-def test_masked_rows_are_summed_alone_and_only_computed_values_are_reused(monkeypatch):
-    pos, wvals, vol = golden_inputs("fibonacci")
-    k1, k2 = np.linspace(-2.5, 2.5, 9), np.linspace(-2.5, 2.5, 9) + 1e-3
-    exact = {i: np.abs(spectra._amplitudes_grid(pos, wvals, k, vol)) ** 2 for i, k in ((1, k1), (2, k2))}
-    summed = []  # the k of every phase tile
-    phases = spectra._phases
-    monkeypatch.setattr(spectra, "_phases", lambda ks, p, out=None: summed.append(list(ks)) or phases(ks, p, out))
-    fn = spectra._reusing_intensity(pos, wvals, vol, len(k1))
-
-    def rows(i):
-        return np.isin(np.arange(9), i)
-    got, = fn((k1,), rows([2, 5, 6]))
-    assert summed == [list(k1[[2, 5, 6]])]
-    assert got[rows([2, 5, 6])].tobytes() == exact[1][rows([2, 5, 6])].tobytes()
-    summed.clear()
-    got, = fn((k1,))  # the rows the mask skipped were not computed, so they are summed now
-    assert summed == [list(k1[[0, 1, 3, 4, 7, 8]])] and got.tobytes() == exact[1].tobytes()
-    summed.clear()
-    got, again = fn((k2, k2), rows([4]))  # one new row; no other row is on, so row 0 joins it
-    assert summed == [list(k2[[0, 4]])] and got[4] == again[4] == exact[2][4]
-    summed.clear()
-    got, = fn((k2,), rows([0, 1, 4]))  # row 0 was computed; row 1 is new, and row 0 joins it
-    assert summed == [list(k2[[0, 1]])] and got[rows([0, 1, 4])].tobytes() == exact[2][rows([0, 1, 4])].tobytes()
-    summed.clear()
-    got, = fn((k2,), rows([3, 4]))  # row 4, on, joins the new row 3 (not row 0)
-    assert summed == [list(k2[[3, 4]])] and got[3] == exact[2][3]
-
-
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_taylor_model_stays_within_its_error_bound(name):
     # the premise of the certified comparisons, at random k inside refinement brackets
@@ -754,19 +837,19 @@ def test_wide_brackets_start_on_the_exact_kernel(monkeypatch):
 
 
 # (source, weights, n_schedule, phase rows the refinement summed on one thread
-# before it had a model, the share of those it may sum now): diffract_fib's scan
-# and the fast lattice_peaks check's; the plain loop reused values of equal k bits
+# before it had a model, and then before its memo moved into _golden_refine):
+# diffract_fib's scan and the fast lattice_peaks check's
 REFINE_CASES = {
-    "diffract_fib": (fibonacci_cut_project(), [1, 1], [500, 2000], 24528, 0.75),
-    "lattice_peaks": (integer_lattice(), [1], [500, 1000], 573, 1.0),
+    "diffract_fib": (fibonacci_cut_project(), [1, 1], [500, 2000], 24528, 16800),
+    "lattice_peaks": (integer_lattice(), [1], [500, 1000], 573, 543),
 }
 
 
 @pytest.mark.parametrize("name", REFINE_CASES)
 def test_certified_refinement_sums_fewer_phase_rows(name, monkeypatch):
-    src, w, schedule, plain, share = REFINE_CASES[name]
+    src, w, schedule, plain, earlier = REFINE_CASES[name]
     rows, refining = [], [False]
-    phases, refine = spectra._phases, spectra._refine_rows
+    phases, refine = spectra._phases, spectra._golden_refine
 
     def count(ks, p, out=None):
         if refining[0]:
@@ -781,50 +864,51 @@ def test_certified_refinement_sums_fewer_phase_rows(name, monkeypatch):
             refining[0] = False
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(spectra, "_phases", count)
-    monkeypatch.setattr(spectra, "_refine_rows", refine_counted)
+    monkeypatch.setattr(spectra, "_golden_refine", refine_counted)
     peak_scan(src, w, (-3, 3), 0.01, schedule)
-    assert 0 < sum(rows) <= share * plain
+    assert 0 < sum(rows) <= earlier < plain
 
 
-# the functions _on_two_cpus runs on each half, and the argument holding their rows
-SPLIT_TARGETS = {"_golden_refine": 3, "_tile_sums": 0}
+def split_spies(monkeypatch, cpus):
+    """Make _usable_cpus report cpus; return {thread: phase rows} of the _phases
+    calls from then on."""
+    rows = {}
+    phases = spectra._phases
 
-
-def split_spies(monkeypatch, cpus, target="_golden_refine"):
-    """Make _usable_cpus report cpus; return the row counts of every call of
-    target (a SPLIT_TARGETS name), from whichever thread made it."""
-    rows = []
-    fn, arg = getattr(spectra, target), SPLIT_TARGETS[target]
+    def spy(ks, p, out=None):
+        me = threading.current_thread()
+        rows[me] = rows.get(me, 0) + len(ks)
+        return phases(ks, p, out)
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(spectra, target, lambda *args: rows.append(len(args[arg])) or fn(*args))
+    monkeypatch.setattr(spectra, "_phases", spy)
     return rows
 
 
-def assert_split_keeps_every_bit(monkeypatch, target, call, rows, halves):
-    """call() has the same bits on one CPU and on two, where target runs on the
-    halves (their row counts in any order) instead of all rows at once."""
+def assert_split_keeps_every_bit(monkeypatch, call, rows, halves):
+    """call() has the same bits on one CPU and on two, where its phase rows are
+    summed on two threads (halves, their row counts in any order) instead of one."""
     got = {}
     for cpus in (1, 2):
-        seen = split_spies(monkeypatch, cpus, target)
+        seen = split_spies(monkeypatch, cpus)
         got[cpus] = [x.tobytes() for x in np.atleast_1d(call())]
-        assert sorted(seen) == ([rows] if cpus == 1 else halves)
+        assert sorted(seen.values()) == ([rows] if cpus == 1 else halves)
     assert got[1] == got[2]
 
 
-def assert_a_failing_half_raises_after_the_join(monkeypatch, target, failing, call):
-    """With target raising on the worker's half or on the caller's, call() raises
+def assert_a_failing_half_raises_after_the_join(monkeypatch, failing, call):
+    """With _phases raising on the worker's half or on the caller's, call() raises
     that exception, and no thread is left running."""
     class Boom(Exception):
         pass
-    fn = getattr(spectra, target)
+    phases = spectra._phases
     main = threading.main_thread()
 
     def fail(*args):
         if (threading.current_thread() is main) == (failing == "caller"):
             raise Boom(failing)
-        return fn(*args)
+        return phases(*args)
     monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(spectra, target, fail)
+    monkeypatch.setattr(spectra, "_phases", fail)
     before = threading.active_count()
     with pytest.raises(Boom, match=failing):
         call()
@@ -842,11 +926,20 @@ def entry_bits(est):
     ("poisson", PoissonSource(1.0, seed=101), [1]),
 ])
 def test_peak_scan_bits_do_not_depend_on_the_refinement_split(name, src, w, monkeypatch):
+    # at n1 = 300 the refinement's first step sums more k than one tile holds
     got = {}
+    refine = spectra._golden_refine
     for cpus in (1, 2):
-        rows = split_spies(monkeypatch, cpus)
-        got[cpus] = entry_bits(peak_scan(src, w, (-3, 3), 0.01, [100, 200]))
-        assert len(rows) == cpus and min(rows) >= 2, rows
+        threads, used = split_spies(monkeypatch, cpus), []
+
+        def refine_seen(*args):
+            threads.clear()
+            out = refine(*args)
+            used.append(any(t is not threading.main_thread() for t in threads))
+            return out
+        monkeypatch.setattr(spectra, "_golden_refine", refine_seen)
+        got[cpus] = entry_bits(peak_scan(src, w, (-3, 3), 0.01, [300, 600]))
+        assert used == [cpus == 2]
     assert got[1] == got[2]
 
 
@@ -854,56 +947,63 @@ SPLIT_KS = np.array([1 / TAU, TAU ** 2 / 5 ** 0.5, 0.5, -1.3, 2.2])
 
 
 @pytest.mark.parametrize("rows, halves", [(1, [1]), (2, [2]), (3, [3]), (4, [2, 2]), (5, [2, 3])])
-def test_refinement_splits_from_four_rows_and_keeps_every_bit(rows, halves, monkeypatch):
-    n1 = 300
-    patch = fibonacci_cut_project().window(SPEC.region(n1))
-    pos, col = patch.all_positions()
-    wvals, vol = np.array([1, 0.3 + 0.7j])[col], SPEC.region(n1).volume()
-    step = 0.25 / (2.0 * n1)
-    k0 = SPLIT_KS[:rows]
-    assert_split_keeps_every_bit(monkeypatch, "_golden_refine",
-                                 lambda: spectra._refine_rows(pos, wvals, vol, k0 - step, k0 + step),
-                                 rows, halves)
-
-
-@pytest.mark.parametrize("rows, halves", [(1, [1]), (2, [2]), (3, [3]), (4, [2, 2]), (5, [2, 3])])
 def test_amplitude_grid_splits_from_four_k_and_keeps_every_bit(rows, halves, monkeypatch):
+    # 11,577 points at n = 8000, so a tile holds 3 rows
     ks = SPLIT_KS[:rows]
-    assert_split_keeps_every_bit(monkeypatch, "_tile_sums", lambda: bragg_amplitude(
-        fibonacci_cut_project(), [1, 0.3 + 0.7j], ks, SPEC, 300), rows, halves)
+    assert_split_keeps_every_bit(monkeypatch, lambda: bragg_amplitude(
+        fibonacci_cut_project(), [1, 0.3 + 0.7j], ks, SPEC, 8000), rows, halves)
 
 
 def test_amplitude_grid_on_a_2d_lattice_keeps_every_bit_when_split(monkeypatch):
+    # 13,211 points at n = 60, so a tile holds 3 rows
     lattice = LatticeSource([[1.0, 0.0], [0.3, 1.1]], colors=2)
     ks = np.array([[0.1, 0.7], [1 / TAU, -0.4], [-1.3, 2.2], [0.5, TAU]])
-    assert_split_keeps_every_bit(monkeypatch, "_tile_sums", lambda: bragg_amplitude(
-        lattice, [1, 0.3 + 0.7j], ks, VanHoveSpec(n0=20, dim=2), 20), 4, [2, 2])
+    assert_split_keeps_every_bit(monkeypatch, lambda: bragg_amplitude(
+        lattice, [1, 0.3 + 0.7j], ks, VanHoveSpec(n0=20, dim=2), 60), 4, [2, 2])
+
+
+@pytest.mark.parametrize("k, cpus, threads", [(7, 2, 0), (8, 2, 0), (9, 2, 1), (9, 1, 0)])
+def test_only_a_grid_past_one_tile_starts_a_thread_and_only_on_two_cpus(k, cpus, threads, monkeypatch):
+    # lattice_peaks' schedule call: 7 k on 4,001 points, where a tile holds 8 rows
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+    monkeypatch.setattr(spectra.threading, "Thread", Counted)
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: cpus)
+    bragg_amplitude(integer_lattice(), [1], np.linspace(-3, 3, k), SPEC, 2000)
+    assert started == ["pointspec-half"] * threads
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_refinement_half_raises_itself_after_the_join(failing, monkeypatch):
-    assert_a_failing_half_raises_after_the_join(monkeypatch, "_golden_refine", failing, lambda: peak_scan(
-        fibonacci_cut_project(), [1, 1], (-3, 3), 0.01, [100, 200]))
+    # 60 rows on the exact kernel: the first step's 120 k split
+    pos, wvals, vol = golden_inputs("fibonacci")
+    k0 = np.linspace(-2.9, 2.9, 60)
+    without_the_model(monkeypatch)
+    assert_a_failing_half_raises_after_the_join(monkeypatch, failing, lambda: spectra._golden_refine(
+        pos, wvals, vol, k0 - 1e-4, k0 + 1e-4))
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_amplitude_half_raises_itself_after_the_join(failing, monkeypatch):
-    assert_a_failing_half_raises_after_the_join(monkeypatch, "_tile_sums", failing, lambda: bragg_amplitude(
-        fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 10), SPEC, 100))
+    assert_a_failing_half_raises_after_the_join(monkeypatch, failing, lambda: bragg_amplitude(
+        fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 500), SPEC, 100))
 
 
 def test_the_traced_amplitude_grid_is_entered_once_a_call_from_the_caller(monkeypatch):
-    # a tracer wraps _amplitudes_grid; only the untraced _tile_sums runs on the worker
-    entered, summed = [], []
-    grid, tiles = spectra._amplitudes_grid, spectra._tile_sums
-    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 2)
+    # a tracer wraps _amplitudes_grid; only the untraced tile sums run on the
+    # worker.  500 k on 145 points are more than two tiles of 225 rows.
+    entered = []
+    grid = spectra._amplitudes_grid
     monkeypatch.setattr(spectra, "_amplitudes_grid",
                         lambda *args: entered.append(threading.current_thread()) or grid(*args))
-    monkeypatch.setattr(spectra, "_tile_sums",
-                        lambda *args: summed.append(threading.current_thread()) or tiles(*args))
-    bragg_amplitude(fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 10), SPEC, 100)
+    threads = split_spies(monkeypatch, 2)
+    bragg_amplitude(fibonacci_cut_project(), [1, 1], np.linspace(-1, 1, 500), SPEC, 100)
     assert entered == [threading.main_thread()]
-    assert len(summed) == 2 and len(set(summed)) == 2
+    assert sorted(threads.values()) == [250, 250]
 
 
 def test_usable_cpus_reads_the_affinity_mask_or_the_cpu_count(monkeypatch):
@@ -929,15 +1029,19 @@ def test_fast_spectral_tasks_peak_under_their_bounds(name, task, bound):
 
 
 def capture_fine_grids(monkeypatch, scans):
-    """(approx, bound, exact table, certified argmax) of every fine grid the scans run."""
+    """(approx, bound, exact table, argmax, inputs) of every fine grid the scans run."""
     seen = []
-    certified = spectra._certified_argmax
+    fine = spectra._fine_argmax
 
-    def spy(approx, bound, exact_rows):
-        best = certified(approx, bound, exact_rows)
-        seen.append((approx, bound, exact_rows(np.arange(len(approx))), best))
+    def spy(pos, wvals, vol, cand, offs):
+        best = fine(pos, wvals, vol, cand, offs)
+        ks = cand[:, None] + offs
+        approx, bound = spectra._factored_intensity(pos, wvals, vol, cand, offs, ks.ravel())
+        exact = np.abs(spectra._amplitudes_grid(pos, wvals, ks.ravel(), vol)) ** 2
+        seen.append((approx.reshape(ks.shape), bound, exact.reshape(ks.shape), best,
+                     (pos, wvals, vol, cand, offs)))
         return best
-    monkeypatch.setattr(spectra, "_certified_argmax", spy)
+    monkeypatch.setattr(spectra, "_fine_argmax", spy)
     for src, w, schedule in scans:
         peak_scan(src, w, (-2, 2), 0.01, schedule)
     monkeypatch.undo()
@@ -951,13 +1055,15 @@ def test_fine_grid_bound_holds_and_noise_inside_it_changes_no_argmax(monkeypatch
         (period_doubling_source(), [1, -1], [300, 600]),
     ])
     rng = np.random.default_rng(5)
-    for approx, bound, exact, best in seen:
+    for approx, bound, exact, best, inputs in seen:
         assert 0 < bound < 1e-9
         assert np.abs(approx - exact).max() <= bound
         assert list(best) == list(np.argmax(exact, axis=1))
         for noise in (bound, -bound, rng.uniform(-bound, bound, approx.shape)):
-            got = spectra._certified_argmax(approx + noise, bound, lambda rows: exact[rows])
-            assert list(got) == list(best)
+            # any values within the bound of the exact ones
+            monkeypatch.setattr(spectra, "_factored_intensity", lambda *args: ((exact + noise).ravel(), bound))
+            assert list(spectra._fine_argmax(*inputs)) == list(best)
+        monkeypatch.undo()
 
 
 def test_fallback_rows_get_the_one_call_bits(monkeypatch):
@@ -969,32 +1075,38 @@ def test_fallback_rows_get_the_one_call_bits(monkeypatch):
     cand, offs = np.linspace(-2.5, 2.5, 250), np.arange(-0.01, 0.01 + step / 2, step)
     one_call = np.abs(spectra._amplitudes_grid(pos, wvals, (cand[:, None] + offs).ravel(), vol))
     one_call = (one_call ** 2).reshape(len(cand), len(offs))
-    assert len(one_call.ravel()) > 4e6 // len(pos)  # more than one chunk
+    assert len(one_call.ravel()) > 2 * tile_rows(len(pos))  # more than two tiles
+    factored, grid = spectra._factored_intensity, spectra._amplitudes_grid
     tables = []
-    certified = spectra._certified_argmax
+    monkeypatch.setattr(spectra, "_amplitudes_grid", lambda *args: tables.append(grid(*args)) or tables[-1])
+    for rows in (np.arange(len(cand)), np.array([0, 187, 249])):
+        def tied(*args, rows=rows):  # these rows' top two made equal
+            approx, bound = factored(*args)
+            approx = approx.reshape(len(cand), -1).copy()
+            approx[rows] = 0.0
+            return approx.ravel(), bound
+        monkeypatch.setattr(spectra, "_factored_intensity", tied)
+        tables.clear()
+        best = spectra._fine_argmax(pos, wvals, vol, cand, offs)
+        table, = tables
+        assert (np.abs(table) ** 2).tobytes() == one_call[rows].tobytes()
+        assert list(best) == list(np.argmax(one_call, axis=1))
 
-    def spy(approx, bound, exact_rows):
-        tables.append((exact_rows(np.arange(len(cand))), exact_rows(np.array([187, 0, 249]))))
-        return certified(approx, np.inf, exact_rows)
-    monkeypatch.setattr(spectra, "_certified_argmax", spy)
-    best = spectra._fine_argmax(pos, wvals, vol, cand, offs)
-    (every, some), = tables
-    assert every.tobytes() == one_call.tobytes()
-    assert some.tobytes() == one_call[[187, 0, 249]].tobytes()
-    assert list(best) == list(np.argmax(one_call, axis=1))
 
-
-def test_near_tie_row_takes_the_exact_fallback():
+def test_near_tie_row_takes_the_exact_fallback(monkeypatch):
     bound = 1e-12
     approx = np.array([[0.5, 0.5 + 1.5 * bound, 0.1],    # margin under 2B
                        [0.5, 0.5 + 3.0 * bound, 0.1]])   # margin past 2B
     asked = []
 
-    def exact_rows(rows):
-        asked.extend(rows)
-        return np.array([[0.5 + 2 * bound, 0.5, 0.1]])
-    assert list(spectra._certified_argmax(approx, bound, exact_rows)) == [0, 1]
-    assert asked == [0]
+    def exact_grid(pos, wvals, ks, vol):
+        asked.append(list(ks))
+        return np.sqrt([0.5 + 2 * bound, 0.5, 0.1]).astype(complex)
+    monkeypatch.setattr(spectra, "_factored_intensity", lambda *args: (approx.ravel(), bound))
+    monkeypatch.setattr(spectra, "_amplitudes_grid", exact_grid)
+    cand, offs = np.array([1.0, 2.0]), np.array([-0.1, 0.0, 0.1])
+    assert list(spectra._fine_argmax(None, None, 1.0, cand, offs)) == [0, 1]
+    assert asked == [list(cand[0] + offs)]
 
 
 def test_unbounded_error_sends_every_row_to_the_exact_chunks(monkeypatch, tmp_path):
@@ -1005,14 +1117,16 @@ def test_unbounded_error_sends_every_row_to_the_exact_chunks(monkeypatch, tmp_pa
                    '{"k_min": -1, "k_max": 1, "resolution": 0.01, "n_schedule": [200, 400]}}')
     assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     fell_back = []
-    certified = spectra._certified_argmax
+    fine, factored = spectra._fine_argmax, spectra._factored_intensity
 
-    def spy(approx, bound, exact_rows):  # the bound forced to +inf
-        return certified(approx, np.inf, lambda rows: fell_back.append(len(rows) == len(approx))
-                         or exact_rows(rows))
-    monkeypatch.setattr(spectra, "_certified_argmax", spy)
+    def fine_unbounded(pos, wvals, vol, cand, offs):  # the fine grid's bound forced to +inf
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "_factored_intensity", lambda *args: (factored(*args)[0], np.inf))
+            fell_back.append(exact_grid_sums(mp, (cand[:, None] + offs).ravel()))
+            return fine(pos, wvals, vol, cand, offs)
+    monkeypatch.setattr(spectra, "_fine_argmax", fine_unbounded)
     assert main(["diffract", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    assert fell_back == [True]
+    assert fell_back == [[True]]
     assert (tmp_path / "a" / "diffract.csv").read_bytes() == \
         (tmp_path / "b" / "diffract.csv").read_bytes()
 
